@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full local gate: build, tests, lints, formatting, the determinism
+# Full local gate: build, tests (the standalone end-to-end benchmark
+# package's included), lints, formatting, the determinism
 # regressions for the parallel experiment runner (--jobs 1 vs --jobs 4,
 # event-horizon coalescing on vs off, and render caching on vs off must
 # all produce byte-identical EXPERIMENTS.md / .json artifacts), the
@@ -33,6 +34,11 @@ cargo build --offline --release --workspace
 
 echo "== tests =="
 cargo test --offline -q --workspace
+
+echo "== end-to-end benchmark: build + tests (smoke run of every workload) =="
+# The benchmark is its own workspace, so the workspace build and tests
+# above never compile it; a public-API change would break it silently.
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 
 echo "== clippy =="
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -21,11 +21,16 @@ const LIST_KEY: &str = "\u{0}list";
 /// or kill bumps NS, so the process-table bit is not needed here.
 pub const LIST_DEPS: u32 = dep::HW | dep::FS | dep::NS | dep::MEM;
 
-/// The dependency mask to tag a cached render of `path` with: the
+/// The dependency mask to tag a render of `path` with after a cache
+/// miss. A stale entry carries the mask it was stored under, so a
+/// revalidation never resolves the route again; a cold miss takes the
 /// registered route's declared deps, or every subsystem for paths
 /// outside the registry (conservative, never stale).
-fn deps_for(path: &str) -> u32 {
-    registry::route_for(path).map_or(dep::ALL, |r| r.deps)
+fn miss_deps(hit: Option<RenderHit>, path: &str) -> u32 {
+    match hit {
+        Some(RenderHit::Stale(deps)) => deps,
+        _ => registry::route_for(path).map_or(dep::ALL, |r| r.deps),
+    }
 }
 
 /// The pseudo filesystem: a stateless router over the kernel's state.
@@ -191,7 +196,7 @@ impl PseudoFs {
                     return Err(FsError::NotFound(path.to_string()));
                 }
                 let rendered = std::sync::Arc::new(buf.clone());
-                k.render_cache_store_bytes(view_fp, path, deps_for(path), &rendered);
+                k.render_cache_store_bytes(view_fp, path, miss_deps(hit, path), &rendered);
                 faultfx::distort(k, path, buf);
                 note_read(k, path, buf.len());
                 Ok(())
@@ -258,7 +263,7 @@ impl PseudoFs {
                     return Err(FsError::NotFound(path.to_string()));
                 }
                 let mut rendered = std::sync::Arc::new(buf);
-                k.render_cache_store_bytes(view_fp, path, deps_for(path), &rendered);
+                k.render_cache_store_bytes(view_fp, path, miss_deps(hit, path), &rendered);
                 if k.fault_plan().is_some() {
                     let mut owned = (*rendered).clone();
                     faultfx::distort(k, path, &mut owned);

@@ -494,8 +494,28 @@ pub const ROUTES: &[Route] = &[
 
 /// The route serving `path`, if any (first match wins, mirroring
 /// dispatch order: exact arms shadow the pid globs for `/proc/self/*`).
+///
+/// The scan keeps that order but globs only the routes whose literal
+/// prefix the path starts with: every segment before the one holding a
+/// pattern's first `*` must equal its path segment, so a route failing
+/// the prefix test cannot match, and most of the table is rejected by
+/// one byte compare instead of a segment walk.
 pub fn route_for(path: &str) -> Option<&'static Route> {
-    ROUTES.iter().find(|r| glob_match(r.pattern, path))
+    let rel = path.trim_start_matches('/');
+    ROUTES
+        .iter()
+        .find(|r| rel.starts_with(literal_prefix(r.pattern)) && glob_match(r.pattern, path))
+}
+
+/// The segment-aligned literal head of a glob, leading slashes ignored
+/// as [`glob_match`] ignores them: the whole pattern when it has no `*`,
+/// otherwise everything before the last `/` that precedes the first `*`.
+fn literal_prefix(pattern: &str) -> &str {
+    let rel = pattern.trim_start_matches('/');
+    match rel.find('*') {
+        None => rel,
+        Some(star) => &rel[..rel[..star].rfind('/').unwrap_or(0)],
+    }
 }
 
 /// The OR of the dependency masks of every route whose mask treatment
@@ -607,6 +627,120 @@ mod tests {
             "proc_pid::pid_status"
         );
         assert!(route_for("/proc/does_not_exist").is_none());
+    }
+
+    /// Every pattern the matcher meets in the tree: the routes, each
+    /// provider profile's policy, a generated hardening policy, and edge
+    /// cases around `**`, leading/trailing slashes and in-segment `*`.
+    fn pattern_corpus() -> Vec<String> {
+        let mut patterns: Vec<String> = ROUTES.iter().map(|r| r.pattern.to_string()).collect();
+        let mut profiles = vec![cloudsim::CloudProfile::Local];
+        profiles.extend(cloudsim::CloudProfile::COMMERCIAL);
+        for profile in profiles {
+            for rule in profile.mask_policy().rules() {
+                patterns.push(rule.pattern.clone());
+            }
+        }
+        let lab = leakscan::Lab::new(1, 7);
+        let host = lab.host(0);
+        let (policy, _) = leakscan::Hardener::new().harden(&host.kernel, &host.container_view());
+        let generated: Vec<&str> = policy.rules().iter().map(|r| r.pattern.as_str()).collect();
+        // The testbed leaks under every one of the Hardener's subtrees.
+        let subtrees = generated.iter().filter(|p| p.ends_with("/**")).count();
+        assert_eq!(subtrees, 11, "{generated:?}");
+        patterns.extend(generated.iter().map(|p| p.to_string()));
+        for edge in [
+            "/proc/sys/**",
+            "/proc/**/stat",
+            "/**",
+            "**",
+            "proc/stat",
+            "//proc/stat",
+            "/proc/stat/",
+            "",
+            "/",
+            "/sys/class/powercap/intel-rapl:*",
+            "/sys/class/powercap/*rapl*/energy_uj",
+            "/proc/*",
+        ] {
+            patterns.push(edge.to_string());
+        }
+        patterns
+    }
+
+    /// Every path the router meets: probes, both views' listings,
+    /// generated pid and RAPL trees, unknown files, and the edge cases.
+    fn path_corpus() -> Vec<String> {
+        let (k, container) = kernel();
+        let fs = PseudoFs::new();
+        let mut paths: Vec<String> = ROUTES.iter().map(|r| r.probe.to_string()).collect();
+        for view in [View::host(), container] {
+            paths.extend(fs.list(&k, &view));
+        }
+        for pid in 0..64 {
+            for file in ["status", "stat", "cmdline", "io", "sched", "environ"] {
+                paths.push(format!("/proc/{pid}/{file}"));
+            }
+        }
+        for pkg in 0..8 {
+            let dom = format!("/sys/class/powercap/intel-rapl:{pkg}");
+            for file in ["name", "energy_uj", "max_energy_range_uj", "unknown"] {
+                paths.push(format!("{dom}/{file}"));
+            }
+            for sub in 0..8 {
+                for file in ["name", "energy_uj", "unknown"] {
+                    paths.push(format!("{dom}/intel-rapl:{pkg}:{sub}/{file}"));
+                }
+            }
+            paths.push(dom);
+        }
+        for edge in [
+            "/proc/does_not_exist",
+            "/sys/class/net/eth0/statistics/rx_bytes",
+            "/proc/sys",
+            "/proc/sys/",
+            "/proc/sys/kernel",
+            "proc/stat",
+            "//proc/stat",
+            "/proc/stat/",
+            "",
+            "/",
+            "//",
+            "/proc",
+            "/proc/",
+            "/sys/class/powercap",
+        ] {
+            paths.push(edge.to_string());
+        }
+        paths
+    }
+
+    #[test]
+    fn glob_match_agrees_with_the_collecting_reference() {
+        let patterns = pattern_corpus();
+        let paths = path_corpus();
+        for pattern in &patterns {
+            for path in paths.iter().chain(&patterns) {
+                assert_eq!(
+                    glob_match(pattern, path),
+                    crate::view::glob_match_reference(pattern, path),
+                    "pattern {pattern:?} vs path {path:?}"
+                );
+            }
+        }
+        assert!(glob_match("/proc/sys/**", "/proc/sys"));
+        assert!(!glob_match("/proc/**/stat", "/proc/1/stat"));
+    }
+
+    #[test]
+    fn filtered_route_for_equals_a_full_reference_scan() {
+        let patterns = pattern_corpus();
+        for path in path_corpus().iter().chain(&patterns) {
+            let reference = ROUTES
+                .iter()
+                .find(|r| crate::view::glob_match_reference(r.pattern, path));
+            assert_eq!(route_for(path), reference, "path {path:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Read contexts and masking policies.
 
+use std::hash::Hasher;
+
 use serde::{Deserialize, Serialize};
+use simkernel::epoch::FnvHasher;
 use simkernel::process::CgroupMembership;
 use simkernel::NamespaceSet;
 
@@ -92,10 +95,31 @@ impl MaskPolicy {
 
 /// Matches a glob `pattern` against an absolute `path`.
 ///
-/// Semantics: both are split on `/`; a `**` segment (only meaningful as the
-/// final segment) matches any remaining suffix including none; a `*` within
-/// a segment matches any run of characters in that segment.
+/// Semantics: both are split on `/` (leading slashes ignored); a `**`
+/// segment matches any remaining suffix including none, but only as the
+/// final segment (anywhere else it matches nothing); a `*` within a
+/// segment matches any run of characters in that segment. The two
+/// segment iterators are walked in step, so a match allocates nothing.
 pub fn glob_match(pattern: &str, path: &str) -> bool {
+    let mut pat = pattern.trim_start_matches('/').split('/');
+    let mut segs = path.trim_start_matches('/').split('/');
+    while let Some(p) = pat.next() {
+        if p == "**" {
+            return pat.next().is_none();
+        }
+        match segs.next() {
+            Some(s) if segment_match(p, s) => {}
+            _ => return false,
+        }
+    }
+    segs.next().is_none()
+}
+
+/// The matcher [`glob_match`] replaced, kept as the oracle the
+/// differential tests hold it to: it collects both sides into vectors
+/// before walking them.
+#[cfg(test)]
+pub(crate) fn glob_match_reference(pattern: &str, path: &str) -> bool {
     let pat: Vec<&str> = pattern.trim_start_matches('/').split('/').collect();
     let segs: Vec<&str> = path.trim_start_matches('/').split('/').collect();
     let mut i = 0;
@@ -217,29 +241,22 @@ impl View {
     /// entries on this, so two views alias only when every read through
     /// them is guaranteed byte-identical. Computed per call — the fields
     /// are public and mutable, so memoizing would be unsound.
+    ///
+    /// This runs on every cached read, so it folds a whole word per
+    /// multiply: integer fields are one round each, and each rule pattern
+    /// is length-prefixed, then folded eight bytes per round by
+    /// [`FnvHasher::write`]. The length prefix keeps rule lists whose
+    /// concatenated bytes coincide apart, and the xor-then-odd-multiply
+    /// round is bijective on u64, so views differing in any single field
+    /// can never collide.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over strings; whole-word rounds for integer fields.
-        // This runs on every cached read, so the word mix folds a full
-        // u64 per multiply instead of FNV's byte-at-a-time loop — the
-        // xor-then-odd-multiply round is bijective on u64, so views
-        // differing in any single field can never collide.
-        fn mix(h: &mut u64, bytes: &[u8]) {
-            for b in bytes {
-                *h ^= u64::from(*b);
-                *h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        fn mix_u64(h: &mut u64, v: u64) {
-            *h ^= v;
-            *h = h.wrapping_mul(0x9e37_79b9_7f4a_7c15 | 1);
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = FnvHasher::default();
         match &self.context {
-            Context::Host => mix(&mut h, &[0]),
+            Context::Host => h.write_u64(0),
             Context::Container { ns, cgroups } => {
-                mix(&mut h, &[1]);
+                h.write_u64(1);
                 for id in [ns.mnt, ns.uts, ns.pid, ns.net, ns.ipc, ns.user, ns.cgroup] {
-                    mix_u64(&mut h, u64::from(id.0));
+                    h.write_u64(u64::from(id.0));
                 }
                 for id in [
                     cgroups.cpuacct,
@@ -247,32 +264,30 @@ impl View {
                     cgroups.net_prio,
                     cgroups.memory,
                 ] {
-                    mix_u64(&mut h, u64::from(id.0));
+                    h.write_u64(u64::from(id.0));
                 }
             }
         }
         match &self.allotted_cpus {
-            None => mix_u64(&mut h, u64::MAX),
+            None => h.write_u64(u64::MAX),
             Some(cpus) => {
-                mix_u64(&mut h, cpus.len() as u64);
+                h.write_u64(cpus.len() as u64);
                 for c in cpus {
-                    mix_u64(&mut h, u64::from(*c));
+                    h.write_u64(u64::from(*c));
                 }
             }
         }
-        mix_u64(&mut h, self.mem_limit_bytes.map_or(u64::MAX, |b| b ^ 1));
-        mix_u64(&mut h, self.policy.rules.len() as u64);
+        h.write_u64(self.mem_limit_bytes.map_or(u64::MAX, |b| b ^ 1));
+        h.write_u64(self.policy.rules.len() as u64);
         for rule in &self.policy.rules {
-            mix(&mut h, rule.pattern.as_bytes());
-            mix(
-                &mut h,
-                &[match rule.action {
-                    MaskAction::Deny => 2,
-                    MaskAction::Partial => 3,
-                }],
-            );
+            h.write_u64(rule.pattern.len() as u64);
+            h.write(rule.pattern.as_bytes());
+            h.write_u64(match rule.action {
+                MaskAction::Deny => 2,
+                MaskAction::Partial => 3,
+            });
         }
-        h
+        h.finish()
     }
 }
 
@@ -335,6 +350,31 @@ mod tests {
         assert_ne!(a.fingerprint(), c.fingerprint());
         let d = View::host().with_allotted_cpus(vec![0, 1]);
         assert_ne!(a.fingerprint(), d.fingerprint());
+
+        let fp = |p: MaskPolicy| View::host().with_policy(p).fingerprint();
+        // Same concatenated bytes, split differently across rules.
+        assert_ne!(
+            fp(MaskPolicy::none().deny("/a").deny("/bc")),
+            fp(MaskPolicy::none().deny("/ab").deny("/c"))
+        );
+        // Same pattern, different action.
+        assert_ne!(
+            fp(MaskPolicy::none().deny("/proc/stat")),
+            fp(MaskPolicy::none().partial("/proc/stat"))
+        );
+        // Patterns around the 8-byte fold boundary differing only in
+        // their last byte.
+        for pattern in ["/proc/a", "/proc/ab", "/proc/abc"] {
+            let mut other = pattern.to_string();
+            other.pop();
+            other.push('z');
+            assert_eq!(pattern.len(), other.len());
+            assert_ne!(
+                fp(MaskPolicy::none().deny(pattern)),
+                fp(MaskPolicy::none().deny(other)),
+                "{pattern}"
+            );
+        }
     }
 
     #[test]

@@ -256,12 +256,17 @@ impl RenderCache {
         self.views.get(&view_fp)?.get(path)
     }
 
-    /// Inserts or replaces the entry for `(view_fp, path)`.
+    /// Inserts or replaces the entry for `(view_fp, path)`. A replaced
+    /// entry is overwritten in place, so revalidating a stale render
+    /// reuses its key instead of allocating a fresh one.
     pub fn store(&mut self, view_fp: u64, path: &str, entry: CacheEntry) {
-        self.views
-            .entry(view_fp)
-            .or_default()
-            .insert(path.to_string(), entry);
+        let view = self.views.entry(view_fp).or_default();
+        match view.get_mut(path) {
+            Some(slot) => *slot = entry,
+            None => {
+                view.insert(path.to_string(), entry);
+            }
+        }
     }
 
     /// Drops every entry cached under `view_fp`, returning how many were

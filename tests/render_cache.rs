@@ -12,10 +12,12 @@
 
 use proptest::prelude::*;
 
+use containerleaks::cloudsim::CloudProfile;
 use containerleaks::leakscan::{CrossValidator, Hardener, Lab};
-use containerleaks::pseudofs::{MaskPolicy, PseudoFs, View};
+use containerleaks::pseudofs::{route_for, MaskPolicy, PseudoFs, View, ROUTES};
+use containerleaks::simkernel::kernel::ProcessSpec;
 use containerleaks::simkernel::{
-    dep, set_render_caching_default, FaultPlan, Kernel, MachineConfig, NANOS_PER_SEC,
+    dep, set_render_caching_default, FaultPlan, Kernel, MachineConfig, RenderHit, NANOS_PER_SEC,
 };
 use containerleaks::workloads::models;
 use containerleaks::{run_fault_matrix, DEFAULT_SEED};
@@ -189,6 +191,95 @@ fn reads_never_advance_epochs() {
     }
     assert_eq!(k.epochs().total(), before, "a read bumped an epoch");
     k.set_render_caching(true);
+}
+
+#[test]
+fn stale_hits_carry_the_route_mask() {
+    // A revalidation re-stores under the mask the stale hit carries
+    // instead of resolving the route again, so that mask must be exactly
+    // the route's declared deps for every probe.
+    let mut k = Kernel::new(MachineConfig::testbed_i7_6700(), 11);
+    // Explicit: a sibling test flips the process-wide default mid-run.
+    k.set_render_caching(true);
+    let env = k.create_container_env("c1").unwrap();
+    k.spawn(ProcessSpec::new("app", models::prime()).in_container(&env))
+        .unwrap();
+    k.advance_secs(2);
+    let fs = PseudoFs::new();
+    let (host, container) = (View::host(), View::container(env.ns, env.cgroups));
+    // Numeric pid probes only resolve inside the container's pid namespace.
+    let view_for = |pattern: &str| {
+        if pattern.starts_with("/proc/*/") {
+            &container
+        } else {
+            &host
+        }
+    };
+    for r in ROUTES {
+        fs.read(&k, view_for(r.pattern), r.probe).unwrap();
+    }
+    // Dirty every subsystem; nothing is cached under the evicted
+    // fingerprint, so the swap only bumps epochs.
+    k.note_policy_swap(View::host().with_mem_limit(1).fingerprint(), dep::ALL);
+    for r in ROUTES {
+        let hit = k.render_cache_get(view_for(r.pattern).fingerprint(), r.probe);
+        let deps = route_for(r.probe).expect("probe is routed").deps;
+        if deps == 0 {
+            // A render that depends on nothing can never go stale.
+            assert!(matches!(hit, Some(RenderHit::Fresh(_))), "{}", r.probe);
+        } else {
+            assert_eq!(hit, Some(RenderHit::Stale(deps)), "{}", r.probe);
+        }
+    }
+}
+
+#[test]
+fn busy_host_rapl_revalidation_matches_uncached_reads() {
+    // The 1 Hz attack loop's read: every advance dirties HW, so each
+    // energy_uj read is a stale revalidation. Fault effects stay below
+    // the cache, so the bytes must match an uncached kernel with and
+    // without sensor faults, through both cached read entry points.
+    let run = |cache: bool, faults: bool| -> Vec<String> {
+        let profile = CloudProfile::CC1;
+        let mut k = Kernel::new(profile.default_machine(), 29);
+        k.set_render_caching(cache);
+        if faults {
+            k.install_faults(
+                FaultPlan::builder(29)
+                    .horizon_secs(100)
+                    .sensor_faults(9)
+                    .build(),
+            );
+        }
+        let env = k.create_container_env("tenant").unwrap();
+        for i in 0..4 {
+            k.spawn(
+                ProcessSpec::new(format!("virus{i}"), models::power_virus()).in_container(&env),
+            )
+            .unwrap();
+        }
+        let view = View::container(env.ns, env.cgroups).with_policy(profile.mask_policy());
+        let fs = PseudoFs::new();
+        let mut out = Vec::new();
+        for step in 0..100 {
+            k.advance_secs(1);
+            for pkg in 0..3 {
+                let path = format!("/sys/class/powercap/intel-rapl:{pkg}/energy_uj");
+                let read = if step % 2 == 0 {
+                    fs.read(&k, &view, &path)
+                } else {
+                    fs.read_shared(&k, &view, &path).map(|b| b.to_string())
+                };
+                out.push(read.unwrap_or_else(|e| format!("<{e:?}>")));
+            }
+        }
+        out
+    };
+    let clean = run(true, false);
+    assert_eq!(clean, run(false, false), "clean reads diverged");
+    let faulted = run(true, true);
+    assert_eq!(faulted, run(false, true), "faulted reads diverged");
+    assert_ne!(clean, faulted, "the sensor faults never fired");
 }
 
 /// Routes whose dependency masks span every subsystem class the bump
