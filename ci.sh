@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: build, tests (the standalone end-to-end benchmark
-# package's included), lints, formatting, the determinism
-# regressions for the parallel experiment runner (--jobs 1 vs --jobs 4,
-# event-horizon coalescing on vs off, and render caching on vs off must
-# all produce byte-identical EXPERIMENTS.md / .json artifacts), the
-# detector-on replays of the detection experiment, the 16-seed campaign
+# package's included), lints, formatting, the determinism mode matrix
+# (--jobs 1 vs --jobs 4, event-horizon coalescing on vs off, render
+# caching on vs off, and shards 1 vs 8 must all produce byte-identical
+# report, JSON and trace artifacts), the 16-seed campaign
 # metamorphic-oracle sweep, and the bench medians gate.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -61,147 +60,71 @@ cargo test --offline -q --release --test flow_dynamic_agreement
 echo "== fault matrix: graceful degradation under injected faults =="
 cargo test --offline -q --release --test fault_matrix
 
-echo "== determinism: --jobs 1 vs --jobs 4 (artifacts + simtrace) =="
+echo "== determinism: the mode matrix =="
+# One row per run: its name, the run it must match (`-` for a reference
+# run), the trace lines exempt from that match (`-` for none), then the
+# binary and its flags. Each run writes `<name>.md`, `.json` and
+# `.trace`; a matching run must reproduce its reference's report and
+# JSON byte for byte, and its trace byte for byte once both drop the
+# exempt lines:
+#   mode-exempt  lines tagged `"group":"mode-exempt"`: the quiescent tick
+#                shape (coalescing) and the calendar-pop/sync bookkeeping
+#                (shard membership);
+#   cache        the `pseudofs.cache_*` occupancy counters, which exist
+#                only while render caching is on. Every other line, the
+#                per-channel read counters included, must match: the
+#                cache never changes *what* gets read.
+# A filtered row must also show that its filter removed a line, or it
+# would exempt nothing and could pass by accident. Every campaign
+# scenario must pass every oracle (the bin exits non-zero otherwise).
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-cargo run --offline --release -q -p containerleaks-experiments --bin all -- \
-    --jobs 1 --out "$tmp/j1.md" --trace "$tmp/j1.trace" >/dev/null
-cargo run --offline --release -q -p containerleaks-experiments --bin all -- \
-    --jobs 4 --out "$tmp/j4.md" --trace "$tmp/j4.trace" >/dev/null
-same "$tmp/j1.md" "$tmp/j4.md"
-same "$tmp/j1.json" "$tmp/j4.json"
-# The trace is compared raw: exec-dependent counters never enter the
-# artifact, so the byte-compare needs no filtering across job counts.
-same "$tmp/j1.trace" "$tmp/j4.trace"
-echo "byte-identical across job counts (trace included)"
-
-echo "== determinism: coalescing on (--jobs 1) vs off (--jobs 4) =="
-cargo run --offline --release -q -p containerleaks-experiments --bin all -- \
-    --jobs 4 --coalesce off --out "$tmp/c0.md" --trace "$tmp/c0.trace" >/dev/null
-same "$tmp/j1.md" "$tmp/c0.md"
-same "$tmp/j1.json" "$tmp/c0.json"
-# Coalescing legitimately reshapes quiescent ticks into spans; those
-# lines carry the documented mode-exempt tag. Everything else must be
-# byte-identical across the two modes.
-grep -v '"group":"mode-exempt"' "$tmp/j1.trace" > "$tmp/j1.trace.portable"
-grep -v '"group":"mode-exempt"' "$tmp/c0.trace" > "$tmp/c0.trace.portable"
-same "$tmp/j1.trace.portable" "$tmp/c0.trace.portable"
-echo "byte-identical with coalescing disabled (trace modulo mode-exempt)"
-
-echo "== determinism under faults: fault_matrix --jobs 1 vs --jobs 4 =="
-cargo run --offline --release -q -p containerleaks-experiments --bin fault_matrix -- \
-    --jobs 1 --out "$tmp/f1.md" --trace "$tmp/f1.trace" >/dev/null
-cargo run --offline --release -q -p containerleaks-experiments --bin fault_matrix -- \
-    --jobs 4 --out "$tmp/f4.md" --trace "$tmp/f4.trace" >/dev/null
-same "$tmp/f1.md" "$tmp/f4.md"
-same "$tmp/f1.json" "$tmp/f4.json"
-same "$tmp/f1.trace" "$tmp/f4.trace"
-echo "byte-identical across job counts with faults active (trace included)"
-
-echo "== determinism under faults: coalescing on vs off =="
-cargo run --offline --release -q -p containerleaks-experiments --bin fault_matrix -- \
-    --jobs 4 --coalesce off --out "$tmp/fc0.md" --trace "$tmp/fc0.trace" >/dev/null
-same "$tmp/f1.md" "$tmp/fc0.md"
-same "$tmp/f1.json" "$tmp/fc0.json"
-grep -v '"group":"mode-exempt"' "$tmp/f1.trace" > "$tmp/f1.trace.portable"
-grep -v '"group":"mode-exempt"' "$tmp/fc0.trace" > "$tmp/fc0.trace.portable"
-same "$tmp/f1.trace.portable" "$tmp/fc0.trace.portable"
-echo "byte-identical with coalescing disabled and faults active (trace modulo mode-exempt)"
-
-echo "== determinism: render caching on vs off =="
-cargo run --offline --release -q -p containerleaks-experiments --bin all -- \
-    --jobs 4 --render-cache off --out "$tmp/r0.md" --trace "$tmp/r0.trace" >/dev/null
-same "$tmp/j1.md" "$tmp/r0.md"
-same "$tmp/j1.json" "$tmp/r0.json"
-# Cache-occupancy counters exist only while caching is on; every other
-# trace line — the per-channel read counters included — must match byte
-# for byte, proving the cache never changes *what* gets read.
-grep -v '"name":"pseudofs.cache_' "$tmp/j1.trace" > "$tmp/j1.trace.nocache"
-grep -v '"name":"pseudofs.cache_' "$tmp/r0.trace" > "$tmp/r0.trace.nocache"
-same "$tmp/j1.trace.nocache" "$tmp/r0.trace.nocache"
-echo "byte-identical with render caching disabled (trace modulo cache occupancy)"
-
-echo "== determinism under faults: render caching on vs off =="
-cargo run --offline --release -q -p containerleaks-experiments --bin fault_matrix -- \
-    --jobs 4 --render-cache off --out "$tmp/fr0.md" --trace "$tmp/fr0.trace" >/dev/null
-same "$tmp/f1.md" "$tmp/fr0.md"
-same "$tmp/f1.json" "$tmp/fr0.json"
-grep -v '"name":"pseudofs.cache_' "$tmp/f1.trace" > "$tmp/f1.trace.nocache"
-grep -v '"name":"pseudofs.cache_' "$tmp/fr0.trace" > "$tmp/fr0.trace.nocache"
-same "$tmp/f1.trace.nocache" "$tmp/fr0.trace.nocache"
-echo "byte-identical with render caching disabled and faults active (trace modulo cache occupancy)"
-
-echo "== determinism: fleet shards 1 vs 8 =="
-cargo run --offline --release -q -p containerleaks-experiments --bin all -- \
-    --jobs 4 --shards 1 --out "$tmp/s1.md" --trace "$tmp/s1.trace" >/dev/null
-cargo run --offline --release -q -p containerleaks-experiments --bin all -- \
-    --jobs 4 --shards 8 --out "$tmp/s8.md" --trace "$tmp/s8.trace" >/dev/null
-same "$tmp/j1.md" "$tmp/s1.md"
-same "$tmp/s1.md" "$tmp/s8.md"
-same "$tmp/s1.json" "$tmp/s8.json"
-# Shard membership changes which calendar a host's horizon lives in —
-# and so the calendar-pop/sync bookkeeping, which carries the documented
-# mode-exempt tag. Every observable line must be byte-identical.
-grep -v '"group":"mode-exempt"' "$tmp/s1.trace" > "$tmp/s1.trace.portable"
-grep -v '"group":"mode-exempt"' "$tmp/s8.trace" > "$tmp/s8.trace.portable"
-same "$tmp/s1.trace.portable" "$tmp/s8.trace.portable"
-echo "byte-identical across shard counts (trace modulo mode-exempt)"
-
-echo "== determinism under faults: fleet shards 1 vs 8 =="
-cargo run --offline --release -q -p containerleaks-experiments --bin fault_matrix -- \
-    --jobs 4 --shards 1 --out "$tmp/fs1.md" --trace "$tmp/fs1.trace" >/dev/null
-cargo run --offline --release -q -p containerleaks-experiments --bin fault_matrix -- \
-    --jobs 4 --shards 8 --out "$tmp/fs8.md" --trace "$tmp/fs8.trace" >/dev/null
-same "$tmp/f1.md" "$tmp/fs1.md"
-same "$tmp/fs1.md" "$tmp/fs8.md"
-same "$tmp/fs1.json" "$tmp/fs8.json"
-grep -v '"group":"mode-exempt"' "$tmp/fs1.trace" > "$tmp/fs1.trace.portable"
-grep -v '"group":"mode-exempt"' "$tmp/fs8.trace" > "$tmp/fs8.trace.portable"
-same "$tmp/fs1.trace.portable" "$tmp/fs8.trace.portable"
-echo "byte-identical across shard counts with faults active (trace modulo mode-exempt)"
-
-echo "== determinism with detector on: --jobs 1 vs --jobs 4 =="
-# The online detector observes every read and swaps masking policies
-# mid-run, so it exercises the cross-thread verdict/apply path directly.
-# Its verdicts, policy updates, and counters are all portable-group:
-# the traced run must be byte-identical across worker counts.
-cargo run --offline --release -q -p containerleaks-experiments --bin all -- \
-    --only detection --detector on --jobs 1 \
-    --out "$tmp/d1.md" --trace "$tmp/d1.trace" >/dev/null
-cargo run --offline --release -q -p containerleaks-experiments --bin all -- \
-    --only detection --detector on --jobs 4 \
-    --out "$tmp/d4.md" --trace "$tmp/d4.trace" >/dev/null
-same "$tmp/d1.md" "$tmp/d4.md"
-same "$tmp/d1.json" "$tmp/d4.json"
-same "$tmp/d1.trace" "$tmp/d4.trace"
-echo "byte-identical across job counts with detector on (trace included)"
-
-echo "== determinism with detector on: fleet shards 1 vs 8 =="
-cargo run --offline --release -q -p containerleaks-experiments --bin all -- \
-    --only detection --detector on --jobs 4 --shards 1 \
-    --out "$tmp/ds1.md" --trace "$tmp/ds1.trace" >/dev/null
-cargo run --offline --release -q -p containerleaks-experiments --bin all -- \
-    --only detection --detector on --jobs 4 --shards 8 \
-    --out "$tmp/ds8.md" --trace "$tmp/ds8.trace" >/dev/null
-same "$tmp/d1.md" "$tmp/ds1.md"
-same "$tmp/ds1.md" "$tmp/ds8.md"
-same "$tmp/ds1.json" "$tmp/ds8.json"
-grep -v '"group":"mode-exempt"' "$tmp/ds1.trace" > "$tmp/ds1.trace.portable"
-grep -v '"group":"mode-exempt"' "$tmp/ds8.trace" > "$tmp/ds8.trace.portable"
-same "$tmp/ds1.trace.portable" "$tmp/ds8.trace.portable"
-echo "byte-identical across shard counts with detector on (trace modulo mode-exempt)"
-
-echo "== campaign: 16-seed metamorphic sweep, --jobs 1 vs --jobs 4 =="
-# Every scenario must pass every oracle (the bin exits non-zero on any
-# violation or panic), and the report artifacts must not depend on the
-# worker count.
-cargo run --offline --release -q -p containerleaks-experiments --bin campaign -- \
-    --seeds 16 --jobs 1 --out "$tmp/camp1.md" >/dev/null 2>&1
-cargo run --offline --release -q -p containerleaks-experiments --bin campaign -- \
-    --seeds 16 --jobs 4 --out "$tmp/camp4.md" >/dev/null 2>&1
-same "$tmp/camp1.md" "$tmp/camp4.md"
-same "$tmp/camp1.json" "$tmp/camp4.json"
-echo "16 scenarios green, report byte-identical across job counts"
+while read -r run ref filter bin flags; do
+    case "$run" in "" | "#"*) continue ;; esac
+    echo "-- $run: $bin $flags (vs $ref, exempt: $filter)"
+    # shellcheck disable=SC2086 # $flags is a word list
+    if ! cargo run --offline --release -q -p containerleaks-experiments --bin "$bin" -- \
+        $flags --out "$tmp/$run.md" --trace "$tmp/$run.trace" </dev/null >"$tmp/$run.log" 2>&1; then
+        echo "ci: FAIL — $bin $flags exited non-zero:" >&2
+        tail -20 "$tmp/$run.log" >&2
+        exit 1
+    fi
+    [ "$ref" = - ] && continue
+    same "$tmp/$ref.md" "$tmp/$run.md"
+    same "$tmp/$ref.json" "$tmp/$run.json"
+    case "$filter" in
+        -) same "$tmp/$ref.trace" "$tmp/$run.trace"; continue ;;
+        mode-exempt) pattern='"group":"mode-exempt"' ;;
+        cache) pattern='"name":"pseudofs.cache_' ;;
+        *) echo "ci: FAIL — unknown trace filter $filter" >&2; exit 1 ;;
+    esac
+    grep -v "$pattern" "$tmp/$ref.trace" >"$tmp/$run.ref.kept"
+    grep -v "$pattern" "$tmp/$run.trace" >"$tmp/$run.kept"
+    removed=$(($(cat "$tmp/$ref.trace" "$tmp/$run.trace" | wc -l) \
+        - $(cat "$tmp/$run.ref.kept" "$tmp/$run.kept" | wc -l)))
+    if [ "$removed" -eq 0 ]; then
+        echo "ci: FAIL — filter $filter removed no line from $ref or $run" >&2
+        exit 1
+    fi
+    same "$tmp/$run.ref.kept" "$tmp/$run.kept"
+done <<'ROWS'
+# run  ref    filter       bin           flags
+j1     -      -            all           --jobs 1
+j4     j1     -            all           --jobs 4
+c0     j1     mode-exempt  all           --jobs 4 --coalesce off
+r0     j1     cache        all           --jobs 4 --render-cache off
+s1     j1     mode-exempt  all           --jobs 4 --shards 1
+s8     s1     mode-exempt  all           --jobs 4 --shards 8
+f1     -      -            fault_matrix  --jobs 1
+f4     f1     -            fault_matrix  --jobs 4
+fc0    f1     mode-exempt  fault_matrix  --jobs 4 --coalesce off
+fr0    f1     cache        fault_matrix  --jobs 4 --render-cache off
+fs1    f1     mode-exempt  fault_matrix  --jobs 4 --shards 1
+fs8    fs1    mode-exempt  fault_matrix  --jobs 4 --shards 8
+camp1  -      -            campaign      --seeds 16 --jobs 1
+camp4  camp1  -            campaign      --seeds 16 --jobs 4
+ROWS
+echo "byte-identical across the mode matrix"
 
 echo "== bench medians vs committed baseline =="
 ./scripts/bench_compare.sh

@@ -266,10 +266,9 @@ fn transcript_digest_with(
         .hosts(sc.hosts)
         .shards(shards)
         .without_background();
-    cfg = match det {
-        Some(d) => cfg.detector(d),
-        None => cfg.without_detector(),
-    };
+    if let Some(d) = det {
+        cfg = cfg.detector(d);
+    }
     if eager {
         cfg = cfg.eager_advance();
     }
@@ -617,8 +616,7 @@ pub fn churn_soundness(sc: &Scenario) -> Result<(), Violation> {
 /// 2. **Tap invisibility.** A passive detector (thresholds set so it
 ///    observes everything but never flags) must leave the scenario
 ///    transcript digest exactly equal to a detector-free run — the
-///    inline tap itself is not allowed to perturb a single byte. This is
-///    the executable form of the `--detector off` byte-compat guarantee.
+///    inline tap itself is not allowed to perturb a single byte.
 ///
 /// # Errors
 ///

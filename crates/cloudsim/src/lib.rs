@@ -10,7 +10,7 @@
 //! # Fleet scale: shards, the event calendar, and lazy hosts
 //!
 //! The fleet is split into shards (whole racks by default; explicit via
-//! [`CloudConfig::shards`] or the process-wide [`set_shards_default`]).
+//! [`CloudConfig::shards`] or the current [`simkernel::RunConfig`]).
 //! Each shard keeps a min-calendar of its hosts' next observable events —
 //! fault-plan edges, reboots, timer fires, or "now" for hosts with
 //! runnable work — so [`Cloud::advance_secs`] pops only the hosts that
@@ -53,7 +53,6 @@ pub use profile::CloudProfile;
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use container_runtime::{ContainerId, ContainerSpec, Runtime, RuntimeError};
 use pseudofs::FsError;
@@ -66,39 +65,6 @@ use workloads::WorkloadSpec;
 
 use placement::CapacityIndex;
 use shard::Shard;
-
-/// Process-wide default shard count consumed by [`CloudConfig::new`]
-/// (`0` = auto: rack-aligned shards of ~128 hosts). What the `--shards`
-/// flag on the repro binaries sets, mirroring the coalescing and
-/// render-cache defaults in `simkernel`.
-static SHARDS_DEFAULT: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide default shard count (`0` = auto).
-pub fn set_shards_default(n: usize) {
-    SHARDS_DEFAULT.store(n, Ordering::Relaxed);
-}
-
-/// The process-wide default shard count (`0` = auto).
-pub fn shards_default() -> usize {
-    SHARDS_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Process-wide default for the provider-side online detector, consumed
-/// by [`CloudConfig::new`] (what the `--detector on|off` flag on the
-/// repro binaries sets; compiled default: off, so existing runs are
-/// byte-identical to the pre-detector code). Per-cloud overrides:
-/// [`CloudConfig::detector`] / [`CloudConfig::without_detector`].
-static DETECTOR_DEFAULT: AtomicBool = AtomicBool::new(false);
-
-/// Sets the process-wide default for attaching the online detector.
-pub fn set_detector_default(on: bool) {
-    DETECTOR_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// The process-wide default for attaching the online detector.
-pub fn detector_default() -> bool {
-    DETECTOR_DEFAULT.load(Ordering::Relaxed)
-}
 
 /// Identifies a physical host in the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -185,7 +151,7 @@ pub struct CloudConfig {
 impl CloudConfig {
     /// A config for the given provider profile with paper-scale defaults:
     /// 8 cloud servers per rack, spread placement, utilization billing,
-    /// sharding per the process-wide default.
+    /// no detector, sharding per the current [`simkernel::RunConfig`].
     pub fn new(profile: CloudProfile) -> Self {
         CloudConfig {
             profile,
@@ -195,9 +161,9 @@ impl CloudConfig {
             placement: PlacementPolicy::Spread,
             billing: BillingModel::default(),
             background_per_host: true,
-            shards: shards_default(),
+            shards: simkernel::RunConfig::current().shards,
             eager_advance: false,
-            detector: detector_default().then(DetectorConfig::default),
+            detector: None,
         }
     }
 
@@ -262,17 +228,10 @@ impl CloudConfig {
     }
 
     /// Attaches the provider-side online detector with the given
-    /// thresholds (overriding the process-wide default either way).
+    /// thresholds.
     #[must_use]
     pub fn detector(mut self, cfg: DetectorConfig) -> Self {
         self.detector = Some(cfg);
-        self
-    }
-
-    /// Detaches the detector regardless of the process-wide default.
-    #[must_use]
-    pub fn without_detector(mut self) -> Self {
-        self.detector = None;
         self
     }
 }
@@ -1032,11 +991,10 @@ impl Cloud {
         shard.refresh(slot, now);
     }
 
-    /// Sets event-horizon tick coalescing on every host kernel. Campaign
-    /// scenarios flip this *per cloud* rather than via the process-wide
-    /// default, so concurrently running scenarios with different modes
-    /// never race each other. Lagged hosts are synced first so their
-    /// backlog replays under the mode it accrued in.
+    /// Sets event-horizon tick coalescing on every host kernel, rebooted
+    /// ones included (campaign scenarios flip modes *per cloud*). Lagged
+    /// hosts are synced first so their backlog replays under the mode it
+    /// accrued in.
     pub fn set_coalescing(&mut self, on: bool) {
         self.sync_all();
         for shard in &mut self.shards {
@@ -1122,6 +1080,10 @@ impl Cloud {
             .wrapping_mul(0x2545_f491_4f6c_dd1d)
             .wrapping_add(1);
         let mut kernel = Kernel::new(machine, reboot_seed);
+        // The replacement boots in the old kernel's modes, not the
+        // current run configuration's: per-cloud mode flips must survive.
+        kernel.set_coalescing(host.kernel.coalescing());
+        kernel.set_render_caching(host.kernel.render_caching());
         let mut runtime = Runtime::new();
         let background = if self.cfg.background_per_host {
             let cid = runtime
@@ -1389,6 +1351,19 @@ mod tests {
         c.advance_secs(2);
         let fresh = c.launch("t", InstanceSpec::new("next")).unwrap();
         assert!(c.read_file(fresh, "/proc/uptime").is_ok());
+    }
+
+    #[test]
+    fn reboot_keeps_the_per_cloud_modes() {
+        for (coalesce, cache) in [(false, true), (true, false), (false, false)] {
+            let mut c = cloud(2);
+            c.set_coalescing(coalesce);
+            c.set_render_caching(cache);
+            c.reboot_host(HostId(1));
+            let k = c.host(HostId(1)).unwrap().kernel();
+            assert_eq!(k.coalescing(), coalesce, "coalescing reset by reboot");
+            assert_eq!(k.render_caching(), cache, "render caching reset by reboot");
+        }
     }
 
     #[test]

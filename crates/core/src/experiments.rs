@@ -4,7 +4,7 @@
 //! measurement) deterministically from a seed and returns an
 //! [`ExperimentResult`]: a rendered text block plus structured
 //! paper-vs-measured comparisons. The `containerleaks-experiments`
-//! binaries are thin wrappers over these functions.
+//! `all` binary runs them through the [`EXPERIMENTS`] registry.
 
 use std::fmt::Write as _;
 
@@ -2025,11 +2025,9 @@ fn detection_cell(
         .hosts(4)
         .placement(PlacementPolicy::BinPack)
         .without_background();
-    cfg = if detect {
-        cfg.detector(cloudsim::DetectorConfig::default())
-    } else {
-        cfg.without_detector()
-    };
+    if detect {
+        cfg = cfg.detector(cloudsim::DetectorConfig::default());
+    }
     let mut cloud = Cloud::new(cfg, seed);
     if faults {
         cloud.install_faults(&simkernel::FaultPlan::standard(seed));
@@ -2330,36 +2328,13 @@ pub const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("detection", |s, _| detection(s)),
 ];
 
-/// The full set, in paper order. `fig2_days` bounds the most expensive
-/// experiment (7 for the paper's full week).
-pub fn all(seed: u64, fig2_days: u64) -> Vec<ExperimentResult> {
-    run_all(seed, fig2_days, 1)
-}
-
-/// Runs the registry across a pool of `jobs` workers, returning results
-/// in paper order. Each driver is a pure function of the seed, so the
-/// result vector is byte-identical for any `jobs`; `jobs = 1` runs on
-/// the caller's thread in the historical serial order.
-pub fn run_all(seed: u64, fig2_days: u64, jobs: usize) -> Vec<ExperimentResult> {
-    run_all_with(seed, fig2_days, jobs, |_, _| {})
-}
-
-/// [`run_all`] with a progress callback, invoked as each experiment
-/// completes with its registry index (completion order under `jobs > 1`;
-/// registry order under `jobs = 1`).
-pub fn run_all_with(
-    seed: u64,
-    fig2_days: u64,
-    jobs: usize,
-    progress: impl Fn(usize, &ExperimentResult) + Sync,
-) -> Vec<ExperimentResult> {
-    run_entries_with(EXPERIMENTS, seed, fig2_days, jobs, progress)
-}
-
-/// Runs an arbitrary slice of registry entries through the worker pool —
-/// the engine behind [`run_all_with`], public so tests and tools can run
-/// a cheap subset (e.g. the determinism regression gate) without paying
-/// for the full registry.
+/// Runs registry entries across a pool of `jobs` workers, returning
+/// results in entry order. Each driver is a pure function of the seed,
+/// so the result vector is byte-identical for any `jobs`; `jobs = 1`
+/// runs on the caller's thread in entry order. `progress` is invoked as
+/// each entry completes, with its index (completion order under
+/// `jobs > 1`). Every driver runs under the caller's
+/// [`RunConfig`](simkernel::RunConfig), whichever worker picks it up.
 pub fn run_entries_with(
     entries: &[(&str, ExperimentFn)],
     seed: u64,
@@ -2381,17 +2356,21 @@ pub fn run_entries_with(
         let next = AtomicUsize::new(0);
         let out = Mutex::new(&mut slots);
         let progress = &progress;
+        let run = simkernel::RunConfig::current();
         std::thread::scope(|s| {
             for _ in 0..jobs.min(n) {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = run_guarded(entries[i].0, entries[i].1, seed, fig2_days);
-                    progress(i, &r);
-                    if let Ok(mut slots) = out.lock() {
-                        slots[i] = Some(r);
+                s.spawn(|| {
+                    let _run = run.enter();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let r = run_guarded(entries[i].0, entries[i].1, seed, fig2_days);
+                        progress(i, &r);
+                        if let Ok(mut slots) = out.lock() {
+                            slots[i] = Some(r);
+                        }
                     }
                 });
             }
@@ -2414,10 +2393,15 @@ pub fn run_entries_with(
 
 /// The command re-running exactly one experiment at one seed — carried
 /// in panic failure entries so any failure line is actionable on its
-/// own.
+/// own. Fault-matrix scenarios re-run through the `fault_matrix` bin.
 pub fn repro_command(id: &str, seed: u64) -> String {
+    let bin = if crate::FAULT_MATRIX.iter().any(|(name, _)| *name == id) {
+        "fault_matrix"
+    } else {
+        "all"
+    };
     format!(
-        "cargo run --release -p containerleaks-experiments --bin all -- --seed {seed} --only {id}"
+        "cargo run --release -p containerleaks-experiments --bin {bin} -- --seed {seed} --only {id}"
     )
 }
 
@@ -2533,6 +2517,7 @@ mod tests {
             );
             assert!(results[1].all_hold(), "healthy driver was disturbed");
         }
+        assert!(repro_command("fault_fs", 7).contains("--bin fault_matrix --"));
     }
 
     #[test]

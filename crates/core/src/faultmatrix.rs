@@ -573,17 +573,7 @@ pub const FAULT_MATRIX: &[(&str, ExperimentFn)] = &[
 
 /// Runs the whole matrix through the guarded worker pool.
 pub fn run_fault_matrix(seed: u64, jobs: usize) -> Vec<ExperimentResult> {
-    run_fault_matrix_with(seed, jobs, |_, _| {})
-}
-
-/// [`run_fault_matrix`] with a per-scenario progress callback (completion
-/// order under `jobs > 1`, registry order under `jobs = 1`).
-pub fn run_fault_matrix_with(
-    seed: u64,
-    jobs: usize,
-    progress: impl Fn(usize, &ExperimentResult) + Sync,
-) -> Vec<ExperimentResult> {
-    crate::experiments::run_entries_with(FAULT_MATRIX, seed, 1, jobs, progress)
+    crate::experiments::run_entries_with(FAULT_MATRIX, seed, 1, jobs, |_, _| {})
 }
 
 #[cfg(test)]

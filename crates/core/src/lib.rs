@@ -16,8 +16,8 @@
 //! | contribution | [`powerns`] | power-based namespace defense (§V) |
 //!
 //! The [`experiments`] module regenerates **every table and figure** of the
-//! paper's evaluation; the `containerleaks-experiments` binaries print
-//! them, and `EXPERIMENTS.md` records paper-vs-measured.
+//! paper's evaluation; the `containerleaks-experiments` `all` binary
+//! prints them, and `EXPERIMENTS.md` records paper-vs-measured.
 //!
 //! # Example: detect the leaks, exploit one, then close it
 //!
@@ -54,7 +54,7 @@ pub mod report;
 
 pub use defended::{DefendedFleet, FleetInstance};
 pub use experiments::ExperimentResult;
-pub use faultmatrix::{run_fault_matrix, run_fault_matrix_with, FAULT_MATRIX};
+pub use faultmatrix::{run_fault_matrix, FAULT_MATRIX};
 pub use report::render_experiments_md;
 
 /// The default deterministic seed used by every experiment binary.

@@ -274,11 +274,9 @@ mod tests {
     fn cloud(profile: CloudProfile, detect: bool) -> Cloud {
         // One host: the covert accomplice must be co-resident.
         let mut cfg = CloudConfig::new(profile).hosts(1).without_background();
-        cfg = if detect {
-            cfg.detector(DetectorConfig::default())
-        } else {
-            cfg.without_detector()
-        };
+        if detect {
+            cfg = cfg.detector(DetectorConfig::default());
+        }
         Cloud::new(cfg, 77)
     }
 

@@ -1,96 +1,14 @@
-//! Runs every experiment and (re)writes EXPERIMENTS.md.
+//! Runs every experiment and (re)writes `EXPERIMENTS.md` plus its `.json`
+//! companion; `--only <id>[,<id>...]` runs a subset (one figure, one
+//! table, or a panic repro) and writes no report unless `--out` is given.
 //!
-//! Flags: `--seed <u64>` (default 1729), `--days <n>` for the Fig. 2 trace
-//! length (default 7), `--out <path>` (default `EXPERIMENTS.md`),
-//! `--jobs <n>` worker threads for the experiment pool (default = available
-//! cores; `--jobs 1` reproduces the serial order), `--coalesce <on|off>`
-//! to toggle event-horizon tick coalescing (default on),
-//! `--render-cache <on|off>` to toggle epoch-keyed pseudo-file render
-//! caching (default on), `--detector <on|off>` to attach the online
-//! leak detector to every cloud (default off — the historical
-//! artifacts), `--only <id>[,<id>...]` to run a subset of the
-//! registry (how panic-failure repro commands pin one experiment),
-//! `--trace <path>` to write the deterministic
-//! JSONL trace artifact, and `--counters` to print the per-subsystem
-//! counter and sim-time profile summary. Every experiment driver is a
-//! pure function of the seed, so the written artifacts — the trace
-//! included, modulo its mode-exempt group and the cache-occupancy
-//! counters — are byte-identical for any `--jobs` value and any
-//! `--coalesce`/`--render-cache` setting.
+//! Flags: see the crate docs (`--seed`, `--days`, `--jobs`, `--only`,
+//! `--out`, `--trace`, `--counters`, `--json`, `--coalesce`,
+//! `--render-cache`, `--shards`). Every driver is a pure function of the
+//! seed, so the artifacts — the trace included, modulo its mode-exempt
+//! group and the cache-occupancy counters — are byte-identical for any
+//! `--jobs` and any execution mode. Exits 1 if any claim fails.
 
-use std::io::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-fn main() {
-    let seed = containerleaks_experiments::seed_arg(containerleaks::DEFAULT_SEED);
-    let jobs = containerleaks_experiments::jobs_arg();
-    containerleaks_experiments::apply_coalesce_arg();
-    containerleaks_experiments::apply_render_cache_arg();
-    containerleaks_experiments::apply_shards_arg();
-    containerleaks_experiments::apply_detector_arg();
-    containerleaks_experiments::init_tracing();
-    let args: Vec<String> = std::env::args().collect();
-    let days = args
-        .windows(2)
-        .find(|w| w[0] == "--days")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(7);
-    let out_path = args
-        .windows(2)
-        .find(|w| w[0] == "--out")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "EXPERIMENTS.md".to_string());
-
-    let entries: Vec<(&str, containerleaks::experiments::ExperimentFn)> =
-        match args.windows(2).find(|w| w[0] == "--only").map(|w| &w[1]) {
-            Some(only) => {
-                let wanted: Vec<&str> = only.split(',').collect();
-                let picked: Vec<_> = containerleaks::experiments::EXPERIMENTS
-                    .iter()
-                    .filter(|(name, _)| wanted.contains(name))
-                    .copied()
-                    .collect();
-                if picked.len() != wanted.len() {
-                    let known: Vec<&str> = containerleaks::experiments::EXPERIMENTS
-                        .iter()
-                        .map(|(n, _)| *n)
-                        .collect();
-                    eprintln!("unknown experiment in --only {only}; known: {known:?}");
-                    std::process::exit(2);
-                }
-                picked
-            }
-            None => containerleaks::experiments::EXPERIMENTS.to_vec(),
-        };
-    let total = entries.len();
-    let done = AtomicUsize::new(0);
-    let results =
-        containerleaks::experiments::run_entries_with(&entries, seed, days, jobs, |_, r| {
-            // Progress in completion order; the result vector (and therefore
-            // everything printed or written below) stays in paper order.
-            eprintln!(
-                "[{}/{total}] {} — {}",
-                done.fetch_add(1, Ordering::Relaxed) + 1,
-                r.id,
-                if r.all_hold() { "ok" } else { "CLAIMS FAILED" }
-            );
-        });
-    for r in &results {
-        containerleaks_experiments::emit(r);
-        println!();
-    }
-    let md = containerleaks::render_experiments_md(&results, seed);
-    let mut f = std::fs::File::create(&out_path).expect("create report file");
-    f.write_all(md.as_bytes()).expect("write report");
-    eprintln!("wrote {out_path}");
-
-    // Machine-readable companion artifact next to the markdown report.
-    let json_path = format!("{}.json", out_path.trim_end_matches(".md"));
-    let json = serde_json::to_string_pretty(&results).expect("serializable results");
-    std::fs::write(&json_path, json).expect("write json artifact");
-    eprintln!("wrote {json_path}");
-    containerleaks_experiments::finish_tracing(seed);
-    if results.iter().any(|r| !r.all_hold()) {
-        std::process::exit(1);
-    }
+fn main() -> std::process::ExitCode {
+    containerleaks_experiments::run_cli(&containerleaks_experiments::EXPERIMENTS)
 }

@@ -14,7 +14,8 @@
 //! threads (default 1); `--no-shrink` disables failure shrinking;
 //! `--inject <hosts,tenants,churn>` replaces the real oracles with the
 //! deterministic threshold fixture (shrinker self-test); `--out <path>`
-//! writes the markdown report plus a `.json` companion. The report is
+//! writes the markdown report plus a `.json` companion; `--trace <path>`
+//! and `--counters` work as on `all`. The report is
 //! byte-identical for any `--jobs` value. Exits 1 unless every scenario
 //! passes every oracle.
 
@@ -37,7 +38,9 @@ fn parse<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    containerleaks_experiments::init_tracing();
+    let trace = arg(&args, "--trace");
+    let counters = args.iter().any(|a| a == "--counters");
+    containerleaks_experiments::init_tracing(trace.is_some() || counters);
 
     let overrides = Overrides {
         hosts: parse(&args, "--hosts"),
@@ -112,7 +115,7 @@ fn main() {
         std::fs::write(&json_path, json).expect("write json artifact");
         eprintln!("wrote {json_path}");
     }
-    containerleaks_experiments::finish_tracing(seed_start);
+    containerleaks_experiments::finish_tracing(seed_start, trace.as_deref(), counters);
     if !report.all_green() {
         std::process::exit(1);
     }

@@ -1,61 +1,11 @@
-//! Runs the fault-injection matrix and writes its report artifacts.
+//! Runs the fault-injection matrix and writes `FAULTS.md` plus its
+//! `.json` companion (same CLI as `all`, minus `--days`).
 //!
-//! Flags: `--seed <u64>` (default 1729), `--out <path>` (default
-//! `FAULTS.md`; the JSON companion lands next to it), `--jobs <n>` worker
-//! threads (default = available cores), `--coalesce <on|off>` to toggle
-//! event-horizon tick coalescing (default on), `--render-cache <on|off>`
-//! to toggle epoch-keyed pseudo-file render caching (default on),
-//! `--trace <path>` to write the deterministic JSONL trace artifact, and
-//! `--counters` to print the per-subsystem counter and sim-time profile
-//! summary. Every scenario is a pure function of the seed — fault
-//! schedules included — so the artifacts (the trace included, modulo its
+//! Every scenario is a pure function of the seed — fault schedules
+//! included — so the artifacts (the trace included, modulo its
 //! mode-exempt group and the cache-occupancy counters) are byte-identical
-//! for any `--jobs` value and any `--coalesce`/`--render-cache` setting;
-//! CI compares `--jobs 1` against `--jobs 4`, coalescing on against off,
-//! and render caching on against off to prove it.
+//! for any `--jobs` and any execution mode. Exits 1 if any claim fails.
 
-use std::io::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-fn main() {
-    let seed = containerleaks_experiments::seed_arg(containerleaks::DEFAULT_SEED);
-    let jobs = containerleaks_experiments::jobs_arg();
-    containerleaks_experiments::apply_coalesce_arg();
-    containerleaks_experiments::apply_render_cache_arg();
-    containerleaks_experiments::apply_shards_arg();
-    containerleaks_experiments::init_tracing();
-    let args: Vec<String> = std::env::args().collect();
-    let out_path = args
-        .windows(2)
-        .find(|w| w[0] == "--out")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "FAULTS.md".to_string());
-
-    let total = containerleaks::FAULT_MATRIX.len();
-    let done = AtomicUsize::new(0);
-    let results = containerleaks::run_fault_matrix_with(seed, jobs, |_, r| {
-        eprintln!(
-            "[{}/{total}] {} — {}",
-            done.fetch_add(1, Ordering::Relaxed) + 1,
-            r.id,
-            if r.all_hold() { "ok" } else { "CLAIMS FAILED" }
-        );
-    });
-    for r in &results {
-        containerleaks_experiments::emit(r);
-        println!();
-    }
-    let md = containerleaks::render_experiments_md(&results, seed);
-    let mut f = std::fs::File::create(&out_path).expect("create report file");
-    f.write_all(md.as_bytes()).expect("write report");
-    eprintln!("wrote {out_path}");
-
-    let json_path = format!("{}.json", out_path.trim_end_matches(".md"));
-    let json = serde_json::to_string_pretty(&results).expect("serializable results");
-    std::fs::write(&json_path, json).expect("write json artifact");
-    eprintln!("wrote {json_path}");
-    containerleaks_experiments::finish_tracing(seed);
-    if results.iter().any(|r| !r.all_hold()) {
-        std::process::exit(1);
-    }
+fn main() -> std::process::ExitCode {
+    containerleaks_experiments::run_cli(&containerleaks_experiments::FAULT_MATRIX)
 }

@@ -24,7 +24,13 @@ use containerleaks::simkernel::MachineConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed = containerleaks_experiments::seed_arg(containerleaks::DEFAULT_SEED);
+    let seed = match args.windows(2).find(|w| w[0] == "--seed") {
+        Some(w) => w[1].parse().unwrap_or_else(|_| {
+            eprintln!("--seed takes a u64, got `{}`", w[1]);
+            std::process::exit(2);
+        }),
+        None => containerleaks::DEFAULT_SEED,
+    };
     let machine = match args
         .windows(2)
         .find(|w| w[0] == "--machine")

@@ -1,7 +1,6 @@
 //! The kernel: composition of every subsystem plus the tick loop.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use rand::rngs::StdRng;
@@ -20,6 +19,7 @@ use crate::net::NetState;
 use crate::ns::{NamespaceRegistry, NamespaceSet};
 use crate::perf::{PerfOverheadCosts, PerfSubsystem};
 use crate::process::{CgroupMembership, HostPid, ProcState, Process, ProcessTable};
+use crate::run::RunConfig;
 use crate::sched::{SchedScratch, Scheduler, TickReport};
 use crate::syscost::SysCosts;
 use crate::time::{Clock, NANOS_PER_SEC};
@@ -30,45 +30,6 @@ use workloads::{PhaseCursor, WorkloadSpec};
 /// Default simulation tick: 1 s (coarse enough for week-long traces, fine
 /// enough for 1 Hz channel snapshots).
 pub const DEFAULT_TICK_NS: u64 = NANOS_PER_SEC;
-
-/// Process-wide default for event-horizon tick coalescing on newly built
-/// kernels. On by default: a coalesced quiescent span is byte-identical to
-/// the equivalent run of per-tick spans (the property tests assert this),
-/// so there is no accuracy trade-off — only speed.
-static COALESCING_DEFAULT: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide coalescing default picked up by [`Kernel::new`].
-/// Experiment binaries expose this as `--coalesce on|off` so CI can
-/// byte-compare both modes; existing kernels are unaffected (use
-/// [`Kernel::set_coalescing`]).
-pub fn set_coalescing_default(on: bool) {
-    COALESCING_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// The current process-wide coalescing default.
-pub fn coalescing_default() -> bool {
-    COALESCING_DEFAULT.load(Ordering::Relaxed)
-}
-
-/// Process-wide default for pseudofs render caching on newly built
-/// kernels. On by default: a cached read serves bytes only while every
-/// dependency epoch is unchanged, so cached and uncached runs are
-/// byte-identical (the property tests and CI gates assert this) — like
-/// coalescing, there is no accuracy trade-off, only speed.
-static RENDER_CACHING_DEFAULT: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide render-caching default picked up by
-/// [`Kernel::new`]. Experiment binaries expose this as
-/// `--render-cache on|off` so CI can byte-compare both modes; existing
-/// kernels are unaffected (use [`Kernel::set_render_caching`]).
-pub fn set_render_caching_default(on: bool) {
-    RENDER_CACHING_DEFAULT.store(on, Ordering::Relaxed);
-}
-
-/// The current process-wide render-caching default.
-pub fn render_caching_default() -> bool {
-    RENDER_CACHING_DEFAULT.load(Ordering::Relaxed)
-}
 
 /// Subsystems that evolve while the host is quiescent: the clock plus
 /// every closed-form idle evaluation in [`Kernel::quiescent_step`]
@@ -265,7 +226,8 @@ struct TickScratch {
 }
 
 impl Kernel {
-    /// Boots a kernel on the given machine with a deterministic seed.
+    /// Boots a kernel on the given machine with a deterministic seed,
+    /// in the execution modes of the current [`RunConfig`].
     ///
     /// # Panics
     ///
@@ -273,6 +235,7 @@ impl Kernel {
     /// are experiment-definition inputs, so this is a programming error.
     pub fn new(cfg: MachineConfig, seed: u64) -> Self {
         cfg.validate().expect("invalid machine configuration");
+        let run = RunConfig::current();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_c0de_0001);
         let ncpus = cfg.cpus as usize;
         let ns = NamespaceRegistry::new(&cfg.hostname);
@@ -304,11 +267,11 @@ impl Kernel {
             lifetime_ns: 0,
             faults: None,
             reboots: 0,
-            coalesce: coalescing_default(),
+            coalesce: run.coalesce,
             idle_anchor: None,
             epochs: SubsystemEpochs::default(),
             render_cache: Mutex::new(RenderCache::default()),
-            render_caching: render_caching_default(),
+            render_caching: run.render_cache,
             tracer: simtrace::tracer_for_new_kernel(),
             seed,
             cfg,

@@ -59,6 +59,7 @@ pub mod ns;
 pub mod parallel;
 pub mod perf;
 pub mod process;
+pub mod run;
 pub mod sched;
 pub mod syscost;
 pub mod time;
@@ -71,11 +72,9 @@ pub use epoch::{dep, SubsystemEpochs};
 pub use error::KernelError;
 pub use faults::{is_sensor_path, FaultPlan, FsFaultKind, SensorFaultKind};
 pub use hw::{PowerModelParams, PowerSnapshot, RaplDomains};
-pub use kernel::{
-    coalescing_default, render_caching_default, set_coalescing_default, set_render_caching_default,
-    Kernel, RenderHit,
-};
+pub use kernel::{Kernel, RenderHit};
 pub use ns::{NamespaceKind, NamespaceSet, NsId};
 pub use process::{HostPid, ProcState, Process};
+pub use run::{RunConfig, RunConfigGuard};
 pub use syscost::SysCosts;
 pub use time::{Clock, NANOS_PER_SEC};

@@ -17,7 +17,7 @@ use containerleaks::leakscan::{CrossValidator, Hardener, Lab};
 use containerleaks::pseudofs::{route_for, MaskPolicy, PseudoFs, View, ROUTES};
 use containerleaks::simkernel::kernel::ProcessSpec;
 use containerleaks::simkernel::{
-    dep, set_render_caching_default, FaultPlan, Kernel, MachineConfig, RenderHit, NANOS_PER_SEC,
+    dep, FaultPlan, Kernel, MachineConfig, RenderHit, RunConfig, NANOS_PER_SEC,
 };
 use containerleaks::workloads::models;
 use containerleaks::{run_fault_matrix, DEFAULT_SEED};
@@ -155,14 +155,17 @@ fn leakscan_pipelines_are_identical_in_both_modes() {
 
 #[test]
 fn fault_matrix_is_identical_across_cache_modes_and_worker_counts() {
-    // The process-wide default is what the CLI `--render-cache` flag
-    // flips; crossing it with the worker count proves the artifact
-    // bytes depend on neither. Restore the default (on) before exiting
-    // so other tests in this binary see the shipped configuration.
+    // The run configuration is what the CLI `--render-cache` flag sets;
+    // crossing it with the worker count proves the artifact bytes depend
+    // on neither. It is scoped to this thread (and the pool workers it
+    // fans out to), so sibling tests keep the shipped configuration.
     let matrix = |cache: bool, jobs: usize| {
-        set_render_caching_default(cache);
+        let _run = RunConfig {
+            render_cache: cache,
+            ..RunConfig::DEFAULT
+        }
+        .enter();
         let results = run_fault_matrix(DEFAULT_SEED, jobs);
-        set_render_caching_default(true);
         serde_json::to_string(&results).expect("serializable matrix")
     };
     let baseline = matrix(true, 1);
@@ -199,8 +202,6 @@ fn stale_hits_carry_the_route_mask() {
     // instead of resolving the route again, so that mask must be exactly
     // the route's declared deps for every probe.
     let mut k = Kernel::new(MachineConfig::testbed_i7_6700(), 11);
-    // Explicit: a sibling test flips the process-wide default mid-run.
-    k.set_render_caching(true);
     let env = k.create_container_env("c1").unwrap();
     k.spawn(ProcessSpec::new("app", models::prime()).in_container(&env))
         .unwrap();

@@ -1,0 +1,79 @@
+//! The run configuration must actually reach every kernel and cloud an
+//! experiment builds — otherwise the CLI's mode gates (coalescing,
+//! render caching and sharding byte-compares) could pass by comparing a
+//! run against itself.
+
+use containerleaks::cloudsim::{Cloud, CloudConfig, CloudProfile, HostId};
+use containerleaks::experiments::{run_entries_with, ExperimentFn, ExperimentResult};
+use containerleaks::simkernel::{Kernel, MachineConfig, RunConfig};
+
+/// Reports the modes a kernel and a 16-host cloud built inside the
+/// driver picked up.
+fn observe_modes(seed: u64, _: u64) -> ExperimentResult {
+    let k = Kernel::new(MachineConfig::small_server(), seed);
+    let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(16), seed);
+    let shards = cloud.shard_count();
+    let host = cloud.host(HostId(15)).expect("16 hosts").kernel();
+    ExperimentResult {
+        id: "modes".into(),
+        title: "modes".into(),
+        rendered: format!(
+            "kernel coalesce={} render_cache={}; cloud coalesce={} render_cache={} shards={}",
+            k.coalescing(),
+            k.render_caching(),
+            host.coalescing(),
+            host.render_caching(),
+            shards,
+        ),
+        comparisons: vec![],
+        error: None,
+    }
+}
+
+const ENTRIES: &[(&str, ExperimentFn)] = &[
+    ("modes_a", observe_modes),
+    ("modes_b", observe_modes),
+    ("modes_c", observe_modes),
+    ("modes_d", observe_modes),
+];
+
+#[test]
+fn entered_config_reaches_every_worker() {
+    let run = RunConfig {
+        coalesce: false,
+        render_cache: false,
+        shards: 8,
+    };
+    for jobs in [1, 4] {
+        let results = {
+            let _run = run.enter();
+            run_entries_with(ENTRIES, 3, 1, jobs, |_, _| {})
+        };
+        assert_eq!(results.len(), ENTRIES.len());
+        for r in &results {
+            assert_eq!(
+                r.rendered,
+                "kernel coalesce=false render_cache=false; \
+                 cloud coalesce=false render_cache=false shards=8",
+                "jobs {jobs}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_thread_with_nothing_entered_gets_the_compiled_defaults() {
+    // A fresh thread: nothing entered there, whatever other tests in this
+    // binary have entered on theirs.
+    let r = std::thread::spawn(|| {
+        assert_eq!(RunConfig::current(), RunConfig::DEFAULT);
+        observe_modes(3, 1)
+    })
+    .join()
+    .expect("driver thread");
+    // Auto sharding: rack-aligned shards of ~128 hosts, so 16 hosts make one.
+    assert_eq!(
+        r.rendered,
+        "kernel coalesce=true render_cache=true; cloud coalesce=true render_cache=true shards=1"
+    );
+}
