@@ -160,7 +160,8 @@ pub struct Container {
     id: ContainerId,
     name: String,
     env: ContainerEnv,
-    spec: ContainerSpec,
+    /// Built once at creation; [`Runtime::set_policy`] swaps its policy.
+    view: View,
     state: ContainerState,
     procs: Vec<HostPid>,
     created_at_ns: u64,
@@ -194,16 +195,8 @@ impl Container {
 
     /// The pseudo-fs view from inside this container (namespaces, cgroups,
     /// masking policy, and allotment for partial filters).
-    pub fn view(&self) -> View {
-        let mut v =
-            View::container(self.env.ns, self.env.cgroups).with_policy(self.spec.policy.clone());
-        if let Some(cpus) = &self.spec.cpus {
-            v = v.with_allotted_cpus(cpus.clone());
-        }
-        if let Some(limit) = self.spec.mem_limit_bytes {
-            v = v.with_mem_limit(limit);
-        }
-        v
+    pub fn view(&self) -> &View {
+        &self.view
     }
 }
 
@@ -235,13 +228,20 @@ impl Runtime {
         self.next += 1;
         let unique_name = format!("{}-{}", spec.name, id.0);
         let env = kernel.create_container_env(&unique_name)?;
+        let mut view = View::container(env.ns, env.cgroups).with_policy(spec.policy);
+        if let Some(cpus) = spec.cpus {
+            view = view.with_allotted_cpus(cpus);
+        }
+        if let Some(limit) = spec.mem_limit_bytes {
+            view = view.with_mem_limit(limit);
+        }
         self.containers.insert(
             id,
             Container {
                 id,
-                name: spec.name.clone(),
+                name: spec.name,
                 env,
-                spec,
+                view,
                 state: ContainerState::Running,
                 procs: Vec::new(),
                 created_at_ns: kernel.clock().since_boot_ns(),
@@ -273,7 +273,7 @@ impl Runtime {
             return Err(RuntimeError::NotRunning(id));
         }
         let mut spec = ProcessSpec::new(name, workload).in_container(&c.env);
-        if let Some(cpus) = &c.spec.cpus {
+        if let Some(cpus) = &c.view.allotted_cpus {
             spec = spec.affinity(cpus.clone());
         }
         let pid = kernel.spawn(spec)?;
@@ -296,7 +296,7 @@ impl Runtime {
             .containers
             .get(&id)
             .ok_or(RuntimeError::NoSuchContainer(id))?;
-        Ok(self.fs.read(kernel, &c.view(), path)?)
+        Ok(self.fs.read(kernel, &c.view, path)?)
     }
 
     /// [`Runtime::read_file`] into a caller-provided buffer, reusing its
@@ -318,7 +318,7 @@ impl Runtime {
             .containers
             .get(&id)
             .ok_or(RuntimeError::NoSuchContainer(id))?;
-        Ok(self.fs.read_into(kernel, &c.view(), path, buf)?)
+        Ok(self.fs.read_into(kernel, &c.view, path, buf)?)
     }
 
     /// Lists the pseudo files visible inside the container.
@@ -335,7 +335,7 @@ impl Runtime {
             .containers
             .get(&id)
             .ok_or(RuntimeError::NoSuchContainer(id))?;
-        Ok(self.fs.list(kernel, &c.view()))
+        Ok(self.fs.list(kernel, &c.view))
     }
 
     /// Implants a crafted timer signature (`timer_list` manipulation).
@@ -437,12 +437,12 @@ impl Runtime {
             .containers
             .get_mut(&id)
             .ok_or(RuntimeError::NoSuchContainer(id))?;
-        if c.spec.policy == policy {
+        if c.view.policy == policy {
             return Ok(());
         }
-        let old_fp = c.view().fingerprint();
-        let deps = pseudofs::changed_mask_deps(&c.spec.policy, &policy);
-        c.spec.policy = policy;
+        let old_fp = c.view.fingerprint();
+        let deps = pseudofs::changed_mask_deps(&c.view.policy, &policy);
+        c.view.policy = policy;
         kernel.note_policy_swap(old_fp, deps);
         Ok(())
     }
@@ -461,7 +461,7 @@ impl Runtime {
         // The dead container's view fingerprint can never recur (it folds
         // the monotone namespace/cgroup ids), so its render-cache entries
         // are unreachable — evict them or churn grows the cache forever.
-        kernel.render_cache_evict_view(c.view().fingerprint());
+        kernel.render_cache_evict_view(c.view.fingerprint());
         kernel.destroy_container_env(&c.env)?;
         Ok(())
     }

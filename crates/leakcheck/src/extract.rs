@@ -19,7 +19,7 @@ pub struct FnDef {
     /// body's opening brace; empty for `fn f(..) { .. }`.
     pub ret: Vec<Token>,
     /// True when some parameter is an `&mut` out-parameter (the
-    /// `_into(k, view, buf: &mut String)` fast-renderer shape).
+    /// renderers' `out: &mut String`).
     pub out_param: bool,
     /// Body tokens, between (and excluding) the outermost braces.
     pub body: Vec<Token>,

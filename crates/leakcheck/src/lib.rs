@@ -10,13 +10,12 @@
 //! simulation crates for determinism hazards (hash-order iteration
 //! feeding output, shared state inside `par_for_each_mut` partitions).
 //!
-//! The two analyses are cross-validated both ways:
-//!
-//! * an integration test asserts static verdicts agree with the dynamic
-//!   scanner on every channel (modulo a documented allowlist), and
-//! * [`audit`] cross-checks the [`pseudofs::ROUTES`] registry against the
-//!   parsed `fs.rs` dispatch arms, so the table this crate audits can
-//!   never silently drift from the code that actually routes reads.
+//! The channel list is [`pseudofs::ROUTES`] itself: each route's handler
+//! name is generated from the same path as the function pointer the
+//! read path calls, so the table this crate audits is the code that
+//! routes reads and cannot drift from it. An integration test asserts
+//! static verdicts agree with the dynamic scanner on every channel
+//! (modulo a documented allowlist).
 //!
 //! [`leakscan`]: https://docs.rs/leakscan
 
@@ -37,23 +36,14 @@ pub use report::{
     diff_lines, ChannelReport, FlowReport, FlowRow, HazardReport, MaskFindingReport, Report,
 };
 
-use extract::functions;
-use lexer::{lex, TokenKind};
-
-/// The render modules dispatched by `fs.rs`, mirroring
-/// `pseudofs/src/render/mod.rs`.
-pub const RENDER_MODULES: &[&str] = &[
-    "proc_basic",
-    "proc_irq",
-    "proc_kernel",
-    "proc_misc",
-    "proc_pid",
-    "proc_sched",
-    "proc_vm",
-    "sys_cgroup",
-    "sys_node",
-    "sys_power",
-];
+/// The render modules serving a route, in name order: the `module` of
+/// each [`pseudofs::Route::handler`].
+fn render_modules() -> BTreeSet<&'static str> {
+    pseudofs::ROUTES
+        .iter()
+        .filter_map(|r| r.handler.split_once("::").map(|(m, _)| m))
+        .collect()
+}
 
 /// Crates whose sources the determinism lint covers: everything that can
 /// influence rendered bytes or the parallel stepping path.
@@ -78,10 +68,11 @@ pub fn workspace_root() -> PathBuf {
 
 /// Runs the full audit against the workspace sources on disk.
 ///
-/// Classifies every [`pseudofs::ROUTES`] channel, cross-checks the
-/// registry against the parsed `fs.rs` dispatch arms, and lints the
-/// simulation crates for determinism hazards. Errors describe registry
-/// drift or unreadable sources; they are audit *failures*, not findings.
+/// Classifies every [`pseudofs::ROUTES`] channel, checks each route's
+/// declared dependency mask against the flow analysis, and lints the
+/// simulation crates for determinism hazards. Errors describe handlers
+/// missing from the sources or unreadable files; they are audit
+/// *failures*, not findings.
 pub fn audit() -> Result<Report, String> {
     audit_at(&workspace_root())
 }
@@ -93,9 +84,9 @@ pub fn audit_at(root: &Path) -> Result<Report, String> {
     let mod_src = read(&render_dir.join("mod.rs"))?;
     let mut modules: BTreeMap<String, BTreeMap<String, FnAnalysis>> = BTreeMap::new();
     let mut graph_modules = Vec::new();
-    for m in RENDER_MODULES {
+    for m in render_modules() {
         let src = read(&render_dir.join(format!("{m}.rs")))?;
-        modules.insert((*m).to_string(), analyze_module(&src));
+        modules.insert(m.to_string(), analyze_module(&src));
         graph_modules.push(callgraph::parse_module(m, Some("render"), &src));
     }
     graph_modules.push(callgraph::parse_module("render", None, &mod_src));
@@ -108,7 +99,6 @@ pub fn audit_at(root: &Path) -> Result<Report, String> {
         channels.push(channel_report(&modules, r)?);
     }
 
-    cross_check(&fs_src, &modules)?;
     let flow = flow_report(&graph_modules, &modules)?;
 
     let mut hazards = Vec::new();
@@ -137,8 +127,8 @@ pub fn audit_at(root: &Path) -> Result<Report, String> {
 }
 
 /// Resolves the route's handler to its analysis and builds the row,
-/// including the declared dirty-epoch dependencies and the kernel reads
-/// (handler plus fast path) the cache-coherence lint checks them against.
+/// including the declared dirty-epoch dependencies and the handler's
+/// kernel reads the cache-coherence lint checks them against.
 fn channel_report(
     modules: &BTreeMap<String, BTreeMap<String, FnAnalysis>>,
     route: &pseudofs::Route,
@@ -150,20 +140,8 @@ fn channel_report(
         route.handler,
         analysis,
         deps,
-        route_kernel_reads(modules, route)?,
+        analysis.facts.kernel_reads.iter().cloned().collect(),
     ))
-}
-
-/// Kernel reads of a route's handler and fast path, unioned and sorted.
-fn route_kernel_reads(
-    modules: &BTreeMap<String, BTreeMap<String, FnAnalysis>>,
-    route: &pseudofs::Route,
-) -> Result<Vec<String>, String> {
-    let mut reads = lookup(modules, route.handler)?.facts.kernel_reads.clone();
-    if let Some(into) = route.fast_into {
-        reads.extend(lookup(modules, into)?.facts.kernel_reads.iter().cloned());
-    }
-    Ok(reads.into_iter().collect())
 }
 
 /// Subsystem names for the set bits of `mask`, in bit order.
@@ -193,7 +171,6 @@ fn flow_report(
         .map(|r| flow::RouteSpec {
             pattern: r.pattern.to_string(),
             handler: r.handler.to_string(),
-            fast_into: r.fast_into.map(str::to_string),
             declared: r.deps,
         })
         .collect();
@@ -201,7 +178,6 @@ fn flow_report(
     specs.push(flow::RouteSpec {
         pattern: "(list)".to_string(),
         handler: "fs::list_uncached".to_string(),
-        fast_into: None,
         declared: pseudofs::LIST_DEPS,
     });
     let check = flow::check_routes(&flows, &specs)?;
@@ -237,56 +213,6 @@ fn flow_report(
     })
 }
 
-/// Verifies the registry against the code: the `module::function` calls
-/// in the parsed `fs.rs` `dispatch` body must be exactly the registry's
-/// handler set, the `render_into` fast arms (the single render path every
-/// cache miss flows through) exactly the `fast_into` set, and each fast
-/// path's verdict must match its handler's.
-fn cross_check(
-    fs_src: &str,
-    modules: &BTreeMap<String, BTreeMap<String, FnAnalysis>>,
-) -> Result<(), String> {
-    let dispatch_refs = render_calls(fs_src, "dispatch")?;
-    let into_refs = render_calls(fs_src, "render_into")?;
-
-    let registry: BTreeSet<String> = pseudofs::ROUTES
-        .iter()
-        .map(|r| r.handler.to_string())
-        .collect();
-    let fast: BTreeSet<String> = pseudofs::ROUTES
-        .iter()
-        .filter_map(|r| r.fast_into.map(str::to_string))
-        .collect();
-
-    if dispatch_refs != registry {
-        let only_code: Vec<_> = dispatch_refs.difference(&registry).cloned().collect();
-        let only_table: Vec<_> = registry.difference(&dispatch_refs).cloned().collect();
-        return Err(format!(
-            "registry drift: dispatch-only {only_code:?}, registry-only {only_table:?}"
-        ));
-    }
-    if into_refs != fast {
-        let only_code: Vec<_> = into_refs.difference(&fast).cloned().collect();
-        let only_table: Vec<_> = fast.difference(&into_refs).cloned().collect();
-        return Err(format!(
-            "fast-path drift: render_into-only {only_code:?}, registry-only {only_table:?}"
-        ));
-    }
-
-    for r in pseudofs::ROUTES {
-        let Some(into) = r.fast_into else { continue };
-        let hv = lookup(modules, r.handler)?.verdict;
-        let iv = lookup(modules, into)?.verdict;
-        if hv != iv {
-            return Err(format!(
-                "fast path `{into}` classifies as {iv} but handler `{}` as {hv}",
-                r.handler
-            ));
-        }
-    }
-    Ok(())
-}
-
 fn lookup<'a>(
     modules: &'a BTreeMap<String, BTreeMap<String, FnAnalysis>>,
     handler: &str,
@@ -298,29 +224,6 @@ fn lookup<'a>(
         .get(m)
         .and_then(|fns| fns.get(f))
         .ok_or_else(|| format!("`{handler}` not found in render sources"))
-}
-
-/// `module::function` references (for render modules) inside the body of
-/// the named function in `fs.rs`.
-fn render_calls(fs_src: &str, fn_name: &str) -> Result<BTreeSet<String>, String> {
-    let tokens = lex(fs_src);
-    let def = functions(&tokens)
-        .into_iter()
-        .find(|f| f.name == fn_name)
-        .ok_or_else(|| format!("fs.rs has no fn `{fn_name}`"))?;
-    let b = &def.body;
-    let mut out = BTreeSet::new();
-    for i in 0..b.len().saturating_sub(3) {
-        if b[i].kind == TokenKind::Ident
-            && RENDER_MODULES.contains(&b[i].text.as_str())
-            && b[i + 1].is_punct(':')
-            && b[i + 2].is_punct(':')
-            && b[i + 3].kind == TokenKind::Ident
-        {
-            out.insert(format!("{}::{}", b[i].text, b[i + 3].text));
-        }
-    }
-    Ok(out)
 }
 
 /// `.rs` files under `dir`, recursively, in sorted order.
@@ -455,26 +358,5 @@ mod tests {
                  hazard — prune it"
             );
         }
-    }
-
-    #[test]
-    fn render_calls_parses_module_paths() {
-        let src = "
-            impl Fs {
-                fn dispatch(&self, path: &str) -> Option<String> {
-                    match path {
-                        \"/proc/cpuinfo\" => Some(proc_basic::cpuinfo(k, view)),
-                        _ => match segs.as_slice() {
-                            [\"proc\", pid, \"status\"] => Some(proc_pid::pid_status(k, view, pid)),
-                            _ => None,
-                        },
-                    }
-                }
-            }
-        ";
-        let calls = render_calls(src, "dispatch").unwrap();
-        assert!(calls.contains("proc_basic::cpuinfo"));
-        assert!(calls.contains("proc_pid::pid_status"));
-        assert_eq!(calls.len(), 2);
     }
 }

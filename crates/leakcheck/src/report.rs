@@ -27,7 +27,7 @@ pub struct ChannelReport {
     /// Dirty-epoch subsystems the route declares (its render-cache
     /// dependency mask, as subsystem names).
     pub deps: Vec<String>,
-    /// Every kernel accessor the handler or its fast path reads (gated
+    /// Every kernel accessor the handler reads (gated
     /// reads included) — what the cache-coherence lint checked `deps`
     /// against.
     pub kernel_reads: Vec<String>,

@@ -283,7 +283,7 @@ mod tests {
             )
             .unwrap();
         let view = h.runtime.container(id).unwrap().view();
-        let findings = CrossValidator::new().scan(&h.kernel, &view);
+        let findings = CrossValidator::new().scan(&h.kernel, view);
         let class = |p: &str| findings.iter().find(|f| f.path == p).map(|f| f.class);
         assert_eq!(class("/proc/uptime"), Some(ChannelClass::Masked));
         assert_eq!(class("/proc/cpuinfo"), Some(ChannelClass::PartiallyMasked));

@@ -60,6 +60,7 @@ impl LabHost {
             .container(self.container)
             .expect("probe container exists")
             .view()
+            .clone()
     }
 }
 

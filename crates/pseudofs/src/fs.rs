@@ -1,14 +1,13 @@
-//! Path dispatch and tree enumeration.
+//! The read path and tree enumeration.
+
+use std::sync::Arc;
 
 use simkernel::{dep, Kernel, RenderHit};
 
 use crate::error::FsError;
 use crate::faultfx;
 use crate::registry;
-use crate::render::{
-    proc_basic, proc_irq, proc_kernel, proc_misc, proc_pid, proc_sched, proc_vm, sys_cgroup,
-    sys_node, sys_power,
-};
+use crate::render::proc_pid;
 use crate::view::{MaskAction, View};
 
 /// Reserved cache key for directory listings — NUL-prefixed so it can
@@ -21,21 +20,17 @@ const LIST_KEY: &str = "\u{0}list";
 /// or kill bumps NS, so the process-table bit is not needed here.
 pub const LIST_DEPS: u32 = dep::HW | dep::FS | dep::NS | dep::MEM;
 
-/// The dependency mask to tag a render of `path` with after a cache
-/// miss. A stale entry carries the mask it was stored under, so a
-/// revalidation never resolves the route again; a cold miss takes the
-/// registered route's declared deps, or every subsystem for paths
-/// outside the registry (conservative, never stale).
-fn miss_deps(hit: Option<RenderHit>, path: &str) -> u32 {
-    match hit {
-        Some(RenderHit::Stale(deps)) => deps,
-        _ => registry::route_for(path).map_or(dep::ALL, |r| r.deps),
-    }
-}
-
 /// The pseudo filesystem: a stateless router over the kernel's state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PseudoFs;
+
+/// Where [`PseudoFs::fetch`] left a read's undistorted bytes.
+enum Fetched {
+    /// A fresh cache entry's bytes, shared; the buffer is untouched.
+    Hit(Arc<String>),
+    /// Rendered into the buffer, with the entry stored when caching is on.
+    Rendered(Option<Arc<String>>),
+}
 
 /// Records a masked-path denial (namespace-filter hit) for the trace.
 fn note_denied(k: &Kernel, path: &str) {
@@ -73,32 +68,6 @@ fn note_read(k: &Kernel, path: &str, bytes: usize) {
     }
 }
 
-/// Outcome of a [`PseudoFs::read_capped`] read against a bounded buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadStatus {
-    /// The whole file fit: `len` bytes were written.
-    Complete {
-        /// Bytes written (the full rendered length).
-        len: usize,
-    },
-    /// The buffer cap was smaller than the file; `written` bytes of a
-    /// `total`-byte file were kept. `written <= cap <= total`, with
-    /// `written` possibly below the cap to respect a UTF-8 boundary.
-    Short {
-        /// Bytes actually kept in the buffer.
-        written: usize,
-        /// Full rendered length of the file.
-        total: usize,
-    },
-}
-
-impl ReadStatus {
-    /// Whether the read was cut short by the cap.
-    pub fn is_short(&self) -> bool {
-        matches!(self, ReadStatus::Short { .. })
-    }
-}
-
 impl PseudoFs {
     /// Creates the (stateless) filesystem.
     pub fn new() -> Self {
@@ -111,15 +80,13 @@ impl PseudoFs {
     ///
     /// * [`FsError::PermissionDenied`] when the view's masking policy
     ///   denies the path (first-stage defense / cloud hardening).
-    /// * [`FsError::NotFound`] for paths outside the modeled tree, absent
-    ///   hardware (no RAPL/DTS), or pids invisible to the reader.
+    /// * [`FsError::NotFound`] for paths no [`Route`](crate::Route)
+    ///   matches, absent hardware (no RAPL/DTS), or pids invisible to the
+    ///   reader.
     /// * [`FsError::Io`] / [`FsError::Truncated`] when the kernel's
     ///   installed fault plan has an active window covering this path —
     ///   transient: the same read can succeed once the window passes.
     pub fn read(&self, k: &Kernel, view: &View, path: &str) -> Result<String, FsError> {
-        // Delegates to `read_into` so both entry points share one
-        // cache-coherent path (the hand-written `_into` fast renderers
-        // produce the same bytes as their `dispatch` counterparts).
         let mut out = String::new();
         self.read_into(k, view, path, &mut out)?;
         Ok(out)
@@ -128,8 +95,8 @@ impl PseudoFs {
     /// Reads `path` into `buf`, clearing it first and reusing its
     /// allocation. Scan loops that read thousands of files (the
     /// cross-validator's two-context walk, the Table II metric windows)
-    /// use this to avoid a fresh `String` per read; for the hottest
-    /// channels the renderer writes straight into `buf`.
+    /// use this to avoid a fresh `String` per read; renderers write
+    /// straight into `buf`.
     ///
     /// # Errors
     ///
@@ -141,192 +108,105 @@ impl PseudoFs {
         path: &str,
         buf: &mut String,
     ) -> Result<(), FsError> {
-        buf.clear();
-        if !k.render_caching() {
-            if view.mask_action(path) == Some(MaskAction::Deny) {
-                note_denied(k, path);
-                return Err(FsError::PermissionDenied(path.to_string()));
-            }
-            if let Some(e) = faultfx::injected_error(k, path) {
-                return Err(e);
-            }
-            if !self.render_into(k, view, path, buf) {
-                return Err(FsError::NotFound(path.to_string()));
-            }
-            faultfx::distort(k, path, buf);
-            note_read(k, path, buf.len());
-            return Ok(());
+        if let Fetched::Hit(bytes) = self.fetch(k, view, path, buf)? {
+            buf.push_str(&bytes);
         }
-
-        // Cache consult. Fault effects are applied strictly *after* the
-        // cache (errors abort before store; distortion happens on the
-        // caller's copy, never the cached bytes), so injected EIO and
-        // sensor noise can never poison an entry — the ordering the
-        // cached-vs-uncached byte gates depend on.
-        let view_fp = view.fingerprint();
-        match k.render_cache_get(view_fp, path) {
-            Some(RenderHit::Denied) => {
-                note_denied(k, path);
-                Err(FsError::PermissionDenied(path.to_string()))
-            }
-            Some(RenderHit::Fresh(bytes)) => {
-                simtrace::counters::add("pseudofs.cache_hit", 1);
-                if let Some(e) = faultfx::injected_error(k, path) {
-                    return Err(e);
-                }
-                buf.push_str(&bytes);
-                faultfx::distort(k, path, buf);
-                note_read(k, path, buf.len());
-                Ok(())
-            }
-            hit => {
-                simtrace::counters::add("pseudofs.cache_miss", 1);
-                // A stale entry still proves this view is not denied the
-                // path (denials cache as `Denied` and never expire), so
-                // the policy's glob walk is skipped on every revalidation.
-                if hit.is_none() && view.mask_action(path) == Some(MaskAction::Deny) {
-                    k.render_cache_store_denied(view_fp, path);
-                    note_denied(k, path);
-                    return Err(FsError::PermissionDenied(path.to_string()));
-                }
-                if let Some(e) = faultfx::injected_error(k, path) {
-                    return Err(e);
-                }
-                if !self.render_into(k, view, path, buf) {
-                    return Err(FsError::NotFound(path.to_string()));
-                }
-                let rendered = std::sync::Arc::new(buf.clone());
-                k.render_cache_store_bytes(view_fp, path, miss_deps(hit, path), &rendered);
-                faultfx::distort(k, path, buf);
-                note_read(k, path, buf.len());
-                Ok(())
-            }
-        }
+        faultfx::distort(k, path, buf);
+        note_read(k, path, buf.len());
+        Ok(())
     }
 
-    /// Reads `path` as a shared handle: a cache hit costs one refcount
-    /// bump and zero byte copies. The differential scanners read both
-    /// contexts through this — their inner loop is then hash lookups and
-    /// content compares, never body copies. Falls back to an owned
-    /// render (wrapped once) when caching is off, the entry is stale, or
-    /// an active fault plan distorts this path.
+    /// Reads `path` as a shared handle: a fresh cache hit costs one
+    /// refcount bump and zero byte copies. The differential scanners read
+    /// both contexts through this — their inner loop is then hash lookups
+    /// and content compares, never body copies. The bytes are owned (and
+    /// wrapped once) when caching is off or an active fault plan distorts
+    /// them.
     ///
     /// # Errors
     ///
     /// Same as [`PseudoFs::read`].
-    pub fn read_shared(
-        &self,
-        k: &Kernel,
-        view: &View,
-        path: &str,
-    ) -> Result<std::sync::Arc<String>, FsError> {
-        if !k.render_caching() {
-            let mut buf = String::new();
-            self.read_into(k, view, path, &mut buf)?;
-            return Ok(std::sync::Arc::new(buf));
-        }
-        let view_fp = view.fingerprint();
-        match k.render_cache_get(view_fp, path) {
-            Some(RenderHit::Denied) => {
-                note_denied(k, path);
-                Err(FsError::PermissionDenied(path.to_string()))
+    pub fn read_shared(&self, k: &Kernel, view: &View, path: &str) -> Result<Arc<String>, FsError> {
+        let mut buf = String::new();
+        let bytes = match self.fetch(k, view, path, &mut buf)? {
+            Fetched::Hit(bytes) | Fetched::Rendered(Some(bytes)) if k.fault_plan().is_none() => {
+                bytes
             }
-            Some(RenderHit::Fresh(bytes)) => {
-                simtrace::counters::add("pseudofs.cache_hit", 1);
-                if let Some(e) = faultfx::injected_error(k, path) {
-                    return Err(e);
-                }
-                let out = if k.fault_plan().is_some() {
-                    // Distortion mutates the caller's copy, never the
-                    // cached bytes — fall back to an owned body.
-                    let mut owned = (*bytes).clone();
-                    faultfx::distort(k, path, &mut owned);
-                    std::sync::Arc::new(owned)
-                } else {
-                    bytes
-                };
-                note_read(k, path, out.len());
-                Ok(out)
+            Fetched::Hit(bytes) => {
+                // Distortion mutates the caller's copy, never the cached
+                // bytes.
+                buf.push_str(&bytes);
+                faultfx::distort(k, path, &mut buf);
+                Arc::new(buf)
             }
-            hit => {
-                simtrace::counters::add("pseudofs.cache_miss", 1);
-                if hit.is_none() && view.mask_action(path) == Some(MaskAction::Deny) {
-                    k.render_cache_store_denied(view_fp, path);
-                    note_denied(k, path);
-                    return Err(FsError::PermissionDenied(path.to_string()));
-                }
-                if let Some(e) = faultfx::injected_error(k, path) {
-                    return Err(e);
-                }
-                let mut buf = String::new();
-                if !self.render_into(k, view, path, &mut buf) {
-                    return Err(FsError::NotFound(path.to_string()));
-                }
-                let mut rendered = std::sync::Arc::new(buf);
-                k.render_cache_store_bytes(view_fp, path, miss_deps(hit, path), &rendered);
-                if k.fault_plan().is_some() {
-                    let mut owned = (*rendered).clone();
-                    faultfx::distort(k, path, &mut owned);
-                    rendered = std::sync::Arc::new(owned);
-                }
-                note_read(k, path, rendered.len());
-                Ok(rendered)
+            Fetched::Rendered(_) => {
+                faultfx::distort(k, path, &mut buf);
+                Arc::new(buf)
             }
-        }
+        };
+        note_read(k, path, bytes.len());
+        Ok(bytes)
     }
 
-    /// Renders `path` into `buf` (fast `_into` arm when one exists,
-    /// otherwise the dispatch table); `false` means the path does not
-    /// resolve in this view.
-    fn render_into(&self, k: &Kernel, view: &View, path: &str, buf: &mut String) -> bool {
-        match path {
-            "/proc/meminfo" => proc_basic::meminfo_into(k, view, buf),
-            "/proc/stat" => proc_basic::stat_into(k, view, buf),
-            "/proc/uptime" => proc_basic::uptime_into(k, view, buf),
-            "/proc/loadavg" => proc_basic::loadavg_into(k, view, buf),
-            "/proc/interrupts" => proc_irq::interrupts_into(k, view, buf),
-            "/proc/softirqs" => proc_irq::softirqs_into(k, view, buf),
-            "/proc/schedstat" => proc_sched::schedstat_into(k, view, buf),
-            "/proc/sched_debug" => proc_sched::sched_debug_into(k, view, buf),
-            "/proc/timer_list" => proc_sched::timer_list_into(k, view, buf),
-            _ => match self.dispatch(k, view, path) {
-                Some(s) => *buf = s,
-                None => return false,
-            },
-        }
-        true
-    }
-
-    /// [`PseudoFs::read_into`] against a bounded destination: at most
-    /// `cap` bytes are kept in `buf` (cut back to a UTF-8 character
-    /// boundary), and the returned [`ReadStatus`] says whether the caller
-    /// got the whole file. Never panics, for any `cap` including zero.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PseudoFs::read_into`]. On error `buf` is left empty.
-    pub fn read_capped(
+    /// The one read path: mask → cache → fault → render → store. Fault
+    /// effects come strictly *after* the cache (an injected error aborts
+    /// before the store; distortion is the callers' job, on their copy),
+    /// so injected EIO and sensor noise can never poison an entry — the
+    /// ordering the cached-vs-uncached byte gates depend on.
+    fn fetch(
         &self,
         k: &Kernel,
         view: &View,
         path: &str,
         buf: &mut String,
-        cap: usize,
-    ) -> Result<ReadStatus, FsError> {
-        self.read_into(k, view, path, buf)?;
-        let total = buf.len();
-        if total <= cap {
-            return Ok(ReadStatus::Complete { len: total });
+    ) -> Result<Fetched, FsError> {
+        buf.clear();
+        let view_fp = k.render_caching().then(|| view.fingerprint());
+        let hit = view_fp.and_then(|fp| k.render_cache_get(fp, path));
+        match hit {
+            Some(RenderHit::Denied) => {
+                note_denied(k, path);
+                return Err(FsError::PermissionDenied(path.to_string()));
+            }
+            Some(RenderHit::Fresh(bytes)) => {
+                simtrace::counters::add("pseudofs.cache_hit", 1);
+                return match faultfx::injected_error(k, path) {
+                    Some(e) => Err(e),
+                    None => Ok(Fetched::Hit(bytes)),
+                };
+            }
+            // A stale entry still proves this view is not denied the path
+            // (denials cache as `Denied` and never expire), so the
+            // policy's glob walk is skipped on every revalidation.
+            Some(RenderHit::Stale) => simtrace::counters::add("pseudofs.cache_miss", 1),
+            None => {
+                if view_fp.is_some() {
+                    simtrace::counters::add("pseudofs.cache_miss", 1);
+                }
+                if view.mask_action(path) == Some(MaskAction::Deny) {
+                    if let Some(fp) = view_fp {
+                        k.render_cache_store_denied(fp, path);
+                    }
+                    note_denied(k, path);
+                    return Err(FsError::PermissionDenied(path.to_string()));
+                }
+            }
         }
-        let mut cut = cap;
-        while cut > 0 && !buf.is_char_boundary(cut) {
-            cut -= 1;
+        if let Some(e) = faultfx::injected_error(k, path) {
+            return Err(e);
         }
-        buf.truncate(cut);
-        Ok(ReadStatus::Short {
-            written: cut,
-            total,
-        })
+        let rendered = registry::resolve(path)
+            .and_then(|(route, caps)| (route.render)(k, view, &caps, buf).map(|()| route));
+        let Some(route) = rendered else {
+            buf.clear();
+            return Err(FsError::NotFound(path.to_string()));
+        };
+        let stored = view_fp.map(|fp| {
+            let bytes = Arc::new(buf.clone());
+            k.render_cache_store_bytes(fp, path, route.deps, &bytes);
+            bytes
+        });
+        Ok(Fetched::Rendered(stored))
     }
 
     /// Enumerates every readable file path in this view, sorted — the
@@ -340,7 +220,7 @@ impl PseudoFs {
     /// refcount bump instead of deep-cloning a few hundred path strings.
     /// Scan loops that re-list every pass (the cross-validator, the
     /// metric windows) read through this.
-    pub fn list_shared(&self, k: &Kernel, view: &View) -> std::sync::Arc<Vec<String>> {
+    pub fn list_shared(&self, k: &Kernel, view: &View) -> Arc<Vec<String>> {
         if k.render_caching() {
             let view_fp = view.fingerprint();
             if let Some(paths) = k.render_cache_get_paths(view_fp, LIST_KEY) {
@@ -348,13 +228,16 @@ impl PseudoFs {
                 return paths;
             }
             simtrace::counters::add("pseudofs.cache_miss", 1);
-            let paths = std::sync::Arc::new(self.list_uncached(k, view));
+            let paths = Arc::new(self.list_uncached(k, view));
             k.render_cache_store_paths(view_fp, LIST_KEY, LIST_DEPS, &paths);
             return paths;
         }
-        std::sync::Arc::new(self.list_uncached(k, view))
+        Arc::new(self.list_uncached(k, view))
     }
 
+    /// The exact routes' paths plus the parameterized ones the kernel's
+    /// topology instantiates (cpus, disks, partitions, pids, RAPL
+    /// packages, NUMA nodes).
     fn list_uncached(&self, k: &Kernel, view: &View) -> Vec<String> {
         let mut paths = Vec::with_capacity(256);
         let mut push = |p: String| {
@@ -363,58 +246,9 @@ impl PseudoFs {
             }
         };
 
-        for p in [
-            "/proc/cpuinfo",
-            "/proc/meminfo",
-            "/proc/stat",
-            "/proc/uptime",
-            "/proc/version",
-            "/proc/loadavg",
-            "/proc/interrupts",
-            "/proc/softirqs",
-            "/proc/schedstat",
-            "/proc/sched_debug",
-            "/proc/timer_list",
-            "/proc/locks",
-            "/proc/modules",
-            "/proc/zoneinfo",
-            "/proc/diskstats",
-            "/proc/sys/fs/dentry-state",
-            "/proc/sys/fs/inode-nr",
-            "/proc/sys/fs/file-nr",
-            "/proc/sys/kernel/random/boot_id",
-            "/proc/sys/kernel/random/entropy_avail",
-            "/proc/sys/kernel/random/uuid",
-            "/proc/sys/kernel/hostname",
-            "/proc/sys/kernel/osrelease",
-            "/proc/self/status",
-            "/proc/self/cgroup",
-            "/proc/net/dev",
-            "/proc/mounts",
-            "/proc/net/snmp",
-            "/proc/net/tcp",
-            "/proc/sys/kernel/pid_max",
-            "/proc/sys/kernel/threads-max",
-            "/proc/sys/vm/overcommit_memory",
-            "/proc/sys/vm/swappiness",
-            "/proc/vmstat",
-            "/proc/slabinfo",
-            "/proc/buddyinfo",
-            "/proc/swaps",
-            "/proc/partitions",
-            "/proc/filesystems",
-            "/proc/cgroups",
-            "/sys/devices/system/cpu/online",
-            "/sys/fs/cgroup/net_prio/net_prio.ifpriomap",
-            "/sys/fs/cgroup/net_prio/net_prio.prioidx",
-            "/sys/fs/cgroup/cpuacct/cpuacct.usage",
-            "/sys/fs/cgroup/cpuacct/cpuacct.usage_percpu",
-            "/sys/fs/cgroup/memory/memory.usage_in_bytes",
-            "/sys/fs/cgroup/memory/memory.max_usage_in_bytes",
-        ] {
-            push(p.to_string());
+        for r in registry::ROUTES.iter().filter(|r| !r.pattern.contains('*')) {
+            push(r.pattern.to_string());
         }
-
         let ncpus = k.config().cpus as usize;
         for c in 0..ncpus {
             push(format!(
@@ -505,171 +339,6 @@ impl PseudoFs {
         out.dedup();
         out
     }
-
-    fn dispatch(&self, k: &Kernel, view: &View, path: &str) -> Option<String> {
-        match path {
-            "/proc/cpuinfo" => return Some(proc_basic::cpuinfo(k, view)),
-            "/proc/meminfo" => return Some(proc_basic::meminfo(k, view)),
-            "/proc/stat" => return Some(proc_basic::stat(k, view)),
-            "/proc/uptime" => return Some(proc_basic::uptime(k, view)),
-            "/proc/version" => return Some(proc_basic::version(k, view)),
-            "/proc/loadavg" => return Some(proc_basic::loadavg(k, view)),
-            "/proc/interrupts" => return Some(proc_irq::interrupts(k, view)),
-            "/proc/softirqs" => return Some(proc_irq::softirqs(k, view)),
-            "/proc/schedstat" => return Some(proc_sched::schedstat(k, view)),
-            "/proc/sched_debug" => return Some(proc_sched::sched_debug(k, view)),
-            "/proc/timer_list" => return Some(proc_sched::timer_list(k, view)),
-            "/proc/locks" => return Some(proc_sched::locks(k, view)),
-            "/proc/modules" => return Some(proc_misc::modules(k, view)),
-            "/proc/zoneinfo" => return Some(proc_misc::zoneinfo(k, view)),
-            "/proc/diskstats" => return Some(proc_misc::diskstats(k, view)),
-            "/proc/sys/fs/dentry-state" => return Some(proc_kernel::dentry_state(k, view)),
-            "/proc/sys/fs/inode-nr" => return Some(proc_kernel::inode_nr(k, view)),
-            "/proc/sys/fs/file-nr" => return Some(proc_kernel::file_nr(k, view)),
-            "/proc/sys/kernel/random/boot_id" => return Some(proc_kernel::boot_id(k, view)),
-            "/proc/sys/kernel/random/entropy_avail" => {
-                return Some(proc_kernel::entropy_avail(k, view))
-            }
-            "/proc/sys/kernel/random/uuid" => return Some(proc_kernel::uuid(k, view)),
-            "/proc/sys/kernel/hostname" => return Some(proc_kernel::hostname(k, view)),
-            "/proc/sys/kernel/osrelease" => return Some(proc_kernel::osrelease(k, view)),
-            "/proc/self/status" => return Some(proc_pid::self_status(k, view)),
-            "/proc/self/cgroup" => return Some(proc_pid::self_cgroup(k, view)),
-            "/proc/net/dev" => return Some(proc_pid::net_dev(k, view)),
-            "/proc/mounts" => return Some(proc_pid::mounts(k, view)),
-            "/proc/net/snmp" => return Some(proc_pid::net_snmp(k, view)),
-            "/proc/net/tcp" => return Some(proc_pid::net_tcp(k, view)),
-            "/proc/sys/kernel/pid_max" => return Some(proc_kernel::pid_max(k, view)),
-            "/proc/sys/kernel/threads-max" => return Some(proc_kernel::threads_max(k, view)),
-            "/proc/sys/vm/overcommit_memory" => {
-                return Some(proc_kernel::overcommit_memory(k, view))
-            }
-            "/proc/sys/vm/swappiness" => return Some(proc_kernel::swappiness(k, view)),
-            "/proc/vmstat" => return Some(proc_vm::vmstat(k, view)),
-            "/proc/slabinfo" => return Some(proc_vm::slabinfo(k, view)),
-            "/proc/buddyinfo" => return Some(proc_vm::buddyinfo(k, view)),
-            "/proc/swaps" => return Some(proc_vm::swaps(k, view)),
-            "/proc/partitions" => return Some(proc_vm::partitions(k, view)),
-            "/proc/filesystems" => return Some(proc_vm::filesystems(k, view)),
-            "/proc/cgroups" => return Some(proc_vm::cgroups(k, view)),
-            "/sys/devices/system/cpu/online" => return Some(sys_power::cpu_online(k, view)),
-            "/sys/fs/cgroup/net_prio/net_prio.ifpriomap" => {
-                return Some(sys_cgroup::ifpriomap(k, view))
-            }
-            "/sys/fs/cgroup/net_prio/net_prio.prioidx" => {
-                return Some(sys_cgroup::prioidx(k, view))
-            }
-            "/sys/fs/cgroup/cpuacct/cpuacct.usage" => {
-                return Some(sys_cgroup::cpuacct_usage(k, view))
-            }
-            "/sys/fs/cgroup/cpuacct/cpuacct.usage_percpu" => {
-                return Some(sys_cgroup::cpuacct_usage_percpu(k, view))
-            }
-            "/sys/fs/cgroup/memory/memory.usage_in_bytes" => {
-                return Some(sys_cgroup::memory_usage(k, view))
-            }
-            "/sys/fs/cgroup/memory/memory.max_usage_in_bytes" => {
-                return Some(sys_cgroup::memory_max_usage(k, view))
-            }
-            _ => {}
-        }
-
-        let segs: Vec<&str> = path.trim_start_matches('/').split('/').collect();
-        match segs.as_slice() {
-            // /proc/sys/kernel/sched_domain/cpu{c}/domain0/max_newidle_lb_cost
-            ["proc", "sys", "kernel", "sched_domain", cpu, "domain0", "max_newidle_lb_cost"] => {
-                let c: usize = cpu.strip_prefix("cpu")?.parse().ok()?;
-                proc_kernel::max_newidle_lb_cost(k, view, c)
-            }
-            // /proc/fs/ext4/{part}/mb_groups
-            ["proc", "fs", "ext4", part, "mb_groups"] => proc_misc::mb_groups(k, view, part),
-            // /proc/{pid}/{status,stat,cmdline,io,sched}
-            ["proc", pid, file] => {
-                let p: u32 = pid.parse().ok()?;
-                match *file {
-                    "status" => proc_pid::pid_status(k, view, p),
-                    "stat" => proc_pid::pid_stat(k, view, p),
-                    "cmdline" => proc_pid::pid_cmdline(k, view, p),
-                    "io" => proc_pid::pid_io(k, view, p),
-                    "sched" => proc_pid::pid_sched(k, view, p),
-                    _ => None,
-                }
-            }
-            // /sys/block/{disk}/stat
-            ["sys", "block", disk, "stat"] => sys_power::block_stat(k, view, disk),
-            // /sys/class/thermal/thermal_zone{z}/temp
-            ["sys", "class", "thermal", zone, "temp"] => {
-                let z: usize = zone.strip_prefix("thermal_zone")?.parse().ok()?;
-                sys_power::thermal_zone_temp(k, view, z)
-            }
-            // /sys/devices/system/cpu/cpu{c}/cpufreq/{file}
-            ["sys", "devices", "system", "cpu", cpu, "cpufreq", file] => {
-                let c: usize = cpu.strip_prefix("cpu")?.parse().ok()?;
-                match *file {
-                    "scaling_cur_freq" => sys_power::cpufreq_cur(k, view, c),
-                    "cpuinfo_max_freq" => sys_power::cpufreq_max(k, view, c),
-                    _ => None,
-                }
-            }
-            // /sys/class/powercap/intel-rapl:{p}/{file}
-            ["sys", "class", "powercap", dom, file] => {
-                let p: usize = dom.strip_prefix("intel-rapl:")?.parse().ok()?;
-                match *file {
-                    "name" => sys_power::rapl_name(k, view, p),
-                    "energy_uj" => sys_power::rapl_package_energy(k, view, p),
-                    "max_energy_range_uj" => sys_power::rapl_max_range(k, view, p),
-                    _ => None,
-                }
-            }
-            // /sys/class/powercap/intel-rapl:{p}/intel-rapl:{p}:{d}/{file}
-            ["sys", "class", "powercap", dom, sub, file] => {
-                let p: usize = dom.strip_prefix("intel-rapl:")?.parse().ok()?;
-                let rest = sub.strip_prefix("intel-rapl:")?;
-                let (p2, d) = rest.split_once(':')?;
-                if p2.parse::<usize>().ok()? != p {
-                    return None;
-                }
-                let d: usize = d.parse().ok()?;
-                match *file {
-                    "name" => sys_power::rapl_subdomain_name(k, view, p, d),
-                    "energy_uj" => sys_power::rapl_subdomain_energy(k, view, p, d),
-                    _ => None,
-                }
-            }
-            // /sys/devices/platform/coretemp.{pkg}/hwmon/hwmon{h}/temp{n}_input
-            ["sys", "devices", "platform", ct, "hwmon", _h, temp] => {
-                let pkg: usize = ct.strip_prefix("coretemp.")?.parse().ok()?;
-                let n: usize = temp
-                    .strip_prefix("temp")?
-                    .strip_suffix("_input")?
-                    .parse()
-                    .ok()?;
-                sys_power::coretemp(k, view, pkg, n)
-            }
-            // /sys/devices/system/cpu/cpu{c}/cpuidle/state{s}/{file}
-            ["sys", "devices", "system", "cpu", cpu, "cpuidle", state, file] => {
-                let c: usize = cpu.strip_prefix("cpu")?.parse().ok()?;
-                let s: usize = state.strip_prefix("state")?.parse().ok()?;
-                match *file {
-                    "name" => sys_power::cpuidle_name(k, view, c, s),
-                    "usage" => sys_power::cpuidle_usage(k, view, c, s),
-                    "time" => sys_power::cpuidle_time(k, view, c, s),
-                    _ => None,
-                }
-            }
-            // /sys/devices/system/node/node{n}/{file}
-            ["sys", "devices", "system", "node", node, file] => {
-                let n: usize = node.strip_prefix("node")?.parse().ok()?;
-                match *file {
-                    "numastat" => sys_node::numastat(k, view, n),
-                    "vmstat" => sys_node::vmstat(k, view, n),
-                    "meminfo" => sys_node::node_meminfo(k, view, n),
-                    _ => None,
-                }
-            }
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -752,6 +421,14 @@ mod tests {
             // so the cached deny cannot leak across views.
             assert!(fs.read(&k, &open, "/proc/stat").is_ok());
             assert!(fs.read(&k, &View::host(), "/proc/stat").is_ok());
+            // The mask uses the same glob rule as the router, so every
+            // spelling that reads `/proc/stat` is denied with it.
+            for spelling in ["//proc/stat", "proc/stat"] {
+                assert!(matches!(
+                    fs.read(&k, &denied, spelling),
+                    Err(FsError::PermissionDenied(_))
+                ));
+            }
         }
     }
 
@@ -781,6 +458,18 @@ mod tests {
                 "/sys/class/powercap/intel-rapl:7/energy_uj"
             )
             .is_err());
+        // A path reads iff it routes: the hwmon segment must match
+        // `hwmon*`.
+        let unrouted = "/sys/devices/platform/coretemp.0/hwmon/foo/temp1_input";
+        assert!(matches!(
+            fs.read(&k, &View::host(), unrouted),
+            Err(FsError::NotFound(_))
+        ));
+        // Leading slashes are ignored, as the route globs ignore them.
+        let stat = fs.read(&k, &View::host(), "/proc/stat").unwrap();
+        for spelling in ["//proc/stat", "proc/stat"] {
+            assert_eq!(fs.read(&k, &View::host(), spelling).unwrap(), stat);
+        }
     }
 
     #[test]

@@ -11,14 +11,19 @@
 //! * A [`View`] captures *who is reading*: the host, or a container with a
 //!   namespace set, cgroup membership, and a cloud provider's
 //!   [`MaskPolicy`].
-//! * [`PseudoFs::read`] dispatches a path to its handler. Handlers for the
+//! * [`ROUTES`] is the one description of the tree: each [`Route`] pairs a
+//!   path glob with its handler and the subsystems it reads.
+//!   [`PseudoFs::read`] resolves a path to its route and runs the handler;
+//!   a path no route matches does not exist. Handlers for the
 //!   channels in the paper's Table I deliberately ignore the view's
 //!   namespaces (reading global kernel state), while control files like
 //!   `/proc/self/status`, `/proc/net/dev`, or `/proc/sys/kernel/hostname`
 //!   are properly namespaced — giving the cross-validation detector both
 //!   classes to discriminate.
-//! * [`PseudoFs::list`] enumerates every readable path for a view, which
-//!   is what the paper's recursive-exploration tool walks.
+//! * [`PseudoFs::list`] enumerates every readable path for a view (the
+//!   exact routes plus the parameterized ones the kernel's topology
+//!   instantiates), which is what the paper's recursive-exploration tool
+//!   walks.
 //!
 //! # Example
 //!
@@ -43,6 +48,6 @@ pub mod render;
 pub mod view;
 
 pub use error::FsError;
-pub use fs::{PseudoFs, ReadStatus, LIST_DEPS};
-pub use registry::{changed_mask_deps, route_for, Route, ROUTES};
+pub use fs::{PseudoFs, LIST_DEPS};
+pub use registry::{changed_mask_deps, route_for, Render, Route, ROUTES};
 pub use view::{glob_match, Context, MaskAction, MaskPolicy, MaskRule, View};

@@ -1,46 +1,53 @@
-//! The channel registry: a machine-readable export of every dispatch arm.
+//! The route table: the one description of the modeled tree.
 //!
-//! [`PseudoFs::read`](crate::PseudoFs::read) routes paths to handler
-//! functions through a `match`; that control flow is opaque to tooling.
-//! This module mirrors it as data: one [`Route`] per dispatch arm, naming
-//! the glob it serves, a concrete probe path, the handler function
-//! (plus the buffer-writing fast path, when one exists) as a
-//! `module::function` string relative to [`crate::render`], and the
-//! subsystem dependency mask the render cache keys freshness on.
+//! One [`Route`] per channel names the glob it serves, a concrete probe
+//! path, its renderer, and the subsystem dependency mask the render
+//! cache keys freshness on. The `route!` macro takes the renderer's
+//! `module::function` name (relative to [`crate::render`]) and its
+//! function pointer from one path, so the name tooling audits is the
+//! function that runs.
 //!
 //! Consumers:
 //!
-//! * the `leakcheck` static auditor resolves each route to its handler's
-//!   source and classifies the channel's namespace behavior, then
-//!   cross-checks this table against the parsed `fs.rs` dispatch arms so
-//!   the two can never drift silently — and lints that each route's
-//!   declared `deps` cover every kernel accessor its handler reads;
-//! * the pseudofs render cache tags each cached buffer with its route's
-//!   `deps` so a read is served from cache only while those subsystem
-//!   epochs are unchanged;
+//! * [`PseudoFs`](crate::PseudoFs) resolves every read through
+//!   [`route_for`]'s resolver, runs the route's renderer, and caches the
+//!   bytes under the route's `deps`; a path no route matches does not
+//!   exist. Its listing takes the exact (`*`-free) patterns as paths;
+//! * the `leakcheck` static auditor resolves each route's handler to its
+//!   source, classifies the channel's namespace behavior, and checks that
+//!   the declared `deps` cover every kernel accessor the handler reads;
 //! * tests walk [`ROUTES`] to assert every probe renders and every listed
 //!   path is routable.
 
-use simkernel::dep;
+use std::sync::OnceLock;
 
-use crate::view::glob_match;
+use simkernel::{dep, Kernel};
 
-/// One path-dispatch arm of [`PseudoFs`](crate::PseudoFs), as data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+use crate::render;
+use crate::view::View;
+
+/// A route's renderer. It writes the file as `view` sees it into `out`,
+/// given the text each `*` of the route's pattern matched, in order, and
+/// returns `None` when the path names nothing in this view (absent
+/// hardware, an invisible pid, a capture that is not an index).
+pub type Render = fn(&Kernel, &View, &[&str], &mut String) -> Option<()>;
+
+/// One channel of the modeled tree, as data.
+#[derive(Debug, Clone, Copy)]
 pub struct Route {
-    /// Glob over absolute paths served by this arm, in
-    /// [`glob_match`] syntax.
+    /// Glob over absolute paths served by this route, in
+    /// [`glob_match`](crate::glob_match) syntax with at most one `*` per
+    /// segment and no `**`.
     pub pattern: &'static str,
     /// A concrete path matching `pattern` that renders on the default
     /// testbed machine (pid routes assume a container whose init is
     /// visible as pid 1).
     pub probe: &'static str,
     /// Handler function as `module::function`, relative to
-    /// [`crate::render`].
+    /// [`crate::render`]: the function `render` points at.
     pub handler: &'static str,
-    /// The hand-written buffer-writing fast-path renderer used by
-    /// [`PseudoFs::read_into`](crate::PseudoFs::read_into), if one exists.
-    pub fast_into: Option<&'static str>,
+    /// The handler itself.
+    pub render: Render,
     /// OR of [`simkernel::dep`] bits naming every kernel subsystem the
     /// handler reads. Over-declaring is sound (costs a re-render);
     /// under-declaring would serve stale bytes and is what the leakcheck
@@ -48,474 +55,538 @@ pub struct Route {
     pub deps: u32,
 }
 
-const fn route(
-    pattern: &'static str,
-    probe: &'static str,
-    handler: &'static str,
-    deps: u32,
-) -> Route {
-    Route {
-        pattern,
-        probe,
-        handler,
-        fast_into: None,
-        deps,
+/// Routes are compared by pattern, which is unique in [`ROUTES`]
+/// (function pointers have no meaningful equality).
+impl PartialEq for Route {
+    fn eq(&self, other: &Self) -> bool {
+        self.pattern == other.pattern
     }
 }
 
-const fn fast(
-    pattern: &'static str,
-    probe: &'static str,
-    handler: &'static str,
-    into: &'static str,
-    deps: u32,
-) -> Route {
-    Route {
-        pattern,
-        probe,
-        handler,
-        fast_into: Some(into),
-        deps,
-    }
+impl Eq for Route {}
+
+/// One [`Route`], its handler name and renderer taken from one
+/// `module::function` path under [`crate::render`].
+macro_rules! route {
+    ($pattern:literal, $probe:literal, $module:ident::$func:ident, $deps:expr $(,)?) => {
+        Route {
+            pattern: $pattern,
+            probe: $probe,
+            handler: concat!(stringify!($module), "::", stringify!($func)),
+            render: render::$module::$func,
+            deps: $deps,
+        }
+    };
 }
 
-/// Every dispatch arm of the modeled tree, exact patterns before globs
-/// (lookup is first-match-wins, mirroring the `match` order in `fs.rs`).
+/// Every channel of the modeled tree, exact patterns before globs
+/// (lookup is first-match-wins).
 pub const ROUTES: &[Route] = &[
     // ---- exact /proc arms ----
-    route(
+    route!(
         "/proc/cpuinfo",
         "/proc/cpuinfo",
-        "proc_basic::cpuinfo",
+        proc_basic::cpuinfo,
         dep::HW,
     ),
-    fast(
+    route!(
         "/proc/meminfo",
         "/proc/meminfo",
-        "proc_basic::meminfo",
-        "proc_basic::meminfo_into",
+        proc_basic::meminfo,
         dep::MEM | dep::PROCESS | dep::CGROUP,
     ),
-    fast(
+    route!(
         "/proc/stat",
         "/proc/stat",
-        "proc_basic::stat",
-        "proc_basic::stat_into",
+        proc_basic::stat,
         dep::CLOCK | dep::SCHED | dep::IRQ | dep::PROCESS,
     ),
-    fast(
+    route!(
         "/proc/uptime",
         "/proc/uptime",
-        "proc_basic::uptime",
-        "proc_basic::uptime_into",
+        proc_basic::uptime,
         dep::CLOCK | dep::SCHED,
     ),
-    route("/proc/version", "/proc/version", "proc_basic::version", 0),
-    fast(
+    route!("/proc/version", "/proc/version", proc_basic::version, 0),
+    route!(
         "/proc/loadavg",
         "/proc/loadavg",
-        "proc_basic::loadavg",
-        "proc_basic::loadavg_into",
+        proc_basic::loadavg,
         dep::SCHED | dep::PROCESS,
     ),
-    fast(
+    route!(
         "/proc/interrupts",
         "/proc/interrupts",
-        "proc_irq::interrupts",
-        "proc_irq::interrupts_into",
+        proc_irq::interrupts,
         dep::IRQ,
     ),
-    fast(
+    route!(
         "/proc/softirqs",
         "/proc/softirqs",
-        "proc_irq::softirqs",
-        "proc_irq::softirqs_into",
+        proc_irq::softirqs,
         dep::IRQ,
     ),
-    fast(
+    route!(
         "/proc/schedstat",
         "/proc/schedstat",
-        "proc_sched::schedstat",
-        "proc_sched::schedstat_into",
+        proc_sched::schedstat,
         dep::SCHED,
     ),
-    fast(
+    route!(
         "/proc/sched_debug",
         "/proc/sched_debug",
-        "proc_sched::sched_debug",
-        "proc_sched::sched_debug_into",
+        proc_sched::sched_debug,
         dep::CLOCK | dep::SCHED | dep::PROCESS,
     ),
-    fast(
+    route!(
         "/proc/timer_list",
         "/proc/timer_list",
-        "proc_sched::timer_list",
-        "proc_sched::timer_list_into",
+        proc_sched::timer_list,
         dep::CLOCK | dep::TIMERS,
     ),
-    route("/proc/locks", "/proc/locks", "proc_sched::locks", dep::FS),
-    route("/proc/modules", "/proc/modules", "proc_misc::modules", 0),
-    route(
+    route!("/proc/locks", "/proc/locks", proc_sched::locks, dep::FS),
+    route!("/proc/modules", "/proc/modules", proc_misc::modules, 0),
+    route!(
         "/proc/zoneinfo",
         "/proc/zoneinfo",
-        "proc_misc::zoneinfo",
+        proc_misc::zoneinfo,
         dep::MEM,
     ),
-    route(
+    route!(
         "/proc/diskstats",
         "/proc/diskstats",
-        "proc_misc::diskstats",
+        proc_misc::diskstats,
         dep::STATS,
     ),
-    route(
+    route!(
         "/proc/sys/fs/dentry-state",
         "/proc/sys/fs/dentry-state",
-        "proc_kernel::dentry_state",
+        proc_kernel::dentry_state,
         dep::FS,
     ),
-    route(
+    route!(
         "/proc/sys/fs/inode-nr",
         "/proc/sys/fs/inode-nr",
-        "proc_kernel::inode_nr",
+        proc_kernel::inode_nr,
         dep::FS,
     ),
-    route(
+    route!(
         "/proc/sys/fs/file-nr",
         "/proc/sys/fs/file-nr",
-        "proc_kernel::file_nr",
+        proc_kernel::file_nr,
         dep::FS,
     ),
-    route(
+    route!(
         "/proc/sys/kernel/random/boot_id",
         "/proc/sys/kernel/random/boot_id",
-        "proc_kernel::boot_id",
+        proc_kernel::boot_id,
         dep::FS,
     ),
-    route(
+    route!(
         "/proc/sys/kernel/random/entropy_avail",
         "/proc/sys/kernel/random/entropy_avail",
-        "proc_kernel::entropy_avail",
+        proc_kernel::entropy_avail,
         dep::FS,
     ),
-    route(
+    route!(
         "/proc/sys/kernel/random/uuid",
         "/proc/sys/kernel/random/uuid",
-        "proc_kernel::uuid",
+        proc_kernel::uuid,
         dep::CLOCK | dep::FS,
     ),
-    route(
+    route!(
         "/proc/sys/kernel/hostname",
         "/proc/sys/kernel/hostname",
-        "proc_kernel::hostname",
+        proc_kernel::hostname,
         dep::NS,
     ),
-    route(
+    route!(
         "/proc/sys/kernel/osrelease",
         "/proc/sys/kernel/osrelease",
-        "proc_kernel::osrelease",
+        proc_kernel::osrelease,
         0,
     ),
-    route(
+    route!(
         "/proc/self/status",
         "/proc/self/status",
-        "proc_pid::self_status",
+        proc_pid::self_status,
         dep::NS,
     ),
-    route(
+    route!(
         "/proc/self/cgroup",
         "/proc/self/cgroup",
-        "proc_pid::self_cgroup",
+        proc_pid::self_cgroup,
         dep::NS | dep::CGROUP,
     ),
-    route(
+    route!(
         "/proc/net/dev",
         "/proc/net/dev",
-        "proc_pid::net_dev",
+        proc_pid::net_dev,
         dep::CLOCK | dep::NET | dep::NS,
     ),
-    route("/proc/mounts", "/proc/mounts", "proc_pid::mounts", dep::NS),
-    route(
+    route!("/proc/mounts", "/proc/mounts", proc_pid::mounts, dep::NS),
+    route!(
         "/proc/net/snmp",
         "/proc/net/snmp",
-        "proc_pid::net_snmp",
+        proc_pid::net_snmp,
         // Synthetic counters: scale with uptime and salt on the net
         // namespace *id* — no `k.net()` device state reaches the bytes.
         dep::CLOCK | dep::NS,
     ),
-    route(
+    route!(
         "/proc/net/tcp",
         "/proc/net/tcp",
-        "proc_pid::net_tcp",
+        proc_pid::net_tcp,
         // Rows are derived from the visible process table (ports hash
         // the pid); no `k.net()` device state reaches the bytes.
         dep::NS | dep::PROCESS,
     ),
-    route(
+    route!(
         "/proc/sys/kernel/pid_max",
         "/proc/sys/kernel/pid_max",
-        "proc_kernel::pid_max",
+        proc_kernel::pid_max,
         0,
     ),
-    route(
+    route!(
         "/proc/sys/kernel/threads-max",
         "/proc/sys/kernel/threads-max",
-        "proc_kernel::threads_max",
+        proc_kernel::threads_max,
         dep::MEM,
     ),
-    route(
+    route!(
         "/proc/sys/vm/overcommit_memory",
         "/proc/sys/vm/overcommit_memory",
-        "proc_kernel::overcommit_memory",
+        proc_kernel::overcommit_memory,
         0,
     ),
-    route(
+    route!(
         "/proc/sys/vm/swappiness",
         "/proc/sys/vm/swappiness",
-        "proc_kernel::swappiness",
+        proc_kernel::swappiness,
         0,
     ),
-    route("/proc/vmstat", "/proc/vmstat", "proc_vm::vmstat", dep::MEM),
-    route(
+    route!("/proc/vmstat", "/proc/vmstat", proc_vm::vmstat, dep::MEM),
+    route!(
         "/proc/slabinfo",
         "/proc/slabinfo",
-        "proc_vm::slabinfo",
+        proc_vm::slabinfo,
         dep::MEM | dep::FS | dep::PROCESS,
     ),
-    route(
+    route!(
         "/proc/buddyinfo",
         "/proc/buddyinfo",
-        "proc_vm::buddyinfo",
+        proc_vm::buddyinfo,
         dep::MEM,
     ),
-    route("/proc/swaps", "/proc/swaps", "proc_vm::swaps", dep::MEM),
-    route(
+    route!("/proc/swaps", "/proc/swaps", proc_vm::swaps, dep::MEM),
+    route!(
         "/proc/partitions",
         "/proc/partitions",
-        "proc_vm::partitions",
+        proc_vm::partitions,
         0,
     ),
-    route(
+    route!(
         "/proc/filesystems",
         "/proc/filesystems",
-        "proc_vm::filesystems",
+        proc_vm::filesystems,
         0,
     ),
-    route(
+    route!(
         "/proc/cgroups",
         "/proc/cgroups",
-        "proc_vm::cgroups",
+        proc_vm::cgroups,
         dep::CGROUP,
     ),
     // ---- exact /sys arms ----
-    route(
+    route!(
         "/sys/devices/system/cpu/online",
         "/sys/devices/system/cpu/online",
-        "sys_power::cpu_online",
+        sys_power::cpu_online,
         0,
     ),
-    route(
+    route!(
         "/sys/fs/cgroup/net_prio/net_prio.ifpriomap",
         "/sys/fs/cgroup/net_prio/net_prio.ifpriomap",
-        "sys_cgroup::ifpriomap",
+        sys_cgroup::ifpriomap,
         dep::NET | dep::CGROUP,
     ),
-    route(
+    route!(
         "/sys/fs/cgroup/net_prio/net_prio.prioidx",
         "/sys/fs/cgroup/net_prio/net_prio.prioidx",
-        "sys_cgroup::prioidx",
+        sys_cgroup::prioidx,
         dep::CGROUP,
     ),
-    route(
+    route!(
         "/sys/fs/cgroup/cpuacct/cpuacct.usage",
         "/sys/fs/cgroup/cpuacct/cpuacct.usage",
-        "sys_cgroup::cpuacct_usage",
+        sys_cgroup::cpuacct_usage,
         dep::CGROUP,
     ),
-    route(
+    route!(
         "/sys/fs/cgroup/cpuacct/cpuacct.usage_percpu",
         "/sys/fs/cgroup/cpuacct/cpuacct.usage_percpu",
-        "sys_cgroup::cpuacct_usage_percpu",
+        sys_cgroup::cpuacct_usage_percpu,
         dep::CGROUP,
     ),
-    route(
+    route!(
         "/sys/fs/cgroup/memory/memory.usage_in_bytes",
         "/sys/fs/cgroup/memory/memory.usage_in_bytes",
-        "sys_cgroup::memory_usage",
+        sys_cgroup::memory_usage,
         dep::CGROUP,
     ),
-    route(
+    route!(
         "/sys/fs/cgroup/memory/memory.max_usage_in_bytes",
         "/sys/fs/cgroup/memory/memory.max_usage_in_bytes",
-        "sys_cgroup::memory_max_usage",
+        sys_cgroup::memory_max_usage,
         dep::CGROUP,
     ),
     // ---- parameterized arms (segment globs) ----
-    route(
+    route!(
         "/proc/sys/kernel/sched_domain/cpu*/domain0/max_newidle_lb_cost",
         "/proc/sys/kernel/sched_domain/cpu0/domain0/max_newidle_lb_cost",
-        "proc_kernel::max_newidle_lb_cost",
+        proc_kernel::max_newidle_lb_cost,
         dep::SCHED,
     ),
-    route(
+    route!(
         "/proc/fs/ext4/*/mb_groups",
         "/proc/fs/ext4/sda1/mb_groups",
-        "proc_misc::mb_groups",
+        proc_misc::mb_groups,
         dep::FS,
     ),
-    route(
+    route!(
         "/proc/*/status",
         "/proc/1/status",
-        "proc_pid::pid_status",
+        proc_pid::pid_status,
         dep::NS | dep::PROCESS,
     ),
-    route(
+    route!(
         "/proc/*/stat",
         "/proc/1/stat",
-        "proc_pid::pid_stat",
+        proc_pid::pid_stat,
         dep::NS | dep::PROCESS,
     ),
-    route(
+    route!(
         "/proc/*/cmdline",
         "/proc/1/cmdline",
-        "proc_pid::pid_cmdline",
+        proc_pid::pid_cmdline,
         dep::NS | dep::PROCESS,
     ),
-    route(
+    route!(
         "/proc/*/io",
         "/proc/1/io",
-        "proc_pid::pid_io",
+        proc_pid::pid_io,
         dep::NS | dep::PROCESS,
     ),
-    route(
+    route!(
         "/proc/*/sched",
         "/proc/1/sched",
-        "proc_pid::pid_sched",
+        proc_pid::pid_sched,
         // cpu_time/vruntime only move under mutations that bump
         // PROCESS; an idle clock advance leaves the bytes unchanged.
         dep::NS | dep::PROCESS,
     ),
-    route(
+    route!(
         "/sys/block/*/stat",
         "/sys/block/sda/stat",
-        "sys_power::block_stat",
+        sys_power::block_stat,
         dep::STATS,
     ),
-    route(
+    route!(
         "/sys/class/thermal/thermal_zone*/temp",
         "/sys/class/thermal/thermal_zone0/temp",
-        "sys_power::thermal_zone_temp",
+        sys_power::thermal_zone_temp,
         dep::HW,
     ),
-    route(
+    route!(
         "/sys/devices/system/cpu/cpu*/cpufreq/scaling_cur_freq",
         "/sys/devices/system/cpu/cpu0/cpufreq/scaling_cur_freq",
-        "sys_power::cpufreq_cur",
+        sys_power::cpufreq_cur,
         dep::HW,
     ),
-    route(
+    route!(
         "/sys/devices/system/cpu/cpu*/cpufreq/cpuinfo_max_freq",
         "/sys/devices/system/cpu/cpu0/cpufreq/cpuinfo_max_freq",
-        "sys_power::cpufreq_max",
+        sys_power::cpufreq_max,
         dep::HW,
     ),
-    route(
+    route!(
         "/sys/devices/system/cpu/cpu*/cpuidle/state*/name",
         "/sys/devices/system/cpu/cpu0/cpuidle/state0/name",
-        "sys_power::cpuidle_name",
+        sys_power::cpuidle_name,
         dep::HW,
     ),
-    route(
+    route!(
         "/sys/devices/system/cpu/cpu*/cpuidle/state*/usage",
         "/sys/devices/system/cpu/cpu0/cpuidle/state0/usage",
-        "sys_power::cpuidle_usage",
+        sys_power::cpuidle_usage,
         dep::HW,
     ),
-    route(
+    route!(
         "/sys/devices/system/cpu/cpu*/cpuidle/state*/time",
         "/sys/devices/system/cpu/cpu0/cpuidle/state0/time",
-        "sys_power::cpuidle_time",
+        sys_power::cpuidle_time,
         dep::HW,
     ),
-    route(
+    route!(
         "/sys/class/powercap/intel-rapl:*/name",
         "/sys/class/powercap/intel-rapl:0/name",
-        "sys_power::rapl_name",
+        sys_power::rapl_name,
         dep::HW,
     ),
-    route(
+    route!(
         "/sys/class/powercap/intel-rapl:*/energy_uj",
         "/sys/class/powercap/intel-rapl:0/energy_uj",
-        "sys_power::rapl_package_energy",
+        sys_power::rapl_package_energy,
         dep::HW,
     ),
-    route(
+    route!(
         "/sys/class/powercap/intel-rapl:*/max_energy_range_uj",
         "/sys/class/powercap/intel-rapl:0/max_energy_range_uj",
-        "sys_power::rapl_max_range",
+        sys_power::rapl_max_range,
         dep::HW,
     ),
-    route(
+    route!(
         "/sys/class/powercap/intel-rapl:*/intel-rapl:*/name",
         "/sys/class/powercap/intel-rapl:0/intel-rapl:0:0/name",
-        "sys_power::rapl_subdomain_name",
+        sys_power::rapl_subdomain_name,
         dep::HW,
     ),
-    route(
+    route!(
         "/sys/class/powercap/intel-rapl:*/intel-rapl:*/energy_uj",
         "/sys/class/powercap/intel-rapl:0/intel-rapl:0:0/energy_uj",
-        "sys_power::rapl_subdomain_energy",
+        sys_power::rapl_subdomain_energy,
         dep::HW,
     ),
-    route(
+    route!(
         "/sys/devices/platform/coretemp.*/hwmon/hwmon*/temp*_input",
         "/sys/devices/platform/coretemp.0/hwmon/hwmon0/temp1_input",
-        "sys_power::coretemp",
+        sys_power::coretemp,
         dep::HW,
     ),
-    route(
+    route!(
         "/sys/devices/system/node/node*/numastat",
         "/sys/devices/system/node/node0/numastat",
-        "sys_node::numastat",
+        sys_node::numastat,
         dep::MEM,
     ),
-    route(
+    route!(
         "/sys/devices/system/node/node*/vmstat",
         "/sys/devices/system/node/node0/vmstat",
-        "sys_node::vmstat",
+        sys_node::vmstat,
         dep::MEM,
     ),
-    route(
+    route!(
         "/sys/devices/system/node/node*/meminfo",
         "/sys/devices/system/node/node0/meminfo",
-        "sys_node::node_meminfo",
+        sys_node::node_meminfo,
         dep::MEM,
     ),
 ];
 
-/// The route serving `path`, if any (first match wins, mirroring
-/// dispatch order: exact arms shadow the pid globs for `/proc/self/*`).
-///
-/// The scan keeps that order but globs only the routes whose literal
-/// prefix the path starts with: every segment before the one holding a
-/// pattern's first `*` must equal its path segment, so a route failing
-/// the prefix test cannot match, and most of the table is rejected by
-/// one byte compare instead of a segment walk.
-pub fn route_for(path: &str) -> Option<&'static Route> {
-    let rel = path.trim_start_matches('/');
-    ROUTES
-        .iter()
-        .find(|r| rel.starts_with(literal_prefix(r.pattern)) && glob_match(r.pattern, path))
+/// Most `/`-separated segments in a route pattern; deeper paths route
+/// nowhere.
+const MAX_SEGMENTS: usize = 8;
+
+/// Most `*`s in one route pattern.
+const MAX_CAPTURES: usize = 3;
+
+/// One segment of a route pattern, split once.
+#[derive(Debug)]
+enum Segment {
+    /// Matches itself only.
+    Literal(&'static str),
+    /// `prefix*suffix`, matched by [`glob_match`](crate::glob_match)'s
+    /// in-segment rule.
+    Wild {
+        prefix: &'static str,
+        suffix: &'static str,
+    },
 }
 
-/// The segment-aligned literal head of a glob, leading slashes ignored
-/// as [`glob_match`] ignores them: the whole pattern when it has no `*`,
-/// otherwise everything before the last `/` that precedes the first `*`.
-fn literal_prefix(pattern: &str) -> &str {
-    let rel = pattern.trim_start_matches('/');
-    match rel.find('*') {
-        None => rel,
-        Some(star) => &rel[..rel[..star].rfind('/').unwrap_or(0)],
+impl Segment {
+    fn parse(segment: &'static str) -> Self {
+        match segment.split_once('*') {
+            None => Segment::Literal(segment),
+            Some((prefix, suffix)) => Segment::Wild { prefix, suffix },
+        }
     }
+
+    /// The run of `seg` this segment's `*` covers, or `""` for a literal;
+    /// `None` when `seg` does not match. As in `glob_match`, the suffix
+    /// must be the first occurrence after the prefix and end the segment.
+    fn capture<'p>(&self, seg: &'p str) -> Option<&'p str> {
+        match *self {
+            Segment::Literal(lit) => (lit == seg).then_some(""),
+            Segment::Wild { prefix, suffix } => {
+                let rest = seg.strip_prefix(prefix)?;
+                if suffix.is_empty() {
+                    return Some(rest);
+                }
+                let end = rest.find(suffix)?;
+                (end + suffix.len() == rest.len()).then(|| &rest[..end])
+            }
+        }
+    }
+}
+
+/// A route with its pattern split into segments.
+type Compiled = (&'static Route, Vec<Segment>);
+
+/// [`ROUTES`] split into segments on first use, bucketed by segment
+/// count, each bucket in table order.
+fn compiled() -> &'static [Vec<Compiled>; MAX_SEGMENTS + 1] {
+    static TABLE: OnceLock<[Vec<Compiled>; MAX_SEGMENTS + 1]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut by_len: [Vec<Compiled>; MAX_SEGMENTS + 1] = Default::default();
+        for r in ROUTES {
+            let segs: Vec<Segment> = r
+                .pattern
+                .trim_start_matches('/')
+                .split('/')
+                .map(Segment::parse)
+                .collect();
+            if let Some(bucket) = by_len.get_mut(segs.len()) {
+                bucket.push((r, segs));
+            }
+        }
+        by_len
+    })
+}
+
+/// The route serving `path` and the text each `*` of its pattern
+/// matched, in order (unused slots are `""`). First match wins in table
+/// order, so the exact `/proc/self/*` routes shadow the pid globs. Paths
+/// match as [`glob_match`](crate::glob_match) matches them: leading
+/// slashes are ignored. Only routes with as many segments as the path
+/// are tried, a literal segment costs one string compare, and nothing
+/// allocates.
+pub(crate) fn resolve(path: &str) -> Option<(&'static Route, [&str; MAX_CAPTURES])> {
+    let mut segs = [""; MAX_SEGMENTS];
+    let mut n = 0;
+    for seg in path.trim_start_matches('/').split('/') {
+        *segs.get_mut(n)? = seg;
+        n += 1;
+    }
+    'routes: for (route, pattern) in compiled().get(n)? {
+        let mut caps = [""; MAX_CAPTURES];
+        let mut found = 0;
+        for (p, seg) in pattern.iter().zip(&segs) {
+            let Some(cap) = p.capture(seg) else {
+                continue 'routes;
+            };
+            if let Segment::Wild { .. } = p {
+                *caps.get_mut(found)? = cap;
+                found += 1;
+            }
+        }
+        return Some((route, caps));
+    }
+    None
+}
+
+/// The route serving `path`, if any: a path reads iff it routes.
+pub fn route_for(path: &str) -> Option<&'static Route> {
+    resolve(path).map(|(route, _)| route)
 }
 
 /// The OR of the dependency masks of every route whose mask treatment
@@ -536,7 +607,7 @@ pub fn changed_mask_deps(old: &crate::MaskPolicy, new: &crate::MaskPolicy) -> u3
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::view::View;
+    use crate::view::{glob_match, View};
     use crate::PseudoFs;
     use simkernel::kernel::ProcessSpec;
     use simkernel::{Kernel, MachineConfig};
@@ -608,11 +679,19 @@ mod tests {
     }
 
     #[test]
-    fn fast_paths_cover_exactly_the_hand_written_into_renderers() {
-        let fast: Vec<&str> = ROUTES.iter().filter_map(|r| r.fast_into).collect();
-        assert_eq!(fast.len(), 9, "nine hand-written _into fast paths");
-        for f in &fast {
-            assert!(f.ends_with("_into"), "{f}");
+    fn patterns_split_into_the_segments_the_resolver_handles() {
+        for r in ROUTES {
+            let segs: Vec<&str> = r.pattern.trim_start_matches('/').split('/').collect();
+            assert!(segs.len() <= MAX_SEGMENTS, "{} is too deep", r.pattern);
+            assert!(
+                r.pattern.matches('*').count() <= MAX_CAPTURES,
+                "{} has too many wildcards",
+                r.pattern
+            );
+            for seg in segs {
+                assert!(!seg.is_empty(), "{} has an empty segment", r.pattern);
+                assert!(seg.matches('*').count() <= 1, "{} segment {seg}", r.pattern);
+            }
         }
     }
 
@@ -627,6 +706,18 @@ mod tests {
             "proc_pid::pid_status"
         );
         assert!(route_for("/proc/does_not_exist").is_none());
+    }
+
+    #[test]
+    fn resolve_captures_each_wildcard_run_in_order() {
+        let (r, caps) =
+            resolve("/sys/class/powercap/intel-rapl:0/intel-rapl:0:1/energy_uj").unwrap();
+        assert_eq!(r.handler, "sys_power::rapl_subdomain_energy");
+        assert_eq!(caps, ["0", "0:1", ""]);
+        let (r, caps) =
+            resolve("/sys/devices/platform/coretemp.1/hwmon/hwmon1/temp3_input").unwrap();
+        assert_eq!(r.handler, "sys_power::coretemp");
+        assert_eq!(caps, ["1", "1", "3"]);
     }
 
     /// Every pattern the matcher meets in the tree: the routes, each
@@ -697,6 +788,10 @@ mod tests {
         for edge in [
             "/proc/does_not_exist",
             "/sys/class/net/eth0/statistics/rx_bytes",
+            "/sys/devices/platform/coretemp.0/hwmon/foo/temp1_input",
+            "/sys/devices/platform/coretemp.0/hwmon/hwmon0/temp1_input_input",
+            "//proc/1/status",
+            "/proc/self/stat",
             "/proc/sys",
             "/proc/sys/",
             "/proc/sys/kernel",

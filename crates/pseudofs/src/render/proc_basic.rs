@@ -10,7 +10,7 @@ use crate::view::{MaskAction, View};
 /// `/proc/cpuinfo`. LEAK (Table I): CPU specification of the *host*.
 /// Under a `Partial` mask (CC5), only the container's allotted CPUs are
 /// rendered, renumbered from zero.
-pub fn cpuinfo(k: &Kernel, view: &View) -> String {
+pub fn cpuinfo(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let partial = view.mask_action("/proc/cpuinfo") == Some(MaskAction::Partial);
     let cpus: Vec<u16> = match (&view.allotted_cpus, partial) {
         (Some(a), true) => a.clone(),
@@ -20,7 +20,6 @@ pub fn cpuinfo(k: &Kernel, view: &View) -> String {
         _ => (0..k.config().cpus).collect(),
     };
     let mhz = k.config().freq_hz as f64 / 1e6;
-    let mut out = String::new();
     for (idx, cpu) in cpus.iter().enumerate() {
         let shown = if partial { idx as u16 } else { *cpu };
         let _ = write!(
@@ -43,20 +42,13 @@ pub fn cpuinfo(k: &Kernel, view: &View) -> String {
             mhz * 2.0,
         );
     }
-    out
+    Some(())
 }
 
 /// `/proc/meminfo`. LEAK (Table I): host memory totals and the MemFree
 /// trace used by the variation metric. `Partial` restricts to the
 /// container's limit and its own usage.
-pub fn meminfo(k: &Kernel, view: &View) -> String {
-    let mut out = String::new();
-    meminfo_into(k, view, &mut out);
-    out
-}
-
-/// [`meminfo`] writing into a caller-provided buffer.
-pub fn meminfo_into(k: &Kernel, view: &View, out: &mut String) {
+pub fn meminfo(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let partial = view.mask_action("/proc/meminfo") == Some(MaskAction::Partial);
     let m = k.mem();
     let (total, free, available, cached) = if partial {
@@ -123,6 +115,7 @@ pub fn meminfo_into(k: &Kernel, view: &View, out: &mut String) {
         kb(swap_total + total / 2),
         kb(m.rss_bytes() + (1 << 30)),
     );
+    Some(())
 }
 
 fn container_usage(k: &Kernel, view: &View) -> u64 {
@@ -138,14 +131,7 @@ fn container_usage(k: &Kernel, view: &View) -> u64 {
 
 /// `/proc/stat`. LEAK (Table I): host-wide kernel activity — per-CPU time
 /// breakdown, total interrupts, context switches, forks.
-pub fn stat(k: &Kernel, view: &View) -> String {
-    let mut out = String::new();
-    stat_into(k, view, &mut out);
-    out
-}
-
-/// [`stat`] writing into a caller-provided buffer.
-pub fn stat_into(k: &Kernel, _view: &View, out: &mut String) {
+pub fn stat(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let stats = k.sched().cpu_stats();
     let sum = |f: fn(&simkernel::sched::CpuSchedStats) -> u64| -> u64 { stats.iter().map(f).sum() };
     let _ = writeln!(
@@ -181,44 +167,32 @@ pub fn stat_into(k: &Kernel, _view: &View, out: &mut String) {
     );
     let _ = writeln!(out, "procs_blocked 0");
     let softirq_total: u64 = k.irq().softirqs().iter().flatten().sum();
-    let _ = writeln!(out, "softirq {softirq_total} 0 0 0 0 0 0 0 0 0 0");
+    writeln!(out, "softirq {softirq_total} 0 0 0 0 0 0 0 0 0 0").ok()
 }
 
 /// `/proc/uptime`. LEAK (Table I): host up time and accumulated idle time —
 /// a unique dynamic identifier (§III-C group 3) also used in §IV-C to group
 /// servers installed at the same time.
-pub fn uptime(k: &Kernel, view: &View) -> String {
-    let mut out = String::new();
-    uptime_into(k, view, &mut out);
-    out
-}
-
-/// [`uptime`] writing into a caller-provided buffer.
-pub fn uptime_into(k: &Kernel, _view: &View, out: &mut String) {
+pub fn uptime(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let up = k.clock().uptime_secs();
     let idle = k.total_idle_ns() as f64 / NANOS_PER_SEC as f64;
-    let _ = writeln!(out, "{up:.2} {idle:.2}");
+    writeln!(out, "{up:.2} {idle:.2}").ok()
 }
 
 /// `/proc/version`. LEAK (Table I): kernel, gcc and distribution versions.
-pub fn version(k: &Kernel, _view: &View) -> String {
-    format!(
-        "Linux version {} (buildd@host) (gcc version {} ({})) #1 SMP\n",
+pub fn version(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
+    writeln!(
+        out,
+        "Linux version {} (buildd@host) (gcc version {} ({})) #1 SMP",
         k.config().kernel_release,
         k.config().gcc_version,
         k.config().distro,
     )
+    .ok()
 }
 
 /// `/proc/loadavg`. LEAK (Table I): host CPU/IO utilization over time.
-pub fn loadavg(k: &Kernel, view: &View) -> String {
-    let mut out = String::new();
-    loadavg_into(k, view, &mut out);
-    out
-}
-
-/// [`loadavg`] writing into a caller-provided buffer.
-pub fn loadavg_into(k: &Kernel, _view: &View, out: &mut String) {
+pub fn loadavg(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let [l1, l5, l15] = k.sched().loadavg();
     let running = k
         .processes()
@@ -230,11 +204,13 @@ pub fn loadavg_into(k: &Kernel, _view: &View, out: &mut String) {
         k.process_count().max(1),
         k.last_pid(),
     );
+    Some(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::rendered;
     use crate::view::MaskPolicy;
     use simkernel::MachineConfig;
     use workloads::models;
@@ -249,7 +225,7 @@ mod tests {
     #[test]
     fn cpuinfo_lists_all_host_cpus() {
         let k = kernel();
-        let s = cpuinfo(&k, &View::host());
+        let s = rendered(cpuinfo, &k, &View::host(), &[]).unwrap();
         assert_eq!(s.matches("processor").count(), 4);
         assert!(s.contains(&k.config().cpu_model));
     }
@@ -264,7 +240,7 @@ mod tests {
         let v = View::container(env.ns, env.cgroups)
             .with_policy(MaskPolicy::none().partial("/proc/cpuinfo"))
             .with_allotted_cpus(vec![2, 3]);
-        let s = cpuinfo(&k, &v);
+        let s = rendered(cpuinfo, &k, &v, &[]).unwrap();
         assert_eq!(s.matches("processor").count(), 2);
         assert!(s.contains("processor\t: 0"));
         assert!(!s.contains("processor\t: 2"));
@@ -273,7 +249,7 @@ mod tests {
     #[test]
     fn meminfo_has_core_fields_in_kb() {
         let k = kernel();
-        let s = meminfo(&k, &View::host());
+        let s = rendered(meminfo, &k, &View::host(), &[]).unwrap();
         assert!(s.contains("MemTotal:"));
         assert!(s.contains("MemFree:"));
         let total_line = s.lines().next().unwrap();
@@ -289,7 +265,7 @@ mod tests {
     #[test]
     fn stat_has_percpu_and_counters() {
         let k = kernel();
-        let s = stat(&k, &View::host());
+        let s = rendered(stat, &k, &View::host(), &[]).unwrap();
         assert!(s.lines().next().unwrap().starts_with("cpu "));
         assert!(s.contains("cpu3 "));
         assert!(s.contains("ctxt "));
@@ -300,7 +276,7 @@ mod tests {
     #[test]
     fn uptime_tracks_clock() {
         let k = kernel();
-        let s = uptime(&k, &View::host());
+        let s = rendered(uptime, &k, &View::host(), &[]).unwrap();
         let up: f64 = s.split_whitespace().next().unwrap().parse().unwrap();
         assert!((up - 3.0).abs() < 0.01);
         let idle: f64 = s.split_whitespace().nth(1).unwrap().parse().unwrap();
@@ -311,8 +287,10 @@ mod tests {
     #[test]
     fn version_and_loadavg_format() {
         let k = kernel();
-        assert!(version(&k, &View::host()).starts_with("Linux version 4.7.0"));
-        let la = loadavg(&k, &View::host());
+        assert!(rendered(version, &k, &View::host(), &[])
+            .unwrap()
+            .starts_with("Linux version 4.7.0"));
+        let la = rendered(loadavg, &k, &View::host(), &[]).unwrap();
         assert_eq!(la.split_whitespace().count(), 5);
         assert!(la.contains('/'));
     }

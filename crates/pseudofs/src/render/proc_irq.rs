@@ -9,14 +9,7 @@ use crate::view::View;
 
 /// `/proc/interrupts`. LEAK (Table I): per-IRQ per-CPU counts for the
 /// whole host; the handler has no notion of namespaces.
-pub fn interrupts(k: &Kernel, view: &View) -> String {
-    let mut out = String::new();
-    interrupts_into(k, view, &mut out);
-    out
-}
-
-/// [`interrupts`] writing into a caller-provided buffer.
-pub fn interrupts_into(k: &Kernel, _view: &View, out: &mut String) {
+pub fn interrupts(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let ncpus = k.config().cpus as usize;
     out.push_str("     ");
     for c in 0..ncpus {
@@ -30,18 +23,12 @@ pub fn interrupts_into(k: &Kernel, _view: &View, out: &mut String) {
         }
         let _ = writeln!(out, "   {}", line.description);
     }
+    Some(())
 }
 
 /// `/proc/softirqs`. LEAK (Table I): per-kind per-CPU softirq counts;
 /// flagged for both co-residence and DoS potential in the paper.
-pub fn softirqs(k: &Kernel, view: &View) -> String {
-    let mut out = String::new();
-    softirqs_into(k, view, &mut out);
-    out
-}
-
-/// [`softirqs`] writing into a caller-provided buffer.
-pub fn softirqs_into(k: &Kernel, _view: &View, out: &mut String) {
+pub fn softirqs(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let ncpus = k.config().cpus as usize;
     out.push_str("                ");
     for c in 0..ncpus {
@@ -55,11 +42,13 @@ pub fn softirqs_into(k: &Kernel, _view: &View, out: &mut String) {
         }
         out.push('\n');
     }
+    Some(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::rendered;
     use simkernel::MachineConfig;
     use workloads::models;
 
@@ -68,7 +57,7 @@ mod tests {
         let mut k = Kernel::new(MachineConfig::small_server(), 1);
         k.spawn_host_process("w", models::prime()).unwrap();
         k.advance_secs(2);
-        let s = interrupts(&k, &View::host());
+        let s = rendered(interrupts, &k, &View::host(), &[]).unwrap();
         assert!(s.lines().next().unwrap().contains("CPU3"));
         assert!(s.contains("LOC:"));
         assert!(s.contains("Local timer interrupts"));
@@ -78,7 +67,7 @@ mod tests {
     fn softirqs_has_all_kinds() {
         let mut k = Kernel::new(MachineConfig::small_server(), 1);
         k.advance_secs(1);
-        let s = softirqs(&k, &View::host());
+        let s = rendered(softirqs, &k, &View::host(), &[]).unwrap();
         for name in SOFTIRQ_NAMES {
             assert!(s.contains(name), "missing {name}");
         }

@@ -1,20 +1,23 @@
 //! `/proc/sys/kernel/*` and `/proc/sys/fs/*`.
 
+use std::fmt::Write as _;
+
 use simkernel::Kernel;
 
+use super::arg;
 use crate::view::{Context, View};
 
 /// `/proc/sys/kernel/random/boot_id`. LEAK (Table II rank 1): a random
 /// string generated at boot, unique per running kernel — matching boot ids
 /// from two containers is conclusive co-residence evidence.
-pub fn boot_id(k: &Kernel, _view: &View) -> String {
-    format!("{}\n", k.boot_id())
+pub fn boot_id(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
+    writeln!(out, "{}", k.boot_id()).ok()
 }
 
 /// `/proc/sys/kernel/random/entropy_avail`. LEAK (Table I): host entropy
 /// pool estimate (variation channel).
-pub fn entropy_avail(k: &Kernel, _view: &View) -> String {
-    format!("{}\n", k.fs().entropy_avail())
+pub fn entropy_avail(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
+    writeln!(out, "{}", k.fs().entropy_avail()).ok()
 }
 
 /// `/proc/sys/kernel/random/uuid`: fresh pseudo-random UUID per tick.
@@ -23,7 +26,7 @@ pub fn entropy_avail(k: &Kernel, _view: &View) -> String {
 /// the real file's per-read randomness: the paper's cross-validation tool
 /// sees different values in the two contexts and (correctly) does not
 /// flag it, even though the underlying pool is global.
-pub fn uuid(k: &Kernel, view: &View) -> String {
+pub fn uuid(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in k.boot_id().bytes() {
         h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
@@ -36,19 +39,21 @@ pub fn uuid(k: &Kernel, view: &View) -> String {
     h = h.wrapping_add(salt.wrapping_mul(0xdead_beef_cafe_f00d));
     h = h.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     let h2 = h.wrapping_mul(0xff51_afd7_ed55_8ccd).rotate_left(31);
-    format!(
-        "{:08x}-{:04x}-4{:03x}-{:04x}-{:012x}\n",
+    writeln!(
+        out,
+        "{:08x}-{:04x}-4{:03x}-{:04x}-{:012x}",
         (h >> 32) as u32,
         (h >> 16) as u16,
         (h & 0xfff) as u16,
         ((h2 >> 48) as u16 & 0x3fff) | 0x8000,
         h2 & 0xffff_ffff_ffff,
     )
+    .ok()
 }
 
 /// `/proc/sys/kernel/hostname`: properly namespaced via the UTS namespace —
 /// containers see their own name (a *control* file for the detector).
-pub fn hostname(k: &Kernel, view: &View) -> String {
+pub fn hostname(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let name = match view.context {
         Context::Host => k
             .namespaces()
@@ -56,67 +61,72 @@ pub fn hostname(k: &Kernel, view: &View) -> String {
             .unwrap_or("(none)"),
         Context::Container { ns, .. } => k.namespaces().hostname(ns.uts).unwrap_or("(none)"),
     };
-    format!("{name}\n")
+    writeln!(out, "{name}").ok()
 }
 
 /// `/proc/sys/kernel/osrelease`: global but identical across a fleet
 /// (not useful for co-residence — the paper's "hard to exploit" class).
-pub fn osrelease(k: &Kernel, _view: &View) -> String {
-    format!("{}\n", k.config().kernel_release)
+pub fn osrelease(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
+    writeln!(out, "{}", k.config().kernel_release).ok()
 }
 
 /// `/proc/sys/kernel/sched_domain/cpu{cpu}/domain0/max_newidle_lb_cost`.
 /// LEAK (Table II): fluctuates with host load-balancer activity; variation
 /// only (not manipulable in a targeted way, per the paper's ranking).
-pub fn max_newidle_lb_cost(k: &Kernel, _view: &View, cpu: usize) -> Option<String> {
-    k.sched()
-        .cpu_stats()
-        .get(cpu)
-        .map(|c| format!("{}\n", c.max_newidle_lb_cost_ns))
+pub fn max_newidle_lb_cost(
+    k: &Kernel,
+    _view: &View,
+    caps: &[&str],
+    out: &mut String,
+) -> Option<()> {
+    let cpu: usize = arg(caps, 0)?;
+    let c = k.sched().cpu_stats().get(cpu)?;
+    writeln!(out, "{}", c.max_newidle_lb_cost_ns).ok()
 }
 
 /// `/proc/sys/kernel/pid_max` (static, fleet-identical).
-pub fn pid_max(_k: &Kernel, _view: &View) -> String {
-    "32768\n".to_string()
+pub fn pid_max(_k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
+    writeln!(out, "32768").ok()
 }
 
 /// `/proc/sys/kernel/threads-max`: scales with host RAM — a mild hardware
 /// disclosure like `cpuinfo`.
-pub fn threads_max(k: &Kernel, _view: &View) -> String {
-    format!("{}\n", k.mem().total_bytes() / (8 * 8192))
+pub fn threads_max(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
+    writeln!(out, "{}", k.mem().total_bytes() / (8 * 8192)).ok()
 }
 
 /// `/proc/sys/vm/overcommit_memory` (static).
-pub fn overcommit_memory(_k: &Kernel, _view: &View) -> String {
-    "0\n".to_string()
+pub fn overcommit_memory(_k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
+    writeln!(out, "0").ok()
 }
 
 /// `/proc/sys/vm/swappiness` (static).
-pub fn swappiness(_k: &Kernel, _view: &View) -> String {
-    "60\n".to_string()
+pub fn swappiness(_k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
+    writeln!(out, "60").ok()
 }
 
 /// `/proc/sys/fs/dentry-state`. LEAK (Table II): host dentry cache counters.
-pub fn dentry_state(k: &Kernel, _view: &View) -> String {
+pub fn dentry_state(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let (nr, unused, age, want) = k.fs().dentry_state();
-    format!("{nr}\t{unused}\t{age}\t{want}\t0\t0\n")
+    writeln!(out, "{nr}\t{unused}\t{age}\t{want}\t0\t0").ok()
 }
 
 /// `/proc/sys/fs/inode-nr`. LEAK (Table II): host inode counters.
-pub fn inode_nr(k: &Kernel, _view: &View) -> String {
+pub fn inode_nr(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let (nr, free) = k.fs().inode_nr();
-    format!("{nr}\t{free}\n")
+    writeln!(out, "{nr}\t{free}").ok()
 }
 
 /// `/proc/sys/fs/file-nr`. LEAK (Table II): host open-file-handle counters.
-pub fn file_nr(k: &Kernel, _view: &View) -> String {
+pub fn file_nr(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let (alloc, free, max) = k.fs().file_nr();
-    format!("{alloc}\t{free}\t{max}\n")
+    writeln!(out, "{alloc}\t{free}\t{max}").ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::rendered;
     use simkernel::MachineConfig;
 
     fn kernel(seed: u64) -> Kernel {
@@ -130,8 +140,8 @@ mod tests {
         // This is the leak: the file is NOT namespaced.
         let mut k = kernel(1);
         let env = k.create_container_env("c1").unwrap();
-        let host = boot_id(&k, &View::host());
-        let cont = boot_id(&k, &View::container(env.ns, env.cgroups));
+        let host = rendered(boot_id, &k, &View::host(), &[]).unwrap();
+        let cont = rendered(boot_id, &k, &View::container(env.ns, env.cgroups), &[]).unwrap();
         assert_eq!(host, cont);
     }
 
@@ -139,8 +149,8 @@ mod tests {
     fn hostname_is_namespaced() {
         let mut k = kernel(1);
         let env = k.create_container_env("webapp-1").unwrap();
-        let host = hostname(&k, &View::host());
-        let cont = hostname(&k, &View::container(env.ns, env.cgroups));
+        let host = rendered(hostname, &k, &View::host(), &[]).unwrap();
+        let cont = rendered(hostname, &k, &View::container(env.ns, env.cgroups), &[]).unwrap();
         assert_eq!(host.trim(), "small");
         assert_eq!(cont.trim(), "webapp-1");
     }
@@ -148,19 +158,19 @@ mod tests {
     #[test]
     fn uuid_changes_with_time_but_is_deterministic() {
         let mut k = kernel(1);
-        let u1 = uuid(&k, &View::host());
-        let u1_again = uuid(&k, &View::host());
+        let u1 = rendered(uuid, &k, &View::host(), &[]).unwrap();
+        let u1_again = rendered(uuid, &k, &View::host(), &[]).unwrap();
         assert_eq!(u1, u1_again, "stateless read");
         k.advance_secs(1);
-        assert_ne!(u1, uuid(&k, &View::host()));
+        assert_ne!(u1, rendered(uuid, &k, &View::host(), &[]).unwrap());
     }
 
     #[test]
     fn vfs_counter_files_parse() {
         let k = kernel(1);
-        let ds = dentry_state(&k, &View::host());
+        let ds = rendered(dentry_state, &k, &View::host(), &[]).unwrap();
         assert_eq!(ds.split_whitespace().count(), 6);
-        let fnr = file_nr(&k, &View::host());
+        let fnr = rendered(file_nr, &k, &View::host(), &[]).unwrap();
         let fields: Vec<u64> = fnr.split_whitespace().map(|f| f.parse().unwrap()).collect();
         assert_eq!(fields.len(), 3);
         assert!(fields[0] > 0);
@@ -169,24 +179,41 @@ mod tests {
     #[test]
     fn sched_domain_cost_exists_per_cpu() {
         let k = kernel(1);
-        assert!(max_newidle_lb_cost(&k, &View::host(), 0).is_some());
-        assert!(max_newidle_lb_cost(&k, &View::host(), 99).is_none());
+        assert!(rendered(max_newidle_lb_cost, &k, &View::host(), &["0"]).is_some());
+        assert!(rendered(max_newidle_lb_cost, &k, &View::host(), &["99"]).is_none());
     }
 
     #[test]
     fn sysctls_render_plausible_values() {
         let k = kernel(1);
-        assert_eq!(pid_max(&k, &View::host()), "32768\n");
-        assert_eq!(overcommit_memory(&k, &View::host()), "0\n");
-        assert_eq!(swappiness(&k, &View::host()), "60\n");
-        let tm: u64 = threads_max(&k, &View::host()).trim().parse().unwrap();
+        assert_eq!(
+            rendered(pid_max, &k, &View::host(), &[]).unwrap(),
+            "32768\n"
+        );
+        assert_eq!(
+            rendered(overcommit_memory, &k, &View::host(), &[]).unwrap(),
+            "0\n"
+        );
+        assert_eq!(
+            rendered(swappiness, &k, &View::host(), &[]).unwrap(),
+            "60\n"
+        );
+        let tm: u64 = rendered(threads_max, &k, &View::host(), &[])
+            .unwrap()
+            .trim()
+            .parse()
+            .unwrap();
         assert_eq!(tm, (8u64 << 30) / (8 * 8192));
     }
 
     #[test]
     fn entropy_within_kernel_bounds() {
         let k = kernel(1);
-        let v: u64 = entropy_avail(&k, &View::host()).trim().parse().unwrap();
+        let v: u64 = rendered(entropy_avail, &k, &View::host(), &[])
+            .unwrap()
+            .trim()
+            .parse()
+            .unwrap();
         assert!((160..=4096).contains(&v));
     }
 }

@@ -9,18 +9,16 @@ use crate::view::View;
 /// `/proc/modules`. LEAK (Table I): the host's loaded-module list. Ranked
 /// low for co-residence (fleet-wide images share module lists) but a real
 /// information disclosure.
-pub fn modules(k: &Kernel, _view: &View) -> String {
-    let mut out = String::new();
+pub fn modules(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     for (name, size, refs) in &k.config().modules {
         let _ = writeln!(out, "{name} {size} {refs} - Live 0xffffffffc0000000");
     }
-    out
+    Some(())
 }
 
 /// `/proc/zoneinfo`. LEAK (Table I): physical RAM layout and per-zone free
 /// pages of the host.
-pub fn zoneinfo(k: &Kernel, _view: &View) -> String {
-    let mut out = String::new();
+pub fn zoneinfo(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     for z in k.mem().zones() {
         let _ = writeln!(out, "Node {}, zone {:>8}", z.node, z.name);
         let (min, low, high) = z.watermark;
@@ -35,19 +33,19 @@ pub fn zoneinfo(k: &Kernel, _view: &View) -> String {
         let _ = writeln!(out, "      nr_zone_inactive_anon {}", z.managed_pages / 16);
         let _ = writeln!(out, "      nr_zone_active_anon {}", z.managed_pages / 12);
     }
-    out
+    Some(())
 }
 
 /// `/proc/fs/ext4/<part>/mb_groups`. LEAK (Table II): the multiblock
 /// allocator's per-group free counts — host disk allocation activity.
-pub fn mb_groups(k: &Kernel, _view: &View, part: &str) -> Option<String> {
+pub fn mb_groups(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> Option<()> {
+    let part = *caps.first()?;
     let (_, groups) = k
         .fs()
         .ext4_partitions()
         .iter()
         .find(|(name, _)| name == part)?;
-    let mut out =
-        String::from("#group: free  frags first [ 2^0   2^1   2^2   2^3   2^4   2^5   2^6 ]\n");
+    out.push_str("#group: free  frags first [ 2^0   2^1   2^2   2^3   2^4   2^5   2^6 ]\n");
     for (i, g) in groups.iter().enumerate() {
         let _ = writeln!(
             out,
@@ -64,14 +62,13 @@ pub fn mb_groups(k: &Kernel, _view: &View, part: &str) -> Option<String> {
             g.free_blocks / 128,
         );
     }
-    Some(out)
+    Some(())
 }
 
 /// `/proc/diskstats`: host block-device IO counters (global; included for
 /// tree completeness).
-pub fn diskstats(k: &Kernel, _view: &View) -> String {
+pub fn diskstats(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let io = k.stats().total_io_bytes;
-    let mut out = String::new();
     for (i, (name, _)) in k.config().disks.iter().enumerate() {
         let reads = io / 4096 / 3 + 12_000;
         let writes = io / 4096 * 2 / 3 + 8_000;
@@ -83,12 +80,13 @@ pub fn diskstats(k: &Kernel, _view: &View) -> String {
             writes * 8,
         );
     }
-    out
+    Some(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::rendered;
     use simkernel::MachineConfig;
 
     fn kernel() -> Kernel {
@@ -100,7 +98,7 @@ mod tests {
     #[test]
     fn modules_lists_config_modules() {
         let k = kernel();
-        let s = modules(&k, &View::host());
+        let s = rendered(modules, &k, &View::host(), &[]).unwrap();
         assert!(s.contains("veth"));
         assert!(s.contains("intel_rapl"));
         assert!(s.contains("Live"));
@@ -109,7 +107,7 @@ mod tests {
     #[test]
     fn zoneinfo_covers_all_zones() {
         let k = kernel();
-        let s = zoneinfo(&k, &View::host());
+        let s = rendered(zoneinfo, &k, &View::host(), &[]).unwrap();
         assert!(s.contains("zone      DMA"));
         assert!(s.contains("zone   Normal"));
         assert!(s.contains("pages free"));
@@ -118,9 +116,9 @@ mod tests {
     #[test]
     fn mb_groups_only_for_known_partitions() {
         let k = kernel();
-        assert!(mb_groups(&k, &View::host(), "sda1").is_some());
-        assert!(mb_groups(&k, &View::host(), "sdz9").is_none());
-        let s = mb_groups(&k, &View::host(), "sda1").unwrap();
+        assert!(rendered(mb_groups, &k, &View::host(), &["sda1"]).is_some());
+        assert!(rendered(mb_groups, &k, &View::host(), &["sdz9"]).is_none());
+        let s = rendered(mb_groups, &k, &View::host(), &["sda1"]).unwrap();
         assert!(s.lines().count() > 8);
         assert!(s.starts_with("#group:"));
     }
@@ -128,7 +126,7 @@ mod tests {
     #[test]
     fn diskstats_one_line_per_disk() {
         let k = kernel();
-        let s = diskstats(&k, &View::host());
+        let s = rendered(diskstats, &k, &View::host(), &[]).unwrap();
         assert_eq!(s.lines().count(), k.config().disks.len());
         assert!(s.contains(" sda "));
     }

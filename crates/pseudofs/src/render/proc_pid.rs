@@ -10,6 +10,7 @@ use std::fmt::Write as _;
 
 use simkernel::{Kernel, NamespaceSet};
 
+use super::arg;
 use crate::view::{Context, View};
 
 fn viewer_ns(k: &Kernel, view: &View) -> NamespaceSet {
@@ -34,19 +35,21 @@ fn reader_pid(k: &Kernel, view: &View) -> u32 {
 
 /// `/proc/self/status`: namespaced — pid is the reader's pid *within its
 /// PID namespace*, uid mapping comes from the USER namespace.
-pub fn self_status(k: &Kernel, view: &View) -> String {
+pub fn self_status(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let pid = reader_pid(k, view);
     let uid = 0; // root inside the namespace (mapped outside).
-    format!(
+    writeln!(
+        out,
         "Name:\tcat\nState:\tR (running)\nPid:\t{pid}\nPPid:\t{}\n\
-         Uid:\t{uid}\t{uid}\t{uid}\t{uid}\nVmRSS:\t     720 kB\nThreads:\t1\n",
+         Uid:\t{uid}\t{uid}\t{uid}\t{uid}\nVmRSS:\t     720 kB\nThreads:\t1",
         pid.saturating_sub(1),
     )
+    .ok()
 }
 
 /// `/proc/self/cgroup`: namespaced via the CGROUP namespace — inside a
 /// container the paths render relative to the namespace root (`/`).
-pub fn self_cgroup(k: &Kernel, view: &View) -> String {
+pub fn self_cgroup(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let (paths, root): ([(u32, &str, String); 4], String) = match view.context {
         // Host processes run under systemd's user slice, as on a real
         // distro — which also keeps this file's host view distinct from a
@@ -83,7 +86,6 @@ pub fn self_cgroup(k: &Kernel, view: &View) -> String {
             )
         }
     };
-    let mut out = String::new();
     for (id, name, path) in paths {
         // Inside a cgroup namespace, the container's own subtree renders
         // as "/" (the namespace root is stripped).
@@ -95,15 +97,15 @@ pub fn self_cgroup(k: &Kernel, view: &View) -> String {
         };
         let _ = writeln!(out, "{id}:{name}:{shown}");
     }
-    out
+    Some(())
 }
 
 /// `/proc/net/dev`: namespaced — renders the devices of the reader's NET
 /// namespace. Containers see `lo`/`eth0` with their own (synthetic)
 /// counters, not the host's device list.
-pub fn net_dev(k: &Kernel, view: &View) -> String {
+pub fn net_dev(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let ns = viewer_ns(k, view);
-    let mut out = String::from(
+    out.push_str(
         "Inter-|   Receive                |  Transmit\n face |bytes    packets|bytes    packets\n",
     );
     match view.context {
@@ -134,17 +136,18 @@ pub fn net_dev(k: &Kernel, view: &View) -> String {
             }
         }
     }
-    out
+    Some(())
 }
 
 /// `/proc/net/snmp`: namespaced — per-NET-namespace protocol counters.
-pub fn net_snmp(k: &Kernel, view: &View) -> String {
+pub fn net_snmp(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let ns = viewer_ns(k, view);
     // Synthetic but namespace-distinct counters: scale with uptime and
     // differ per namespace id.
     let t = k.clock().since_boot_ns() / 1_000_000_000;
     let salt = u64::from(ns.net.0) + 1;
-    format!(
+    write!(
+        out,
         "Ip: InReceives InDelivers OutRequests
 Ip: {} {} {}
          Tcp: ActiveOpens PassiveOpens InSegs OutSegs
@@ -162,13 +165,14 @@ Udp: {} {}
         t * (9 + salt % 3),
         t * (8 + salt % 3),
     )
+    .ok()
 }
 
 /// `/proc/net/tcp`: namespaced — sockets of the reader's NET namespace
 /// only (one listener per service process in the namespace).
-pub fn net_tcp(k: &Kernel, view: &View) -> String {
+pub fn net_tcp(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let ns = viewer_ns(k, view);
-    let mut out = String::from(
+    out.push_str(
         "  sl  local_address rem_address   st tx_queue rx_queue uid
 ",
     );
@@ -184,7 +188,7 @@ pub fn net_tcp(k: &Kernel, view: &View) -> String {
         );
         sl += 1;
     }
-    out
+    Some(())
 }
 
 /// Host pids visible from the view, with their in-namespace pids.
@@ -198,13 +202,15 @@ pub fn visible_pids(k: &Kernel, view: &View) -> Vec<(simkernel::HostPid, u32)> {
 /// `/proc/<pid>/status` for a pid *as numbered in the reader's namespace*.
 /// Returns `None` when the pid is not visible from this namespace — the
 /// PID-namespace isolation working as intended.
-pub fn pid_status(k: &Kernel, view: &View, ns_pid: u32) -> Option<String> {
+pub fn pid_status(k: &Kernel, view: &View, caps: &[&str], out: &mut String) -> Option<()> {
+    let ns_pid: u32 = arg(caps, 0)?;
     let (host_pid, _) = visible_pids(k, view)
         .into_iter()
         .find(|(_, p)| *p == ns_pid)?;
     let proc = k.process(host_pid)?;
-    Some(format!(
-        "Name:\t{}\nState:\t{}\nPid:\t{ns_pid}\nVmRSS:\t{:>8} kB\nThreads:\t1\n",
+    writeln!(
+        out,
+        "Name:\t{}\nState:\t{}\nPid:\t{ns_pid}\nVmRSS:\t{:>8} kB\nThreads:\t1",
         proc.name(),
         match proc.state() {
             simkernel::ProcState::Runnable => "R (running)",
@@ -212,61 +218,70 @@ pub fn pid_status(k: &Kernel, view: &View, ns_pid: u32) -> Option<String> {
             simkernel::ProcState::Exited => "Z (zombie)",
         },
         proc.rss_bytes() / 1024,
-    ))
+    )
+    .ok()
 }
 
 /// `/proc/<pid>/stat` (abridged to the fields consumers use).
-pub fn pid_stat(k: &Kernel, view: &View, ns_pid: u32) -> Option<String> {
+pub fn pid_stat(k: &Kernel, view: &View, caps: &[&str], out: &mut String) -> Option<()> {
+    let ns_pid: u32 = arg(caps, 0)?;
     let (host_pid, _) = visible_pids(k, view)
         .into_iter()
         .find(|(_, p)| *p == ns_pid)?;
     let proc = k.process(host_pid)?;
-    Some(format!(
-        "{ns_pid} ({}) R 0 {ns_pid} {ns_pid} 0 -1 4194304 {} {} {} {}\n",
+    writeln!(
+        out,
+        "{ns_pid} ({}) R 0 {ns_pid} {ns_pid} 0 -1 4194304 {} {} {} {}",
         proc.name(),
         proc.utime_ns() / 10_000_000,
         proc.stime_ns() / 10_000_000,
         proc.start_ns() / 10_000_000,
         proc.rss_bytes() / 4096,
-    ))
+    )
+    .ok()
 }
 
 /// `/proc/<pid>/io`: per-process IO accounting (pid-namespaced).
-pub fn pid_io(k: &Kernel, view: &View, ns_pid: u32) -> Option<String> {
+pub fn pid_io(k: &Kernel, view: &View, caps: &[&str], out: &mut String) -> Option<()> {
+    let ns_pid: u32 = arg(caps, 0)?;
     let (host_pid, _) = visible_pids(k, view)
         .into_iter()
         .find(|(_, p)| *p == ns_pid)?;
     let proc = k.process(host_pid)?;
     let (r, w) = proc.io_bytes();
-    Some(format!(
-        "rchar: {}\nwchar: {}\nsyscr: {}\nsyscw: {}\nread_bytes: {r}\nwrite_bytes: {w}\n",
+    writeln!(
+        out,
+        "rchar: {}\nwchar: {}\nsyscr: {}\nsyscw: {}\nread_bytes: {r}\nwrite_bytes: {w}",
         r + proc.syscall_count() * 64,
         w + proc.syscall_count() * 32,
         proc.syscall_count() / 2,
         proc.syscall_count() / 2,
-    ))
+    )
+    .ok()
 }
 
 /// `/proc/<pid>/sched`: per-task scheduler statistics (pid-namespaced).
-pub fn pid_sched(k: &Kernel, view: &View, ns_pid: u32) -> Option<String> {
+pub fn pid_sched(k: &Kernel, view: &View, caps: &[&str], out: &mut String) -> Option<()> {
+    let ns_pid: u32 = arg(caps, 0)?;
     let (host_pid, _) = visible_pids(k, view)
         .into_iter()
         .find(|(_, p)| *p == ns_pid)?;
     let proc = k.process(host_pid)?;
-    Some(format!(
-        "{} ({ns_pid}, #threads: 1)\n-------------------------------\n         se.sum_exec_runtime : {:.6}\nse.vruntime : {:.6}\nnr_switches : {}\n         prio : 120\n",
+    writeln!(
+        out,
+        "{} ({ns_pid}, #threads: 1)\n-------------------------------\n         se.sum_exec_runtime : {:.6}\nse.vruntime : {:.6}\nnr_switches : {}\n         prio : 120",
         proc.name(),
         proc.cpu_time_ns() as f64 / 1e6,
         proc.vruntime_ns() as f64 / 1e6,
         proc.cpu_time_ns() / 10_000_000 + 1,
-    ))
+    )
+    .ok()
 }
 
 /// `/proc/mounts`: properly namespaced via the MNT namespace — containers
 /// see their own (shorter) mount table (a control file).
-pub fn mounts(k: &Kernel, view: &View) -> String {
+pub fn mounts(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let ns = viewer_ns(k, view);
-    let mut out = String::new();
     if let Some(simkernel::ns::NamespaceData::Mnt { mounts }) = k.namespaces().get(ns.mnt) {
         for m in mounts {
             let (dev, fstype) = match m.as_str() {
@@ -279,20 +294,22 @@ pub fn mounts(k: &Kernel, view: &View) -> String {
             let _ = writeln!(out, "{dev} {m} {fstype} rw,relatime 0 0");
         }
     }
-    out
+    Some(())
 }
 
 /// `/proc/<pid>/cmdline`.
-pub fn pid_cmdline(k: &Kernel, view: &View, ns_pid: u32) -> Option<String> {
+pub fn pid_cmdline(k: &Kernel, view: &View, caps: &[&str], out: &mut String) -> Option<()> {
+    let ns_pid: u32 = arg(caps, 0)?;
     let (host_pid, _) = visible_pids(k, view)
         .into_iter()
         .find(|(_, p)| *p == ns_pid)?;
-    Some(format!("{}\0", k.process(host_pid)?.name()))
+    write!(out, "{}\0", k.process(host_pid)?.name()).ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::rendered;
     use simkernel::kernel::ProcessSpec;
     use simkernel::MachineConfig;
     use workloads::models;
@@ -317,24 +334,31 @@ mod tests {
         assert_eq!(host_pids.len(), 2);
         assert_eq!(cont_pids.len(), 1);
         assert_eq!(cont_pids[0].1, 1, "container init is pid 1");
-        assert!(pid_status(&k, &cont, 1).unwrap().contains("Name:\tapp"));
+        assert!(rendered(pid_status, &k, &cont, &["1"])
+            .unwrap()
+            .contains("Name:\tapp"));
         // The host daemon's pid is not resolvable inside the container.
         let daemon_host_pid = host_pids[0].1;
-        assert!(pid_status(&k, &cont, daemon_host_pid).is_none());
+        assert!(rendered(pid_status, &k, &cont, &[&daemon_host_pid.to_string()]).is_none());
     }
 
     #[test]
     fn self_status_differs_between_views() {
         let (k, host, cont) = setup();
-        assert_ne!(self_status(&k, &host), self_status(&k, &cont));
-        assert!(self_status(&k, &cont).contains("Pid:\t2"));
+        assert_ne!(
+            rendered(self_status, &k, &host, &[]).unwrap(),
+            rendered(self_status, &k, &cont, &[]).unwrap()
+        );
+        assert!(rendered(self_status, &k, &cont, &[])
+            .unwrap()
+            .contains("Pid:\t2"));
     }
 
     #[test]
     fn self_cgroup_is_rooted_inside_container() {
         let (k, host, cont) = setup();
-        let h = self_cgroup(&k, &host);
-        let c = self_cgroup(&k, &cont);
+        let h = rendered(self_cgroup, &k, &host, &[]).unwrap();
+        let c = rendered(self_cgroup, &k, &cont, &[]).unwrap();
         assert!(h.contains("4:cpuacct:/user.slice\n"), "got: {h}");
         // cgroup namespace strips the /docker/c1 prefix.
         assert!(c.contains("4:cpuacct:/\n"), "got: {c}");
@@ -343,8 +367,8 @@ mod tests {
     #[test]
     fn net_dev_is_namespaced() {
         let (k, host, cont) = setup();
-        let h = net_dev(&k, &host);
-        let c = net_dev(&k, &cont);
+        let h = rendered(net_dev, &k, &host, &[]).unwrap();
+        let c = rendered(net_dev, &k, &cont, &[]).unwrap();
         assert!(h.contains("docker0"));
         assert!(h.contains("veth"));
         assert!(!c.contains("docker0"));
@@ -354,23 +378,23 @@ mod tests {
     #[test]
     fn pid_io_and_sched_render_for_visible_pids_only() {
         let (k, host, cont) = setup();
-        let io = pid_io(&k, &cont, 1).unwrap();
+        let io = rendered(pid_io, &k, &cont, &["1"]).unwrap();
         assert!(io.contains("read_bytes:"));
         assert!(io.contains("syscr:"));
-        let sched = pid_sched(&k, &cont, 1).unwrap();
+        let sched = rendered(pid_sched, &k, &cont, &["1"]).unwrap();
         assert!(sched.contains("se.sum_exec_runtime"));
         assert!(sched.starts_with("app (1,"));
         // Host pids are invisible through the container's lens.
         let (_, host_daemon_pid) = visible_pids(&k, &host)[0];
-        assert!(pid_io(&k, &cont, host_daemon_pid).is_none());
-        assert!(pid_sched(&k, &cont, 999).is_none());
+        assert!(rendered(pid_io, &k, &cont, &[&host_daemon_pid.to_string()]).is_none());
+        assert!(rendered(pid_sched, &k, &cont, &["999"]).is_none());
     }
 
     #[test]
     fn mounts_is_namespaced() {
         let (k, host, cont) = setup();
-        let h = mounts(&k, &host);
-        let c = mounts(&k, &cont);
+        let h = rendered(mounts, &k, &host, &[]).unwrap();
+        let c = rendered(mounts, &k, &cont, &[]).unwrap();
         assert!(h.contains("devtmpfs"), "host sees /dev: {h}");
         assert!(!c.contains("devtmpfs"), "container mnt ns has no /dev");
         assert!(c.contains("proc /proc proc"));
@@ -380,9 +404,12 @@ mod tests {
     #[test]
     fn net_tcp_and_snmp_are_namespaced() {
         let (k, host, cont) = setup();
-        assert_ne!(net_snmp(&k, &host), net_snmp(&k, &cont));
-        let host_tcp = net_tcp(&k, &host);
-        let cont_tcp = net_tcp(&k, &cont);
+        assert_ne!(
+            rendered(net_snmp, &k, &host, &[]).unwrap(),
+            rendered(net_snmp, &k, &cont, &[]).unwrap()
+        );
+        let host_tcp = rendered(net_tcp, &k, &host, &[]).unwrap();
+        let cont_tcp = rendered(net_tcp, &k, &cont, &[]).unwrap();
         // One socket row per process in the namespace (+ header).
         assert_eq!(host_tcp.lines().count(), 2, "{host_tcp}");
         assert_eq!(cont_tcp.lines().count(), 2, "{cont_tcp}");
@@ -392,9 +419,9 @@ mod tests {
     #[test]
     fn pid_stat_and_cmdline_render() {
         let (k, _, cont) = setup();
-        let stat = pid_stat(&k, &cont, 1).unwrap();
+        let stat = rendered(pid_stat, &k, &cont, &["1"]).unwrap();
         assert!(stat.starts_with("1 (app) R"));
-        assert_eq!(pid_cmdline(&k, &cont, 1).unwrap(), "app\0");
-        assert!(pid_stat(&k, &cont, 999).is_none());
+        assert_eq!(rendered(pid_cmdline, &k, &cont, &["1"]).unwrap(), "app\0");
+        assert!(rendered(pid_stat, &k, &cont, &["999"]).is_none());
     }
 }

@@ -8,14 +8,7 @@ use crate::view::View;
 
 /// `/proc/schedstat`. LEAK (Table I/II): per-CPU run/wait time for the
 /// whole host (variation + indirect manipulation via pinned load).
-pub fn schedstat(k: &Kernel, view: &View) -> String {
-    let mut out = String::new();
-    schedstat_into(k, view, &mut out);
-    out
-}
-
-/// [`schedstat`] writing into a caller-provided buffer.
-pub fn schedstat_into(k: &Kernel, _view: &View, out: &mut String) {
+pub fn schedstat(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     out.push_str("version 15\ntimestamp 4295000000\n");
     for (i, c) in k.sched().cpu_stats().iter().enumerate() {
         let _ = writeln!(
@@ -28,20 +21,14 @@ pub fn schedstat_into(k: &Kernel, _view: &View, out: &mut String) {
             "domain0 f 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0"
         );
     }
+    Some(())
 }
 
 /// `/proc/sched_debug`. LEAK (Table II, top group): dumps *every* task on
 /// the host — names, host pids, vruntime — regardless of the reader's PID
 /// namespace. Directly manipulable: a tenant launches a process with a
 /// crafted name; co-resident containers find it here (§III-C group 2).
-pub fn sched_debug(k: &Kernel, view: &View) -> String {
-    let mut out = String::new();
-    sched_debug_into(k, view, &mut out);
-    out
-}
-
-/// [`sched_debug`] writing into a caller-provided buffer.
-pub fn sched_debug_into(k: &Kernel, _view: &View, out: &mut String) {
+pub fn sched_debug(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let _ = writeln!(
         out,
         "Sched Debug Version: v0.11, {} {}",
@@ -71,19 +58,13 @@ pub fn sched_debug_into(k: &Kernel, _view: &View, out: &mut String) {
             p.vruntime_ns() / 1_000,
         );
     }
+    Some(())
 }
 
 /// `/proc/timer_list`. LEAK (Table II, top group): every armed hrtimer on
 /// the host with owner comm and host pid. The §IV-C orchestration uses
 /// this channel for co-residence verification.
-pub fn timer_list(k: &Kernel, view: &View) -> String {
-    let mut out = String::new();
-    timer_list_into(k, view, &mut out);
-    out
-}
-
-/// [`timer_list`] writing into a caller-provided buffer.
-pub fn timer_list_into(k: &Kernel, _view: &View, out: &mut String) {
+pub fn timer_list(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     out.push_str("Timer List Version: v0.8\nHRTIMER_MAX_CLOCK_BASES: 4\n");
     let _ = writeln!(out, "now at {} nsecs", k.clock().since_boot_ns());
     for (i, t) in k.timers().timers().iter().enumerate() {
@@ -107,12 +88,12 @@ pub fn timer_list_into(k: &Kernel, _view: &View, out: &mut String) {
             t.expires_ns.saturating_sub(k.clock().since_boot_ns()),
         );
     }
+    Some(())
 }
 
 /// `/proc/locks`. LEAK (Table II, top group): all kernel file locks with
 /// *host* pids; directly manipulable via crafted `flock()` ranges.
-pub fn locks(k: &Kernel, _view: &View) -> String {
-    let mut out = String::new();
+pub fn locks(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     for (i, l) in k.fs().locks().iter().enumerate() {
         let end = if l.range.1 == u64::MAX {
             "EOF".to_string()
@@ -130,12 +111,13 @@ pub fn locks(k: &Kernel, _view: &View) -> String {
             end,
         );
     }
-    out
+    Some(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::rendered;
     use simkernel::fsstate::LockKind;
     use simkernel::MachineConfig;
     use workloads::models;
@@ -159,7 +141,7 @@ mod tests {
         .unwrap();
         k.advance_secs(1);
         let view = View::container(env.ns, env.cgroups);
-        let s = sched_debug(&k, &view);
+        let s = rendered(sched_debug, &k, &view, &[]).unwrap();
         assert!(s.contains("host-daemon"), "host tasks leak");
         assert!(s.contains("sig-42aa"), "implanted signature visible");
     }
@@ -171,7 +153,7 @@ mod tests {
             .spawn_host_process("timer-owner", models::prime())
             .unwrap();
         k.add_user_timer(pid, "craft-77", 1_000_000_000).unwrap();
-        let s = timer_list(&k, &View::host());
+        let s = rendered(timer_list, &k, &View::host(), &[]).unwrap();
         assert!(s.contains("craft-77"));
         assert!(s.contains(&format!("/{}", pid.0)));
         assert!(s.contains("tick_sched_timer"));
@@ -183,7 +165,7 @@ mod tests {
         let pid = k.spawn_host_process("locker", models::prime()).unwrap();
         k.flock(pid, LockKind::FlockWrite, (0, u64::MAX)).unwrap();
         k.flock(pid, LockKind::PosixRead, (100, 4096)).unwrap();
-        let s = locks(&k, &View::host());
+        let s = rendered(locks, &k, &View::host(), &[]).unwrap();
         assert!(s.contains("EOF"));
         assert!(s.contains("FLOCK  ADVISORY  WRITE"));
         assert!(s.contains("POSIX  ADVISORY  READ"));
@@ -193,7 +175,7 @@ mod tests {
     #[test]
     fn schedstat_per_cpu_lines() {
         let k = kernel();
-        let s = schedstat(&k, &View::host());
+        let s = rendered(schedstat, &k, &View::host(), &[]).unwrap();
         assert!(s.contains("cpu0 "));
         assert!(s.contains("cpu3 "));
         assert!(s.contains("domain0 "));

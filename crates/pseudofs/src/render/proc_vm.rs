@@ -14,12 +14,13 @@ use simkernel::Kernel;
 use crate::view::View;
 
 /// `/proc/vmstat`. LEAK: host-wide VM event counters (accumulators).
-pub fn vmstat(k: &Kernel, _view: &View) -> String {
+pub fn vmstat(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let vm = k.mem().vm_counters();
     let free_pages = k.mem().free_bytes() / simkernel::mem::PAGE_SIZE;
-    format!(
+    writeln!(
+        out,
         "nr_free_pages {}\nnr_anon_pages {}\nnr_file_pages {}\nnr_dirty {}\n\
-         pgalloc_normal {}\npgfree {}\npgfault {}\npgmajfault {}\npgscan_kswapd {}\n",
+         pgalloc_normal {}\npgfree {}\npgfault {}\npgmajfault {}\npgscan_kswapd {}",
         free_pages,
         k.mem().rss_bytes() / simkernel::mem::PAGE_SIZE,
         k.mem().cached_bytes() / simkernel::mem::PAGE_SIZE,
@@ -30,16 +31,15 @@ pub fn vmstat(k: &Kernel, _view: &View) -> String {
         vm.pgmajfault,
         vm.pgscan,
     )
+    .ok()
 }
 
 /// `/proc/slabinfo`. LEAK: slab-cache object counts — dominated by the
 /// dentry and inode caches, so it moves with host filesystem activity.
-pub fn slabinfo(k: &Kernel, _view: &View) -> String {
+pub fn slabinfo(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let (dentries, unused, _, _) = k.fs().dentry_state();
     let (inodes, _) = k.fs().inode_nr();
-    let mut out = String::from(
-        "slabinfo - version: 2.1\n# name            <active_objs> <num_objs> <objsize>\n",
-    );
+    out.push_str("slabinfo - version: 2.1\n# name            <active_objs> <num_objs> <objsize>\n");
     let nprocs = k.process_count() as u64;
     for (name, active, num, size) in [
         ("dentry", dentries - unused / 2, dentries, 192u64),
@@ -61,13 +61,12 @@ pub fn slabinfo(k: &Kernel, _view: &View) -> String {
     ] {
         let _ = writeln!(out, "{name:<18} {active:>12} {num:>10} {size:>9}");
     }
-    out
+    Some(())
 }
 
 /// `/proc/buddyinfo`. LEAK: per-zone free pages by order — host memory
 /// fragmentation state.
-pub fn buddyinfo(k: &Kernel, _view: &View) -> String {
-    let mut out = String::new();
+pub fn buddyinfo(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     for z in k.mem().zones() {
         let _ = write!(out, "Node {}, zone {:>8}", z.node, z.name);
         // Geometric split of the free pages over orders 0..=10.
@@ -83,13 +82,13 @@ pub fn buddyinfo(k: &Kernel, _view: &View) -> String {
         }
         out.push('\n');
     }
-    out
+    Some(())
 }
 
 /// `/proc/swaps`. LEAK: host swap devices and usage.
-pub fn swaps(k: &Kernel, _view: &View) -> String {
+pub fn swaps(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let (total, free) = k.mem().swap();
-    let mut out = String::from("Filename\t\t\t\tType\t\tSize\tUsed\tPriority\n");
+    out.push_str("Filename\t\t\t\tType\t\tSize\tUsed\tPriority\n");
     if total > 0 {
         let _ = writeln!(
             out,
@@ -98,12 +97,12 @@ pub fn swaps(k: &Kernel, _view: &View) -> String {
             (total - free) / 1024,
         );
     }
-    out
+    Some(())
 }
 
 /// `/proc/partitions`. LEAK: the host's block devices and sizes.
-pub fn partitions(k: &Kernel, _view: &View) -> String {
-    let mut out = String::from("major minor  #blocks  name\n\n");
+pub fn partitions(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
+    out.push_str("major minor  #blocks  name\n\n");
     for (i, (name, size)) in k.config().disks.iter().enumerate() {
         let blocks = size / 1024;
         let _ = writeln!(out, "   8  {:>5} {blocks:>10} {name}", i * 16);
@@ -115,21 +114,23 @@ pub fn partitions(k: &Kernel, _view: &View) -> String {
         );
         let _ = writeln!(out, "   8  {:>5} {:>10} {name}2", i * 16 + 2, blocks / 10);
     }
-    out
+    Some(())
 }
 
 /// `/proc/filesystems`: static list, identical fleet-wide (info leak but
 /// useless for co-residence, like `/proc/modules`).
-pub fn filesystems(_k: &Kernel, _view: &View) -> String {
-    "nodev\tsysfs\nnodev\ttmpfs\nnodev\tproc\nnodev\tcgroup\nnodev\toverlay\n\text4\n\tvfat\n"
-        .to_string()
+pub fn filesystems(_k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
+    out.push_str(
+        "nodev\tsysfs\nnodev\ttmpfs\nnodev\tproc\nnodev\tcgroup\nnodev\toverlay\n\text4\n\tvfat\n",
+    );
+    Some(())
 }
 
 /// `/proc/cgroups`. LEAK: per-hierarchy cgroup counts — `num_cgroups`
 /// exposes how many containers the host runs, and watching it over time
 /// reveals the host's container churn.
-pub fn cgroups(k: &Kernel, _view: &View) -> String {
-    let mut out = String::from("#subsys_name\thierarchy\tnum_cgroups\tenabled\n");
+pub fn cgroups(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
+    out.push_str("#subsys_name\thierarchy\tnum_cgroups\tenabled\n");
     for (name, kind, hierarchy) in [
         ("cpuacct", simkernel::CgroupKind::Cpuacct, 4),
         ("memory", simkernel::CgroupKind::Memory, 1),
@@ -142,12 +143,13 @@ pub fn cgroups(k: &Kernel, _view: &View) -> String {
             k.cgroups().count_of_kind(kind)
         );
     }
-    out
+    Some(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::rendered;
     use simkernel::MachineConfig;
     use workloads::models;
 
@@ -161,9 +163,9 @@ mod tests {
     #[test]
     fn vmstat_counters_accumulate() {
         let mut k = kernel();
-        let a = vmstat(&k, &View::host());
+        let a = rendered(vmstat, &k, &View::host(), &[]).unwrap();
         k.advance_secs(2);
-        let b = vmstat(&k, &View::host());
+        let b = rendered(vmstat, &k, &View::host(), &[]).unwrap();
         assert_ne!(a, b);
         let get = |s: &str, key: &str| -> u64 {
             s.lines()
@@ -179,7 +181,7 @@ mod tests {
     #[test]
     fn slabinfo_tracks_dentry_cache() {
         let k = kernel();
-        let s = slabinfo(&k, &View::host());
+        let s = rendered(slabinfo, &k, &View::host(), &[]).unwrap();
         assert!(s.contains("dentry"));
         assert!(s.contains("task_struct"));
         assert!(s.lines().count() >= 8);
@@ -188,7 +190,7 @@ mod tests {
     #[test]
     fn buddyinfo_orders_account_for_free_pages() {
         let k = kernel();
-        let s = buddyinfo(&k, &View::host());
+        let s = rendered(buddyinfo, &k, &View::host(), &[]).unwrap();
         for z in k.mem().zones() {
             assert!(s.contains(z.name), "missing zone {}", z.name);
         }
@@ -200,9 +202,9 @@ mod tests {
     #[test]
     fn swaps_and_partitions_render() {
         let k = kernel();
-        let sw = swaps(&k, &View::host());
+        let sw = rendered(swaps, &k, &View::host(), &[]).unwrap();
         assert!(sw.contains("partition"), "testbed has swap: {sw}");
-        let p = partitions(&k, &View::host());
+        let p = rendered(partitions, &k, &View::host(), &[]).unwrap();
         assert!(p.contains(" sda\n"));
         assert!(p.contains(" sda1\n"));
     }
@@ -210,7 +212,7 @@ mod tests {
     #[test]
     fn cgroups_counts_containers() {
         let mut k = kernel();
-        let before = cgroups(&k, &View::host());
+        let before = rendered(cgroups, &k, &View::host(), &[]).unwrap();
         let n_before: u64 = before
             .lines()
             .find(|l| l.starts_with("cpuacct"))
@@ -219,7 +221,7 @@ mod tests {
             .unwrap();
         k.create_container_env("c1").unwrap();
         k.create_container_env("c2").unwrap();
-        let after = cgroups(&k, &View::host());
+        let after = rendered(cgroups, &k, &View::host(), &[]).unwrap();
         let n_after: u64 = after
             .lines()
             .find(|l| l.starts_with("cpuacct"))
@@ -232,8 +234,8 @@ mod tests {
     #[test]
     fn filesystems_is_static() {
         let mut k = kernel();
-        let a = filesystems(&k, &View::host());
+        let a = rendered(filesystems, &k, &View::host(), &[]).unwrap();
         k.advance_secs(5);
-        assert_eq!(a, filesystems(&k, &View::host()));
+        assert_eq!(a, rendered(filesystems, &k, &View::host(), &[]).unwrap());
     }
 }

@@ -31,9 +31,8 @@ fn viewer_cgroup(k: &Kernel, view: &View, kind: CgroupKind) -> CgroupId {
 /// handler walks `init_net`'s device list, ignoring the reader's NET
 /// namespace. Because every container adds a randomized `veth*` device to
 /// the host, the full list uniquely fingerprints the host.
-pub fn ifpriomap(k: &Kernel, view: &View) -> String {
+pub fn ifpriomap(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let cg = viewer_cgroup(k, view, CgroupKind::NetPrio);
-    let mut out = String::new();
     // The bug reproduced: iterate the HOST device list (init_net), looking
     // up each device's priority in the reader's cgroup map.
     for dev in k.net().devices() {
@@ -45,51 +44,51 @@ pub fn ifpriomap(k: &Kernel, view: &View) -> String {
         };
         let _ = writeln!(out, "{} {prio}", dev.name);
     }
-    out
+    Some(())
 }
 
 /// `/sys/fs/cgroup/net_prio/net_prio.prioidx`.
-pub fn prioidx(k: &Kernel, view: &View) -> String {
-    format!("{}\n", viewer_cgroup(k, view, CgroupKind::NetPrio).0)
+pub fn prioidx(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
+    writeln!(out, "{}", viewer_cgroup(k, view, CgroupKind::NetPrio).0).ok()
 }
 
 /// `/sys/fs/cgroup/cpuacct/cpuacct.usage`: properly scoped — the reader
 /// sees its own cgroup's accumulated CPU time (control file).
-pub fn cpuacct_usage(k: &Kernel, view: &View) -> String {
+pub fn cpuacct_usage(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let cg = viewer_cgroup(k, view, CgroupKind::Cpuacct);
-    format!("{}\n", k.cgroups().cpuacct_usage_ns(cg).unwrap_or(0))
+    writeln!(out, "{}", k.cgroups().cpuacct_usage_ns(cg).unwrap_or(0)).ok()
 }
 
 /// `/sys/fs/cgroup/cpuacct/cpuacct.usage_percpu`: per-CPU breakdown of the
 /// reader's own cgroup (control file; also the defense's data source).
-pub fn cpuacct_usage_percpu(k: &Kernel, view: &View) -> String {
+pub fn cpuacct_usage_percpu(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let cg = viewer_cgroup(k, view, CgroupKind::Cpuacct);
     let vals = k.cgroups().cpuacct_usage_percpu(cg).unwrap_or(&[]);
-    let mut out = String::new();
     for v in vals {
         let _ = write!(out, "{v} ");
     }
     out.push('\n');
-    out
+    Some(())
 }
 
 /// `/sys/fs/cgroup/memory/memory.usage_in_bytes` (control file).
-pub fn memory_usage(k: &Kernel, view: &View) -> String {
+pub fn memory_usage(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let cg = viewer_cgroup(k, view, CgroupKind::Memory);
     let (usage, _) = k.cgroups().memory_usage(cg).unwrap_or((0, 0));
-    format!("{usage}\n")
+    writeln!(out, "{usage}").ok()
 }
 
 /// `/sys/fs/cgroup/memory/memory.max_usage_in_bytes` (control file).
-pub fn memory_max_usage(k: &Kernel, view: &View) -> String {
+pub fn memory_max_usage(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let cg = viewer_cgroup(k, view, CgroupKind::Memory);
     let (_, max) = k.cgroups().memory_usage(cg).unwrap_or((0, 0));
-    format!("{max}\n")
+    writeln!(out, "{max}").ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::rendered;
     use simkernel::kernel::ProcessSpec;
     use simkernel::MachineConfig;
     use workloads::models;
@@ -108,8 +107,8 @@ mod tests {
     #[test]
     fn ifpriomap_leaks_all_host_interfaces_to_containers() {
         let (k, host, cont) = setup();
-        let h = ifpriomap(&k, &host);
-        let c = ifpriomap(&k, &cont);
+        let h = rendered(ifpriomap, &k, &host, &[]).unwrap();
+        let c = rendered(ifpriomap, &k, &cont, &[]).unwrap();
         // The container, despite its own NET namespace holding only
         // lo/eth0, reads the full host list — including both veths.
         assert_eq!(h, c, "handler ignores the NET namespace");
@@ -120,8 +119,16 @@ mod tests {
     #[test]
     fn cpuacct_usage_is_scoped_to_reader() {
         let (k, host, cont) = setup();
-        let host_ns: u64 = cpuacct_usage(&k, &host).trim().parse().unwrap();
-        let cont_ns: u64 = cpuacct_usage(&k, &cont).trim().parse().unwrap();
+        let host_ns: u64 = rendered(cpuacct_usage, &k, &host, &[])
+            .unwrap()
+            .trim()
+            .parse()
+            .unwrap();
+        let cont_ns: u64 = rendered(cpuacct_usage, &k, &cont, &[])
+            .unwrap()
+            .trim()
+            .parse()
+            .unwrap();
         assert!(host_ns >= cont_ns, "root aggregates all work");
         assert!(cont_ns > 1_000_000_000, "container did ~2s of work");
     }
@@ -129,18 +136,30 @@ mod tests {
     #[test]
     fn usage_percpu_has_ncpu_fields() {
         let (k, _, cont) = setup();
-        let s = cpuacct_usage_percpu(&k, &cont);
+        let s = rendered(cpuacct_usage_percpu, &k, &cont, &[]).unwrap();
         assert_eq!(s.split_whitespace().count(), 4);
     }
 
     #[test]
     fn memory_usage_scoped() {
         let (k, host, cont) = setup();
-        let h: u64 = memory_usage(&k, &host).trim().parse().unwrap();
-        let c: u64 = memory_usage(&k, &cont).trim().parse().unwrap();
+        let h: u64 = rendered(memory_usage, &k, &host, &[])
+            .unwrap()
+            .trim()
+            .parse()
+            .unwrap();
+        let c: u64 = rendered(memory_usage, &k, &cont, &[])
+            .unwrap()
+            .trim()
+            .parse()
+            .unwrap();
         assert!(c > 0);
         assert!(h >= c);
-        let max: u64 = memory_max_usage(&k, &cont).trim().parse().unwrap();
+        let max: u64 = rendered(memory_max_usage, &k, &cont, &[])
+            .unwrap()
+            .trim()
+            .parse()
+            .unwrap();
         assert!(max >= c);
     }
 }

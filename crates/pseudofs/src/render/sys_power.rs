@@ -6,64 +6,102 @@
 //! This is the channel the synergistic power attack monitors and the one
 //! the power-based namespace re-implements.
 
+use std::fmt::Write as _;
+
 use simkernel::hw::{IDLE_STATE_NAMES, RAPL_WRAP_UJ};
 use simkernel::Kernel;
 
+use super::arg;
 use crate::view::View;
 
 /// `/sys/class/powercap/intel-rapl:{pkg}/name` → `package-{pkg}`.
-pub fn rapl_name(k: &Kernel, _view: &View, pkg: usize) -> Option<String> {
+pub fn rapl_name(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> Option<()> {
+    let pkg: usize = arg(caps, 0)?;
     if !k.rapl().is_present() || pkg >= k.rapl().package_count() {
         return None;
     }
-    Some(format!("package-{pkg}\n"))
+    writeln!(out, "package-{pkg}").ok()
 }
 
 /// `/sys/class/powercap/intel-rapl:{pkg}/energy_uj`. LEAK (Table II):
 /// host package energy counter in microjoules.
-pub fn rapl_package_energy(k: &Kernel, _view: &View, pkg: usize) -> Option<String> {
+pub fn rapl_package_energy(
+    k: &Kernel,
+    _view: &View,
+    caps: &[&str],
+    out: &mut String,
+) -> Option<()> {
+    let pkg: usize = arg(caps, 0)?;
     if !k.rapl().is_present() || pkg >= k.rapl().package_count() {
         return None;
     }
-    Some(format!("{}\n", k.rapl().package_energy_uj(pkg)))
+    writeln!(out, "{}", k.rapl().package_energy_uj(pkg)).ok()
 }
 
 /// `/sys/class/powercap/intel-rapl:{pkg}/max_energy_range_uj`.
-pub fn rapl_max_range(k: &Kernel, _view: &View, pkg: usize) -> Option<String> {
+pub fn rapl_max_range(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> Option<()> {
+    let pkg: usize = arg(caps, 0)?;
     if !k.rapl().is_present() || pkg >= k.rapl().package_count() {
         return None;
     }
-    Some(format!("{RAPL_WRAP_UJ}\n"))
+    writeln!(out, "{RAPL_WRAP_UJ}").ok()
+}
+
+/// The package and domain of a `intel-rapl:{pkg}/intel-rapl:{pkg}:{dom}`
+/// path; `None` unless the subdomain names its enclosing package.
+fn subdomain(caps: &[&str]) -> Option<(usize, usize)> {
+    let pkg: usize = arg(caps, 0)?;
+    let (owner, dom) = caps.get(1)?.split_once(':')?;
+    if owner.parse::<usize>().ok()? != pkg {
+        return None;
+    }
+    Some((pkg, dom.parse().ok()?))
 }
 
 /// `/sys/class/powercap/intel-rapl:{pkg}:{dom}/name` → `core` / `dram`.
-pub fn rapl_subdomain_name(k: &Kernel, _view: &View, pkg: usize, dom: usize) -> Option<String> {
+pub fn rapl_subdomain_name(
+    k: &Kernel,
+    _view: &View,
+    caps: &[&str],
+    out: &mut String,
+) -> Option<()> {
+    let (pkg, dom) = subdomain(caps)?;
     if !k.rapl().is_present() || pkg >= k.rapl().package_count() {
         return None;
     }
     match dom {
-        0 => Some("core\n".into()),
-        1 => Some("dram\n".into()),
-        _ => None,
+        0 => out.push_str("core\n"),
+        1 => out.push_str("dram\n"),
+        _ => return None,
     }
+    Some(())
 }
 
 /// `/sys/class/powercap/intel-rapl:{pkg}:{dom}/energy_uj`. LEAK: core and
 /// DRAM domain counters.
-pub fn rapl_subdomain_energy(k: &Kernel, _view: &View, pkg: usize, dom: usize) -> Option<String> {
+pub fn rapl_subdomain_energy(
+    k: &Kernel,
+    _view: &View,
+    caps: &[&str],
+    out: &mut String,
+) -> Option<()> {
+    let (pkg, dom) = subdomain(caps)?;
     if !k.rapl().is_present() || pkg >= k.rapl().package_count() {
         return None;
     }
     match dom {
-        0 => Some(format!("{}\n", k.rapl().core_energy_uj(pkg))),
-        1 => Some(format!("{}\n", k.rapl().dram_energy_uj(pkg))),
+        0 => writeln!(out, "{}", k.rapl().core_energy_uj(pkg)).ok(),
+        1 => writeln!(out, "{}", k.rapl().dram_energy_uj(pkg)).ok(),
         _ => None,
     }
 }
 
 /// `/sys/devices/platform/coretemp.{pkg}/hwmon/hwmon{pkg}/temp{n}_input`.
-/// LEAK (Table II): per-core DTS temperature in millidegrees.
-pub fn coretemp(k: &Kernel, _view: &View, pkg: usize, sensor: usize) -> Option<String> {
+/// LEAK (Table II): per-core DTS temperature in millidegrees. The hwmon
+/// index is not checked, as Linux does not tie it to the package.
+pub fn coretemp(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> Option<()> {
+    let pkg: usize = arg(caps, 0)?;
+    let sensor: usize = arg(caps, 2)?;
     if !k.hw().has_coretemp() {
         return None;
     }
@@ -82,52 +120,56 @@ pub fn coretemp(k: &Kernel, _view: &View, pkg: usize, sensor: usize) -> Option<S
     } else {
         k.hw().cpus().get(base + sensor - 2)?.temp_mc
     };
-    Some(format!("{}\n", (t / 1000.0).round() as i64 * 1000))
+    writeln!(out, "{}", (t / 1000.0).round() as i64 * 1000).ok()
 }
 
 /// `/sys/devices/system/cpu/cpu{c}/cpuidle/state{s}/name`.
-pub fn cpuidle_name(k: &Kernel, _view: &View, cpu: usize, state: usize) -> Option<String> {
+pub fn cpuidle_name(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> Option<()> {
+    let (cpu, state): (usize, usize) = (arg(caps, 0)?, arg(caps, 1)?);
     if cpu >= k.hw().cpus().len() || state >= IDLE_STATE_NAMES.len() {
         return None;
     }
-    Some(format!("{}\n", IDLE_STATE_NAMES[state]))
+    writeln!(out, "{}", IDLE_STATE_NAMES[state]).ok()
 }
 
 /// `/sys/devices/system/cpu/cpu{c}/cpuidle/state{s}/usage`. LEAK
 /// (Table II): per-CPU idle-state entry counts for the host.
-pub fn cpuidle_usage(k: &Kernel, _view: &View, cpu: usize, state: usize) -> Option<String> {
+pub fn cpuidle_usage(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> Option<()> {
+    let (cpu, state): (usize, usize) = (arg(caps, 0)?, arg(caps, 1)?);
     let s = k.hw().cpus().get(cpu)?.idle_states.get(state)?;
-    Some(format!("{}\n", s.usage))
+    writeln!(out, "{}", s.usage).ok()
 }
 
 /// `/sys/devices/system/cpu/cpu{c}/cpuidle/state{s}/time`. LEAK
 /// (Table II): microseconds the host CPU spent in the state.
-pub fn cpuidle_time(k: &Kernel, _view: &View, cpu: usize, state: usize) -> Option<String> {
+pub fn cpuidle_time(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> Option<()> {
+    let (cpu, state): (usize, usize) = (arg(caps, 0)?, arg(caps, 1)?);
     let s = k.hw().cpus().get(cpu)?.idle_states.get(state)?;
-    Some(format!("{}\n", s.time_us))
+    writeln!(out, "{}", s.time_us).ok()
 }
 
 /// `/sys/devices/system/cpu/cpu{c}/cpufreq/scaling_cur_freq`. LEAK:
 /// the core's current frequency in kHz races to turbo with host load —
 /// yet another per-core activity channel.
-pub fn cpufreq_cur(k: &Kernel, _view: &View, cpu: usize) -> Option<String> {
-    k.hw()
-        .cpus()
-        .get(cpu)
-        .map(|c| format!("{}\n", c.cur_freq_khz))
+pub fn cpufreq_cur(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> Option<()> {
+    let cpu: usize = arg(caps, 0)?;
+    let c = k.hw().cpus().get(cpu)?;
+    writeln!(out, "{}", c.cur_freq_khz).ok()
 }
 
 /// `/sys/devices/system/cpu/cpu{c}/cpufreq/cpuinfo_max_freq` (static).
-pub fn cpufreq_max(k: &Kernel, _view: &View, cpu: usize) -> Option<String> {
+pub fn cpufreq_max(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> Option<()> {
+    let cpu: usize = arg(caps, 0)?;
     if cpu >= k.hw().cpus().len() {
         return None;
     }
-    Some(format!("{}\n", k.config().freq_hz / 1_000 * 115 / 100))
+    writeln!(out, "{}", k.config().freq_hz / 1_000 * 115 / 100).ok()
 }
 
 /// `/sys/class/thermal/thermal_zone0/temp`. LEAK: package temperature in
 /// millidegrees (the x86_pkg_temp zone).
-pub fn thermal_zone_temp(k: &Kernel, _view: &View, zone: usize) -> Option<String> {
+pub fn thermal_zone_temp(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> Option<()> {
+    let zone: usize = arg(caps, 0)?;
     if zone != 0 || !k.hw().has_coretemp() {
         return None;
     }
@@ -137,19 +179,21 @@ pub fn thermal_zone_temp(k: &Kernel, _view: &View, zone: usize) -> Option<String
         .iter()
         .map(|c| c.temp_mc)
         .fold(0.0f64, f64::max);
-    Some(format!("{}\n", max as i64))
+    writeln!(out, "{}", max as i64).ok()
 }
 
 /// `/sys/block/{disk}/stat`. LEAK: host block-device IO counters.
-pub fn block_stat(k: &Kernel, _view: &View, disk: &str) -> Option<String> {
+pub fn block_stat(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> Option<()> {
+    let disk = *caps.first()?;
     if !k.config().disks.iter().any(|(name, _)| name == disk) {
         return None;
     }
     let io = k.stats().total_io_bytes;
     let reads = io / 4096 / 3 + 11_000;
     let writes = io / 4096 * 2 / 3 + 7_000;
-    Some(format!(
-        "{reads:>8} {:>8} {:>8} {:>8} {writes:>8} {:>8} {:>8} {:>8} 0 {:>8} {:>8}\n",
+    writeln!(
+        out,
+        "{reads:>8} {:>8} {:>8} {:>8} {writes:>8} {:>8} {:>8} {:>8} 0 {:>8} {:>8}",
         reads / 20,
         reads * 8,
         reads / 3,
@@ -158,17 +202,19 @@ pub fn block_stat(k: &Kernel, _view: &View, disk: &str) -> Option<String> {
         writes / 2,
         (reads + writes) / 4,
         (reads + writes) / 3,
-    ))
+    )
+    .ok()
 }
 
 /// `/sys/devices/system/cpu/online` → `0-{n-1}`.
-pub fn cpu_online(k: &Kernel, _view: &View) -> String {
-    format!("0-{}\n", k.config().cpus - 1)
+pub fn cpu_online(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
+    writeln!(out, "0-{}", k.config().cpus - 1).ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::rendered;
     use simkernel::MachineConfig;
     use workloads::models;
 
@@ -182,35 +228,38 @@ mod tests {
     #[test]
     fn rapl_counters_visible_and_monotone() {
         let mut k = kernel();
-        let e1: u64 = rapl_package_energy(&k, &View::host(), 0)
+        let e1: u64 = rendered(rapl_package_energy, &k, &View::host(), &["0"])
             .unwrap()
             .trim()
             .parse()
             .unwrap();
         k.advance_secs(1);
-        let e2: u64 = rapl_package_energy(&k, &View::host(), 0)
+        let e2: u64 = rendered(rapl_package_energy, &k, &View::host(), &["0"])
             .unwrap()
             .trim()
             .parse()
             .unwrap();
         assert!(e2 > e1);
-        assert_eq!(rapl_name(&k, &View::host(), 1).unwrap(), "package-1\n");
-        assert!(rapl_package_energy(&k, &View::host(), 2).is_none());
+        assert_eq!(
+            rendered(rapl_name, &k, &View::host(), &["1"]).unwrap(),
+            "package-1\n"
+        );
+        assert!(rendered(rapl_package_energy, &k, &View::host(), &["2"]).is_none());
     }
 
     #[test]
     fn rapl_subdomains_are_core_and_dram() {
         let k = kernel();
         assert_eq!(
-            rapl_subdomain_name(&k, &View::host(), 0, 0).unwrap(),
+            rendered(rapl_subdomain_name, &k, &View::host(), &["0", "0:0"]).unwrap(),
             "core\n"
         );
         assert_eq!(
-            rapl_subdomain_name(&k, &View::host(), 0, 1).unwrap(),
+            rendered(rapl_subdomain_name, &k, &View::host(), &["0", "0:1"]).unwrap(),
             "dram\n"
         );
-        assert!(rapl_subdomain_name(&k, &View::host(), 0, 2).is_none());
-        let core: u64 = rapl_subdomain_energy(&k, &View::host(), 0, 0)
+        assert!(rendered(rapl_subdomain_name, &k, &View::host(), &["0", "0:2"]).is_none());
+        let core: u64 = rendered(rapl_subdomain_energy, &k, &View::host(), &["0", "0:0"])
             .unwrap()
             .trim()
             .parse()
@@ -222,20 +271,20 @@ mod tests {
     fn rapl_absent_without_hardware() {
         let mut k = Kernel::new(MachineConfig::legacy_server_no_rapl(), 6);
         k.advance_secs(1);
-        assert!(rapl_package_energy(&k, &View::host(), 0).is_none());
-        assert!(coretemp(&k, &View::host(), 0, 1).is_none());
+        assert!(rendered(rapl_package_energy, &k, &View::host(), &["0"]).is_none());
+        assert!(rendered(coretemp, &k, &View::host(), &["0", "0", "1"]).is_none());
     }
 
     #[test]
     fn coretemp_package_sensor_is_max_of_cores() {
         let k = kernel();
-        let pkg: i64 = coretemp(&k, &View::host(), 0, 1)
+        let pkg: i64 = rendered(coretemp, &k, &View::host(), &["0", "0", "1"])
             .unwrap()
             .trim()
             .parse()
             .unwrap();
         for s in 2..=8 {
-            let core: i64 = coretemp(&k, &View::host(), 0, s)
+            let core: i64 = rendered(coretemp, &k, &View::host(), &["0", "0", &s.to_string()])
                 .unwrap()
                 .trim()
                 .parse()
@@ -243,25 +292,28 @@ mod tests {
             assert!(pkg >= core);
         }
         assert!(pkg > 35_000, "load should heat the package: {pkg}");
-        assert!(coretemp(&k, &View::host(), 0, 15).is_none());
+        assert!(rendered(coretemp, &k, &View::host(), &["0", "0", "15"]).is_none());
     }
 
     #[test]
     fn cpuidle_states_render() {
         let k = kernel();
-        assert_eq!(cpuidle_name(&k, &View::host(), 0, 4).unwrap(), "C6\n");
-        let t: u64 = cpuidle_time(&k, &View::host(), 15, 4)
+        assert_eq!(
+            rendered(cpuidle_name, &k, &View::host(), &["0", "4"]).unwrap(),
+            "C6\n"
+        );
+        let t: u64 = rendered(cpuidle_time, &k, &View::host(), &["15", "4"])
             .unwrap()
             .trim()
             .parse()
             .unwrap();
-        let u: u64 = cpuidle_usage(&k, &View::host(), 15, 4)
+        let u: u64 = rendered(cpuidle_usage, &k, &View::host(), &["15", "4"])
             .unwrap()
             .trim()
             .parse()
             .unwrap();
         assert!(t > 0 && u > 0, "idle cpu15 should have C6 residency");
-        assert!(cpuidle_name(&k, &View::host(), 99, 0).is_none());
+        assert!(rendered(cpuidle_name, &k, &View::host(), &["99", "0"]).is_none());
     }
 
     #[test]
@@ -270,7 +322,7 @@ mod tests {
         // Workload spreads over cores; some core runs hot.
         let freqs: Vec<u64> = (0..16)
             .map(|c| {
-                cpufreq_cur(&k, &View::host(), c)
+                rendered(cpufreq_cur, &k, &View::host(), &[&c.to_string()])
                     .unwrap()
                     .trim()
                     .parse()
@@ -280,37 +332,40 @@ mod tests {
         let max = *freqs.iter().max().unwrap();
         let min = *freqs.iter().min().unwrap();
         assert!(max > min * 2, "freq spread {min}..{max}");
-        let cap: u64 = cpufreq_max(&k, &View::host(), 0)
+        let cap: u64 = rendered(cpufreq_max, &k, &View::host(), &["0"])
             .unwrap()
             .trim()
             .parse()
             .unwrap();
         assert!(max <= cap);
-        assert!(cpufreq_cur(&k, &View::host(), 99).is_none());
+        assert!(rendered(cpufreq_cur, &k, &View::host(), &["99"]).is_none());
     }
 
     #[test]
     fn thermal_zone_is_package_max() {
         let k = kernel();
-        let t: i64 = thermal_zone_temp(&k, &View::host(), 0)
+        let t: i64 = rendered(thermal_zone_temp, &k, &View::host(), &["0"])
             .unwrap()
             .trim()
             .parse()
             .unwrap();
         assert!(t > 35_000, "loaded package should be warm: {t}");
-        assert!(thermal_zone_temp(&k, &View::host(), 1).is_none());
+        assert!(rendered(thermal_zone_temp, &k, &View::host(), &["1"]).is_none());
     }
 
     #[test]
     fn block_stat_renders_for_known_disks() {
         let k = kernel();
-        assert!(block_stat(&k, &View::host(), "sda").is_some());
-        assert!(block_stat(&k, &View::host(), "nvme9").is_none());
+        assert!(rendered(block_stat, &k, &View::host(), &["sda"]).is_some());
+        assert!(rendered(block_stat, &k, &View::host(), &["nvme9"]).is_none());
     }
 
     #[test]
     fn online_range() {
         let k = kernel();
-        assert_eq!(cpu_online(&k, &View::host()), "0-15\n");
+        assert_eq!(
+            rendered(cpu_online, &k, &View::host(), &[]).unwrap(),
+            "0-15\n"
+        );
     }
 }

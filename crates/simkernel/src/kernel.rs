@@ -61,10 +61,8 @@ pub enum RenderHit {
     Denied,
     /// An entry exists but a dependency epoch advanced: the bytes are
     /// stale, yet the entry still proves the path is *not* denied for
-    /// this view (a deny would have been cached as `Denied`). Carries
-    /// the entry's dependency mask, so the caller re-renders and stores
-    /// under it without resolving the path's route again.
-    Stale(u32),
+    /// this view (a deny would have been cached as `Denied`).
+    Stale,
 }
 
 /// Everything needed to run processes inside one container: its namespace
@@ -468,9 +466,8 @@ impl Kernel {
     /// the returned handle shares the cached bytes; on [`RenderHit::Denied`]
     /// the path is policy-denied for this view; on [`RenderHit::Stale`] an
     /// entry exists but a dependency epoch advanced — the bytes are stale,
-    /// yet the path is known not to be denied, and the hit carries the
-    /// mask to revalidate under. `None` when caching is off or nothing is
-    /// cached.
+    /// yet the path is known not to be denied. `None` when caching is off
+    /// or nothing is cached.
     pub fn render_cache_get(&self, view_fp: u64, path: &str) -> Option<RenderHit> {
         if !self.render_caching {
             return None;
@@ -483,7 +480,7 @@ impl Kernel {
                 if entry.dep_sum == self.epochs.masked_sum(entry.mask) {
                     Some(RenderHit::Fresh(std::sync::Arc::clone(bytes)))
                 } else {
-                    Some(RenderHit::Stale(entry.mask))
+                    Some(RenderHit::Stale)
                 }
             }
             CachePayload::Paths(_) => None,

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .container(container)
         .expect("container exists")
         .view();
-    let findings = CrossValidator::new().scan(&kernel, &view);
+    let findings = CrossValidator::new().scan(&kernel, view);
     let leaking = findings
         .iter()
         .filter(|f| f.class == ChannelClass::Leaking)

@@ -198,9 +198,8 @@ fn reads_never_advance_epochs() {
 
 #[test]
 fn stale_hits_carry_the_route_mask() {
-    // A revalidation re-stores under the mask the stale hit carries
-    // instead of resolving the route again, so that mask must be exactly
-    // the route's declared deps for every probe.
+    // Every probe is cached under its route's declared deps: dirtying
+    // every subsystem stales exactly the routes that declare some.
     let mut k = Kernel::new(MachineConfig::testbed_i7_6700(), 11);
     let env = k.create_container_env("c1").unwrap();
     k.spawn(ProcessSpec::new("app", models::prime()).in_container(&env))
@@ -224,12 +223,11 @@ fn stale_hits_carry_the_route_mask() {
     k.note_policy_swap(View::host().with_mem_limit(1).fingerprint(), dep::ALL);
     for r in ROUTES {
         let hit = k.render_cache_get(view_for(r.pattern).fingerprint(), r.probe);
-        let deps = route_for(r.probe).expect("probe is routed").deps;
-        if deps == 0 {
+        if r.deps == 0 {
             // A render that depends on nothing can never go stale.
             assert!(matches!(hit, Some(RenderHit::Fresh(_))), "{}", r.probe);
         } else {
-            assert_eq!(hit, Some(RenderHit::Stale(deps)), "{}", r.probe);
+            assert_eq!(hit, Some(RenderHit::Stale), "{}", r.probe);
         }
     }
 }
@@ -314,7 +312,7 @@ proptest! {
         let view = View::host();
         let masks: Vec<u32> = PROBED
             .iter()
-            .map(|p| containerleaks::pseudofs::route_for(p).map_or(dep::ALL, |r| r.deps))
+            .map(|p| route_for(p).map_or(dep::ALL, |r| r.deps))
             .collect();
 
         let mut last: Vec<(String, u64)> = Vec::new();
