@@ -38,14 +38,23 @@ use containerleaks::powerns::nsfs::{DefendedHost, PowerNamespace};
 use containerleaks::powerns::{run_table3, Trainer};
 use containerleaks::powersim::RaplMonitor;
 use containerleaks::simkernel::cgroup::PerfCounters;
-use containerleaks::simkernel::{Kernel, MachineConfig};
+use containerleaks::simkernel::{Kernel, MachineConfig, RunConfig};
 use containerleaks::workloads::models;
+
+/// A one-host lab whose kernel renders with caching on or off.
+fn lab(seed: u64, render_cache: bool) -> Lab {
+    let _run = RunConfig {
+        render_cache,
+        ..RunConfig::DEFAULT
+    }
+    .enter();
+    Lab::new(1, seed)
+}
 
 fn bench_table1_scan(c: &mut Criterion) {
     // Render caching off: this is the raw differential-walk cost, the
     // uncached side of the benchgate speedup ratio.
-    let mut lab = Lab::new(1, 1);
-    lab.host_mut(0).kernel.set_render_caching(false);
+    let lab = lab(1, false);
     let host = lab.host(0);
     let view = host.container_view();
     let validator = CrossValidator::new();
@@ -59,8 +68,7 @@ fn bench_table1_scan_cached(c: &mut Criterion) {
     // advance between iterations, so after the warm-up scan every read
     // is a cache hit — the steady state of a scanner re-probing an
     // unchanged host.
-    let mut lab = Lab::new(1, 1);
-    lab.host_mut(0).kernel.set_render_caching(true);
+    let lab = lab(1, true);
     let host = lab.host(0);
     let view = host.container_view();
     let validator = CrossValidator::new();
@@ -196,11 +204,17 @@ fn bench_fleet_advance_pool(c: &mut Criterion) {
 /// cadence — the shape `advance_secs` sees from an orchestrator that
 /// wakes up periodically over an almost entirely quiescent fleet.
 fn fleet_10k(unsharded_eager: bool) -> Cloud {
+    // One shard for the eager reference; auto sharding otherwise.
+    let _run = RunConfig {
+        shards: usize::from(unsharded_eager),
+        ..RunConfig::DEFAULT
+    }
+    .enter();
     let mut cfg = CloudConfig::new(CloudProfile::CC2)
         .hosts(10_000)
         .without_background();
     if unsharded_eager {
-        cfg = cfg.shards(1).eager_advance();
+        cfg = cfg.eager_advance();
     }
     let mut cloud = Cloud::new(cfg, 9);
     for i in 0..32 {
@@ -385,8 +399,7 @@ fn bench_hardening(c: &mut Criterion) {
     use containerleaks::leakscan::Hardener;
     // Render caching off: raw generate-and-verify cost, the uncached
     // side of the benchgate speedup ratio.
-    let mut lab = Lab::new(1, 14);
-    lab.host_mut(0).kernel.set_render_caching(false);
+    let lab = lab(14, false);
     let host = lab.host(0);
     let view = host.container_view();
     c.bench_function("hardening_policy_generation", |b| {
@@ -399,8 +412,7 @@ fn bench_hardening_cached(c: &mut Criterion) {
     // Same pipeline with epoch-keyed render caching on. The generated
     // policy is deterministic, so the hardened view's fingerprint — and
     // its Denied entries — are reused across iterations too.
-    let mut lab = Lab::new(1, 14);
-    lab.host_mut(0).kernel.set_render_caching(true);
+    let lab = lab(14, true);
     let host = lab.host(0);
     let view = host.container_view();
     let _ = Hardener::new().harden(&host.kernel, &view);

@@ -29,7 +29,7 @@ use pseudofs::{MaskAction, MaskPolicy, MaskRule, PseudoFs, View};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use simkernel::kernel::ProcessSpec;
-use simkernel::{ChurnDriver, ChurnEvent, ChurnPlan, FaultPlan, Kernel};
+use simkernel::{ChurnDriver, ChurnEvent, ChurnPlan, FaultPlan, Kernel, RunConfig};
 use workloads::models;
 
 use crate::scenario::Scenario;
@@ -96,6 +96,17 @@ fn sample_hash(s: &str) -> f64 {
     (h >> 11) as f64
 }
 
+/// The scenario's execution modes: its coalescing and render-cache draws
+/// over the caller's configuration. Oracles enter it around every kernel
+/// and cloud they build.
+fn modes(sc: &Scenario) -> RunConfig {
+    RunConfig {
+        coalesce: sc.coalesce,
+        render_cache: sc.render_cache,
+        ..RunConfig::current()
+    }
+}
+
 fn entropy_of(samples: &[String]) -> f64 {
     let snapshots: Vec<Vec<f64>> = samples.iter().map(|s| vec![sample_hash(s)]).collect();
     leakscan::metrics::joint_entropy(&snapshots)
@@ -117,9 +128,8 @@ fn entropy_of(samples: &[String]) -> f64 {
 /// A [`Violation`] naming the channel and broken relation.
 pub fn mask_monotonic(sc: &Scenario) -> Result<(), Violation> {
     const V: &str = "mask-monotonic";
+    let _run = modes(sc).enter();
     let mut k = Kernel::new(sc.profile.default_machine(), sc.seed);
-    k.set_coalescing(sc.coalesce);
-    k.set_render_caching(sc.render_cache);
     let env = k
         .create_container_env("probe")
         .expect("probe container env");
@@ -225,25 +235,26 @@ const TRANSCRIPT_CHANNELS: &[&str] = &[
     "/proc/self/cgroup",
 ];
 
-/// Runs the scenario's tenant-lifecycle transcript in the given mode and
+/// Runs the scenario's tenant-lifecycle transcript under `run` with
+/// `threads` workers (on the eager reference path when `eager`) and
 /// digests every observable byte (and error) into one FNV-1a value.
-fn transcript_digest(
-    sc: &Scenario,
-    coalesce: bool,
-    cache: bool,
-    threads: usize,
-    shards: usize,
-    eager: bool,
-) -> u64 {
+fn transcript_digest(sc: &Scenario, run: RunConfig, threads: usize, eager: bool) -> u64 {
     transcript_digest_with(
         sc,
-        coalesce,
-        cache,
+        run,
         threads,
-        shards,
         eager,
         sc.detector.then(DetectorConfig::default),
     )
+}
+
+/// The scenario's own modes and shard count: the baseline every replay
+/// is compared against.
+fn baseline(sc: &Scenario) -> RunConfig {
+    RunConfig {
+        shards: sc.shards,
+        ..modes(sc)
+    }
 }
 
 /// [`transcript_digest`] with the detector chosen explicitly (the
@@ -252,20 +263,19 @@ fn transcript_digest(
 /// the enforcement surface that must be byte-identical across modes —
 /// but not its observation counters, so a never-flagging detector
 /// digests identically to none at all.
-#[allow(clippy::fn_params_excessive_bools)]
 fn transcript_digest_with(
     sc: &Scenario,
-    coalesce: bool,
-    cache: bool,
+    run: RunConfig,
     threads: usize,
-    shards: usize,
     eager: bool,
     det: Option<DetectorConfig>,
 ) -> u64 {
-    let mut cfg = CloudConfig::new(sc.profile)
-        .hosts(sc.hosts)
-        .shards(shards)
-        .without_background();
+    let mut cfg = {
+        let _run = run.enter();
+        CloudConfig::new(sc.profile)
+            .hosts(sc.hosts)
+            .without_background()
+    };
     if let Some(d) = det {
         cfg = cfg.detector(d);
     }
@@ -273,8 +283,6 @@ fn transcript_digest_with(
         cfg = cfg.eager_advance();
     }
     let mut cloud = Cloud::new(cfg, sc.seed);
-    cloud.set_coalescing(coalesce);
-    cloud.set_render_caching(cache);
     if sc.faults {
         cloud.install_faults(&FaultPlan::standard(sc.seed));
     }
@@ -352,15 +360,22 @@ fn transcript_digest_with(
 /// A [`Violation`] naming the mode whose digest diverged.
 pub fn mode_invariance(sc: &Scenario) -> Result<(), Violation> {
     const V: &str = "mode-invariance";
-    let base = transcript_digest(sc, sc.coalesce, sc.render_cache, 1, sc.shards, false);
+    let base_run = baseline(sc);
+    let base = transcript_digest(sc, base_run, 1, false);
+    let (co, rc) = (sc.coalesce, sc.render_cache);
+    let flipped = |coalesce: bool, render_cache: bool| RunConfig {
+        coalesce,
+        render_cache,
+        ..base_run
+    };
     let runs = [
-        ("coalescing flipped", !sc.coalesce, sc.render_cache, 1),
-        ("render cache flipped", sc.coalesce, !sc.render_cache, 1),
-        ("jobs=4", sc.coalesce, sc.render_cache, 4),
-        ("all flipped, jobs=4", !sc.coalesce, !sc.render_cache, 4),
+        ("coalescing flipped", flipped(!co, rc), 1),
+        ("render cache flipped", flipped(co, !rc), 1),
+        ("jobs=4", base_run, 4),
+        ("all flipped, jobs=4", flipped(!co, !rc), 4),
     ];
-    for (label, co, rc, threads) in runs {
-        let d = transcript_digest(sc, co, rc, threads, sc.shards, false);
+    for (label, run, threads) in runs {
+        let d = transcript_digest(sc, run, threads, false);
         if d != base {
             return Err(Violation::new(
                 V,
@@ -385,7 +400,8 @@ pub fn mode_invariance(sc: &Scenario) -> Result<(), Violation> {
 /// A [`Violation`] naming the sharding whose digest diverged.
 pub fn shard_invariance(sc: &Scenario) -> Result<(), Violation> {
     const V: &str = "shard-invariance";
-    let base = transcript_digest(sc, sc.coalesce, sc.render_cache, 1, sc.shards, false);
+    let base_run = baseline(sc);
+    let base = transcript_digest(sc, base_run, 1, false);
     let runs = [
         ("shards=1", 1usize, 1usize, false),
         ("shards=8", 8, 1, false),
@@ -393,7 +409,7 @@ pub fn shard_invariance(sc: &Scenario) -> Result<(), Violation> {
         ("eager reference", 1, 1, true),
     ];
     for (label, shards, threads, eager) in runs {
-        let d = transcript_digest(sc, sc.coalesce, sc.render_cache, threads, shards, eager);
+        let d = transcript_digest(sc, RunConfig { shards, ..base_run }, threads, eager);
         if d != base {
             return Err(Violation::new(
                 V,
@@ -418,11 +434,10 @@ pub fn power_monotone(sc: &Scenario) -> Result<(), Violation> {
     const V: &str = "power-monotone";
     let hi = sc.attackers.min(sc.hosts);
     let lo = hi - 1;
+    let _run = modes(sc).enter();
     let run = |payload_hosts: usize| -> Result<Option<f64>, Violation> {
         let cfg = CloudConfig::new(sc.profile).hosts(sc.hosts);
         let mut cloud = Cloud::new(cfg, sc.seed);
-        cloud.set_coalescing(sc.coalesce);
-        cloud.set_render_caching(sc.render_cache);
         let mut campaign = match AttackCampaign::deploy(
             &mut cloud,
             AttackStrategy::Continuous,
@@ -512,12 +527,15 @@ pub fn churn_soundness(sc: &Scenario) -> Result<(), Violation> {
     let plan = ChurnPlan::new(sc.seed)
         .cycles(sc.churn_cycles.max(6))
         .max_live(3);
-    let mut cached = Kernel::new(sc.profile.default_machine(), sc.seed);
-    let mut plain = Kernel::new(sc.profile.default_machine(), sc.seed);
-    cached.set_coalescing(sc.coalesce);
-    plain.set_coalescing(sc.coalesce);
-    cached.set_render_caching(true);
-    plain.set_render_caching(false);
+    let twin = |render_cache: bool| {
+        let _run = RunConfig {
+            render_cache,
+            ..modes(sc)
+        }
+        .enter();
+        Kernel::new(sc.profile.default_machine(), sc.seed)
+    };
+    let (mut cached, mut plain) = (twin(true), twin(false));
     let mut dc = ChurnDriver::new(plan);
     let mut dp = ChurnDriver::new(plan);
     let fs = PseudoFs::new();
@@ -625,13 +643,14 @@ pub fn detector_soundness(sc: &Scenario) -> Result<(), Violation> {
     const V: &str = "detector-soundness";
 
     // Relation 1: entropy never rises across the masking event.
-    let cfg = CloudConfig::new(sc.profile)
-        .hosts(1)
-        .without_background()
-        .detector(DetectorConfig::default());
+    let cfg = {
+        let _run = modes(sc).enter();
+        CloudConfig::new(sc.profile)
+            .hosts(1)
+            .without_background()
+            .detector(DetectorConfig::default())
+    };
     let mut cloud = Cloud::new(cfg, sc.seed);
-    cloud.set_coalescing(sc.coalesce);
-    cloud.set_render_caching(sc.render_cache);
     let prober = match cloud.launch("prober", InstanceSpec::new("probe")) {
         Ok(id) => id,
         Err(e) => return Err(Violation::new(V, format!("launch failed: {e:?}"))),
@@ -691,17 +710,9 @@ pub fn detector_soundness(sc: &Scenario) -> Result<(), Violation> {
     }
 
     // Relation 2: a passive tap is byte-invisible.
-    let without =
-        transcript_digest_with(sc, sc.coalesce, sc.render_cache, 1, sc.shards, false, None);
-    let passive = transcript_digest_with(
-        sc,
-        sc.coalesce,
-        sc.render_cache,
-        1,
-        sc.shards,
-        false,
-        Some(DetectorConfig::passive()),
-    );
+    let without = transcript_digest_with(sc, baseline(sc), 1, false, None);
+    let passive =
+        transcript_digest_with(sc, baseline(sc), 1, false, Some(DetectorConfig::passive()));
     if passive != without {
         return Err(Violation::new(
             V,

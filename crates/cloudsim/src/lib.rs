@@ -9,8 +9,9 @@
 //!
 //! # Fleet scale: shards, the event calendar, and lazy hosts
 //!
-//! The fleet is split into shards (whole racks by default; explicit via
-//! [`CloudConfig::shards`] or the current [`simkernel::RunConfig`]).
+//! The fleet is split into shards (whole racks by default; an explicit
+//! count via the [`simkernel::RunConfig`] current when the
+//! [`CloudConfig`] is made, which also fixes every host kernel's modes).
 //! Each shard keeps a min-calendar of its hosts' next observable events —
 //! fault-plan edges, reboots, timer fires, or "now" for hosts with
 //! runnable work — so [`Cloud::advance_secs`] pops only the hosts that
@@ -59,7 +60,7 @@ use pseudofs::FsError;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
-use simkernel::{HostPid, Kernel, MachineConfig, NANOS_PER_SEC};
+use simkernel::{HostPid, Kernel, MachineConfig, RunConfig, NANOS_PER_SEC};
 use simtrace::ReadTap as _;
 use workloads::WorkloadSpec;
 
@@ -143,7 +144,9 @@ pub struct CloudConfig {
     placement: PlacementPolicy,
     billing: BillingModel,
     background_per_host: bool,
-    shards: usize,
+    /// Execution modes every host kernel is built under, rebooted ones
+    /// included, and the fleet's shard count.
+    run: RunConfig,
     eager_advance: bool,
     detector: Option<DetectorConfig>,
 }
@@ -151,7 +154,8 @@ pub struct CloudConfig {
 impl CloudConfig {
     /// A config for the given provider profile with paper-scale defaults:
     /// 8 cloud servers per rack, spread placement, utilization billing,
-    /// no detector, sharding per the current [`simkernel::RunConfig`].
+    /// no detector, and the execution modes and sharding of the current
+    /// [`RunConfig`].
     pub fn new(profile: CloudProfile) -> Self {
         CloudConfig {
             profile,
@@ -161,7 +165,7 @@ impl CloudConfig {
             placement: PlacementPolicy::Spread,
             billing: BillingModel::default(),
             background_per_host: true,
-            shards: simkernel::RunConfig::current().shards,
+            run: RunConfig::current(),
             eager_advance: false,
             detector: None,
         }
@@ -206,15 +210,6 @@ impl CloudConfig {
     #[must_use]
     pub fn without_background(mut self) -> Self {
         self.background_per_host = false;
-        self
-    }
-
-    /// Sets the shard count explicitly (`0` = auto: rack-aligned shards
-    /// of ~128 hosts). The fleet's behavior is byte-identical for every
-    /// value; shards only change how the advance work is batched.
-    #[must_use]
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n;
         self
     }
 
@@ -401,6 +396,33 @@ fn shard_span(shards: usize, hosts: usize, hosts_per_rack: usize) -> usize {
     }
 }
 
+/// A fresh runtime on a freshly booted host kernel. With `background`,
+/// it runs the background tenant: 12 service processes per host, so that
+/// fleet-level diurnal demand can swing most of the machine (the paper's
+/// Fig. 2 sees a 34.7% week-scale power band).
+fn boot_runtime(kernel: &mut Kernel, background: bool) -> (Runtime, Vec<HostPid>) {
+    let mut runtime = Runtime::new();
+    if !background {
+        return (runtime, Vec::new());
+    }
+    let cid = runtime
+        .create(kernel, ContainerSpec::new("bg-tenant"))
+        .expect("background container");
+    let services = (0..12)
+        .map(|j| {
+            runtime
+                .exec(
+                    kernel,
+                    cid,
+                    &format!("bg-service-{j}"),
+                    workloads::models::web_service(0.15),
+                )
+                .expect("background workload")
+        })
+        .collect();
+    (runtime, services)
+}
+
 impl Cloud {
     /// Boots a fleet. Hosts get distinct kernel seeds (distinct boot ids,
     /// energy trajectories) and realistic staggered uptimes: racks are
@@ -408,6 +430,7 @@ impl Cloud {
     /// each other while racks differ by days — the structure the paper's
     /// §IV-C uptime analysis exploits.
     pub fn new(cfg: CloudConfig, seed: u64) -> Self {
+        let _run = cfg.run.enter();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xc10_0d5eed);
         let mut hosts = Vec::with_capacity(cfg.hosts);
         for i in 0..cfg.hosts {
@@ -428,29 +451,7 @@ impl Cloud {
             // from load.
             let uptime_days = 40 + u64::from(rack) * 13;
             kernel.fast_forward_boot(uptime_days * 86_400 + rng.random_range(0..1_800));
-            let mut runtime = Runtime::new();
-            // Background tenants: 12 service processes per host so that
-            // fleet-level diurnal demand can swing most of the machine
-            // (the paper's Fig. 2 sees a 34.7% week-scale power band).
-            let background = if cfg.background_per_host {
-                let cid = runtime
-                    .create(&mut kernel, ContainerSpec::new("bg-tenant"))
-                    .expect("background container");
-                (0..12)
-                    .map(|j| {
-                        runtime
-                            .exec(
-                                &mut kernel,
-                                cid,
-                                &format!("bg-service-{j}"),
-                                workloads::models::web_service(0.15),
-                            )
-                            .expect("background workload")
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            let (runtime, background) = boot_runtime(&mut kernel, cfg.background_per_host);
             hosts.push(Box::new(Host {
                 id: HostId(i as u32),
                 kernel,
@@ -463,7 +464,7 @@ impl Cloud {
         let nhosts = cfg.hosts;
         let nracks = hosts.last().map(|h| h.rack + 1).unwrap_or(0);
         let cpus = cfg.machine.cpus;
-        let span = shard_span(cfg.shards, cfg.hosts, cfg.hosts_per_rack);
+        let span = shard_span(cfg.run.shards, cfg.hosts, cfg.hosts_per_rack);
         let mut shards = Vec::with_capacity(nhosts.div_ceil(span));
         let mut pending: Vec<Box<Host>> = Vec::with_capacity(span);
         for h in hosts {
@@ -859,10 +860,10 @@ impl Cloud {
     pub fn advance_secs_threads(&mut self, secs: u64, threads: usize) {
         if secs > 0 {
             let target = self.fleet_ns + secs * NANOS_PER_SEC;
-            simkernel::parallel::par_claim_mut_threads(
+            simkernel::parallel::par_for_each_mut_threads(
                 &mut self.shards,
                 threads,
-                move |_, shard: &mut Shard| shard.advance_to(target),
+                move |shard: &mut Shard| shard.advance_to(target),
             );
             self.fleet_ns = target;
         }
@@ -991,29 +992,6 @@ impl Cloud {
         shard.refresh(slot, now);
     }
 
-    /// Sets event-horizon tick coalescing on every host kernel, rebooted
-    /// ones included (campaign scenarios flip modes *per cloud*). Lagged
-    /// hosts are synced first so their backlog replays under the mode it
-    /// accrued in.
-    pub fn set_coalescing(&mut self, on: bool) {
-        self.sync_all();
-        for shard in &mut self.shards {
-            for host in &mut shard.hosts {
-                host.kernel.set_coalescing(on);
-            }
-        }
-    }
-
-    /// Sets pseudo-file render caching on every host kernel (same
-    /// per-cloud rationale as [`Cloud::set_coalescing`]).
-    pub fn set_render_caching(&mut self, on: bool) {
-        for shard in &mut self.shards {
-            for host in &mut shard.hosts {
-                host.kernel.set_render_caching(on);
-            }
-        }
-    }
-
     /// Terminates every instance a tenant owns, in instance-id order
     /// (the bulk-departure half of tenant churn), returning how many
     /// instances were torn down.
@@ -1041,7 +1019,9 @@ impl Cloud {
     /// Reboots a physical host: every instance on it is lost (as in a
     /// real power cycle), the kernel comes back with a fresh boot id and
     /// zeroed accumulators, and the wall clock continues from where the
-    /// old kernel left off. Background tenants are restarted.
+    /// old kernel left off. Background tenants are restarted. The new
+    /// kernel is built under the cloud's own run configuration, not the
+    /// caller's.
     ///
     /// # Errors
     ///
@@ -1079,31 +1059,11 @@ impl Cloud {
             .seed()
             .wrapping_mul(0x2545_f491_4f6c_dd1d)
             .wrapping_add(1);
-        let mut kernel = Kernel::new(machine, reboot_seed);
-        // The replacement boots in the old kernel's modes, not the
-        // current run configuration's: per-cloud mode flips must survive.
-        kernel.set_coalescing(host.kernel.coalescing());
-        kernel.set_render_caching(host.kernel.render_caching());
-        let mut runtime = Runtime::new();
-        let background = if self.cfg.background_per_host {
-            let cid = runtime
-                .create(&mut kernel, ContainerSpec::new("bg-tenant"))
-                .expect("background container");
-            (0..12)
-                .map(|j| {
-                    runtime
-                        .exec(
-                            &mut kernel,
-                            cid,
-                            &format!("bg-service-{j}"),
-                            workloads::models::web_service(0.15),
-                        )
-                        .expect("background workload")
-                })
-                .collect()
-        } else {
-            Vec::new()
+        let mut kernel = {
+            let _run = self.cfg.run.enter();
+            Kernel::new(machine, reboot_seed)
         };
+        let (runtime, background) = boot_runtime(&mut kernel, self.cfg.background_per_host);
         host.kernel = kernel;
         host.runtime = runtime;
         host.background = background;
@@ -1354,19 +1314,6 @@ mod tests {
     }
 
     #[test]
-    fn reboot_keeps_the_per_cloud_modes() {
-        for (coalesce, cache) in [(false, true), (true, false), (false, false)] {
-            let mut c = cloud(2);
-            c.set_coalescing(coalesce);
-            c.set_render_caching(cache);
-            c.reboot_host(HostId(1));
-            let k = c.host(HostId(1)).unwrap().kernel();
-            assert_eq!(k.coalescing(), coalesce, "coalescing reset by reboot");
-            assert_eq!(k.render_caching(), cache, "render caching reset by reboot");
-        }
-    }
-
-    #[test]
     fn rack_power_sums_hosts() {
         let mut c = cloud(4);
         c.advance_secs(2);
@@ -1378,7 +1325,12 @@ mod tests {
 
     #[test]
     fn explicit_shards_split_the_fleet() {
-        let c = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(10).shards(4), 1);
+        let _run = RunConfig {
+            shards: 4,
+            ..RunConfig::DEFAULT
+        }
+        .enter();
+        let c = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(10), 1);
         // span = ceil(10/4) = 3 → shards of 3, 3, 3, 1.
         assert_eq!(c.shard_count(), 4);
         assert_eq!(c.host_count(), 10);
@@ -1405,8 +1357,19 @@ mod tests {
     /// byte-identical tenant-visible state and bills.
     #[test]
     fn lazy_fleet_matches_eager_fleet() {
-        let run = |cfg: CloudConfig| {
-            let mut c = Cloud::new(cfg.hosts(6).hosts_per_rack(2), 31);
+        let run = |shards: usize, eager: bool| {
+            let _run = RunConfig {
+                shards,
+                ..RunConfig::DEFAULT
+            }
+            .enter();
+            let mut cfg = CloudConfig::new(CloudProfile::CC1)
+                .hosts(6)
+                .hosts_per_rack(2);
+            if eager {
+                cfg = cfg.eager_advance();
+            }
+            let mut c = Cloud::new(cfg, 31);
             let a = c.launch("alice", InstanceSpec::new("a")).unwrap();
             let b = c.launch("bob", InstanceSpec::new("b")).unwrap();
             c.exec(a, "svc", models::web_service(0.4)).unwrap();
@@ -1427,10 +1390,6 @@ mod tests {
                 format!("{:?}{:?}", c.bill("alice"), c.bill("bob")),
             )
         };
-        let lazy = run(CloudConfig::new(CloudProfile::CC1).shards(3));
-        let eager = run(CloudConfig::new(CloudProfile::CC1)
-            .shards(1)
-            .eager_advance());
-        assert_eq!(lazy, eager);
+        assert_eq!(run(3, false), run(1, true));
     }
 }

@@ -2357,6 +2357,8 @@ pub fn run_entries_with(
         let out = Mutex::new(&mut slots);
         let progress = &progress;
         let run = simkernel::RunConfig::current();
+        // Scoped threads, not the simkernel pool: an experiment on a pool
+        // worker would run its own fleet fan-outs serially.
         std::thread::scope(|s| {
             for _ in 0..jobs.min(n) {
                 s.spawn(|| {

@@ -88,24 +88,6 @@ pub const ACCEPTED: &[(&str, &str, &str)] = &[(
 /// justified here.
 pub const ACCEPTED_PANICS: &[(&str, &str, &str)] = &[
     (
-        "simkernel/src/kernel.rs",
-        "render_cache_get",
-        "render-cache mutex: lock() only errs on poisoning, and no code \
-         path panics while holding the guard",
-    ),
-    (
-        "simkernel/src/kernel.rs",
-        "render_cache_evict_view",
-        "render-cache mutex: lock() only errs on poisoning, and no code \
-         path panics while holding the guard",
-    ),
-    (
-        "simkernel/src/kernel.rs",
-        "render_cache_len",
-        "render-cache mutex: lock() only errs on poisoning, and no code \
-         path panics while holding the guard",
-    ),
-    (
         "simkernel/src/churn.rs",
         "create",
         "env creation on a kernel the driver owns only fails on cgroup \
@@ -127,34 +109,11 @@ pub const ACCEPTED_PANICS: &[(&str, &str, &str)] = &[
          campaign converts the panic into a structured outcome)",
     ),
     (
-        "simkernel/src/kernel.rs",
-        "render_cache_store_bytes",
-        "render-cache mutex: lock() only errs on poisoning, and no code \
-         path panics while holding the guard",
-    ),
-    (
-        "simkernel/src/kernel.rs",
-        "render_cache_store_denied",
-        "render-cache mutex: lock() only errs on poisoning, and no code \
-         path panics while holding the guard",
-    ),
-    (
-        "simkernel/src/kernel.rs",
-        "render_cache_get_paths",
-        "render-cache mutex: lock() only errs on poisoning, and no code \
-         path panics while holding the guard",
-    ),
-    (
-        "simkernel/src/kernel.rs",
-        "render_cache_store_paths",
-        "render-cache mutex: lock() only errs on poisoning, and no code \
-         path panics while holding the guard",
-    ),
-    (
         "cloudsim/src/lib.rs",
-        "new",
-        "fleet construction: fresh hosts always admit the background \
-         container and workload; runs before any fault plan exists",
+        "boot_runtime",
+        "seeds the background tenant on a freshly booted host (fleet \
+         construction or reboot): an empty runtime always admits the \
+         background container and its services",
     ),
     (
         "cloudsim/src/placement.rs",
@@ -166,16 +125,10 @@ pub const ACCEPTED_PANICS: &[(&str, &str, &str)] = &[
     ),
     (
         "simkernel/src/parallel.rs",
-        "par_claim_mut_threads",
+        "par_for_each_mut_threads",
         "claim-slot restoration: every lane returns each claimed item to \
          its slot before reporting, and all lanes have reported when the \
          slots are drained, so no slot can be empty",
-    ),
-    (
-        "cloudsim/src/lib.rs",
-        "reboot_host",
-        "re-seeds the background service on the freshly rebooted (empty) \
-         host; creation cannot fail on an empty runtime",
     ),
     (
         "core/src/defended.rs",

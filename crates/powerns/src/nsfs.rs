@@ -17,6 +17,7 @@
 use std::collections::HashMap;
 
 use container_runtime::{ContainerId, ContainerSpec, Runtime, RuntimeError};
+use pseudofs::MaskAction;
 use simkernel::{Kernel, KernelError, MachineConfig, NANOS_PER_SEC};
 use workloads::WorkloadSpec;
 
@@ -277,35 +278,44 @@ impl DefendedHost {
     /// Reads a pseudo file from a container, with the RAPL read path
     /// replaced: `energy_uj` under the powercap tree returns the
     /// container's calibrated energy instead of the host counter. All
-    /// other paths are unchanged — the namespace is *transparent*.
+    /// other paths — and every `energy_uj` read the unchanged interface
+    /// would refuse — are the ordinary read: the namespace is
+    /// *transparent*.
     ///
     /// # Errors
     ///
     /// Propagates pseudo-fs errors.
     pub fn read_file(&self, id: ContainerId, path: &str) -> Result<String, RuntimeError> {
-        if let Some(domain) = rapl_read(path) {
-            if let Some((core, dram, pkg)) = self.ns.energy_uj(id) {
-                let npkg = self.kernel.rapl().package_count().max(1);
-                let v = match domain {
-                    RaplDomain::Package(p) => self.ns.package_energy_uj(id, p).unwrap_or(0),
-                    // Core/dram domains split proportionally to the
-                    // package attribution.
-                    RaplDomain::Core(p) => {
-                        let share = self.pkg_share(id, p, pkg, npkg);
-                        (core as f64 * share) as u64
-                    }
-                    RaplDomain::Dram(p) => {
-                        let share = self.pkg_share(id, p, pkg, npkg);
-                        (dram as f64 * share) as u64
-                    }
-                };
-                return Ok(format!("{v}\n"));
-            }
+        match self.calibrated_uj(id, path) {
+            Some(v) => Ok(format!("{v}\n")),
+            None => self.runtime.read_file(&self.kernel, id, path),
         }
-        self.runtime.read_file(&self.kernel, id, path)
     }
 
-    fn pkg_share(&self, id: ContainerId, pkg: usize, total_pkg_uj: u64, _npkg: usize) -> f64 {
+    /// The calibrated value for a registered container's `energy_uj`
+    /// read, only where the tree itself would serve that file: RAPL
+    /// present, the package in range, a core or DRAM sub-domain of that
+    /// same package, and the path not denied to the container.
+    fn calibrated_uj(&self, id: ContainerId, path: &str) -> Option<u64> {
+        let (p, domain) = rapl_read(path)?;
+        let rapl = self.kernel.rapl();
+        if !rapl.is_present() || p >= rapl.package_count() {
+            return None;
+        }
+        if self.runtime.container(id)?.view().mask_action(path) == Some(MaskAction::Deny) {
+            return None;
+        }
+        let (core, dram, pkg) = self.ns.energy_uj(id)?;
+        Some(match domain {
+            RaplDomain::Package => self.ns.package_energy_uj(id, p).unwrap_or(0),
+            // Core/dram domains split proportionally to the package
+            // attribution.
+            RaplDomain::Core => (core as f64 * self.pkg_share(id, p, pkg)) as u64,
+            RaplDomain::Dram => (dram as f64 * self.pkg_share(id, p, pkg)) as u64,
+        })
+    }
+
+    fn pkg_share(&self, id: ContainerId, pkg: usize, total_pkg_uj: u64) -> f64 {
         if total_pkg_uj == 0 {
             return 0.0;
         }
@@ -328,25 +338,30 @@ impl DefendedHost {
 }
 
 enum RaplDomain {
-    Package(usize),
-    Core(usize),
-    Dram(usize),
+    Package,
+    Core,
+    Dram,
 }
 
-fn rapl_read(path: &str) -> Option<RaplDomain> {
+/// The package and domain an `energy_uj` path names, parsed as the
+/// powercap tree parses it: a sub-domain `intel-rapl:{p}:{d}` must sit
+/// under its own package `p`, and `d` is 0 (core) or 1 (DRAM).
+fn rapl_read(path: &str) -> Option<(usize, RaplDomain)> {
     let segs: Vec<&str> = path.trim_start_matches('/').split('/').collect();
     match segs.as_slice() {
         ["sys", "class", "powercap", dom, "energy_uj"] => {
             let p: usize = dom.strip_prefix("intel-rapl:")?.parse().ok()?;
-            Some(RaplDomain::Package(p))
+            Some((p, RaplDomain::Package))
         }
         ["sys", "class", "powercap", dom, sub, "energy_uj"] => {
             let p: usize = dom.strip_prefix("intel-rapl:")?.parse().ok()?;
-            let rest = sub.strip_prefix("intel-rapl:")?;
-            let (_, d) = rest.split_once(':')?;
-            match d {
-                "0" => Some(RaplDomain::Core(p)),
-                "1" => Some(RaplDomain::Dram(p)),
+            let (owner, d) = sub.strip_prefix("intel-rapl:")?.split_once(':')?;
+            if owner.parse::<usize>().ok()? != p {
+                return None;
+            }
+            match d.parse::<usize>().ok()? {
+                0 => Some((p, RaplDomain::Core)),
+                1 => Some((p, RaplDomain::Dram)),
                 _ => None,
             }
         }
@@ -623,6 +638,83 @@ mod tests {
             (pkg0 + pkg1) as i64 - total as i64 <= 2,
             "package split must sum to the total: {pkg0}+{pkg1} vs {total}"
         );
+    }
+
+    /// The defended read and the plain runtime read of `path`, which the
+    /// namespace must agree with wherever the tree refuses the file.
+    fn both_reads(
+        h: &DefendedHost,
+        c: ContainerId,
+        path: &str,
+    ) -> (Result<String, RuntimeError>, Result<String, RuntimeError>) {
+        (
+            h.read_file(c, path),
+            h.runtime.read_file(&h.kernel, c, path),
+        )
+    }
+
+    #[test]
+    fn a_package_past_the_last_is_not_found() {
+        let mut h = DefendedHost::new(MachineConfig::testbed_i7_6700(), 14, model().clone());
+        assert_eq!(h.kernel.rapl().package_count(), 1);
+        let c = h.create_container(ContainerSpec::new("c")).unwrap();
+        h.advance_secs(2);
+        for path in [
+            "/sys/class/powercap/intel-rapl:7/energy_uj",
+            "/sys/class/powercap/intel-rapl:7/intel-rapl:7:0/energy_uj",
+            "/sys/class/powercap/intel-rapl:0/intel-rapl:7:0/energy_uj",
+            "/sys/class/powercap/intel-rapl:0/intel-rapl:0:2/energy_uj",
+        ] {
+            let (defended, plain) = both_reads(&h, c, path);
+            assert!(
+                matches!(plain, Err(RuntimeError::Fs(pseudofs::FsError::NotFound(_)))),
+                "{path}: {plain:?}"
+            );
+            assert_eq!(format!("{defended:?}"), format!("{plain:?}"), "{path}");
+        }
+    }
+
+    #[test]
+    fn a_host_without_rapl_serves_no_energy_file() {
+        let machine = MachineConfig::legacy_server_no_rapl();
+        let mut h = DefendedHost::new(machine, 15, model().clone());
+        let c = h.create_container(ContainerSpec::new("c")).unwrap();
+        h.advance_secs(2);
+        let (defended, plain) = both_reads(&h, c, "/sys/class/powercap/intel-rapl:0/energy_uj");
+        assert!(
+            matches!(plain, Err(RuntimeError::Fs(pseudofs::FsError::NotFound(_)))),
+            "{plain:?}"
+        );
+        assert_eq!(format!("{defended:?}"), format!("{plain:?}"));
+    }
+
+    #[test]
+    fn a_denied_powercap_tree_stays_denied() {
+        let mut h = DefendedHost::new(MachineConfig::testbed_i7_6700(), 16, model().clone());
+        let policy = pseudofs::MaskPolicy::none().deny("/sys/class/powercap/**");
+        let c = h
+            .create_container(ContainerSpec::new("c").policy(policy))
+            .unwrap();
+        h.exec(c, "w", models::stress_small()).unwrap();
+        h.advance_secs(2);
+        assert!(
+            h.container_energy_uj(c).unwrap() > 0,
+            "the namespace still meters it"
+        );
+        for path in [
+            "/sys/class/powercap/intel-rapl:0/energy_uj",
+            "/sys/class/powercap/intel-rapl:0/intel-rapl:0:0/energy_uj",
+        ] {
+            let (defended, plain) = both_reads(&h, c, path);
+            assert!(
+                matches!(
+                    plain,
+                    Err(RuntimeError::Fs(pseudofs::FsError::PermissionDenied(_)))
+                ),
+                "{path}: {plain:?}"
+            );
+            assert_eq!(format!("{defended:?}"), format!("{plain:?}"), "{path}");
+        }
     }
 
     #[test]

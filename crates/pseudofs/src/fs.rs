@@ -382,8 +382,14 @@ mod tests {
         // repeated reads included, which hit the cache — and every
         // listing must be byte-identical.
         let snap = |caching: bool| {
-            let mut k = kernel();
-            k.set_render_caching(caching);
+            let mut k = {
+                let _run = simkernel::RunConfig {
+                    render_cache: caching,
+                    ..simkernel::RunConfig::DEFAULT
+                }
+                .enter();
+                kernel()
+            };
             let fs = PseudoFs::new();
             let v = View::host();
             let mut out = String::new();

@@ -17,71 +17,30 @@
 //! writes the markdown report plus a `.json` companion; `--trace <path>`
 //! and `--counters` work as on `all`. The report is
 //! byte-identical for any `--jobs` value. Exits 1 unless every scenario
-//! passes every oracle.
+//! passes every oracle, and 2 on an unknown flag or a bad value.
 
 use std::io::Write as _;
+use std::process::ExitCode;
 
-use containerleaks::campaign::{CampaignConfig, InjectedViolation, Overrides, Status};
+use containerleaks::campaign::Status;
+use containerleaks_experiments::campaign_cli::CampaignCli;
 
-fn arg(args: &[String], name: &str) -> Option<String> {
-    args.windows(2).find(|w| w[0] == name).map(|w| w[1].clone())
-}
-
-fn parse<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
-    arg(args, name).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("{name} takes a number, got `{v}`");
-            std::process::exit(2);
-        })
-    })
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let trace = arg(&args, "--trace");
-    let counters = args.iter().any(|a| a == "--counters");
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let CampaignCli {
+        config: cfg,
+        seed_start,
+        out,
+        trace,
+        counters,
+    } = match CampaignCli::parse(&args) {
+        Ok(cli) => cli,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
     containerleaks_experiments::init_tracing(trace.is_some() || counters);
-
-    let overrides = Overrides {
-        hosts: parse(&args, "--hosts"),
-        tenants: parse(&args, "--tenants"),
-        churn_cycles: parse(&args, "--churn"),
-        faults: arg(&args, "--faults").map(|v| match v.as_str() {
-            "on" => true,
-            "off" => false,
-            other => {
-                eprintln!("--faults takes `on` or `off`, got `{other}`");
-                std::process::exit(2);
-            }
-        }),
-    };
-    let seed_start: u64 = parse(&args, "--seed-start").unwrap_or(0);
-    let count: usize = parse(&args, "--seeds").unwrap_or(16);
-    let mut cfg = match parse::<u64>(&args, "--seed") {
-        Some(seed) => CampaignConfig::sweep(seed, 1),
-        None => CampaignConfig::sweep(seed_start, count),
-    };
-    cfg = cfg
-        .jobs(parse(&args, "--jobs").unwrap_or(1))
-        .overrides(overrides)
-        .shrink(!args.iter().any(|a| a == "--no-shrink"));
-    if let Some(spec) = arg(&args, "--inject") {
-        let parts: Vec<&str> = spec.split(',').collect();
-        let num = |i: usize| -> u64 {
-            parts
-                .get(i)
-                .and_then(|p| p.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("--inject takes `hosts,tenants,churn`, got `{spec}`");
-                    std::process::exit(2);
-                })
-        };
-        cfg = cfg.inject(InjectedViolation {
-            min_hosts: num(0) as usize,
-            min_tenants: num(1) as usize,
-            min_churn: num(2) as u32,
-        });
-    }
 
     let report = containerleaks::campaign::run(&cfg);
     for o in &report.outcomes {
@@ -105,7 +64,7 @@ fn main() {
         report.panics(),
     );
 
-    if let Some(out_path) = arg(&args, "--out") {
+    if let Some(out_path) = out {
         let md = report.render_md();
         let mut f = std::fs::File::create(&out_path).expect("create report file");
         f.write_all(md.as_bytes()).expect("write report");
@@ -116,7 +75,5 @@ fn main() {
         eprintln!("wrote {json_path}");
     }
     containerleaks_experiments::finish_tracing(seed_start, trace.as_deref(), counters);
-    if !report.all_green() {
-        std::process::exit(1);
-    }
+    ExitCode::from(u8::from(!report.all_green()))
 }

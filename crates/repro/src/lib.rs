@@ -1,5 +1,6 @@
 //! The experiment CLI shared by the `all` and `fault_matrix` binaries,
-//! plus the trace plumbing the `campaign` binary reuses.
+//! plus the `campaign` binary's parser ([`campaign_cli`]) and the trace
+//! plumbing it reuses.
 //!
 //! Flags (both binaries): `--seed <u64>` (default
 //! [`containerleaks::DEFAULT_SEED`]), `--jobs <n>` worker threads
@@ -25,6 +26,7 @@ use containerleaks::simtrace;
 use containerleaks::ExperimentResult;
 
 pub mod benchgate;
+pub mod campaign_cli;
 
 /// A registry the shared CLI runs.
 #[derive(Debug, Clone, Copy)]

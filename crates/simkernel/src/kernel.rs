@@ -420,16 +420,22 @@ impl Kernel {
         &self.epochs
     }
 
-    /// Enables or disables the pseudofs render cache on this kernel.
-    /// Both settings produce byte-identical reads; off is an escape
-    /// hatch for bisecting and for the CI cached-vs-uncached compare.
-    pub fn set_render_caching(&mut self, on: bool) {
-        self.render_caching = on;
-    }
-
-    /// Whether the render cache is enabled on this kernel.
+    /// Whether the pseudofs render cache is enabled on this kernel (the
+    /// [`RunConfig`] it was built under). Both settings produce
+    /// byte-identical reads; off is an escape hatch for bisecting and for
+    /// the CI cached-vs-uncached compare.
     pub fn render_caching(&self) -> bool {
         self.render_caching
+    }
+
+    /// The render cache, recovering a poisoned guard: no guard is held
+    /// across a render, so a panic elsewhere can only have poisoned a
+    /// cache that still holds whole entries.
+    fn lock_render_cache(&self) -> std::sync::MutexGuard<'_, RenderCache> {
+        match self.render_cache.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
     }
 
     /// Advances the epochs named in `mask`. Called by every mutating
@@ -472,7 +478,7 @@ impl Kernel {
         if !self.render_caching {
             return None;
         }
-        let cache = self.render_cache.lock().expect("render cache poisoned");
+        let cache = self.lock_render_cache();
         let entry = cache.get(view_fp, path)?;
         match &entry.payload {
             CachePayload::Denied => Some(RenderHit::Denied),
@@ -504,10 +510,7 @@ impl Kernel {
             dep_sum: self.epochs.masked_sum(mask),
             payload: CachePayload::Bytes(std::sync::Arc::clone(bytes)),
         };
-        self.render_cache
-            .lock()
-            .expect("render cache poisoned")
-            .store(view_fp, path, entry);
+        self.lock_render_cache().store(view_fp, path, entry);
     }
 
     /// Caches a policy-deny verdict for `(view_fp, path)`. Deny entries
@@ -523,10 +526,7 @@ impl Kernel {
             dep_sum: 0,
             payload: CachePayload::Denied,
         };
-        self.render_cache
-            .lock()
-            .expect("render cache poisoned")
-            .store(view_fp, path, entry);
+        self.lock_render_cache().store(view_fp, path, entry);
     }
 
     /// A fresh cached path list for `(view_fp, key)`, if any — a shared
@@ -540,7 +540,7 @@ impl Kernel {
         if !self.render_caching {
             return None;
         }
-        let cache = self.render_cache.lock().expect("render cache poisoned");
+        let cache = self.lock_render_cache();
         let entry = cache.get(view_fp, key)?;
         match &entry.payload {
             CachePayload::Paths(paths) if entry.dep_sum == self.epochs.masked_sum(entry.mask) => {
@@ -567,10 +567,7 @@ impl Kernel {
             dep_sum: self.epochs.masked_sum(mask),
             payload: CachePayload::Paths(std::sync::Arc::clone(paths)),
         };
-        self.render_cache
-            .lock()
-            .expect("render cache poisoned")
-            .store(view_fp, key, entry);
+        self.lock_render_cache().store(view_fp, key, entry);
     }
 
     /// Drops every render-cache entry stored under `view_fp`, returning
@@ -581,11 +578,7 @@ impl Kernel {
     /// churn. Purely an occupancy operation; rendered bytes are
     /// unaffected.
     pub fn render_cache_evict_view(&self, view_fp: u64) -> usize {
-        let evicted = self
-            .render_cache
-            .lock()
-            .expect("render cache poisoned")
-            .evict_view(view_fp);
+        let evicted = self.lock_render_cache().evict_view(view_fp);
         if evicted > 0 {
             simtrace::counters::add("pseudofs.cache_evicted", evicted as u64);
         }
@@ -595,10 +588,7 @@ impl Kernel {
     /// Number of live render-cache entries (occupancy; tests and the
     /// churn driver's growth-bound assertions).
     pub fn render_cache_len(&self) -> usize {
-        self.render_cache
-            .lock()
-            .expect("render cache poisoned")
-            .len()
+        self.lock_render_cache().len()
     }
 
     // ------------------------------------------------------------------
@@ -717,14 +707,10 @@ impl Kernel {
         self.tick_ns = tick_ns.clamp(1_000_000, 60 * NANOS_PER_SEC);
     }
 
-    /// Enables or disables event-horizon coalescing on this kernel.
-    /// Both settings produce byte-identical state; off is an escape hatch
-    /// for bisecting and for the CI cross-mode compare.
-    pub fn set_coalescing(&mut self, on: bool) {
-        self.coalesce = on;
-    }
-
-    /// Whether event-horizon coalescing is enabled on this kernel.
+    /// Whether event-horizon coalescing is enabled on this kernel (the
+    /// [`RunConfig`] it was built under). Both settings produce
+    /// byte-identical state; off is an escape hatch for bisecting and for
+    /// the CI cross-mode compare.
     pub fn coalescing(&self) -> bool {
         self.coalesce
     }

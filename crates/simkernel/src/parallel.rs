@@ -12,18 +12,20 @@
 //! busy-poll their queue before parking on a blocking channel receive —
 //! fleet advance loops that fan out every simulated tick pay neither
 //! thread spawn/join cost nor a futex sleep/wake round-trip per call. The
-//! calling thread participates too: it runs the first batch itself while
-//! the workers run theirs. Work is distributed round-robin by element
-//! index, so the element→worker assignment is a pure function of
-//! `(len, workers)` and never depends on OS scheduling. `threads <= 1`, a single element, or a nested call from
-//! inside a pool worker all degenerate to the plain serial loop on the
-//! caller's thread, byte-for-byte reproducing the historical order (and,
-//! for the nested case, making self-deadlock impossible).
+//! calling thread participates too: it is lane 0. There is one
+//! scheduling loop: each lane drains a contiguous home block of elements
+//! through an atomic claim cursor, then steals whole elements from the
+//! other lanes' blocks. Which lane runs an element may vary run to run;
+//! since each element is touched by exactly one lane at a time, results
+//! cannot. `threads <= 1`, a single element, or a nested call from inside
+//! a pool worker all run the plain serial loop on the caller's thread
+//! (for the nested case, making self-deadlock impossible).
 
 use std::any::Any;
 use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -139,121 +141,6 @@ fn pool_senders(n: usize) -> Vec<Sender<Job>> {
     pool.iter().take(n).cloned().collect()
 }
 
-/// Applies `f` to every element of `items`, fanning round-robin batches
-/// across `threads` lanes: the calling thread plus `threads - 1`
-/// persistent pool workers. The lane count is capped at the element
-/// count; `threads <= 1` (or a single-element vector) degenerates to the
-/// plain serial loop on the caller's thread.
-///
-/// The caller promises the elements are independent: `f` must not rely
-/// on cross-element ordering for its results. Mutations within one
-/// element happen in program order as usual. Element order in `items` is
-/// preserved. A panic inside `f` is propagated to the caller after every
-/// batch has been collected back, so the surviving elements keep their
-/// state.
-pub fn par_for_each_mut_threads<T, F>(items: &mut Vec<T>, threads: usize, f: F)
-where
-    T: Send + 'static,
-    F: Fn(&mut T) + Send + Sync + 'static,
-{
-    let workers = if IS_POOL_WORKER.get() {
-        1
-    } else {
-        threads.min(items.len())
-    };
-    if workers <= 1 {
-        for item in items.iter_mut() {
-            f(item);
-        }
-        return;
-    }
-    // Slot 0 runs on the calling thread; only workers - 1 pool threads
-    // are needed.
-    let senders = pool_senders(workers - 1);
-    let workers = senders.len() + 1;
-    if workers <= 1 {
-        for item in items.iter_mut() {
-            f(item);
-        }
-        return;
-    }
-
-    simtrace::counters::add_exec("pool.fanouts", 1);
-    simtrace::counters::add_exec("pool.batches", workers as u64);
-
-    let n = items.len();
-    let mut batches: Vec<Vec<(usize, T)>> = (0..workers)
-        .map(|w| Vec::with_capacity(n / workers + usize::from(w < n % workers)))
-        .collect();
-    for (i, item) in items.drain(..).enumerate() {
-        batches[i % workers].push((i, item));
-    }
-
-    type BatchResult<T> = (Vec<(usize, T)>, Option<(usize, Box<dyn Any + Send>)>);
-    let (tx, rx) = channel::<BatchResult<T>>();
-    let f = Arc::new(f);
-    let mut batch0: Vec<(usize, T)> = Vec::new();
-    for (slot, mut batch) in batches.into_iter().enumerate() {
-        // The caller participates: batch 0 runs inline after the others
-        // are dispatched, saving one worker wake-up per call and keeping
-        // this thread busy instead of parked on the result channel.
-        if slot == 0 {
-            batch0 = batch;
-            continue;
-        }
-        let tx = tx.clone();
-        let f = Arc::clone(&f);
-        let job: Job = Box::new(move || {
-            let payload = catch_unwind(AssertUnwindSafe(|| {
-                for (_, item) in batch.iter_mut() {
-                    f(item);
-                }
-            }))
-            .err();
-            let _ = tx.send((batch, payload.map(|p| (slot, p))));
-        });
-        if let Err(returned) = senders[slot - 1].send(job) {
-            // The worker is gone (shutdown race): run its batch inline.
-            (returned.0)();
-        }
-    }
-    drop(tx);
-
-    let mut returned: Vec<(usize, T)> = Vec::with_capacity(n);
-    let mut panics: Vec<(usize, Box<dyn Any + Send>)> = Vec::new();
-    let payload = catch_unwind(AssertUnwindSafe(|| {
-        for (_, item) in batch0.iter_mut() {
-            f(item);
-        }
-    }))
-    .err();
-    returned.extend(batch0);
-    if let Some(p) = payload {
-        panics.push((0, p));
-    }
-    while let Some((batch, payload)) = recv_spin(&rx) {
-        returned.extend(batch);
-        if let Some(p) = payload {
-            panics.push(p);
-        }
-    }
-    returned.sort_unstable_by_key(|(i, _)| *i);
-    items.extend(returned.into_iter().map(|(_, v)| v));
-    // Deterministic propagation: the lowest batch's panic wins.
-    if let Some((_, p)) = panics.into_iter().min_by_key(|(s, _)| *s) {
-        resume_unwind(p);
-    }
-}
-
-/// [`par_for_each_mut_threads`] with [`default_threads`] workers.
-pub fn par_for_each_mut<T, F>(items: &mut Vec<T>, f: F)
-where
-    T: Send + 'static,
-    F: Fn(&mut T) + Send + Sync + 'static,
-{
-    par_for_each_mut_threads(items, default_threads(), f);
-}
-
 /// Contiguous home block of lane `lane` when `n` items are split across
 /// `lanes` lanes: `[n*lane/lanes, n*(lane+1)/lanes)`. A pure function of
 /// `(n, lanes)`, so the item→home-lane assignment never depends on OS
@@ -262,45 +149,27 @@ fn home_block(n: usize, lanes: usize, lane: usize) -> (usize, usize) {
     (n * lane / lanes, n * (lane + 1) / lanes)
 }
 
-/// One lane of [`par_claim_mut_threads`]: drains its own home block via
-/// the block's shared claim cursor, then steals whole items from the
+/// What one lane reports: items it stole, and its lowest-index panic.
+type LaneResult = (u64, Option<(usize, Box<dyn Any + Send>)>);
+
+/// One lane of [`par_for_each_mut_threads`]: drains its own home block
+/// via the block's shared claim cursor, then steals whole items from the
 /// other lanes' cursors round-robin. `fetch_add` hands every index to
 /// exactly one lane; which lane runs an item can vary run to run, but
 /// `f` only ever sees `&mut` of one item at a time, so results cannot.
-#[allow(clippy::type_complexity)]
 fn claim_lane_run<T, F>(
     lane: usize,
     lanes: usize,
     slots: &[Mutex<Option<T>>],
-    cursors: &[std::sync::atomic::AtomicUsize],
+    cursors: &[AtomicUsize],
     f: &F,
-) -> (u64, u64, Option<(usize, Box<dyn Any + Send>)>)
+) -> LaneResult
 where
-    F: Fn(usize, &mut T),
+    F: Fn(&mut T),
 {
-    use std::sync::atomic::Ordering;
     let n = slots.len();
-    let mut claims = 0u64;
     let mut steals = 0u64;
     let mut panic: Option<(usize, Box<dyn Any + Send>)> = None;
-    let mut run = |idx: usize, stolen: bool| {
-        let mut guard = match slots[idx].lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(item) = guard.as_mut() {
-            if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(idx, item))) {
-                if panic.as_ref().is_none_or(|(i, _)| idx < *i) {
-                    panic = Some((idx, p));
-                }
-            }
-        }
-        if stolen {
-            steals += 1;
-        } else {
-            claims += 1;
-        }
-    };
     for victim in 0..lanes {
         let victim_lane = (lane + victim) % lanes;
         let (_, end) = home_block(n, lanes, victim_lane);
@@ -309,54 +178,63 @@ where
             if idx >= end {
                 break;
             }
-            run(idx, victim != 0);
+            let mut guard = match slots[idx].lock() {
+                Ok(g) => g,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+            if let Some(item) = guard.as_mut() {
+                if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(item))) {
+                    if panic.as_ref().is_none_or(|(i, _)| idx < *i) {
+                        panic = Some((idx, p));
+                    }
+                }
+            }
+            steals += u64::from(victim != 0);
         }
     }
-    (claims, steals, panic)
+    (steals, panic)
 }
 
-/// Applies `f(index, &mut item)` to every element, fanning across
-/// `threads` lanes (the caller plus persistent pool workers) with
-/// **whole-item work stealing**: each lane first drains a contiguous home
-/// block of items through an atomic claim cursor, then steals items one
-/// at a time from the other lanes' blocks. Designed for *shards* — coarse
-/// units whose internal work varies wildly (one shard may pop a dozen
-/// calendar events while its neighbors fast-forward in closed form) — so
-/// an idle lane picks up a whole remaining shard instead of splitting
-/// one.
+/// Applies `f` to every element of `items`, fanning across `threads`
+/// lanes — the calling thread plus `threads - 1` persistent pool workers
+/// — with **whole-item work stealing**: each lane first drains a
+/// contiguous home block of items through an atomic claim cursor, then
+/// steals items one at a time from the other lanes' blocks. Items whose
+/// work varies wildly (a fleet shard may pop a dozen calendar events
+/// while its neighbors fast-forward in closed form) thus keep every lane
+/// busy. The lane count is capped at the element count; `threads <= 1`,
+/// a single element, or a nested call from a pool worker runs the plain
+/// serial loop on the caller's thread.
 ///
-/// Determinism contract: identical to [`par_for_each_mut_threads`] — `f`
-/// must confine its effects to the claimed item (plus commutative trace
-/// counters), so which lane runs a shard is unobservable in the results.
-/// Item order in `items` is preserved; a panic propagates after every
-/// item has been collected back, lowest item index winning.
-pub fn par_claim_mut_threads<T, F>(items: &mut Vec<T>, threads: usize, f: F)
+/// The caller promises the elements are independent: `f` must confine
+/// its effects to its element (plus commutative trace counters), so
+/// which lane runs an element is unobservable in the results. Element
+/// order in `items` is preserved. A panic inside `f` propagates after
+/// every element has been collected back, so the survivors keep their
+/// state; the lowest panicking index wins.
+pub fn par_for_each_mut_threads<T, F>(items: &mut Vec<T>, threads: usize, f: F)
 where
     T: Send + 'static,
-    F: Fn(usize, &mut T) + Send + Sync + 'static,
+    F: Fn(&mut T) + Send + Sync + 'static,
 {
-    use std::sync::atomic::AtomicUsize;
     let lanes = if IS_POOL_WORKER.get() {
         1
     } else {
         threads.min(items.len())
     };
-    if lanes <= 1 {
-        for (idx, item) in items.iter_mut().enumerate() {
-            f(idx, item);
-        }
-        return;
-    }
-    let senders = pool_senders(lanes - 1);
+    // Lane 0 runs on the calling thread; only lanes - 1 pool threads are
+    // needed, and fewer exist only when spawning failed.
+    let senders = if lanes > 1 {
+        pool_senders(lanes - 1)
+    } else {
+        Vec::new()
+    };
     let lanes = senders.len() + 1;
-    if lanes <= 1 {
-        for (idx, item) in items.iter_mut().enumerate() {
-            f(idx, item);
-        }
+    if lanes == 1 {
+        items.iter_mut().for_each(f);
         return;
     }
-
-    simtrace::counters::add_exec("pool.claim_fanouts", 1);
+    simtrace::counters::add_exec("pool.fanouts", 1);
 
     let n = items.len();
     let slots: Arc<Vec<Mutex<Option<T>>>> =
@@ -366,10 +244,9 @@ where
             .map(|lane| AtomicUsize::new(home_block(n, lanes, lane).0))
             .collect(),
     );
-    type LaneResult = (u64, u64, Option<(usize, Box<dyn Any + Send>)>);
     let (tx, rx) = channel::<LaneResult>();
     let f = Arc::new(f);
-    for lane in 1..lanes {
+    for (lane, sender) in senders.iter().enumerate().map(|(i, s)| (i + 1, s)) {
         let tx = tx.clone();
         let f = Arc::clone(&f);
         let slots = Arc::clone(&slots);
@@ -377,7 +254,7 @@ where
         let job: Job = Box::new(move || {
             let _ = tx.send(claim_lane_run(lane, lanes, &slots, &cursors, &*f));
         });
-        if let Err(returned) = senders[lane - 1].send(job) {
+        if let Err(returned) = sender.send(job) {
             // The worker is gone (shutdown race): run its lane inline —
             // the cursors make this safe; the lane just claims nothing
             // anyone else already took.
@@ -400,11 +277,9 @@ where
         }
         .expect("every claimed item is returned to its slot")
     }));
-    let mut claims = 0u64;
     let mut steals = 0u64;
     let mut panic: Option<(usize, Box<dyn Any + Send>)> = None;
-    for (c, s, p) in results {
-        claims += c;
+    for (s, p) in results {
         steals += s;
         if let Some((idx, payload)) = p {
             if panic.as_ref().is_none_or(|(i, _)| idx < *i) {
@@ -412,16 +287,22 @@ where
             }
         }
     }
-    if claims > 0 {
-        simtrace::counters::add_exec("pool.shard_claims", claims);
-    }
     if steals > 0 {
-        simtrace::counters::add_exec("pool.shard_steals", steals);
+        simtrace::counters::add_exec("pool.steals", steals);
     }
     // Deterministic propagation: the lowest item index's panic wins.
     if let Some((_, p)) = panic {
         resume_unwind(p);
     }
+}
+
+/// [`par_for_each_mut_threads`] with [`default_threads`] workers.
+pub fn par_for_each_mut<T, F>(items: &mut Vec<T>, f: F)
+where
+    T: Send + 'static,
+    F: Fn(&mut T) + Send + Sync + 'static,
+{
+    par_for_each_mut_threads(items, default_threads(), f);
 }
 
 #[cfg(test)]
@@ -430,15 +311,16 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_agree() {
-        let mut a: Vec<u64> = (0..97).collect();
-        let mut b = a.clone();
+        // Deliberately skewed per-item cost so lanes actually steal.
         let step = |x: &mut u64| {
-            for _ in 0..1000 {
+            for _ in 0..(*x % 7) * 400 + 1 {
                 *x = x
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
             }
         };
+        let mut a: Vec<u64> = (0..97).collect();
+        let mut b = a.clone();
         par_for_each_mut_threads(&mut a, 1, step);
         par_for_each_mut_threads(&mut b, 8, step);
         assert_eq!(a, b);
@@ -454,17 +336,23 @@ mod tests {
     }
 
     #[test]
-    fn more_threads_than_items_is_fine() {
-        let mut items = vec![0u32; 3];
-        par_for_each_mut_threads(&mut items, 64, |x| *x += 1);
-        assert_eq!(items, vec![1, 1, 1]);
+    fn every_item_runs_exactly_once_at_any_width() {
+        // Widths below, at and far above the item count.
+        for lanes in [1usize, 2, 3, 5, 16, 64] {
+            let mut items = vec![0u32; 37];
+            par_for_each_mut_threads(&mut items, lanes, |x| *x += 1);
+            assert_eq!(items, vec![1u32; 37], "lanes={lanes}");
+            let mut few = vec![0u32; 3];
+            par_for_each_mut_threads(&mut few, lanes, |x| *x += 1);
+            assert_eq!(few, vec![1u32; 3], "lanes={lanes}");
+        }
     }
 
     #[test]
     fn order_is_preserved_across_the_pool() {
         let mut items: Vec<usize> = (0..31).collect();
-        par_for_each_mut_threads(&mut items, 4, |x| *x *= 2);
-        assert_eq!(items, (0..31).map(|i| i * 2).collect::<Vec<_>>());
+        par_for_each_mut_threads(&mut items, 4, |x| *x *= 3);
+        assert_eq!(items, (0..31).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
@@ -477,12 +365,24 @@ mod tests {
     }
 
     #[test]
-    fn nested_calls_run_serial_without_deadlock() {
+    fn nested_calls_complete_and_run_serial_on_pool_workers() {
+        // Real nesting: every inner element runs once, without deadlock.
         let mut outer: Vec<Vec<u32>> = (0..8).map(|_| vec![0u32; 8]).collect();
         par_for_each_mut_threads(&mut outer, 4, |inner| {
             par_for_each_mut_threads(inner, 4, |x| *x += 1);
         });
         assert!(outer.iter().flatten().all(|&x| x == 1));
+        // A fan-out issued on a pool worker stays on that thread (no
+        // queueing onto the busy pool, so no self-deadlock).
+        let me = std::thread::current().id();
+        IS_POOL_WORKER.set(true);
+        let mut seen = vec![None; 8];
+        par_for_each_mut_threads(&mut seen, 4, |t| *t = Some(std::thread::current().id()));
+        IS_POOL_WORKER.set(false);
+        assert!(
+            seen.iter().all(|t| *t == Some(me)),
+            "nested fan-out left the worker"
+        );
     }
 
     #[test]
@@ -534,39 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn claim_serial_and_stolen_agree() {
-        let step = |i: usize, x: &mut u64| {
-            // Deliberately skewed per-item cost so lanes actually steal.
-            for _ in 0..(i % 7) * 400 + 1 {
-                *x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407 + i as u64);
-            }
-        };
-        let mut a: Vec<u64> = (0..53).collect();
-        let mut b = a.clone();
-        par_claim_mut_threads(&mut a, 1, step);
-        par_claim_mut_threads(&mut b, 8, step);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn claim_runs_every_item_exactly_once() {
-        for lanes in [1usize, 2, 3, 5, 16] {
-            let mut items = vec![0u32; 37];
-            par_claim_mut_threads(&mut items, lanes, |_, x| *x += 1);
-            assert_eq!(items, vec![1u32; 37], "lanes={lanes}");
-        }
-    }
-
-    #[test]
-    fn claim_preserves_order_and_index_mapping() {
-        let mut items: Vec<usize> = vec![0; 29];
-        par_claim_mut_threads(&mut items, 4, |i, slot| *slot = i * 3);
-        assert_eq!(items, (0..29).map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn home_blocks_partition_the_items() {
         for n in [0usize, 1, 7, 16, 53] {
             for lanes in [1usize, 2, 3, 8] {
@@ -581,10 +448,10 @@ mod tests {
     }
 
     #[test]
-    fn claim_panics_propagate_lowest_index_and_preserve_items() {
+    fn panics_propagate_lowest_index_and_preserve_items() {
         let mut items: Vec<u32> = (0..9).collect();
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            par_claim_mut_threads(&mut items, 3, |_, x| {
+            par_for_each_mut_threads(&mut items, 3, |x| {
                 if *x % 4 == 3 {
                     panic!("boom at {x}");
                 }
@@ -599,31 +466,6 @@ mod tests {
         assert_eq!(items.len(), 9, "items survive a lane panic");
         assert_eq!(items[0], 100);
         assert_eq!(items[3], 3, "panicking item keeps its prior state");
-    }
-
-    #[test]
-    fn claim_nested_from_a_pool_worker_runs_serial() {
-        let mut outer: Vec<Vec<u32>> = (0..6).map(|_| vec![0u32; 6]).collect();
-        par_claim_mut_threads(&mut outer, 3, |_, inner| {
-            par_claim_mut_threads(inner, 3, |_, x| *x += 1);
-        });
-        assert!(outer.iter().flatten().all(|&x| x == 1));
-    }
-
-    #[test]
-    fn panics_propagate_and_preserve_elements() {
-        let mut items: Vec<u32> = (0..8).collect();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            par_for_each_mut_threads(&mut items, 4, |x| {
-                if *x == 5 {
-                    panic!("boom");
-                }
-                *x += 100;
-            });
-        }));
-        assert!(caught.is_err());
-        assert_eq!(items.len(), 8, "elements survive a worker panic");
-        assert_eq!(items[0], 100);
-        assert_eq!(items[5], 5, "panicking element keeps its prior state");
+        assert_eq!(items[7], 7, "every panicking item keeps its prior state");
     }
 }

@@ -10,6 +10,11 @@
 //! on, automatic sharding. Being thread-scoped rather than process-wide,
 //! two configurations can run side by side in one process (the
 //! experiment pool re-enters the caller's configuration on each worker).
+//!
+//! This is the only way to pick a mode. A kernel keeps the modes it was
+//! built under for life, and a cloud keeps the configuration current
+//! when its `CloudConfig` was made, rebooted hosts included; code that
+//! wants another mode enters a configuration around construction.
 
 use std::cell::Cell;
 use std::marker::PhantomData;
@@ -18,10 +23,10 @@ use std::marker::PhantomData;
 /// configuration is entered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunConfig {
-    /// Event-horizon tick coalescing (see [`crate::Kernel::set_coalescing`]).
+    /// Event-horizon tick coalescing (see [`crate::Kernel::coalescing`]).
     pub coalesce: bool,
     /// Epoch-keyed pseudofs render caching (see
-    /// [`crate::Kernel::set_render_caching`]).
+    /// [`crate::Kernel::render_caching`]).
     pub render_cache: bool,
     /// Fleet shard count for new clouds; `0` = auto (rack-aligned
     /// shards of ~128 hosts).

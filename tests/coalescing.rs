@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 
 use containerleaks::pseudofs::{PseudoFs, View};
-use containerleaks::simkernel::{FaultPlan, Kernel, MachineConfig, NANOS_PER_SEC};
+use containerleaks::simkernel::{FaultPlan, Kernel, MachineConfig, RunConfig, NANOS_PER_SEC};
 use containerleaks::workloads::models;
 
 /// Reads every host-visible pseudo file into one string.
@@ -49,13 +49,22 @@ fn observe(k: &Kernel) -> Observation {
     )
 }
 
+/// A small server built with coalescing on or off.
+fn kernel(coalesce: bool, seed: u64) -> Kernel {
+    let _run = RunConfig {
+        coalesce,
+        ..RunConfig::DEFAULT
+    }
+    .enter();
+    Kernel::new(MachineConfig::small_server(), seed)
+}
+
 /// One seeded scenario: a quiescent host holding a periodic user timer,
 /// a mid-run burst of real work, and (optionally) the standard fault
 /// plan — whose windows and 150 s crash-reboot land inside stretches
 /// the coalesced run would otherwise cross in one span.
 fn run_scenario(coalesce: bool, faults: bool, seed: u64) -> Observation {
-    let mut k = Kernel::new(MachineConfig::small_server(), seed);
-    k.set_coalescing(coalesce);
+    let mut k = kernel(coalesce, seed);
     if faults {
         k.install_faults(FaultPlan::standard(seed));
     }
@@ -106,8 +115,7 @@ fn coalescing_is_invisible_with_active_processes() {
     // Nothing quiescent here: coalescing never engages, but the toggle
     // must still be a no-op on the observable state.
     let run = |coalesce: bool| {
-        let mut k = Kernel::new(MachineConfig::small_server(), 42);
-        k.set_coalescing(coalesce);
+        let mut k = kernel(coalesce, 42);
         k.spawn_host_process("svc", models::web_service(0.4))
             .unwrap();
         k.advance_secs(30);

@@ -18,6 +18,7 @@ use proptest::{Strategy, TestRunner};
 
 use containerleaks::cloudsim::{Cloud, CloudConfig, CloudProfile, DetectorConfig, InstanceSpec};
 use containerleaks::leakscan::{AdaptiveAttacker, AttackerMode};
+use containerleaks::simkernel::RunConfig;
 use containerleaks::simtrace;
 
 /// Runs one attack-under-detection scenario in the given execution mode
@@ -41,15 +42,20 @@ fn detector_report(
     let mode = modes[(seed % 4) as usize];
     let profile = profiles[(seed % 3) as usize];
 
-    let cfg = CloudConfig::new(profile)
-        .hosts(4)
-        .placement(containerleaks::cloudsim::PlacementPolicy::BinPack)
-        .shards(shards)
-        .without_background()
-        .detector(DetectorConfig::default());
+    let cfg = {
+        let _run = RunConfig {
+            coalesce,
+            render_cache: cache,
+            shards,
+        }
+        .enter();
+        CloudConfig::new(profile)
+            .hosts(4)
+            .placement(containerleaks::cloudsim::PlacementPolicy::BinPack)
+            .without_background()
+            .detector(DetectorConfig::default())
+    };
     let mut cloud = Cloud::new(cfg, seed);
-    cloud.set_coalescing(coalesce);
-    cloud.set_render_caching(cache);
     let benign = cloud
         .launch("alice", InstanceSpec::new("web"))
         .expect("benign");

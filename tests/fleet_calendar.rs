@@ -19,7 +19,7 @@ use std::sync::{Arc, OnceLock};
 
 use containerleaks::cloudsim::{Cloud, CloudConfig, CloudProfile, InstanceId, InstanceSpec};
 use containerleaks::pseudofs::{PseudoFs, View};
-use containerleaks::simkernel::FaultPlan;
+use containerleaks::simkernel::{FaultPlan, RunConfig};
 use containerleaks::simtrace;
 use containerleaks::workloads::models;
 use proptest::prelude::*;
@@ -80,16 +80,20 @@ fn run_script(
     faults: bool,
 ) -> (String, String) {
     sink().drain();
+    let _run = RunConfig {
+        coalesce,
+        shards,
+        ..RunConfig::DEFAULT
+    }
+    .enter();
     let mut cfg = CloudConfig::new(CloudProfile::CC2)
         .hosts(hosts)
         .hosts_per_rack(2)
-        .shards(shards)
         .without_background();
     if eager {
         cfg = cfg.eager_advance();
     }
     let mut cloud = Cloud::new(cfg, seed);
-    cloud.set_coalescing(coalesce);
     if faults {
         cloud.install_faults(&FaultPlan::standard(seed));
     }

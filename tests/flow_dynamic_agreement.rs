@@ -23,7 +23,7 @@ use std::sync::Arc;
 use containerleaks::leakcheck;
 use containerleaks::pseudofs::{route_for, PseudoFs, View};
 use containerleaks::simkernel::ns::NamespaceData;
-use containerleaks::simkernel::{dep, FaultPlan, Kernel, MachineConfig};
+use containerleaks::simkernel::{dep, FaultPlan, Kernel, MachineConfig, RunConfig};
 use containerleaks::simtrace;
 use containerleaks::workloads::models;
 use containerleaks::DEFAULT_SEED;
@@ -171,8 +171,14 @@ fn run_config(
     corroborate: bool,
     out: &mut String,
 ) {
-    let mut k = Kernel::new(MachineConfig::small_server(), DEFAULT_SEED);
-    k.set_render_caching(cache);
+    let mut k = {
+        let _run = RunConfig {
+            render_cache: cache,
+            ..RunConfig::DEFAULT
+        }
+        .enter();
+        Kernel::new(MachineConfig::small_server(), DEFAULT_SEED)
+    };
     if faults {
         k.install_faults(FaultPlan::standard(DEFAULT_SEED));
     }

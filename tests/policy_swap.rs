@@ -11,7 +11,7 @@
 
 use containerleaks::container_runtime::{ContainerId, ContainerSpec, Runtime};
 use containerleaks::pseudofs::{route_for, MaskPolicy};
-use containerleaks::simkernel::{Kernel, MachineConfig};
+use containerleaks::simkernel::{Kernel, MachineConfig, RunConfig};
 use containerleaks::simtrace;
 
 /// Channels crossing the policies below: one fully denied, one partially
@@ -41,8 +41,14 @@ struct Cell {
 
 impl Cell {
     fn new(seed: u64, cache: bool, policy: MaskPolicy) -> Self {
-        let mut k = Kernel::new(MachineConfig::small_server(), seed);
-        k.set_render_caching(cache);
+        let mut k = {
+            let _run = RunConfig {
+                render_cache: cache,
+                ..RunConfig::DEFAULT
+            }
+            .enter();
+            Kernel::new(MachineConfig::small_server(), seed)
+        };
         let mut rt = Runtime::new();
         let id = rt
             .create(&mut k, ContainerSpec::new("cell").policy(policy))

@@ -45,6 +45,18 @@ fn snapshot_view(k: &Kernel, view: &View, out: &mut String) {
     }
 }
 
+/// A kernel on `machine` built in the given render-cache and coalescing
+/// modes.
+fn kernel(machine: MachineConfig, seed: u64, cache: bool, coalesce: bool) -> Kernel {
+    let _run = RunConfig {
+        coalesce,
+        render_cache: cache,
+        ..RunConfig::DEFAULT
+    }
+    .enter();
+    Kernel::new(machine, seed)
+}
+
 /// One seeded scenario observed at four instants: right after a
 /// quiescent stretch (populates the cache), again at the same instant
 /// (pure cache hits), after a burst of real work (every dirty epoch
@@ -52,9 +64,7 @@ fn snapshot_view(k: &Kernel, view: &View, out: &mut String) {
 /// the fault plan's reboot. Reads go through a host view, an open
 /// container view, and a deny/partial-masked container view.
 fn run_scenario(cache: bool, coalesce: bool, faults: bool, seed: u64) -> String {
-    let mut k = Kernel::new(MachineConfig::small_server(), seed);
-    k.set_render_caching(cache);
-    k.set_coalescing(coalesce);
+    let mut k = kernel(MachineConfig::small_server(), seed, cache, coalesce);
     if faults {
         k.install_faults(FaultPlan::standard(seed));
     }
@@ -134,8 +144,14 @@ fn leakscan_pipelines_are_identical_in_both_modes() {
     // the same policy whether their reads are cached or not, including
     // on a rescan after the kernel advanced.
     let run = |cache: bool| {
-        let mut lab = Lab::new(1, DEFAULT_SEED);
-        lab.host_mut(0).kernel.set_render_caching(cache);
+        let mut lab = {
+            let _run = RunConfig {
+                render_cache: cache,
+                ..RunConfig::DEFAULT
+            }
+            .enter();
+            Lab::new(1, DEFAULT_SEED)
+        };
         let view = lab.host(0).container_view();
         let validator = CrossValidator::new();
         let hardener = Hardener::new();
@@ -177,23 +193,28 @@ fn fault_matrix_is_identical_across_cache_modes_and_worker_counts() {
 #[test]
 fn reads_never_advance_epochs() {
     // The whole cache rests on this: rendering is pure. Listing and
-    // reading every path — through every view and both cache modes —
-    // must not bump a single subsystem epoch.
-    let mut k = Kernel::new(MachineConfig::small_server(), 11);
-    let env = k.create_container_env("c1").unwrap();
-    k.advance_secs(5);
+    // reading every path — through every view, twice so the cached
+    // kernel also serves hits — must not bump a single subsystem epoch
+    // in either cache mode.
     let fs = PseudoFs::new();
-    let before = k.epochs().total();
     for cache in [true, false] {
-        k.set_render_caching(cache);
-        for view in [View::host(), View::container(env.ns, env.cgroups)] {
-            for path in fs.list(&k, &view) {
-                let _ = fs.read(&k, &view, &path);
+        let mut k = kernel(MachineConfig::small_server(), 11, cache, true);
+        let env = k.create_container_env("c1").unwrap();
+        k.advance_secs(5);
+        let before = k.epochs().total();
+        for _ in 0..2 {
+            for view in [View::host(), View::container(env.ns, env.cgroups)] {
+                for path in fs.list(&k, &view) {
+                    let _ = fs.read(&k, &view, &path);
+                }
             }
         }
+        assert_eq!(
+            k.epochs().total(),
+            before,
+            "a read bumped an epoch (cache {cache})"
+        );
     }
-    assert_eq!(k.epochs().total(), before, "a read bumped an epoch");
-    k.set_render_caching(true);
 }
 
 #[test]
@@ -240,8 +261,7 @@ fn busy_host_rapl_revalidation_matches_uncached_reads() {
     // without sensor faults, through both cached read entry points.
     let run = |cache: bool, faults: bool| -> Vec<String> {
         let profile = CloudProfile::CC1;
-        let mut k = Kernel::new(profile.default_machine(), 29);
-        k.set_render_caching(cache);
+        let mut k = kernel(profile.default_machine(), 29, cache, true);
         if faults {
             k.install_faults(
                 FaultPlan::builder(29)
@@ -306,8 +326,7 @@ proptest! {
     /// the total epoch sum never decreases.
     #[test]
     fn changed_bytes_imply_advanced_epochs(seed in 0u64..10_000) {
-        let mut k = Kernel::new(MachineConfig::small_server(), seed);
-        k.set_render_caching(seed % 2 == 0);
+        let mut k = kernel(MachineConfig::small_server(), seed, seed % 2 == 0, true);
         let fs = PseudoFs::new();
         let view = View::host();
         let masks: Vec<u32> = PROBED

@@ -77,3 +77,35 @@ fn a_thread_with_nothing_entered_gets_the_compiled_defaults() {
         "kernel coalesce=true render_cache=true; cloud coalesce=true render_cache=true shards=1"
     );
 }
+
+#[test]
+fn a_cloud_keeps_the_config_its_cloudconfig_captured_across_reboots() {
+    for (coalesce, render_cache) in [(false, true), (true, false), (false, false)] {
+        let cfg = {
+            let _run = RunConfig {
+                coalesce,
+                render_cache,
+                shards: 2,
+            }
+            .enter();
+            CloudConfig::new(CloudProfile::CC1).hosts(4)
+        };
+        // The guard is gone: the cloud and every reboot below run with
+        // the compiled defaults current, so any kernel built from
+        // `RunConfig::current()` instead of the captured config would
+        // come up coalescing and caching.
+        assert_eq!(RunConfig::current(), RunConfig::DEFAULT);
+        let mut cloud = Cloud::new(cfg, 5);
+        assert_eq!(cloud.shard_count(), 2);
+        cloud.advance_secs(3);
+        cloud.reboot_host(HostId(1));
+        for id in [HostId(0), HostId(1)] {
+            let k = cloud.host(id).expect("4 hosts").kernel();
+            assert_eq!(
+                (k.coalescing(), k.render_caching()),
+                (coalesce, render_cache),
+                "{id:?} lost the cloud's modes"
+            );
+        }
+    }
+}

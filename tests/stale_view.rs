@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 
 use containerleaks::container_runtime::{ContainerSpec, Runtime};
-use containerleaks::simkernel::{Kernel, MachineConfig};
+use containerleaks::simkernel::{Kernel, MachineConfig, RunConfig};
 use containerleaks::workloads::models;
 
 /// Channels a recreated container could leak its predecessor through:
@@ -60,8 +60,14 @@ proptest! {
         cycles in 2usize..6,
     ) {
         let run = |cache: bool| -> (Vec<String>, Vec<u64>) {
-            let mut k = Kernel::new(MachineConfig::small_server(), seed);
-            k.set_render_caching(cache);
+            let mut k = {
+                let _run = RunConfig {
+                    render_cache: cache,
+                    ..RunConfig::DEFAULT
+                }
+                .enter();
+                Kernel::new(MachineConfig::small_server(), seed)
+            };
             let mut rt = Runtime::new();
             let mut transcripts = Vec::new();
             let mut fps = Vec::new();
@@ -99,7 +105,7 @@ proptest! {
     #[test]
     fn removal_evicts_the_dead_views_cache_entries(seed in 0u64..10_000) {
         let mut k = Kernel::new(MachineConfig::small_server(), seed);
-        k.set_render_caching(true);
+        prop_assert!(k.render_caching());
         let mut rt = Runtime::new();
 
         // Baseline: occupancy right after the first incarnation dies.

@@ -12,7 +12,7 @@
 //! to its baseline size once everything is torn down.
 
 use containerleaks::pseudofs::{PseudoFs, View};
-use containerleaks::simkernel::{dep, ChurnDriver, ChurnPlan, Kernel, MachineConfig};
+use containerleaks::simkernel::{dep, ChurnDriver, ChurnPlan, Kernel, MachineConfig, RunConfig};
 use containerleaks::workloads::models;
 
 /// Per-subsystem epoch snapshot, one masked sum per `dep` bit.
@@ -113,8 +113,14 @@ const PROBES: &[&str] = &[
 /// and every probe read (host view plus each live container view) into
 /// one transcript string.
 fn churn_transcript(cache: bool, seed: u64) -> String {
-    let mut k = Kernel::new(MachineConfig::small_server(), seed);
-    k.set_render_caching(cache);
+    let mut k = {
+        let _run = RunConfig {
+            render_cache: cache,
+            ..RunConfig::DEFAULT
+        }
+        .enter();
+        Kernel::new(MachineConfig::small_server(), seed)
+    };
     let mut driver = ChurnDriver::new(ChurnPlan::new(seed).cycles(16).max_live(3));
     let fs = PseudoFs::new();
     let mut out = String::new();
@@ -184,7 +190,7 @@ fn evicting_destroyed_views_bounds_the_render_cache() {
     // it — destroyed containers' fingerprints never recur, so without
     // eviction occupancy would grow with every generation.
     let mut k = Kernel::new(MachineConfig::small_server(), 13);
-    k.set_render_caching(true);
+    assert!(k.render_caching());
     let fs = PseudoFs::new();
     let live_fps = |d: &ChurnDriver| -> std::collections::HashSet<u64> {
         d.live()
