@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: build, tests (the standalone end-to-end benchmark
 # package's included), lints, formatting, the determinism mode matrix
-# (--jobs 1 vs --jobs 4, event-horizon coalescing on vs off, render
-# caching on vs off, and shards 1 vs 8 must all produce byte-identical
-# report, JSON and trace artifacts), the 16-seed campaign
+# (--jobs 1 vs --jobs 4, event-horizon coalescing on vs off, and
+# shards 1 vs 8 must all produce byte-identical report, JSON and trace
+# artifacts), the 16-seed campaign
 # metamorphic-oracle sweep, and the bench medians gate.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -69,11 +69,8 @@ echo "== determinism: the mode matrix =="
 # exempt lines:
 #   mode-exempt  lines tagged `"group":"mode-exempt"`: the quiescent tick
 #                shape (coalescing) and the calendar-pop/sync bookkeeping
-#                (shard membership);
-#   cache        the `pseudofs.cache_*` occupancy counters, which exist
-#                only while render caching is on. Every other line, the
-#                per-channel read counters included, must match: the
-#                cache never changes *what* gets read.
+#                (shard membership). Every other line, the per-channel
+#                read counters included, must match.
 # A filtered row must also show that its filter removed a line, or it
 # would exempt nothing and could pass by accident. Every campaign
 # scenario must pass every oracle (the bin exits non-zero otherwise).
@@ -95,7 +92,6 @@ while read -r run ref filter bin flags; do
     case "$filter" in
         -) same "$tmp/$ref.trace" "$tmp/$run.trace"; continue ;;
         mode-exempt) pattern='"group":"mode-exempt"' ;;
-        cache) pattern='"name":"pseudofs.cache_' ;;
         *) echo "ci: FAIL — unknown trace filter $filter" >&2; exit 1 ;;
     esac
     grep -v "$pattern" "$tmp/$ref.trace" >"$tmp/$run.ref.kept"
@@ -112,13 +108,11 @@ done <<'ROWS'
 j1     -      -            all           --jobs 1
 j4     j1     -            all           --jobs 4
 c0     j1     mode-exempt  all           --jobs 4 --coalesce off
-r0     j1     cache        all           --jobs 4 --render-cache off
 s1     j1     mode-exempt  all           --jobs 4 --shards 1
 s8     s1     mode-exempt  all           --jobs 4 --shards 8
 f1     -      -            fault_matrix  --jobs 1
 f4     f1     -            fault_matrix  --jobs 4
 fc0    f1     mode-exempt  fault_matrix  --jobs 4 --coalesce off
-fr0    f1     cache        fault_matrix  --jobs 4 --render-cache off
 fs1    f1     mode-exempt  fault_matrix  --jobs 4 --shards 1
 fs8    fs1    mode-exempt  fault_matrix  --jobs 4 --shards 8
 camp1  -      -            campaign      --seeds 16 --jobs 1

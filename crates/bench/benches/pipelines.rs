@@ -6,7 +6,6 @@
 //! Each group benches the hot inner loop of the corresponding experiment:
 //!
 //! * `table1_scan`       — the cross-validation walk + differential diff
-//!   (render caching off; `table1_scan_cached` is the same walk warm)
 //! * `table2_metrics`    — entropy computation over a 60-point trace
 //! * `table3_unixbench`  — the full UnixBench overhead replay
 //! * `fig2_tick`         — one simulated second of an 8-host fleet
@@ -41,39 +40,12 @@ use containerleaks::simkernel::cgroup::PerfCounters;
 use containerleaks::simkernel::{Kernel, MachineConfig, RunConfig};
 use containerleaks::workloads::models;
 
-/// A one-host lab whose kernel renders with caching on or off.
-fn lab(seed: u64, render_cache: bool) -> Lab {
-    let _run = RunConfig {
-        render_cache,
-        ..RunConfig::DEFAULT
-    }
-    .enter();
-    Lab::new(1, seed)
-}
-
 fn bench_table1_scan(c: &mut Criterion) {
-    // Render caching off: this is the raw differential-walk cost, the
-    // uncached side of the benchgate speedup ratio.
-    let lab = lab(1, false);
+    let lab = Lab::new(1, 1);
     let host = lab.host(0);
     let view = host.container_view();
     let validator = CrossValidator::new();
     c.bench_function("table1_scan", |b| {
-        b.iter(|| black_box(validator.scan(&host.kernel, &view)))
-    });
-}
-
-fn bench_table1_scan_cached(c: &mut Criterion) {
-    // Same scan with epoch-keyed render caching on. The kernel does not
-    // advance between iterations, so after the warm-up scan every read
-    // is a cache hit — the steady state of a scanner re-probing an
-    // unchanged host.
-    let lab = lab(1, true);
-    let host = lab.host(0);
-    let view = host.container_view();
-    let validator = CrossValidator::new();
-    let _ = validator.scan(&host.kernel, &view);
-    c.bench_function("table1_scan_cached", |b| {
         b.iter(|| black_box(validator.scan(&host.kernel, &view)))
     });
 }
@@ -397,26 +369,10 @@ fn bench_covert_bit(c: &mut Criterion) {
 
 fn bench_hardening(c: &mut Criterion) {
     use containerleaks::leakscan::Hardener;
-    // Render caching off: raw generate-and-verify cost, the uncached
-    // side of the benchgate speedup ratio.
-    let lab = lab(14, false);
+    let lab = Lab::new(1, 14);
     let host = lab.host(0);
     let view = host.container_view();
     c.bench_function("hardening_policy_generation", |b| {
-        b.iter(|| black_box(Hardener::new().harden(&host.kernel, &view)))
-    });
-}
-
-fn bench_hardening_cached(c: &mut Criterion) {
-    use containerleaks::leakscan::Hardener;
-    // Same pipeline with epoch-keyed render caching on. The generated
-    // policy is deterministic, so the hardened view's fingerprint — and
-    // its Denied entries — are reused across iterations too.
-    let lab = lab(14, true);
-    let host = lab.host(0);
-    let view = host.container_view();
-    let _ = Hardener::new().harden(&host.kernel, &view);
-    c.bench_function("hardening_policy_generation_cached", |b| {
         b.iter(|| black_box(Hardener::new().harden(&host.kernel, &view)))
     });
 }
@@ -506,7 +462,6 @@ criterion_group!(
     config = Criterion::default().sample_size(10);
     targets =
         bench_table1_scan,
-        bench_table1_scan_cached,
         bench_table2_metrics,
         bench_table3_unixbench,
         bench_fig2_tick,
@@ -525,7 +480,6 @@ criterion_group!(
         bench_fig9_ns_update,
         bench_covert_bit,
         bench_hardening,
-        bench_hardening_cached,
         bench_kernel_tick,
         bench_campaign_sweep,
         bench_detector_week,

@@ -5,7 +5,7 @@
 //! namespaces and cgroups created and destroyed at high rate, faults
 //! firing mid-lifecycle. This crate derives a *whole scenario* — fleet
 //! size, tenant mix, diurnal load, container churn rate, fault plan,
-//! masking-policy matrix, coalescing/cache/jobs mode — from a single
+//! masking-policy matrix, coalescing/jobs/shard mode — from a single
 //! `u64` seed, sweeps hundreds of them across the persistent worker
 //! pool with per-scenario panic isolation, and checks **metamorphic
 //! oracles** rather than golden outputs:
@@ -14,14 +14,12 @@
 //!    increases a channel's observable entropy (denied channels drop to
 //!    zero, identically-masked channels stay byte-identical).
 //! 2. **Mode invariance** — a scenario transcript digest is
-//!    byte-identical across `--jobs`, coalescing, and render-cache
-//!    modes.
+//!    byte-identical across `--jobs` and coalescing modes.
 //! 3. **Power monotonicity** — the synergistic power attack's peak
 //!    aggregate power is monotone in the co-resident attacker count.
-//! 4. **Churn soundness** — under high-rate create/destroy churn, a
-//!    render-caching kernel stays byte-identical to an uncached twin,
-//!    reads never bump epochs, and recreated containers never see a
-//!    stale namespace view.
+//! 4. **Churn soundness** — under high-rate create/destroy churn, reads
+//!    of every live view never bump epochs, and recreated containers
+//!    never see a stale namespace view.
 //!
 //! These relations hold for *every* seed, so no committed snapshot is
 //! needed — which is what lets the campaign sweep arbitrary seeds. On a

@@ -7,21 +7,18 @@
 //! * [`mask_monotonic`] — strengthening the masking policy never
 //!   increases a channel's observable entropy.
 //! * [`mode_invariance`] — the scenario transcript digest is identical
-//!   across coalescing, render-cache, and `--jobs` modes.
+//!   across coalescing and `--jobs` modes.
 //! * [`shard_invariance`] — the transcript digest is identical across
 //!   fleet shard counts, worker threads, and the eager reference path.
 //! * [`power_monotone`] — the power attack's peak aggregate power is
 //!   monotone in the number of co-resident payload hosts.
-//! * [`churn_soundness`] — under create/destroy churn, a render-caching
-//!   kernel stays byte-identical to an uncached twin, reads never bump
-//!   epochs, and fresh containers never see a stale namespace view.
+//! * [`churn_soundness`] — under create/destroy churn, reading the full
+//!   surface of every live view never bumps an epoch, and fresh
+//!   containers never see a stale namespace view.
 //! * [`detector_soundness`] — masking a flagged tenant never increases
 //!   any channel's subsequent empirical entropy, and a passive (never
 //!   flagging) detector tap is byte-invisible: its transcript digest
 //!   matches a detector-free run exactly.
-
-use std::collections::HashSet;
-use std::fmt::Write as _;
 
 use cloudsim::{Cloud, CloudConfig, CloudError, DetectorConfig, InstanceId, InstanceSpec};
 use powersim::{AttackCampaign, AttackStrategy, DiurnalTrace};
@@ -96,13 +93,12 @@ fn sample_hash(s: &str) -> f64 {
     (h >> 11) as f64
 }
 
-/// The scenario's execution modes: its coalescing and render-cache draws
-/// over the caller's configuration. Oracles enter it around every kernel
+/// The scenario's execution modes: its coalescing draw over the caller's
+/// configuration. Oracles enter it around every kernel
 /// and cloud they build.
 fn modes(sc: &Scenario) -> RunConfig {
     RunConfig {
         coalesce: sc.coalesce,
-        render_cache: sc.render_cache,
         ..RunConfig::current()
     }
 }
@@ -351,7 +347,7 @@ fn transcript_digest_with(
 /// Oracle 2: transcript bytes are invariant across execution modes.
 ///
 /// The same scenario transcript is replayed with coalescing flipped,
-/// render caching flipped, and the worker-thread count changed; every
+/// the worker-thread count changed, and both; every
 /// replay must produce the identical digest, because none of those knobs
 /// is allowed to change observable bytes.
 ///
@@ -362,17 +358,14 @@ pub fn mode_invariance(sc: &Scenario) -> Result<(), Violation> {
     const V: &str = "mode-invariance";
     let base_run = baseline(sc);
     let base = transcript_digest(sc, base_run, 1, false);
-    let (co, rc) = (sc.coalesce, sc.render_cache);
-    let flipped = |coalesce: bool, render_cache: bool| RunConfig {
-        coalesce,
-        render_cache,
+    let flipped = RunConfig {
+        coalesce: !sc.coalesce,
         ..base_run
     };
     let runs = [
-        ("coalescing flipped", flipped(!co, rc), 1),
-        ("render cache flipped", flipped(co, !rc), 1),
+        ("coalescing flipped", flipped, 1),
         ("jobs=4", base_run, 4),
-        ("all flipped, jobs=4", flipped(!co, !rc), 4),
+        ("coalescing flipped, jobs=4", flipped, 4),
     ];
     for (label, run, threads) in runs {
         let d = transcript_digest(sc, run, threads, false);
@@ -471,53 +464,32 @@ pub fn power_monotone(sc: &Scenario) -> Result<(), Violation> {
     Ok(())
 }
 
-/// Byte-compares the full pseudo-fs surface of two kernels under every
-/// given view. Returns the first differing path.
-fn compare_surfaces(
-    fs: &PseudoFs,
-    cached: &Kernel,
-    plain: &Kernel,
-    views: &[(String, View)],
-) -> Result<(), Violation> {
-    const V: &str = "churn-soundness";
-    for (label, view) in views {
-        let la = fs.list(cached, view);
-        let lb = fs.list(plain, view);
-        if la != lb {
-            return Err(Violation::new(
-                V,
-                format!("{label}: listing differs between cached and uncached kernels"),
-            ));
+/// Reads the full pseudo-fs surface of `kernel` under every given view
+/// and checks that reading left every subsystem epoch where it was.
+fn walk_surfaces(fs: &PseudoFs, kernel: &Kernel, views: &[View]) -> Result<(), Violation> {
+    let before = kernel.epochs().total();
+    for view in views {
+        for path in fs.list(kernel, view) {
+            let _ = fs.read(kernel, view, &path);
         }
-        for path in &la {
-            let a = fs.read(cached, view, path);
-            let b = fs.read(plain, view, path);
-            let same = match (&a, &b) {
-                (Ok(x), Ok(y)) => x == y,
-                (Err(x), Err(y)) => format!("{x:?}") == format!("{y:?}"),
-                _ => false,
-            };
-            if !same {
-                let mut d = format!("{label}: {path} differs under render caching");
-                if let (Ok(x), Ok(y)) = (&a, &b) {
-                    let _ = write!(d, " ({} vs {} bytes)", x.len(), y.len());
-                }
-                return Err(Violation::new(V, d));
-            }
-        }
+    }
+    let after = kernel.epochs().total();
+    if before != after {
+        return Err(Violation::new(
+            "churn-soundness",
+            format!("reads bumped epochs: {before} -> {after}"),
+        ));
     }
     Ok(())
 }
 
-/// Oracle 4: epoch/cache soundness under create–destroy churn.
+/// Oracle 4: epoch soundness under create–destroy churn.
 ///
-/// Twin kernels, same seed, same churn plan — one with render caching,
-/// one without. After teardown events (and periodically), the full
-/// pseudo-fs surface under the host view and every live container view
-/// must be byte-identical; reads must never bump epochs; a freshly
-/// created container's `/proc/self/cgroup` must name *its* cgroup path
-/// (no stale namespace view); and destroyed views are evicted from the
-/// render cache as they die.
+/// One kernel driven by the scenario's churn plan. After teardown events
+/// (and periodically), the full pseudo-fs surface under the host view
+/// and every live container view is read, and the reads must not bump
+/// any epoch; a freshly created container's `/proc/self/cgroup` must
+/// name *its* cgroup path (no stale namespace view).
 ///
 /// # Errors
 ///
@@ -527,52 +499,24 @@ pub fn churn_soundness(sc: &Scenario) -> Result<(), Violation> {
     let plan = ChurnPlan::new(sc.seed)
         .cycles(sc.churn_cycles.max(6))
         .max_live(3);
-    let twin = |render_cache: bool| {
-        let _run = RunConfig {
-            render_cache,
-            ..modes(sc)
-        }
-        .enter();
+    let mut kernel = {
+        let _run = modes(sc).enter();
         Kernel::new(sc.profile.default_machine(), sc.seed)
     };
-    let (mut cached, mut plain) = (twin(true), twin(false));
-    let mut dc = ChurnDriver::new(plan);
-    let mut dp = ChurnDriver::new(plan);
+    let mut driver = ChurnDriver::new(plan);
     let fs = PseudoFs::new();
-    let mut prev_fps: HashSet<u64> = HashSet::new();
 
     for cycle in 0..plan.cycles {
-        let ec = dc.step(&mut cached);
-        let ep = dp.step(&mut plain);
-        if ec != ep {
-            return Err(Violation::new(
-                V,
-                format!("churn event diverged at cycle {cycle}: {ec:?} vs {ep:?}"),
-            ));
-        }
+        let event = driver.step(&mut kernel);
 
-        // Evict render-cache entries whose views just died; their
-        // fingerprints can never recur (monotone ns/cgroup ids).
-        let now_fps: HashSet<u64> = dc
-            .live()
-            .iter()
-            .map(|(env, _)| View::container(env.ns, env.cgroups).fingerprint())
-            .collect();
-        for fp in prev_fps.difference(&now_fps) {
-            cached.render_cache_evict_view(*fp);
-        }
-        prev_fps = now_fps;
-
-        if let ChurnEvent::Created(idx) = ec {
+        if let ChurnEvent::Created(idx) = event {
             // A fresh container must immediately see *its own* cgroup
             // namespace: every hierarchy line renders as the namespace
             // root ("/"). A stale view (another container's cgroup ids)
-            // would leak an absolute `/docker/...` path instead. And the
-            // caching kernel must agree with the uncached twin byte for
-            // byte on the very first read.
-            let env = &dc.live()[idx].0;
+            // would leak an absolute `/docker/...` path instead.
+            let env = &driver.live()[idx].0;
             let view = View::container(env.ns, env.cgroups);
-            let cg = fs.read(&cached, &view, "/proc/self/cgroup").map_err(|e| {
+            let cg = fs.read(&kernel, &view, "/proc/self/cgroup").map_err(|e| {
                 Violation::new(V, format!("fresh container cgroup read failed: {e:?}"))
             })?;
             if cg.lines().any(|l| !l.ends_with(":/")) {
@@ -581,45 +525,22 @@ pub fn churn_soundness(sc: &Scenario) -> Result<(), Violation> {
                     format!("fresh container sees a stale cgroup view:\n{cg}"),
                 ));
             }
-            let cg_plain = fs.read(&plain, &view, "/proc/self/cgroup").map_err(|e| {
-                Violation::new(V, format!("uncached twin cgroup read failed: {e:?}"))
-            })?;
-            if cg != cg_plain {
-                return Err(Violation::new(
-                    V,
-                    "render cache served stale bytes for a fresh container view".to_string(),
-                ));
-            }
         }
 
-        let probe_now = matches!(ec, ChurnEvent::Destroyed(_)) || cycle % 4 == 3;
-        if probe_now {
-            let mut views = vec![("host".to_string(), View::host())];
-            for (i, (env, _)) in dc.live().iter().enumerate() {
-                views.push((
-                    format!("container {i}"),
-                    View::container(env.ns, env.cgroups),
-                ));
-            }
-            let before = (cached.epochs().total(), plain.epochs().total());
-            compare_surfaces(&fs, &cached, &plain, &views)?;
-            let after = (cached.epochs().total(), plain.epochs().total());
-            if before != after {
-                return Err(Violation::new(
-                    V,
-                    format!("reads bumped epochs: {before:?} -> {after:?}"),
-                ));
-            }
+        if matches!(event, ChurnEvent::Destroyed(_)) || cycle % 4 == 3 {
+            let mut views = vec![View::host()];
+            views.extend(
+                driver
+                    .live()
+                    .iter()
+                    .map(|(env, _)| View::container(env.ns, env.cgroups)),
+            );
+            walk_surfaces(&fs, &kernel, &views)?;
         }
     }
 
-    dc.teardown_all(&mut cached);
-    dp.teardown_all(&mut plain);
-    for fp in &prev_fps {
-        cached.render_cache_evict_view(*fp);
-    }
-    compare_surfaces(&fs, &cached, &plain, &[("host".to_string(), View::host())])?;
-    Ok(())
+    driver.teardown_all(&mut kernel);
+    walk_surfaces(&fs, &kernel, &[View::host()])
 }
 
 /// Oracle 5: online detection is sound.

@@ -35,8 +35,6 @@ pub struct Scenario {
     pub attackers: usize,
     /// Event-horizon tick coalescing for this scenario's kernels.
     pub coalesce: bool,
-    /// Render caching for this scenario's kernels.
-    pub render_cache: bool,
     /// Worker threads for this scenario's fleet stepping (1..=4).
     pub jobs: usize,
     /// Diurnal background demand level (0.10..0.45).
@@ -62,7 +60,9 @@ impl Scenario {
         let profile = CloudProfile::COMMERCIAL[rng.random_range(0..CloudProfile::COMMERCIAL.len())];
         let attackers = rng.random_range(1..3usize);
         let coalesce = rng.random_range(0..2u32) == 0;
-        let render_cache = rng.random_range(0..2u32) == 0;
+        // The retired render-cache mode. Nothing reads it, but the draw
+        // stays so every seed keeps mapping to the same scenario.
+        let _ = rng.random_range(0..2u32);
         let jobs = rng.random_range(1..5usize);
         let demand = 0.10 + 0.35 * rng.random::<f64>();
         // Appended after the PR-4-era dimensions so every seed keeps
@@ -80,7 +80,6 @@ impl Scenario {
             profile,
             attackers,
             coalesce,
-            render_cache,
             jobs,
             demand,
             shards,
@@ -130,7 +129,7 @@ impl Scenario {
     /// One-line summary of the derived dimensions (report tables).
     pub fn summary(&self) -> String {
         format!(
-            "{}h/{}t churn={} steps={} {} {} {}/{}/j{} d={:.2} s{}{}",
+            "{}h/{}t churn={} steps={} {} {} {}/j{} d={:.2} s{}{}",
             self.hosts,
             self.tenants,
             self.churn_cycles,
@@ -138,7 +137,6 @@ impl Scenario {
             self.profile.slug(),
             if self.faults { "faulted" } else { "clean" },
             if self.coalesce { "co" } else { "tick" },
-            if self.render_cache { "rc" } else { "norc" },
             self.jobs,
             self.demand,
             self.shards,

@@ -416,13 +416,11 @@ impl Runtime {
     }
 
     /// Swaps the container's masking policy *live* (the provider-side
-    /// detector escalating a flagged tenant mid-run). The swap changes
-    /// the container's view fingerprint, so render-cache entries under
-    /// the old fingerprint become unreachable — they are evicted — and
-    /// the subsystem epochs of every route whose mask treatment changed
-    /// are dirtied via [`Kernel::note_policy_swap`], so no consumer can
-    /// ever be served pre-swap bytes. A no-op when `policy` equals the
-    /// current one.
+    /// detector escalating a flagged tenant mid-run). The subsystem
+    /// epochs of every route whose mask treatment changed are dirtied via
+    /// [`Kernel::note_policy_swap`], so no consumer comparing epoch sums
+    /// can keep pre-swap bytes as current. A no-op when `policy` equals
+    /// the current one.
     ///
     /// # Errors
     ///
@@ -440,10 +438,9 @@ impl Runtime {
         if c.view.policy == policy {
             return Ok(());
         }
-        let old_fp = c.view.fingerprint();
         let deps = pseudofs::changed_mask_deps(&c.view.policy, &policy);
         c.view.policy = policy;
-        kernel.note_policy_swap(old_fp, deps);
+        kernel.note_policy_swap(deps);
         Ok(())
     }
 
@@ -458,10 +455,6 @@ impl Runtime {
             .containers
             .remove(&id)
             .ok_or(RuntimeError::NoSuchContainer(id))?;
-        // The dead container's view fingerprint can never recur (it folds
-        // the monotone namespace/cgroup ids), so its render-cache entries
-        // are unreachable — evict them or churn grows the cache forever.
-        kernel.render_cache_evict_view(c.view.fingerprint());
         kernel.destroy_container_env(&c.env)?;
         Ok(())
     }

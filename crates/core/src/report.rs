@@ -50,15 +50,15 @@ pub fn render_experiments_md(results: &[ExperimentResult], seed: u64) -> String 
     out
 }
 
-/// Static appendix: the profiler evidence behind the epoch-keyed render
-/// cache. The numbers were measured once (Criterion medians and traced
-/// counter totals on the reference machine, seed 1729) and are committed
-/// rather than re-derived — wall-clock timings are not deterministic, and
-/// `EXPERIMENTS.md` must regenerate byte-identically from any run mode.
-/// The live enforcement lives in `scripts/bench_compare.sh` (the ≥5x
-/// `--require-speedup` gates) and the `ci.sh` cached-vs-uncached byte
-/// compares; re-measure with `./scripts/bench_compare.sh` and
-/// `--counters` on the `all` binary.
+/// Static appendix: the profiler evidence that once motivated an
+/// epoch-keyed render cache. The numbers were measured once (Criterion
+/// medians and traced counter totals on the reference machine, seed 1729)
+/// and are committed rather than re-derived — wall-clock timings are not
+/// deterministic, and `EXPERIMENTS.md` must regenerate byte-identically
+/// from any run mode. The cache has since been removed (real workloads
+/// almost never hit it), so the appendix describes a path that no longer
+/// exists; it stays verbatim until a change that may move the report
+/// bytes rewrites it.
 const PROFILE_APPENDIX: &str = "\
 ## Appendix — incremental rendering profile
 

@@ -98,7 +98,7 @@ pub struct Facts {
     /// Every kernel accessor the function touches, with no gating filter
     /// applied and propagated through local calls unconditionally. The
     /// blindness verdict never consults this set; it feeds the
-    /// cache-coherence lint, which must see context-gated reads too — a
+    /// missing-dependency lint, which must see context-gated reads too — a
     /// gated read still makes rendered bytes depend on that subsystem.
     pub kernel_reads: BTreeSet<String>,
 }

@@ -10,7 +10,7 @@
 //! * **full** — every subsystem the function reads, gating ignored. A
 //!   context-gated read still makes the rendered bytes depend on that
 //!   subsystem (some reader context executes it), so `full` is what the
-//!   render cache must invalidate on: the *derived mask*.
+//!   route's declared epochs must cover: the *derived mask*.
 //! * **unrouted** — subsystems read outside any `view.context` gate via
 //!   accessors that are neither namespace-aware nor neutral-when-routed:
 //!   host-global state flowing to every reader identically. This is the
@@ -30,7 +30,7 @@
 //!
 //! Accessors with no subsystem mapping are recorded per function and
 //! only become errors when reachable from a checked route — the
-//! `Kernel` surface used by the cache/trace plumbing never renders.
+//! `Kernel` surface used by the epoch/trace plumbing never renders.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -43,7 +43,7 @@ use crate::lexer::TokenKind;
 /// Per-function flow facts at the fixpoint. See the module docs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FnFlow {
-    /// Every subsystem read, gating ignored: the derived cache mask.
+    /// Every subsystem read, gating ignored: the derived dependency mask.
     pub full: u32,
     /// Host-global subsystems flowing to the output unrouted.
     pub unrouted: u32,
@@ -148,7 +148,7 @@ pub struct RouteSpec {
     pub pattern: String,
     /// Qualified handler name, `module::fn`.
     pub handler: String,
-    /// The mask the registry declares for the render cache.
+    /// The dependency mask the registry declares.
     pub declared: u32,
 }
 
@@ -191,16 +191,17 @@ pub struct RouteFlow {
 pub struct FlowCheck {
     /// Per-route flow, in spec order.
     pub routes: Vec<RouteFlow>,
-    /// Declared masks missing a derived bit: stale-cache soundness bugs.
+    /// Declared masks missing a derived bit: missing-dependency-bit
+    /// findings.
     pub missing: Vec<MaskFinding>,
-    /// Declared masks carrying underived bits: lost cache hits, warned
+    /// Declared masks carrying underived bits: needless re-reads, warned
     /// unless allowlisted.
     pub extra: Vec<MaskFinding>,
 }
 
 /// Declared-mask bits the analysis cannot derive but that are kept
-/// deliberately, as (`pattern`, reason). Extra bits cost cache hits,
-/// never correctness, so these are reviewed rather than enforced.
+/// deliberately, as (`pattern`, reason). Extra bits cost needless
+/// re-reads, never correctness, so these are reviewed rather than enforced.
 pub const EXTRA_DEPS_ALLOWLIST: &[(&str, &str)] = &[];
 
 /// Checks every route's declared mask against the derived flow.
@@ -383,7 +384,7 @@ mod tests {
     #[test]
     fn seeded_missing_dependency_fails_the_check() {
         // The acceptance fixture: a handler reads NET but the registry
-        // declares only FS — the render cache would serve stale bytes.
+        // declares only FS — a NET change would leave its epochs still.
         let flows = flows_of(&[(
             "m",
             None,

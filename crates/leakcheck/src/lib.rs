@@ -128,7 +128,7 @@ pub fn audit_at(root: &Path) -> Result<Report, String> {
 
 /// Resolves the route's handler to its analysis and builds the row,
 /// including the declared dirty-epoch dependencies and the handler's
-/// kernel reads the cache-coherence lint checks them against.
+/// kernel reads the missing-dependency lint checks them against.
 fn channel_report(
     modules: &BTreeMap<String, BTreeMap<String, FnAnalysis>>,
     route: &pseudofs::Route,
@@ -154,12 +154,12 @@ fn dep_names(mask: u32) -> Vec<String> {
 }
 
 /// Runs the interprocedural flow analysis over the parsed modules and
-/// checks every registered route — plus the listing path, whose cache
-/// rests on [`pseudofs::LIST_DEPS`] — against its declared mask. This
-/// supersedes the old module-local cache-coherence lint: the derived
-/// masks here cross module boundaries and value returns, so a declared
-/// mask missing a derived bit is a *proved* stale-cache bug, reported
-/// in [`FlowReport::missing`] for the bin/CI to enforce.
+/// checks every registered route — plus the listing path, declared as
+/// [`pseudofs::LIST_DEPS`] — against its declared mask. The derived
+/// masks cross module boundaries and value returns, so a declared mask
+/// missing a derived bit is a *proved* missing-dependency-bit finding
+/// (the bytes can change while the declared epochs stand still),
+/// reported in [`FlowReport::missing`] for the bin/CI to enforce.
 fn flow_report(
     graph_modules: &[callgraph::Module],
     modules: &BTreeMap<String, BTreeMap<String, FnAnalysis>>,
@@ -294,7 +294,7 @@ mod tests {
         assert_eq!(report.flow.rows.len(), pseudofs::ROUTES.len() + 1);
         assert!(
             report.flow.missing.is_empty(),
-            "declared masks missing derived bits (stale-cache bugs): {:?}",
+            "declared masks missing derived bits: {:?}",
             report.flow.missing
         );
         let unreviewed: Vec<_> = report

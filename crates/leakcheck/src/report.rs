@@ -24,12 +24,12 @@ pub struct ChannelReport {
     pub neutral: Vec<String>,
     /// Masking-policy consultations.
     pub mask_markers: Vec<String>,
-    /// Dirty-epoch subsystems the route declares (its render-cache
-    /// dependency mask, as subsystem names).
+    /// Dirty-epoch subsystems the route declares (its dependency mask,
+    /// as subsystem names).
     pub deps: Vec<String>,
     /// Every kernel accessor the handler reads (gated
-    /// reads included) — what the cache-coherence lint checked `deps`
-    /// against.
+    /// reads included) — what the missing-dependency lint checked
+    /// `deps` against.
     pub kernel_reads: Vec<String>,
 }
 
@@ -103,7 +103,7 @@ pub struct FlowRow {
     /// Host-global subsystems flowing to the output unrouted by
     /// namespaces — what the channel leaks to a container reader.
     pub hot: Vec<String>,
-    /// The registry's declared render-cache mask, as subsystem names.
+    /// The registry's declared dependency mask, as subsystem names.
     pub declared: Vec<String>,
 }
 
@@ -129,11 +129,11 @@ pub struct FlowReport {
     /// One row per registered channel (registry order), listing row
     /// last.
     pub rows: Vec<FlowRow>,
-    /// Declared masks missing a derived bit: stale-render-cache
-    /// soundness bugs. `--deny-missing-dep` fails the build on any.
+    /// Declared masks missing a derived bit: missing-dependency-bit
+    /// findings. `--deny-missing-dep` fails the build on any.
     pub missing: Vec<MaskFindingReport>,
-    /// Declared masks carrying bits the flow cannot derive: lost cache
-    /// hits, warned unless allowlisted.
+    /// Declared masks carrying bits the flow cannot derive: needless
+    /// re-reads for epoch-sum consumers, warned unless allowlisted.
     pub extra: Vec<MaskFindingReport>,
 }
 
@@ -230,8 +230,8 @@ impl Report {
     /// `●` — host-global state flows to the output unrouted (a leak a
     /// container reader observes); `◐` — state reaches the output only
     /// through view-routed or view-keyed reads; `·` — no flow. Every
-    /// non-`·` column is a subsystem whose mutation must invalidate the
-    /// channel's render cache.
+    /// non-`·` column is a subsystem whose mutation must advance one of
+    /// the channel's declared epochs.
     pub fn flow_matrix(&self) -> String {
         const ABBR: &[&str] = &[
             "clk", "sch", "hw", "irq", "mem", "fs", "net", "tmr", "prc", "cgr", "ns", "sta",
@@ -280,7 +280,7 @@ impl Report {
                     x.bits.join(", ")
                 )),
                 None => out.push_str(&format!(
-                    "mask extra {} ({}): declared bits [{}] not derivable (lost cache hits)\n",
+                    "mask extra {} ({}): declared bits [{}] not derivable (needless re-reads)\n",
                     x.pattern,
                     x.handler,
                     x.bits.join(", ")

@@ -50,13 +50,11 @@ pub struct FileFinding {
 pub struct HostSnapshot {
     /// `kernel.epochs().total()` at capture time.
     epoch_total: u64,
-    /// Sorted host paths, as returned by `list` (shared with the render
-    /// cache — capturing a snapshot does not deep-clone the listing).
-    paths: std::sync::Arc<Vec<String>>,
+    /// Sorted host paths, as returned by `list`.
+    paths: Vec<String>,
     /// Rendered host contents aligned with `paths`; `None` for per-pid
-    /// paths (never content-compared) and for read errors. Shared with
-    /// the render cache: capturing costs no body copies on cache hits.
-    contents: Vec<Option<std::sync::Arc<String>>>,
+    /// paths (never content-compared) and for read errors.
+    contents: Vec<Option<String>>,
 }
 
 impl HostSnapshot {
@@ -85,14 +83,14 @@ impl CrossValidator {
     /// at the same kernel instant.
     pub fn host_snapshot(&self, kernel: &Kernel) -> HostSnapshot {
         let host_view = View::host();
-        let paths = self.fs.list_shared(kernel, &host_view);
+        let paths = self.fs.list(kernel, &host_view);
         let contents = paths
             .iter()
             .map(|path| {
                 if is_pid_path(path) {
                     None
                 } else {
-                    self.fs.read_shared(kernel, &host_view, path).ok()
+                    self.fs.read(kernel, &host_view, path).ok()
                 }
             })
             .collect();
@@ -123,8 +121,9 @@ impl CrossValidator {
             snap.is_current(kernel),
             "host snapshot is stale (a subsystem epoch advanced since capture)"
         );
-        let cont_paths = self.fs.list_shared(kernel, container_view);
+        let cont_paths = self.fs.list(kernel, container_view);
         let mut findings = Vec::with_capacity(snap.paths.len());
+        let mut cont = String::new();
         for (path, host) in snap.paths.iter().zip(&snap.contents) {
             // Per-pid directories cannot be aligned across contexts (the
             // pid number spaces differ); they are namespaced by
@@ -139,9 +138,9 @@ impl CrossValidator {
             let Some(host_buf) = host else {
                 continue;
             };
-            let class = match self.fs.read_shared(kernel, container_view, path) {
+            let class = match self.fs.read_into(kernel, container_view, path, &mut cont) {
                 Err(_) => ChannelClass::Masked,
-                Ok(cont) => {
+                Ok(()) => {
                     if cont == *host_buf {
                         ChannelClass::Leaking
                     } else if container_view.mask_action(path) == Some(MaskAction::Partial) {
@@ -158,10 +157,10 @@ impl CrossValidator {
         }
         // Container-only paths (its own pid dirs): namespaced. `list`
         // returns sorted paths, so membership is a binary search.
-        for path in cont_paths.iter() {
-            if snap.paths.binary_search(path).is_err() {
+        for path in cont_paths {
+            if snap.paths.binary_search(&path).is_err() {
                 findings.push(FileFinding {
-                    path: path.clone(),
+                    path,
                     class: ChannelClass::Namespaced,
                 });
             }

@@ -1,18 +1,12 @@
 //! The read path and tree enumeration.
 
-use std::sync::Arc;
-
-use simkernel::{dep, Kernel, RenderHit};
+use simkernel::{dep, Kernel};
 
 use crate::error::FsError;
 use crate::faultfx;
 use crate::registry;
 use crate::render::proc_pid;
 use crate::view::{MaskAction, View};
-
-/// Reserved cache key for directory listings — NUL-prefixed so it can
-/// never collide with a real path.
-const LIST_KEY: &str = "\u{0}list";
 
 /// Subsystems [`PseudoFs::list`] consults: hardware presence and package
 /// counts, ext4 partitions, visible pids, and NUMA topology. Pid
@@ -23,14 +17,6 @@ pub const LIST_DEPS: u32 = dep::HW | dep::FS | dep::NS | dep::MEM;
 /// The pseudo filesystem: a stateless router over the kernel's state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PseudoFs;
-
-/// Where [`PseudoFs::fetch`] left a read's undistorted bytes.
-enum Fetched {
-    /// A fresh cache entry's bytes, shared; the buffer is untouched.
-    Hit(Arc<String>),
-    /// Rendered into the buffer, with the entry stored when caching is on.
-    Rendered(Option<Arc<String>>),
-}
 
 /// Records a masked-path denial (namespace-filter hit) for the trace.
 fn note_denied(k: &Kernel, path: &str) {
@@ -98,6 +84,11 @@ impl PseudoFs {
     /// use this to avoid a fresh `String` per read; renderers write
     /// straight into `buf`.
     ///
+    /// This is the one read path: mask → fault → render. Every read
+    /// renders from live kernel state, as procfs and sysfs handlers do.
+    /// An injected fault error aborts before the render; distortion then
+    /// applies to the rendered bytes.
+    ///
     /// # Errors
     ///
     /// Same as [`PseudoFs::read`]. On error `buf` is left empty.
@@ -108,136 +99,36 @@ impl PseudoFs {
         path: &str,
         buf: &mut String,
     ) -> Result<(), FsError> {
-        if let Fetched::Hit(bytes) = self.fetch(k, view, path, buf)? {
-            buf.push_str(&bytes);
+        buf.clear();
+        if view.mask_action(path) == Some(MaskAction::Deny) {
+            note_denied(k, path);
+            return Err(FsError::PermissionDenied(path.to_string()));
+        }
+        if let Some(e) = faultfx::injected_error(k, path) {
+            return Err(e);
+        }
+        let rendered =
+            registry::resolve(path).and_then(|(route, caps)| (route.render)(k, view, &caps, buf));
+        if rendered.is_none() {
+            buf.clear();
+            return Err(FsError::NotFound(path.to_string()));
         }
         faultfx::distort(k, path, buf);
         note_read(k, path, buf.len());
         Ok(())
     }
 
-    /// Reads `path` as a shared handle: a fresh cache hit costs one
-    /// refcount bump and zero byte copies. The differential scanners read
-    /// both contexts through this — their inner loop is then hash lookups
-    /// and content compares, never body copies. The bytes are owned (and
-    /// wrapped once) when caching is off or an active fault plan distorts
-    /// them.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PseudoFs::read`].
-    pub fn read_shared(&self, k: &Kernel, view: &View, path: &str) -> Result<Arc<String>, FsError> {
-        let mut buf = String::new();
-        let bytes = match self.fetch(k, view, path, &mut buf)? {
-            Fetched::Hit(bytes) | Fetched::Rendered(Some(bytes)) if k.fault_plan().is_none() => {
-                bytes
-            }
-            Fetched::Hit(bytes) => {
-                // Distortion mutates the caller's copy, never the cached
-                // bytes.
-                buf.push_str(&bytes);
-                faultfx::distort(k, path, &mut buf);
-                Arc::new(buf)
-            }
-            Fetched::Rendered(_) => {
-                faultfx::distort(k, path, &mut buf);
-                Arc::new(buf)
-            }
-        };
-        note_read(k, path, bytes.len());
-        Ok(bytes)
-    }
-
-    /// The one read path: mask → cache → fault → render → store. Fault
-    /// effects come strictly *after* the cache (an injected error aborts
-    /// before the store; distortion is the callers' job, on their copy),
-    /// so injected EIO and sensor noise can never poison an entry — the
-    /// ordering the cached-vs-uncached byte gates depend on.
-    fn fetch(
-        &self,
-        k: &Kernel,
-        view: &View,
-        path: &str,
-        buf: &mut String,
-    ) -> Result<Fetched, FsError> {
-        buf.clear();
-        let view_fp = k.render_caching().then(|| view.fingerprint());
-        let hit = view_fp.and_then(|fp| k.render_cache_get(fp, path));
-        match hit {
-            Some(RenderHit::Denied) => {
-                note_denied(k, path);
-                return Err(FsError::PermissionDenied(path.to_string()));
-            }
-            Some(RenderHit::Fresh(bytes)) => {
-                simtrace::counters::add("pseudofs.cache_hit", 1);
-                return match faultfx::injected_error(k, path) {
-                    Some(e) => Err(e),
-                    None => Ok(Fetched::Hit(bytes)),
-                };
-            }
-            // A stale entry still proves this view is not denied the path
-            // (denials cache as `Denied` and never expire), so the
-            // policy's glob walk is skipped on every revalidation.
-            Some(RenderHit::Stale) => simtrace::counters::add("pseudofs.cache_miss", 1),
-            None => {
-                if view_fp.is_some() {
-                    simtrace::counters::add("pseudofs.cache_miss", 1);
-                }
-                if view.mask_action(path) == Some(MaskAction::Deny) {
-                    if let Some(fp) = view_fp {
-                        k.render_cache_store_denied(fp, path);
-                    }
-                    note_denied(k, path);
-                    return Err(FsError::PermissionDenied(path.to_string()));
-                }
-            }
-        }
-        if let Some(e) = faultfx::injected_error(k, path) {
-            return Err(e);
-        }
-        let rendered = registry::resolve(path)
-            .and_then(|(route, caps)| (route.render)(k, view, &caps, buf).map(|()| route));
-        let Some(route) = rendered else {
-            buf.clear();
-            return Err(FsError::NotFound(path.to_string()));
-        };
-        let stored = view_fp.map(|fp| {
-            let bytes = Arc::new(buf.clone());
-            k.render_cache_store_bytes(fp, path, route.deps, &bytes);
-            bytes
-        });
-        Ok(Fetched::Rendered(stored))
-    }
-
     /// Enumerates every readable file path in this view, sorted — the
     /// recursive exploration step of the paper's detection framework.
     /// Deny-masked paths are excluded (they are unreadable in the cloud).
     pub fn list(&self, k: &Kernel, view: &View) -> Vec<String> {
-        self.list_shared(k, view).as_ref().clone()
-    }
-
-    /// [`PseudoFs::list`] as a shared handle: a cache hit costs one
-    /// refcount bump instead of deep-cloning a few hundred path strings.
-    /// Scan loops that re-list every pass (the cross-validator, the
-    /// metric windows) read through this.
-    pub fn list_shared(&self, k: &Kernel, view: &View) -> Arc<Vec<String>> {
-        if k.render_caching() {
-            let view_fp = view.fingerprint();
-            if let Some(paths) = k.render_cache_get_paths(view_fp, LIST_KEY) {
-                simtrace::counters::add("pseudofs.cache_hit", 1);
-                return paths;
-            }
-            simtrace::counters::add("pseudofs.cache_miss", 1);
-            let paths = Arc::new(self.list_uncached(k, view));
-            k.render_cache_store_paths(view_fp, LIST_KEY, LIST_DEPS, &paths);
-            return paths;
-        }
-        Arc::new(self.list_uncached(k, view))
+        self.list_uncached(k, view)
     }
 
     /// The exact routes' paths plus the parameterized ones the kernel's
     /// topology instantiates (cpus, disks, partitions, pids, RAPL
-    /// packages, NUMA nodes).
+    /// packages, NUMA nodes). Its name is the `(list)` row's handler in
+    /// leakcheck's flow audit and committed report.
     fn list_uncached(&self, k: &Kernel, view: &View) -> Vec<String> {
         let mut paths = Vec::with_capacity(256);
         let mut push = |p: String| {
@@ -377,40 +268,7 @@ mod tests {
     }
 
     #[test]
-    fn render_caching_is_invisible_to_reads() {
-        // Same kernel evolution with caching on and off: every read —
-        // repeated reads included, which hit the cache — and every
-        // listing must be byte-identical.
-        let snap = |caching: bool| {
-            let mut k = {
-                let _run = simkernel::RunConfig {
-                    render_cache: caching,
-                    ..simkernel::RunConfig::DEFAULT
-                }
-                .enter();
-                kernel()
-            };
-            let fs = PseudoFs::new();
-            let v = View::host();
-            let mut out = String::new();
-            for _ in 0..2 {
-                for p in fs.list(&k, &v) {
-                    out.push_str(&p);
-                    out.push('\n');
-                    out.push_str(&fs.read(&k, &v, &p).unwrap());
-                }
-            }
-            k.advance_secs(3);
-            for p in fs.list(&k, &v) {
-                out.push_str(&fs.read(&k, &v, &p).unwrap());
-            }
-            out
-        };
-        assert_eq!(snap(true), snap(false));
-    }
-
-    #[test]
-    fn cached_deny_still_denies_and_other_views_are_unaffected() {
+    fn a_deny_applies_to_its_view_only_and_to_every_spelling() {
         let mut k = Kernel::new(MachineConfig::small_server(), 9);
         let env = k.create_container_env("c1").unwrap();
         k.advance_secs(1);
@@ -418,23 +276,20 @@ mod tests {
         let denied =
             View::container(env.ns, env.cgroups).with_policy(MaskPolicy::none().deny("/proc/stat"));
         let open = View::container(env.ns, env.cgroups);
-        for _ in 0..2 {
+        assert!(matches!(
+            fs.read(&k, &denied, "/proc/stat"),
+            Err(FsError::PermissionDenied(_))
+        ));
+        // Same namespaces, different policy: the open view still reads.
+        assert!(fs.read(&k, &open, "/proc/stat").is_ok());
+        assert!(fs.read(&k, &View::host(), "/proc/stat").is_ok());
+        // The mask uses the same glob rule as the router, so every
+        // spelling that reads `/proc/stat` is denied with it.
+        for spelling in ["//proc/stat", "proc/stat"] {
             assert!(matches!(
-                fs.read(&k, &denied, "/proc/stat"),
+                fs.read(&k, &denied, spelling),
                 Err(FsError::PermissionDenied(_))
             ));
-            // Same namespaces, different policy: distinct fingerprint,
-            // so the cached deny cannot leak across views.
-            assert!(fs.read(&k, &open, "/proc/stat").is_ok());
-            assert!(fs.read(&k, &View::host(), "/proc/stat").is_ok());
-            // The mask uses the same glob rule as the router, so every
-            // spelling that reads `/proc/stat` is denied with it.
-            for spelling in ["//proc/stat", "proc/stat"] {
-                assert!(matches!(
-                    fs.read(&k, &denied, spelling),
-                    Err(FsError::PermissionDenied(_))
-                ));
-            }
         }
     }
 

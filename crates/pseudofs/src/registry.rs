@@ -1,8 +1,8 @@
 //! The route table: the one description of the modeled tree.
 //!
 //! One [`Route`] per channel names the glob it serves, a concrete probe
-//! path, its renderer, and the subsystem dependency mask the render
-//! cache keys freshness on. The `route!` macro takes the renderer's
+//! path, its renderer, and the subsystem dependency mask whose dirty
+//! epochs advance whenever the rendered bytes can change. The `route!` macro takes the renderer's
 //! `module::function` name (relative to [`crate::render`]) and its
 //! function pointer from one path, so the name tooling audits is the
 //! function that runs.
@@ -10,9 +10,8 @@
 //! Consumers:
 //!
 //! * [`PseudoFs`](crate::PseudoFs) resolves every read through
-//!   [`route_for`]'s resolver, runs the route's renderer, and caches the
-//!   bytes under the route's `deps`; a path no route matches does not
-//!   exist. Its listing takes the exact (`*`-free) patterns as paths;
+//!   [`route_for`]'s resolver and runs the route's renderer; a path no
+//!   route matches does not exist. Its listing takes the exact (`*`-free) patterns as paths;
 //! * the `leakcheck` static auditor resolves each route's handler to its
 //!   source, classifies the channel's namespace behavior, and checks that
 //!   the declared `deps` cover every kernel accessor the handler reads;
@@ -49,9 +48,10 @@ pub struct Route {
     /// The handler itself.
     pub render: Render,
     /// OR of [`simkernel::dep`] bits naming every kernel subsystem the
-    /// handler reads. Over-declaring is sound (costs a re-render);
-    /// under-declaring would serve stale bytes and is what the leakcheck
-    /// cache-coherence lint guards against.
+    /// handler reads. Over-declaring is sound (a consumer comparing
+    /// masked epoch sums re-reads needlessly); under-declaring would let
+    /// the bytes change while the sum stands still, and is what the
+    /// leakcheck missing-dependency lint guards against.
     pub deps: u32,
 }
 
@@ -591,7 +591,7 @@ pub fn route_for(path: &str) -> Option<&'static Route> {
 
 /// The OR of the dependency masks of every route whose mask treatment
 /// differs between `old` and `new` — the subsystem epochs a *live*
-/// policy swap must dirty so the render cache revalidates everything the
+/// policy swap must dirty so every epoch-sum consumer re-reads what the
 /// swap can have changed. Each route is probed through its concrete
 /// representative path, matching how the masking layer evaluates rules.
 pub fn changed_mask_deps(old: &crate::MaskPolicy, new: &crate::MaskPolicy) -> u32 {

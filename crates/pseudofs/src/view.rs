@@ -1,9 +1,6 @@
 //! Read contexts and masking policies.
 
-use std::hash::Hasher;
-
 use serde::{Deserialize, Serialize};
-use simkernel::epoch::FnvHasher;
 use simkernel::process::CgroupMembership;
 use simkernel::NamespaceSet;
 
@@ -234,61 +231,6 @@ impl View {
             self.policy.action_for(path)
         }
     }
-
-    /// A fingerprint over everything that can change what this view
-    /// reads: context (with the full namespace and cgroup identity),
-    /// policy rules, and resource allotments. The render cache keys
-    /// entries on this, so two views alias only when every read through
-    /// them is guaranteed byte-identical. Computed per call — the fields
-    /// are public and mutable, so memoizing would be unsound.
-    ///
-    /// This runs on every cached read, so it folds a whole word per
-    /// multiply: integer fields are one round each, and each rule pattern
-    /// is length-prefixed, then folded eight bytes per round by
-    /// [`FnvHasher::write`]. The length prefix keeps rule lists whose
-    /// concatenated bytes coincide apart, and the xor-then-odd-multiply
-    /// round is bijective on u64, so views differing in any single field
-    /// can never collide.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = FnvHasher::default();
-        match &self.context {
-            Context::Host => h.write_u64(0),
-            Context::Container { ns, cgroups } => {
-                h.write_u64(1);
-                for id in [ns.mnt, ns.uts, ns.pid, ns.net, ns.ipc, ns.user, ns.cgroup] {
-                    h.write_u64(u64::from(id.0));
-                }
-                for id in [
-                    cgroups.cpuacct,
-                    cgroups.perf_event,
-                    cgroups.net_prio,
-                    cgroups.memory,
-                ] {
-                    h.write_u64(u64::from(id.0));
-                }
-            }
-        }
-        match &self.allotted_cpus {
-            None => h.write_u64(u64::MAX),
-            Some(cpus) => {
-                h.write_u64(cpus.len() as u64);
-                for c in cpus {
-                    h.write_u64(u64::from(*c));
-                }
-            }
-        }
-        h.write_u64(self.mem_limit_bytes.map_or(u64::MAX, |b| b ^ 1));
-        h.write_u64(self.policy.rules.len() as u64);
-        for rule in &self.policy.rules {
-            h.write_u64(rule.pattern.len() as u64);
-            h.write(rule.pattern.as_bytes());
-            h.write_u64(match rule.action {
-                MaskAction::Deny => 2,
-                MaskAction::Partial => 3,
-            });
-        }
-        h.finish()
-    }
 }
 
 #[cfg(test)]
@@ -338,43 +280,6 @@ mod tests {
         let mut v = View::host();
         v.policy = MaskPolicy::none().deny("/proc/**");
         assert_eq!(v.mask_action("/proc/stat"), None);
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_policy_and_allotment() {
-        let a = View::host();
-        assert_eq!(a.fingerprint(), View::host().fingerprint());
-        let b = View::host().with_policy(MaskPolicy::none().deny("/proc/**"));
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        let c = View::host().with_mem_limit(1 << 30);
-        assert_ne!(a.fingerprint(), c.fingerprint());
-        let d = View::host().with_allotted_cpus(vec![0, 1]);
-        assert_ne!(a.fingerprint(), d.fingerprint());
-
-        let fp = |p: MaskPolicy| View::host().with_policy(p).fingerprint();
-        // Same concatenated bytes, split differently across rules.
-        assert_ne!(
-            fp(MaskPolicy::none().deny("/a").deny("/bc")),
-            fp(MaskPolicy::none().deny("/ab").deny("/c"))
-        );
-        // Same pattern, different action.
-        assert_ne!(
-            fp(MaskPolicy::none().deny("/proc/stat")),
-            fp(MaskPolicy::none().partial("/proc/stat"))
-        );
-        // Patterns around the 8-byte fold boundary differing only in
-        // their last byte.
-        for pattern in ["/proc/a", "/proc/ab", "/proc/abc"] {
-            let mut other = pattern.to_string();
-            other.pop();
-            other.push('z');
-            assert_eq!(pattern.len(), other.len());
-            assert_ne!(
-                fp(MaskPolicy::none().deny(pattern)),
-                fp(MaskPolicy::none().deny(other)),
-                "{pattern}"
-            );
-        }
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //!
 //! Flags: see the crate docs (`--seed`, `--days`, `--jobs`, `--only`,
 //! `--out`, `--trace`, `--counters`, `--json`, `--coalesce`,
-//! `--render-cache`, `--shards`). Every driver is a pure function of the
-//! seed, so the artifacts — the trace included, modulo its mode-exempt
-//! group and the cache-occupancy counters — are byte-identical for any
-//! `--jobs` and any execution mode. Exits 1 if any claim fails.
+//! `--shards`). Every driver is a pure function of the seed, so the
+//! artifacts — the trace included, modulo its mode-exempt group — are
+//! byte-identical for any `--jobs` and any execution mode. Exits 1 if
+//! any claim fails.
 
 fn main() -> std::process::ExitCode {
     containerleaks_experiments::run_cli(&containerleaks_experiments::EXPERIMENTS)

@@ -18,9 +18,10 @@
 //!   and exit non-zero on drift (the `ci.sh` gate)
 //! * `--write`  regenerate the committed snapshot in place
 //! * `--static-only`  skip the dynamic agreement join
-//! * `--deny-missing-dep`  exit non-zero when any declared render-cache
-//!   mask is missing an interprocedurally derived dependency bit (a
-//!   proved stale-cache bug); unreviewed extra bits always warn
+//! * `--deny-missing-dep`  exit non-zero when any route's declared
+//!   dependency mask is missing an interprocedurally derived bit (a
+//!   proved missing-dependency-bit finding: the bytes can change while
+//!   the declared epochs stand still); unreviewed extra bits always warn
 
 use std::process::ExitCode;
 
@@ -55,7 +56,7 @@ fn main() -> ExitCode {
     for m in &report.flow.missing {
         eprintln!(
             "leakcheck: declared mask for {} ({}) is missing derived \
-             dependency bits [{}] — stale render-cache bug",
+             dependency bits [{}] — its epochs miss changes to those subsystems",
             m.pattern,
             m.handler,
             m.bits.join(", ")
@@ -64,7 +65,7 @@ fn main() -> ExitCode {
     for x in report.flow.extra.iter().filter(|x| x.allowed.is_none()) {
         eprintln!(
             "leakcheck: warning: declared mask for {} ({}) carries \
-             underivable bits [{}] (lost cache hits; allowlist or tighten)",
+             underivable bits [{}] (needless re-reads; allowlist or tighten)",
             x.pattern,
             x.handler,
             x.bits.join(", ")

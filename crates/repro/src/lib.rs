@@ -10,8 +10,8 @@
 //! it), `--trace <path>` to write the deterministic JSONL trace,
 //! `--counters` to print the counter and sim-time profile summary,
 //! `--json` to print each result as JSON instead of text, and the
-//! [`RunConfig`] modes `--coalesce <on|off>`, `--render-cache <on|off>`
-//! and `--shards <n>` (`0` = auto). `all` also takes `--days <n>`, the
+//! [`RunConfig`] modes `--coalesce <on|off>` and `--shards <n>` (`0` =
+//! auto). `all` also takes `--days <n>`, the
 //! Fig. 2 trace length (default 7). An unknown flag or a bad value
 //! exits 2.
 
@@ -122,7 +122,6 @@ impl Cli {
                     }
                 }
                 "--coalesce" => cli.run.coalesce = on_off(f, it.next())?,
-                "--render-cache" => cli.run.render_cache = on_off(f, it.next())?,
                 "--shards" => cli.run.shards = value(f, it.next(), "a shard count (0 = auto)")?,
                 "--only" => {
                     let ids: Vec<String> = value::<String>(f, it.next(), "experiment ids")?
@@ -290,8 +289,6 @@ mod tests {
                 "3",
                 "--coalesce",
                 "off",
-                "--render-cache",
-                "off",
                 "--shards",
                 "8",
                 "--only",
@@ -308,7 +305,6 @@ mod tests {
         assert_eq!((cli.seed, cli.days, cli.jobs), (9, 2, 3));
         let run = RunConfig {
             coalesce: false,
-            render_cache: false,
             shards: 8,
         };
         assert_eq!(cli.run, run);
@@ -342,7 +338,7 @@ mod tests {
             &["--jobs", "0"],
             &["--jobs", "-1"],
             &["--coalesce", "yes"],
-            &["--render-cache"],
+            &["--render-cache", "off"],
             &["--shards", "auto"],
             &["--days", "x"],
             &["--only", "fig3,nope"],

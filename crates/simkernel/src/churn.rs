@@ -9,9 +9,8 @@
 //!
 //! Every decision is drawn from the injected [`StdRng`], so a plan is a
 //! pure function of its seed: two kernels driven by the same plan make
-//! identical calls in identical order, which is what lets the campaign's
-//! churn-soundness oracle compare a render-caching kernel byte-for-byte
-//! against an uncached twin after every event.
+//! identical calls in identical order, so a churn-soundness violation
+//! the campaign finds replays exactly from its seed.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

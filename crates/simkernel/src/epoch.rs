@@ -1,21 +1,20 @@
-//! Per-subsystem dirty epochs and the render cache they guard.
+//! Per-subsystem dirty epochs.
 //!
 //! Every kernel subsystem whose state a pseudo-file can render carries a
 //! monotonically increasing epoch, bumped only when that state actually
-//! mutates. A rendered buffer tagged with the epochs it depended on can
-//! therefore be reused verbatim for as long as none of those epochs has
-//! advanced — the contract the pseudofs render cache is built on.
+//! mutates. For a route whose dependency mask names the subsystems its
+//! renderer reads, an unchanged masked epoch sum therefore proves the
+//! rendered bytes are unchanged. The fleet calendar's sync check, the
+//! cross-validator's host-snapshot freshness check and the idle-channel
+//! metrics' epoch memo rely on that, and leakcheck audits every route's
+//! declared mask against the accessors its renderer reaches.
 //!
 //! Bumps are deliberately *conservative*: a bump promises nothing changed
 //! when the epoch is stable, not that something changed when it advanced.
 //! That one-sided contract is what keeps bump placement simple (one bump
 //! per [`Kernel::advance`](crate::Kernel::advance) call, keyed on whether
 //! any run or idle time elapsed) while remaining byte-exact: a spurious
-//! bump costs one re-render, never a stale read.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
+//! bump costs one redundant comparison, never a missed change.
 
 /// Subsystem dependency bits. A render handler's dependency set is the
 /// OR of the bits for every subsystem it reads; [`dep::ALL`] is the
@@ -91,7 +90,8 @@ pub mod dep {
     /// `seed`), and `None` marks accessors outside the mapped render
     /// surface — the leakcheck flow analysis treats those as hard audit
     /// failures when they are reachable from a registered channel, so a
-    /// new accessor in a handler cannot silently bypass cache coherence.
+    /// new accessor in a handler cannot read state whose changes no
+    /// declared dependency bit would report.
     pub fn accessor_bit(accessor: &str) -> Option<u32> {
         Some(match accessor {
             "clock" => CLOCK,
@@ -172,124 +172,6 @@ impl SubsystemEpochs {
     }
 }
 
-/// What a cache entry holds for one `(view, path)` key.
-#[derive(Debug, Clone)]
-pub enum CachePayload {
-    /// The rendered file body, pre fault distortion. Shared, so a fresh
-    /// hit hands out a refcount bump instead of copying the body.
-    Bytes(Arc<String>),
-    /// The view's mask policy denies this path. Policy is part of the
-    /// view fingerprint, so a deny decision never goes stale.
-    Denied,
-    /// A cached directory listing (the reserved `list` key). Shared, so
-    /// a hit hands the caller a refcount bump instead of a deep clone of
-    /// a few hundred path strings.
-    Paths(Arc<Vec<String>>),
-}
-
-/// One cached render, tagged with the dependency mask it was rendered
-/// under and the masked epoch sum at render time.
-#[derive(Debug, Clone)]
-pub struct CacheEntry {
-    /// OR of [`dep`] bits this render depended on.
-    pub mask: u32,
-    /// `epochs.masked_sum(mask)` at store time.
-    pub dep_sum: u64,
-    /// The cached result.
-    pub payload: CachePayload,
-}
-
-/// FNV-1a hasher folding eight bytes per multiply. Cache keys are short
-/// fixed pseudo-file paths (and pre-hashed view fingerprints), not
-/// attacker-controlled input, so SipHash's DoS resistance buys nothing
-/// here — and the lookup sits on the per-read hot path.
-#[derive(Debug)]
-pub struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(c);
-            h ^= u64::from_le_bytes(w);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        for &b in chunks.remainder() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        self.0 = h;
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 ^= v;
-        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-type FnvBuild = BuildHasherDefault<FnvHasher>;
-
-/// The per-kernel render cache: view fingerprint → path → entry.
-///
-/// Keyed first by the [`View`](../pseudofs) fingerprint so policy or
-/// namespace differences between views can never alias, then by path.
-#[derive(Debug, Default)]
-pub struct RenderCache {
-    views: HashMap<u64, HashMap<String, CacheEntry, FnvBuild>, FnvBuild>,
-}
-
-impl RenderCache {
-    /// The entry for `(view_fp, path)`, if any.
-    pub fn get(&self, view_fp: u64, path: &str) -> Option<&CacheEntry> {
-        self.views.get(&view_fp)?.get(path)
-    }
-
-    /// Inserts or replaces the entry for `(view_fp, path)`. A replaced
-    /// entry is overwritten in place, so revalidating a stale render
-    /// reuses its key instead of allocating a fresh one.
-    pub fn store(&mut self, view_fp: u64, path: &str, entry: CacheEntry) {
-        let view = self.views.entry(view_fp).or_default();
-        match view.get_mut(path) {
-            Some(slot) => *slot = entry,
-            None => {
-                view.insert(path.to_string(), entry);
-            }
-        }
-    }
-
-    /// Drops every entry cached under `view_fp`, returning how many were
-    /// removed. Called on container teardown: a destroyed container's
-    /// fingerprint can never be probed again (fingerprints fold the
-    /// monotone namespace and cgroup ids), so its entries are dead weight
-    /// that high-churn create/destroy loops would otherwise accumulate
-    /// without bound.
-    pub fn evict_view(&mut self, view_fp: u64) -> usize {
-        self.views.remove(&view_fp).map_or(0, |m| m.len())
-    }
-
-    /// Total number of cached entries across all views (tests).
-    pub fn len(&self) -> usize {
-        self.views.values().map(|m| m.len()).sum()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,24 +198,6 @@ mod tests {
         assert_eq!(e.masked_sum(mask), s0);
         e.bump(dep::NET);
         assert!(e.masked_sum(mask) > s0);
-    }
-
-    #[test]
-    fn cache_round_trip_and_view_isolation() {
-        let mut c = RenderCache::default();
-        c.store(
-            1,
-            "/proc/stat",
-            CacheEntry {
-                mask: dep::SCHED,
-                dep_sum: 0,
-                payload: CachePayload::Bytes(Arc::new("cpu 0".into())),
-            },
-        );
-        assert!(c.get(1, "/proc/stat").is_some());
-        assert!(c.get(2, "/proc/stat").is_none());
-        assert!(c.get(1, "/proc/uptime").is_none());
-        assert_eq!(c.len(), 1);
     }
 
     #[test]

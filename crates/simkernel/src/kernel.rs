@@ -1,14 +1,13 @@
 //! The kernel: composition of every subsystem plus the tick loop.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::cgroup::{CgroupForest, CgroupId, CgroupKind};
 use crate::config::MachineConfig;
-use crate::epoch::{dep, CacheEntry, CachePayload, RenderCache, SubsystemEpochs};
+use crate::epoch::{dep, SubsystemEpochs};
 use crate::error::KernelError;
 use crate::faults::{FaultPlan, FsFaultKind, SensorFaultKind};
 use crate::fsstate::{FsState, LockKind};
@@ -49,21 +48,6 @@ const IDLE_BUMP: u32 = dep::CLOCK
 /// plus the process table and the aggregate syscall/IO counters. The
 /// namespace registry is the only subsystem no tick path writes.
 const RUN_BUMP: u32 = IDLE_BUMP | dep::PROCESS | dep::STATS;
-
-/// Outcome of a render-cache probe (see [`Kernel::render_cache_get`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RenderHit {
-    /// Dependency epochs unchanged: the cached rendered bytes, shared —
-    /// a hit is a refcount bump, the caller decides whether to copy.
-    Fresh(std::sync::Arc<String>),
-    /// The view's policy denies this path. Policy is hashed into the
-    /// view fingerprint, so a deny verdict never goes stale.
-    Denied,
-    /// An entry exists but a dependency epoch advanced: the bytes are
-    /// stale, yet the entry still proves the path is *not* denied for
-    /// this view (a deny would have been cached as `Denied`).
-    Stale,
-}
 
 /// Everything needed to run processes inside one container: its namespace
 /// set, per-hierarchy cgroups, and the host-side veth interface its NET
@@ -169,12 +153,6 @@ pub struct Kernel {
     idle_anchor: Option<IdleAnchor>,
     /// Per-subsystem dirty epochs; bumped by every mutating entry point.
     epochs: SubsystemEpochs,
-    /// Rendered pseudo-file cache guarded by the epochs above. Behind a
-    /// mutex (not a `RefCell`) so `Kernel` stays `Sync` for the worker
-    /// pool; contention is nil — readers hold `&Kernel` exclusively per
-    /// host.
-    render_cache: Mutex<RenderCache>,
-    render_caching: bool,
     /// Trace-event buffer; `Some` only when tracing is enabled and this
     /// kernel was built inside a `simtrace::scope`.
     tracer: Option<simtrace::KernelTracer>,
@@ -268,8 +246,6 @@ impl Kernel {
             coalesce: run.coalesce,
             idle_anchor: None,
             epochs: SubsystemEpochs::default(),
-            render_cache: Mutex::new(RenderCache::default()),
-            render_caching: run.render_cache,
             tracer: simtrace::tracer_for_new_kernel(),
             seed,
             cfg,
@@ -412,30 +388,12 @@ impl Kernel {
     }
 
     // ------------------------------------------------------------------
-    // Dirty epochs and the render cache
+    // Dirty epochs
     // ------------------------------------------------------------------
 
     /// The per-subsystem dirty epochs.
     pub fn epochs(&self) -> &SubsystemEpochs {
         &self.epochs
-    }
-
-    /// Whether the pseudofs render cache is enabled on this kernel (the
-    /// [`RunConfig`] it was built under). Both settings produce
-    /// byte-identical reads; off is an escape hatch for bisecting and for
-    /// the CI cached-vs-uncached compare.
-    pub fn render_caching(&self) -> bool {
-        self.render_caching
-    }
-
-    /// The render cache, recovering a poisoned guard: no guard is held
-    /// across a render, so a panic elsewhere can only have poisoned a
-    /// cache that still holds whole entries.
-    fn lock_render_cache(&self) -> std::sync::MutexGuard<'_, RenderCache> {
-        match self.render_cache.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
     }
 
     /// Advances the epochs named in `mask`. Called by every mutating
@@ -451,144 +409,17 @@ impl Kernel {
         simtrace::counters::add_exempt("kernel.epoch_bump", u64::from(mask.count_ones()));
     }
 
-    /// Records a *live* masking-policy swap on a container view: evicts
-    /// every render-cache entry keyed under the superseded view
-    /// fingerprint and dirties the subsystem epochs in `deps` (the union
-    /// of the dependency masks of every route whose mask treatment
-    /// changed). The eviction alone would suffice for reads through the
-    /// *new* fingerprint — policy is folded into the fingerprint — but
-    /// the epoch bump closes the latent gap for consumers that memoized
-    /// epoch sums *before* the swap: their next freshness check misses
-    /// and re-renders, so the cache can never serve pre-mask bytes.
-    pub fn note_policy_swap(&mut self, old_view_fp: u64, deps: u32) {
-        self.render_cache_evict_view(old_view_fp);
+    /// Records a *live* masking-policy swap on a container view: dirties
+    /// the subsystem epochs in `deps` (the union of the dependency masks
+    /// of every route whose mask treatment changed). Consumers that
+    /// memoized epoch sums before the swap (the fleet calendar's sync
+    /// check, a cross-validation host snapshot) see them move and
+    /// re-read, so none can keep pre-swap bytes as current.
+    pub fn note_policy_swap(&mut self, deps: u32) {
         if deps != 0 {
             self.bump_epochs(deps & dep::ALL);
         }
         simtrace::counters::add("kernel.policy_swaps", 1);
-    }
-
-    /// Probes the render cache for `(view_fp, path)`. On [`RenderHit::Fresh`]
-    /// the returned handle shares the cached bytes; on [`RenderHit::Denied`]
-    /// the path is policy-denied for this view; on [`RenderHit::Stale`] an
-    /// entry exists but a dependency epoch advanced — the bytes are stale,
-    /// yet the path is known not to be denied. `None` when caching is off
-    /// or nothing is cached.
-    pub fn render_cache_get(&self, view_fp: u64, path: &str) -> Option<RenderHit> {
-        if !self.render_caching {
-            return None;
-        }
-        let cache = self.lock_render_cache();
-        let entry = cache.get(view_fp, path)?;
-        match &entry.payload {
-            CachePayload::Denied => Some(RenderHit::Denied),
-            CachePayload::Bytes(bytes) => {
-                if entry.dep_sum == self.epochs.masked_sum(entry.mask) {
-                    Some(RenderHit::Fresh(std::sync::Arc::clone(bytes)))
-                } else {
-                    Some(RenderHit::Stale)
-                }
-            }
-            CachePayload::Paths(_) => None,
-        }
-    }
-
-    /// Caches rendered bytes for `(view_fp, path)` under dependency
-    /// `mask`. No-op when caching is off.
-    pub fn render_cache_store_bytes(
-        &self,
-        view_fp: u64,
-        path: &str,
-        mask: u32,
-        bytes: &std::sync::Arc<String>,
-    ) {
-        if !self.render_caching {
-            return;
-        }
-        let entry = CacheEntry {
-            mask,
-            dep_sum: self.epochs.masked_sum(mask),
-            payload: CachePayload::Bytes(std::sync::Arc::clone(bytes)),
-        };
-        self.lock_render_cache().store(view_fp, path, entry);
-    }
-
-    /// Caches a policy-deny verdict for `(view_fp, path)`. Deny entries
-    /// carry an empty mask: the verdict depends only on the view's
-    /// policy, which is part of the fingerprint. No-op when caching is
-    /// off.
-    pub fn render_cache_store_denied(&self, view_fp: u64, path: &str) {
-        if !self.render_caching {
-            return;
-        }
-        let entry = CacheEntry {
-            mask: 0,
-            dep_sum: 0,
-            payload: CachePayload::Denied,
-        };
-        self.lock_render_cache().store(view_fp, path, entry);
-    }
-
-    /// A fresh cached path list for `(view_fp, key)`, if any — a shared
-    /// handle, so a hit is a refcount bump, not a deep clone. Stale list
-    /// entries return `None` (they carry no deny information).
-    pub fn render_cache_get_paths(
-        &self,
-        view_fp: u64,
-        key: &str,
-    ) -> Option<std::sync::Arc<Vec<String>>> {
-        if !self.render_caching {
-            return None;
-        }
-        let cache = self.lock_render_cache();
-        let entry = cache.get(view_fp, key)?;
-        match &entry.payload {
-            CachePayload::Paths(paths) if entry.dep_sum == self.epochs.masked_sum(entry.mask) => {
-                Some(std::sync::Arc::clone(paths))
-            }
-            _ => None,
-        }
-    }
-
-    /// Caches a path list for `(view_fp, key)` under dependency `mask`.
-    /// No-op when caching is off.
-    pub fn render_cache_store_paths(
-        &self,
-        view_fp: u64,
-        key: &str,
-        mask: u32,
-        paths: &std::sync::Arc<Vec<String>>,
-    ) {
-        if !self.render_caching {
-            return;
-        }
-        let entry = CacheEntry {
-            mask,
-            dep_sum: self.epochs.masked_sum(mask),
-            payload: CachePayload::Paths(std::sync::Arc::clone(paths)),
-        };
-        self.lock_render_cache().store(view_fp, key, entry);
-    }
-
-    /// Drops every render-cache entry stored under `view_fp`, returning
-    /// the count removed. Container runtimes call this on removal: the
-    /// dead container's fingerprint can never recur (fingerprints fold
-    /// the monotone namespace/cgroup ids), so its entries would otherwise
-    /// sit in the cache forever — unbounded growth under create/destroy
-    /// churn. Purely an occupancy operation; rendered bytes are
-    /// unaffected.
-    pub fn render_cache_evict_view(&self, view_fp: u64) -> usize {
-        let evicted = self.lock_render_cache().evict_view(view_fp);
-        if evicted > 0 {
-            simtrace::counters::add("pseudofs.cache_evicted", evicted as u64);
-        }
-        evicted
-    }
-
-    /// Number of live render-cache entries (occupancy; tests and the
-    /// churn driver's growth-bound assertions).
-    pub fn render_cache_len(&self) -> usize {
-        self.lock_render_cache().len()
     }
 
     // ------------------------------------------------------------------

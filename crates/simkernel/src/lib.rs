@@ -72,7 +72,7 @@ pub use epoch::{dep, SubsystemEpochs};
 pub use error::KernelError;
 pub use faults::{is_sensor_path, FaultPlan, FsFaultKind, SensorFaultKind};
 pub use hw::{PowerModelParams, PowerSnapshot, RaplDomains};
-pub use kernel::{Kernel, RenderHit};
+pub use kernel::Kernel;
 pub use ns::{NamespaceKind, NamespaceSet, NsId};
 pub use process::{HostPid, ProcState, Process};
 pub use run::{RunConfig, RunConfigGuard};

@@ -6,10 +6,10 @@
 //! exist to let CI check. A configuration is entered for a scope on the
 //! current thread ([`RunConfig::enter`]); [`crate::Kernel::new`] and
 //! `cloudsim::CloudConfig::new` read [`RunConfig::current`]. Outside any
-//! scope they get the compiled defaults: coalescing on, render caching
-//! on, automatic sharding. Being thread-scoped rather than process-wide,
-//! two configurations can run side by side in one process (the
-//! experiment pool re-enters the caller's configuration on each worker).
+//! scope they get the compiled defaults: coalescing on, automatic
+//! sharding. Being thread-scoped rather than process-wide, two
+//! configurations can run side by side in one process (the experiment
+//! pool re-enters the caller's configuration on each worker).
 //!
 //! This is the only way to pick a mode. A kernel keeps the modes it was
 //! built under for life, and a cloud keeps the configuration current
@@ -25,20 +25,15 @@ use std::marker::PhantomData;
 pub struct RunConfig {
     /// Event-horizon tick coalescing (see [`crate::Kernel::coalescing`]).
     pub coalesce: bool,
-    /// Epoch-keyed pseudofs render caching (see
-    /// [`crate::Kernel::render_caching`]).
-    pub render_cache: bool,
     /// Fleet shard count for new clouds; `0` = auto (rack-aligned
     /// shards of ~128 hosts).
     pub shards: usize,
 }
 
 impl RunConfig {
-    /// The compiled defaults: coalescing on, render caching on, auto
-    /// sharding.
+    /// The compiled defaults: coalescing on, auto sharding.
     pub const DEFAULT: RunConfig = RunConfig {
         coalesce: true,
-        render_cache: true,
         shards: 0,
     };
 
@@ -91,7 +86,6 @@ mod tests {
         assert_eq!(RunConfig::current(), RunConfig::DEFAULT);
         let off = RunConfig {
             coalesce: false,
-            render_cache: false,
             shards: 8,
         };
         {

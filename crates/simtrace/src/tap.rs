@@ -9,7 +9,7 @@
 //! driver thread, in program order, with fleet-absolute timestamps —
 //! never from parallel shard workers. A tap that derives its decisions
 //! only from those arguments is therefore byte-deterministic across
-//! `--jobs`, `--shards`, `--coalesce`, and `--render-cache` modes.
+//! `--jobs`, `--shards`, and `--coalesce` modes.
 
 /// A synchronous observer of per-tenant pseudo-file reads.
 pub trait ReadTap: std::fmt::Debug + Send {

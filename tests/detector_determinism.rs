@@ -3,7 +3,7 @@
 //! Verdicts, masking-policy updates, and the `detector.*` counters are
 //! part of the simulation's observable surface, so they fall under the
 //! same contract as every pseudo-file byte: identical across `--jobs`,
-//! `--shards`, coalescing, and render caching. A detector whose flagging
+//! `--shards`, and coalescing. A detector whose flagging
 //! depended on worker scheduling would make the attack↔defense
 //! experiment unreproducible.
 //!
@@ -24,14 +24,7 @@ use containerleaks::simtrace;
 /// Runs one attack-under-detection scenario in the given execution mode
 /// and returns the detector's full report (config, verdict log, policy
 /// updates) — the bytes that must not depend on the mode.
-fn detector_report(
-    seed: u64,
-    horizon: u64,
-    jobs: usize,
-    shards: usize,
-    coalesce: bool,
-    cache: bool,
-) -> String {
+fn detector_report(seed: u64, horizon: u64, jobs: usize, shards: usize, coalesce: bool) -> String {
     let modes = [
         AttackerMode::Persistent,
         AttackerMode::Backoff,
@@ -43,12 +36,7 @@ fn detector_report(
     let profile = profiles[(seed % 3) as usize];
 
     let cfg = {
-        let _run = RunConfig {
-            coalesce,
-            render_cache: cache,
-            shards,
-        }
-        .enter();
+        let _run = RunConfig { coalesce, shards }.enter();
         CloudConfig::new(profile)
             .hosts(4)
             .placement(containerleaks::cloudsim::PlacementPolicy::BinPack)
@@ -113,25 +101,23 @@ fn detector_is_byte_identical_across_execution_modes() {
         let mut baseline: Option<(String, BTreeMap<String, u64>)> = None;
         for (jobs, shards) in [(1usize, 1usize), (4, 1), (1, 8), (4, 8)] {
             for coalesce in [true, false] {
-                for cache in [true, false] {
-                    let mut report = String::new();
-                    let delta = counter_delta(|| {
-                        report = detector_report(seed, 180, jobs, shards, coalesce, cache);
-                    });
-                    match &baseline {
-                        None => baseline = Some((report, delta)),
-                        Some((r0, d0)) => {
-                            assert_eq!(
-                                &report, r0,
-                                "detector report diverged (seed {seed}, jobs {jobs}, \
-                                 shards {shards}, coalesce {coalesce}, cache {cache})"
-                            );
-                            assert_eq!(
-                                &delta, d0,
-                                "detector counters diverged (seed {seed}, jobs {jobs}, \
-                                 shards {shards}, coalesce {coalesce}, cache {cache})"
-                            );
-                        }
+                let mut report = String::new();
+                let delta = counter_delta(|| {
+                    report = detector_report(seed, 180, jobs, shards, coalesce);
+                });
+                match &baseline {
+                    None => baseline = Some((report, delta)),
+                    Some((r0, d0)) => {
+                        assert_eq!(
+                            &report, r0,
+                            "detector report diverged (seed {seed}, jobs {jobs}, \
+                             shards {shards}, coalesce {coalesce})"
+                        );
+                        assert_eq!(
+                            &delta, d0,
+                            "detector counters diverged (seed {seed}, jobs {jobs}, \
+                             shards {shards}, coalesce {coalesce})"
+                        );
                     }
                 }
             }
@@ -154,8 +140,8 @@ fn detector_is_byte_identical_across_execution_modes() {
     for case in 0..6u32 {
         let mut runner = TestRunner::for_case("detector_determinism_sweep", case);
         let seed = (0u64..10_000).generate(&mut runner);
-        let serial = detector_report(seed, 90, 1, 1, true, true);
-        let sharded = detector_report(seed, 90, 4, 8, false, false);
+        let serial = detector_report(seed, 90, 1, 1, true);
+        let sharded = detector_report(seed, 90, 4, 8, false);
         assert_eq!(serial, sharded, "case {case} (seed {seed}) diverged");
     }
 }

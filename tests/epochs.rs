@@ -1,0 +1,115 @@
+//! The dirty-epoch contract.
+//!
+//! Every kernel subsystem a pseudo-file can render carries a monotone
+//! epoch, and every route declares the subsystems its renderer reads.
+//! The fleet calendar's sync check, the cross-validator's host-snapshot
+//! freshness check and the idle-channel metrics' epoch memo all trust an
+//! unchanged masked epoch sum to mean unchanged bytes. These tests pin
+//! both halves of that trust: reading is pure (no read bumps an epoch),
+//! and whenever any route's rendered bytes change between two instants,
+//! the masked sum of its declared dependency epochs has advanced.
+
+use proptest::prelude::*;
+
+use containerleaks::pseudofs::{PseudoFs, Route, View, ROUTES};
+use containerleaks::simkernel::kernel::ProcessSpec;
+use containerleaks::simkernel::{dep, Kernel, MachineConfig};
+use containerleaks::workloads::models;
+
+#[test]
+fn reads_never_advance_epochs() {
+    // Listing and reading every path through every view must not bump a
+    // single subsystem epoch.
+    let fs = PseudoFs::new();
+    let mut k = Kernel::new(MachineConfig::small_server(), 11);
+    let env = k.create_container_env("c1").unwrap();
+    k.advance_secs(5);
+    let before = k.epochs().total();
+    for view in [View::host(), View::container(env.ns, env.cgroups)] {
+        for path in fs.list(&k, &view) {
+            let _ = fs.read(&k, &view, &path);
+        }
+    }
+    assert_eq!(k.epochs().total(), before, "a read bumped an epoch");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The soundness direction of the epoch contract, over every route's
+    /// probe on a fault-free kernel (distortion faults change bytes
+    /// without touching kernel state, so the claim is scoped to clean
+    /// reads): whenever a route's rendered bytes change between two
+    /// instants, the masked sum of its declared dependency epochs must
+    /// have advanced — and the total epoch sum never decreases.
+    #[test]
+    fn changed_bytes_imply_advanced_epochs(seed in 0u64..10_000) {
+        let mut k = Kernel::new(MachineConfig::testbed_i7_6700(), seed);
+        let env = k.create_container_env("c1").unwrap();
+        k.spawn(ProcessSpec::new("init", models::sleeper()).in_container(&env))
+            .unwrap();
+        let fs = PseudoFs::new();
+        let (host, container) = (View::host(), View::container(env.ns, env.cgroups));
+        // Numeric pid probes only resolve inside the container's pid
+        // namespace, where its init is pid 1.
+        let view_for = |r: &Route| {
+            if r.pattern.starts_with("/proc/*/") {
+                &container
+            } else {
+                &host
+            }
+        };
+
+        // Reads every probe and checks it against the previous reading.
+        let mut last: Vec<(String, u64)> = Vec::new();
+        let mut last_total = k.epochs().total();
+        let mut check = |k: &Kernel, when: &str| -> Result<(), TestCaseError> {
+            let total = k.epochs().total();
+            prop_assert!(total >= last_total, "total epoch sum went backwards {when}");
+            last_total = total;
+            let mut now = Vec::with_capacity(ROUTES.len());
+            for r in ROUTES {
+                let bytes = fs.read(k, view_for(r), r.probe);
+                prop_assert!(bytes.is_ok(), "{} failed {when}: {bytes:?}", r.probe);
+                now.push((bytes.unwrap(), k.epochs().masked_sum(r.deps)));
+            }
+            for ((r, (bytes, sum)), (prev_bytes, prev_sum)) in ROUTES.iter().zip(&now).zip(&last) {
+                prop_assert!(
+                    bytes == prev_bytes || sum != prev_sum,
+                    "{} changed bytes while its dependency epochs ({}) stood still {when}",
+                    r.probe,
+                    dep::mask_names(r.deps)
+                );
+            }
+            last = now;
+            Ok(())
+        };
+
+        let (mut worker, mut churn) = (None, None);
+        check(&k, "at boot")?;
+        for step in 0..6u64 {
+            // Seed-derived uneven advances, then a lifecycle event checked
+            // on its own, with no time passing: a container create and
+            // destroy and a host spawn and kill, so run ticks, idle ticks,
+            // and namespace, cgroup, net and process-table changes all
+            // occur in the walk.
+            k.advance_secs(1 + seed.wrapping_mul(31).wrapping_add(step * 7) % 9);
+            check(&k, &format!("after the advance of step {step}"))?;
+            match step {
+                1 => {
+                    let env = k.create_container_env("churn").unwrap();
+                    k.spawn(
+                        ProcessSpec::new("svc", models::web_service(0.2)).in_container(&env),
+                    )
+                    .unwrap();
+                    churn = Some(env);
+                }
+                2 => worker = Some(k.spawn_host_process("w", models::stress_small()).unwrap()),
+                3 => k.destroy_container_env(&churn.take().unwrap()).unwrap(),
+                4 => k.kill(worker.take().unwrap()).unwrap(),
+                _ => continue,
+            }
+            check(&k, &format!("after the event of step {step}"))?;
+        }
+    }
+}

@@ -80,12 +80,7 @@ fn run_script(
     faults: bool,
 ) -> (String, String) {
     sink().drain();
-    let _run = RunConfig {
-        coalesce,
-        shards,
-        ..RunConfig::DEFAULT
-    }
-    .enter();
+    let _run = RunConfig { coalesce, shards }.enter();
     let mut cfg = CloudConfig::new(CloudProfile::CC2)
         .hosts(hosts)
         .hosts_per_rack(2)

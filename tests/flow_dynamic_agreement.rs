@@ -8,14 +8,14 @@
 //! byte that moved belongs to a channel whose *derived* mask covers the
 //! bumped subsystem. A byte change outside the derived mask would mean
 //! the static analysis missed a flow — the same bug class the
-//! derived-⊇-declared gate catches for the registry's cache masks.
+//! derived-⊇-declared gate catches for the registry's declared masks.
 //!
 //! Lives in its own integration-test binary because `simtrace::install`
 //! is once-per-process and the counter store is process-global; the
 //! single `#[test]` keeps the epoch-bump counter deltas race-free while
 //! the first (corroborated) pass runs, then repeats the whole suite on
 //! four threads to pin that the transcript is independent of
-//! parallelism, as it is of caching and of the standard fault plan.
+//! parallelism, as the containment is of the standard fault plan.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -23,7 +23,7 @@ use std::sync::Arc;
 use containerleaks::leakcheck;
 use containerleaks::pseudofs::{route_for, PseudoFs, View};
 use containerleaks::simkernel::ns::NamespaceData;
-use containerleaks::simkernel::{dep, FaultPlan, Kernel, MachineConfig, RunConfig};
+use containerleaks::simkernel::{dep, FaultPlan, Kernel, MachineConfig};
 use containerleaks::simtrace;
 use containerleaks::workloads::models;
 use containerleaks::DEFAULT_SEED;
@@ -162,23 +162,10 @@ fn step(
     *before = after;
 }
 
-/// The full single-subsystem mutation suite for one (cache, faults)
-/// configuration, appending every post-mutation snapshot to `out`.
-fn run_config(
-    derived: &BTreeMap<String, u32>,
-    cache: bool,
-    faults: bool,
-    corroborate: bool,
-    out: &mut String,
-) {
-    let mut k = {
-        let _run = RunConfig {
-            render_cache: cache,
-            ..RunConfig::DEFAULT
-        }
-        .enter();
-        Kernel::new(MachineConfig::small_server(), DEFAULT_SEED)
-    };
+/// The full single-subsystem mutation suite with or without the
+/// standard fault plan, appending every post-mutation snapshot to `out`.
+fn run_config(derived: &BTreeMap<String, u32>, faults: bool, corroborate: bool, out: &mut String) {
+    let mut k = Kernel::new(MachineConfig::small_server(), DEFAULT_SEED);
     if faults {
         k.install_faults(FaultPlan::standard(DEFAULT_SEED));
     }
@@ -188,8 +175,7 @@ fn run_config(
         .expect("spawn");
     k.advance_secs(30);
     let views = [View::host(), View::container(env.ns, env.cgroups)];
-    // Populate the cache so mutations exercise invalidation, not a cold
-    // cache, and give each step a fresh baseline.
+    // Each step diffs against the snapshot the previous one left.
     let mut before = snapshot(&k, &views);
 
     let uts = env.ns.uts;
@@ -278,11 +264,9 @@ fn run_config(
 
 fn transcript(derived: &BTreeMap<String, u32>, corroborate: bool) -> String {
     let mut out = String::new();
-    for cache in [true, false] {
-        for faults in [false, true] {
-            out.push_str(&format!("== cache {cache} faults {faults}\n"));
-            run_config(derived, cache, faults, corroborate, &mut out);
-        }
+    for faults in [false, true] {
+        out.push_str(&format!("== faults {faults}\n"));
+        run_config(derived, faults, corroborate, &mut out);
     }
     out
 }
@@ -309,7 +293,7 @@ fn byte_changes_stay_inside_the_derived_masks() {
 
     // Pass 2 — the identical suite on four threads at once. The
     // transcripts must match pass 1 byte for byte: the flow contract is
-    // independent of parallelism, caching, and fault injection.
+    // independent of parallelism.
     let workers: Vec<_> = (0..4)
         .map(|_| {
             let derived = derived.clone();

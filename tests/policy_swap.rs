@@ -2,17 +2,23 @@
 //!
 //! The detector's whole enforcement path rests on [`Runtime::set_policy`]:
 //! swapping a container's mask mid-run has to produce exactly the bytes a
-//! container *created* with that policy would produce, even when the
-//! render cache already holds entries rendered under the old view
-//! fingerprint. These tests pin the create→warm-cache→swap→read chain
-//! against a twin kernel that had the target policy from birth, in both
-//! cache modes, and check the bookkeeping the fix relies on: affected
-//! subsystem epochs are bumped and the swap is counted.
+//! container *created* with that policy would produce. These tests pin
+//! the create→read→swap→read chain against a twin kernel that had the
+//! target policy from birth, and check the swap's bookkeeping: affected
+//! subsystem epochs are bumped (so epoch-sum consumers re-read) and the
+//! swap is counted.
+
+use std::sync::Mutex;
 
 use containerleaks::container_runtime::{ContainerId, ContainerSpec, Runtime};
 use containerleaks::pseudofs::{route_for, MaskPolicy};
-use containerleaks::simkernel::{Kernel, MachineConfig, RunConfig};
+use containerleaks::simkernel::{Kernel, MachineConfig};
 use containerleaks::simtrace;
+
+/// Held by every test that swaps a policy: the swap counter is
+/// process-global, so a swap on a sibling test's thread would land inside
+/// the counting test's before/after window.
+static SWAPS: Mutex<()> = Mutex::new(());
 
 /// Channels crossing the policies below: one fully denied, one partially
 /// filtered, one glob-denied, and two left open as controls.
@@ -40,15 +46,8 @@ struct Cell {
 }
 
 impl Cell {
-    fn new(seed: u64, cache: bool, policy: MaskPolicy) -> Self {
-        let mut k = {
-            let _run = RunConfig {
-                render_cache: cache,
-                ..RunConfig::DEFAULT
-            }
-            .enter();
-            Kernel::new(MachineConfig::small_server(), seed)
-        };
+    fn new(seed: u64, policy: MaskPolicy) -> Self {
+        let mut k = Kernel::new(MachineConfig::small_server(), seed);
         let mut rt = Runtime::new();
         let id = rt
             .create(&mut k, ContainerSpec::new("cell").policy(policy))
@@ -72,62 +71,59 @@ impl Cell {
 
 #[test]
 fn live_swap_matches_policy_from_birth() {
-    for cache in [true, false] {
-        for seed in [0u64, 7, 1729] {
-            // `live` starts open and is swapped mid-run; `born_masked` and
-            // `born_open` are the ground-truth twins. All three evolve in
-            // lockstep so rendered bytes depend only on the policy.
-            let mut live = Cell::new(seed, cache, MaskPolicy::none());
-            let mut born_masked = Cell::new(seed, cache, masked());
-            let mut born_open = Cell::new(seed, cache, MaskPolicy::none());
+    let _serial = SWAPS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    for seed in [0u64, 7, 1729] {
+        // `live` starts open and is swapped mid-run; `born_masked` and
+        // `born_open` are the ground-truth twins. All three evolve in
+        // lockstep so rendered bytes depend only on the policy.
+        let mut live = Cell::new(seed, MaskPolicy::none());
+        let mut born_masked = Cell::new(seed, masked());
+        let mut born_open = Cell::new(seed, MaskPolicy::none());
 
-            for c in [&mut live, &mut born_masked, &mut born_open] {
-                c.k.advance_secs(30);
-            }
-            // Warm the render cache in every cell — `live` now holds
-            // *unmasked* bytes under its current view fingerprint.
-            let open_bytes = live.snapshot();
-            let _ = born_masked.snapshot();
-            assert_eq!(
-                open_bytes,
-                born_open.snapshot(),
-                "open twins diverged before any swap (cache {cache}, seed {seed})"
-            );
-
-            // The live swap: stale entries must not survive it.
-            live.rt
-                .set_policy(&mut live.k, live.id, masked())
-                .expect("swap");
-            assert_eq!(
-                live.snapshot(),
-                born_masked.snapshot(),
-                "post-swap reads differ from a container born with the \
-                 policy (cache {cache}, seed {seed})"
-            );
-
-            // And again after time passes — revalidation must stay sound.
-            for c in [&mut live, &mut born_masked, &mut born_open] {
-                c.k.advance_secs(45);
-            }
-            assert_eq!(
-                live.snapshot(),
-                born_masked.snapshot(),
-                "masked twins diverged after advancing (cache {cache}, seed {seed})"
-            );
-
-            // Swap back: the container must be indistinguishable from one
-            // that was never masked at all.
-            live.rt
-                .set_policy(&mut live.k, live.id, MaskPolicy::none())
-                .expect("swap back");
-            let _ = born_open.snapshot();
-            assert_eq!(
-                live.snapshot(),
-                born_open.snapshot(),
-                "swap-back reads differ from the never-masked twin \
-                 (cache {cache}, seed {seed})"
-            );
+        for c in [&mut live, &mut born_masked, &mut born_open] {
+            c.k.advance_secs(30);
         }
+        // `live` reads *unmasked* bytes before the swap.
+        assert_eq!(
+            live.snapshot(),
+            born_open.snapshot(),
+            "open twins diverged before any swap (seed {seed})"
+        );
+
+        // The live swap.
+        live.rt
+            .set_policy(&mut live.k, live.id, masked())
+            .expect("swap");
+        assert_eq!(
+            live.snapshot(),
+            born_masked.snapshot(),
+            "post-swap reads differ from a container born with the \
+             policy (seed {seed})"
+        );
+
+        // And again after time passes.
+        for c in [&mut live, &mut born_masked, &mut born_open] {
+            c.k.advance_secs(45);
+        }
+        assert_eq!(
+            live.snapshot(),
+            born_masked.snapshot(),
+            "masked twins diverged after advancing (seed {seed})"
+        );
+
+        // Swap back: the container must be indistinguishable from one
+        // that was never masked at all.
+        live.rt
+            .set_policy(&mut live.k, live.id, MaskPolicy::none())
+            .expect("swap back");
+        assert_eq!(
+            live.snapshot(),
+            born_open.snapshot(),
+            "swap-back reads differ from the never-masked twin \
+             (seed {seed})"
+        );
     }
 }
 
@@ -143,8 +139,11 @@ fn counter(name: &str) -> u64 {
 fn swap_bumps_affected_epochs_and_is_counted() {
     // Counters only accumulate with a sink installed; the other test in
     // this binary never reads counters, so installing here is safe.
+    let _serial = SWAPS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     simtrace::install(std::sync::Arc::new(simtrace::MemorySink::new()));
-    let mut cell = Cell::new(11, true, MaskPolicy::none());
+    let mut cell = Cell::new(11, MaskPolicy::none());
     cell.k.advance_secs(10);
     let _ = cell.snapshot();
 

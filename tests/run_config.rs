@@ -1,7 +1,6 @@
 //! The run configuration must actually reach every kernel and cloud an
-//! experiment builds — otherwise the CLI's mode gates (coalescing,
-//! render caching and sharding byte-compares) could pass by comparing a
-//! run against itself.
+//! experiment builds — otherwise the CLI's mode gates (coalescing and
+//! sharding byte-compares) could pass by comparing a run against itself.
 
 use containerleaks::cloudsim::{Cloud, CloudConfig, CloudProfile, HostId};
 use containerleaks::experiments::{run_entries_with, ExperimentFn, ExperimentResult};
@@ -18,11 +17,9 @@ fn observe_modes(seed: u64, _: u64) -> ExperimentResult {
         id: "modes".into(),
         title: "modes".into(),
         rendered: format!(
-            "kernel coalesce={} render_cache={}; cloud coalesce={} render_cache={} shards={}",
+            "kernel coalesce={}; cloud coalesce={} shards={}",
             k.coalescing(),
-            k.render_caching(),
             host.coalescing(),
-            host.render_caching(),
             shards,
         ),
         comparisons: vec![],
@@ -41,7 +38,6 @@ const ENTRIES: &[(&str, ExperimentFn)] = &[
 fn entered_config_reaches_every_worker() {
     let run = RunConfig {
         coalesce: false,
-        render_cache: false,
         shards: 8,
     };
     for jobs in [1, 4] {
@@ -52,9 +48,7 @@ fn entered_config_reaches_every_worker() {
         assert_eq!(results.len(), ENTRIES.len());
         for r in &results {
             assert_eq!(
-                r.rendered,
-                "kernel coalesce=false render_cache=false; \
-                 cloud coalesce=false render_cache=false shards=8",
+                r.rendered, "kernel coalesce=false; cloud coalesce=false shards=8",
                 "jobs {jobs}"
             );
         }
@@ -74,38 +68,31 @@ fn a_thread_with_nothing_entered_gets_the_compiled_defaults() {
     // Auto sharding: rack-aligned shards of ~128 hosts, so 16 hosts make one.
     assert_eq!(
         r.rendered,
-        "kernel coalesce=true render_cache=true; cloud coalesce=true render_cache=true shards=1"
+        "kernel coalesce=true; cloud coalesce=true shards=1"
     );
 }
 
 #[test]
 fn a_cloud_keeps_the_config_its_cloudconfig_captured_across_reboots() {
-    for (coalesce, render_cache) in [(false, true), (true, false), (false, false)] {
-        let cfg = {
-            let _run = RunConfig {
-                coalesce,
-                render_cache,
-                shards: 2,
-            }
-            .enter();
-            CloudConfig::new(CloudProfile::CC1).hosts(4)
-        };
-        // The guard is gone: the cloud and every reboot below run with
-        // the compiled defaults current, so any kernel built from
-        // `RunConfig::current()` instead of the captured config would
-        // come up coalescing and caching.
-        assert_eq!(RunConfig::current(), RunConfig::DEFAULT);
-        let mut cloud = Cloud::new(cfg, 5);
-        assert_eq!(cloud.shard_count(), 2);
-        cloud.advance_secs(3);
-        cloud.reboot_host(HostId(1));
-        for id in [HostId(0), HostId(1)] {
-            let k = cloud.host(id).expect("4 hosts").kernel();
-            assert_eq!(
-                (k.coalescing(), k.render_caching()),
-                (coalesce, render_cache),
-                "{id:?} lost the cloud's modes"
-            );
+    let cfg = {
+        let _run = RunConfig {
+            coalesce: false,
+            shards: 2,
         }
+        .enter();
+        CloudConfig::new(CloudProfile::CC1).hosts(4)
+    };
+    // The guard is gone: the cloud and every reboot below run with the
+    // compiled defaults current, so any kernel built from
+    // `RunConfig::current()` instead of the captured config would come
+    // up coalescing.
+    assert_eq!(RunConfig::current(), RunConfig::DEFAULT);
+    let mut cloud = Cloud::new(cfg, 5);
+    assert_eq!(cloud.shard_count(), 2);
+    cloud.advance_secs(3);
+    cloud.reboot_host(HostId(1));
+    for id in [HostId(0), HostId(1)] {
+        let k = cloud.host(id).expect("4 hosts").kernel();
+        assert!(!k.coalescing(), "{id:?} lost the cloud's modes");
     }
 }
