@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: build, tests (the standalone end-to-end benchmark
 # package's included), lints, formatting, the determinism mode matrix
-# (--jobs 1 vs --jobs 4, event-horizon coalescing on vs off, and
-# shards 1 vs 8 must all produce byte-identical report, JSON and trace
-# artifacts), the 16-seed campaign
-# metamorphic-oracle sweep, and the bench medians gate.
+# (--jobs 1 vs --jobs 4 and event-horizon coalescing on vs off must
+# produce byte-identical report, JSON and trace artifacts), the 16-seed
+# campaign metamorphic-oracle sweep, and the bench medians gate.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -68,9 +67,9 @@ echo "== determinism: the mode matrix =="
 # JSON byte for byte, and its trace byte for byte once both drop the
 # exempt lines:
 #   mode-exempt  lines tagged `"group":"mode-exempt"`: the quiescent tick
-#                shape (coalescing) and the calendar-pop/sync bookkeeping
-#                (shard membership). Every other line, the per-channel
-#                read counters included, must match.
+#                shape and the fleet calendar's pop/sync bookkeeping,
+#                which depend on the stepping mode. Every other line,
+#                the per-channel read counters included, must match.
 # A filtered row must also show that its filter removed a line, or it
 # would exempt nothing and could pass by accident. Every campaign
 # scenario must pass every oracle (the bin exits non-zero otherwise).
@@ -108,13 +107,9 @@ done <<'ROWS'
 j1     -      -            all           --jobs 1
 j4     j1     -            all           --jobs 4
 c0     j1     mode-exempt  all           --jobs 4 --coalesce off
-s1     j1     mode-exempt  all           --jobs 4 --shards 1
-s8     s1     mode-exempt  all           --jobs 4 --shards 8
 f1     -      -            fault_matrix  --jobs 1
 f4     f1     -            fault_matrix  --jobs 4
 fc0    f1     mode-exempt  fault_matrix  --jobs 4 --coalesce off
-fs1    f1     mode-exempt  fault_matrix  --jobs 4 --shards 1
-fs8    fs1    mode-exempt  fault_matrix  --jobs 4 --shards 8
 camp1  -      -            campaign      --seeds 16 --jobs 1
 camp4  camp1  -            campaign      --seeds 16 --jobs 4
 ROWS

@@ -10,8 +10,9 @@
 //! * `table3_unixbench`  — the full UnixBench overhead replay
 //! * `fig2_tick`         — one simulated second of an 8-host fleet
 //! * `fleet_10k_week`    — a simulated week across 10,000 hosts on the
-//!   sharded lazy calendar (`_unsharded` is the one-shard eager
-//!   baseline the benchgate holds it ≥5x ahead of)
+//!   lazy calendar (`fleet_10k_week_unsharded`, a name kept for the
+//!   committed baseline, is the eager reference the benchgate holds it
+//!   ≥5x ahead of)
 //! * `fleet_calendar_pop` — the calendar pop/sync/re-push cycle with
 //!   every host due each advance
 //! * `fig3_attack_step`  — one attack-campaign control step (RAPL sample)
@@ -37,7 +38,7 @@ use containerleaks::powerns::nsfs::{DefendedHost, PowerNamespace};
 use containerleaks::powerns::{run_table3, Trainer};
 use containerleaks::powersim::RaplMonitor;
 use containerleaks::simkernel::cgroup::PerfCounters;
-use containerleaks::simkernel::{Kernel, MachineConfig, RunConfig};
+use containerleaks::simkernel::{Kernel, MachineConfig};
 use containerleaks::workloads::models;
 
 fn bench_table1_scan(c: &mut Criterion) {
@@ -78,23 +79,9 @@ fn bench_fig2_tick(c: &mut Criterion) {
 }
 
 fn bench_fleet_advance_serial(c: &mut Criterion) {
-    // 8 independent hosts, 60 sim-seconds, forced onto one thread: the
-    // pre-parallel baseline for `Cloud::advance_secs`.
+    // 8 busy hosts, 60 sim-seconds per `Cloud::advance_secs`.
     let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(8), 2);
     c.bench_function("fleet_advance_serial", |b| {
-        b.iter(|| {
-            cloud.advance_secs_threads(60, 1);
-            black_box(cloud.rack_power_w(0))
-        })
-    });
-}
-
-fn bench_fleet_advance_parallel(c: &mut Criterion) {
-    // Same fleet and workload, stepped across all available cores. The
-    // two variants are bitwise deterministic (each kernel owns its RNG),
-    // so the ratio against `fleet_advance_serial` is pure speedup.
-    let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(8), 2);
-    c.bench_function("fleet_advance_parallel", |b| {
         b.iter(|| {
             cloud.advance_secs(60);
             black_box(cloud.rack_power_w(0))
@@ -155,37 +142,16 @@ fn bench_fig2_week_segment_coalesced(c: &mut Criterion) {
     });
 }
 
-fn bench_fleet_advance_pool(c: &mut Criterion) {
-    // Same fleet as `fleet_advance_serial`, explicitly fanned across
-    // four lanes of the persistent pool regardless of the machine's
-    // core count. On a multi-core host this is the speedup; on a
-    // single-core host it prices the pool's dispatch overhead, which
-    // the compare gate keeps from regressing.
-    let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(8), 2);
-    c.bench_function("fleet_advance_pool", |b| {
-        b.iter(|| {
-            cloud.advance_secs_threads(60, 4);
-            black_box(cloud.rack_power_w(0))
-        })
-    });
-}
-
 /// Shared fleet for the datacenter-scale calendar benches: 10,000
 /// hosts, no background churn, and a 32-instance active subset placed
 /// by the capacity index. The week is stepped at a one-hour control
 /// cadence — the shape `advance_secs` sees from an orchestrator that
 /// wakes up periodically over an almost entirely quiescent fleet.
-fn fleet_10k(unsharded_eager: bool) -> Cloud {
-    // One shard for the eager reference; auto sharding otherwise.
-    let _run = RunConfig {
-        shards: usize::from(unsharded_eager),
-        ..RunConfig::DEFAULT
-    }
-    .enter();
+fn fleet_10k(eager: bool) -> Cloud {
     let mut cfg = CloudConfig::new(CloudProfile::CC2)
         .hosts(10_000)
         .without_background();
-    if unsharded_eager {
+    if eager {
         cfg = cfg.eager_advance();
     }
     let mut cloud = Cloud::new(cfg, 9);
@@ -202,7 +168,7 @@ fn fleet_10k(unsharded_eager: bool) -> Cloud {
 fn bench_fleet_10k_week(c: &mut Criterion) {
     // The headline calendar number: a simulated week across 10,000
     // hosts. Each of the 168 hourly advances pops only the due hosts
-    // from the shard calendars; the quiescent thousands are never
+    // from the calendar; the quiescent thousands are never
     // touched until the closing power observation syncs host 0.
     let mut cloud = fleet_10k(false);
     c.bench_function("fleet_10k_week", |b| {
@@ -215,9 +181,9 @@ fn bench_fleet_10k_week(c: &mut Criterion) {
     });
 }
 
-fn bench_fleet_10k_week_unsharded(c: &mut Criterion) {
-    // Same fleet and cadence with the calendar disabled: one shard,
-    // eager advance, so every hourly step walks all 10,000 hosts. The
+fn bench_fleet_10k_week_eager(c: &mut Criterion) {
+    // Same fleet and cadence with the calendar disabled: eager
+    // advance, so every hourly step walks all 10,000 hosts. The
     // compare gate demands `fleet_10k_week` beat this by at least 5x.
     let mut cloud = fleet_10k(true);
     c.bench_function("fleet_10k_week_unsharded", |b| {
@@ -466,12 +432,10 @@ criterion_group!(
         bench_table3_unixbench,
         bench_fig2_tick,
         bench_fleet_advance_serial,
-        bench_fleet_advance_parallel,
         bench_fig2_week_segment,
         bench_fig2_week_segment_coalesced,
-        bench_fleet_advance_pool,
         bench_fleet_10k_week,
-        bench_fleet_10k_week_unsharded,
+        bench_fleet_10k_week_eager,
         bench_fleet_calendar_pop,
         bench_fig3_attack_step,
         bench_fig4_staircase,

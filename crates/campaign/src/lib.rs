@@ -5,7 +5,7 @@
 //! namespaces and cgroups created and destroyed at high rate, faults
 //! firing mid-lifecycle. This crate derives a *whole scenario* — fleet
 //! size, tenant mix, diurnal load, container churn rate, fault plan,
-//! masking-policy matrix, coalescing/jobs/shard mode — from a single
+//! masking-policy matrix, coalescing mode, detector — from a single
 //! `u64` seed, sweeps hundreds of them across the persistent worker
 //! pool with per-scenario panic isolation, and checks **metamorphic
 //! oracles** rather than golden outputs:
@@ -14,7 +14,8 @@
 //!    increases a channel's observable entropy (denied channels drop to
 //!    zero, identically-masked channels stay byte-identical).
 //! 2. **Mode invariance** — a scenario transcript digest is
-//!    byte-identical across `--jobs` and coalescing modes.
+//!    byte-identical with coalescing on and off, and on the lazy fleet
+//!    calendar and the eager reference path.
 //! 3. **Power monotonicity** — the synergistic power attack's peak
 //!    aggregate power is monotone in the co-resident attacker count.
 //! 4. **Churn soundness** — under high-rate create/destroy churn, reads

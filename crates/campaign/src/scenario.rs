@@ -35,12 +35,12 @@ pub struct Scenario {
     pub attackers: usize,
     /// Event-horizon tick coalescing for this scenario's kernels.
     pub coalesce: bool,
-    /// Worker threads for this scenario's fleet stepping (1..=4).
+    /// A drawn worker count (1..=4) that no oracle reads: fleets step
+    /// on one thread. It stays a field because the end-to-end benchmark
+    /// sets it when it builds scenarios.
     pub jobs: usize,
     /// Diurnal background demand level (0.10..0.45).
     pub demand: f64,
-    /// Fleet shard count for the event calendar (1..=4).
-    pub shards: usize,
     /// Whether the online leak detector (and its live masking-policy
     /// enforcement) is attached to this scenario's clouds (~25%).
     pub detector: bool,
@@ -65,10 +65,11 @@ impl Scenario {
         let _ = rng.random_range(0..2u32);
         let jobs = rng.random_range(1..5usize);
         let demand = 0.10 + 0.35 * rng.random::<f64>();
-        // Appended after the PR-4-era dimensions so every seed keeps
-        // deriving the same values for them.
-        let shards = rng.random_range(1..5usize);
-        // Appended after the shard dimension for the same reason.
+        // The retired fleet shard count, appended after the dimensions
+        // above. Nothing reads it, but the draw stays so every seed keeps
+        // mapping to the same scenario.
+        let _ = rng.random_range(1..5usize);
+        // Appended after that draw for the same reason.
         let detector = rng.random_range(0..4u32) == 0;
         Scenario {
             seed,
@@ -82,7 +83,6 @@ impl Scenario {
             coalesce,
             jobs,
             demand,
-            shards,
             detector,
         }
     }
@@ -129,7 +129,7 @@ impl Scenario {
     /// One-line summary of the derived dimensions (report tables).
     pub fn summary(&self) -> String {
         format!(
-            "{}h/{}t churn={} steps={} {} {} {}/j{} d={:.2} s{}{}",
+            "{}h/{}t churn={} steps={} {} {} {} d={:.2}{}",
             self.hosts,
             self.tenants,
             self.churn_cycles,
@@ -137,9 +137,7 @@ impl Scenario {
             self.profile.slug(),
             if self.faults { "faulted" } else { "clean" },
             if self.coalesce { "co" } else { "tick" },
-            self.jobs,
             self.demand,
-            self.shards,
             if self.detector { " det" } else { "" },
         )
     }
@@ -211,7 +209,6 @@ mod tests {
             assert!((1..=2).contains(&s.attackers));
             assert!((1..=4).contains(&s.jobs));
             assert!((0.10..0.45).contains(&s.demand));
-            assert!((1..=4).contains(&s.shards));
             with_detector += usize::from(s.detector);
         }
         // ~25% of scenarios run with the online detector attached; both

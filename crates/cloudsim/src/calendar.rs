@@ -1,15 +1,14 @@
-//! Fleet shards: the unit of parallel stepping and of the global event
-//! calendar.
+//! The fleet's event calendar: the lazy host-stepping core of
+//! [`crate::Cloud`].
 //!
-//! A [`Shard`] owns a contiguous run of hosts (whole racks, in the
-//! default auto-sharding) and keeps, per host, a *struct-of-arrays*
-//! mirror of the scheduling-relevant kernel state: how far the host has
-//! been synced (`synced_ns`), its next-event horizon (`horizon_ns`), a
-//! runnable flag, and the kernel's epoch sum at the last refresh (the
-//! dirty check that lets a sync-on-access skip untouched hosts). The
-//! `Host` bodies themselves are boxed behind these arrays, so the
-//! advance hot loop walks cache-linear `u64` lanes and only dereferences
-//! a host when it is actually due.
+//! A [`Calendar`] owns every host of the fleet and keeps, per host, a
+//! *struct-of-arrays* mirror of the scheduling-relevant kernel state: how
+//! far the host has been synced (`synced_ns`), its next-event horizon
+//! (`horizon_ns`), a runnable flag, and the kernel's epoch sum at the last
+//! refresh (the dirty check that lets a sync-on-access skip untouched
+//! hosts). The `Host` bodies themselves are boxed behind these arrays, so
+//! the advance hot loop walks cache-linear `u64` lanes and only
+//! dereferences a host when it is actually due.
 //!
 //! The calendar is a lazy binary min-heap of `(horizon, slot)` pairs.
 //! Entries are never removed in place: a refresh that moves a host's
@@ -19,22 +18,23 @@
 //! entry `(horizon_ns[slot], slot)` sits in the heap — pushes happen
 //! when the stored horizon changes, and a pop of a live entry either
 //! syncs the host to a strictly later horizon or restores the entry
-//! after the pop loop (see `advance_to`).
+//! after the pop loop (see `advance_to`). A slot is the host's index in
+//! the fleet.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::Host;
 
-/// One shard of the fleet: boxed host bodies behind parallel
-/// struct-of-arrays scheduling state, plus the shard's event calendar.
+/// The fleet: boxed host bodies behind parallel struct-of-arrays
+/// scheduling state, plus the event calendar over them.
 //
 // `Vec<Box<Host>>` is deliberate: a `Host` embeds a whole kernel, so
 // boxing keeps 10k-host construction off the stack and host addresses
 // stable while the SoA lanes stay dense.
 #[allow(clippy::vec_box)]
 #[derive(Debug)]
-pub(crate) struct Shard {
+pub(crate) struct Calendar {
     /// Eager mode: step every host every advance (the historical naive
     /// path, kept as the reference baseline; skips all calendar work).
     pub(crate) eager: bool,
@@ -50,33 +50,28 @@ pub(crate) struct Shard {
     /// Kernel epoch sum at the last refresh (sync-on-access dirty flag).
     pub(crate) epoch_sum: Vec<u64>,
     /// Lazy min-heap over `(horizon_ns, slot)`.
-    calendar: BinaryHeap<Reverse<(u64, u32)>>,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
-impl Shard {
-    /// Wraps `hosts` (already booted, at fleet instant 0) into a shard
-    /// and seeds the calendar from their current horizons.
+impl Calendar {
+    /// Wraps `hosts` (already booted, at fleet instant 0) into a calendar
+    /// seeded from their current horizons.
     #[allow(clippy::vec_box)]
     pub(crate) fn new(hosts: Vec<Box<Host>>, eager: bool) -> Self {
         let n = hosts.len();
-        let mut shard = Shard {
+        let mut cal = Calendar {
             eager,
             hosts,
             synced_ns: vec![0; n],
             horizon_ns: vec![u64::MAX; n],
             runnable: vec![false; n],
             epoch_sum: vec![0; n],
-            calendar: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
         };
         for slot in 0..n {
-            shard.refresh(slot, 0);
+            cal.refresh(slot, 0);
         }
-        shard
-    }
-
-    /// Hosts in this shard.
-    pub(crate) fn len(&self) -> usize {
-        self.hosts.len()
+        cal
     }
 
     /// Recomputes the SoA mirror for `slot` from its kernel at fleet
@@ -100,7 +95,7 @@ impl Shard {
         if horizon != self.horizon_ns[slot] {
             self.horizon_ns[slot] = horizon;
             if !self.eager && horizon != u64::MAX {
-                self.calendar.push(Reverse((horizon, slot as u32)));
+                self.heap.push(Reverse((horizon, slot as u32)));
             }
         }
     }
@@ -124,10 +119,10 @@ impl Shard {
         lag > 0
     }
 
-    /// Advances the shard to fleet instant `target_ns`: pops every due
-    /// calendar entry (horizon ≤ target) and syncs those hosts; all
-    /// other hosts stay lagged, their closed-form evolution deferred to
-    /// their next access or due event. Eager shards sync every host.
+    /// Advances the fleet to instant `target_ns`: pops every due calendar
+    /// entry (horizon ≤ target) and syncs those hosts; all other hosts
+    /// stay lagged, their closed-form evolution deferred to their next
+    /// access or due event. An eager calendar syncs every host.
     pub(crate) fn advance_to(&mut self, target_ns: u64) {
         let mut pops = 0u64;
         let mut advanced = 0u64;
@@ -144,11 +139,11 @@ impl Shard {
             // Restored only after the loop exits, or popping them again
             // here would spin forever re-consuming the same entry.
             let mut restore: Vec<(u64, u32)> = Vec::new();
-            while let Some(&Reverse((horizon, slot))) = self.calendar.peek() {
+            while let Some(&Reverse((horizon, slot))) = self.heap.peek() {
                 if horizon > target_ns {
                     break;
                 }
-                self.calendar.pop();
+                self.heap.pop();
                 let slot = slot as usize;
                 if self.horizon_ns[slot] != horizon {
                     // Stale: the host's horizon moved since this entry
@@ -173,7 +168,7 @@ impl Shard {
                 // does, and that path records its own restore), but guard
                 // against double entries all the same.
                 if self.horizon_ns[slot as usize] == horizon {
-                    self.calendar.push(Reverse((horizon, slot)));
+                    self.heap.push(Reverse((horizon, slot)));
                 }
             }
         }
@@ -187,10 +182,5 @@ impl Shard {
                 simtrace::counters::add_exempt("cloud.hosts_advanced", advanced);
             }
         }
-    }
-
-    /// Live calendar entries (stale ones included; growth-bound tests).
-    pub(crate) fn calendar_len(&self) -> usize {
-        self.calendar.len()
     }
 }

@@ -7,12 +7,9 @@
 //! the utilization-metered billing models that make continuous power
 //! attacks expensive (§IV-B).
 //!
-//! # Fleet scale: shards, the event calendar, and lazy hosts
+//! # Fleet scale: the event calendar and lazy hosts
 //!
-//! The fleet is split into shards (whole racks by default; an explicit
-//! count via the [`simkernel::RunConfig`] current when the
-//! [`CloudConfig`] is made, which also fixes every host kernel's modes).
-//! Each shard keeps a min-calendar of its hosts' next observable events —
+//! The fleet keeps one min-calendar of its hosts' next observable events —
 //! fault-plan edges, reboots, timer fires, or "now" for hosts with
 //! runnable work — so [`Cloud::advance_secs`] pops only the hosts that
 //! are actually due and leaves everything quiescent *lagged*: its kernel
@@ -22,9 +19,8 @@
 //! quiescent host can only wake via an external call or a calendared
 //! event, the lazy fleet is byte-identical to stepping every host every
 //! call — the mode [`CloudConfig::eager_advance`] preserves as the
-//! reference baseline. Shards advance in parallel via shard-affine work
-//! stealing; per-host state never crosses a shard, so results are
-//! byte-identical across worker counts and shard counts alike.
+//! reference baseline. Every host kernel is built under the
+//! [`simkernel::RunConfig`] current when the [`CloudConfig`] is made.
 //!
 //! # Example
 //!
@@ -42,9 +38,9 @@
 //! ```
 
 pub mod billing;
+mod calendar;
 pub mod placement;
 pub mod profile;
-mod shard;
 
 pub use billing::{BillingModel, TenantBill, TenantId};
 pub use detector::{Detector, DetectorConfig, MaskLevel, PolicyUpdate, Verdict};
@@ -64,8 +60,8 @@ use simkernel::{HostPid, Kernel, MachineConfig, RunConfig, NANOS_PER_SEC};
 use simtrace::ReadTap as _;
 use workloads::WorkloadSpec;
 
+use calendar::Calendar;
 use placement::CapacityIndex;
-use shard::Shard;
 
 /// Identifies a physical host in the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -145,7 +141,7 @@ pub struct CloudConfig {
     billing: BillingModel,
     background_per_host: bool,
     /// Execution modes every host kernel is built under, rebooted ones
-    /// included, and the fleet's shard count.
+    /// included.
     run: RunConfig,
     eager_advance: bool,
     detector: Option<DetectorConfig>,
@@ -154,8 +150,7 @@ pub struct CloudConfig {
 impl CloudConfig {
     /// A config for the given provider profile with paper-scale defaults:
     /// 8 cloud servers per rack, spread placement, utilization billing,
-    /// no detector, and the execution modes and sharding of the current
-    /// [`RunConfig`].
+    /// no detector, and the execution modes of the current [`RunConfig`].
     pub fn new(profile: CloudProfile) -> Self {
         CloudConfig {
             profile,
@@ -355,12 +350,11 @@ impl TenantTable {
     }
 }
 
-/// The cloud: sharded fleet + scheduler + billing.
+/// The cloud: fleet calendar + scheduler + billing.
 #[derive(Debug)]
 pub struct Cloud {
     cfg: CloudConfig,
-    shards: Vec<Shard>,
-    shard_span: usize,
+    calendar: Calendar,
     nhosts: usize,
     nracks: u32,
     cpus: u16,
@@ -378,22 +372,8 @@ pub struct Cloud {
     /// The provider-side online detector, when configured. Fed from the
     /// driver thread only (tenant reads in program order, evaluation at
     /// advance boundaries), so its state is byte-deterministic across
-    /// `--jobs` and `--shards`.
+    /// `--jobs` and coalescing.
     detector: Option<Detector>,
-}
-
-/// Hosts per shard for a fleet: explicit shard counts split the fleet
-/// evenly (ragged tail allowed); auto aims for whole-rack shards of ~128
-/// hosts.
-fn shard_span(shards: usize, hosts: usize, hosts_per_rack: usize) -> usize {
-    let hosts = hosts.max(1);
-    if shards > 0 {
-        hosts.div_ceil(shards)
-    } else {
-        let hpr = hosts_per_rack.max(1);
-        let racks_per_shard = 128usize.max(hpr).div_ceil(hpr);
-        (racks_per_shard * hpr).min(hosts)
-    }
 }
 
 /// A fresh runtime on a freshly booted host kernel. With `background`,
@@ -464,24 +444,12 @@ impl Cloud {
         let nhosts = cfg.hosts;
         let nracks = hosts.last().map(|h| h.rack + 1).unwrap_or(0);
         let cpus = cfg.machine.cpus;
-        let span = shard_span(cfg.run.shards, cfg.hosts, cfg.hosts_per_rack);
-        let mut shards = Vec::with_capacity(nhosts.div_ceil(span));
-        let mut pending: Vec<Box<Host>> = Vec::with_capacity(span);
-        for h in hosts {
-            pending.push(h);
-            if pending.len() == span {
-                shards.push(Shard::new(std::mem::take(&mut pending), cfg.eager_advance));
-            }
-        }
-        if !pending.is_empty() {
-            shards.push(Shard::new(pending, cfg.eager_advance));
-        }
-        let capacity = CapacityIndex::new(nhosts, span, cpus);
+        let calendar = Calendar::new(hosts, cfg.eager_advance);
+        let capacity = CapacityIndex::new(nhosts, cpus);
         let det = cfg.detector.clone().map(Detector::new);
         Cloud {
             cfg,
-            shards,
-            shard_span: span,
+            calendar,
             nhosts,
             nracks,
             cpus,
@@ -502,14 +470,9 @@ impl Cloud {
         self.cfg.profile
     }
 
-    fn locate(&self, idx: usize) -> (usize, usize) {
-        (idx / self.shard_span, idx % self.shard_span)
-    }
-
     /// Brings one host to the current fleet instant (no-op when current).
     fn sync_host(&mut self, idx: usize) {
-        let (s, slot) = self.locate(idx);
-        if self.shards[s].sync_to(slot, self.fleet_ns) {
+        if self.calendar.sync_to(idx, self.fleet_ns) {
             // Mode-exempt: how often the lazy path fast-forwards depends
             // on the access pattern, not on any simulated result.
             simtrace::counters::add_exempt("cloud.host_syncs", 1);
@@ -517,8 +480,16 @@ impl Cloud {
     }
 
     fn host_ref(&self, idx: usize) -> &Host {
-        let (s, slot) = self.locate(idx);
-        &self.shards[s].hosts[slot]
+        &self.calendar.hosts[idx]
+    }
+
+    /// Syncs host `idx`, applies `f` to it, and refreshes its calendar
+    /// entry: the path every per-host mutation takes.
+    fn with_host<R>(&mut self, idx: usize, f: impl FnOnce(&mut Host) -> R) -> R {
+        self.sync_host(idx);
+        let out = f(&mut self.calendar.hosts[idx]);
+        self.calendar.refresh(idx, self.fleet_ns);
+        out
     }
 
     /// Brings every host to the current fleet instant, flushing all
@@ -527,11 +498,9 @@ impl Cloud {
     pub fn sync_all(&mut self) {
         let target = self.fleet_ns;
         let mut synced = 0u64;
-        for shard in &mut self.shards {
-            for slot in 0..shard.len() {
-                if shard.sync_to(slot, target) {
-                    synced += 1;
-                }
+        for idx in 0..self.nhosts {
+            if self.calendar.sync_to(idx, target) {
+                synced += 1;
             }
         }
         if synced > 0 {
@@ -542,25 +511,12 @@ impl Cloud {
     /// The fleet, synced to the current instant, in host-id order.
     pub fn hosts(&mut self) -> impl Iterator<Item = &Host> {
         self.sync_all();
-        self.shards
-            .iter()
-            .flat_map(|s| s.hosts.iter().map(|h| &**h))
+        self.calendar.hosts.iter().map(|h| &**h)
     }
 
     /// Fleet size.
     pub fn host_count(&self) -> usize {
         self.nhosts
-    }
-
-    /// Number of shards the fleet advances in.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Total calendar entries across shards, stale ones included
-    /// (diagnostics for growth-bound tests; eager fleets report 0).
-    pub fn calendar_entries(&self) -> usize {
-        self.shards.iter().map(|s| s.calendar_len()).sum()
     }
 
     /// A host by id, synced to the current instant.
@@ -597,16 +553,6 @@ impl Cloud {
             .choose(self.cfg.placement, per_host, &mut self.rng)
             .ok_or(CloudError::CapacityExhausted)?;
         let tid = self.tenants.intern(tenant);
-        self.sync_host(host_idx);
-        let (s, slot) = self.locate(host_idx);
-        let now = self.fleet_ns;
-        let shard = &mut self.shards[s];
-        let host = &mut shard.hosts[slot];
-        let ncpus = host.kernel.config().cpus;
-        // Allot a deterministic contiguous cpuset.
-        let base = (host.instances as u16 * spec.vcpus) % ncpus;
-        let cpus: Vec<u16> = (0..spec.vcpus).map(|i| (base + i) % ncpus).collect();
-        let mem_limit = host.kernel.config().mem_bytes / 8;
         // Masking follows the tenant, not the container: a flagged tenant
         // relaunching does not shed its detector mask.
         let mut policy = self.cfg.profile.mask_policy();
@@ -618,21 +564,20 @@ impl Cloud {
             policy = detector::composed_policy(&policy, deny);
             simtrace::counters::add("detector.policies_applied", 1);
         }
-        let cspec = ContainerSpec::new(&spec.name)
-            .cpus(cpus)
-            .mem_limit(mem_limit)
-            .policy(policy);
-        let container = match host.runtime.create(&mut host.kernel, cspec) {
-            Ok(c) => c,
-            Err(e) => {
-                shard.refresh(slot, now);
-                return Err(e.into());
-            }
-        };
-        host.instances += 1;
-        let count = host.instances as u32;
-        let launched_at_ns = host.kernel.clock().since_boot_ns();
-        shard.refresh(slot, now);
+        let (container, count, launched_at_ns) = self.with_host(host_idx, |host| {
+            let ncpus = host.kernel.config().cpus;
+            // Allot a deterministic contiguous cpuset.
+            let base = (host.instances as u16 * spec.vcpus) % ncpus;
+            let cpus: Vec<u16> = (0..spec.vcpus).map(|i| (base + i) % ncpus).collect();
+            let cspec = ContainerSpec::new(&spec.name)
+                .cpus(cpus)
+                .mem_limit(host.kernel.config().mem_bytes / 8)
+                .policy(policy);
+            let container = host.runtime.create(&mut host.kernel, cspec)?;
+            host.instances += 1;
+            let launched_at_ns = host.kernel.clock().since_boot_ns();
+            Ok::<_, RuntimeError>((container, host.instances as u32, launched_at_ns))
+        })?;
         self.capacity.set(host_idx, count);
         let id = InstanceId(self.next_instance);
         self.next_instance += 1;
@@ -687,16 +632,10 @@ impl Cloud {
             .instances
             .get(&id)
             .ok_or(CloudError::NoSuchInstance(id))?;
-        let idx = inst.host.0 as usize;
-        self.sync_host(idx);
-        let (s, slot) = self.locate(idx);
-        let now = self.fleet_ns;
-        let shard = &mut self.shards[s];
-        let host = &mut shard.hosts[slot];
-        let res = host
-            .runtime
-            .exec(&mut host.kernel, inst.container, name, workload);
-        shard.refresh(slot, now);
+        let res = self.with_host(inst.host.0 as usize, |host| {
+            host.runtime
+                .exec(&mut host.kernel, inst.container, name, workload)
+        });
         Ok(res?)
     }
 
@@ -753,16 +692,10 @@ impl Cloud {
             .instances
             .get(&id)
             .ok_or(CloudError::NoSuchInstance(id))?;
-        let idx = inst.host.0 as usize;
-        self.sync_host(idx);
-        let (s, slot) = self.locate(idx);
-        let now = self.fleet_ns;
-        let shard = &mut self.shards[s];
-        let host = &mut shard.hosts[slot];
-        let res = host
-            .runtime
-            .implant_timer(&mut host.kernel, inst.container, comm, NANOS_PER_SEC);
-        shard.refresh(slot, now);
+        let res = self.with_host(inst.host.0 as usize, |host| {
+            host.runtime
+                .implant_timer(&mut host.kernel, inst.container, comm, NANOS_PER_SEC)
+        });
         Ok(res?)
     }
 
@@ -783,17 +716,10 @@ impl Cloud {
             .instances
             .get(&id)
             .ok_or(CloudError::NoSuchInstance(id))?;
-        let idx = inst.host.0 as usize;
-        self.sync_host(idx);
-        let (s, slot) = self.locate(idx);
-        let now = self.fleet_ns;
-        let shard = &mut self.shards[s];
-        let res = shard.hosts[slot]
-            .kernel
-            .set_workload(pid, workload)
-            .map_err(|e| CloudError::Runtime(RuntimeError::Kernel(e)));
-        shard.refresh(slot, now);
-        res
+        self.with_host(inst.host.0 as usize, |host| {
+            host.kernel.set_workload(pid, workload)
+        })
+        .map_err(|e| CloudError::Runtime(RuntimeError::Kernel(e)))
     }
 
     /// Terminates an instance and closes its billing record.
@@ -807,17 +733,13 @@ impl Cloud {
             .remove(&id)
             .ok_or(CloudError::NoSuchInstance(id))?;
         let idx = inst.host.0 as usize;
-        self.sync_host(idx);
-        let (s, slot) = self.locate(idx);
-        let now = self.fleet_ns;
-        let shard = &mut self.shards[s];
-        let host = &mut shard.hosts[slot];
-        let removed = host.runtime.remove(&mut host.kernel, inst.container);
-        if removed.is_ok() {
-            host.instances = host.instances.saturating_sub(1);
-        }
-        let count = host.instances as u32;
-        shard.refresh(slot, now);
+        let (removed, count) = self.with_host(idx, |host| {
+            let removed = host.runtime.remove(&mut host.kernel, inst.container);
+            if removed.is_ok() {
+                host.instances = host.instances.saturating_sub(1);
+            }
+            (removed, host.instances as u32)
+        });
         removed?;
         self.capacity.set(idx, count);
         self.billing.close(id);
@@ -846,25 +768,12 @@ impl Cloud {
     }
 
     /// Advances the whole fleet by `secs`, metering utilization billing.
-    /// Shards advance concurrently (shard-affine work stealing on the
-    /// persistent worker pool); within a shard only calendar-due hosts
-    /// are touched, the rest stay lagged. Each kernel owns its RNG and
-    /// hosts never migrate between shards mid-call, so the result is
-    /// bitwise identical to the serial, eager order.
+    /// Only calendar-due hosts are touched; the rest stay lagged, and
+    /// the result is bitwise identical to the eager order.
     pub fn advance_secs(&mut self, secs: u64) {
-        self.advance_secs_threads(secs, simkernel::parallel::default_threads());
-    }
-
-    /// [`Cloud::advance_secs`] with an explicit worker count; `threads = 1`
-    /// runs the historical serial loop.
-    pub fn advance_secs_threads(&mut self, secs: u64, threads: usize) {
         if secs > 0 {
             let target = self.fleet_ns + secs * NANOS_PER_SEC;
-            simkernel::parallel::par_for_each_mut_threads(
-                &mut self.shards,
-                threads,
-                move |shard: &mut Shard| shard.advance_to(target),
-            );
+            self.calendar.advance_to(target);
             self.fleet_ns = target;
         }
         // Meter: charge each open instance its cpu-time delta. Hosts left
@@ -891,7 +800,7 @@ impl Cloud {
     /// emitted masking-policy updates to every live container of each
     /// flagged tenant, in tenant-id then instance-id order. Runs on the
     /// driver thread after billing, so verdicts and the apply sequence
-    /// are byte-identical across `--jobs` and `--shards`.
+    /// are byte-identical across `--jobs` and coalescing.
     fn apply_detector_updates(&mut self) {
         let (updates, verdicts) = match self.detector.as_mut() {
             Some(det) => {
@@ -916,15 +825,11 @@ impl Cloud {
                 .collect();
             let mut flag_pending = true;
             for (iid, idx, cid) in targets {
-                self.sync_host(idx);
-                let (s, slot) = self.locate(idx);
-                let now = self.fleet_ns;
-                let shard = &mut self.shards[s];
-                let host = &mut shard.hosts[slot];
-                let _ = host
-                    .runtime
-                    .set_policy(&mut host.kernel, cid, policy.clone());
-                shard.refresh(slot, now);
+                self.with_host(idx, |host| {
+                    let _ = host
+                        .runtime
+                        .set_policy(&mut host.kernel, cid, policy.clone());
+                });
                 simtrace::counters::add("detector.policies_applied", 1);
                 if simtrace::enabled() {
                     let host = self.host_ref(idx);
@@ -968,12 +873,8 @@ impl Cloud {
     /// remains byte-identical across worker counts.
     pub fn install_faults(&mut self, plan: &simkernel::FaultPlan) {
         self.sync_all();
-        let now = self.fleet_ns;
-        for shard in &mut self.shards {
-            for slot in 0..shard.len() {
-                shard.hosts[slot].kernel.install_faults(plan.clone());
-                shard.refresh(slot, now);
-            }
+        for idx in 0..self.nhosts {
+            self.with_host(idx, |host| host.kernel.install_faults(plan.clone()));
         }
     }
 
@@ -984,12 +885,7 @@ impl Cloud {
         if idx >= self.nhosts {
             return;
         }
-        self.sync_host(idx);
-        let (s, slot) = self.locate(idx);
-        let now = self.fleet_ns;
-        let shard = &mut self.shards[s];
-        shard.hosts[slot].kernel.install_faults(plan.clone());
-        shard.refresh(slot, now);
+        self.with_host(idx, |host| host.kernel.install_faults(plan.clone()));
     }
 
     /// Terminates every instance a tenant owns, in instance-id order
@@ -1047,28 +943,26 @@ impl Cloud {
             self.instances.remove(inst);
             self.billing.close(*inst);
         }
-        let (s, slot) = self.locate(idx);
-        let now = self.fleet_ns;
-        let shard = &mut self.shards[s];
-        let host = &mut shard.hosts[slot];
-        // Fresh kernel on the same hardware: boot time = now.
-        let mut machine = host.kernel.config().clone();
-        machine.boot_wall_secs = host.kernel.clock().wall_secs();
-        let reboot_seed = host
-            .kernel
-            .seed()
-            .wrapping_mul(0x2545_f491_4f6c_dd1d)
-            .wrapping_add(1);
-        let mut kernel = {
-            let _run = self.cfg.run.enter();
-            Kernel::new(machine, reboot_seed)
-        };
-        let (runtime, background) = boot_runtime(&mut kernel, self.cfg.background_per_host);
-        host.kernel = kernel;
-        host.runtime = runtime;
-        host.background = background;
-        host.instances = 0;
-        shard.refresh(slot, now);
+        let (run, with_background) = (self.cfg.run, self.cfg.background_per_host);
+        self.with_host(idx, |host| {
+            // Fresh kernel on the same hardware: boot time = now.
+            let mut machine = host.kernel.config().clone();
+            machine.boot_wall_secs = host.kernel.clock().wall_secs();
+            let reboot_seed = host
+                .kernel
+                .seed()
+                .wrapping_mul(0x2545_f491_4f6c_dd1d)
+                .wrapping_add(1);
+            let mut kernel = {
+                let _run = run.enter();
+                Kernel::new(machine, reboot_seed)
+            };
+            let (runtime, background) = boot_runtime(&mut kernel, with_background);
+            host.kernel = kernel;
+            host.runtime = runtime;
+            host.background = background;
+            host.instances = 0;
+        });
         self.capacity.set(idx, 0);
         lost
     }
@@ -1081,30 +975,23 @@ impl Cloud {
         if idx >= self.nhosts {
             return;
         }
-        self.sync_host(idx);
-        let (s, slot) = self.locate(idx);
-        let now = self.fleet_ns;
-        let shard = &mut self.shards[s];
-        let h = &mut shard.hosts[slot];
         // Same clamp `web_service` applies at construction; the demand
         // is retargeted in place so trace-driven fleets do not rebuild
         // (and clone) a workload spec per service per interval.
         let demand = demand.clamp(0.01, 1.0);
-        for i in 0..h.background.len() {
-            let pid = h.background[i];
-            let _ = h.kernel.set_workload_demand(pid, demand);
-        }
-        shard.refresh(slot, now);
+        self.with_host(idx, |h| {
+            for &pid in &h.background {
+                let _ = h.kernel.set_workload_demand(pid, demand);
+            }
+        });
     }
 
     /// Sets the simulation tick on every host's kernel (coarser ticks make
     /// week-long traces cheap; finer ticks resolve 1 s power spikes).
     pub fn set_tick_secs(&mut self, secs: u64) {
         self.sync_all();
-        for shard in &mut self.shards {
-            for host in &mut shard.hosts {
-                host.kernel.set_tick_ns(secs.max(1) * NANOS_PER_SEC);
-            }
+        for host in &mut self.calendar.hosts {
+            host.kernel.set_tick_ns(secs.max(1) * NANOS_PER_SEC);
         }
     }
 
@@ -1323,46 +1210,12 @@ mod tests {
         assert!(rack > 300.0, "4 idle cloud servers ≈ 450 W: {rack}");
     }
 
-    #[test]
-    fn explicit_shards_split_the_fleet() {
-        let _run = RunConfig {
-            shards: 4,
-            ..RunConfig::DEFAULT
-        }
-        .enter();
-        let c = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(10), 1);
-        // span = ceil(10/4) = 3 → shards of 3, 3, 3, 1.
-        assert_eq!(c.shard_count(), 4);
-        assert_eq!(c.host_count(), 10);
-    }
-
-    #[test]
-    fn auto_sharding_is_rack_aligned() {
-        let c = Cloud::new(
-            CloudConfig::new(CloudProfile::CC1)
-                .hosts(300)
-                .hosts_per_rack(8)
-                .without_background(),
-            1,
-        );
-        // 16 racks of 8 ≈ 128 hosts per shard → 128 + 128 + 44.
-        assert_eq!(c.shard_count(), 3);
-        // Small fleets collapse to one shard.
-        let small = cloud(4);
-        assert_eq!(small.shard_count(), 1);
-    }
-
-    /// The load-bearing equivalence: a lazy sharded fleet and an eager
-    /// single-shard fleet driven through the same script expose
-    /// byte-identical tenant-visible state and bills.
+    /// The load-bearing equivalence: a lazy calendar fleet and an eager
+    /// fleet driven through the same script expose byte-identical
+    /// tenant-visible state and bills.
     #[test]
     fn lazy_fleet_matches_eager_fleet() {
-        let run = |shards: usize, eager: bool| {
-            let _run = RunConfig {
-                shards,
-                ..RunConfig::DEFAULT
-            }
-            .enter();
+        let run = |eager: bool| {
             let mut cfg = CloudConfig::new(CloudProfile::CC1)
                 .hosts(6)
                 .hosts_per_rack(2);
@@ -1390,6 +1243,6 @@ mod tests {
                 format!("{:?}{:?}", c.bill("alice"), c.bill("bob")),
             )
         };
-        assert_eq!(run(3, false), run(1, true));
+        assert_eq!(run(false), run(true));
     }
 }

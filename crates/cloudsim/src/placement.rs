@@ -1,4 +1,4 @@
-//! Container placement policies and the per-shard free-capacity index.
+//! Container placement policies and the free-capacity index.
 //!
 //! The attacker's orchestration loop (§IV-C) works *against* the
 //! scheduler: it keeps launching and terminating instances until the
@@ -6,12 +6,13 @@
 //! the provider's placement policy, so all three common ones are modeled.
 //!
 //! Placement used to be an O(hosts) scan per launch; at datacenter scale
-//! that dominates churn-heavy campaigns. `CapacityIndex` keeps a
-//! per-shard ordered view of instance counts — updated on every
-//! launch/terminate/reboot — so a decision costs O(shards · log span)
-//! while producing *exactly* the host the linear scan would have picked
-//! (pinned by `index_matches_linear_scan_across_churn` below, including
-//! the Random policy's RNG draw).
+//! that dominates churn-heavy campaigns. `CapacityIndex` keeps an
+//! ordered view of instance counts per span of `SPAN` hosts — updated
+//! on every launch/terminate/reboot — so a decision costs
+//! O(hosts / SPAN · log SPAN) while producing *exactly* the host the
+//! linear scan would have picked (pinned by
+//! `index_matches_linear_scan_across_churn` below, including the Random
+//! policy's RNG draw).
 
 use std::collections::BTreeSet;
 
@@ -59,18 +60,23 @@ impl PlacementPolicy {
     }
 }
 
-/// Per-shard free-capacity index: instance counts mirrored three ways —
-/// a dense `counts` lane, an ordered `(count, slot)` set for the
+/// Hosts per sub-index of [`CapacityIndex`]. Placement decisions do not
+/// depend on it; it only trades the per-span scan against the ordered
+/// sets' depth.
+const SPAN: usize = 128;
+
+/// Free-capacity index: per span of hosts, instance counts mirrored three
+/// ways — a dense `counts` lane, an ordered `(count, slot)` set for the
 /// min/max policies, and a count histogram for Random's candidate
 /// arithmetic. `set` keeps all three current on launch/terminate/reboot.
 #[derive(Debug)]
 pub(crate) struct CapacityIndex {
     span: usize,
-    shards: Vec<ShardIndex>,
+    spans: Vec<SpanIndex>,
 }
 
 #[derive(Debug)]
-struct ShardIndex {
+struct SpanIndex {
     base: u32,
     counts: Vec<u32>,
     by_count: BTreeSet<(u32, u32)>,
@@ -81,15 +87,20 @@ struct ShardIndex {
 }
 
 impl CapacityIndex {
+    /// An index over `hosts` empty hosts split into spans of [`SPAN`].
+    pub(crate) fn new(hosts: usize, cpus: u16) -> Self {
+        Self::with_span(hosts, SPAN, cpus)
+    }
+
     /// An index over `hosts` empty hosts split into spans of `span`.
-    pub(crate) fn new(hosts: usize, span: usize, cpus: u16) -> Self {
-        let mut shards = Vec::with_capacity(hosts.div_ceil(span.max(1)));
+    fn with_span(hosts: usize, span: usize, cpus: u16) -> Self {
+        let mut spans = Vec::with_capacity(hosts.div_ceil(span.max(1)));
         let mut base = 0usize;
         while base < hosts {
             let len = span.min(hosts - base);
             let mut hist = vec![0u32; usize::from(cpus) + 1];
             hist[0] = len as u32;
-            shards.push(ShardIndex {
+            spans.push(SpanIndex {
                 base: base as u32,
                 counts: vec![0; len],
                 by_count: (0..len as u32).map(|slot| (0, slot)).collect(),
@@ -97,12 +108,12 @@ impl CapacityIndex {
             });
             base += len;
         }
-        CapacityIndex { span, shards }
+        CapacityIndex { span, spans }
     }
 
     /// Records `host` now holding `count` instances.
     pub(crate) fn set(&mut self, host: usize, count: u32) {
-        let sh = &mut self.shards[host / self.span];
+        let sh = &mut self.spans[host / self.span];
         let slot = (host % self.span) as u32;
         let old = sh.counts[slot as usize];
         if old == count {
@@ -127,10 +138,10 @@ impl CapacityIndex {
     ) -> Option<usize> {
         match policy {
             PlacementPolicy::Spread => {
-                // Global min (count, host); each shard's first set entry
+                // Global min (count, host); each span's first set entry
                 // is its local min, already in global-index order.
                 let mut best: Option<(u32, usize)> = None;
-                for sh in &self.shards {
+                for sh in &self.spans {
                     if let Some(&(c, slot)) = sh.by_count.iter().next() {
                         if c < capacity {
                             let g = sh.base as usize + slot as usize;
@@ -146,7 +157,7 @@ impl CapacityIndex {
                 // Fullest host still below capacity; ties to the lowest
                 // host index, as the scan's `usize::MAX - i` key does.
                 let mut best: Option<(u32, usize)> = None;
-                for sh in &self.shards {
+                for sh in &self.spans {
                     let Some(&(c, _)) = sh.by_count.range(..(capacity, 0)).next_back() else {
                         continue;
                     };
@@ -163,20 +174,20 @@ impl CapacityIndex {
                 best.map(|(_, g)| g)
             }
             PlacementPolicy::Random => {
-                let cap = (capacity as usize).min(self.shards.first().map_or(0, |s| s.hist.len()));
-                let per_shard: Vec<u32> = self
-                    .shards
+                let cap = (capacity as usize).min(self.spans.first().map_or(0, |s| s.hist.len()));
+                let per_span: Vec<u32> = self
+                    .spans
                     .iter()
                     .map(|sh| sh.hist[..cap].iter().sum())
                     .collect();
-                let total: u32 = per_shard.iter().sum();
+                let total: u32 = per_span.iter().sum();
                 if total == 0 {
                     return None;
                 }
                 // Same draw the scan makes over its candidate vector;
                 // candidate k in global host order is the same host.
                 let mut k = rng.random_range(0..total as usize);
-                for (sh, &here) in self.shards.iter().zip(&per_shard) {
+                for (sh, &here) in self.spans.iter().zip(&per_span) {
                     if k >= here as usize {
                         k -= here as usize;
                         continue;
@@ -264,8 +275,8 @@ mod tests {
     /// The pinning test for the indexed fast path: a scripted churn of
     /// launches (mixed vCPU sizes → mixed capacities) and terminations,
     /// replayed against the linear scan and the index with identical RNG
-    /// seeds, must agree on every single decision — across shard spans
-    /// that divide the fleet evenly, raggedly, and not at all.
+    /// seeds, must agree on every single decision — across spans that
+    /// divide the fleet evenly, raggedly, and not at all.
     #[test]
     fn index_matches_linear_scan_across_churn() {
         let hosts = 40;
@@ -277,7 +288,7 @@ mod tests {
                 PlacementPolicy::Random,
             ] {
                 let mut counts = vec![0u32; hosts];
-                let mut index = CapacityIndex::new(hosts, span, cpus);
+                let mut index = CapacityIndex::with_span(hosts, span, cpus);
                 let mut script = StdRng::seed_from_u64(0x9a11_0c47 ^ span as u64);
                 for step in 0..400 {
                     let vcpus = [1u32, 2, 4, 8, 16][script.random_range(0..5)];

@@ -46,54 +46,8 @@ pub fn render_experiments_md(results: &[ExperimentResult], seed: u64) -> String 
         }
         let _ = writeln!(out, "\n```text\n{}```\n", r.rendered);
     }
-    out.push_str(PROFILE_APPENDIX);
     out
 }
-
-/// Static appendix: the profiler evidence that once motivated an
-/// epoch-keyed render cache. The numbers were measured once (Criterion
-/// medians and traced counter totals on the reference machine, seed 1729)
-/// and are committed rather than re-derived — wall-clock timings are not
-/// deterministic, and `EXPERIMENTS.md` must regenerate byte-identically
-/// from any run mode. The cache has since been removed (real workloads
-/// almost never hit it), so the appendix describes a path that no longer
-/// exists; it stays verbatim until a change that may move the report
-/// bytes rewrites it.
-const PROFILE_APPENDIX: &str = "\
-## Appendix — incremental rendering profile
-
-Profiling the two slowest pipelines attributed nearly all wall-clock
-time to re-rendering pseudo files whose dependency state had not
-changed: the Table I differential walk re-renders every host and
-container file per scan, and hardening policy generation repeats that
-walk once to generate and once to verify. Per-subsystem dirty epochs
-now tag every cached render, so an unchanged masked epoch sum serves
-the previous bytes.
-
-Criterion medians, reference machine, seed 1729 (cached = epoch cache
-warm at an unchanged instant; gated at >=5x by `bench_compare.sh`):
-
-| pipeline | uncached | cached | speedup |
-|---|---|---|---|
-| `table1_scan` | 459 µs | 69 µs | 6.7x |
-| `hardening_policy_generation` | 7.20 ms | 541 µs | 13.3x |
-
-Phase attribution of the cached walk (what remains): view fingerprint +
-two FNV hash lookups per path, one `Arc` refcount bump per hit (bytes
-are shared, never copied), and the content compares themselves. The
-uncached walk spends its time in the per-path render handlers and the
-masking policy's glob evaluation, both of which the cache skips.
-
-Counter totals from the traced `all` run (`--counters`): the full
-experiment suite performs 594,913 pseudo-file reads; between kernel
-advances the epochs prove 211 of them unchanged (hits concentrate in
-the same-instant pipelines: the hardener's generate-then-verify pair
-shares one `HostSnapshot`, halving its host walks, and the Table II
-metric windows skip 118 re-parses via `leakscan.epoch_skips`). Reads
-under an active fault window bypass the reuse paths by design — fault
-effects land strictly after the cache — which the fault-matrix byte
-gates in `ci.sh` check in both cache modes.
-";
 
 #[cfg(test)]
 mod tests {
@@ -119,6 +73,5 @@ mod tests {
         assert!(md.contains("| m | p | x | ✅ |"));
         assert!(md.contains("**1/1 qualitative claims hold.**"));
         assert!(md.contains("```text\ndata\n```"));
-        assert!(md.contains("## Appendix — incremental rendering profile"));
     }
 }

@@ -34,7 +34,7 @@
 //! state lives in a `BTreeMap` keyed by the dense tenant id. Verdicts,
 //! policy-update sequences, and the `detector.*` counters (all
 //! [`simtrace::Group::Portable`]) are therefore byte-identical across
-//! `--jobs`, `--shards`, and `--coalesce` modes.
+//! `--jobs` and `--coalesce` modes.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;

@@ -25,7 +25,7 @@
 //!
 //! Everything is a pure function of the step clock and internal
 //! counters — no wall clock, no RNG — so attacker behaviour is
-//! byte-deterministic across `--jobs`/`--shards` like the rest of the
+//! byte-deterministic across `--jobs`/`--coalesce` like the rest of the
 //! fleet.
 
 use cloudsim::{Cloud, CloudError, InstanceId};

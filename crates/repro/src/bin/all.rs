@@ -3,8 +3,8 @@
 //! table, or a panic repro) and writes no report unless `--out` is given.
 //!
 //! Flags: see the crate docs (`--seed`, `--days`, `--jobs`, `--only`,
-//! `--out`, `--trace`, `--counters`, `--json`, `--coalesce`,
-//! `--shards`). Every driver is a pure function of the seed, so the
+//! `--out`, `--trace`, `--counters`, `--json`, `--coalesce`). Every
+//! driver is a pure function of the seed, so the
 //! artifacts — the trace included, modulo its mode-exempt group — are
 //! byte-identical for any `--jobs` and any execution mode. Exits 1 if
 //! any claim fails.

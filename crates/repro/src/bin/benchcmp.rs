@@ -5,8 +5,8 @@
 //! `--threshold-pct <p>` (default 25), `--floor-ns <n>` (default 20000),
 //! and repeatable `--require-speedup <fast>:<slow>:<factor>` demands —
 //! each asserts the fresh median of `slow` is at least `factor`× the
-//! fresh median of `fast` (e.g. the sharded fleet step against its
-//! unsharded reference), failing the gate otherwise.
+//! fresh median of `fast` (e.g. the lazy fleet calendar against its
+//! eager reference), failing the gate otherwise.
 //!
 //! The comparison math — noise-discounted medians, the absolute floor,
 //! the hard cap, and the missing/new rules — lives in

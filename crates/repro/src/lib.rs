@@ -10,10 +10,9 @@
 //! it), `--trace <path>` to write the deterministic JSONL trace,
 //! `--counters` to print the counter and sim-time profile summary,
 //! `--json` to print each result as JSON instead of text, and the
-//! [`RunConfig`] modes `--coalesce <on|off>` and `--shards <n>` (`0` =
-//! auto). `all` also takes `--days <n>`, the
-//! Fig. 2 trace length (default 7). An unknown flag or a bad value
-//! exits 2.
+//! [`RunConfig`] mode `--coalesce <on|off>`. `all` also takes `--days
+//! <n>`, the Fig. 2 trace length (default 7). An unknown flag or a bad
+//! value exits 2.
 
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -122,7 +121,6 @@ impl Cli {
                     }
                 }
                 "--coalesce" => cli.run.coalesce = on_off(f, it.next())?,
-                "--shards" => cli.run.shards = value(f, it.next(), "a shard count (0 = auto)")?,
                 "--only" => {
                     let ids: Vec<String> = value::<String>(f, it.next(), "experiment ids")?
                         .split(',')
@@ -289,8 +287,6 @@ mod tests {
                 "3",
                 "--coalesce",
                 "off",
-                "--shards",
-                "8",
                 "--only",
                 "fig3,table1",
                 "--out",
@@ -303,11 +299,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!((cli.seed, cli.days, cli.jobs), (9, 2, 3));
-        let run = RunConfig {
-            coalesce: false,
-            shards: 8,
-        };
-        assert_eq!(cli.run, run);
+        assert_eq!(cli.run, RunConfig { coalesce: false });
         assert_eq!(
             cli.only,
             Some(vec!["fig3".to_string(), "table1".to_string()])
@@ -339,7 +331,7 @@ mod tests {
             &["--jobs", "-1"],
             &["--coalesce", "yes"],
             &["--render-cache", "off"],
-            &["--shards", "auto"],
+            &["--shards", "8"],
             &["--days", "x"],
             &["--only", "fig3,nope"],
         ] {

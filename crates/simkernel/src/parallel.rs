@@ -4,9 +4,11 @@
 //! mutable state, so stepping *disjoint* kernels on different threads is
 //! bitwise deterministic: there is no shared mutable state, and each
 //! kernel draws exactly the random sequence it would have drawn serially,
-//! regardless of how the OS schedules the worker threads. Fleet types
-//! (clouds, labs, defended fleets) use [`par_for_each_mut`] to step their
-//! hosts concurrently without giving up reproducibility.
+//! regardless of how the OS schedules the worker threads. Host
+//! collections (the leakscan lab and the defended fleet) use
+//! [`par_for_each_mut`] to step their hosts concurrently without giving
+//! up reproducibility, and the campaign runner fans scenarios out the
+//! same way.
 //!
 //! The workers are spawned once, lazily, and between calls they briefly
 //! busy-poll their queue before parking on a blocking channel receive —
@@ -200,9 +202,8 @@ where
 /// — with **whole-item work stealing**: each lane first drains a
 /// contiguous home block of items through an atomic claim cursor, then
 /// steals items one at a time from the other lanes' blocks. Items whose
-/// work varies wildly (a fleet shard may pop a dozen calendar events
-/// while its neighbors fast-forward in closed form) thus keep every lane
-/// busy. The lane count is capped at the element count; `threads <= 1`,
+/// work varies wildly (one campaign scenario may churn for seconds while
+/// its neighbors finish in milliseconds) thus keep every lane busy. The lane count is capped at the element count; `threads <= 1`,
 /// a single element, or a nested call from a pool worker runs the plain
 /// serial loop on the caller's thread.
 ///

@@ -6,10 +6,10 @@
 //! exist to let CI check. A configuration is entered for a scope on the
 //! current thread ([`RunConfig::enter`]); [`crate::Kernel::new`] and
 //! `cloudsim::CloudConfig::new` read [`RunConfig::current`]. Outside any
-//! scope they get the compiled defaults: coalescing on, automatic
-//! sharding. Being thread-scoped rather than process-wide, two
-//! configurations can run side by side in one process (the experiment
-//! pool re-enters the caller's configuration on each worker).
+//! scope they get the compiled default: coalescing on. Being
+//! thread-scoped rather than process-wide, two configurations can run
+//! side by side in one process (the experiment pool re-enters the
+//! caller's configuration on each worker).
 //!
 //! This is the only way to pick a mode. A kernel keeps the modes it was
 //! built under for life, and a cloud keeps the configuration current
@@ -25,17 +25,11 @@ use std::marker::PhantomData;
 pub struct RunConfig {
     /// Event-horizon tick coalescing (see [`crate::Kernel::coalescing`]).
     pub coalesce: bool,
-    /// Fleet shard count for new clouds; `0` = auto (rack-aligned
-    /// shards of ~128 hosts).
-    pub shards: usize,
 }
 
 impl RunConfig {
-    /// The compiled defaults: coalescing on, auto sharding.
-    pub const DEFAULT: RunConfig = RunConfig {
-        coalesce: true,
-        shards: 0,
-    };
+    /// The compiled defaults: coalescing on.
+    pub const DEFAULT: RunConfig = RunConfig { coalesce: true };
 
     /// The configuration in effect on the current thread.
     pub fn current() -> RunConfig {
@@ -84,16 +78,13 @@ mod tests {
     #[test]
     fn guards_nest_and_restore() {
         assert_eq!(RunConfig::current(), RunConfig::DEFAULT);
-        let off = RunConfig {
-            coalesce: false,
-            shards: 8,
-        };
+        let off = RunConfig { coalesce: false };
         {
             let _outer = off.enter();
             assert_eq!(RunConfig::current(), off);
             {
-                let _inner = RunConfig { shards: 1, ..off }.enter();
-                assert_eq!(RunConfig::current().shards, 1);
+                let _inner = RunConfig::DEFAULT.enter();
+                assert_eq!(RunConfig::current(), RunConfig::DEFAULT);
             }
             assert_eq!(RunConfig::current(), off);
             // Other threads keep their own configuration.

@@ -7,9 +7,9 @@
 //! *as it happens*, in sim-time order. [`ReadTap`] is that contract: the
 //! cloud driver invokes it inline at the observation point — on the
 //! driver thread, in program order, with fleet-absolute timestamps —
-//! never from parallel shard workers. A tap that derives its decisions
+//! never from a worker thread. A tap that derives its decisions
 //! only from those arguments is therefore byte-deterministic across
-//! `--jobs`, `--shards`, and `--coalesce` modes.
+//! `--jobs` and `--coalesce` modes.
 
 /// A synchronous observer of per-tenant pseudo-file reads.
 pub trait ReadTap: std::fmt::Debug + Send {

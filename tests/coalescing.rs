@@ -51,11 +51,7 @@ fn observe(k: &Kernel) -> Observation {
 
 /// A small server built with coalescing on or off.
 fn kernel(coalesce: bool, seed: u64) -> Kernel {
-    let _run = RunConfig {
-        coalesce,
-        ..RunConfig::DEFAULT
-    }
-    .enter();
+    let _run = RunConfig { coalesce }.enter();
     Kernel::new(MachineConfig::small_server(), seed)
 }
 

@@ -2,10 +2,9 @@
 //!
 //! Verdicts, masking-policy updates, and the `detector.*` counters are
 //! part of the simulation's observable surface, so they fall under the
-//! same contract as every pseudo-file byte: identical across `--jobs`,
-//! `--shards`, and coalescing. A detector whose flagging
-//! depended on worker scheduling would make the attack↔defense
-//! experiment unreproducible.
+//! same contract as every pseudo-file byte: identical with coalescing on
+//! and off. A detector whose flagging depended on the tick shape would
+//! make the attack↔defense experiment unreproducible.
 //!
 //! Everything lives in one `#[test]` on purpose: the counter deltas are
 //! read from the process-global counter store, and a second test running
@@ -24,7 +23,7 @@ use containerleaks::simtrace;
 /// Runs one attack-under-detection scenario in the given execution mode
 /// and returns the detector's full report (config, verdict log, policy
 /// updates) — the bytes that must not depend on the mode.
-fn detector_report(seed: u64, horizon: u64, jobs: usize, shards: usize, coalesce: bool) -> String {
+fn detector_report(seed: u64, horizon: u64, coalesce: bool) -> String {
     let modes = [
         AttackerMode::Persistent,
         AttackerMode::Backoff,
@@ -36,7 +35,7 @@ fn detector_report(seed: u64, horizon: u64, jobs: usize, shards: usize, coalesce
     let profile = profiles[(seed % 3) as usize];
 
     let cfg = {
-        let _run = RunConfig { coalesce, shards }.enter();
+        let _run = RunConfig { coalesce }.enter();
         CloudConfig::new(profile)
             .hosts(4)
             .placement(containerleaks::cloudsim::PlacementPolicy::BinPack)
@@ -59,7 +58,7 @@ fn detector_report(seed: u64, horizon: u64, jobs: usize, shards: usize, coalesce
             let _ = cloud.read_file(benign, "/proc/meminfo");
         }
         atk.step(&mut cloud, s);
-        cloud.advance_secs_threads(1, jobs);
+        cloud.advance_secs(1);
     }
     cloud.detector().expect("detector attached").report()
 }
@@ -91,7 +90,7 @@ fn detector_is_byte_identical_across_execution_modes() {
     // Counters only accumulate with a sink installed.
     simtrace::install(Arc::new(simtrace::MemorySink::new()));
 
-    // Part 1: the full mode matrix on two fixed seeds, comparing reports
+    // Part 1: both coalescing modes on two fixed seeds, comparing reports
     // AND counter deltas. Seed 2 drives a rotating prober under CC4,
     // seed 4 a persistent prober under CC5 — both scenarios flag (a
     // covert-fallback prober under a masked tier goes dark on the base
@@ -99,26 +98,22 @@ fn detector_is_byte_identical_across_execution_modes() {
     // make the verdict sanity check below vacuous).
     for seed in [2u64, 4] {
         let mut baseline: Option<(String, BTreeMap<String, u64>)> = None;
-        for (jobs, shards) in [(1usize, 1usize), (4, 1), (1, 8), (4, 8)] {
-            for coalesce in [true, false] {
-                let mut report = String::new();
-                let delta = counter_delta(|| {
-                    report = detector_report(seed, 180, jobs, shards, coalesce);
-                });
-                match &baseline {
-                    None => baseline = Some((report, delta)),
-                    Some((r0, d0)) => {
-                        assert_eq!(
-                            &report, r0,
-                            "detector report diverged (seed {seed}, jobs {jobs}, \
-                             shards {shards}, coalesce {coalesce})"
-                        );
-                        assert_eq!(
-                            &delta, d0,
-                            "detector counters diverged (seed {seed}, jobs {jobs}, \
-                             shards {shards}, coalesce {coalesce})"
-                        );
-                    }
+        for coalesce in [true, false] {
+            let mut report = String::new();
+            let delta = counter_delta(|| {
+                report = detector_report(seed, 180, coalesce);
+            });
+            match &baseline {
+                None => baseline = Some((report, delta)),
+                Some((r0, d0)) => {
+                    assert_eq!(
+                        &report, r0,
+                        "detector report diverged (seed {seed}, coalesce {coalesce})"
+                    );
+                    assert_eq!(
+                        &delta, d0,
+                        "detector counters diverged (seed {seed}, coalesce {coalesce})"
+                    );
                 }
             }
         }
@@ -134,14 +129,14 @@ fn detector_is_byte_identical_across_execution_modes() {
     }
 
     // Part 2: a seeded property sweep — any scenario seed must replay
-    // byte-identically across the two extreme modes. Reports only here;
+    // byte-identically across both coalescing modes. Reports only here;
     // the counter store was already pinned above. Drawn through the
     // proptest runner so each case is reproducible from its index.
     for case in 0..6u32 {
         let mut runner = TestRunner::for_case("detector_determinism_sweep", case);
         let seed = (0u64..10_000).generate(&mut runner);
-        let serial = detector_report(seed, 90, 1, 1, true);
-        let sharded = detector_report(seed, 90, 4, 8, false);
-        assert_eq!(serial, sharded, "case {case} (seed {seed}) diverged");
+        let coalesced = detector_report(seed, 90, true);
+        let stepped = detector_report(seed, 90, false);
+        assert_eq!(coalesced, stepped, "case {case} (seed {seed}) diverged");
     }
 }

@@ -1,11 +1,11 @@
-//! Tier-1 gate: the sharded, lazily-advanced fleet (global event
-//! calendar, closed-form fast-forward of quiescent hosts) is
-//! byte-identical to the eager naive-stepping reference.
+//! Tier-1 gate: the lazily-advanced fleet (one event calendar,
+//! closed-form fast-forward of quiescent hosts) is byte-identical to the
+//! eager naive-stepping reference.
 //!
 //! Each proptest case derives one tenant-lifecycle script and replays it
-//! twice: once on a lazy calendar fleet with a drawn shard count and
-//! worker-thread count, once on an unsharded eager fleet stepped
-//! serially. Everything observable must match byte for byte —
+//! twice under the same drawn coalescing and fault modes: once on a lazy
+//! calendar fleet, once on an eager fleet. Everything observable must
+//! match byte for byte —
 //! per-instance pseudo-fs probes taken mid-script, the full per-host
 //! pseudo-fs surface and wall power at the end, every tenant's bill,
 //! and the simtrace event transcript (modulo the documented mode-exempt
@@ -67,20 +67,17 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
 /// `(snapshot, transcript)`: every observable byte the script saw, and
 /// the rendered trace events (counter lines dropped — the counter store
 /// is process-global and cumulative — and mode-exempt lines dropped,
-/// since calendar bookkeeping legitimately varies with the sharding).
-#[allow(clippy::too_many_arguments)]
+/// since calendar bookkeeping legitimately varies with the stepping).
 fn run_script(
     seed: u64,
     hosts: usize,
     steps: &[Step],
-    shards: usize,
     eager: bool,
-    jobs: usize,
     coalesce: bool,
     faults: bool,
 ) -> (String, String) {
     sink().drain();
-    let _run = RunConfig { coalesce, shards }.enter();
+    let _run = RunConfig { coalesce }.enter();
     let mut cfg = CloudConfig::new(CloudProfile::CC2)
         .hosts(hosts)
         .hosts_per_rack(2)
@@ -123,7 +120,7 @@ fn run_script(
             let r = cloud.terminate(id);
             let _ = writeln!(snap, "terminate {id:?} {r:?}");
         }
-        cloud.advance_secs_threads(step.advance_secs, jobs);
+        cloud.advance_secs(step.advance_secs);
 
         if let Some(&id) = live.get(step.pick as usize % live.len().max(1)) {
             for ch in PROBE_CHANNELS {
@@ -193,26 +190,23 @@ fn first_diff(a: &str, b: &str) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The lazy calendar path, under any sharding and worker count, must
-    /// be indistinguishable from naive eager stepping — and from itself
-    /// under a different shard count (the ci.sh `--shards 1` vs
-    /// `--shards 8` gate, in miniature and seeded). One `#[test]`, not
-    /// several: the replays share the process-global trace sink, so a
-    /// sibling test draining it concurrently would corrupt transcripts.
+    /// The lazy calendar path, under either coalescing mode and with or
+    /// without faults, must be indistinguishable from naive eager
+    /// stepping. One `#[test]`, not several: the replays share the
+    /// process-global trace sink, so a sibling test draining it
+    /// concurrently would corrupt transcripts.
     #[test]
     fn lazy_calendar_matches_eager_reference(
         seed in 0u64..1_000_000,
         hosts in 1usize..7,
         steps in arb_steps(),
-        shards in 1usize..9,
-        jobs in 1usize..5,
         modes in 0u32..4,
     ) {
         let (coalesce, faults) = (modes & 1 == 1, modes & 2 == 2);
         let (snap_eager, trace_eager) =
-            run_script(seed, hosts, &steps, 1, true, 1, coalesce, faults);
+            run_script(seed, hosts, &steps, true, coalesce, faults);
         let (snap_lazy, trace_lazy) =
-            run_script(seed, hosts, &steps, shards, false, jobs, coalesce, faults);
+            run_script(seed, hosts, &steps, false, coalesce, faults);
         prop_assert!(
             snap_eager == snap_lazy,
             "observable bytes diverged: {}",
@@ -222,18 +216,6 @@ proptest! {
             trace_eager == trace_lazy,
             "trace transcript diverged: {}",
             first_diff(&trace_eager, &trace_lazy)
-        );
-        let (snap_one, trace_one) =
-            run_script(seed, hosts, &steps, 1, false, 1, coalesce, faults);
-        prop_assert!(
-            snap_one == snap_lazy,
-            "bytes diverged across shard counts: {}",
-            first_diff(&snap_one, &snap_lazy)
-        );
-        prop_assert!(
-            trace_one == trace_lazy,
-            "trace diverged across shard counts: {}",
-            first_diff(&trace_one, &trace_lazy)
         );
     }
 }

@@ -240,31 +240,42 @@ proptest! {
         prop_assert_eq!(*ns_pids.iter().max().unwrap(), n as u32);
     }
 
-    /// Parallel fleet stepping is bitwise equal to serial: whatever the
-    /// seed, host count and thread count, `Cloud::advance_secs_threads`
-    /// produces the same per-host `PowerSnapshot` sequence and the same
-    /// pseudofs reads. Determinism is per-host RNG ownership, not
-    /// single-threadedness.
+    /// Parallel host stepping is bitwise equal to serial: whatever the
+    /// seed, host count and thread count, stepping busy kernels through
+    /// `par_for_each_mut_threads` (the fan-out the leakscan lab and the
+    /// defended fleet use) produces the same per-host `PowerSnapshot`
+    /// sequence and the same pseudofs reads. Determinism is per-host RNG
+    /// ownership, not single-threadedness.
     #[test]
     fn parallel_fleet_stepping_matches_serial(
         hosts in 1usize..5,
         threads in 2usize..6,
         seed in 0u64..500,
     ) {
-        use containerleaks::cloudsim::{Cloud, CloudConfig, CloudProfile, InstanceSpec};
+        use containerleaks::pseudofs::{PseudoFs, View};
+        use containerleaks::simkernel::kernel::ProcessSpec;
+        use containerleaks::simkernel::parallel::par_for_each_mut_threads;
         let run = |threads: usize| {
-            let mut cloud =
-                Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(hosts), seed);
-            let obs = cloud.launch("t", InstanceSpec::new("obs")).unwrap();
+            let mut kernels: Vec<Kernel> = (0..hosts as u64)
+                .map(|h| {
+                    let mut k = Kernel::new(MachineConfig::small_server(), seed * 8 + h);
+                    for i in 0..3 {
+                        let work = containerleaks::workloads::models::web_service(0.4);
+                        k.spawn(ProcessSpec::new(format!("svc{i}"), work)).unwrap();
+                    }
+                    k
+                })
+                .collect();
+            let fs = PseudoFs::new();
             let mut snaps = Vec::new();
             let mut reads = Vec::new();
             for _ in 0..3 {
-                cloud.advance_secs_threads(5, threads);
-                for h in cloud.hosts() {
-                    snaps.push(h.kernel().last_power().clone());
+                par_for_each_mut_threads(&mut kernels, threads, |k| k.advance_secs(5));
+                for k in &kernels {
+                    snaps.push(k.last_power().clone());
+                    reads.push(fs.read(k, &View::host(), "/proc/stat").unwrap());
+                    reads.push(fs.read(k, &View::host(), "/proc/interrupts").unwrap());
                 }
-                reads.push(cloud.read_file(obs, "/proc/stat").unwrap());
-                reads.push(cloud.read_file(obs, "/proc/interrupts").unwrap());
             }
             (snaps, reads)
         };

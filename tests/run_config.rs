@@ -1,6 +1,6 @@
 //! The run configuration must actually reach every kernel and cloud an
-//! experiment builds — otherwise the CLI's mode gates (coalescing and
-//! sharding byte-compares) could pass by comparing a run against itself.
+//! experiment builds — otherwise the CLI's mode gate (the coalescing
+//! byte-compare) could pass by comparing a run against itself.
 
 use containerleaks::cloudsim::{Cloud, CloudConfig, CloudProfile, HostId};
 use containerleaks::experiments::{run_entries_with, ExperimentFn, ExperimentResult};
@@ -11,16 +11,14 @@ use containerleaks::simkernel::{Kernel, MachineConfig, RunConfig};
 fn observe_modes(seed: u64, _: u64) -> ExperimentResult {
     let k = Kernel::new(MachineConfig::small_server(), seed);
     let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(16), seed);
-    let shards = cloud.shard_count();
     let host = cloud.host(HostId(15)).expect("16 hosts").kernel();
     ExperimentResult {
         id: "modes".into(),
         title: "modes".into(),
         rendered: format!(
-            "kernel coalesce={}; cloud coalesce={} shards={}",
+            "kernel coalesce={}; cloud coalesce={}",
             k.coalescing(),
             host.coalescing(),
-            shards,
         ),
         comparisons: vec![],
         error: None,
@@ -36,10 +34,7 @@ const ENTRIES: &[(&str, ExperimentFn)] = &[
 
 #[test]
 fn entered_config_reaches_every_worker() {
-    let run = RunConfig {
-        coalesce: false,
-        shards: 8,
-    };
+    let run = RunConfig { coalesce: false };
     for jobs in [1, 4] {
         let results = {
             let _run = run.enter();
@@ -48,7 +43,7 @@ fn entered_config_reaches_every_worker() {
         assert_eq!(results.len(), ENTRIES.len());
         for r in &results {
             assert_eq!(
-                r.rendered, "kernel coalesce=false; cloud coalesce=false shards=8",
+                r.rendered, "kernel coalesce=false; cloud coalesce=false",
                 "jobs {jobs}"
             );
         }
@@ -65,21 +60,13 @@ fn a_thread_with_nothing_entered_gets_the_compiled_defaults() {
     })
     .join()
     .expect("driver thread");
-    // Auto sharding: rack-aligned shards of ~128 hosts, so 16 hosts make one.
-    assert_eq!(
-        r.rendered,
-        "kernel coalesce=true; cloud coalesce=true shards=1"
-    );
+    assert_eq!(r.rendered, "kernel coalesce=true; cloud coalesce=true");
 }
 
 #[test]
 fn a_cloud_keeps_the_config_its_cloudconfig_captured_across_reboots() {
     let cfg = {
-        let _run = RunConfig {
-            coalesce: false,
-            shards: 2,
-        }
-        .enter();
+        let _run = RunConfig { coalesce: false }.enter();
         CloudConfig::new(CloudProfile::CC1).hosts(4)
     };
     // The guard is gone: the cloud and every reboot below run with the
@@ -88,7 +75,6 @@ fn a_cloud_keeps_the_config_its_cloudconfig_captured_across_reboots() {
     // up coalescing.
     assert_eq!(RunConfig::current(), RunConfig::DEFAULT);
     let mut cloud = Cloud::new(cfg, 5);
-    assert_eq!(cloud.shard_count(), 2);
     cloud.advance_secs(3);
     cloud.reboot_host(HostId(1));
     for id in [HostId(0), HostId(1)] {

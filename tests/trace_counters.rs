@@ -30,11 +30,7 @@ fn faulted_run_counters_cover_every_class_and_group() {
     // by tick. Both shapes are counted as mode-exempt, while the
     // portable quiescent_ns total is identical either way.
     let testbed = |coalesce: bool| {
-        let _run = RunConfig {
-            coalesce,
-            ..RunConfig::DEFAULT
-        }
-        .enter();
+        let _run = RunConfig { coalesce }.enter();
         Kernel::new(MachineConfig::testbed_i7_6700(), 7)
     };
     let mut coalescing = testbed(true);
