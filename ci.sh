@@ -2,8 +2,10 @@
 # Full local gate: build, tests (the standalone end-to-end benchmark
 # package's included), lints, formatting, the determinism mode matrix
 # (--jobs 1 vs --jobs 4 and event-horizon coalescing on vs off must
-# produce byte-identical report, JSON and trace artifacts), the 16-seed
-# campaign metamorphic-oracle sweep, and the bench medians gate.
+# produce byte-identical report, JSON and trace artifacts), the committed
+# EXPERIMENTS.md/.json (the matrix's `all --jobs 1` run must reproduce
+# them byte for byte), the 16-seed campaign metamorphic-oracle sweep, and
+# the bench medians gate.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -114,6 +116,10 @@ camp1  -      -            campaign      --seeds 16 --jobs 1
 camp4  camp1  -            campaign      --seeds 16 --jobs 4
 ROWS
 echo "byte-identical across the mode matrix"
+
+echo "== committed artifacts: all --jobs 1 reproduces EXPERIMENTS.md/.json =="
+same EXPERIMENTS.md "$tmp/j1.md"
+same EXPERIMENTS.json "$tmp/j1.json"
 
 echo "== bench medians vs committed baseline =="
 ./scripts/bench_compare.sh

@@ -646,6 +646,24 @@ impl Cloud {
     ///
     /// [`CloudError::NoSuchInstance`] or fs errors.
     pub fn read_file(&mut self, id: InstanceId, path: &str) -> Result<String, CloudError> {
+        let mut out = String::new();
+        self.read_file_into(id, path, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Cloud::read_file`] into a caller-provided buffer, reusing its
+    /// allocation across reads.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cloud::read_file`]; on error `buf` is left empty.
+    pub fn read_file_into(
+        &mut self,
+        id: InstanceId,
+        path: &str,
+        buf: &mut String,
+    ) -> Result<(), CloudError> {
+        buf.clear();
         let inst = *self
             .instances
             .get(&id)
@@ -654,7 +672,8 @@ impl Cloud {
         self.sync_host(idx);
         let res = {
             let host = self.host_ref(idx);
-            host.runtime.read_file(&host.kernel, inst.container, path)
+            host.runtime
+                .read_file_into(&host.kernel, inst.container, path, buf)
         };
         // The online tap: every tenant read reaches the detector inline,
         // on the driver thread, stamped with fleet-absolute sim time.

@@ -12,10 +12,26 @@ use std::collections::HashMap;
 use cloudsim::{Cloud, CloudError, InstanceId};
 use simkernel::hw::RAPL_WRAP_UJ;
 
+/// The `energy_uj` file of each RAPL package the monitor can probe.
+const ENERGY_UJ_PATHS: [&str; 8] = [
+    "/sys/class/powercap/intel-rapl:0/energy_uj",
+    "/sys/class/powercap/intel-rapl:1/energy_uj",
+    "/sys/class/powercap/intel-rapl:2/energy_uj",
+    "/sys/class/powercap/intel-rapl:3/energy_uj",
+    "/sys/class/powercap/intel-rapl:4/energy_uj",
+    "/sys/class/powercap/intel-rapl:5/energy_uj",
+    "/sys/class/powercap/intel-rapl:6/energy_uj",
+    "/sys/class/powercap/intel-rapl:7/energy_uj",
+];
+
 /// Per-instance RAPL sampling state.
 #[derive(Debug, Clone, Default)]
 pub struct RaplMonitor {
     last: HashMap<InstanceId, Vec<(u64, f64)>>,
+    /// The current sample's readings, reused across samples.
+    readings: Vec<u64>,
+    /// The text of the last `energy_uj` read, reused across reads.
+    text: String,
     dropped: u64,
     resets: u64,
 }
@@ -49,11 +65,11 @@ impl RaplMonitor {
         now_s: f64,
     ) -> Result<Option<f64>, CloudError> {
         // Discover package count by probing package 0, 1, ... until ENOENT.
-        let mut readings = Vec::new();
-        for pkg in 0..8 {
-            let path = format!("/sys/class/powercap/intel-rapl:{pkg}/energy_uj");
-            match cloud.read_file(instance, &path) {
-                Ok(v) => readings.push(v.trim().parse::<u64>().unwrap_or(0)),
+        let readings = &mut self.readings;
+        readings.clear();
+        for (pkg, path) in ENERGY_UJ_PATHS.iter().enumerate() {
+            match cloud.read_file_into(instance, path, &mut self.text) {
+                Ok(()) => readings.push(self.text.trim().parse::<u64>().unwrap_or(0)),
                 Err(e) if e.is_transient() => {
                     // Sensor dropout: drop this sample, keep the baseline.
                     self.dropped += 1;
@@ -73,7 +89,7 @@ impl RaplMonitor {
         let result = if entry.len() == readings.len() {
             let mut total_uj = 0u64;
             let mut dt = 0.0f64;
-            for ((last_uj, last_t), cur) in entry.iter().zip(&readings) {
+            for ((last_uj, last_t), cur) in entry.iter().zip(readings.iter()) {
                 let dt_r = now_s - last_t;
                 let delta = if cur >= last_uj {
                     cur - last_uj
@@ -125,7 +141,8 @@ impl RaplMonitor {
                 }
             }
         }
-        *entry = readings.into_iter().map(|uj| (uj, now_s)).collect();
+        entry.clear();
+        entry.extend(readings.iter().map(|&uj| (uj, now_s)));
         Ok(result)
     }
 

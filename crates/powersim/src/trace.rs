@@ -22,6 +22,16 @@ pub struct SurgeEvent {
     pub extra_demand: f64,
 }
 
+/// The extra demand `s` adds at `t_s`, inside its window.
+fn surge_demand(s: &SurgeEvent, t_s: u64) -> f64 {
+    // Ramp in/out over 10% of the duration.
+    let ramp = s.duration_s as f64 * 0.1;
+    let into = (t_s - s.start_s) as f64;
+    let left = (s.start_s + s.duration_s - t_s) as f64;
+    let shape = (into / ramp).min(1.0).min(left / ramp);
+    s.extra_demand * shape
+}
+
 /// The diurnal demand generator.
 #[derive(Debug)]
 pub struct DiurnalTrace {
@@ -30,8 +40,51 @@ pub struct DiurnalTrace {
     noise: f64,
     phase_per_host_s: u64,
     surges: Vec<SurgeEvent>,
+    index: SurgeIndex,
     rng: StdRng,
     noise_state: Vec<f64>,
+}
+
+/// The surges sorted by start, so a lookup visits only those that began
+/// at or before an instant and may not have ended yet.
+#[derive(Debug, Default)]
+struct SurgeIndex {
+    /// `(start, end, position in surges)`, sorted.
+    by_start: Vec<(u64, u64, usize)>,
+    /// The latest end among `by_start[..=i]`, for each `i`.
+    max_end: Vec<u64>,
+}
+
+impl SurgeIndex {
+    fn new(surges: &[SurgeEvent]) -> Self {
+        let mut by_start: Vec<(u64, u64, usize)> = surges
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.start_s, s.start_s + s.duration_s, i))
+            .collect();
+        by_start.sort_unstable();
+        let max_end = by_start
+            .iter()
+            .scan(0, |latest, &(_, end, _)| {
+                *latest = end.max(*latest);
+                Some(*latest)
+            })
+            .collect();
+        SurgeIndex { by_start, max_end }
+    }
+
+    /// Positions in `surges` of every surge active at `t_s`, ascending.
+    fn active(&self, t_s: u64) -> Vec<usize> {
+        let began = self.by_start.partition_point(|&(start, _, _)| start <= t_s);
+        let mut hits: Vec<usize> = (0..began)
+            .rev()
+            .take_while(|&i| self.max_end[i] > t_s)
+            .filter(|&i| self.by_start[i].1 > t_s)
+            .map(|i| self.by_start[i].2)
+            .collect();
+        hits.sort_unstable();
+        hits
+    }
 }
 
 impl DiurnalTrace {
@@ -68,6 +121,7 @@ impl DiurnalTrace {
             amplitude: 0.15,
             noise: 0.03,
             phase_per_host_s: 1_800,
+            index: SurgeIndex::new(&surges),
             surges,
             rng,
             noise_state: Vec::new(),
@@ -82,6 +136,7 @@ impl DiurnalTrace {
             noise: 0.01,
             phase_per_host_s: 0,
             surges: Vec::new(),
+            index: SurgeIndex::default(),
             rng: StdRng::seed_from_u64(seed ^ 0xf1a7),
             noise_state: Vec::new(),
         }
@@ -91,6 +146,7 @@ impl DiurnalTrace {
     #[must_use]
     pub fn with_surge(mut self, surge: SurgeEvent) -> Self {
         self.surges.push(surge);
+        self.index = SurgeIndex::new(&self.surges);
         self
     }
 
@@ -100,15 +156,9 @@ impl DiurnalTrace {
         let phase = (host as u64 * self.phase_per_host_s) as f64;
         let daily = 2.0 * std::f64::consts::PI * ((t_s as f64 + phase) / 86_400.0);
         let mut d = self.base + self.amplitude * (daily.sin() * 0.6 + (2.0 * daily).sin() * 0.25);
-        for s in &self.surges {
-            if t_s >= s.start_s && t_s < s.start_s + s.duration_s {
-                // Ramp in/out over 10% of the duration.
-                let ramp = s.duration_s as f64 * 0.1;
-                let into = (t_s - s.start_s) as f64;
-                let left = (s.start_s + s.duration_s - t_s) as f64;
-                let shape = (into / ramp).min(1.0).min(left / ramp);
-                d += s.extra_demand * shape;
-            }
+        // Summed in `surges` order: float addition does not reassociate.
+        for i in self.index.active(t_s) {
+            d += surge_demand(&self.surges[i], t_s);
         }
         d.clamp(0.01, 0.95)
     }
@@ -135,6 +185,7 @@ impl DiurnalTrace {
 mod tests {
     use super::*;
     use cloudsim::{CloudConfig, CloudProfile};
+    use proptest::prelude::*;
 
     #[test]
     fn nominal_demand_is_bounded_and_diurnal() {
@@ -192,6 +243,100 @@ mod tests {
         }
         assert!(lo > 820.0 && lo < 1_060.0, "trough {lo} W");
         assert!(hi > 1_080.0 && hi < 1_420.0, "peak {hi} W");
+    }
+
+    /// The lookup before the index: every surge, in `surges` order.
+    fn nominal_demand_reference(t: &DiurnalTrace, host: usize, t_s: u64) -> f64 {
+        let phase = (host as u64 * t.phase_per_host_s) as f64;
+        let daily = 2.0 * std::f64::consts::PI * ((t_s as f64 + phase) / 86_400.0);
+        let mut d = t.base + t.amplitude * (daily.sin() * 0.6 + (2.0 * daily).sin() * 0.25);
+        for s in &t.surges {
+            if t_s >= s.start_s && t_s < s.start_s + s.duration_s {
+                let ramp = s.duration_s as f64 * 0.1;
+                let into = (t_s - s.start_s) as f64;
+                let left = (s.start_s + s.duration_s - t_s) as f64;
+                let shape = (into / ramp).min(1.0).min(left / ramp);
+                d += s.extra_demand * shape;
+            }
+        }
+        d.clamp(0.01, 0.95)
+    }
+
+    /// Every surge's edges: one second before its start, its start, its
+    /// last second and its end.
+    fn edges(t: &DiurnalTrace) -> Vec<u64> {
+        t.surges
+            .iter()
+            .flat_map(|s| {
+                let end = s.start_s + s.duration_s;
+                [
+                    s.start_s.saturating_sub(1),
+                    s.start_s,
+                    end.saturating_sub(1),
+                    end,
+                ]
+            })
+            .collect()
+    }
+
+    fn assert_index_matches(t: &DiurnalTrace) -> Result<(), TestCaseError> {
+        for host in [0, 3, 7] {
+            for t_s in edges(t) {
+                prop_assert_eq!(
+                    t.nominal_demand(host, t_s).to_bits(),
+                    nominal_demand_reference(t, host, t_s).to_bits(),
+                    "host {} at {} s",
+                    host,
+                    t_s
+                );
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn surge_index_matches_the_linear_scan_on_the_paper_week() {
+        for seed in [1, 33, 1729] {
+            let t = DiurnalTrace::paper_week(seed);
+            assert!(t.surges.len() > 300);
+            assert_index_matches(&t).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn surge_index_matches_the_linear_scan(
+            seed in 0u64..1_000,
+            base in 0usize..2,
+            surges in proptest::collection::vec(
+                (0u64..20_000, 0usize..4, 0u64..3_000, 0.0f64..0.02),
+                1..48,
+            ),
+        ) {
+            // Small extras keep overlapping sums below the clamp, where a
+            // different summation order would show in the low bits.
+            let mut t = if base == 0 {
+                DiurnalTrace::flat(0.05, seed)
+            } else {
+                DiurnalTrace::paper_week(seed)
+            };
+            for (start, shape, duration, extra_demand) in surges {
+                // Zero-length, short and long surges, appended out of
+                // start order and overlapping each other.
+                let duration_s = match shape {
+                    0 => 0,
+                    1 => duration % 7,
+                    _ => duration,
+                };
+                t = t.with_surge(SurgeEvent {
+                    start_s: 86_400 + start,
+                    duration_s,
+                    extra_demand,
+                });
+            }
+            assert_index_matches(&t)?;
+        }
     }
 
     #[test]

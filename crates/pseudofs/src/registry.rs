@@ -511,6 +511,14 @@ impl Segment {
         }
     }
 
+    /// The text of a literal segment; `None` for a wildcard.
+    fn literal(&self) -> Option<&'static str> {
+        match *self {
+            Segment::Literal(lit) => Some(lit),
+            Segment::Wild { .. } => None,
+        }
+    }
+
     /// The run of `seg` this segment's `*` covers, or `""` for a literal;
     /// `None` when `seg` does not match. As in `glob_match`, the suffix
     /// must be the first occurrence after the prefix and end the segment.
@@ -532,56 +540,146 @@ impl Segment {
 /// A route with its pattern split into segments.
 type Compiled = (&'static Route, Vec<Segment>);
 
-/// [`ROUTES`] split into segments on first use, bucketed by segment
-/// count, each bucket in table order.
-fn compiled() -> &'static [Vec<Compiled>; MAX_SEGMENTS + 1] {
-    static TABLE: OnceLock<[Vec<Compiled>; MAX_SEGMENTS + 1]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut by_len: [Vec<Compiled>; MAX_SEGMENTS + 1] = Default::default();
-        for r in ROUTES {
-            let segs: Vec<Segment> = r
-                .pattern
-                .trim_start_matches('/')
-                .split('/')
-                .map(Segment::parse)
-                .collect();
-            if let Some(bucket) = by_len.get_mut(segs.len()) {
-                bucket.push((r, segs));
+/// A path's segment count and first two segments (`""` past its end).
+type Key = (usize, &'static str, &'static str);
+
+/// [`ROUTES`] split into segments, and indexed by the first two of them.
+#[derive(Debug)]
+struct Index {
+    /// Every route, in table order.
+    routes: Vec<Compiled>,
+    /// For each key of a route whose first two segments are literal,
+    /// sorted by key: the positions in `routes` of every route that can
+    /// match a path with that key — those literal routes and the routes
+    /// of the same depth with a wildcard in their first two segments,
+    /// merged in table order.
+    keyed: Vec<(Key, Vec<usize>)>,
+    /// Per segment count, the routes with a wildcard in their first two
+    /// segments, in table order: a path whose key no literal route has
+    /// can only match one of these.
+    wild: [Vec<usize>; MAX_SEGMENTS + 1],
+}
+
+/// The route index, built on first use.
+fn index() -> &'static Index {
+    static INDEX: OnceLock<Index> = OnceLock::new();
+    INDEX.get_or_init(|| {
+        let routes: Vec<Compiled> = ROUTES
+            .iter()
+            .map(|r| {
+                let segs = r
+                    .pattern
+                    .trim_start_matches('/')
+                    .split('/')
+                    .map(Segment::parse)
+                    .collect();
+                (r, segs)
+            })
+            .collect();
+        // A missing second segment reads as the literal `""`.
+        let head = |segs: &[Segment]| {
+            let second = segs.get(1).map_or(Some(""), Segment::literal);
+            segs[0].literal().zip(second)
+        };
+        let mut wild: [Vec<usize>; MAX_SEGMENTS + 1] = Default::default();
+        let mut keys: Vec<Key> = Vec::new();
+        for (i, (_, segs)) in routes.iter().enumerate() {
+            match head(segs) {
+                Some((a, b)) => keys.push((segs.len(), a, b)),
+                None => {
+                    if let Some(bucket) = wild.get_mut(segs.len()) {
+                        bucket.push(i);
+                    }
+                }
             }
         }
-        by_len
+        keys.sort_unstable();
+        keys.dedup();
+        let keyed = keys
+            .into_iter()
+            .map(|key @ (n, a, b)| {
+                let fits = |seg: Option<&Segment>, lit: &str| {
+                    seg.is_none_or(|s| s.literal().is_none_or(|l| l == lit))
+                };
+                let candidates = routes
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (_, segs))| {
+                        segs.len() == n && fits(segs.first(), a) && fits(segs.get(1), b)
+                    })
+                    .map(|(i, _)| i)
+                    .collect();
+                (key, candidates)
+            })
+            .collect();
+        Index {
+            routes,
+            keyed,
+            wild,
+        }
     })
+}
+
+/// Splits `path` into its segments, ignoring leading slashes; `None`
+/// when it has more than [`MAX_SEGMENTS`].
+fn split(path: &str) -> Option<([&str; MAX_SEGMENTS], usize)> {
+    let path = path.trim_start_matches('/');
+    let mut segs = [""; MAX_SEGMENTS];
+    let mut n = 0;
+    let mut start = 0;
+    for (i, b) in path.bytes().enumerate() {
+        if b == b'/' {
+            *segs.get_mut(n)? = &path[start..i];
+            n += 1;
+            start = i + 1;
+        }
+    }
+    *segs.get_mut(n)? = &path[start..];
+    Some((segs, n + 1))
+}
+
+/// The text each `*` of `pattern` matched in `segs`, in order, if every
+/// segment matches. Segments are checked last first: the file name
+/// tells most routes of one directory apart.
+fn captures<'p>(pattern: &[Segment], segs: &[&'p str]) -> Option<[&'p str; MAX_CAPTURES]> {
+    if !pattern
+        .iter()
+        .zip(segs)
+        .rev()
+        .all(|(p, seg)| p.capture(seg).is_some())
+    {
+        return None;
+    }
+    let mut caps = [""; MAX_CAPTURES];
+    let wild = pattern
+        .iter()
+        .zip(segs)
+        .filter(|(p, _)| matches!(p, Segment::Wild { .. }));
+    for (slot, (p, seg)) in caps.iter_mut().zip(wild) {
+        *slot = p.capture(seg)?;
+    }
+    Some(caps)
 }
 
 /// The route serving `path` and the text each `*` of its pattern
 /// matched, in order (unused slots are `""`). First match wins in table
 /// order, so the exact `/proc/self/*` routes shadow the pid globs. Paths
 /// match as [`glob_match`](crate::glob_match) matches them: leading
-/// slashes are ignored. Only routes with as many segments as the path
-/// are tried, a literal segment costs one string compare, and nothing
-/// allocates.
+/// slashes are ignored. The path's segment count and first two segments
+/// pick the candidate routes (a binary search), a literal segment costs
+/// one string compare, and nothing allocates.
 pub(crate) fn resolve(path: &str) -> Option<(&'static Route, [&str; MAX_CAPTURES])> {
-    let mut segs = [""; MAX_SEGMENTS];
-    let mut n = 0;
-    for seg in path.trim_start_matches('/').split('/') {
-        *segs.get_mut(n)? = seg;
-        n += 1;
-    }
-    'routes: for (route, pattern) in compiled().get(n)? {
-        let mut caps = [""; MAX_CAPTURES];
-        let mut found = 0;
-        for (p, seg) in pattern.iter().zip(&segs) {
-            let Some(cap) = p.capture(seg) else {
-                continue 'routes;
-            };
-            if let Segment::Wild { .. } = p {
-                *caps.get_mut(found)? = cap;
-                found += 1;
-            }
-        }
-        return Some((route, caps));
-    }
-    None
+    let (segs, n) = split(path)?;
+    let idx = index();
+    let key = (n, segs[0], segs[1]);
+    let candidates = match idx.keyed.binary_search_by(|(k, _)| k.cmp(&key)) {
+        Ok(i) => &idx.keyed[i].1,
+        Err(_) => idx.wild.get(n)?,
+    };
+    candidates.iter().find_map(|&i| {
+        let (route, pattern) = &idx.routes[i];
+        Some((*route, captures(pattern, &segs[..n])?))
+    })
 }
 
 /// The route serving `path`, if any: a path reads iff it routes.
@@ -836,6 +934,95 @@ mod tests {
                 .find(|r| crate::view::glob_match_reference(r.pattern, path));
             assert_eq!(route_for(path), reference, "path {path:?}");
         }
+    }
+
+    /// The resolver before the index: a linear scan of every route with
+    /// the path's segment count, in table order.
+    fn resolve_reference(path: &str) -> Option<(&'static Route, [&str; MAX_CAPTURES])> {
+        let (segs, n) = split(path)?;
+        index()
+            .routes
+            .iter()
+            .filter(|(_, pattern)| pattern.len() == n)
+            .find_map(|(route, pattern)| Some((*route, captures(pattern, &segs[..n])?)))
+    }
+
+    /// Misspellings of `path` the resolver must treat exactly as the
+    /// linear scan does: doubled and trailing slashes, an extra, a
+    /// missing and a replaced segment, every file name any route serves
+    /// in place of its own, a bogus `hwmon` directory, other pids and
+    /// RAPL packages, and depths past [`MAX_SEGMENTS`].
+    fn misspellings(path: &str) -> Vec<String> {
+        let mut out = vec![
+            format!("/{path}"),
+            format!("{path}/"),
+            format!("{path}/extra"),
+            path.trim_start_matches('/').to_string(),
+            path.replace("hwmon/hwmon", "hwmon/bogus"),
+            path.replace("/hwmon", "/hwmonX"),
+            path.replace("intel-rapl:0", "intel-rapl:9"),
+            path.replace("/proc/1/", "/proc/4242/"),
+            path.replace("/proc/self/", "/proc/1/"),
+            path.replace("/proc/", "/proc/1/"),
+            format!("{path}{}", "/x".repeat(MAX_SEGMENTS)),
+        ];
+        if let Some((parent, _)) = path.rsplit_once('/') {
+            out.push(parent.to_string());
+            out.push(format!("{parent}/unknown"));
+            for r in ROUTES {
+                let name = r.pattern.rsplit('/').next().unwrap_or_default();
+                out.push(format!("{parent}/{}", name.replace('*', "0")));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn indexed_resolve_equals_the_linear_scan() {
+        let mut cloud = cloudsim::Cloud::new(
+            cloudsim::CloudConfig::new(cloudsim::CloudProfile::CC1).hosts(1),
+            5,
+        );
+        let inst = cloud
+            .launch("t", cloudsim::InstanceSpec::new("probe"))
+            .unwrap();
+        cloud.exec(inst, "app", models::prime()).unwrap();
+        let listed = cloud.list_files(inst).unwrap();
+        assert!(
+            listed.len() > 100,
+            "CC1 listing too short: {}",
+            listed.len()
+        );
+        let mut paths: Vec<String> = ROUTES.iter().map(|r| r.probe.to_string()).collect();
+        paths.extend(listed);
+        let mutated: Vec<String> = paths.iter().flat_map(|p| misspellings(p)).collect();
+        paths.extend(mutated);
+        paths.extend(
+            [
+                "",
+                "/",
+                "//",
+                "proc",
+                "/proc",
+                "/sys/class",
+                "/a/b/c/d/e/f/g/h/i",
+            ]
+            .map(String::from),
+        );
+        let mut routed = 0;
+        for path in &paths {
+            let fast = resolve(path).map(|(r, caps)| (r.pattern, caps));
+            let plain = resolve_reference(path).map(|(r, caps)| (r.pattern, caps));
+            assert_eq!(fast, plain, "path {path:?}");
+            routed += usize::from(fast.is_some());
+        }
+        // Both outcomes are exercised: thousands of spellings route, and
+        // more do not.
+        assert!(
+            routed > 10 * ROUTES.len() && routed < paths.len() / 2,
+            "{routed} of {}",
+            paths.len()
+        );
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub fn glob_match(pattern: &str, path: &str) -> bool {
 
 /// The matcher [`glob_match`] replaced, kept as the oracle the
 /// differential tests hold it to: it collects both sides into vectors
-/// before walking them.
+/// before walking them, and runs the star matcher on every segment.
 #[cfg(test)]
 pub(crate) fn glob_match_reference(pattern: &str, path: &str) -> bool {
     let pat: Vec<&str> = pattern.trim_start_matches('/').split('/').collect();
@@ -126,7 +126,7 @@ pub(crate) fn glob_match_reference(pattern: &str, path: &str) -> bool {
             return pi == pat.len() - 1;
         }
         match segs.get(i) {
-            Some(s) if segment_match(p, s) => i += 1,
+            Some(s) if star_match(p, s) => i += 1,
             _ => return false,
         }
     }
@@ -134,7 +134,16 @@ pub(crate) fn glob_match_reference(pattern: &str, path: &str) -> bool {
 }
 
 fn segment_match(pat: &str, seg: &str) -> bool {
-    // Simple star matcher within one segment.
+    // A segment without `*` is a literal; the empty one matches any
+    // segment, as the star matcher has it.
+    if !pat.contains('*') {
+        return pat.is_empty() || pat == seg;
+    }
+    star_match(pat, seg)
+}
+
+/// Matches one pattern segment, `*` standing for any run of characters.
+fn star_match(pat: &str, seg: &str) -> bool {
     let mut parts = pat.split('*').peekable();
     let mut rest = seg;
     let mut first = true;

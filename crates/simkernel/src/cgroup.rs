@@ -360,6 +360,21 @@ impl CgroupForest {
         }
     }
 
+    /// Charges `ns_per_cpu[c]` nanoseconds on each CPU `c` to `id` and its
+    /// ancestors: [`CgroupForest::charge_cpu`] for every CPU in one walk.
+    pub fn charge_cpus(&mut self, id: CgroupId, ns_per_cpu: &[u64]) {
+        let mut cur = Some(id);
+        while let Some(c) = cur {
+            let Some(n) = self.node_mut(c) else { break };
+            cur = n.parent;
+            if let CgroupData::Cpuacct { usage_ns_per_cpu } = &mut n.data {
+                for (usage, ns) in usage_ns_per_cpu.iter_mut().zip(ns_per_cpu) {
+                    *usage += ns;
+                }
+            }
+        }
+    }
+
     /// Charges perf counters to `id` and ancestors, but only to nodes with
     /// monitoring enabled (perf_event hierarchy).
     pub fn charge_perf(&mut self, id: CgroupId, delta: &PerfCounters) {

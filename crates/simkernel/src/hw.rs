@@ -278,17 +278,33 @@ impl Hardware {
 
     /// Integrates one tick of load into energy counters, temperatures and
     /// idle-state residency.
+    ///
+    /// Draws, in order: per CPU, the temperature noise then the frequency
+    /// dither; then per package, the power noise. A `#[cfg(test)]`
+    /// reference tick pins the result.
     pub fn tick(&mut self, dt_ns: u64, load: &[CpuTickLoad], rng: &mut StdRng) {
         let dt_s = dt_ns as f64 / NANOS_PER_SEC as f64;
-        let p = self.params.clone();
         let npkg = self.rapl.package_count();
-        let mut pkg_core_w = vec![0.0f64; npkg];
-        let mut pkg_dram_w = vec![0.0f64; npkg];
+        let last_pkg = npkg.saturating_sub(1);
+        let Hardware {
+            params: p,
+            rapl,
+            cpus,
+            cpus_per_package,
+            freq_hz,
+            last_snapshot,
+            ..
+        } = self;
+        // The snapshot's buffer first accumulates each package's core and
+        // DRAM watts, in CPU order, then receives the tick's breakdown.
+        let per_pkg = &mut last_snapshot.per_package_w;
+        per_pkg.clear();
+        per_pkg.resize(npkg, (0.0, 0.0, 0.0));
         // Loop-invariant pieces of the per-CPU thermal/governor models.
         let alpha = 1.0 - (-dt_s / THERMAL_TAU_S).exp();
-        let base_khz = self.freq_hz as f64 / 1_000.0;
+        let base_khz = *freq_hz as f64 / 1_000.0;
 
-        for (cpu, l) in load.iter().enumerate().take(self.cpus.len()) {
+        for (cpu, (l, hw)) in load.iter().zip(cpus.iter_mut()).enumerate() {
             let busy_frac = (l.busy_ns as f64 / dt_ns as f64).min(1.0);
             let instr_rate = l.instructions as f64 / dt_s;
             let cm_rate = l.cache_misses as f64 / dt_s;
@@ -309,13 +325,14 @@ impl Hardware {
                 + bm_rate * p.energy_per_branch_miss_pj * 1e-12;
             let dram_w = cm_rate * p.energy_per_dram_access_pj * 1e-12;
 
-            let pkg = self.package_of(cpu);
-            pkg_core_w[pkg] += core_w;
-            pkg_dram_w[pkg] += dram_w;
+            // `package_of`, on the destructured fields.
+            if let Some(acc) = per_pkg.get_mut((cpu / *cpus_per_package).min(last_pkg)) {
+                acc.1 += core_w;
+                acc.2 += dram_w;
+            }
 
             // Thermal: first-order filter toward a power-dependent target.
             let target = AMBIENT_MC + core_w * MC_PER_W;
-            let hw = &mut self.cpus[cpu];
             // DTS sensors carry ~±0.25 °C of readout noise.
             hw.temp_mc += (target - hw.temp_mc) * alpha + rng.random_range(-250.0..250.0);
 
@@ -347,28 +364,24 @@ impl Hardware {
             }
         }
 
-        let mut snapshot = PowerSnapshot {
-            wall_w: 0.0,
-            per_package_w: Vec::with_capacity(npkg),
-        };
         let mut dc_w = p.platform_idle_w;
-        for pkg in 0..npkg {
+        for (pkg, out) in per_pkg.iter_mut().enumerate() {
+            let (_, pkg_core_w, pkg_dram_w) = *out;
             let noise = 1.0 + rng.random_range(-p.noise_frac..p.noise_frac);
-            let core_w = pkg_core_w[pkg] * noise;
-            let dram_w = (p.dram_idle_w + pkg_dram_w[pkg]) * noise;
+            let core_w = pkg_core_w * noise;
+            let dram_w = (p.dram_idle_w + pkg_dram_w) * noise;
             let uncore_w = p.pkg_uncore_w;
             let pkg_w = core_w + dram_w + uncore_w;
-            self.rapl.add(
+            rapl.add(
                 pkg,
                 core_w * dt_s * 1e6,
                 dram_w * dt_s * 1e6,
                 uncore_w * dt_s * 1e6,
             );
-            snapshot.per_package_w.push((pkg_w, core_w, dram_w));
+            *out = (pkg_w, core_w, dram_w);
             dc_w += pkg_w;
         }
-        snapshot.wall_w = dc_w / p.psu_efficiency;
-        self.last_snapshot = snapshot;
+        last_snapshot.wall_w = dc_w / p.psu_efficiency;
     }
 
     /// Jumps the hardware to its quiescent-state value `rel_ns` after
@@ -429,6 +442,111 @@ impl Hardware {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    // The plain tick the fast [`Hardware::tick`] must match byte for byte:
+    // it clones the parameters and allocates its package sums and snapshot.
+    impl Hardware {
+        pub(crate) fn tick_reference(
+            &mut self,
+            dt_ns: u64,
+            load: &[CpuTickLoad],
+            rng: &mut StdRng,
+        ) {
+            let dt_s = dt_ns as f64 / NANOS_PER_SEC as f64;
+            let p = self.params.clone();
+            let npkg = self.rapl.package_count();
+            let mut pkg_core_w = vec![0.0f64; npkg];
+            let mut pkg_dram_w = vec![0.0f64; npkg];
+            // Loop-invariant pieces of the per-CPU thermal/governor models.
+            let alpha = 1.0 - (-dt_s / THERMAL_TAU_S).exp();
+            let base_khz = self.freq_hz as f64 / 1_000.0;
+
+            for (cpu, l) in load.iter().enumerate().take(self.cpus.len()) {
+                let busy_frac = (l.busy_ns as f64 / dt_ns as f64).min(1.0);
+                let instr_rate = l.instructions as f64 / dt_s;
+                let cm_rate = l.cache_misses as f64 / dt_s;
+                let bm_rate = l.branch_misses as f64 / dt_s;
+                let fp_frac = if l.instructions > 0 {
+                    l.fp_instructions as f64 / l.instructions as f64
+                } else {
+                    0.0
+                };
+
+                // Core power: idle leakage + activity baseline + per-event
+                // energies. The per-instruction term is scaled up for FP-heavy
+                // streams — the workload-dependent slope of Fig. 6.
+                let core_w = p.core_idle_w
+                    + busy_frac * p.core_active_w
+                    + instr_rate
+                        * p.energy_per_instr_pj
+                        * (1.0 + p.fp_energy_factor * fp_frac)
+                        * 1e-12
+                    + cm_rate * p.energy_per_cache_miss_pj * 1e-12
+                    + bm_rate * p.energy_per_branch_miss_pj * 1e-12;
+                let dram_w = cm_rate * p.energy_per_dram_access_pj * 1e-12;
+
+                let pkg = self.package_of(cpu);
+                pkg_core_w[pkg] += core_w;
+                pkg_dram_w[pkg] += dram_w;
+
+                // Thermal: first-order filter toward a power-dependent target.
+                let target = AMBIENT_MC + core_w * MC_PER_W;
+                let hw = &mut self.cpus[cpu];
+                // DTS sensors carry ~±0.25 °C of readout noise.
+                hw.temp_mc += (target - hw.temp_mc) * alpha + rng.random_range(-250.0..250.0);
+
+                // cpufreq governor: floor at ~47% of nominal when parked,
+                // turbo to ~112% under full load, with dither.
+                let target_khz = base_khz * (0.47 + 0.65 * busy_frac);
+                hw.cur_freq_khz = (target_khz * (1.0 + rng.random_range(-0.01..0.01))) as u64;
+
+                // cpuidle residency for the idle fraction of the tick.
+                let idle_ns = dt_ns - l.busy_ns.min(dt_ns);
+                if idle_ns > 0 {
+                    let idle_us = idle_ns / 1_000;
+                    // Deep idle when mostly idle; shallow when fragmented.
+                    let split: [(usize, f64); 3] = if busy_frac < 0.05 {
+                        [(4, 0.85), (2, 0.10), (1, 0.05)]
+                    } else if busy_frac < 0.6 {
+                        [(3, 0.50), (2, 0.30), (1, 0.20)]
+                    } else {
+                        [(1, 0.60), (0, 0.25), (2, 0.15)]
+                    };
+                    for (state, frac) in split {
+                        let t = (idle_us as f64 * frac) as u64;
+                        let st = &mut hw.idle_states[state];
+                        st.time_us += t;
+                        // Entry count: deep states have long residencies.
+                        let avg_res_us = [50u64, 200, 600, 2_000, 20_000][state];
+                        st.usage += (t / avg_res_us).max(u64::from(t > 0));
+                    }
+                }
+            }
+
+            let mut snapshot = PowerSnapshot {
+                wall_w: 0.0,
+                per_package_w: Vec::with_capacity(npkg),
+            };
+            let mut dc_w = p.platform_idle_w;
+            for pkg in 0..npkg {
+                let noise = 1.0 + rng.random_range(-p.noise_frac..p.noise_frac);
+                let core_w = pkg_core_w[pkg] * noise;
+                let dram_w = (p.dram_idle_w + pkg_dram_w[pkg]) * noise;
+                let uncore_w = p.pkg_uncore_w;
+                let pkg_w = core_w + dram_w + uncore_w;
+                self.rapl.add(
+                    pkg,
+                    core_w * dt_s * 1e6,
+                    dram_w * dt_s * 1e6,
+                    uncore_w * dt_s * 1e6,
+                );
+                snapshot.per_package_w.push((pkg_w, core_w, dram_w));
+                dc_w += pkg_w;
+            }
+            snapshot.wall_w = dc_w / p.psu_efficiency;
+            self.last_snapshot = snapshot;
+        }
+    }
 
     fn idle_load(ncpus: usize, dt_ns: u64) -> Vec<CpuTickLoad> {
         vec![

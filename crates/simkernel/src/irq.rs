@@ -100,48 +100,72 @@ impl IrqState {
     }
 
     /// One tick of interrupt traffic derived from load.
+    ///
+    /// Draws, in order: per CPU, the local-timer then the rescheduling
+    /// jitter; the NMI count; then per CPU, the RCU then the tasklet
+    /// jitter. A `#[cfg(test)]` reference tick pins the result.
     pub fn tick(&mut self, dt_ns: u64, load: &[CpuTickLoad], switches: u64, rng: &mut StdRng) {
         let dt_s = dt_ns as f64 / NANOS_PER_SEC as f64;
         let ncpus = self.ncpus;
         let per_cpu_switches = switches / ncpus.max(1) as u64;
+        let hz_dt = f64::from(self.hz) * dt_s;
+        let busy_frac = |l: CpuTickLoad| (l.busy_ns as f64 / dt_ns as f64).min(1.0);
+        let lines = &mut self.lines;
+        let mut added = 0u64;
 
         for cpu in 0..ncpus {
             let l = load.get(cpu).copied().unwrap_or_default();
-            let busy_frac = (l.busy_ns as f64 / dt_ns as f64).min(1.0);
+            let busy = busy_frac(l);
             // Local timer: full HZ while busy, ~1/8 when tickless-idle.
-            let loc = (f64::from(self.hz) * dt_s * (0.125 + 0.875 * busy_frac)) as u64
-                + rng.random_range(0..3);
-            self.line_add(LINE_LOC, cpu, loc);
-            self.line_add(LINE_RES, cpu, per_cpu_switches / 3 + rng.random_range(0..2));
-            self.line_add(LINE_CAL, cpu, (busy_frac * 40.0 * dt_s) as u64);
-            self.line_add(LINE_TLB, cpu, (l.cache_misses / 2_000_000).min(10_000));
+            let loc = (hz_dt * (0.125 + 0.875 * busy)) as u64 + rng.random_range(0..3);
+            let res = per_cpu_switches / 3 + rng.random_range(0..2);
+            let cal = (busy * 40.0 * dt_s) as u64;
+            let tlb = (l.cache_misses / 2_000_000).min(10_000);
+            lines[LINE_LOC].per_cpu[cpu] += loc;
+            lines[LINE_RES].per_cpu[cpu] += res;
+            lines[LINE_CAL].per_cpu[cpu] += cal;
+            lines[LINE_TLB].per_cpu[cpu] += tlb;
+            added += loc + res + cal + tlb;
             if l.io_bytes > 0 {
-                self.line_add(LINE_AHCI, cpu, l.io_bytes / 65_536 + 1);
+                let ahci = l.io_bytes / 65_536 + 1;
+                lines[LINE_AHCI].per_cpu[cpu] += ahci;
+                added += ahci;
             }
             if l.syscalls > 1_000 {
-                self.line_add(LINE_ETH0, cpu, l.syscalls / 500);
+                let eth0 = l.syscalls / 500;
+                lines[LINE_ETH0].per_cpu[cpu] += eth0;
+                added += eth0;
             }
         }
         // Legacy timer and RTC tick slowly on CPU0 only.
-        self.line_add(LINE_TIMER0, 0, u64::from(dt_s >= 1.0));
-        self.line_add(LINE_NMI, 0, rng.random_range(0..2));
+        let timer0 = u64::from(dt_s >= 1.0);
+        let nmi = rng.random_range(0..2);
+        if let Some(c) = lines[LINE_TIMER0].per_cpu.first_mut() {
+            *c += timer0;
+        }
+        if let Some(c) = lines[LINE_NMI].per_cpu.first_mut() {
+            *c += nmi;
+        }
+        self.total_interrupts += added + timer0 + nmi;
 
+        let soft = &mut self.softirqs;
+        // `cpu` indexes a column of every softirq row, not one slice.
+        #[allow(clippy::needless_range_loop)]
         for cpu in 0..ncpus {
             let l = load.get(cpu).copied().unwrap_or_default();
-            let busy_frac = (l.busy_ns as f64 / dt_ns as f64).min(1.0);
-            let timer = (f64::from(self.hz) * dt_s * (0.125 + 0.875 * busy_frac)) as u64;
-            self.soft_add(SOFT_TIMER, cpu, timer);
-            self.soft_add(SOFT_SCHED, cpu, per_cpu_switches / 2 + (timer / 4));
-            self.soft_add(SOFT_RCU, cpu, timer / 2 + rng.random_range(0..5));
-            self.soft_add(SOFT_HRTIMER, cpu, timer / 50);
+            let timer = (hz_dt * (0.125 + 0.875 * busy_frac(l))) as u64;
+            soft[SOFT_TIMER][cpu] += timer;
+            soft[SOFT_SCHED][cpu] += per_cpu_switches / 2 + (timer / 4);
+            soft[SOFT_RCU][cpu] += timer / 2 + rng.random_range(0..5);
+            soft[SOFT_HRTIMER][cpu] += timer / 50;
             if l.io_bytes > 0 {
-                self.soft_add(SOFT_BLOCK, cpu, l.io_bytes / 65_536 + 1);
+                soft[SOFT_BLOCK][cpu] += l.io_bytes / 65_536 + 1;
             }
             if l.syscalls > 1_000 {
-                self.soft_add(SOFT_NET_RX, cpu, l.syscalls / 400);
-                self.soft_add(SOFT_NET_TX, cpu, l.syscalls / 800);
+                soft[SOFT_NET_RX][cpu] += l.syscalls / 400;
+                soft[SOFT_NET_TX][cpu] += l.syscalls / 800;
             }
-            self.soft_add(SOFT_TASKLET, cpu, rng.random_range(0..3));
+            soft[SOFT_TASKLET][cpu] += rng.random_range(0..3);
         }
     }
 
@@ -190,31 +214,86 @@ impl IrqState {
             }
         }
     }
-
-    fn line_add(&mut self, idx: usize, cpu: usize, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if cpu < self.lines[idx].per_cpu.len() {
-            self.lines[idx].per_cpu[cpu] += n;
-        }
-        self.total_interrupts += n;
-    }
-
-    fn soft_add(&mut self, idx: usize, cpu: usize, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if cpu < self.softirqs[idx].len() {
-            self.softirqs[idx][cpu] += n;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    // The plain tick the fast [`IrqState::tick`] must match byte for byte:
+    // every count goes through a bounds-checked `line_add`/`soft_add`.
+    impl IrqState {
+        pub(crate) fn tick_reference(
+            &mut self,
+            dt_ns: u64,
+            load: &[CpuTickLoad],
+            switches: u64,
+            rng: &mut StdRng,
+        ) {
+            let dt_s = dt_ns as f64 / NANOS_PER_SEC as f64;
+            let ncpus = self.ncpus;
+            let per_cpu_switches = switches / ncpus.max(1) as u64;
+
+            for cpu in 0..ncpus {
+                let l = load.get(cpu).copied().unwrap_or_default();
+                let busy_frac = (l.busy_ns as f64 / dt_ns as f64).min(1.0);
+                // Local timer: full HZ while busy, ~1/8 when tickless-idle.
+                let loc = (f64::from(self.hz) * dt_s * (0.125 + 0.875 * busy_frac)) as u64
+                    + rng.random_range(0..3);
+                self.line_add(LINE_LOC, cpu, loc);
+                self.line_add(LINE_RES, cpu, per_cpu_switches / 3 + rng.random_range(0..2));
+                self.line_add(LINE_CAL, cpu, (busy_frac * 40.0 * dt_s) as u64);
+                self.line_add(LINE_TLB, cpu, (l.cache_misses / 2_000_000).min(10_000));
+                if l.io_bytes > 0 {
+                    self.line_add(LINE_AHCI, cpu, l.io_bytes / 65_536 + 1);
+                }
+                if l.syscalls > 1_000 {
+                    self.line_add(LINE_ETH0, cpu, l.syscalls / 500);
+                }
+            }
+            // Legacy timer and RTC tick slowly on CPU0 only.
+            self.line_add(LINE_TIMER0, 0, u64::from(dt_s >= 1.0));
+            self.line_add(LINE_NMI, 0, rng.random_range(0..2));
+
+            for cpu in 0..ncpus {
+                let l = load.get(cpu).copied().unwrap_or_default();
+                let busy_frac = (l.busy_ns as f64 / dt_ns as f64).min(1.0);
+                let timer = (f64::from(self.hz) * dt_s * (0.125 + 0.875 * busy_frac)) as u64;
+                self.soft_add(SOFT_TIMER, cpu, timer);
+                self.soft_add(SOFT_SCHED, cpu, per_cpu_switches / 2 + (timer / 4));
+                self.soft_add(SOFT_RCU, cpu, timer / 2 + rng.random_range(0..5));
+                self.soft_add(SOFT_HRTIMER, cpu, timer / 50);
+                if l.io_bytes > 0 {
+                    self.soft_add(SOFT_BLOCK, cpu, l.io_bytes / 65_536 + 1);
+                }
+                if l.syscalls > 1_000 {
+                    self.soft_add(SOFT_NET_RX, cpu, l.syscalls / 400);
+                    self.soft_add(SOFT_NET_TX, cpu, l.syscalls / 800);
+                }
+                self.soft_add(SOFT_TASKLET, cpu, rng.random_range(0..3));
+            }
+        }
+
+        fn line_add(&mut self, idx: usize, cpu: usize, n: u64) {
+            if n == 0 {
+                return;
+            }
+            if cpu < self.lines[idx].per_cpu.len() {
+                self.lines[idx].per_cpu[cpu] += n;
+            }
+            self.total_interrupts += n;
+        }
+
+        fn soft_add(&mut self, idx: usize, cpu: usize, n: u64) {
+            if n == 0 {
+                return;
+            }
+            if cpu < self.softirqs[idx].len() {
+                self.softirqs[idx][cpu] += n;
+            }
+        }
+    }
 
     fn busy(ncpus: usize, dt: u64) -> Vec<CpuTickLoad> {
         vec![

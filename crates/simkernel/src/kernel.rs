@@ -190,15 +190,31 @@ struct InstalledFaults {
 /// Per-kernel buffers reused across ticks so the steady-state tick path
 /// performs no heap allocation. Pure scratch: holds no simulation state
 /// that outlives a tick except the memoized RSS aggregation below.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct TickScratch {
     report: TickReport,
     sched: SchedScratch,
-    by_cgroup: HashMap<CgroupId, u64>,
+    /// Per-memory-cgroup RSS of the last aggregation, sorted by id.
+    by_cgroup: Vec<(CgroupId, u64)>,
+    /// The memory hierarchy's root, which also receives the total.
+    mem_root: CgroupId,
     /// Process-table epoch at the last RSS aggregation, if still valid.
     mem_epoch: Option<u64>,
     /// Total RSS from that aggregation.
     rss_total: u64,
+}
+
+impl TickScratch {
+    fn new(mem_root: CgroupId) -> Self {
+        TickScratch {
+            report: TickReport::default(),
+            sched: SchedScratch::default(),
+            by_cgroup: Vec::new(),
+            mem_root,
+            mem_epoch: None,
+            rss_total: 0,
+        }
+    }
 }
 
 impl Kernel {
@@ -239,7 +255,7 @@ impl Kernel {
             syscost: SysCosts::default(),
             docker_parents: HashMap::new(),
             container_seq: 0,
-            scratch: TickScratch::default(),
+            scratch: TickScratch::new(cgroups.root(CgroupKind::Memory)),
             lifetime_ns: 0,
             faults: None,
             reboots: 0,
@@ -551,7 +567,14 @@ impl Kernel {
     /// is quiescent (no runnable process) time moves in closed form along
     /// idle-anchor spans — one span per event horizon when coalescing
     /// is on, one per tick quantum when off, with identical results.
-    pub fn advance(&mut self, mut dt_ns: u64) {
+    pub fn advance(&mut self, dt_ns: u64) {
+        self.advance_with(dt_ns, Kernel::tick_once);
+    }
+
+    /// [`Kernel::advance`] with `tick` as the run tick. The runnable count
+    /// is taken once, then from each tick's report: quiescent steps and
+    /// reboots never change a process's state.
+    fn advance_with(&mut self, mut dt_ns: u64, tick: impl Fn(&mut Kernel, u64)) {
         // Tick-shape accounting is accumulated locally (cheap u64 adds)
         // and published in one batch after the loop, so tracing costs a
         // single `enabled()` check per advance call, not per tick.
@@ -561,8 +584,9 @@ impl Kernel {
         let mut idle_ns = 0u64;
         let mut spans = 0u64;
         let mut stepped = 0u64;
+        let mut runnable = self.procs.runnable();
         while dt_ns > 0 {
-            if self.procs.runnable() == 0 {
+            if runnable == 0 {
                 let step = self.quiescent_step_size(dt_ns, self.coalesce);
                 if step > self.tick_ns {
                     // A multi-tick jump to the event horizon; exists only
@@ -587,7 +611,8 @@ impl Kernel {
             } else {
                 self.idle_anchor = None;
                 let step = dt_ns.min(self.tick_ns);
-                self.tick_once(step);
+                tick(self, step);
+                runnable = self.scratch.report.runnable;
                 run_ns += step;
                 run_ticks += 1;
                 switches += self.scratch.report.switches;
@@ -759,18 +784,24 @@ impl Kernel {
             if p.state() != ProcState::Exited {
                 let rss = p.rss_bytes();
                 rss_total += rss;
-                *by_cgroup.entry(p.cgroups().memory).or_insert(0) += rss;
+                let cg = p.cgroups().memory;
+                match by_cgroup.binary_search_by_key(&cg, |&(id, _)| id) {
+                    Ok(i) => by_cgroup[i].1 += rss,
+                    Err(i) => by_cgroup.insert(i, (cg, rss)),
+                }
             }
         }
-        for (cg, bytes) in self.scratch.by_cgroup.iter() {
-            self.cgroups.set_memory_usage(*cg, *bytes);
+        for &(cg, bytes) in by_cgroup.iter() {
+            self.cgroups.set_memory_usage(cg, bytes);
         }
-        let mem_root = self.cgroups.root(CgroupKind::Memory);
-        self.cgroups.set_memory_usage(mem_root, rss_total);
+        self.cgroups
+            .set_memory_usage(self.scratch.mem_root, rss_total);
         self.scratch.rss_total = rss_total;
         self.scratch.mem_epoch = Some(epoch);
     }
 
+    /// One run tick. Draws, in order: sched, hw, mem, irq, fs, net (each
+    /// subsystem's own order is documented on its `tick`).
     fn tick_once(&mut self, dt_ns: u64) {
         self.sched.tick_into(
             dt_ns,
@@ -798,7 +829,7 @@ impl Kernel {
         // killed, or mutated since the last aggregation and nothing is
         // runnable (so no workload cursor moved), every per-process RSS is
         // unchanged and the cgroup usages already hold the right values.
-        if self.procs.runnable() > 0 {
+        if report.runnable > 0 {
             self.scratch.mem_epoch = None;
         }
         self.refresh_rss_memo();
@@ -1262,7 +1293,310 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::models;
+    use proptest::prelude::*;
+    use rand::RngExt;
+    use workloads::{models, Phase, Repeat, WorkloadClass};
+
+    // The reference tick: [`Kernel::tick_once`] as it was before the fast
+    // paths, calling each subsystem's `#[cfg(test)]` reference tick and
+    // aggregating RSS through a `HashMap`. The property below drives a fast
+    // kernel and a reference kernel through the same script and demands
+    // byte-identical state.
+    impl Kernel {
+        fn refresh_rss_memo_reference(&mut self) {
+            let epoch = self.procs.epoch();
+            if self.scratch.mem_epoch == Some(epoch) {
+                return;
+            }
+            let mut hashed: HashMap<CgroupId, u64> = HashMap::new();
+            let mut rss_total = 0u64;
+            for p in self.procs.iter() {
+                if p.state() != ProcState::Exited {
+                    let rss = p.rss_bytes();
+                    rss_total += rss;
+                    *hashed.entry(p.cgroups().memory).or_insert(0) += rss;
+                }
+            }
+            for (cg, bytes) in hashed.iter() {
+                self.cgroups.set_memory_usage(*cg, *bytes);
+            }
+            let mem_root = self.cgroups.root(CgroupKind::Memory);
+            self.cgroups.set_memory_usage(mem_root, rss_total);
+            self.scratch.rss_total = rss_total;
+            self.scratch.mem_epoch = Some(epoch);
+        }
+
+        fn tick_once_reference(&mut self, dt_ns: u64) {
+            self.sched.tick_reference(
+                dt_ns,
+                &mut self.procs,
+                &mut self.cgroups,
+                &mut self.rng,
+                &mut self.scratch.report,
+            );
+            let report = &self.scratch.report;
+
+            self.hw
+                .tick_reference(dt_ns, &report.per_cpu, &mut self.rng);
+
+            let mut syscalls = 0u64;
+            let mut io_bytes = 0u64;
+            for c in &report.per_cpu {
+                syscalls += c.syscalls;
+                io_bytes += c.io_bytes;
+            }
+            self.stats.total_syscalls += syscalls;
+            self.stats.total_io_bytes += io_bytes;
+
+            if self.procs.runnable() > 0 {
+                self.scratch.mem_epoch = None;
+            }
+            self.refresh_rss_memo_reference();
+            self.mem
+                .tick(dt_ns, self.scratch.rss_total, io_bytes, &mut self.rng);
+
+            let report = &self.scratch.report;
+            let intr_before = self.irq.total_interrupts();
+            self.irq
+                .tick_reference(dt_ns, &report.per_cpu, report.switches, &mut self.rng);
+            let intr_delta = self.irq.total_interrupts() - intr_before;
+
+            self.fs.tick(
+                dt_ns,
+                self.procs.len(),
+                syscalls,
+                io_bytes,
+                intr_delta,
+                &mut self.rng,
+            );
+            self.net.tick(dt_ns, syscalls, &mut self.rng);
+
+            self.clock.advance(dt_ns);
+            self.timers.refresh(self.clock.since_boot_ns());
+
+            let mut exited = std::mem::take(&mut self.scratch.report.exited);
+            for pid in exited.drain(..) {
+                self.cleanup_process(pid);
+            }
+            self.scratch.report.exited = exited;
+
+            let before = self.lifetime_ns;
+            self.lifetime_ns += dt_ns;
+            let reboot_due = self.faults.as_ref().is_some_and(|f| {
+                f.plan.reboot_in(
+                    before.saturating_sub(f.base_ns),
+                    self.lifetime_ns.saturating_sub(f.base_ns),
+                )
+            });
+            if reboot_due {
+                self.crash_reboot();
+            }
+        }
+
+        /// Advances by `secs` with the fast or the reference run tick.
+        fn drive(&mut self, secs: u64, reference: bool) {
+            if reference {
+                self.advance_with(secs * NANOS_PER_SEC, Kernel::tick_once_reference);
+            } else {
+                self.advance_secs(secs);
+            }
+        }
+
+        /// Every piece of state a tick writes, serialized, plus the next
+        /// draw of the kernel's RNG. The process table's memo epoch is
+        /// left out: it counts mutable accesses, not simulated state.
+        fn tick_state(&mut self) -> Vec<String> {
+            let json = |v: &dyn Fn() -> Result<String, serde_json::Error>| {
+                v().unwrap_or_else(|e| format!("unserializable: {e:?}"))
+            };
+            let procs: Vec<&Process> = self.procs.iter().collect();
+            vec![
+                json(&|| serde_json::to_string(&self.sched)),
+                json(&|| serde_json::to_string(&self.hw)),
+                json(&|| serde_json::to_string(&self.irq)),
+                json(&|| serde_json::to_string(&self.mem)),
+                json(&|| serde_json::to_string(&self.fs)),
+                json(&|| serde_json::to_string(&self.net)),
+                json(&|| serde_json::to_string(&procs)),
+                json(&|| serde_json::to_string(&self.cgroups)),
+                json(&|| serde_json::to_string(&self.timers)),
+                format!(
+                    "clock {:?} lifetime {} reboots {} stats {:?} forks {} last pid {}",
+                    self.clock,
+                    self.lifetime_ns,
+                    self.reboots,
+                    self.stats,
+                    self.procs.total_forks(),
+                    self.procs.last_pid(),
+                ),
+                format!("next draw {}", self.rng.random::<u64>()),
+            ]
+        }
+    }
+
+    /// A `Once` workload of `secs` CPU-seconds whose first half is
+    /// syscall- and IO-heavy; it exits mid-run.
+    fn short_job(secs: u64, demand: f64) -> WorkloadSpec {
+        let io = Phase {
+            duration_ns: (secs / 2).max(1) * NANOS_PER_SEC,
+            instructions_per_cycle: 0.9,
+            cache_miss_per_kilo_instr: 6.0,
+            branch_miss_per_kilo_instr: 7.0,
+            fp_ratio: 0.1,
+            mem_bytes: 96 << 20,
+            syscalls_per_sec: 40_000.0,
+            io_bytes_per_sec: 3.0e7,
+            cpu_demand: demand,
+        };
+        let compute = Phase {
+            duration_ns: secs.div_ceil(2) * NANOS_PER_SEC,
+            instructions_per_cycle: 2.1,
+            cache_miss_per_kilo_instr: 0.5,
+            fp_ratio: 0.4,
+            mem_bytes: 160 << 20,
+            syscalls_per_sec: 80.0,
+            io_bytes_per_sec: 0.0,
+            ..io
+        };
+        WorkloadSpec::new(
+            "short-job",
+            WorkloadClass::Mixed,
+            vec![io, compute],
+            Repeat::Once,
+        )
+    }
+
+    fn workload(choice: usize) -> WorkloadSpec {
+        match choice {
+            0 => models::prime(),
+            1 => models::web_service(0.35),
+            2 => models::batch_pipeline(),
+            3 => short_job(4, 1.0),
+            4 => short_job(9, 0.6),
+            5 => models::stress_vm(),
+            6 => models::mcf(),
+            _ => models::sleeper(),
+        }
+    }
+
+    /// One process of a script: (workload, where it runs, affinity).
+    type Spawn = (usize, usize, usize);
+
+    /// Boots a kernel and runs the script on it with the fast or the
+    /// reference tick, returning its final tick state.
+    #[allow(clippy::too_many_arguments)]
+    fn run_script(
+        seed: u64,
+        machine: usize,
+        tick_secs: u64,
+        containers: usize,
+        spawns: &[Spawn],
+        reboot: bool,
+        spans: (u64, u64, u64),
+        reference: bool,
+    ) -> Vec<String> {
+        let cfg = match machine {
+            0 => MachineConfig::small_server(),
+            1 => MachineConfig::testbed_i7_6700(),
+            _ => MachineConfig::cloud_server(),
+        };
+        let ncpus = cfg.cpus;
+        let mut k = Kernel::new(cfg, seed);
+        k.set_tick_ns(tick_secs * NANOS_PER_SEC);
+        let (a, b, c) = spans;
+        if reboot {
+            let horizon = (a + b + c) * tick_secs;
+            k.install_faults(
+                FaultPlan::builder(seed)
+                    .horizon_secs(horizon)
+                    .reboot_at_secs(horizon / 2)
+                    .build(),
+            );
+        }
+        let envs: Vec<ContainerEnv> = (0..containers)
+            .map(|i| {
+                k.create_container_env(&format!("c{i}"))
+                    .unwrap_or_else(|e| panic!("container env: {e}"))
+            })
+            .collect();
+        // Perf monitoring on one container makes the perf charges count.
+        if let Some(env) = envs.first() {
+            k.attach_perf_monitoring(env.cgroups.perf_event)
+                .unwrap_or_else(|e| panic!("perf monitoring: {e}"));
+        }
+        let mut pids = Vec::new();
+        for (i, &(w, place, aff)) in spawns.iter().enumerate() {
+            let mut spec = ProcessSpec::new(format!("p{i}"), workload(w));
+            if let Some(env) = envs.get(place) {
+                spec = spec.in_container(env);
+            }
+            // Valid affinities go through the API; out-of-range CPUs can
+            // only reach the scheduler from inside the kernel.
+            let (valid, raw): (Option<Vec<u16>>, Option<Vec<u16>>) = match aff {
+                1 => (Some(vec![0]), None),
+                2 => (Some(vec![ncpus - 1]), None),
+                3 => (Some(vec![0, 1.min(ncpus - 1)]), None),
+                4 => (None, Some(vec![ncpus + 3])),
+                5 => (None, Some(vec![ncpus, 0])),
+                _ => (None, None),
+            };
+            if let Some(cpus) = valid {
+                spec = spec.affinity(cpus);
+            }
+            let Ok(pid) = k.spawn(spec) else { continue };
+            if let (Some(cpus), Some(p)) = (raw, k.procs.get_mut(pid)) {
+                p.affinity = Some(cpus);
+            }
+            pids.push(pid);
+        }
+        k.drive(a * tick_secs, reference);
+        let paused = pids.first().copied();
+        if let Some(pid) = paused {
+            let _ = k.pause(pid);
+        }
+        if let Some(&pid) = pids.get(1) {
+            let _ = k.set_workload_demand(pid, 0.45);
+        }
+        k.drive(b * tick_secs, reference);
+        if let Some(pid) = paused {
+            let _ = k.resume(pid);
+        }
+        k.drive(c * tick_secs, reference);
+        k.tick_state()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+        #[test]
+        fn fast_tick_leaves_the_reference_ticks_bytes(
+            seed in 0u64..1_000_000,
+            machine in 0usize..3,
+            coarse in 0usize..3,
+            containers in 0usize..4,
+            spawns in proptest::collection::vec((0usize..8, 0usize..4, 0usize..7), 1..14),
+            reboot in 0usize..2,
+            spans in (1u64..12, 0u64..8, 1u64..12),
+        ) {
+            // 1 s ticks mostly; a third of the cases run 30 s ticks.
+            let tick_secs = if coarse == 0 { 30 } else { 1 };
+            let run = |reference| {
+                run_script(
+                    seed,
+                    machine,
+                    tick_secs,
+                    containers,
+                    &spawns,
+                    reboot == 1,
+                    spans,
+                    reference,
+                )
+            };
+            let (fast, plain) = (run(false), run(true));
+            for (i, (f, p)) in fast.iter().zip(&plain).enumerate() {
+                prop_assert_eq!(f, p, "state part {} diverged", i);
+            }
+        }
+    }
 
     fn kernel() -> Kernel {
         Kernel::new(MachineConfig::small_server(), 1)

@@ -13,9 +13,10 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
 
-use crate::cgroup::{CgroupForest, PerfCounters};
-use crate::process::{HostPid, ProcState, ProcessTable};
+use crate::cgroup::{CgroupForest, CgroupId, PerfCounters};
+use crate::process::{HostPid, ProcState, Process, ProcessTable};
 use crate::time::NANOS_PER_SEC;
+use workloads::Phase;
 
 /// Default CFS scheduling period used for context-switch estimation.
 const SCHED_PERIOD_NS: u64 = 10_000_000;
@@ -75,6 +76,8 @@ pub struct TickReport {
     pub exited: Vec<HostPid>,
     /// Context switches performed this tick (whole machine).
     pub switches: u64,
+    /// Processes still runnable when the tick ends (the reaped excluded).
+    pub runnable: usize,
 }
 
 /// Reusable buffers for [`Scheduler::tick_into`]. Week-long traces run
@@ -82,9 +85,77 @@ pub struct TickReport {
 /// allocation off the steady-state path.
 #[derive(Debug, Default)]
 pub struct SchedScratch {
-    assignment: Vec<Vec<(HostPid, f64)>>,
+    /// One entry per runnable task, in pid order.
+    tasks: Vec<TaskSlot>,
+    /// Tasks assigned to each CPU this tick.
     loads: Vec<u32>,
-    once_candidates: Vec<HostPid>,
+    /// Summed demand of each CPU's tasks, added in pid order.
+    demand: Vec<f64>,
+    /// Nanoseconds each CPU ran tasks this tick.
+    busy: Vec<u64>,
+    /// The three load-average decays for the last tick length seen.
+    decays: Option<(u64, [f64; 3])>,
+    /// Cgroup charges not yet applied.
+    charge: PendingCharge,
+}
+
+/// The cgroup charges of a run of consecutive tasks that share their
+/// cpuacct and perf_event cgroups, applied in one walk up each hierarchy.
+/// Charges are integer sums, so batching them changes no total.
+#[derive(Debug, Default)]
+struct PendingCharge {
+    /// The run's (cpuacct, perf_event) cgroups; `None` when empty.
+    owner: Option<(CgroupId, CgroupId)>,
+    ns_per_cpu: Vec<u64>,
+    perf: PerfCounters,
+}
+
+impl PendingCharge {
+    fn add(
+        &mut self,
+        cgroups: &mut CgroupForest,
+        owner: (CgroupId, CgroupId),
+        cpu: usize,
+        ran_ns: u64,
+        delta: &PerfCounters,
+    ) {
+        if self.owner != Some(owner) {
+            self.flush(cgroups);
+            self.owner = Some(owner);
+        }
+        self.ns_per_cpu[cpu] += ran_ns;
+        self.perf.add(delta);
+    }
+
+    fn flush(&mut self, cgroups: &mut CgroupForest) {
+        if let Some((cpuacct, perf_event)) = self.owner.take() {
+            cgroups.charge_cpus(cpuacct, &self.ns_per_cpu);
+            cgroups.charge_perf(perf_event, &self.perf);
+            self.ns_per_cpu.fill(0);
+            self.perf = PerfCounters::default();
+        }
+    }
+}
+
+/// What step 1 of a tick records about one runnable task.
+#[derive(Debug, Clone)]
+struct TaskSlot {
+    /// The CPU it was assigned, or `None` when its affinity names no CPU
+    /// of this machine.
+    cpu: Option<usize>,
+    /// Its phase as the tick began; the cursor only moves in step 2,
+    /// after this task's own share has been computed.
+    phase: Phase,
+}
+
+/// Cycles retired in `ran_ns` at `freq_hz`: `ran_ns * freq_hz / 1e9`
+/// rounded down, exactly, without 128-bit division.
+fn cycles(ran_ns: u64, freq_hz: u64) -> u64 {
+    let (secs, sub_ns) = (ran_ns / NANOS_PER_SEC, ran_ns % NANOS_PER_SEC);
+    match sub_ns.checked_mul(freq_hz) {
+        Some(sub) => secs.wrapping_mul(freq_hz).wrapping_add(sub / NANOS_PER_SEC),
+        None => (u128::from(ran_ns) * u128::from(freq_hz) / u128::from(NANOS_PER_SEC)) as u64,
+    }
 }
 
 /// The scheduler.
@@ -122,28 +193,17 @@ impl Scheduler {
         self.loadavg
     }
 
-    /// Runs one tick of length `dt_ns`, mutating process accounting and
-    /// charging cgroups. Returns per-CPU load aggregates.
+    /// Runs one tick of length `dt_ns`: divides every CPU's capacity
+    /// among its runnable tasks, charges processes and cgroups, reaps
+    /// finished `Once` workloads and decays the load averages. Writes the
+    /// per-CPU load into `report` and keeps working buffers in `scratch`,
+    /// both reused across ticks.
     ///
-    /// Convenience wrapper over [`Scheduler::tick_into`] that allocates
-    /// fresh buffers; hot loops should hold a [`SchedScratch`] and a
-    /// [`TickReport`] and call `tick_into` directly.
-    pub fn tick(
-        &mut self,
-        dt_ns: u64,
-        procs: &mut ProcessTable,
-        cgroups: &mut CgroupForest,
-        rng: &mut StdRng,
-    ) -> TickReport {
-        let mut scratch = SchedScratch::default();
-        let mut report = TickReport::default();
-        self.tick_into(dt_ns, procs, cgroups, rng, &mut scratch, &mut report);
-        report
-    }
-
-    /// Allocation-free form of [`Scheduler::tick`]: writes the result into
-    /// `report` and keeps working buffers in `scratch`, both reused across
-    /// ticks. Produces bit-identical results to `tick`.
+    /// Draws, in order: per CPU, the housekeeping draw, then the
+    /// load-balancer draw on a CPU that has tasks. Every other step is
+    /// draw-free, which is what lets one walk over the process table do
+    /// all per-task work. A `#[cfg(test)]` reference tick, the per-CPU
+    /// then per-task formulation, pins the resulting state byte for byte.
     pub fn tick_into(
         &mut self,
         dt_ns: u64,
@@ -158,25 +218,30 @@ impl Scheduler {
         report.per_cpu.resize(ncpus, CpuTickLoad::default());
         report.exited.clear();
         report.switches = 0;
+        let SchedScratch {
+            tasks,
+            loads,
+            demand,
+            busy,
+            decays,
+            charge,
+        } = scratch;
+        tasks.clear();
+        loads.clear();
+        loads.resize(ncpus, 0);
+        demand.clear();
+        demand.resize(ncpus, 0.0);
+        busy.clear();
+        busy.resize(ncpus, 0);
+        charge.ns_per_cpu.clear();
+        charge.ns_per_cpu.resize(ncpus, 0);
 
         // 1. Assign runnable tasks to CPUs: explicit affinity wins; others
         //    go to the least-loaded candidate, preferring their last CPU.
-        //    The single pass over the table also records each task's phase
-        //    demand (its cursor cannot move before step 2 divides capacity)
-        //    and the Once workloads that step 3 may need to reap.
-        scratch.assignment.resize_with(ncpus, Vec::new);
-        for a in scratch.assignment.iter_mut() {
-            a.clear();
-        }
-        scratch.loads.clear();
-        scratch.loads.resize(ncpus, 0);
-        scratch.once_candidates.clear();
+        //    Each task's phase is recorded, and its demand summed into its
+        //    CPU's total in pid order.
         for p in procs.iter().filter(|p| p.state == ProcState::Runnable) {
-            if matches!(p.workload.repeat(), workloads::Repeat::Once) {
-                scratch.once_candidates.push(p.host_pid);
-            }
             let last = p.last_cpu as usize;
-            let loads = &scratch.loads;
             let best = match p.affinity.as_deref() {
                 Some(cpus) => cpus
                     .iter()
@@ -195,128 +260,128 @@ impl Scheduler {
                     }
                 }
             };
-            let Some(best) = best else { continue };
-            scratch.loads[best] += 1;
-            let demand = p.cursor.current_phase(&p.workload).cpu_demand;
-            scratch.assignment[best].push((p.host_pid, demand));
+            let phase = p.cursor.current_phase(&p.workload);
+            if let Some(cpu) = best {
+                loads[cpu] += 1;
+                demand[cpu] += phase.cpu_demand;
+            }
+            tasks.push(TaskSlot {
+                cpu: best,
+                phase: phase.clone(),
+            });
         }
 
-        // 2. Divide each CPU's capacity among its tasks by demand.
-        for (cpu, tasks) in scratch.assignment.iter().enumerate() {
-            // Kernel housekeeping (kworkers, RCU, timers) consumes a small
-            // slice of every CPU regardless of user tasks — this is what
-            // makes /proc/stat's system time and /proc/schedstat's run
-            // time accumulate (and diverge across hosts) even when idle.
+        // 2. One walk over the runnable tasks, in the order step 1 saw
+        //    them: each gets its share of its CPU by demand, charged to
+        //    the process, its cgroups and its CPU (integer adds, so the
+        //    walk's order charges what any order would), and a finished
+        //    Once workload is reaped.
+        let mut runnable = 0;
+        if !tasks.is_empty() {
+            let runq = procs.iter_mut().filter(|p| p.state == ProcState::Runnable);
+            for (p, task) in runq.zip(tasks.iter()) {
+                if let Some(cpu) = task.cpu {
+                    if let Some((ran_ns, delta)) =
+                        self.run_task(p, task, cpu, dt_ns, demand[cpu], report)
+                    {
+                        busy[cpu] += ran_ns;
+                        let owner = (p.cgroups.cpuacct, p.cgroups.perf_event);
+                        charge.add(cgroups, owner, cpu, ran_ns, &delta);
+                    }
+                }
+                if p.cursor.advance_peek_done(&p.workload) {
+                    p.state = ProcState::Exited;
+                    report.exited.push(p.host_pid);
+                } else {
+                    runnable += 1;
+                }
+            }
+            charge.flush(cgroups);
+        }
+        report.runnable = runnable;
+
+        // 3. Per CPU: kernel housekeeping (kworkers, RCU, timers) consumes
+        //    a small slice of every CPU regardless of user tasks — this is
+        //    what makes /proc/stat's system time and /proc/schedstat's run
+        //    time accumulate (and diverge across hosts) even when idle.
+        for (cpu, stats) in self.percpu.iter_mut().enumerate() {
             let hk = dt_ns / 500 + rng.random_range(0..dt_ns / 2000 + 1);
-            self.percpu[cpu].system_ns += hk;
-            self.percpu[cpu].run_time_ns += hk;
-            if tasks.is_empty() {
-                self.percpu[cpu].idle_ns += dt_ns;
+            stats.system_ns += hk;
+            stats.run_time_ns += hk;
+            let ntasks = u64::from(loads[cpu]);
+            if ntasks == 0 {
+                stats.idle_ns += dt_ns;
                 continue;
             }
-            let total_demand: f64 = tasks.iter().map(|(_, d)| d).sum();
-            let scale = if total_demand > 1.0 {
-                1.0 / total_demand
-            } else {
-                1.0
-            };
-            let mut busy_ns_total = 0u64;
-            for (pid, demand) in tasks.iter() {
-                let ran_ns = (dt_ns as f64 * demand * scale) as u64;
-                if ran_ns == 0 {
-                    continue;
-                }
-                busy_ns_total += ran_ns;
-                let waited_ns = if total_demand > 1.0 {
-                    ((dt_ns as f64 * demand) as u64).saturating_sub(ran_ns)
-                } else {
-                    0
-                };
-                self.account_task(*pid, cpu, ran_ns, waited_ns, procs, cgroups, report);
-            }
-            let busy_ns_total = busy_ns_total.min(dt_ns);
-            let stats = &mut self.percpu[cpu];
+            let busy_ns_total = busy[cpu].min(dt_ns);
             stats.idle_ns += dt_ns - busy_ns_total;
-            stats.timeslices += (busy_ns_total / SCHED_PERIOD_NS).max(tasks.len() as u64);
+            stats.timeslices += (busy_ns_total / SCHED_PERIOD_NS).max(ntasks);
 
             // Context-switch estimate: each scheduling period with more than
             // one task costs one switch; single tasks still switch at a low
             // background rate (timer ticks, kworkers).
             let periods = dt_ns / SCHED_PERIOD_NS;
-            let switches = if tasks.len() > 1 {
-                periods.max(1) * tasks.len() as u64
+            let switches = if ntasks > 1 {
+                periods.max(1) * ntasks
             } else {
                 (dt_ns * 30 / NANOS_PER_SEC).max(1)
             };
             stats.switches += switches;
             report.switches += switches;
-            report.per_cpu[cpu].tasks_ran = tasks.len() as u32;
+            report.per_cpu[cpu].tasks_ran = loads[cpu];
 
             // Load-balancer cost fluctuates with contention plus jitter.
-            stats.max_newidle_lb_cost_ns =
-                4_000 + tasks.len() as u64 * 800 + rng.random_range(0..400);
+            stats.max_newidle_lb_cost_ns = 4_000 + ntasks * 800 + rng.random_range(0..400);
         }
         self.total_switches += report.switches;
 
-        // 3. Reap processes whose Once workloads completed.
-        for pid in &scratch.once_candidates {
-            if let Some(p) = procs.get(*pid) {
-                if p.cursor.advance_peek_done(&p.workload) {
-                    report.exited.push(*pid);
-                }
-            }
-        }
-        for pid in &report.exited {
-            if let Some(p) = procs.get_mut(*pid) {
-                p.state = ProcState::Exited;
-            }
-        }
-
         // 4. Load averages (exponentially-weighted, Linux style).
-        let n = procs.runnable() as f64;
-        let dt_s = dt_ns as f64 / NANOS_PER_SEC as f64;
-        for (i, window) in [60.0f64, 300.0, 900.0].iter().enumerate() {
-            let decay = (-dt_s / window).exp();
-            self.loadavg[i] = self.loadavg[i] * decay + n * (1.0 - decay);
+        let decay = match *decays {
+            Some((dt, d)) if dt == dt_ns => d,
+            _ => {
+                let dt_s = dt_ns as f64 / NANOS_PER_SEC as f64;
+                let d = [60.0f64, 300.0, 900.0].map(|window| (-dt_s / window).exp());
+                *decays = Some((dt_ns, d));
+                d
+            }
+        };
+        let n = runnable as f64;
+        for (avg, decay) in self.loadavg.iter_mut().zip(decay) {
+            *avg = *avg * decay + n * (1.0 - decay);
         }
     }
 
-    /// Jumps this scheduler to its quiescent-state value `rel_ns` after
-    /// `anchor` was captured: no runnable tasks, so every CPU idles apart
-    /// from deterministic kernel housekeeping, and the load averages decay
-    /// toward zero. Pure in (anchor, rel_ns) and draws no RNG, so any
-    /// subdivision of a quiescent span lands on byte-identical state.
-    pub fn idle_eval(&mut self, anchor: &Scheduler, rel_ns: u64) {
-        let hk = rel_ns / 500;
-        for (cur, base) in self.percpu.iter_mut().zip(anchor.percpu.iter()) {
-            cur.clone_from(base);
-            cur.system_ns += hk;
-            cur.run_time_ns += hk;
-            cur.idle_ns += rel_ns;
-        }
-        let rel_s = rel_ns as f64 / NANOS_PER_SEC as f64;
-        for (i, window) in [60.0f64, 300.0, 900.0].iter().enumerate() {
-            self.loadavg[i] = anchor.loadavg[i] * (-rel_s / window).exp();
-        }
-        self.total_switches = anchor.total_switches;
-    }
-
+    /// Runs one task for its share of `cpu` this tick, charging the
+    /// process, the CPU and the report; returns the nanoseconds it ran
+    /// and its counters for its cgroups, or `None` when it got no time.
+    /// `total_demand` is the summed demand of every task on that CPU.
     #[allow(clippy::too_many_arguments)]
-    fn account_task(
+    fn run_task(
         &mut self,
-        pid: HostPid,
+        p: &mut Process,
+        task: &TaskSlot,
         cpu: usize,
-        ran_ns: u64,
-        waited_ns: u64,
-        procs: &mut ProcessTable,
-        cgroups: &mut CgroupForest,
+        dt_ns: u64,
+        total_demand: f64,
         report: &mut TickReport,
-    ) {
-        let freq = self.freq_hz;
-        let p = procs.get_mut(pid).expect("task exists");
-        let phase = p.cursor.current_phase(&p.workload).clone();
+    ) -> Option<(u64, PerfCounters)> {
+        let phase = &task.phase;
+        let scale = if total_demand > 1.0 {
+            1.0 / total_demand
+        } else {
+            1.0
+        };
+        let ran_ns = (dt_ns as f64 * phase.cpu_demand * scale) as u64;
+        if ran_ns == 0 {
+            return None;
+        }
+        let waited_ns = if total_demand > 1.0 {
+            ((dt_ns as f64 * phase.cpu_demand) as u64).saturating_sub(ran_ns)
+        } else {
+            0
+        };
 
-        let cycles = (ran_ns as u128 * freq as u128 / NANOS_PER_SEC as u128) as u64;
+        let cycles = cycles(ran_ns, self.freq_hz);
         let instructions = (cycles as f64 * phase.instructions_per_cycle) as u64;
         let cache_misses = (instructions as f64 * phase.cache_miss_per_kilo_instr / 1000.0) as u64;
         let branch_misses =
@@ -345,10 +410,6 @@ impl Scheduler {
         p.io_write_bytes += io_bytes - io_bytes / 3;
         p.syscalls += syscalls;
         p.cursor.advance(&p.workload, ran_ns);
-        let cg = p.cgroups;
-
-        cgroups.charge_cpu(cg.cpuacct, cpu, ran_ns);
-        cgroups.charge_perf(cg.perf_event, &delta);
 
         let stats = &mut self.percpu[cpu];
         stats.user_ns += utime;
@@ -367,6 +428,27 @@ impl Scheduler {
         load.fp_instructions += fp_instructions;
         load.syscalls += syscalls;
         load.io_bytes += io_bytes;
+        Some((ran_ns, delta))
+    }
+
+    /// Jumps this scheduler to its quiescent-state value `rel_ns` after
+    /// `anchor` was captured: no runnable tasks, so every CPU idles apart
+    /// from deterministic kernel housekeeping, and the load averages decay
+    /// toward zero. Pure in (anchor, rel_ns) and draws no RNG, so any
+    /// subdivision of a quiescent span lands on byte-identical state.
+    pub fn idle_eval(&mut self, anchor: &Scheduler, rel_ns: u64) {
+        let hk = rel_ns / 500;
+        for (cur, base) in self.percpu.iter_mut().zip(anchor.percpu.iter()) {
+            cur.clone_from(base);
+            cur.system_ns += hk;
+            cur.run_time_ns += hk;
+            cur.idle_ns += rel_ns;
+        }
+        let rel_s = rel_ns as f64 / NANOS_PER_SEC as f64;
+        for (i, window) in [60.0f64, 300.0, 900.0].iter().enumerate() {
+            self.loadavg[i] = anchor.loadavg[i] * (-rel_s / window).exp();
+        }
+        self.total_switches = anchor.total_switches;
     }
 }
 
@@ -391,11 +473,196 @@ mod tests {
     use rand::SeedableRng;
     use workloads::{models, PhaseCursor};
 
+    // The plain tick the fast [`Scheduler::tick_into`] must match byte for
+    // byte: step 1 assigns tasks to per-CPU run queues, step 2 walks CPUs
+    // then their tasks, looking each process up to charge it, and the reap
+    // and the load average each scan the table again.
+    impl Scheduler {
+        /// The reference tick; `report.runnable` comes from a table scan.
+        pub(crate) fn tick_reference(
+            &mut self,
+            dt_ns: u64,
+            procs: &mut ProcessTable,
+            cgroups: &mut CgroupForest,
+            rng: &mut StdRng,
+            report: &mut TickReport,
+        ) {
+            let ncpus = self.percpu.len();
+            report.per_cpu.clear();
+            report.per_cpu.resize(ncpus, CpuTickLoad::default());
+            report.exited.clear();
+            report.switches = 0;
+
+            // 1. Assign runnable tasks to CPUs, recording each task's
+            //    demand and the Once workloads step 3 may need to reap.
+            let mut assignment: Vec<Vec<(HostPid, f64)>> = vec![Vec::new(); ncpus];
+            let mut loads = vec![0u32; ncpus];
+            let mut once_candidates = Vec::new();
+            for p in procs.iter().filter(|p| p.state == ProcState::Runnable) {
+                if matches!(p.workload.repeat(), workloads::Repeat::Once) {
+                    once_candidates.push(p.host_pid);
+                }
+                let last = p.last_cpu as usize;
+                let best = match p.affinity.as_deref() {
+                    Some(cpus) => cpus
+                        .iter()
+                        .map(|c| *c as usize)
+                        .filter(|c| *c < ncpus)
+                        .min_by_key(|&c| (loads[c], usize::from(c != last), c)),
+                    None => (0..ncpus).min_by_key(|&c| (loads[c], usize::from(c != last), c)),
+                };
+                let Some(best) = best else { continue };
+                loads[best] += 1;
+                let demand = p.cursor.current_phase(&p.workload).cpu_demand;
+                assignment[best].push((p.host_pid, demand));
+            }
+
+            // 2. Divide each CPU's capacity among its tasks by demand.
+            for (cpu, tasks) in assignment.iter().enumerate() {
+                let hk = dt_ns / 500 + rng.random_range(0..dt_ns / 2000 + 1);
+                self.percpu[cpu].system_ns += hk;
+                self.percpu[cpu].run_time_ns += hk;
+                if tasks.is_empty() {
+                    self.percpu[cpu].idle_ns += dt_ns;
+                    continue;
+                }
+                let total_demand: f64 = tasks.iter().map(|(_, d)| d).sum();
+                let scale = if total_demand > 1.0 {
+                    1.0 / total_demand
+                } else {
+                    1.0
+                };
+                let mut busy_ns_total = 0u64;
+                for (pid, demand) in tasks.iter() {
+                    let ran_ns = (dt_ns as f64 * demand * scale) as u64;
+                    if ran_ns == 0 {
+                        continue;
+                    }
+                    busy_ns_total += ran_ns;
+                    let waited_ns = if total_demand > 1.0 {
+                        ((dt_ns as f64 * demand) as u64).saturating_sub(ran_ns)
+                    } else {
+                        0
+                    };
+                    self.account_task(*pid, cpu, ran_ns, waited_ns, procs, cgroups, report);
+                }
+                let busy_ns_total = busy_ns_total.min(dt_ns);
+                let stats = &mut self.percpu[cpu];
+                stats.idle_ns += dt_ns - busy_ns_total;
+                stats.timeslices += (busy_ns_total / SCHED_PERIOD_NS).max(tasks.len() as u64);
+                let periods = dt_ns / SCHED_PERIOD_NS;
+                let switches = if tasks.len() > 1 {
+                    periods.max(1) * tasks.len() as u64
+                } else {
+                    (dt_ns * 30 / NANOS_PER_SEC).max(1)
+                };
+                stats.switches += switches;
+                report.switches += switches;
+                report.per_cpu[cpu].tasks_ran = tasks.len() as u32;
+                stats.max_newidle_lb_cost_ns =
+                    4_000 + tasks.len() as u64 * 800 + rng.random_range(0..400);
+            }
+            self.total_switches += report.switches;
+
+            // 3. Reap processes whose Once workloads completed.
+            for pid in &once_candidates {
+                if let Some(p) = procs.get(*pid) {
+                    if p.cursor.advance_peek_done(&p.workload) {
+                        report.exited.push(*pid);
+                    }
+                }
+            }
+            for pid in &report.exited {
+                if let Some(p) = procs.get_mut(*pid) {
+                    p.state = ProcState::Exited;
+                }
+            }
+
+            // 4. Load averages (exponentially-weighted, Linux style).
+            report.runnable = procs.runnable();
+            let n = report.runnable as f64;
+            let dt_s = dt_ns as f64 / NANOS_PER_SEC as f64;
+            for (i, window) in [60.0f64, 300.0, 900.0].iter().enumerate() {
+                let decay = (-dt_s / window).exp();
+                self.loadavg[i] = self.loadavg[i] * decay + n * (1.0 - decay);
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn account_task(
+            &mut self,
+            pid: HostPid,
+            cpu: usize,
+            ran_ns: u64,
+            waited_ns: u64,
+            procs: &mut ProcessTable,
+            cgroups: &mut CgroupForest,
+            report: &mut TickReport,
+        ) {
+            let freq = self.freq_hz;
+            let p = procs.get_mut(pid).expect("task exists");
+            let phase = p.cursor.current_phase(&p.workload).clone();
+
+            let cycles = (ran_ns as u128 * freq as u128 / NANOS_PER_SEC as u128) as u64;
+            let instructions = (cycles as f64 * phase.instructions_per_cycle) as u64;
+            let cache_misses =
+                (instructions as f64 * phase.cache_miss_per_kilo_instr / 1000.0) as u64;
+            let branch_misses =
+                (instructions as f64 * phase.branch_miss_per_kilo_instr / 1000.0) as u64;
+            let fp_instructions = (instructions as f64 * phase.fp_ratio) as u64;
+            let syscalls = (phase.syscalls_per_sec * ran_ns as f64 / NANOS_PER_SEC as f64) as u64;
+            let io_bytes = (phase.io_bytes_per_sec * ran_ns as f64 / NANOS_PER_SEC as f64) as u64;
+
+            let sys_frac = (phase.syscalls_per_sec * 1.5e-6).clamp(0.005, 0.35);
+            let stime = (ran_ns as f64 * sys_frac) as u64;
+            let utime = ran_ns - stime;
+
+            p.utime_ns += utime;
+            p.stime_ns += stime;
+            p.vruntime_ns += ran_ns;
+            p.last_cpu = cpu as u16;
+            let delta = PerfCounters {
+                instructions,
+                cache_misses,
+                branch_misses,
+                cycles,
+            };
+            p.counters.add(&delta);
+            p.io_read_bytes += io_bytes / 3;
+            p.io_write_bytes += io_bytes - io_bytes / 3;
+            p.syscalls += syscalls;
+            p.cursor.advance(&p.workload, ran_ns);
+            let cg = p.cgroups;
+
+            cgroups.charge_cpu(cg.cpuacct, cpu, ran_ns);
+            cgroups.charge_perf(cg.perf_event, &delta);
+
+            let stats = &mut self.percpu[cpu];
+            stats.user_ns += utime;
+            stats.system_ns += stime;
+            stats.run_time_ns += ran_ns;
+            stats.wait_time_ns += waited_ns;
+            if io_bytes > 0 {
+                stats.iowait_ns += (ran_ns / 20).min(1_000_000);
+            }
+
+            let load = &mut report.per_cpu[cpu];
+            load.busy_ns += ran_ns;
+            load.instructions += instructions;
+            load.cache_misses += cache_misses;
+            load.branch_misses += branch_misses;
+            load.fp_instructions += fp_instructions;
+            load.syscalls += syscalls;
+            load.io_bytes += io_bytes;
+        }
+    }
+
     struct Fixture {
         sched: Scheduler,
         procs: ProcessTable,
         cgroups: CgroupForest,
         rng: StdRng,
+        scratch: SchedScratch,
     }
 
     fn fixture(ncpus: usize) -> Fixture {
@@ -404,7 +671,21 @@ mod tests {
             procs: ProcessTable::new(),
             cgroups: CgroupForest::new(ncpus, &["lo".into()]),
             rng: StdRng::seed_from_u64(7),
+            scratch: SchedScratch::default(),
         }
+    }
+
+    fn tick(f: &mut Fixture, dt_ns: u64) -> TickReport {
+        let mut report = TickReport::default();
+        f.sched.tick_into(
+            dt_ns,
+            &mut f.procs,
+            &mut f.cgroups,
+            &mut f.rng,
+            &mut f.scratch,
+            &mut report,
+        );
+        report
     }
 
     fn spawn(
@@ -448,7 +729,7 @@ mod tests {
         let mut f = fixture(2);
         let pid = spawn(&mut f, "prime", models::prime(), None);
         let dt = NANOS_PER_SEC;
-        let r = f.sched.tick(dt, &mut f.procs, &mut f.cgroups, &mut f.rng);
+        let r = tick(&mut f, dt);
         let busy: u64 = r.per_cpu.iter().map(|c| c.busy_ns).sum();
         assert!(busy >= dt * 99 / 100, "busy {busy} < {dt}");
         let p = f.procs.get(pid).unwrap();
@@ -466,7 +747,7 @@ mod tests {
             .map(|i| spawn(&mut f, &format!("t{i}"), models::prime(), Some(vec![0])))
             .collect();
         let dt = NANOS_PER_SEC;
-        let r = f.sched.tick(dt, &mut f.procs, &mut f.cgroups, &mut f.rng);
+        let r = tick(&mut f, dt);
         let busy = r.per_cpu[0].busy_ns;
         assert!(busy <= dt, "cannot exceed capacity");
         assert!(busy >= dt * 95 / 100);
@@ -484,9 +765,7 @@ mod tests {
     fn affinity_is_respected() {
         let mut f = fixture(4);
         let pid = spawn(&mut f, "pinned", models::prime(), Some(vec![3]));
-        let r = f
-            .sched
-            .tick(NANOS_PER_SEC, &mut f.procs, &mut f.cgroups, &mut f.rng);
+        let r = tick(&mut f, NANOS_PER_SEC);
         assert!(r.per_cpu[3].busy_ns > 0);
         assert_eq!(r.per_cpu[0].busy_ns, 0);
         assert_eq!(f.procs.get(pid).unwrap().last_cpu(), 3);
@@ -498,9 +777,7 @@ mod tests {
         for i in 0..4 {
             spawn(&mut f, &format!("t{i}"), models::prime(), None);
         }
-        let r = f
-            .sched
-            .tick(NANOS_PER_SEC, &mut f.procs, &mut f.cgroups, &mut f.rng);
+        let r = tick(&mut f, NANOS_PER_SEC);
         for c in 0..4 {
             assert!(
                 r.per_cpu[c].busy_ns > NANOS_PER_SEC * 9 / 10,
@@ -514,9 +791,7 @@ mod tests {
         let mut f = fixture(2);
         spawn(&mut f, "prime", models::prime(), Some(vec![0]));
         spawn(&mut f, "mcf", models::mcf(), Some(vec![1]));
-        let r = f
-            .sched
-            .tick(NANOS_PER_SEC, &mut f.procs, &mut f.cgroups, &mut f.rng);
+        let r = tick(&mut f, NANOS_PER_SEC);
         // prime IPC 2.4 vs mcf IPC 0.35: ~7x instruction difference.
         assert!(r.per_cpu[0].instructions > r.per_cpu[1].instructions * 5);
         // mcf cache-miss rate vastly higher per instruction.
@@ -532,9 +807,7 @@ mod tests {
         let pid = spawn(&mut f, "bzip2", models::bzip2(), None);
         let mut exited = false;
         for _ in 0..125 {
-            let r = f
-                .sched
-                .tick(NANOS_PER_SEC, &mut f.procs, &mut f.cgroups, &mut f.rng);
+            let r = tick(&mut f, NANOS_PER_SEC);
             if r.exited.contains(&pid) {
                 exited = true;
                 break;
@@ -551,8 +824,7 @@ mod tests {
             spawn(&mut f, &format!("t{i}"), models::prime(), None);
         }
         for _ in 0..120 {
-            f.sched
-                .tick(NANOS_PER_SEC, &mut f.procs, &mut f.cgroups, &mut f.rng);
+            tick(&mut f, NANOS_PER_SEC);
         }
         let [one, five, fifteen] = f.sched.loadavg();
         assert!(one > 3.0, "1-min load {one} too low");
@@ -567,8 +839,7 @@ mod tests {
         let mut f = fixture(1);
         spawn(&mut f, "a", models::prime(), None);
         spawn(&mut f, "b", models::prime(), None);
-        f.sched
-            .tick(NANOS_PER_SEC, &mut f.procs, &mut f.cgroups, &mut f.rng);
+        tick(&mut f, NANOS_PER_SEC);
         assert!(f.sched.cpu_stats()[0].wait_time_ns > 0);
         assert!(f.sched.total_switches() > 0);
     }
@@ -577,9 +848,7 @@ mod tests {
     fn partial_demand_leaves_idle_time() {
         let mut f = fixture(1);
         spawn(&mut f, "web", models::web_service(0.25), None);
-        let r = f
-            .sched
-            .tick(NANOS_PER_SEC, &mut f.procs, &mut f.cgroups, &mut f.rng);
+        let r = tick(&mut f, NANOS_PER_SEC);
         let busy = r.per_cpu[0].busy_ns as f64 / NANOS_PER_SEC as f64;
         assert!((busy - 0.25).abs() < 0.05, "busy {busy}");
     }
@@ -590,8 +859,7 @@ mod tests {
         spawn(&mut f, "t", models::prime(), None);
         let root_perf = f.cgroups.root(CgroupKind::PerfEvent);
         f.cgroups.set_perf_monitoring(root_perf, true).unwrap();
-        f.sched
-            .tick(NANOS_PER_SEC, &mut f.procs, &mut f.cgroups, &mut f.rng);
+        tick(&mut f, NANOS_PER_SEC);
         let root_acct = f.cgroups.root(CgroupKind::Cpuacct);
         assert!(f.cgroups.cpuacct_usage_ns(root_acct).unwrap() > 0);
         assert!(f.cgroups.perf_counters(root_perf).unwrap().instructions > 0);

@@ -178,6 +178,10 @@ impl WorkloadSpec {
     /// time. For [`Repeat::Once`] workloads past their end, the final phase
     /// is returned (callers use [`PhaseCursor`] to detect completion).
     pub fn phase_at_progress(&self, cpu_ns: u64) -> &Phase {
+        // Every progress lands in the only phase of a one-phase workload.
+        if let [only] = self.phases.as_slice() {
+            return only;
+        }
         let pass = self.pass_duration_ns();
         let mut t = match self.repeat {
             Repeat::Forever => cpu_ns % pass,
