@@ -61,6 +61,9 @@ cargo test --offline -q --release --test flow_dynamic_agreement
 echo "== fault matrix: graceful degradation under injected faults =="
 cargo test --offline -q --release --test fault_matrix
 
+echo "== cloud metering: fast meter vs reference walk, release case count =="
+cargo test --offline -q --release -p cloudsim
+
 echo "== determinism: the mode matrix =="
 # One row per run: its name, the run it must match (`-` for a reference
 # run), the trace lines exempt from that match (`-` for none), then the

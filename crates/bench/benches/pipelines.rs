@@ -13,6 +13,8 @@
 //!   lazy calendar (`fleet_10k_week_unsharded`, a name kept for the
 //!   committed baseline, is the eager reference the benchgate holds it
 //!   ≥5x ahead of)
+//! * `fleet_10k_meter_idle` — the same week with 2,000 idle instances
+//!   over 64 tenants, so billing meters every one of them each hour
 //! * `fleet_calendar_pop` — the calendar pop/sync/re-push cycle with
 //!   every host due each advance
 //! * `fig3_attack_step`  — one attack-campaign control step (RAPL sample)
@@ -143,11 +145,12 @@ fn bench_fig2_week_segment_coalesced(c: &mut Criterion) {
 }
 
 /// Shared fleet for the datacenter-scale calendar benches: 10,000
-/// hosts, no background churn, and a 32-instance active subset placed
-/// by the capacity index. The week is stepped at a one-hour control
-/// cadence — the shape `advance_secs` sees from an orchestrator that
-/// wakes up periodically over an almost entirely quiescent fleet.
-fn fleet_10k(eager: bool) -> Cloud {
+/// hosts, no background churn, and `instances` 1-vCPU instances over
+/// `tenants` tenants placed by the capacity index. The week is stepped
+/// at a one-hour control cadence — the shape `advance_secs` sees from
+/// an orchestrator that wakes up periodically over an almost entirely
+/// quiescent fleet.
+fn fleet_10k(eager: bool, instances: usize, tenants: usize) -> Cloud {
     let mut cfg = CloudConfig::new(CloudProfile::CC2)
         .hosts(10_000)
         .without_background();
@@ -155,11 +158,11 @@ fn fleet_10k(eager: bool) -> Cloud {
         cfg = cfg.eager_advance();
     }
     let mut cloud = Cloud::new(cfg, 9);
-    for i in 0..32 {
-        let tenant = format!("t{}", i % 4);
+    for i in 0..instances {
+        let tenant = format!("t{}", i % tenants);
         cloud
             .launch(&tenant, InstanceSpec::new(format!("i{i}")).vcpus(1))
-            .expect("10k-host fleet has room for 32 instances");
+            .expect("10k-host fleet has room for every instance");
     }
     cloud.install_faults(&containerleaks::simkernel::FaultPlan::standard(9));
     cloud
@@ -170,7 +173,7 @@ fn bench_fleet_10k_week(c: &mut Criterion) {
     // hosts. Each of the 168 hourly advances pops only the due hosts
     // from the calendar; the quiescent thousands are never
     // touched until the closing power observation syncs host 0.
-    let mut cloud = fleet_10k(false);
+    let mut cloud = fleet_10k(false, 32, 4);
     c.bench_function("fleet_10k_week", |b| {
         b.iter(|| {
             for _ in 0..168 {
@@ -185,13 +188,29 @@ fn bench_fleet_10k_week_eager(c: &mut Criterion) {
     // Same fleet and cadence with the calendar disabled: eager
     // advance, so every hourly step walks all 10,000 hosts. The
     // compare gate demands `fleet_10k_week` beat this by at least 5x.
-    let mut cloud = fleet_10k(true);
+    let mut cloud = fleet_10k(true, 32, 4);
     c.bench_function("fleet_10k_week_unsharded", |b| {
         b.iter(|| {
             for _ in 0..168 {
                 cloud.advance_secs(3600);
             }
             black_box(cloud.host_power_w(HostId(0)))
+        })
+    });
+}
+
+fn bench_fleet_10k_meter_idle(c: &mut Criterion) {
+    // Billing over an idle fleet: 2,000 open instances that never run,
+    // so no host is ever due and each hourly advance is all metering.
+    // Every instance pays its base charge each hour; none has a cpuacct
+    // delta to read.
+    let mut cloud = fleet_10k(false, 2_000, 64);
+    c.bench_function("fleet_10k_meter_idle", |b| {
+        b.iter(|| {
+            for _ in 0..168 {
+                cloud.advance_secs(3600);
+            }
+            black_box(cloud.bill("t0").total_usd())
         })
     });
 }
@@ -436,6 +455,7 @@ criterion_group!(
         bench_fig2_week_segment_coalesced,
         bench_fleet_10k_week,
         bench_fleet_10k_week_eager,
+        bench_fleet_10k_meter_idle,
         bench_fleet_calendar_pop,
         bench_fig3_attack_step,
         bench_fig4_staircase,

@@ -11,12 +11,9 @@
 //! name table), so the per-advance metering loop indexes a dense vector
 //! instead of hashing and cloning tenant name strings.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-
-use crate::InstanceId;
 
 /// An interned tenant identity: index into the cloud's tenant table.
 /// Ids are dense and assigned in first-launch order, so they double as
@@ -70,11 +67,11 @@ impl TenantBill {
 }
 
 /// The provider-side metering ledger, indexed by dense [`TenantId`].
+/// Each instance keeps its own last metered cpuacct total (the cloud
+/// stores it on the instance record), so the ledger holds only bills.
 #[derive(Debug, Clone, Default)]
 pub struct Ledger {
     bills: Vec<TenantBill>,
-    // Last metered cumulative cpu usage per instance, to compute deltas.
-    last_usage_ns: HashMap<InstanceId, u64>,
 }
 
 impl Ledger {
@@ -91,35 +88,32 @@ impl Ledger {
         &mut self.bills[idx]
     }
 
-    /// Opens metering for an instance.
-    pub fn open(&mut self, tenant: TenantId, id: InstanceId) {
-        self.last_usage_ns.insert(id, 0);
-        let _ = self.slot(tenant);
-    }
-
-    /// Closes metering (instance terminated). Accumulated charges remain.
-    pub fn close(&mut self, id: InstanceId) {
-        self.last_usage_ns.remove(&id);
-    }
-
-    /// Meters one interval: `cumulative_usage_ns` is the instance's
-    /// cpuacct total; `interval_secs` the wall time since the last meter.
+    /// Meters one interval of one instance: `cumulative_usage_ns` is its
+    /// cpuacct total, `last_usage_ns` the total at its previous meter
+    /// (updated here); `interval_secs` the wall time since that meter.
     pub fn meter(
         &mut self,
         tenant: TenantId,
-        id: InstanceId,
+        last_usage_ns: &mut u64,
         cumulative_usage_ns: u64,
         interval_secs: u64,
         model: &BillingModel,
     ) {
-        let last = self.last_usage_ns.entry(id).or_insert(0);
-        let delta_ns = cumulative_usage_ns.saturating_sub(*last);
-        *last = cumulative_usage_ns;
+        let delta_ns = cumulative_usage_ns.saturating_sub(*last_usage_ns);
+        *last_usage_ns = cumulative_usage_ns;
         let vcpu_seconds = delta_ns as f64 / 1e9;
         let bill = self.slot(tenant);
         bill.vcpu_seconds += vcpu_seconds;
         bill.cpu_usd += vcpu_seconds / 3600.0 * model.usd_per_vcpu_hour_utilized;
-        bill.base_usd += interval_secs as f64 / 3600.0 * model.usd_per_instance_hour_base;
+        bill.base_usd += base_usd(interval_secs, model);
+    }
+
+    /// Meters one interval of an instance whose cpuacct total has not
+    /// moved since its previous meter: exactly [`Ledger::meter`] with a
+    /// zero delta, whose cpu terms add `+0.0` to non-negative
+    /// accumulators and so leave them bit-identical.
+    pub fn charge_base(&mut self, tenant: TenantId, interval_secs: u64, model: &BillingModel) {
+        self.slot(tenant).base_usd += base_usd(interval_secs, model);
     }
 
     /// The bill for a tenant (zero if unknown).
@@ -129,6 +123,11 @@ impl Ledger {
             .copied()
             .unwrap_or_default()
     }
+}
+
+/// One instance's keep-alive charge for `interval_secs`.
+fn base_usd(interval_secs: u64, model: &BillingModel) -> f64 {
+    interval_secs as f64 / 3600.0 * model.usd_per_instance_hour_base
 }
 
 #[cfg(test)]
@@ -142,11 +141,10 @@ mod tests {
         // 16 vCPUs fully busy for 30 days ≈ $167 (paper's §IV-B figure).
         let model = BillingModel::default();
         let mut ledger = Ledger::new();
-        let id = InstanceId(1);
-        ledger.open(T, id);
+        let mut last = 0;
         let month_secs = 30 * 24 * 3600u64;
         let usage_ns = month_secs * 16 * 1_000_000_000;
-        ledger.meter(T, id, usage_ns, month_secs, &model);
+        ledger.meter(T, &mut last, usage_ns, month_secs, &model);
         let total = ledger.bill(T).total_usd();
         assert!((140.0..200.0).contains(&total), "monthly bill ${total}");
     }
@@ -155,12 +153,11 @@ mod tests {
     fn idle_instance_pays_only_the_floor() {
         let model = BillingModel::default();
         let mut ledger = Ledger::new();
-        let id = InstanceId(2);
-        ledger.open(T, id);
+        let mut last = 0;
         let month_secs = 30 * 24 * 3600u64;
         // 1% utilization of 16 vCPUs.
         let usage_ns = (month_secs as f64 * 0.16 * 1e9) as u64;
-        ledger.meter(T, id, usage_ns, month_secs, &model);
+        ledger.meter(T, &mut last, usage_ns, month_secs, &model);
         let total = ledger.bill(T).total_usd();
         assert!((2.0..6.0).contains(&total), "1% bill ${total}");
     }
@@ -169,37 +166,75 @@ mod tests {
     fn metering_uses_deltas_not_absolutes() {
         let model = BillingModel::default();
         let mut ledger = Ledger::new();
-        let id = InstanceId(3);
-        ledger.open(T, id);
-        ledger.meter(T, id, 3_600_000_000_000, 3600, &model);
+        let mut last = 0;
+        ledger.meter(T, &mut last, 3_600_000_000_000, 3600, &model);
+        assert_eq!(last, 3_600_000_000_000);
         let after_first = ledger.bill(T).vcpu_seconds;
         // Same cumulative value again → zero delta.
-        ledger.meter(T, id, 3_600_000_000_000, 3600, &model);
+        ledger.meter(T, &mut last, 3_600_000_000_000, 3600, &model);
         assert!((ledger.bill(T).vcpu_seconds - after_first).abs() < 1e-9);
-    }
-
-    #[test]
-    fn close_keeps_accumulated_charges() {
-        let model = BillingModel::default();
-        let mut ledger = Ledger::new();
-        let id = InstanceId(4);
-        ledger.open(T, id);
-        ledger.meter(T, id, 1_000_000_000, 60, &model);
-        let before = ledger.bill(T).total_usd();
-        ledger.close(id);
-        assert!((ledger.bill(T).total_usd() - before).abs() < 1e-12);
     }
 
     #[test]
     fn tenants_are_billed_independently() {
         let model = BillingModel::default();
         let mut ledger = Ledger::new();
-        ledger.open(TenantId(0), InstanceId(1));
-        ledger.open(TenantId(3), InstanceId(2));
-        ledger.meter(TenantId(3), InstanceId(2), 7_200_000_000_000, 3600, &model);
+        let mut last = 0;
+        ledger.meter(TenantId(3), &mut last, 7_200_000_000_000, 3600, &model);
         assert!(ledger.bill(TenantId(3)).total_usd() > 0.0);
         assert!((ledger.bill(TenantId(0)).total_usd()).abs() < 1e-12);
         // Unknown tenants read as zero.
         assert!((ledger.bill(TenantId(9)).total_usd()).abs() < 1e-12);
+    }
+
+    /// The identity the cloud's idle-host skip rests on: a meter whose
+    /// cumulative total has not moved leaves the cpu accumulators
+    /// bit-identical and adds exactly the base term, which is all
+    /// `charge_base` does.
+    #[test]
+    fn unchanged_total_adds_only_the_base_term() {
+        let model = BillingModel::default();
+        let mut metered = Ledger::new();
+        let mut last = 0;
+        metered.meter(T, &mut last, 1_234_567_891, 3600, &model);
+        let mut based = metered.clone();
+        let before = metered.bill(T);
+        metered.meter(T, &mut last, 1_234_567_891, 7, &model);
+        based.charge_base(T, 7, &model);
+        let (after, skipped) = (metered.bill(T), based.bill(T));
+        assert_eq!(after.vcpu_seconds.to_bits(), before.vcpu_seconds.to_bits());
+        assert_eq!(after.cpu_usd.to_bits(), before.cpu_usd.to_bits());
+        let base = before.base_usd + 7.0 / 3600.0 * model.usd_per_instance_hour_base;
+        assert_eq!(after.base_usd.to_bits(), base.to_bits());
+        for (a, b) in [
+            (after.vcpu_seconds, skipped.vcpu_seconds),
+            (after.cpu_usd, skipped.cpu_usd),
+            (after.base_usd, skipped.base_usd),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    /// k base-only charges equal k zero-delta meters bit for bit — and
+    /// neither equals k times the term: at k = 100 hourly charges the
+    /// sequential sum is 0.4000000000000003, the product 0.4. So the
+    /// skip must keep one add per instance, never fold them into a
+    /// multiply.
+    #[test]
+    fn k_base_charges_are_k_zero_delta_meters_not_a_multiply() {
+        const K: u32 = 100;
+        let model = BillingModel::default();
+        let (mut metered, mut based) = (Ledger::new(), Ledger::new());
+        let mut last = 0;
+        for _ in 0..K {
+            metered.meter(T, &mut last, 0, 3600, &model);
+            based.charge_base(T, 3600, &model);
+        }
+        let (m, b) = (metered.bill(T), based.bill(T));
+        assert_eq!(m.base_usd.to_bits(), b.base_usd.to_bits());
+        assert_eq!(m.cpu_usd.to_bits(), b.cpu_usd.to_bits());
+        assert_eq!(m.vcpu_seconds.to_bits(), b.vcpu_seconds.to_bits());
+        let product = f64::from(K) * (3600.0 / 3600.0 * model.usd_per_instance_hour_base);
+        assert_ne!(b.base_usd.to_bits(), product.to_bits());
     }
 }

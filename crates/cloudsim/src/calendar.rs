@@ -20,9 +20,17 @@
 //! syncs the host to a strictly later horizon or restores the entry
 //! after the pop loop (see `advance_to`). A slot is the host's index in
 //! the fleet.
+//!
+//! A second lane serves billing: `ran` marks every host whose kernel ran
+//! a scheduler tick since the cloud last metered. Only run ticks write
+//! cpuacct, and [`Calendar::sync_to`] is the only place a host kernel
+//! advances, so an unmarked host's cpuacct totals are exactly those of
+//! the last meter and the meter need not read them.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+use simkernel::dep;
 
 use crate::Host;
 
@@ -49,6 +57,10 @@ pub(crate) struct Calendar {
     pub(crate) runnable: Vec<bool>,
     /// Kernel epoch sum at the last refresh (sync-on-access dirty flag).
     pub(crate) epoch_sum: Vec<u64>,
+    /// Whether the host ran a tick since the last [`Calendar::clear_ran`].
+    pub(crate) ran: Vec<bool>,
+    /// The slots set in `ran`, so clearing them walks no idle host.
+    ran_slots: Vec<u32>,
     /// Lazy min-heap over `(horizon_ns, slot)`.
     heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
@@ -66,6 +78,8 @@ impl Calendar {
             horizon_ns: vec![u64::MAX; n],
             runnable: vec![false; n],
             epoch_sum: vec![0; n],
+            ran: vec![false; n],
+            ran_slots: Vec::new(),
             heap: BinaryHeap::new(),
         };
         for slot in 0..n {
@@ -105,18 +119,33 @@ impl Calendar {
     /// advanced. The quiescent evolution is anchor-absolute
     /// (`advance(a); advance(b)` ≡ `advance(a + b)` while no process is
     /// runnable), so deferring the advance to this instant is
-    /// byte-identical to having stepped the host eagerly.
+    /// byte-identical to having stepped the host eagerly. An advance that
+    /// ran a tick (it moved the kernel's `STATS` epoch, which only run
+    /// ticks bump) marks the host in the `ran` lane.
     pub(crate) fn sync_to(&mut self, slot: usize, target_ns: u64) -> bool {
         let lag = target_ns.saturating_sub(self.synced_ns[slot]);
         if lag == 0 && self.hosts[slot].kernel.epochs().total() == self.epoch_sum[slot] {
             return false;
         }
         if lag > 0 {
-            self.hosts[slot].kernel.advance(lag);
+            let kernel = &mut self.hosts[slot].kernel;
+            let stats = kernel.epochs().masked_sum(dep::STATS);
+            kernel.advance(lag);
+            if kernel.epochs().masked_sum(dep::STATS) != stats && !self.ran[slot] {
+                self.ran[slot] = true;
+                self.ran_slots.push(slot as u32);
+            }
             self.synced_ns[slot] = target_ns;
         }
         self.refresh(slot, target_ns);
         lag > 0
+    }
+
+    /// Unmarks every host in the `ran` lane (the cloud has metered them).
+    pub(crate) fn clear_ran(&mut self) {
+        for slot in self.ran_slots.drain(..) {
+            self.ran[slot as usize] = false;
+        }
     }
 
     /// Advances the fleet to instant `target_ns`: pops every due calendar

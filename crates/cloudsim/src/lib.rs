@@ -269,6 +269,8 @@ pub struct Instance {
     container: ContainerId,
     vcpus: u16,
     launched_at_ns: u64,
+    /// The container's cpuacct total at its last billing meter.
+    metered_ns: u64,
 }
 
 impl Instance {
@@ -350,6 +352,15 @@ impl TenantTable {
     }
 }
 
+/// What one billing pass did.
+#[derive(Debug, Default)]
+struct Metered {
+    /// Instances charged (the `cloud.billing_charges` counter).
+    charges: u64,
+    /// Of those, the ones whose cpuacct total was read.
+    reads: u64,
+}
+
 /// The cloud: fleet calendar + scheduler + billing.
 #[derive(Debug)]
 pub struct Cloud {
@@ -366,9 +377,6 @@ pub struct Cloud {
     rng: StdRng,
     tenants: TenantTable,
     billing: billing::Ledger,
-    /// Persistent metering scratch — reused across advances so the
-    /// per-advance hot loop allocates nothing.
-    charges: Vec<(InstanceId, TenantId, u64)>,
     /// The provider-side online detector, when configured. Fed from the
     /// driver thread only (tenant reads in program order, evaluation at
     /// advance boundaries), so its state is byte-deterministic across
@@ -460,7 +468,6 @@ impl Cloud {
             rng,
             tenants: TenantTable::default(),
             billing: billing::Ledger::new(),
-            charges: Vec::new(),
             detector: det,
         }
     }
@@ -590,9 +597,9 @@ impl Cloud {
                 container,
                 vcpus: spec.vcpus,
                 launched_at_ns,
+                metered_ns: 0,
             },
         );
-        self.billing.open(tid, id);
         if simtrace::enabled() {
             simtrace::counters::add("cloud.placements", 1);
             let host = self.host_ref(host_idx);
@@ -761,7 +768,6 @@ impl Cloud {
         });
         removed?;
         self.capacity.set(idx, count);
-        self.billing.close(id);
         if simtrace::enabled() {
             simtrace::counters::add("cloud.terminations", 1);
             let host = self.host_ref(idx);
@@ -790,29 +796,58 @@ impl Cloud {
     /// Only calendar-due hosts are touched; the rest stay lagged, and
     /// the result is bitwise identical to the eager order.
     pub fn advance_secs(&mut self, secs: u64) {
+        self.advance_with(secs, Cloud::meter);
+    }
+
+    /// [`Cloud::advance_secs`] with `meter` as the billing pass; returns
+    /// what it metered.
+    fn advance_with(&mut self, secs: u64, meter: fn(&mut Cloud, u64) -> Metered) -> Metered {
         if secs > 0 {
             let target = self.fleet_ns + secs * NANOS_PER_SEC;
             self.calendar.advance_to(target);
             self.fleet_ns = target;
         }
-        // Meter: charge each open instance its cpu-time delta. Hosts left
-        // lagged by the calendar are quiescent — their cpuacct totals are
-        // static — so metering reads them without forcing a sync.
-        let mut charges = std::mem::take(&mut self.charges);
-        charges.clear();
-        for inst in self.instances.values() {
-            let host = self.host_ref(inst.host.0 as usize);
-            if let Some(used) = host.runtime.cpu_usage_ns(&host.kernel, inst.container) {
-                charges.push((inst.id, inst.tenant, used));
-            }
-        }
-        simtrace::counters::add("cloud.billing_charges", charges.len() as u64);
-        for &(id, tenant, used_ns) in charges.iter() {
-            self.billing
-                .meter(tenant, id, used_ns, secs, &self.cfg.billing);
-        }
-        self.charges = charges;
+        let metered = meter(self, secs);
+        simtrace::counters::add("cloud.billing_charges", metered.charges);
         self.apply_detector_updates();
+        metered
+    }
+
+    /// Charges every open instance for the last `secs`, in instance-id
+    /// order. Only scheduler run ticks write cpuacct, and the calendar's
+    /// `sync_to` is the only place a host kernel advances and marks the
+    /// hosts whose advance ran a tick. So an instance on an unmarked host
+    /// has a cpuacct delta of exactly 0 since its last meter (or since
+    /// launch, when its fresh cgroup read 0): it pays its own base term
+    /// and nothing else, since its zero cpu terms would add `+0.0` to
+    /// non-negative accumulators. Only instances on marked hosts read
+    /// cpuacct, lagged hosts included — a lagged host is quiescent, so
+    /// its totals are static and need no sync.
+    fn meter(&mut self, secs: u64) -> Metered {
+        let Cloud {
+            calendar,
+            instances,
+            billing,
+            cfg,
+            ..
+        } = self;
+        let mut metered = Metered::default();
+        for inst in instances.values_mut() {
+            let idx = inst.host.0 as usize;
+            if calendar.ran[idx] {
+                let host = &calendar.hosts[idx];
+                let Some(used) = host.runtime.cpu_usage_ns(&host.kernel, inst.container) else {
+                    continue;
+                };
+                billing.meter(inst.tenant, &mut inst.metered_ns, used, secs, &cfg.billing);
+                metered.reads += 1;
+            } else {
+                billing.charge_base(inst.tenant, secs, &cfg.billing);
+            }
+            metered.charges += 1;
+        }
+        calendar.clear_ran();
+        metered
     }
 
     /// Scores the detector at the advance boundary and applies any newly
@@ -960,7 +995,6 @@ impl Cloud {
             .collect();
         for inst in &lost {
             self.instances.remove(inst);
-            self.billing.close(*inst);
         }
         let (run, with_background) = (self.cfg.run, self.cfg.background_per_host);
         self.with_host(idx, |host| {
@@ -1066,7 +1100,230 @@ impl Cloud {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::models;
+    use proptest::prelude::*;
+    use simkernel::FaultPlan;
+    use workloads::{models, Phase, Repeat, WorkloadClass};
+
+    // The reference meter: the plain full walk, reading every open
+    // instance's cpuacct total whether or not its host ran. The property below drives a fast cloud and a
+    // reference cloud through the same script and demands bit-identical
+    // bills and charge counts.
+    impl Cloud {
+        fn meter_reference(&mut self, secs: u64) -> Metered {
+            let Cloud {
+                calendar,
+                instances,
+                billing,
+                cfg,
+                ..
+            } = self;
+            let mut metered = Metered::default();
+            for inst in instances.values_mut() {
+                let host = &calendar.hosts[inst.host.0 as usize];
+                if let Some(used) = host.runtime.cpu_usage_ns(&host.kernel, inst.container) {
+                    billing.meter(inst.tenant, &mut inst.metered_ns, used, secs, &cfg.billing);
+                    metered.charges += 1;
+                    metered.reads += 1;
+                }
+            }
+            metered
+        }
+    }
+
+    const TENANTS: [&str; 3] = ["t0", "t1", "t2"];
+
+    /// A `Once` workload that burns a few CPU-seconds and exits.
+    fn short_job() -> WorkloadSpec {
+        WorkloadSpec::new(
+            "short-job",
+            WorkloadClass::Mixed,
+            vec![Phase {
+                duration_ns: 3 * NANOS_PER_SEC,
+                cpu_demand: 0.8,
+                ..Phase::quiescent(NANOS_PER_SEC)
+            }],
+            Repeat::Once,
+        )
+    }
+
+    fn workload(choice: usize) -> WorkloadSpec {
+        match choice % 3 {
+            0 => models::power_virus(),
+            1 => models::sleeper(),
+            _ => short_job(),
+        }
+    }
+
+    /// One step of a metering script: `(op, pick)`.
+    type Step = (usize, usize);
+
+    /// Everything one script run metered: each tenant's bill as bits,
+    /// the `cloud.billing_charges` total and the cpuacct reads.
+    #[derive(Debug, PartialEq)]
+    struct MeterRun {
+        bills: Vec<[u64; 3]>,
+        charges: u64,
+        reads: u64,
+    }
+
+    /// Boots a 4-host fleet and runs `steps` on it, metering with the
+    /// fast or the reference pass.
+    fn run_meter_script(
+        seed: u64,
+        eager: bool,
+        background: bool,
+        steps: &[Step],
+        reference: bool,
+    ) -> MeterRun {
+        let mut cfg = CloudConfig::new(CloudProfile::CC1)
+            .hosts(4)
+            .hosts_per_rack(2)
+            .machine(MachineConfig::small_server());
+        if eager {
+            cfg = cfg.eager_advance();
+        }
+        if !background {
+            cfg = cfg.without_background();
+        }
+        let mut c = Cloud::new(cfg, seed);
+        let mut live: Vec<InstanceId> = Vec::new();
+        let mut pids: Vec<(InstanceId, HostPid)> = Vec::new();
+        let (mut charges, mut reads) = (0, 0);
+        for &(op, pick) in steps {
+            let inst = (!live.is_empty()).then(|| live[pick % live.len()]);
+            match (op, inst) {
+                (0 | 1, _) => {
+                    let spec = InstanceSpec::new(format!("i{pick}")).vcpus([1, 2, 4][pick % 3]);
+                    if let Ok(id) = c.launch(TENANTS[pick % TENANTS.len()], spec) {
+                        live.push(id);
+                    }
+                }
+                (2, Some(id)) => {
+                    c.terminate(id).unwrap();
+                    live.retain(|&i| i != id);
+                    pids.retain(|&(i, _)| i != id);
+                }
+                (3 | 4, Some(id)) => {
+                    if let Ok(pid) = c.exec(id, "p", workload(pick / 7)) {
+                        pids.push((id, pid));
+                    }
+                }
+                (5, _) if !pids.is_empty() => {
+                    let (id, pid) = pids[pick % pids.len()];
+                    let _ = c.set_process_workload(id, pid, workload(pick / 5));
+                }
+                (6, Some(id)) => {
+                    c.read_file(id, "/proc/stat").unwrap();
+                }
+                (7, _) => {
+                    let lost = c.reboot_host(HostId((pick % 4) as u32));
+                    live.retain(|i| !lost.contains(i));
+                    pids.retain(|(i, _)| !lost.contains(i));
+                }
+                (8, _) => c.install_faults(&FaultPlan::standard(seed ^ pick as u64)),
+                (9, _) => c.set_tick_secs([1, 5, 30][pick % 3]),
+                (10..=12, _) => {
+                    let secs = if op == 12 { 3_600 } else { 1 };
+                    let meter = if reference {
+                        Cloud::meter_reference
+                    } else {
+                        Cloud::meter
+                    };
+                    let m = c.advance_with(secs, meter);
+                    charges += m.charges;
+                    reads += m.reads;
+                }
+                _ => {}
+            }
+        }
+        let bills = TENANTS
+            .iter()
+            .map(|t| {
+                let b = c.bill(t);
+                [
+                    b.cpu_usd.to_bits(),
+                    b.base_usd.to_bits(),
+                    b.vcpu_seconds.to_bits(),
+                ]
+            })
+            .collect();
+        MeterRun {
+            bills,
+            charges,
+            reads,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 12 } else { 256 }))]
+        #[test]
+        fn fast_meter_bills_the_reference_walks_bits(
+            seed in 0u64..1_000_000,
+            eager in 0usize..2,
+            background in 0usize..3,
+            steps in proptest::collection::vec((0usize..13, 0usize..64), 1..48),
+        ) {
+            // Background load keeps every host busy, so two cases in
+            // three run idle fleets where the skip does the work.
+            let run = |reference| {
+                run_meter_script(seed, eager == 1, background == 0, &steps, reference)
+            };
+            let (fast, plain) = (run(false), run(true));
+            prop_assert_eq!(&fast.bills, &plain.bills);
+            prop_assert_eq!(fast.charges, plain.charges);
+            prop_assert!(fast.reads <= plain.reads);
+        }
+    }
+
+    /// Non-vacuity: a busy fleet's instances take the path that reads
+    /// cpuacct, and the fast meter agrees with the reference there.
+    #[test]
+    fn busy_hosts_are_metered_through_cpuacct() {
+        let steps = [(0, 0), (0, 1), (3, 0), (3, 1), (11, 0), (12, 0), (11, 0)];
+        for eager in [false, true] {
+            let fast = run_meter_script(5, eager, false, &steps, false);
+            assert_eq!(fast, run_meter_script(5, eager, false, &steps, true));
+            assert_eq!((fast.charges, fast.reads), (6, 6), "eager {eager}");
+            assert!(f64::from_bits(fast.bills[0][2]) > 1_000.0, "{fast:?}");
+        }
+    }
+
+    /// Non-vacuity: an idle fleet is billed without reading any cpuacct
+    /// total, and still pays its base charges.
+    #[test]
+    fn idle_hosts_skip_the_cpuacct_read() {
+        let steps = [
+            (0, 0),
+            (0, 1),
+            (0, 2),
+            (11, 0),
+            (6, 1),
+            (12, 0),
+            (6, 0),
+            (11, 0),
+        ];
+        for eager in [false, true] {
+            let fast = run_meter_script(9, eager, false, &steps, false);
+            let plain = run_meter_script(9, eager, false, &steps, true);
+            assert_eq!(fast.bills, plain.bills);
+            assert_eq!((fast.charges, fast.reads), (9, 0), "eager {eager}");
+            assert_eq!(plain.reads, 9);
+            assert!(f64::from_bits(fast.bills[0][1]) > 0.0);
+        }
+    }
+
+    #[test]
+    fn terminate_keeps_accumulated_charges() {
+        let mut c = cloud(2);
+        let id = c.launch("t", InstanceSpec::new("gone")).unwrap();
+        c.exec(id, "virus", models::power_virus()).unwrap();
+        c.advance_secs(60);
+        let before = c.bill("t");
+        assert!(before.cpu_usd > 0.0);
+        c.terminate(id).unwrap();
+        c.advance_secs(60);
+        assert_eq!(c.bill("t"), before);
+    }
 
     fn cloud(hosts: usize) -> Cloud {
         Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(hosts), 42)

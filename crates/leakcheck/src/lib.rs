@@ -177,7 +177,7 @@ fn flow_report(
     // The listing renders bytes too: the set of visible paths.
     specs.push(flow::RouteSpec {
         pattern: "(list)".to_string(),
-        handler: "fs::list_uncached".to_string(),
+        handler: "fs::list".to_string(),
         declared: pseudofs::LIST_DEPS,
     });
     let check = flow::check_routes(&flows, &specs)?;

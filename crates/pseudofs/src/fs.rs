@@ -119,17 +119,13 @@ impl PseudoFs {
     }
 
     /// Enumerates every readable file path in this view, sorted — the
-    /// recursive exploration step of the paper's detection framework.
-    /// Deny-masked paths are excluded (they are unreadable in the cloud).
-    pub fn list(&self, k: &Kernel, view: &View) -> Vec<String> {
-        self.list_uncached(k, view)
-    }
-
-    /// The exact routes' paths plus the parameterized ones the kernel's
+    /// recursive exploration step of the paper's detection framework:
+    /// the exact routes' paths plus the parameterized ones the kernel's
     /// topology instantiates (cpus, disks, partitions, pids, RAPL
-    /// packages, NUMA nodes). Its name is the `(list)` row's handler in
+    /// packages, NUMA nodes). Deny-masked paths are excluded (they are
+    /// unreadable in the cloud). Its name is the `(list)` row's handler in
     /// leakcheck's flow audit and committed report.
-    fn list_uncached(&self, k: &Kernel, view: &View) -> Vec<String> {
+    pub fn list(&self, k: &Kernel, view: &View) -> Vec<String> {
         let mut paths = Vec::with_capacity(256);
         let mut push = |p: String| {
             if view.mask_action(&p) != Some(MaskAction::Deny) {
