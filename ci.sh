@@ -64,6 +64,9 @@ cargo test --offline -q --release --test fault_matrix
 echo "== cloud metering: fast meter vs reference walk, release case count =="
 cargo test --offline -q --release -p cloudsim
 
+echo "== idle anchor: lean capture vs reference clone, release case count =="
+cargo test --offline -q --release -p simkernel
+
 echo "== determinism: the mode matrix =="
 # One row per run: its name, the run it must match (`-` for a reference
 # run), the trace lines exempt from that match (`-` for none), then the

@@ -15,6 +15,8 @@
 //!   ≥5x ahead of)
 //! * `fleet_10k_meter_idle` — the same week with 2,000 idle instances
 //!   over 64 tenants, so billing meters every one of them each hour
+//! * `host_lifecycle_idle` — one idle CC1 host's container lifecycle:
+//!   create the env, advance a quiescent hour, destroy the env
 //! * `fleet_calendar_pop` — the calendar pop/sync/re-push cycle with
 //!   every host due each advance
 //! * `fig3_attack_step`  — one attack-campaign control step (RAPL sample)
@@ -211,6 +213,26 @@ fn bench_fleet_10k_meter_idle(c: &mut Criterion) {
                 cloud.advance_secs(3600);
             }
             black_box(cloud.bill("t0").total_usd())
+        })
+    });
+}
+
+fn bench_host_lifecycle_idle(c: &mut Criterion) {
+    // The per-host cost of container churn on an idle fleet: the create
+    // and destroy bookkeeping plus the one idle-anchor capture the hour's
+    // quiescent advance makes after the create invalidated the anchor.
+    let mut k = Kernel::new(CloudProfile::CC1.default_machine(), 17);
+    k.fast_forward_boot(40 * 86_400);
+    let mut n = 0u64;
+    c.bench_function("host_lifecycle_idle", |b| {
+        b.iter(|| {
+            n += 1;
+            let env = k
+                .create_container_env(&format!("c{n}"))
+                .expect("env fits an idle host");
+            k.advance_secs(3_600);
+            k.destroy_container_env(&env).expect("env is live");
+            black_box(k.rapl().package_energy_uj(0))
         })
     });
 }
@@ -456,6 +478,7 @@ criterion_group!(
         bench_fleet_10k_week,
         bench_fleet_10k_week_eager,
         bench_fleet_10k_meter_idle,
+        bench_host_lifecycle_idle,
         bench_fleet_calendar_pop,
         bench_fig3_attack_step,
         bench_fig4_staircase,

@@ -578,7 +578,7 @@ mod tests {
         let veth = rt.container(id).unwrap().env().veth.clone();
         rt.remove(&mut k, id).unwrap();
         assert!(rt.container(id).is_none());
-        assert!(!k.net().device_names().contains(&veth));
+        assert!(!k.net().devices().iter().any(|d| d.name == veth));
         assert!(matches!(
             rt.read_file(&k, id, "/proc/uptime"),
             Err(RuntimeError::NoSuchContainer(_))

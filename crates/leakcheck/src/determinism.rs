@@ -168,12 +168,6 @@ pub const ACCEPTED_PANICS: &[(&str, &str, &str)] = &[
          construction; pseudo-fs read faults cannot reach exec/implant",
     ),
     (
-        "simkernel/src/cgroup.rs",
-        "root",
-        "root cgroups for every controller kind are created by the \
-         hierarchy constructor",
-    ),
-    (
         "simkernel/src/kernel.rs",
         "new",
         "construction-time validation: a kernel never exists with an \
@@ -693,8 +687,9 @@ mod tests {
 
     #[test]
     fn accepted_panic_sites_keep_their_reason() {
-        let src = "fn root(&self) -> CgroupId { *self.roots.get(&kind).expect(\"root\") }";
-        let h = lint_file("crates/simkernel/src/cgroup.rs", src);
+        let src =
+            "fn new(cfg: MachineConfig) -> Self { cfg.validate().expect(\"valid\"); boot(cfg) }";
+        let h = lint_file("crates/simkernel/src/kernel.rs", src);
         assert_eq!(h.len(), 1);
         assert_eq!(h[0].kind, "panic-surface");
         assert!(h[0].accepted);

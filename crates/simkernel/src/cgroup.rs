@@ -12,7 +12,7 @@
 //!   Study I leakage channel.
 //! * `memory` — per-container memory accounting.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -50,6 +50,11 @@ impl CgroupKind {
         CgroupKind::NetPrio,
         CgroupKind::Memory,
     ];
+
+    /// This hierarchy's position in [`CgroupKind::ALL`].
+    pub const fn index(self) -> usize {
+        self as usize
+    }
 
     /// The mount name under `/sys/fs/cgroup/`.
     pub fn mount_name(&self) -> &'static str {
@@ -141,6 +146,8 @@ pub struct CgroupNode {
     kind: CgroupKind,
     path: String,
     parent: Option<CgroupId>,
+    /// Live children; a node with any cannot be removed.
+    children: u32,
     data: CgroupData,
 }
 
@@ -172,33 +179,44 @@ impl CgroupNode {
 /// Ids are allocated sequentially and never reused, so the nodes live in a
 /// slot vector indexed by id: every lookup on the scheduler's per-task
 /// charge path is an array index instead of a hash probe. Removed nodes
-/// leave a `None` slot behind.
+/// leave a `None` slot behind, so `nodes` only grows; the operations a
+/// container lifecycle runs never walk it. Removal checks the node's own
+/// live-child count, and host-interface (un)registration walks only the
+/// live net_prio nodes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CgroupForest {
     next: u32,
     nodes: Vec<Option<CgroupNode>>,
-    roots: HashMap<CgroupKind, CgroupId>,
+    /// Each hierarchy's root, indexed by [`CgroupKind::index`].
+    roots: [CgroupId; 4],
+    /// The live net_prio nodes, in id order.
+    net_prio: Vec<CgroupId>,
     ncpus: usize,
 }
 
 impl CgroupForest {
-    /// Creates the forest with one root per hierarchy.
-    pub fn new(ncpus: usize, host_ifaces: &[String]) -> Self {
+    /// Creates the forest with one root per hierarchy; the net_prio
+    /// root's `ifpriomap` covers `host_ifaces`.
+    pub fn new<'a>(ncpus: usize, host_ifaces: impl IntoIterator<Item = &'a str> + Clone) -> Self {
         let mut f = CgroupForest {
             next: 0,
             nodes: Vec::new(),
-            roots: HashMap::new(),
+            roots: [CgroupId(0); 4],
+            net_prio: Vec::new(),
             ncpus,
         };
         for kind in CgroupKind::ALL {
-            let data = f.fresh_data(kind, host_ifaces);
-            let id = f.alloc(kind, "/".to_string(), None, data);
-            f.roots.insert(kind, id);
+            let data = f.fresh_data(kind, host_ifaces.clone());
+            f.roots[kind.index()] = f.alloc(kind, "/".to_string(), None, data);
         }
         f
     }
 
-    fn fresh_data(&self, kind: CgroupKind, host_ifaces: &[String]) -> CgroupData {
+    fn fresh_data<'a>(
+        &self,
+        kind: CgroupKind,
+        host_ifaces: impl IntoIterator<Item = &'a str>,
+    ) -> CgroupData {
         match kind {
             CgroupKind::Cpuacct => CgroupData::Cpuacct {
                 usage_ns_per_cpu: vec![0; self.ncpus],
@@ -208,7 +226,10 @@ impl CgroupForest {
                 monitoring: false,
             },
             CgroupKind::NetPrio => CgroupData::NetPrio {
-                ifpriomap: host_ifaces.iter().map(|i| (i.clone(), 0)).collect(),
+                ifpriomap: host_ifaces
+                    .into_iter()
+                    .map(|i| (i.to_string(), 0))
+                    .collect(),
             },
             CgroupKind::Memory => CgroupData::Memory {
                 limit_bytes: u64::MAX,
@@ -227,11 +248,18 @@ impl CgroupForest {
     ) -> CgroupId {
         let id = CgroupId(self.next);
         self.next += 1;
+        if let Some(p) = parent.and_then(|p| self.node_mut(p)) {
+            p.children += 1;
+        }
+        if kind == CgroupKind::NetPrio {
+            self.net_prio.push(id);
+        }
         self.nodes.push(Some(CgroupNode {
             id,
             kind,
             path,
             parent,
+            children: 0,
             data,
         }));
         id
@@ -247,7 +275,7 @@ impl CgroupForest {
 
     /// The root node of a hierarchy.
     pub fn root(&self, kind: CgroupKind) -> CgroupId {
-        *self.roots.get(&kind).expect("root exists for every kind")
+        self.roots[kind.index()]
     }
 
     /// Looks up a node.
@@ -277,27 +305,26 @@ impl CgroupForest {
             .count()
     }
 
-    /// Creates a child cgroup `name` under `parent`.
+    /// Creates a child cgroup `name` under `parent`; a net_prio child's
+    /// `ifpriomap` covers `host_ifaces`.
     ///
     /// # Errors
     ///
     /// Returns [`KernelError::NoSuchCgroup`] if `parent` is unknown.
-    pub fn create_child(
+    pub fn create_child<'a>(
         &mut self,
         parent: CgroupId,
         name: &str,
-        host_ifaces: &[String],
+        host_ifaces: impl IntoIterator<Item = &'a str>,
     ) -> Result<CgroupId, KernelError> {
-        let (kind, ppath) = {
-            let p = self
-                .node_ref(parent)
-                .ok_or(KernelError::NoSuchCgroup(parent))?;
-            (p.kind, p.path.clone())
-        };
-        let path = if ppath == "/" {
+        let p = self
+            .node_ref(parent)
+            .ok_or(KernelError::NoSuchCgroup(parent))?;
+        let kind = p.kind;
+        let path = if p.path == "/" {
             format!("/{name}")
         } else {
-            format!("{ppath}/{name}")
+            format!("{}/{name}", p.path)
         };
         let data = self.fresh_data(kind, host_ifaces);
         Ok(self.alloc(kind, path, Some(parent), data))
@@ -318,10 +345,19 @@ impl CgroupForest {
                 "cannot remove a root cgroup".into(),
             ));
         }
-        if self.nodes.iter().flatten().any(|n| n.parent == Some(id)) {
+        if node.children > 0 {
             return Err(KernelError::InvalidOperation(format!(
                 "cgroup {id} still has children"
             )));
+        }
+        let (kind, parent) = (node.kind, node.parent);
+        if let Some(p) = parent.and_then(|p| self.node_mut(p)) {
+            p.children -= 1;
+        }
+        if kind == CgroupKind::NetPrio {
+            if let Ok(i) = self.net_prio.binary_search(&id) {
+                self.net_prio.remove(i);
+            }
         }
         self.nodes[id.0 as usize] = None;
         Ok(())
@@ -508,9 +544,9 @@ impl CgroupForest {
     /// (the kernel's `netprio` handler iterates all of `init_net`'s devices,
     /// so every group's map covers every host device — the leak).
     pub fn register_host_iface(&mut self, iface: &str) {
-        for n in self.nodes.iter_mut().flatten() {
-            if let CgroupData::NetPrio { ifpriomap } = &mut n.data {
-                ifpriomap.entry(iface.to_string()).or_insert(0);
+        for &id in &self.net_prio {
+            if let Some(map) = ifpriomap_mut(&mut self.nodes, id) {
+                map.entry(iface.to_string()).or_insert(0);
             }
         }
     }
@@ -521,11 +557,22 @@ impl CgroupForest {
     /// interface that happens to reuse the name would resurrect the dead
     /// device's priority instead of starting at 0.
     pub fn unregister_host_iface(&mut self, iface: &str) {
-        for n in self.nodes.iter_mut().flatten() {
-            if let CgroupData::NetPrio { ifpriomap } = &mut n.data {
-                ifpriomap.remove(iface);
+        for &id in &self.net_prio {
+            if let Some(map) = ifpriomap_mut(&mut self.nodes, id) {
+                map.remove(iface);
             }
         }
+    }
+}
+
+/// The `ifpriomap` of net_prio node `id`, if live.
+fn ifpriomap_mut(
+    nodes: &mut [Option<CgroupNode>],
+    id: CgroupId,
+) -> Option<&mut BTreeMap<String, u32>> {
+    match &mut nodes.get_mut(id.0 as usize)?.as_mut()?.data {
+        CgroupData::NetPrio { ifpriomap } => Some(ifpriomap),
+        _ => None,
     }
 }
 
@@ -534,7 +581,7 @@ mod tests {
     use super::*;
 
     fn forest() -> CgroupForest {
-        CgroupForest::new(4, &["lo".into(), "eth0".into()])
+        CgroupForest::new(4, ["lo", "eth0"])
     }
 
     #[test]
@@ -551,8 +598,8 @@ mod tests {
     fn child_paths_compose() {
         let mut f = forest();
         let root = f.root(CgroupKind::Cpuacct);
-        let docker = f.create_child(root, "docker", &[]).unwrap();
-        let c1 = f.create_child(docker, "c1", &[]).unwrap();
+        let docker = f.create_child(root, "docker", []).unwrap();
+        let c1 = f.create_child(docker, "c1", []).unwrap();
         assert_eq!(f.node(docker).unwrap().path(), "/docker");
         assert_eq!(f.node(c1).unwrap().path(), "/docker/c1");
         assert_eq!(f.ancestor_chain(c1), vec![c1, docker, root]);
@@ -562,7 +609,7 @@ mod tests {
     fn cpu_charge_propagates_to_ancestors() {
         let mut f = forest();
         let root = f.root(CgroupKind::Cpuacct);
-        let child = f.create_child(root, "c", &[]).unwrap();
+        let child = f.create_child(root, "c", []).unwrap();
         f.charge_cpu(child, 1, 500);
         f.charge_cpu(child, 2, 300);
         assert_eq!(f.cpuacct_usage_ns(child), Some(800));
@@ -574,7 +621,7 @@ mod tests {
     fn perf_charge_requires_monitoring() {
         let mut f = forest();
         let root = f.root(CgroupKind::PerfEvent);
-        let child = f.create_child(root, "c", &[]).unwrap();
+        let child = f.create_child(root, "c", []).unwrap();
         let delta = PerfCounters {
             instructions: 100,
             cache_misses: 5,
@@ -596,20 +643,47 @@ mod tests {
         let mut f = forest();
         let root = f.root(CgroupKind::Memory);
         assert!(f.remove(root).is_err());
-        let child = f.create_child(root, "a", &[]).unwrap();
-        let grand = f.create_child(child, "b", &[]).unwrap();
+        let child = f.create_child(root, "a", []).unwrap();
+        let grand = f.create_child(child, "b", []).unwrap();
         assert!(f.remove(child).is_err());
         f.remove(grand).unwrap();
         f.remove(child).unwrap();
     }
 
     #[test]
+    fn lifecycle_bookkeeping_tracks_only_live_nodes() {
+        // Removal checks a child count and interface registration walks
+        // the live net_prio list; churn must leave both exact.
+        let mut f = forest();
+        let root = f.root(CgroupKind::NetPrio);
+        let docker = f.create_child(root, "docker", []).unwrap();
+        for round in 0..3 {
+            let kids: Vec<CgroupId> = (0..40)
+                .map(|i| {
+                    f.create_child(docker, &format!("c{round}-{i}"), [])
+                        .unwrap()
+                })
+                .collect();
+            assert_eq!(f.net_prio.len(), 42);
+            assert!(f.remove(docker).is_err(), "live children block removal");
+            for id in kids {
+                f.remove(id).unwrap();
+            }
+        }
+        assert_eq!(f.net_prio, vec![root, docker]);
+        assert_eq!(f.node(docker).map(|n| n.children), Some(0));
+        f.remove(docker).unwrap();
+        assert_eq!(f.net_prio, vec![root]);
+        assert_eq!(f.node(root).map(|n| n.children), Some(0));
+    }
+
+    #[test]
     fn ifpriomap_covers_host_devices_in_new_groups() {
-        let mut f = CgroupForest::new(2, &["lo".into(), "eth0".into()]);
+        let mut f = CgroupForest::new(2, ["lo", "eth0"]);
         f.register_host_iface("veth1a2b");
         let root = f.root(CgroupKind::NetPrio);
         let child = f
-            .create_child(root, "c", &["lo".into(), "eth0".into(), "veth1a2b".into()])
+            .create_child(root, "c", ["lo", "eth0", "veth1a2b"])
             .unwrap();
         match f.node(child).unwrap().data() {
             CgroupData::NetPrio { ifpriomap } => {
@@ -645,7 +719,7 @@ mod tests {
     fn memory_usage_tracks_high_water() {
         let mut f = forest();
         let root = f.root(CgroupKind::Memory);
-        let c = f.create_child(root, "c", &[]).unwrap();
+        let c = f.create_child(root, "c", []).unwrap();
         f.set_memory_usage(c, 100);
         f.set_memory_usage(c, 40);
         match f.node(c).unwrap().data() {

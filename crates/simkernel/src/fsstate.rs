@@ -262,6 +262,17 @@ impl FsState {
         }
     }
 
+    /// The scalars [`FsState::idle_eval`] reads.
+    pub(crate) fn capture_idle(&self) -> FsAnchor {
+        FsAnchor {
+            elapsed_ns: self.elapsed_ns,
+            cum_syscalls: self.cum_syscalls,
+            inode_free: self.inode_free,
+            system_lock_seq: self.system_lock_seq,
+            entropy_avail: self.entropy_avail,
+        }
+    }
+
     /// Jump-evaluates VFS state to `rel_ns` past `anchor` with no process
     /// activity (zero syscalls and IO).
     ///
@@ -270,7 +281,13 @@ impl FsState {
     /// lands on the same bytes regardless of step size. `intr_delta` is
     /// the number of hardware interrupts accumulated over the whole span
     /// (they feed the entropy pool).
-    pub fn idle_eval(&mut self, anchor: &FsState, rel_ns: u64, nprocs: usize, intr_delta: u64) {
+    pub(crate) fn idle_eval(
+        &mut self,
+        anchor: &FsAnchor,
+        rel_ns: u64,
+        nprocs: usize,
+        intr_delta: u64,
+    ) {
         let rel_s = rel_ns as f64 / NANOS_PER_SEC as f64;
         self.elapsed_ns = anchor.elapsed_ns + rel_ns;
         self.cum_syscalls = anchor.cum_syscalls;
@@ -311,6 +328,16 @@ impl FsState {
     }
 }
 
+/// The VFS scalars a quiescent span evolves from.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FsAnchor {
+    elapsed_ns: u64,
+    cum_syscalls: u64,
+    inode_free: u64,
+    system_lock_seq: u64,
+    entropy_avail: u64,
+}
+
 fn random_uuid(rng: &mut StdRng) -> String {
     let a: u32 = rng.random();
     let b: u16 = rng.random();
@@ -324,6 +351,57 @@ fn random_uuid(rng: &mut StdRng) -> String {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    // The reference quiescent evaluation: the closed form read from a
+    // full clone of the VFS state, as the idle anchor held it before the
+    // lean capture.
+    impl FsState {
+        pub(crate) fn idle_eval_reference(
+            &mut self,
+            anchor: &FsState,
+            rel_ns: u64,
+            nprocs: usize,
+            intr_delta: u64,
+        ) {
+            let rel_s = rel_ns as f64 / NANOS_PER_SEC as f64;
+            self.elapsed_ns = anchor.elapsed_ns + rel_ns;
+            self.cum_syscalls = anchor.cum_syscalls;
+            let elapsed_secs = self.elapsed_ns / NANOS_PER_SEC;
+
+            self.dentry_count = 60_000 + elapsed_secs * 2 + self.cum_syscalls / 50;
+            self.dentry_unused = self.dentry_count * 2 / 3;
+            self.inode_count = 55_000 + self.dentry_count / 2;
+            self.inode_free = anchor.inode_free;
+            self.file_handles =
+                1_504 + elapsed_secs / 3 + self.cum_syscalls / 1_000 + nprocs as u64 / 8;
+
+            // The host daemon cycles its advisory lock at the average
+            // one-in-three-ticks rate: one step per three idle seconds.
+            self.system_lock_seq = anchor.system_lock_seq + (rel_ns / NANOS_PER_SEC) / 3;
+            if self.system_lock_seq != anchor.system_lock_seq {
+                let range = (
+                    self.system_lock_seq * 4096,
+                    self.system_lock_seq * 4096 + 4095,
+                );
+                match self.locks.iter_mut().find(|l| l.pid == HostPid(1)) {
+                    Some(l) => l.range = range,
+                    None => self.locks.insert(
+                        0,
+                        FileLock {
+                            pid: HostPid(1),
+                            kind: LockKind::PosixRead,
+                            dev_inode: "08:01:2".into(),
+                            range,
+                        },
+                    ),
+                }
+            }
+
+            self.entropy_avail = (anchor.entropy_avail + intr_delta / 60)
+                .saturating_sub((rel_s * 25.0) as u64)
+                .clamp(160, 4_096);
+        }
+    }
 
     fn fs(seed: u64) -> FsState {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -384,64 +384,145 @@ impl Hardware {
         last_snapshot.wall_w = dc_w / p.psu_efficiency;
     }
 
+    /// Copies the lanes [`Hardware::idle_eval`] reads into `anchor`,
+    /// reusing its buffers.
+    pub(crate) fn capture_idle(&self, anchor: &mut HwAnchor) {
+        anchor.cpus.clear();
+        anchor
+            .cpus
+            .extend(self.cpus.iter().map(|c| (c.temp_mc, c.idle_states)));
+        anchor.rapl.clear();
+        anchor.rapl.extend_from_slice(&self.rapl.packages);
+    }
+
     /// Jumps the hardware to its quiescent-state value `rel_ns` after
     /// `anchor`: every core draws idle leakage only, temperatures relax
     /// exponentially toward the idle target, frequencies park at the
     /// governor floor, and the deep-idle residency split accumulates. Pure
     /// in (anchor, rel_ns) — no measurement noise is drawn, so any
     /// subdivision of a quiescent span lands on byte-identical counters.
-    pub fn idle_eval(&mut self, anchor: &Hardware, rel_ns: u64) {
+    /// Allocates nothing: the snapshot's package buffer is reused.
+    pub(crate) fn idle_eval(&mut self, anchor: &HwAnchor, rel_ns: u64) {
         let rel_s = rel_ns as f64 / NANOS_PER_SEC as f64;
-        let p = self.params.clone();
-        let npkg = self.rapl.package_count();
+        let Hardware {
+            params: p,
+            rapl,
+            cpus,
+            cpus_per_package,
+            freq_hz,
+            last_snapshot,
+            ..
+        } = self;
+        let npkg = rapl.package_count();
+        let last_pkg = npkg.saturating_sub(1);
         let idle_target_mc = AMBIENT_MC + p.core_idle_w * MC_PER_W;
         let decay = (-rel_s / THERMAL_TAU_S).exp();
-        let idle_khz = (self.freq_hz as f64 / 1_000.0 * 0.47) as u64;
+        let idle_khz = (*freq_hz as f64 / 1_000.0 * 0.47) as u64;
         let idle_us = rel_ns / 1_000;
-        let cpp = self.cpus_per_package;
-        let mut pkg_cores = vec![0usize; npkg];
-        for (cpu, (cur, base)) in self.cpus.iter_mut().zip(anchor.cpus.iter()).enumerate() {
-            cur.temp_mc = idle_target_mc + (base.temp_mc - idle_target_mc) * decay;
+        for (cur, &(temp_mc, base)) in cpus.iter_mut().zip(anchor.cpus.iter()) {
+            cur.temp_mc = idle_target_mc + (temp_mc - idle_target_mc) * decay;
             cur.cur_freq_khz = idle_khz;
-            cur.idle_states = base.idle_states;
+            cur.idle_states = base;
             // The mostly-idle residency split from `tick` (busy < 0.05).
             for (state, frac) in [(4usize, 0.85f64), (2, 0.10), (1, 0.05)] {
                 let t = (idle_us as f64 * frac) as u64;
                 let avg_res_us = [50u64, 200, 600, 2_000, 20_000][state];
                 let st = &mut cur.idle_states[state];
-                st.time_us = base.idle_states[state].time_us + t;
-                st.usage = base.idle_states[state].usage + (t / avg_res_us).max(u64::from(t > 0));
+                st.time_us = base[state].time_us + t;
+                st.usage = base[state].usage + (t / avg_res_us).max(u64::from(t > 0));
             }
-            pkg_cores[(cpu / cpp).min(npkg.saturating_sub(1))] += 1;
         }
 
-        let mut snapshot = PowerSnapshot {
-            wall_w: 0.0,
-            per_package_w: Vec::with_capacity(npkg),
-        };
+        let ncpus = cpus.len().min(anchor.cpus.len());
+        let per_pkg = &mut last_snapshot.per_package_w;
+        per_pkg.clear();
         let mut dc_w = p.platform_idle_w;
-        for (pkg, cores) in pkg_cores.iter().enumerate() {
-            let core_w = p.core_idle_w * *cores as f64;
+        for (pkg, base) in anchor.rapl.iter().enumerate().take(npkg) {
+            // `package_of` for every CPU, counted per package.
+            let cores = (0..ncpus)
+                .filter(|cpu| (cpu / *cpus_per_package).min(last_pkg) == pkg)
+                .count();
+            let core_w = p.core_idle_w * cores as f64;
             let dram_w = p.dram_idle_w;
             let uncore_w = p.pkg_uncore_w;
             let pkg_w = core_w + dram_w + uncore_w;
-            let base = anchor.rapl.packages[pkg];
-            let dst = &mut self.rapl.packages[pkg];
+            let dst = &mut rapl.packages[pkg];
             dst.core_uj = base.core_uj + core_w * rel_s * 1e6;
             dst.dram_uj = base.dram_uj + dram_w * rel_s * 1e6;
             dst.package_uj = base.package_uj + pkg_w * rel_s * 1e6;
-            snapshot.per_package_w.push((pkg_w, core_w, dram_w));
+            per_pkg.push((pkg_w, core_w, dram_w));
             dc_w += pkg_w;
         }
-        snapshot.wall_w = dc_w / p.psu_efficiency;
-        self.last_snapshot = snapshot;
+        last_snapshot.wall_w = dc_w / p.psu_efficiency;
     }
+}
+
+/// The hardware lanes a quiescent span evolves from: each CPU's
+/// temperature and idle-state residency, and the RAPL package counters.
+#[derive(Debug, Default)]
+pub(crate) struct HwAnchor {
+    cpus: Vec<(f64, [IdleStateResidency; 5])>,
+    rapl: Vec<PackageEnergy>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    // The reference quiescent evaluation: the closed form read from a
+    // full clone of the hardware, as the idle anchor held it before the
+    // lean capture; it clones the parameters and allocates its package
+    // counts and snapshot.
+    impl Hardware {
+        pub(crate) fn idle_eval_reference(&mut self, anchor: &Hardware, rel_ns: u64) {
+            let rel_s = rel_ns as f64 / NANOS_PER_SEC as f64;
+            let p = self.params.clone();
+            let npkg = self.rapl.package_count();
+            let idle_target_mc = AMBIENT_MC + p.core_idle_w * MC_PER_W;
+            let decay = (-rel_s / THERMAL_TAU_S).exp();
+            let idle_khz = (self.freq_hz as f64 / 1_000.0 * 0.47) as u64;
+            let idle_us = rel_ns / 1_000;
+            let cpp = self.cpus_per_package;
+            let mut pkg_cores = vec![0usize; npkg];
+            for (cpu, (cur, base)) in self.cpus.iter_mut().zip(anchor.cpus.iter()).enumerate() {
+                cur.temp_mc = idle_target_mc + (base.temp_mc - idle_target_mc) * decay;
+                cur.cur_freq_khz = idle_khz;
+                cur.idle_states = base.idle_states;
+                // The mostly-idle residency split from `tick` (busy < 0.05).
+                for (state, frac) in [(4usize, 0.85f64), (2, 0.10), (1, 0.05)] {
+                    let t = (idle_us as f64 * frac) as u64;
+                    let avg_res_us = [50u64, 200, 600, 2_000, 20_000][state];
+                    let st = &mut cur.idle_states[state];
+                    st.time_us = base.idle_states[state].time_us + t;
+                    st.usage =
+                        base.idle_states[state].usage + (t / avg_res_us).max(u64::from(t > 0));
+                }
+                pkg_cores[(cpu / cpp).min(npkg.saturating_sub(1))] += 1;
+            }
+
+            let mut snapshot = PowerSnapshot {
+                wall_w: 0.0,
+                per_package_w: Vec::with_capacity(npkg),
+            };
+            let mut dc_w = p.platform_idle_w;
+            for (pkg, cores) in pkg_cores.iter().enumerate() {
+                let core_w = p.core_idle_w * *cores as f64;
+                let dram_w = p.dram_idle_w;
+                let uncore_w = p.pkg_uncore_w;
+                let pkg_w = core_w + dram_w + uncore_w;
+                let base = anchor.rapl.packages[pkg];
+                let dst = &mut self.rapl.packages[pkg];
+                dst.core_uj = base.core_uj + core_w * rel_s * 1e6;
+                dst.dram_uj = base.dram_uj + dram_w * rel_s * 1e6;
+                dst.package_uj = base.package_uj + pkg_w * rel_s * 1e6;
+                snapshot.per_package_w.push((pkg_w, core_w, dram_w));
+                dc_w += pkg_w;
+            }
+            snapshot.wall_w = dc_w / p.psu_efficiency;
+            self.last_snapshot = snapshot;
+        }
+    }
 
     // The plain tick the fast [`Hardware::tick`] must match byte for byte:
     // it clones the parameters and allocates its package sums and snapshot.

@@ -169,6 +169,22 @@ impl IrqState {
         }
     }
 
+    /// Copies the lanes [`IrqState::idle_eval`] reads into `anchor`,
+    /// reusing its buffer: the interrupt lines and softirq rows an idle
+    /// span advances, and the interrupt total. No other count moves while
+    /// an anchor is live — only [`IrqState::tick`] writes them, and a run
+    /// tick drops the anchor first.
+    pub(crate) fn capture_idle(&self, anchor: &mut IrqAnchor) {
+        anchor.lanes.clear();
+        for line in IDLE_LINES {
+            anchor.lanes.extend_from_slice(&self.lines[line].per_cpu);
+        }
+        for soft in IDLE_SOFTIRQS {
+            anchor.lanes.extend_from_slice(&self.softirqs[soft]);
+        }
+        anchor.total_interrupts = self.total_interrupts;
+    }
+
     /// Jump-evaluates the table to `rel_ns` past `anchor` with every CPU
     /// idle.
     ///
@@ -177,13 +193,14 @@ impl IrqState {
     /// timer on CPU 0, and the timer-driven softirq families advance;
     /// everything else stays frozen at the anchor. A closed form of
     /// `(anchor, rel_ns)`, so the result never depends on step size.
-    pub fn idle_eval(&mut self, anchor: &IrqState, rel_ns: u64) {
+    pub(crate) fn idle_eval(&mut self, anchor: &IrqAnchor, rel_ns: u64) {
         let rel_s = rel_ns as f64 / NANOS_PER_SEC as f64;
         let loc = (f64::from(self.hz) * rel_s * 0.125) as u64;
         let legacy = rel_ns / NANOS_PER_SEC;
+        let mut lanes = anchor.lanes.chunks_exact(self.ncpus.max(1));
 
-        for (line, base) in self.lines.iter_mut().zip(anchor.lines.iter()) {
-            line.per_cpu.clone_from(&base.per_cpu);
+        for (line, base) in IDLE_LINES.into_iter().zip(&mut lanes) {
+            self.lines[line].per_cpu.copy_from_slice(base);
         }
         let mut added = 0;
         if loc > 0 {
@@ -198,8 +215,9 @@ impl IrqState {
         }
         self.total_interrupts = anchor.total_interrupts + added;
 
-        for (idx, soft) in self.softirqs.iter_mut().enumerate() {
-            soft.clone_from(&anchor.softirqs[idx]);
+        for (idx, base) in IDLE_SOFTIRQS.into_iter().zip(&mut lanes) {
+            let soft = &mut self.softirqs[idx];
+            soft.copy_from_slice(base);
             let add = match idx {
                 SOFT_TIMER => loc,
                 SOFT_SCHED => loc / 4,
@@ -216,10 +234,67 @@ impl IrqState {
     }
 }
 
+/// The interrupt lines a quiescent span advances.
+const IDLE_LINES: [usize; 2] = [LINE_TIMER0, LINE_LOC];
+/// The softirq rows a quiescent span advances.
+const IDLE_SOFTIRQS: [usize; 4] = [SOFT_TIMER, SOFT_SCHED, SOFT_HRTIMER, SOFT_RCU];
+
+/// The interrupt lanes a quiescent span evolves from: the per-CPU counts
+/// of [`IDLE_LINES`] then [`IDLE_SOFTIRQS`], row after row, and the
+/// interrupt total.
+#[derive(Debug, Default)]
+pub(crate) struct IrqAnchor {
+    lanes: Vec<u64>,
+    pub(crate) total_interrupts: u64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    // The reference quiescent evaluation: the closed form read from a
+    // full clone of the table, as the idle anchor held it before the lean
+    // capture.
+    impl IrqState {
+        pub(crate) fn idle_eval_reference(&mut self, anchor: &IrqState, rel_ns: u64) {
+            let rel_s = rel_ns as f64 / NANOS_PER_SEC as f64;
+            let loc = (f64::from(self.hz) * rel_s * 0.125) as u64;
+            let legacy = rel_ns / NANOS_PER_SEC;
+
+            for (line, base) in self.lines.iter_mut().zip(anchor.lines.iter()) {
+                line.per_cpu.clone_from(&base.per_cpu);
+            }
+            let mut added = 0;
+            if loc > 0 {
+                for c in &mut self.lines[LINE_LOC].per_cpu {
+                    *c += loc;
+                    added += loc;
+                }
+            }
+            if legacy > 0 {
+                self.lines[LINE_TIMER0].per_cpu[0] += legacy;
+                added += legacy;
+            }
+            self.total_interrupts = anchor.total_interrupts + added;
+
+            for (idx, soft) in self.softirqs.iter_mut().enumerate() {
+                soft.clone_from(&anchor.softirqs[idx]);
+                let add = match idx {
+                    SOFT_TIMER => loc,
+                    SOFT_SCHED => loc / 4,
+                    SOFT_RCU => loc / 2,
+                    SOFT_HRTIMER => loc / 50,
+                    _ => 0,
+                };
+                if add > 0 {
+                    for c in soft.iter_mut() {
+                        *c += add;
+                    }
+                }
+            }
+        }
+    }
 
     // The plain tick the fast [`IrqState::tick`] must match byte for byte:
     // every count goes through a bounds-checked `line_add`/`soft_add`.

@@ -1,7 +1,5 @@
 //! The kernel: composition of every subsystem plus the tick loop.
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -10,16 +8,16 @@ use crate::config::MachineConfig;
 use crate::epoch::{dep, SubsystemEpochs};
 use crate::error::KernelError;
 use crate::faults::{FaultPlan, FsFaultKind, SensorFaultKind};
-use crate::fsstate::{FsState, LockKind};
-use crate::hw::{Hardware, PowerModelParams, PowerSnapshot, RaplDomains};
-use crate::irq::IrqState;
-use crate::mem::MemoryState;
-use crate::net::NetState;
+use crate::fsstate::{FsAnchor, FsState, LockKind};
+use crate::hw::{Hardware, HwAnchor, PowerModelParams, PowerSnapshot, RaplDomains};
+use crate::irq::{IrqAnchor, IrqState};
+use crate::mem::{MemAnchor, MemoryState};
+use crate::net::{NetAnchor, NetState};
 use crate::ns::{NamespaceRegistry, NamespaceSet};
 use crate::perf::{PerfOverheadCosts, PerfSubsystem};
 use crate::process::{CgroupMembership, HostPid, ProcState, Process, ProcessTable};
 use crate::run::RunConfig;
-use crate::sched::{SchedScratch, Scheduler, TickReport};
+use crate::sched::{SchedAnchor, SchedScratch, Scheduler, TickReport};
 use crate::syscost::SysCosts;
 use crate::time::{Clock, NANOS_PER_SEC};
 use crate::timers::TimerList;
@@ -141,7 +139,9 @@ pub struct Kernel {
     stats: KernelStats,
     tick_ns: u64,
     syscost: SysCosts,
-    docker_parents: HashMap<CgroupKind, CgroupId>,
+    /// Each hierarchy's `/docker` cgroup, indexed by [`CgroupKind::index`];
+    /// created by the first container env.
+    docker_parents: [Option<CgroupId>; 4],
     container_seq: u32,
     scratch: TickScratch,
     /// Nanoseconds of simulated lifetime; unlike the clock, this is
@@ -150,7 +150,7 @@ pub struct Kernel {
     faults: Option<InstalledFaults>,
     reboots: u32,
     coalesce: bool,
-    idle_anchor: Option<IdleAnchor>,
+    idle_anchor: IdleAnchor,
     /// Per-subsystem dirty epochs; bumped by every mutating entry point.
     epochs: SubsystemEpochs,
     /// Trace-event buffer; `Some` only when tracing is enabled and this
@@ -158,24 +158,46 @@ pub struct Kernel {
     tracer: Option<simtrace::KernelTracer>,
 }
 
-/// A snapshot of the subsystem state at the instant a quiescent span
-/// began. While no process is runnable, every subsystem evolves as a pure
-/// closed-form function of (anchor, elapsed-since-anchor), so both the
-/// coalesced and the per-tick advance evaluate the same functions at the
-/// same final instant — that is what makes the two modes byte-identical.
-/// Any mutation that ends quiescence (spawn, resume, lock, uuid read, …)
-/// drops the anchor.
-#[derive(Debug)]
+/// The subsystem lanes at the instant a quiescent span began. While no
+/// process is runnable, every subsystem evolves as a pure closed-form
+/// function of (anchor, elapsed-since-anchor), so both the coalesced and
+/// the per-tick advance evaluate the same functions at the same final
+/// instant — that is what makes the two modes byte-identical. Any
+/// mutation that ends quiescence (spawn, resume, lock, uuid read, …)
+/// invalidates the anchor.
+///
+/// The anchor holds only the numeric lanes the `idle_eval`s read, never
+/// labels, names or locks, and its buffers live as long as the kernel:
+/// a capture overwrites them in place, so no capture after a host's first
+/// allocates.
+#[derive(Debug, Default)]
 struct IdleAnchor {
+    /// Whether the lanes below describe the current quiescent span.
+    live: bool,
     since_boot_ns: u64,
-    sched: Scheduler,
-    hw: Hardware,
-    mem: MemoryState,
-    irq: IrqState,
-    fs: FsState,
-    net: NetState,
+    sched: SchedAnchor,
+    hw: HwAnchor,
+    mem: MemAnchor,
+    irq: IrqAnchor,
+    fs: FsAnchor,
+    net: NetAnchor,
     rss_total: u64,
     nprocs: usize,
+    /// The reference anchor: full subsystem clones (see the tests).
+    #[cfg(test)]
+    reference: Option<Box<tests::CloneAnchor>>,
+}
+
+impl IdleAnchor {
+    /// Ends the current quiescent span: the next quiescent step captures
+    /// afresh.
+    fn invalidate(&mut self) {
+        self.live = false;
+        #[cfg(test)]
+        {
+            self.reference = None;
+        }
+    }
 }
 
 /// A fault plan plus the lifetime instant it was installed at; plan
@@ -232,7 +254,7 @@ impl Kernel {
         let ncpus = cfg.cpus as usize;
         let ns = NamespaceRegistry::new(&cfg.hostname);
         let net = NetState::new();
-        let cgroups = CgroupForest::new(ncpus, &net.device_names());
+        let cgroups = CgroupForest::new(ncpus, net.devices().iter().map(|d| d.name.as_str()));
         let fs = FsState::new(&cfg.disks, &mut rng);
         let hw = Hardware::new(
             ncpus,
@@ -253,14 +275,14 @@ impl Kernel {
             stats: KernelStats::default(),
             tick_ns: DEFAULT_TICK_NS,
             syscost: SysCosts::default(),
-            docker_parents: HashMap::new(),
+            docker_parents: [None; 4],
             container_seq: 0,
             scratch: TickScratch::new(cgroups.root(CgroupKind::Memory)),
             lifetime_ns: 0,
             faults: None,
             reboots: 0,
             coalesce: run.coalesce,
-            idle_anchor: None,
+            idle_anchor: IdleAnchor::default(),
             epochs: SubsystemEpochs::default(),
             tracer: simtrace::tracer_for_new_kernel(),
             seed,
@@ -296,7 +318,7 @@ impl Kernel {
     }
     /// Mutable namespace registry (used by the container runtime).
     pub fn namespaces_mut(&mut self) -> &mut NamespaceRegistry {
-        self.idle_anchor = None;
+        self.idle_anchor.invalidate();
         self.bump_epochs(dep::NS);
         &mut self.ns
     }
@@ -306,7 +328,7 @@ impl Kernel {
     }
     /// Mutable cgroup forest.
     pub fn cgroups_mut(&mut self) -> &mut CgroupForest {
-        self.idle_anchor = None;
+        self.idle_anchor.invalidate();
         self.bump_epochs(dep::CGROUP);
         &mut self.cgroups
     }
@@ -336,7 +358,7 @@ impl Kernel {
     }
     /// Mutable VFS state (uuid reads consume RNG).
     pub fn fs_mut(&mut self) -> (&mut FsState, &mut StdRng) {
-        self.idle_anchor = None;
+        self.idle_anchor.invalidate();
         self.bump_epochs(dep::FS);
         (&mut self.fs, &mut self.rng)
     }
@@ -445,7 +467,7 @@ impl Kernel {
     /// Installs a fault plan. Plan windows are relative to *now*: the
     /// current lifetime instant becomes the plan's time origin.
     pub fn install_faults(&mut self, plan: FaultPlan) {
-        self.idle_anchor = None;
+        self.idle_anchor.invalidate();
         if let Some(tr) = &self.tracer {
             tr.emit(
                 self.lifetime_ns,
@@ -463,7 +485,7 @@ impl Kernel {
 
     /// Removes any installed fault plan.
     pub fn clear_faults(&mut self) {
-        self.idle_anchor = None;
+        self.idle_anchor.invalidate();
         self.faults = None;
     }
 
@@ -568,13 +590,19 @@ impl Kernel {
     /// idle-anchor spans — one span per event horizon when coalescing
     /// is on, one per tick quantum when off, with identical results.
     pub fn advance(&mut self, dt_ns: u64) {
-        self.advance_with(dt_ns, Kernel::tick_once);
+        self.advance_with(dt_ns, Kernel::tick_once, Kernel::quiescent_step);
     }
 
-    /// [`Kernel::advance`] with `tick` as the run tick. The runnable count
-    /// is taken once, then from each tick's report: quiescent steps and
-    /// reboots never change a process's state.
-    fn advance_with(&mut self, mut dt_ns: u64, tick: impl Fn(&mut Kernel, u64)) {
+    /// [`Kernel::advance`] with `tick` as the run tick and `quiet` as the
+    /// quiescent step. The runnable count is taken once, then from each
+    /// tick's report: quiescent steps and reboots never change a
+    /// process's state.
+    fn advance_with(
+        &mut self,
+        mut dt_ns: u64,
+        tick: impl Fn(&mut Kernel, u64),
+        quiet: impl Fn(&mut Kernel, u64),
+    ) {
         // Tick-shape accounting is accumulated locally (cheap u64 adds)
         // and published in one batch after the loop, so tracing costs a
         // single `enabled()` check per advance call, not per tick.
@@ -605,11 +633,11 @@ impl Kernel {
                 } else {
                     stepped += 1;
                 }
-                self.quiescent_step(step);
+                quiet(self, step);
                 idle_ns += step;
                 dt_ns -= step;
             } else {
-                self.idle_anchor = None;
+                self.idle_anchor.invalidate();
                 let step = dt_ns.min(self.tick_ns);
                 tick(self, step);
                 runnable = self.scratch.report.runnable;
@@ -725,49 +753,57 @@ impl Kernel {
     /// deterministic by construction, which is what keeps arbitrary span
     /// subdivisions byte-identical.
     fn quiescent_step(&mut self, step_ns: u64) {
-        let anchor = match self.idle_anchor.take() {
-            Some(a) => a,
-            None => {
-                self.refresh_rss_memo();
-                IdleAnchor {
-                    since_boot_ns: self.clock.since_boot_ns(),
-                    sched: self.sched.clone(),
-                    hw: self.hw.clone(),
-                    mem: self.mem.clone(),
-                    irq: self.irq.clone(),
-                    fs: self.fs.clone(),
-                    net: self.net.clone(),
-                    rss_total: self.scratch.rss_total,
-                    nprocs: self.procs.len(),
-                }
-            }
-        };
+        if !self.idle_anchor.live {
+            self.capture_idle_anchor();
+        }
         self.clock.advance(step_ns);
         let before = self.lifetime_ns;
         self.lifetime_ns += step_ns;
+        let anchor = &self.idle_anchor;
         let rel_ns = self.clock.since_boot_ns() - anchor.since_boot_ns;
 
         self.sched.idle_eval(&anchor.sched, rel_ns);
         self.hw.idle_eval(&anchor.hw, rel_ns);
         self.irq.idle_eval(&anchor.irq, rel_ns);
-        let intr_delta = self.irq.total_interrupts() - anchor.irq.total_interrupts();
+        let intr_delta = self.irq.total_interrupts() - anchor.irq.total_interrupts;
         self.mem.idle_eval(&anchor.mem, rel_ns, anchor.rss_total);
         self.fs
             .idle_eval(&anchor.fs, rel_ns, anchor.nprocs, intr_delta);
         self.net.idle_eval(&anchor.net, rel_ns);
         self.timers.refresh(self.clock.since_boot_ns());
 
-        let reboot_due = self.faults.as_ref().is_some_and(|f| {
+        if self.reboot_due(before) {
+            self.crash_reboot();
+            self.idle_anchor.invalidate();
+        }
+    }
+
+    /// Captures the idle anchor at the current instant into its kept
+    /// buffers.
+    fn capture_idle_anchor(&mut self) {
+        self.refresh_rss_memo();
+        let a = &mut self.idle_anchor;
+        a.live = true;
+        a.since_boot_ns = self.clock.since_boot_ns();
+        self.sched.capture_idle(&mut a.sched);
+        self.hw.capture_idle(&mut a.hw);
+        self.mem.capture_idle(&mut a.mem);
+        self.irq.capture_idle(&mut a.irq);
+        a.fs = self.fs.capture_idle();
+        self.net.capture_idle(&mut a.net);
+        a.rss_total = self.scratch.rss_total;
+        a.nprocs = self.procs.len();
+    }
+
+    /// Whether the installed fault plan schedules a crash-reboot in the
+    /// lifetime interval `(before, now]`.
+    fn reboot_due(&self, before: u64) -> bool {
+        self.faults.as_ref().is_some_and(|f| {
             f.plan.reboot_in(
                 before.saturating_sub(f.base_ns),
                 self.lifetime_ns.saturating_sub(f.base_ns),
             )
-        });
-        if reboot_due {
-            self.crash_reboot();
-        } else {
-            self.idle_anchor = Some(anchor);
-        }
+        })
     }
 
     /// Re-aggregates per-cgroup and total RSS if the process table changed
@@ -863,13 +899,7 @@ impl Kernel {
 
         let before = self.lifetime_ns;
         self.lifetime_ns += dt_ns;
-        let reboot_due = self.faults.as_ref().is_some_and(|f| {
-            f.plan.reboot_in(
-                before.saturating_sub(f.base_ns),
-                self.lifetime_ns.saturating_sub(f.base_ns),
-            )
-        });
-        if reboot_due {
+        if self.reboot_due(before) {
             self.crash_reboot();
         }
     }
@@ -927,7 +957,7 @@ impl Kernel {
             net_prio: self.cgroups.root(CgroupKind::NetPrio),
             memory: self.cgroups.root(CgroupKind::Memory),
         });
-        self.idle_anchor = None;
+        self.idle_anchor.invalidate();
         let host_pid = self.procs.allocate_pid();
         let ns_pid = self.ns.allocate_pid(ns.pid, host_pid)?;
         if let Some(tr) = &self.tracer {
@@ -993,7 +1023,7 @@ impl Kernel {
     }
 
     fn cleanup_process(&mut self, pid: HostPid) {
-        self.idle_anchor = None;
+        self.idle_anchor.invalidate();
         if let Some(p) = self.procs.remove(pid) {
             self.ns.release_pid(p.ns.pid, pid);
             if let Some(tr) = &self.tracer {
@@ -1017,7 +1047,7 @@ impl Kernel {
                 return Err(KernelError::NoSuchCpu(*c));
             }
         }
-        self.idle_anchor = None;
+        self.idle_anchor.invalidate();
         match self.procs.get_mut(pid) {
             Some(p) => {
                 p.affinity = Some(cpus);
@@ -1034,7 +1064,7 @@ impl Kernel {
     ///
     /// [`KernelError::NoSuchProcess`].
     pub fn pause(&mut self, pid: HostPid) -> Result<(), KernelError> {
-        self.idle_anchor = None;
+        self.idle_anchor.invalidate();
         match self.procs.get_mut(pid) {
             Some(p) => {
                 p.state = ProcState::Sleeping;
@@ -1055,7 +1085,7 @@ impl Kernel {
     ///
     /// [`KernelError::NoSuchProcess`].
     pub fn resume(&mut self, pid: HostPid) -> Result<(), KernelError> {
-        self.idle_anchor = None;
+        self.idle_anchor.invalidate();
         match self.procs.get_mut(pid) {
             Some(p) => {
                 if p.state == ProcState::Sleeping {
@@ -1082,7 +1112,7 @@ impl Kernel {
         pid: HostPid,
         workload: WorkloadSpec,
     ) -> Result<(), KernelError> {
-        self.idle_anchor = None;
+        self.idle_anchor.invalidate();
         match self.procs.get_mut(pid) {
             Some(p) => {
                 p.workload = workload;
@@ -1103,7 +1133,7 @@ impl Kernel {
     ///
     /// [`KernelError::NoSuchProcess`].
     pub fn set_workload_demand(&mut self, pid: HostPid, demand: f64) -> Result<(), KernelError> {
-        self.idle_anchor = None;
+        self.idle_anchor.invalidate();
         match self.procs.get_mut(pid) {
             Some(p) => {
                 p.workload.set_uniform_cpu_demand(demand);
@@ -1126,7 +1156,7 @@ impl Kernel {
     ///
     /// Propagates cgroup-creation failures.
     pub fn create_container_env(&mut self, name: &str) -> Result<ContainerEnv, KernelError> {
-        self.idle_anchor = None;
+        self.idle_anchor.invalidate();
         self.container_seq += 1;
         let uid_base = 100_000 + self.container_seq * 65_536;
         let cgroup_path = format!("/docker/{name}");
@@ -1136,30 +1166,30 @@ impl Kernel {
 
         let veth = self.net.create_veth(&mut self.rng);
         self.cgroups.register_host_iface(&veth);
-        let ifaces = self.net.device_names();
+        let ifaces = self.net.devices();
+        let names = || ifaces.iter().map(|d| d.name.as_str());
 
-        let mut ids = HashMap::new();
+        let mut ids = [CgroupId(0); 4];
         for kind in CgroupKind::ALL {
-            let parent = match self.docker_parents.get(&kind) {
-                Some(p) => *p,
+            let parent = match self.docker_parents[kind.index()] {
+                Some(p) => p,
                 None => {
                     let root = self.cgroups.root(kind);
-                    let p = self.cgroups.create_child(root, "docker", &ifaces)?;
-                    self.docker_parents.insert(kind, p);
+                    let p = self.cgroups.create_child(root, "docker", names())?;
+                    self.docker_parents[kind.index()] = Some(p);
                     p
                 }
             };
-            let id = self.cgroups.create_child(parent, name, &ifaces)?;
-            ids.insert(kind, id);
+            ids[kind.index()] = self.cgroups.create_child(parent, name, names())?;
         }
         self.bump_epochs(dep::NS | dep::NET | dep::CGROUP);
         Ok(ContainerEnv {
             ns,
             cgroups: CgroupMembership {
-                cpuacct: ids[&CgroupKind::Cpuacct],
-                perf_event: ids[&CgroupKind::PerfEvent],
-                net_prio: ids[&CgroupKind::NetPrio],
-                memory: ids[&CgroupKind::Memory],
+                cpuacct: ids[CgroupKind::Cpuacct.index()],
+                perf_event: ids[CgroupKind::PerfEvent.index()],
+                net_prio: ids[CgroupKind::NetPrio.index()],
+                memory: ids[CgroupKind::Memory.index()],
             },
             veth,
             cgroup_path,
@@ -1173,7 +1203,7 @@ impl Kernel {
     ///
     /// Propagates cgroup-removal failures.
     pub fn destroy_container_env(&mut self, env: &ContainerEnv) -> Result<(), KernelError> {
-        self.idle_anchor = None;
+        self.idle_anchor.invalidate();
         let members: Vec<HostPid> = self
             .procs
             .iter()
@@ -1225,7 +1255,7 @@ impl Kernel {
         if self.procs.get(pid).is_none() {
             return Err(KernelError::NoSuchProcess(pid));
         }
-        self.idle_anchor = None;
+        self.idle_anchor.invalidate();
         if let Some(tr) = &self.tracer {
             tr.emit(
                 self.lifetime_ns,
@@ -1255,7 +1285,7 @@ impl Kernel {
         if self.procs.get(pid).is_none() {
             return Err(KernelError::NoSuchProcess(pid));
         }
-        self.idle_anchor = None;
+        self.idle_anchor.invalidate();
         self.bump_epochs(dep::FS);
         Ok(self.fs.add_lock(pid, kind, range))
     }
@@ -1267,7 +1297,7 @@ impl Kernel {
     ///
     /// Propagates cgroup errors.
     pub fn attach_perf_monitoring(&mut self, cgroup: CgroupId) -> Result<(), KernelError> {
-        self.idle_anchor = None;
+        self.idle_anchor.invalidate();
         self.bump_epochs(dep::CGROUP);
         let ncpus = self.cfg.cpus;
         self.perf.attach_cgroup(
@@ -1284,7 +1314,7 @@ impl Kernel {
     ///
     /// Propagates cgroup errors.
     pub fn detach_perf_monitoring(&mut self, cgroup: CgroupId) -> Result<(), KernelError> {
-        self.idle_anchor = None;
+        self.idle_anchor.invalidate();
         self.bump_epochs(dep::CGROUP);
         self.perf.detach_cgroup(&mut self.cgroups, cgroup)
     }
@@ -1293,6 +1323,8 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
     use proptest::prelude::*;
     use rand::RngExt;
     use workloads::{models, Phase, Repeat, WorkloadClass};
@@ -1396,7 +1428,11 @@ mod tests {
         /// Advances by `secs` with the fast or the reference run tick.
         fn drive(&mut self, secs: u64, reference: bool) {
             if reference {
-                self.advance_with(secs * NANOS_PER_SEC, Kernel::tick_once_reference);
+                self.advance_with(
+                    secs * NANOS_PER_SEC,
+                    Kernel::tick_once_reference,
+                    Kernel::quiescent_step,
+                );
             } else {
                 self.advance_secs(secs);
             }
@@ -1406,6 +1442,13 @@ mod tests {
         /// draw of the kernel's RNG. The process table's memo epoch is
         /// left out: it counts mutable accesses, not simulated state.
         fn tick_state(&mut self) -> Vec<String> {
+            let mut parts = self.state();
+            parts.push(format!("next draw {}", self.rng.random::<u64>()));
+            parts
+        }
+
+        /// [`Kernel::tick_state`] without the RNG draw.
+        fn state(&self) -> Vec<String> {
             let json = |v: &dyn Fn() -> Result<String, serde_json::Error>| {
                 v().unwrap_or_else(|e| format!("unserializable: {e:?}"))
             };
@@ -1429,9 +1472,68 @@ mod tests {
                     self.procs.total_forks(),
                     self.procs.last_pid(),
                 ),
-                format!("next draw {}", self.rng.random::<u64>()),
             ]
         }
+
+        /// One quiescent span on the reference anchor: full clones of
+        /// every subsystem, captured whenever the lean anchor would be
+        /// and evaluated by each subsystem's reference closed form.
+        fn quiescent_step_reference(&mut self, step_ns: u64) {
+            let anchor = match self.idle_anchor.reference.take() {
+                Some(a) => a,
+                None => {
+                    self.refresh_rss_memo();
+                    Box::new(CloneAnchor {
+                        since_boot_ns: self.clock.since_boot_ns(),
+                        sched: self.sched.clone(),
+                        hw: self.hw.clone(),
+                        mem: self.mem.clone(),
+                        irq: self.irq.clone(),
+                        fs: self.fs.clone(),
+                        net: self.net.clone(),
+                        rss_total: self.scratch.rss_total,
+                        nprocs: self.procs.len(),
+                    })
+                }
+            };
+            self.clock.advance(step_ns);
+            let before = self.lifetime_ns;
+            self.lifetime_ns += step_ns;
+            let rel_ns = self.clock.since_boot_ns() - anchor.since_boot_ns;
+
+            self.sched.idle_eval_reference(&anchor.sched, rel_ns);
+            self.hw.idle_eval_reference(&anchor.hw, rel_ns);
+            self.irq.idle_eval_reference(&anchor.irq, rel_ns);
+            let intr_delta = self.irq.total_interrupts() - anchor.irq.total_interrupts();
+            self.mem
+                .idle_eval_reference(&anchor.mem, rel_ns, anchor.rss_total);
+            self.fs
+                .idle_eval_reference(&anchor.fs, rel_ns, anchor.nprocs, intr_delta);
+            self.net.idle_eval_reference(&anchor.net, rel_ns);
+            self.timers.refresh(self.clock.since_boot_ns());
+
+            if self.reboot_due(before) {
+                self.crash_reboot();
+                self.idle_anchor.invalidate();
+            } else {
+                self.idle_anchor.reference = Some(anchor);
+            }
+        }
+    }
+
+    /// The reference idle anchor: a full clone of every subsystem an idle
+    /// span evolves, as the anchor held them before the lean capture.
+    #[derive(Debug)]
+    pub(super) struct CloneAnchor {
+        since_boot_ns: u64,
+        sched: Scheduler,
+        hw: Hardware,
+        mem: MemoryState,
+        irq: IrqState,
+        fs: FsState,
+        net: NetState,
+        rss_total: u64,
+        nprocs: usize,
     }
 
     /// A `Once` workload of `secs` CPU-seconds whose first half is
@@ -1598,6 +1700,165 @@ mod tests {
         }
     }
 
+    /// One step of an anchor script: `(op, a, b)`, decoded by
+    /// [`apply_anchor_op`].
+    type AnchorOp = (u8, u64, u64);
+
+    /// Live container envs and pids of one anchor-script kernel.
+    #[derive(Default)]
+    struct Tenants {
+        envs: Vec<ContainerEnv>,
+        pids: Vec<HostPid>,
+        created: u32,
+    }
+
+    /// Applies one script step to `k`. Advances run through the lean
+    /// anchor, or with `reference`, through the clone anchor; everything
+    /// else is the same public API call on both kernels.
+    fn apply_anchor_op(k: &mut Kernel, t: &mut Tenants, (op, a, b): AnchorOp, reference: bool) {
+        let pick = |n: usize| (a % n.max(1) as u64) as usize;
+        match op {
+            0 => {
+                t.created += 1;
+                let env = k
+                    .create_container_env(&format!("c{}", t.created))
+                    .unwrap_or_else(|e| panic!("container env: {e}"));
+                t.envs.push(env);
+            }
+            1 if !t.envs.is_empty() => {
+                let env = t.envs.remove(pick(t.envs.len()));
+                k.destroy_container_env(&env)
+                    .unwrap_or_else(|e| panic!("destroy env: {e}"));
+            }
+            2 => {
+                let mut spec = ProcessSpec::new(format!("p{a}"), workload(pick(8)));
+                if let Some(env) = t.envs.get((b % (t.envs.len() as u64 + 1)) as usize) {
+                    spec = spec.in_container(env);
+                }
+                if let Ok(pid) = k.spawn(spec) {
+                    t.pids.push(pid);
+                }
+            }
+            3 if !t.pids.is_empty() => {
+                let _ = k.kill(t.pids.remove(pick(t.pids.len())));
+            }
+            4 if !t.pids.is_empty() => {
+                let _ = k.pause(t.pids[pick(t.pids.len())]);
+            }
+            5 if !t.pids.is_empty() => {
+                let _ = k.resume(t.pids[pick(t.pids.len())]);
+            }
+            6 if !t.pids.is_empty() => {
+                let interval = (b % 120 + 1) * NANOS_PER_SEC;
+                let _ = k.add_user_timer(t.pids[pick(t.pids.len())], &format!("sig-{b}"), interval);
+            }
+            7 => k.set_tick_ns(
+                [
+                    250_000_000,
+                    NANOS_PER_SEC,
+                    5 * NANOS_PER_SEC,
+                    30 * NANOS_PER_SEC,
+                ][pick(4)],
+            ),
+            8 => {
+                // A batch of paused processes: a quiescent host whose
+                // process count moves the file-handle closed form.
+                for i in 0..pick(12) + 1 {
+                    let spec = ProcessSpec::new(format!("idle{i}"), models::sleeper());
+                    if let Ok(pid) = k.spawn(spec) {
+                        let _ = k.pause(pid);
+                        t.pids.push(pid);
+                    }
+                }
+            }
+            9.. => {
+                // Quiescent hosts may jump up to two hours; busy ones
+                // tick through at most a minute.
+                let cap = if k.has_runnable() { 60 } else { 7_200 };
+                let ns = (a % cap) * NANOS_PER_SEC + b % NANOS_PER_SEC;
+                let ns = ns.max(1);
+                if reference {
+                    k.advance_with(ns, Kernel::tick_once, Kernel::quiescent_step_reference);
+                } else {
+                    k.advance(ns);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// What the anchor test compares after each advance: every piece of
+    /// kernel state the pseudo-files render from, the namespaces of the
+    /// host and of every live env, and the wrapped RAPL counters.
+    fn anchor_state(k: &Kernel, t: &Tenants) -> Vec<String> {
+        let mut parts = k.state();
+        parts.push(format!("epochs {:?}", k.epochs()));
+        let mut sets = vec![k.ns.host_set()];
+        sets.extend(t.envs.iter().map(|e| e.ns));
+        let ns: Vec<String> = sets
+            .iter()
+            .flat_map(|set| crate::ns::NamespaceKind::ALL.map(|kind| set.of(kind)))
+            .map(|id| format!("{id} {:?}", k.ns.get(id)))
+            .collect();
+        parts.push(format!("ns {} {ns:?}", k.ns.len()));
+        let rapl = k.rapl();
+        let counters: Vec<(u64, u64, u64)> = (0..rapl.package_count())
+            .map(|p| {
+                (
+                    rapl.package_energy_uj(p),
+                    rapl.core_energy_uj(p),
+                    rapl.dram_energy_uj(p),
+                )
+            })
+            .collect();
+        parts.push(format!("rapl {counters:?} power {:?}", k.last_power()));
+        parts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 12 } else { 256 }))]
+        #[test]
+        fn lean_anchor_leaves_the_clone_anchors_bytes(
+            seed in 0u64..1_000_000,
+            machine in 0usize..3,
+            coalesce in 0usize..2,
+            faults in 0usize..3,
+            ops in proptest::collection::vec((0u8..13, 0u64..u64::MAX, 0u64..u64::MAX), 1..40),
+        ) {
+            let _run = RunConfig { coalesce: coalesce == 1 }.enter();
+            let boot = || {
+                let cfg = match machine {
+                    0 => MachineConfig::small_server(),
+                    1 => MachineConfig::testbed_i7_6700(),
+                    _ => MachineConfig::cloud_server(),
+                };
+                let mut k = Kernel::new(cfg, seed);
+                // A crash-reboot (and, in the standard plan, read, sensor
+                // and skew windows that cap coalesced spans).
+                match faults {
+                    1 => k.install_faults(
+                        FaultPlan::builder(seed).horizon_secs(7_200).reboots(2).build(),
+                    ),
+                    2 => k.install_faults(FaultPlan::standard(seed)),
+                    _ => {}
+                }
+                k
+            };
+            let (mut lean, mut clone) = (boot(), boot());
+            let (mut lt, mut ct) = (Tenants::default(), Tenants::default());
+            for (i, &op) in ops.iter().enumerate() {
+                apply_anchor_op(&mut lean, &mut lt, op, false);
+                apply_anchor_op(&mut clone, &mut ct, op, true);
+                if op.0 >= 9 {
+                    let (l, c) = (anchor_state(&lean, &lt), anchor_state(&clone, &ct));
+                    for (part, (l, c)) in l.iter().zip(&c).enumerate() {
+                        prop_assert_eq!(l, c, "op {} ({:?}): state part {} diverged", i, op, part);
+                    }
+                }
+            }
+        }
+    }
+
     fn kernel() -> Kernel {
         Kernel::new(MachineConfig::small_server(), 1)
     }
@@ -1671,7 +1932,7 @@ mod tests {
         assert_ne!(env.ns.pid, k.namespaces().host_set().pid);
         let node = k.cgroups().node(env.cgroups.cpuacct).unwrap();
         assert_eq!(node.path(), "/docker/c1");
-        assert!(k.net().device_names().contains(&env.veth));
+        assert!(k.net().devices().iter().any(|d| d.name == env.veth));
 
         // Container process gets pid 1 inside.
         let pid = k
@@ -1691,7 +1952,7 @@ mod tests {
         k.destroy_container_env(&env).unwrap();
         assert!(k.process(pid).is_none());
         assert!(k.cgroups().node(env.cgroups.cpuacct).is_none());
-        assert!(!k.net().device_names().contains(&env.veth));
+        assert!(!k.net().devices().iter().any(|d| d.name == env.veth));
     }
 
     #[test]

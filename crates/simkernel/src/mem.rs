@@ -253,6 +253,16 @@ impl MemoryState {
         }
     }
 
+    /// Copies the lanes [`MemoryState::idle_eval`] reads into `anchor`,
+    /// reusing its buffer.
+    pub(crate) fn capture_idle(&self, anchor: &mut MemAnchor) {
+        anchor.page_cache_bytes = self.page_cache_bytes;
+        anchor.dirty_bytes = self.dirty_bytes;
+        anchor.vm = self.vm;
+        anchor.numa.clear();
+        anchor.numa.extend_from_slice(&self.numa);
+    }
+
     /// Jump-evaluates memory state to `rel_ns` past `anchor` with no IO
     /// and a fixed aggregate RSS.
     ///
@@ -260,7 +270,7 @@ impl MemoryState {
     /// term dropped, written as a closed form of `(anchor, rel_ns)` so the
     /// kernel's quiescent path lands on the same bytes whether it takes one
     /// coalesced span or many small ones.
-    pub fn idle_eval(&mut self, anchor: &MemoryState, rel_ns: u64, rss_total: u64) {
+    pub(crate) fn idle_eval(&mut self, anchor: &MemAnchor, rel_ns: u64, rss_total: u64) {
         let rel_s = rel_ns as f64 / NANOS_PER_SEC as f64;
         self.rss_bytes = rss_total.min(self.total_bytes - self.kernel_reserved_bytes);
 
@@ -313,6 +323,16 @@ impl MemoryState {
     }
 }
 
+/// The memory lanes a quiescent span evolves from: page cache, dirty
+/// bytes, the VM event counters and the per-node NUMA counters.
+#[derive(Debug, Default)]
+pub(crate) struct MemAnchor {
+    page_cache_bytes: u64,
+    dirty_bytes: u64,
+    vm: VmCounters,
+    numa: Vec<NumaStat>,
+}
+
 fn mk_zone(name: &'static str, node: u16, bytes: u64) -> Zone {
     let pages = bytes / PAGE_SIZE;
     let managed = pages * 97 / 100;
@@ -331,6 +351,52 @@ fn mk_zone(name: &'static str, node: u16, bytes: u64) -> Zone {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The reference quiescent evaluation: the closed form read from a
+    // full clone of the memory state, as the idle anchor held it before
+    // the lean capture.
+    impl MemoryState {
+        pub(crate) fn idle_eval_reference(
+            &mut self,
+            anchor: &MemoryState,
+            rel_ns: u64,
+            rss_total: u64,
+        ) {
+            let rel_s = rel_ns as f64 / NANOS_PER_SEC as f64;
+            self.rss_bytes = rss_total.min(self.total_bytes - self.kernel_reserved_bytes);
+
+            let ceiling = self
+                .total_bytes
+                .saturating_sub(self.kernel_reserved_bytes + self.rss_bytes)
+                / 2;
+            let cache = anchor.page_cache_bytes as f64 * (-rel_s / 600.0).exp();
+            self.page_cache_bytes = (cache as u64).clamp(64 << 20, ceiling.max(64 << 20));
+
+            self.dirty_bytes =
+                ((anchor.dirty_bytes as f64 * 0.7f64.powf(rel_s)) as u64).clamp(1 << 20, 512 << 20);
+
+            self.refresh_zone_free();
+
+            let rate = (self.rss_bytes / PAGE_SIZE / 200).max(64) as f64;
+            self.vm.pgalloc = anchor.vm.pgalloc + (rate * rel_s) as u64;
+            self.vm.pgfree = anchor.vm.pgfree + (rate * 0.97 * rel_s) as u64;
+            self.vm.pgfault = anchor.vm.pgfault + (rate * 2.4 * rel_s) as u64;
+            self.vm.pgmajfault = anchor.vm.pgmajfault;
+            self.vm.pgscan = anchor.vm.pgscan + (rate * 0.1 * rel_s) as u64;
+
+            let allocs = ((self.rss_bytes / PAGE_SIZE / 1000).max(200) as f64 * rel_s) as u64;
+            let local = allocs * 9 / 10;
+            let remote = allocs / 10;
+            for (i, (n, base)) in self.numa.iter_mut().zip(anchor.numa.iter()).enumerate() {
+                n.numa_hit = base.numa_hit + local;
+                n.local_node = base.local_node + local;
+                n.numa_miss = base.numa_miss + remote / (i as u64 + 1);
+                n.other_node = base.other_node + remote;
+                n.interleave_hit = base.interleave_hit;
+                n.numa_foreign = base.numa_foreign + remote / 2;
+            }
+        }
+    }
     use rand::SeedableRng;
 
     #[test]

@@ -64,11 +64,6 @@ impl NetState {
         &self.devices
     }
 
-    /// Names of all host devices.
-    pub fn device_names(&self) -> Vec<String> {
-        self.devices.iter().map(|d| d.name.clone()).collect()
-    }
-
     /// Creates a veth pair's host end with a randomized suffix, returning
     /// its name. Container creation calls this; the suffix makes the host
     /// interface list a unique host fingerprint.
@@ -109,6 +104,17 @@ impl NetState {
         }
     }
 
+    /// Copies the per-device counters [`NetState::idle_eval`] reads into
+    /// `anchor`, reusing its buffer.
+    pub(crate) fn capture_idle(&self, anchor: &mut NetAnchor) {
+        anchor.counters.clear();
+        anchor.counters.extend(
+            self.devices
+                .iter()
+                .map(|d| [d.rx_bytes, d.rx_packets, d.tx_bytes, d.tx_packets]),
+        );
+    }
+
     /// Jump-evaluates traffic counters to `rel_ns` past `anchor` with no
     /// workload syscalls.
     ///
@@ -116,24 +122,32 @@ impl NetState {
     /// dropped; the per-tick `+1` packet keep-alive becomes one packet per
     /// idle second so the result is a closed form of `(anchor, rel_ns)`
     /// independent of step size.
-    pub fn idle_eval(&mut self, anchor: &NetState, rel_ns: u64) {
+    pub(crate) fn idle_eval(&mut self, anchor: &NetAnchor, rel_ns: u64) {
         let rel_s = rel_ns as f64 / NANOS_PER_SEC as f64;
         let secs = rel_ns / NANOS_PER_SEC;
-        for (d, base) in self.devices.iter_mut().zip(anchor.devices.iter()) {
+        for (d, base) in self.devices.iter_mut().zip(anchor.counters.iter()) {
             let (rx_rate, tx_rate) = match d.name.as_str() {
                 "lo" => (2_000.0, 2_000.0),
                 "eth0" => (60_000.0, 45_000.0),
                 "eth1" => (8_000.0, 5_000.0),
                 _ => (3_000.0, 3_000.0),
             };
+            let [rx_bytes, rx_packets, tx_bytes, tx_packets] = *base;
             let rx = (rx_rate * rel_s) as u64;
             let tx = (tx_rate * rel_s) as u64;
-            d.rx_bytes = base.rx_bytes + rx;
-            d.tx_bytes = base.tx_bytes + tx;
-            d.rx_packets = base.rx_packets + rx / 900 + secs;
-            d.tx_packets = base.tx_packets + tx / 900 + secs;
+            d.rx_bytes = rx_bytes + rx;
+            d.tx_bytes = tx_bytes + tx;
+            d.rx_packets = rx_packets + rx / 900 + secs;
+            d.tx_packets = tx_packets + tx / 900 + secs;
         }
     }
+}
+
+/// The per-device traffic counters a quiescent span evolves from, in
+/// device order: rx bytes, rx packets, tx bytes, tx packets.
+#[derive(Debug, Default)]
+pub(crate) struct NetAnchor {
+    counters: Vec<[u64; 4]>,
 }
 
 impl Default for NetState {
@@ -147,11 +161,36 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    // The reference quiescent evaluation: the closed form read from a
+    // full clone of the device list, as the idle anchor held it before
+    // the lean capture.
+    impl NetState {
+        pub(crate) fn idle_eval_reference(&mut self, anchor: &NetState, rel_ns: u64) {
+            let rel_s = rel_ns as f64 / NANOS_PER_SEC as f64;
+            let secs = rel_ns / NANOS_PER_SEC;
+            for (d, base) in self.devices.iter_mut().zip(anchor.devices.iter()) {
+                let (rx_rate, tx_rate) = match d.name.as_str() {
+                    "lo" => (2_000.0, 2_000.0),
+                    "eth0" => (60_000.0, 45_000.0),
+                    "eth1" => (8_000.0, 5_000.0),
+                    _ => (3_000.0, 3_000.0),
+                };
+                let rx = (rx_rate * rel_s) as u64;
+                let tx = (tx_rate * rel_s) as u64;
+                d.rx_bytes = base.rx_bytes + rx;
+                d.tx_bytes = base.tx_bytes + tx;
+                d.rx_packets = base.rx_packets + rx / 900 + secs;
+                d.tx_packets = base.tx_packets + tx / 900 + secs;
+            }
+        }
+    }
+
     #[test]
     fn initial_devices_present() {
         let n = NetState::new();
-        assert!(n.device_names().contains(&"eth0".to_string()));
-        assert!(n.device_names().contains(&"docker0".to_string()));
+        let names: Vec<&str> = n.devices().iter().map(|d| d.name.as_str()).collect();
+        assert!(names.contains(&"eth0"));
+        assert!(names.contains(&"docker0"));
     }
 
     #[test]
@@ -173,7 +212,7 @@ mod tests {
         let v = n.create_veth(&mut rng);
         assert!(n.remove_device(&v));
         assert!(!n.remove_device(&v));
-        assert!(!n.device_names().contains(&v));
+        assert!(!n.devices().iter().any(|d| d.name == v));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use workloads::Phase;
 const SCHED_PERIOD_NS: u64 = 10_000_000;
 
 /// Per-CPU scheduler accounting.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct CpuSchedStats {
     /// Nanoseconds executing user code.
     pub user_ns: u64,
@@ -431,15 +431,24 @@ impl Scheduler {
         Some((ran_ns, delta))
     }
 
+    /// Copies the lanes [`Scheduler::idle_eval`] reads into `anchor`,
+    /// reusing its buffer.
+    pub(crate) fn capture_idle(&self, anchor: &mut SchedAnchor) {
+        anchor.percpu.clear();
+        anchor.percpu.extend_from_slice(&self.percpu);
+        anchor.loadavg = self.loadavg;
+        anchor.total_switches = self.total_switches;
+    }
+
     /// Jumps this scheduler to its quiescent-state value `rel_ns` after
     /// `anchor` was captured: no runnable tasks, so every CPU idles apart
     /// from deterministic kernel housekeeping, and the load averages decay
     /// toward zero. Pure in (anchor, rel_ns) and draws no RNG, so any
     /// subdivision of a quiescent span lands on byte-identical state.
-    pub fn idle_eval(&mut self, anchor: &Scheduler, rel_ns: u64) {
+    pub(crate) fn idle_eval(&mut self, anchor: &SchedAnchor, rel_ns: u64) {
         let hk = rel_ns / 500;
         for (cur, base) in self.percpu.iter_mut().zip(anchor.percpu.iter()) {
-            cur.clone_from(base);
+            *cur = *base;
             cur.system_ns += hk;
             cur.run_time_ns += hk;
             cur.idle_ns += rel_ns;
@@ -450,6 +459,15 @@ impl Scheduler {
         }
         self.total_switches = anchor.total_switches;
     }
+}
+
+/// The scheduler lanes a quiescent span evolves from: per-CPU stats,
+/// load averages and the switch count.
+#[derive(Debug, Default)]
+pub(crate) struct SchedAnchor {
+    percpu: Vec<CpuSchedStats>,
+    loadavg: [f64; 3],
+    total_switches: u64,
 }
 
 /// Extension used by the scheduler to check completion without advancing.
@@ -468,6 +486,26 @@ impl CursorPeek for workloads::PhaseCursor {
 mod tests {
     use super::*;
     use crate::cgroup::CgroupKind;
+
+    // The reference quiescent evaluation: the closed form read from a
+    // full clone of the scheduler, as the idle anchor held it before the
+    // lean capture.
+    impl Scheduler {
+        pub(crate) fn idle_eval_reference(&mut self, anchor: &Scheduler, rel_ns: u64) {
+            let hk = rel_ns / 500;
+            for (cur, base) in self.percpu.iter_mut().zip(anchor.percpu.iter()) {
+                cur.clone_from(base);
+                cur.system_ns += hk;
+                cur.run_time_ns += hk;
+                cur.idle_ns += rel_ns;
+            }
+            let rel_s = rel_ns as f64 / NANOS_PER_SEC as f64;
+            for (i, window) in [60.0f64, 300.0, 900.0].iter().enumerate() {
+                self.loadavg[i] = anchor.loadavg[i] * (-rel_s / window).exp();
+            }
+            self.total_switches = anchor.total_switches;
+        }
+    }
     use crate::ns::NamespaceRegistry;
     use crate::process::{CgroupMembership, Process};
     use rand::SeedableRng;
@@ -669,7 +707,7 @@ mod tests {
         Fixture {
             sched: Scheduler::new(ncpus, 2_000_000_000),
             procs: ProcessTable::new(),
-            cgroups: CgroupForest::new(ncpus, &["lo".into()]),
+            cgroups: CgroupForest::new(ncpus, ["lo"]),
             rng: StdRng::seed_from_u64(7),
             scratch: SchedScratch::default(),
         }

@@ -8,9 +8,21 @@
 //! changed bytes as unchanged. These tests pin the bump masks of
 //! [`Kernel::kill`] and [`Kernel::destroy_container_env`] bit by bit,
 //! then drive the seeded churn loop to prove the namespace registry
-//! returns to its baseline size once everything is torn down.
+//! returns to its baseline size once everything is torn down. Two
+//! teardown storms — hundreds of create → exec → advance → destroy
+//! cycles on one faulted host, and launch/terminate churn on a fleet
+//! with the detector attached — prove the same for every registry a
+//! container touches, and that cgroup ids are never reused.
 
-use containerleaks::simkernel::{dep, ChurnDriver, ChurnPlan, Kernel, MachineConfig};
+use containerleaks::cloudsim::{
+    Cloud, CloudConfig, CloudProfile, DetectorConfig, InstanceId, InstanceSpec,
+};
+use containerleaks::container_runtime::{ContainerSpec, Runtime};
+use containerleaks::simkernel::cgroup::CgroupData;
+use containerleaks::simkernel::kernel::ContainerEnv;
+use containerleaks::simkernel::{
+    dep, CgroupId, CgroupKind, ChurnDriver, ChurnPlan, FaultPlan, Kernel, MachineConfig,
+};
 use containerleaks::workloads::models;
 
 /// Per-subsystem epoch snapshot, one masked sum per `dep` bit.
@@ -112,4 +124,192 @@ fn churn_teardown_returns_the_namespace_registry_to_baseline() {
         baseline,
         "namespace registry leaked entries across a churn run"
     );
+}
+
+/// What a container leaves behind if its teardown is incomplete: the
+/// live cgroups (hierarchy and path), every net_prio node's
+/// `ifpriomap` key set, the host device list, and the namespace count.
+#[derive(Debug, PartialEq)]
+struct Footprint {
+    cgroups: Vec<(CgroupKind, String)>,
+    ifpriomaps: Vec<(String, Vec<String>)>,
+    devices: Vec<String>,
+    namespaces: usize,
+}
+
+fn footprint(k: &Kernel) -> Footprint {
+    let cg = k.cgroups();
+    let cgroups = CgroupKind::ALL
+        .iter()
+        .flat_map(|&kind| {
+            cg.nodes_of_kind(kind)
+                .into_iter()
+                .map(move |n| (kind, n.path().to_string()))
+        })
+        .collect();
+    let ifpriomaps = cg
+        .nodes_of_kind(CgroupKind::NetPrio)
+        .into_iter()
+        .map(|n| match n.data() {
+            CgroupData::NetPrio { ifpriomap } => {
+                (n.path().to_string(), ifpriomap.keys().cloned().collect())
+            }
+            other => panic!("net_prio node {} holds {other:?}", n.path()),
+        })
+        .collect();
+    Footprint {
+        cgroups,
+        ifpriomaps,
+        devices: k.net().devices().iter().map(|d| d.name.clone()).collect(),
+        namespaces: k.namespaces().len(),
+    }
+}
+
+/// Asserts the net_prio leak's invariant: every live net_prio cgroup's
+/// `ifpriomap` covers exactly the host's devices.
+fn assert_ifpriomaps_cover_devices(k: &Kernel, what: &str) {
+    let mut devices: Vec<String> = k.net().devices().iter().map(|d| d.name.clone()).collect();
+    devices.sort();
+    for (path, keys) in footprint(k).ifpriomaps {
+        assert_eq!(
+            keys, devices,
+            "{what}: net_prio {path} out of step with the host devices"
+        );
+    }
+}
+
+/// The env's cgroup ids in hierarchy order.
+fn env_ids(env: &ContainerEnv) -> [CgroupId; 4] {
+    let cg = env.cgroups;
+    [cg.cpuacct, cg.perf_event, cg.net_prio, cg.memory]
+}
+
+/// Asserts that `ids` all lie above `*high` and rise in order, then
+/// raises `*high` to the last of them.
+fn assert_fresh_ids(ids: [CgroupId; 4], high: &mut Option<CgroupId>, what: &str) {
+    for id in ids {
+        assert!(
+            high.is_none_or(|h| id > h),
+            "{what}: cgroup id {id} reuses or precedes {high:?}"
+        );
+        *high = Some(id);
+    }
+}
+
+#[test]
+fn teardown_storm_on_a_faulted_host_leaves_no_trace() {
+    const CYCLES: u64 = 512;
+    let mut k = Kernel::new(MachineConfig::small_server(), 21);
+    // Read faults, sensor faults, skew windows and three crash-reboots
+    // spread over the storm's ~20 simulated minutes.
+    k.install_faults(
+        FaultPlan::builder(21)
+            .horizon_secs(1_200)
+            .transient_reads(8)
+            .sensor_faults(4)
+            .clock_skew(2)
+            .reboots(3)
+            .build(),
+    );
+    let mut rt = Runtime::new();
+    // One warm-up cycle: the first container also creates each
+    // hierarchy's `/docker` parent, which outlives every container.
+    let warm = rt
+        .create(&mut k, ContainerSpec::new("warm-up"))
+        .expect("warm-up container");
+    let mut high = rt.container(warm).map(|c| env_ids(c.env())[3]);
+    rt.remove(&mut k, warm).expect("warm-up teardown");
+    let baseline = footprint(&k);
+    let reboots = k.reboot_count();
+
+    for i in 0..CYCLES {
+        let id = rt
+            .create(&mut k, ContainerSpec::new(format!("storm-{i}")))
+            .expect("create");
+        let env = rt.container(id).expect("live container").env().clone();
+        assert_fresh_ids(env_ids(&env), &mut high, "storm create");
+        assert_ifpriomaps_cover_devices(&k, "storm create");
+        let jobs = [models::prime(), models::sleeper(), models::stress_vm()];
+        for (j, w) in jobs.into_iter().take(1 + (i % 3) as usize).enumerate() {
+            rt.exec(&mut k, id, &format!("job-{j}"), w).expect("exec");
+        }
+        k.advance_secs(1 + i % 3);
+        rt.remove(&mut k, id).expect("remove");
+        assert_ifpriomaps_cover_devices(&k, "storm destroy");
+        assert!(
+            k.processes().all(|p| p.namespaces() != env.ns),
+            "cycle {i}: a member process outlived its container"
+        );
+    }
+    assert!(
+        k.reboot_count() > reboots,
+        "the fault plan's crash-reboots must fire during the storm"
+    );
+    assert_eq!(k.process_count(), 0, "every storm process was reaped");
+    assert_eq!(
+        footprint(&k),
+        baseline,
+        "{CYCLES} create/exec/advance/destroy cycles left registry entries behind"
+    );
+}
+
+#[test]
+fn fleet_churn_with_the_detector_returns_every_host_to_baseline() {
+    let mut cloud = Cloud::new(
+        CloudConfig::new(CloudProfile::CC1)
+            .hosts(16)
+            .detector(DetectorConfig::default()),
+        33,
+    );
+    // Every host already runs its background tenant's container, so
+    // each hierarchy's `/docker` parent exists before the churn starts.
+    let baseline: Vec<Footprint> = cloud.hosts().map(|h| footprint(h.kernel())).collect();
+    let mut high: Vec<Option<CgroupId>> = vec![None; 16];
+    let mut live: Vec<InstanceId> = Vec::new();
+    let mut state = 33u64;
+    for op in 0..600u64 {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let word = state >> 33;
+        if word % 5 < 3 || live.is_empty() {
+            let tenant = format!("t{}", word % 7);
+            let id = cloud
+                .launch(&tenant, InstanceSpec::new(format!("c{op}")).vcpus(1))
+                .expect("launch");
+            let inst = *cloud.instance(id).expect("launched");
+            let host = inst.host();
+            let h = cloud.host(host).expect("placed host");
+            let env = h
+                .runtime()
+                .container(inst.container())
+                .expect("instance container")
+                .env()
+                .clone();
+            assert_fresh_ids(env_ids(&env), &mut high[host.0 as usize], "fleet launch");
+            assert_ifpriomaps_cover_devices(h.kernel(), "fleet launch");
+            if word.is_multiple_of(4) {
+                cloud
+                    .exec(id, "app", models::web_service(0.2))
+                    .expect("exec");
+            }
+            // Probes feed the detector's read tap.
+            let _ = cloud.read_file(id, "/proc/uptime");
+            live.push(id);
+        } else {
+            let id = live.swap_remove((word as usize / 5) % live.len());
+            cloud.terminate(id).expect("terminate");
+        }
+        if op % 25 == 24 {
+            cloud.advance_secs(1 + op % 3);
+        }
+    }
+    for id in live.drain(..) {
+        cloud.terminate(id).expect("terminate");
+    }
+    cloud.advance_secs(5);
+    let after: Vec<Footprint> = cloud.hosts().map(|h| footprint(h.kernel())).collect();
+    for (host, (b, a)) in baseline.iter().zip(&after).enumerate() {
+        assert_eq!(a, b, "host {host} kept registry entries after the churn");
+    }
 }
