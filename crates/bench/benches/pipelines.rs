@@ -3,45 +3,58 @@
 #![allow(missing_docs)]
 //! One Criterion benchmark per table/figure pipeline.
 //!
-//! Each group benches the hot inner loop of the corresponding experiment:
+//! Each group benches the hot inner loop of the corresponding experiment.
+//! A path e2ebench already times end to end (the Fig. 2 week on a
+//! populated fleet, the 1 Hz attack loop with its RAPL sampling and
+//! `Cloud::read_file_into`, the campaign sweep and its oracles) has no
+//! row here. ci.sh runs e2ebench's workloads as smoke tests only, with
+//! no timing bound, so those paths have no performance gate until
+//! e2ebench gets one.
+//!
+//! The harness pins the process to one CPU, so the worker pool's default
+//! width is 1 and rows that step several hosts do so serially;
+//! `kernel_tick_8_hosts_2_lanes` asks for two lanes explicitly and times
+//! the fan-out.
 //!
 //! * `table1_scan`       — the cross-validation walk + differential diff
+//! * `route_resolve_cc1_listing` — the pseudo-fs route resolver over
+//!   every path a CC1 instance lists
 //! * `table2_metrics`    — entropy computation over a 60-point trace
 //! * `table3_unixbench`  — the full UnixBench overhead replay
-//! * `fig2_tick`         — one simulated second of an 8-host fleet
+//! * `fig2_week_segment_coalesced` — an hour of the Fig. 2 pipeline on
+//!   quiescent hosts, where the event-horizon coalescer applies
 //! * `fleet_10k_week`    — a simulated week across 10,000 hosts on the
-//!   lazy calendar (`fleet_10k_week_unsharded`, a name kept for the
-//!   committed baseline, is the eager reference the benchgate holds it
-//!   ≥5x ahead of)
+//!   lazy calendar; `fleet_10k_week_eager`, timed once in its own group
+//!   against a memory-latency kernel, is the eager reference the bench
+//!   gate holds it ≥5x ahead of
 //! * `fleet_10k_meter_idle` — the same week with 2,000 idle instances
 //!   over 64 tenants, so billing meters every one of them each hour
 //! * `host_lifecycle_idle` — one idle CC1 host's container lifecycle:
 //!   create the env, advance a quiescent hour, destroy the env
 //! * `fleet_calendar_pop` — the calendar pop/sync/re-push cycle with
 //!   every host due each advance
-//! * `fig3_attack_step`  — one attack-campaign control step (RAPL sample)
 //! * `fig4_staircase`    — launching + measuring one attack container
 //! * `fig6_training`     — one training-interval sample collection
 //! * `fig8_model_eval`   — power-model inference per perf-counter delta
 //! * `fig9_ns_update`    — one power-namespace calibration interval
-//! * `campaign_sweep`    — one seed-derived scenario through all four
-//!   metamorphic campaign oracles
+//! * `substrate_kernel_tick_1s` — one loaded kernel-second;
+//!   `kernel_tick_8_hosts_2_lanes` — eight of them over two pool lanes
 //! * `detector_week`     — a simulated week at hourly cadence with the
 //!   online detector observing a bursty prober: prices the read-tap,
 //!   the per-advance verdict evaluation, and the live policy swap
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Calibration, Criterion};
 use std::hint::black_box;
 
-use containerleaks::campaign::CampaignConfig;
 use containerleaks::cloudsim::{Cloud, CloudConfig, CloudProfile, HostId, InstanceSpec};
 use containerleaks::container_runtime::ContainerSpec;
 use containerleaks::leakscan::metrics::joint_entropy;
 use containerleaks::leakscan::{CrossValidator, Lab};
 use containerleaks::powerns::nsfs::{DefendedHost, PowerNamespace};
 use containerleaks::powerns::{run_table3, Trainer};
-use containerleaks::powersim::RaplMonitor;
+use containerleaks::pseudofs::route_for;
 use containerleaks::simkernel::cgroup::PerfCounters;
+use containerleaks::simkernel::parallel::par_for_each_mut_threads;
 use containerleaks::simkernel::{Kernel, MachineConfig};
 use containerleaks::workloads::models;
 
@@ -52,6 +65,22 @@ fn bench_table1_scan(c: &mut Criterion) {
     let validator = CrossValidator::new();
     c.bench_function("table1_scan", |b| {
         b.iter(|| black_box(validator.scan(&host.kernel, &view)))
+    });
+}
+
+fn bench_route_resolve(c: &mut Criterion) {
+    // The pseudo-fs route resolver alone: every path a CC1 instance
+    // lists, resolved to its route. A read also renders, which dominates,
+    // so `table1_scan` moves only ~1.3x when the resolver doubles.
+    let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(1), 5);
+    let inst = cloud.launch("t0", InstanceSpec::new("i0")).expect("launch");
+    let paths = cloud.list_files(inst).expect("instance is live");
+    assert!(
+        paths.iter().all(|p| route_for(p).is_some()),
+        "listed paths route"
+    );
+    c.bench_function("route_resolve_cc1_listing", |b| {
+        b.iter(|| paths.iter().filter(|p| route_for(p).is_some()).count())
     });
 }
 
@@ -72,56 +101,13 @@ fn bench_table3_unixbench(c: &mut Criterion) {
     });
 }
 
-fn bench_fig2_tick(c: &mut Criterion) {
-    let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(8), 2);
-    c.bench_function("fig2_tick_8_hosts_1s", |b| {
-        b.iter(|| {
-            cloud.advance_secs(1);
-            black_box(cloud.rack_power_w(0))
-        })
-    });
-}
-
-fn bench_fleet_advance_serial(c: &mut Criterion) {
-    // 8 busy hosts, 60 sim-seconds per `Cloud::advance_secs`.
-    let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(8), 2);
-    c.bench_function("fleet_advance_serial", |b| {
-        b.iter(|| {
-            cloud.advance_secs(60);
-            black_box(cloud.rack_power_w(0))
-        })
-    });
-}
-
-fn bench_fig2_week_segment(c: &mut Criterion) {
-    // One hour of the Fig. 2 week pipeline: diurnal demand re-applied and
-    // the 8-host fleet stepped at the 30 s cadence, aggregate sampled.
-    use containerleaks::powersim::DiurnalTrace;
-    let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(8), 2);
-    let mut trace = DiurnalTrace::paper_week(2);
-    cloud.set_tick_secs(30);
-    let mut t = 0u64;
-    c.bench_function("fig2_week_segment", |b| {
-        b.iter(|| {
-            let mut agg = 0.0;
-            for _ in 0..120 {
-                trace.apply(&mut cloud, t);
-                cloud.advance_secs(30);
-                agg = (0..8).map(|h| cloud.host_power_w(HostId(h))).sum();
-                t += 30;
-            }
-            black_box(agg)
-        })
-    });
-}
-
 fn bench_fig2_week_segment_coalesced(c: &mut Criterion) {
     // The same hour of the Fig. 2 pipeline on a fleet *without*
     // background services: the hosts are quiescent between trace
     // applications, so the event-horizon coalescer folds each 30 s
-    // advance into a handful of spans. The gap to `fig2_week_segment`
-    // is the price of a populated host; the gap to the seed baseline is
-    // what coalescing buys week-scale telemetry.
+    // advance into a handful of spans. The populated-fleet version of
+    // this hour is e2ebench's `registry` workload, where Fig. 2 is the
+    // largest share.
     use containerleaks::powersim::DiurnalTrace;
     let mut cloud = Cloud::new(
         CloudConfig::new(CloudProfile::CC1)
@@ -188,10 +174,13 @@ fn bench_fleet_10k_week(c: &mut Criterion) {
 
 fn bench_fleet_10k_week_eager(c: &mut Criterion) {
     // Same fleet and cadence with the calendar disabled: eager
-    // advance, so every hourly step walks all 10,000 hosts. The
-    // compare gate demands `fleet_10k_week` beat this by at least 5x.
+    // advance, so every hourly step walks all 10,000 hosts. The bench
+    // gate demands `fleet_10k_week` beat this by at least 5x; a bound
+    // the lazy row clears by orders of magnitude needs one sample. The
+    // walk over ~200 MB of host state is bound by memory latency, so its
+    // group is calibrated by a memory walk, not the compute kernel.
     let mut cloud = fleet_10k(true, 32, 4);
-    c.bench_function("fleet_10k_week_unsharded", |b| {
+    c.bench_function("fleet_10k_week_eager", |b| {
         b.iter(|| {
             for _ in 0..168 {
                 cloud.advance_secs(3600);
@@ -268,23 +257,6 @@ fn bench_fleet_calendar_pop(c: &mut Criterion) {
         b.iter(|| {
             cloud.advance_secs(1);
             black_box(cloud.rack_power_w(0))
-        })
-    });
-}
-
-fn bench_fig3_attack_step(c: &mut Criterion) {
-    let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(4), 3);
-    let obs = cloud
-        .launch("spy", InstanceSpec::new("obs").vcpus(1))
-        .expect("launch");
-    let mut monitor = RaplMonitor::new();
-    let mut t = 0.0f64;
-    let _ = monitor.sample_watts(&mut cloud, obs, t);
-    c.bench_function("fig3_attack_step_rapl_sample", |b| {
-        b.iter(|| {
-            cloud.advance_secs(1);
-            t += 1.0;
-            black_box(monitor.sample_watts(&mut cloud, obs, t).expect("readable"))
         })
     });
 }
@@ -399,14 +371,27 @@ fn bench_kernel_tick(c: &mut Criterion) {
     });
 }
 
-fn bench_campaign_sweep(c: &mut Criterion) {
-    // One seed-derived scenario through all four metamorphic oracles —
-    // the campaign fuzzer's per-seed unit of work. Seed 11 derives the
-    // smallest scenario shape (one host, one tenant, light churn), so
-    // this tracks the oracle overhead itself rather than fleet size.
-    let cfg = CampaignConfig::sweep(11, 1).shrink(false);
-    c.bench_function("campaign_sweep", |b| {
-        b.iter(|| black_box(containerleaks::campaign::run(&cfg)))
+fn bench_kernel_tick_2_lanes(c: &mut Criterion) {
+    // The worker pool's fan-out: eight loaded kernel-seconds split over
+    // two lanes. The bench process is pinned to one CPU, so the pool's
+    // default width is 1 and every other row steps hosts serially; an
+    // explicit width still sends half the kernels to a pool worker, so
+    // the job channels, lane claiming and the hand-back are timed here.
+    let mut kernels: Vec<Kernel> = (0..8)
+        .map(|seed| {
+            let mut k = Kernel::new(MachineConfig::cloud_server(), seed);
+            for i in 0..8 {
+                k.spawn_host_process(&format!("w{i}"), models::web_service(0.4))
+                    .expect("spawn");
+            }
+            k
+        })
+        .collect();
+    c.bench_function("kernel_tick_8_hosts_2_lanes", |b| {
+        b.iter(|| {
+            par_for_each_mut_threads(&mut kernels, 2, |k| k.advance_secs(1));
+            black_box(kernels[7].wall_watts())
+        })
     });
 }
 
@@ -466,21 +451,17 @@ fn bench_namespace_install(c: &mut Criterion) {
 
 criterion_group!(
     name = pipelines;
-    config = Criterion::default().sample_size(10);
+    config = Criterion::default().sample_size(15);
     targets =
         bench_table1_scan,
+        bench_route_resolve,
         bench_table2_metrics,
         bench_table3_unixbench,
-        bench_fig2_tick,
-        bench_fleet_advance_serial,
-        bench_fig2_week_segment,
         bench_fig2_week_segment_coalesced,
         bench_fleet_10k_week,
-        bench_fleet_10k_week_eager,
         bench_fleet_10k_meter_idle,
         bench_host_lifecycle_idle,
         bench_fleet_calendar_pop,
-        bench_fig3_attack_step,
         bench_fig4_staircase,
         bench_fig6_training,
         bench_fig8_model_eval,
@@ -488,8 +469,15 @@ criterion_group!(
         bench_covert_bit,
         bench_hardening,
         bench_kernel_tick,
-        bench_campaign_sweep,
+        bench_kernel_tick_2_lanes,
         bench_detector_week,
         bench_namespace_install,
 );
-criterion_main!(pipelines);
+criterion_group!(
+    name = eager_reference;
+    config = Criterion::default()
+        .sample_size(1)
+        .calibration(Calibration::MemoryLatency);
+    targets = bench_fleet_10k_week_eager,
+);
+criterion_main!(pipelines, eager_reference);

@@ -1,42 +1,35 @@
-//! The noise-discounted median gate behind the `benchcmp` binary.
+//! The calibrated median gate behind the `benchcmp` binary.
 //!
-//! A benchmark regresses when its fresh median exceeds the baseline
-//! median by more than the threshold *and* by more than the absolute
-//! floor — sub-floor deltas are scheduler noise, not code. On shared
-//! boxes the whole suite sometimes runs uniformly slower (co-tenant
-//! load), which says nothing about the code, so each ratio is first
-//! discounted by the suite-wide *noise factor* — the median of all
-//! fresh/baseline ratios, clamped to at least 1 so a fast run never
-//! manufactures regressions. The escape valve is bounded: past
-//! [`HARD_CAP`]× undiscounted, a bench fails regardless (a uniform
-//! *real* regression cannot hide forever). Benchmarks present in the
-//! baseline but missing from the fresh run fail the gate; benchmarks
-//! only in the fresh run are reported as new and pass.
+//! The bench harness times every sample against a fixed calibration
+//! kernel (compute-shaped, or a memory-latency walk for a group that
+//! walks a large heap) and reports each benchmark's `median_cu`: the
+//! median of its per-sample ratios of sample time to kernel time. A
+//! shared box's speed drifts by tens of percent between runs, and code
+//! shaped like the kernel drifts with it, so the ratio can be compared
+//! against a baseline recorded at another time where absolute
+//! nanoseconds cannot.
 //!
-//! Medians are still a fragile location estimate on a one-core shared
-//! box: background bursts only ever *inflate* samples, so a handful of
-//! contaminated iterations drag the median up while the minimum stays
-//! at the true cost. When both reports carry `min_ns`, a bench whose
-//! fresh minimum sits within the threshold and floor of the baseline
-//! minimum is therefore rescued to `ok (min)` — at least one iteration
-//! demonstrated the old speed, which a real code regression makes
-//! impossible (a genuinely slower path shifts the minimum with it).
+//! One rule applies to every benchmark: it fails when its fresh
+//! `median_cu` exceeds the baseline's by more than [`THRESHOLD`]. A
+//! benchmark in the baseline but missing from the fresh run fails; one
+//! only in the fresh run passes, as there is nothing to compare. One
+//! same-run requirement rides along: the lazy fleet calendar
+//! ([`LAZY`]) must beat its eager reference ([`EAGER`]) by at least
+//! [`MIN_SPEEDUP`] in the fresh run, so a stale baseline can neither
+//! grant nor revoke that speedup. The eager reference also answers to
+//! its baseline, like every other benchmark.
 
 use std::collections::BTreeMap;
 
 use serde::Deserialize;
 
 /// The slice of each benchmark's statistics the gate compares. The
-/// report also carries `mean_ns`/`min_ns`/`samples`; the derive ignores
+/// report also carries `median_ns` and `samples`; the derive ignores
 /// fields it is not asked for.
 #[derive(Debug, Clone, Deserialize)]
 pub struct BenchStats {
-    /// Median wall time of one iteration, in nanoseconds.
-    pub median_ns: f64,
-    /// Fastest observed iteration, in nanoseconds. Optional so reports
-    /// without it still parse (missing fields deserialize as `None`);
-    /// then the min-rescue for contaminated medians simply never applies.
-    pub min_ns: Option<f64>,
+    /// Median of the per-sample (time / calibration kernel time) ratios.
+    pub median_cu: f64,
 }
 
 /// The `BENCH_<file>.json` report shape.
@@ -69,36 +62,34 @@ impl BenchReport {
         BenchReport::parse(&text)
     }
 
-    /// Flattens `group/bench -> median_ns`; names are unique per file.
+    /// Flattens `group/bench -> median_cu`; names are unique per file.
     pub fn medians(&self) -> BTreeMap<String, f64> {
         self.groups
             .values()
-            .flat_map(|benches| benches.iter().map(|(name, s)| (name.clone(), s.median_ns)))
-            .collect()
-    }
-
-    /// Flattens `group/bench -> stats`; names are unique per file.
-    pub fn stats(&self) -> BTreeMap<String, BenchStats> {
-        self.groups
-            .values()
-            .flat_map(|benches| benches.iter().map(|(name, s)| (name.clone(), s.clone())))
+            .flat_map(|benches| benches.iter().map(|(name, s)| (name.clone(), s.median_cu)))
             .collect()
     }
 }
 
-/// Past this many times the baseline — undiscounted — a bench fails
-/// even if the whole suite slowed with it.
-pub const HARD_CAP: f64 = 4.0;
+/// A benchmark fails when its fresh `median_cu` exceeds this many times
+/// the baseline's.
+pub const THRESHOLD: f64 = 1.25;
+
+/// The lazy-calendar benchmark the same-run requirement holds ahead.
+pub const LAZY: &str = "fleet_10k_week";
+
+/// The eager reference [`LAZY`] must beat.
+pub const EAGER: &str = "fleet_10k_week_eager";
+
+/// Minimum fresh `median_cu` ratio of [`EAGER`] over [`LAZY`].
+pub const MIN_SPEEDUP: f64 = 5.0;
 
 /// What the gate decided about one benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// Within the (noise-discounted) threshold.
+    /// Within [`THRESHOLD`] of the baseline.
     Ok,
-    /// The median regressed but the fresh minimum matched the baseline
-    /// minimum: contaminated samples, not slower code. Passes.
-    OkMinRescued,
-    /// Beyond the threshold and the floor, or past the hard cap.
+    /// Beyond [`THRESHOLD`] — fails the gate.
     Regressed,
     /// In the baseline but absent from the fresh run — fails the gate.
     Missing,
@@ -111,199 +102,82 @@ pub enum Verdict {
 pub struct Row {
     /// Benchmark name (unique within the bench file).
     pub name: String,
-    /// Baseline median, absent for [`Verdict::New`].
-    pub baseline_ns: Option<f64>,
-    /// Fresh median, absent for [`Verdict::Missing`].
-    pub fresh_ns: Option<f64>,
+    /// Baseline `median_cu`, absent for [`Verdict::New`].
+    pub baseline_cu: Option<f64>,
+    /// Fresh `median_cu`, absent for [`Verdict::Missing`].
+    pub fresh_cu: Option<f64>,
     /// The gate's decision.
     pub verdict: Verdict,
 }
 
-/// The whole gate evaluation: the noise factor it discounted by, one
-/// row per benchmark (baseline order, then new benches), and the
-/// pass/fail verdict.
+/// The whole gate evaluation.
 #[derive(Debug)]
 pub struct Outcome {
-    /// Median fresh/baseline ratio across shared benches, clamped ≥ 1.
-    pub noise: f64,
-    /// Per-benchmark rows.
+    /// Per-benchmark rows: baseline order, then new benchmarks.
     pub rows: Vec<Row>,
-    /// True when any row is `Regressed` or `Missing`.
+    /// The fresh [`EAGER`] / [`LAZY`] ratio, absent when either side is
+    /// missing from the fresh run (which fails the gate).
+    pub speedup: Option<f64>,
+    /// True when any row is `Regressed` or `Missing`, or the speedup is
+    /// absent or below [`MIN_SPEEDUP`].
     pub failed: bool,
 }
 
-/// The suite-wide noise factor: the median fresh/baseline ratio across
-/// every bench present in both maps, never below 1 (a uniformly fast
-/// run must not manufacture regressions elsewhere).
-pub fn noise_factor(base: &BTreeMap<String, f64>, fresh: &BTreeMap<String, f64>) -> f64 {
-    let mut ratios: Vec<f64> = base
+/// Evaluates the gate.
+pub fn gate(baseline: &BenchReport, fresh: &BenchReport) -> Outcome {
+    let base = baseline.medians();
+    let new = fresh.medians();
+    let mut rows: Vec<Row> = base
         .iter()
-        .filter_map(|(name, &b)| fresh.get(name).map(|&n| n / b))
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    if ratios.is_empty() {
-        1.0
-    } else {
-        ratios[ratios.len() / 2].max(1.0)
-    }
-}
-
-/// Evaluates the gate: `threshold_pct` is the allowed median growth in
-/// percent after noise discounting, `floor_ns` the absolute delta below
-/// which a regression is never called.
-pub fn gate(
-    baseline: &BenchReport,
-    fresh: &BenchReport,
-    threshold_pct: f64,
-    floor_ns: f64,
-) -> Outcome {
-    let base = baseline.stats();
-    let new = fresh.stats();
-    let limit = 1.0 + threshold_pct / 100.0;
-    let noise = noise_factor(&baseline.medians(), &fresh.medians());
-
-    let mut rows = Vec::new();
-    let mut failed = false;
-    for (name, base_stats) in &base {
-        let b = base_stats.median_ns;
-        let (fresh_ns, verdict) = match new.get(name) {
-            None => (None, Verdict::Missing),
-            Some(stats) => {
-                let n = stats.median_ns;
-                let ratio = n / b;
-                let discounted = ratio / noise;
-                let regressed = (discounted > limit && n - b * noise > floor_ns)
-                    || (ratio > HARD_CAP && n - b > floor_ns);
-                // The minimum is immune to asymmetric contamination: if
-                // the fresh floor still reaches baseline speed (within
-                // the same threshold and noise floor), the code did not
-                // get slower — some iterations proved it.
-                let min_ok = match (base_stats.min_ns, stats.min_ns) {
-                    (Some(bm), Some(nm)) => nm / bm <= limit || nm - bm <= floor_ns,
-                    _ => false,
-                };
-                (
-                    Some(n),
-                    match (regressed, min_ok) {
-                        (false, _) => Verdict::Ok,
-                        (true, true) => Verdict::OkMinRescued,
-                        (true, false) => Verdict::Regressed,
-                    },
-                )
-            }
-        };
-        failed |= matches!(verdict, Verdict::Missing | Verdict::Regressed);
-        rows.push(Row {
-            name: name.clone(),
-            baseline_ns: Some(b),
-            fresh_ns,
-            verdict,
-        });
-    }
-    for (name, stats) in &new {
-        let n = stats.median_ns;
-        if !base.contains_key(name) {
-            rows.push(Row {
+        .map(|(name, &b)| {
+            let fresh_cu = new.get(name).copied();
+            let verdict = match fresh_cu {
+                None => Verdict::Missing,
+                Some(n) if n > THRESHOLD * b => Verdict::Regressed,
+                Some(_) => Verdict::Ok,
+            };
+            Row {
                 name: name.clone(),
-                baseline_ns: None,
-                fresh_ns: Some(n),
+                baseline_cu: Some(b),
+                fresh_cu,
+                verdict,
+            }
+        })
+        .collect();
+    rows.extend(
+        new.iter()
+            .filter(|(name, _)| !base.contains_key(*name))
+            .map(|(name, &n)| Row {
+                name: name.clone(),
+                baseline_cu: None,
+                fresh_cu: Some(n),
                 verdict: Verdict::New,
-            });
-        }
-    }
+            }),
+    );
+    let speedup = match (new.get(LAZY), new.get(EAGER)) {
+        (Some(&lazy), Some(&eager)) if lazy > 0.0 => Some(eager / lazy),
+        _ => None,
+    };
+    let failed = rows
+        .iter()
+        .any(|r| matches!(r.verdict, Verdict::Regressed | Verdict::Missing))
+        || !speedup.is_some_and(|s| s >= MIN_SPEEDUP);
     Outcome {
-        noise,
         rows,
+        speedup,
         failed,
     }
-}
-
-/// One `--require-speedup <fast>:<slow>:<factor>` demand: the fresh
-/// median of `slow` must be at least `factor` times the fresh median of
-/// `fast`. Evaluated on the fresh run only — a stale committed baseline
-/// can neither grant nor revoke a speedup the current code doesn't have.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpeedupReq {
-    /// The optimized benchmark (e.g. `table1_scan_cached`).
-    pub fast: String,
-    /// The reference benchmark it must beat (e.g. `table1_scan`).
-    pub slow: String,
-    /// Minimum required `slow / fast` median ratio.
-    pub factor: f64,
-}
-
-impl SpeedupReq {
-    /// Parses a `fast:slow:factor` spec.
-    ///
-    /// # Errors
-    ///
-    /// Fails with a usage message on malformed specs.
-    pub fn parse(spec: &str) -> Result<SpeedupReq, String> {
-        let parts: Vec<&str> = spec.split(':').collect();
-        let err = || format!("--require-speedup takes `fast:slow:factor`, got `{spec}`");
-        let [fast, slow, factor] = parts.as_slice() else {
-            return Err(err());
-        };
-        let factor: f64 = factor.parse().map_err(|_| err())?;
-        if fast.is_empty() || slow.is_empty() || !factor.is_finite() || factor <= 0.0 {
-            return Err(err());
-        }
-        Ok(SpeedupReq {
-            fast: (*fast).to_string(),
-            slow: (*slow).to_string(),
-            factor,
-        })
-    }
-}
-
-/// One evaluated speedup requirement.
-#[derive(Debug, Clone)]
-pub struct SpeedupRow {
-    /// The demand being checked.
-    pub req: SpeedupReq,
-    /// Fresh median of the optimized bench, when present.
-    pub fast_ns: Option<f64>,
-    /// Fresh median of the reference bench, when present.
-    pub slow_ns: Option<f64>,
-    /// Achieved `slow / fast` ratio, when both are present.
-    pub achieved: Option<f64>,
-    /// False when a bench is missing or the ratio falls short.
-    pub ok: bool,
-}
-
-/// Evaluates speedup requirements against the fresh report. A missing
-/// bench fails its row — silently skipping a vanished benchmark would
-/// turn the gate into a no-op.
-pub fn check_speedups(fresh: &BenchReport, reqs: &[SpeedupReq]) -> Vec<SpeedupRow> {
-    let medians = fresh.medians();
-    reqs.iter()
-        .map(|req| {
-            let fast_ns = medians.get(&req.fast).copied();
-            let slow_ns = medians.get(&req.slow).copied();
-            let achieved = match (fast_ns, slow_ns) {
-                (Some(f), Some(s)) if f > 0.0 => Some(s / f),
-                _ => None,
-            };
-            SpeedupRow {
-                req: req.clone(),
-                fast_ns,
-                slow_ns,
-                achieved,
-                ok: achieved.is_some_and(|r| r >= req.factor),
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Builds a one-group report from `(name, median_ns)` pairs.
+    /// Builds a one-group report from `(name, median_cu)` pairs.
     fn report(medians: &[(&str, f64)]) -> BenchReport {
         let benches: Vec<String> = medians
             .iter()
-            .map(|(name, ns)| format!("\"{name}\":{{\"median_ns\":{ns}}}"))
+            .map(|(name, cu)| format!("\"{name}\":{{\"median_cu\":{cu}}}"))
             .collect();
         let text = format!(
             "{{\"bench_file\":\"pipelines\",\"groups\":{{\"g\":{{{}}}}}}}",
@@ -312,18 +186,12 @@ mod tests {
         BenchReport::parse(&text).expect("fixture parses")
     }
 
-    /// Like [`report`] but with explicit minima, as the real harness
-    /// emits them.
-    fn report_with_min(stats: &[(&str, f64, f64)]) -> BenchReport {
-        let benches: Vec<String> = stats
-            .iter()
-            .map(|(name, med, min)| format!("\"{name}\":{{\"median_ns\":{med},\"min_ns\":{min}}}"))
-            .collect();
-        let text = format!(
-            "{{\"bench_file\":\"pipelines\",\"groups\":{{\"g\":{{{}}}}}}}",
-            benches.join(",")
-        );
-        BenchReport::parse(&text).expect("fixture parses")
+    /// A report holding `rows` plus a lazy/eager pair that meets the
+    /// speedup requirement.
+    fn with_pair(rows: &[(&str, f64)]) -> BenchReport {
+        let mut all = rows.to_vec();
+        all.extend([(LAZY, 1.0), (EAGER, 10.0)]);
+        report(&all)
     }
 
     fn verdict_of(out: &Outcome, name: &str) -> Verdict {
@@ -337,200 +205,66 @@ mod tests {
     #[test]
     fn parses_the_real_report_shape_ignoring_extra_stats() {
         let r = BenchReport::parse(
-            r#"{"bench_file":"pipelines","generated_by":"bench_json",
-                "groups":{"scan":{"cold":{"median_ns":1500000.0,
-                "mean_ns":1600000.0,"min_ns":1400000.0,"samples":20}}}}"#,
+            r#"{"bench_file":"pipelines",
+                "groups":{"pipelines":{"table1_scan":{"median_ns": 651631.3,
+                "median_cu": 1.1845e1, "samples": 10}}}}"#,
         )
         .expect("parses with extra fields");
-        assert_eq!(r.medians()["cold"], 1_500_000.0);
+        assert_eq!(r.medians()["table1_scan"], 11.845);
     }
 
     #[test]
-    fn identical_reports_pass() {
-        let base = report(&[("a", 1e6), ("b", 2e6)]);
-        let out = gate(&base, &report(&[("a", 1e6), ("b", 2e6)]), 25.0, 20_000.0);
-        assert!(!out.failed);
-        assert_eq!(out.noise, 1.0);
-        assert!(out.rows.iter().all(|r| r.verdict == Verdict::Ok));
-    }
-
-    #[test]
-    fn single_bench_regression_beyond_threshold_and_floor_fails() {
-        // One bench +60%, the rest flat: noise stays ~1, delta 600µs
-        // clears the 20µs floor.
-        let base = report(&[("a", 1e6), ("b", 1e6), ("c", 1e6)]);
-        let fresh = report(&[("a", 1.6e6), ("b", 1e6), ("c", 1e6)]);
-        let out = gate(&base, &fresh, 25.0, 20_000.0);
+    fn threshold_is_twenty_five_percent_in_calibrated_units() {
+        let base = with_pair(&[("a", 2.0), ("b", 2.0)]);
+        let out = gate(&base, &with_pair(&[("a", 2.48), ("b", 2.52)]));
+        assert_eq!(verdict_of(&out, "a"), Verdict::Ok, "1.24x passes");
+        assert_eq!(verdict_of(&out, "b"), Verdict::Regressed, "1.26x fails");
         assert!(out.failed);
-        assert_eq!(verdict_of(&out, "a"), Verdict::Regressed);
-        assert_eq!(verdict_of(&out, "b"), Verdict::Ok);
+        assert!(!gate(&base, &with_pair(&[("a", 2.48), ("b", 0.5)])).failed);
     }
 
     #[test]
-    fn sub_floor_deltas_never_regress() {
-        // +100% but the benches are tiny: 8µs deltas sit under the 20µs
-        // floor, so this is scheduler noise by definition.
-        let base = report(&[("a", 8_000.0), ("b", 8_000.0), ("c", 8_000.0)]);
-        let fresh = report(&[("a", 16_000.0), ("b", 8_000.0), ("c", 8_000.0)]);
-        let out = gate(&base, &fresh, 25.0, 20_000.0);
-        assert!(!out.failed, "{out:?}");
-    }
-
-    #[test]
-    fn uniform_slowdown_is_discounted_as_box_noise() {
-        // Everything 1.8x: co-tenant load, not a code regression.
-        let base = report(&[("a", 1e6), ("b", 2e6), ("c", 3e6)]);
-        let fresh = report(&[("a", 1.8e6), ("b", 3.6e6), ("c", 5.4e6)]);
-        let out = gate(&base, &fresh, 25.0, 20_000.0);
-        assert!((out.noise - 1.8).abs() < 1e-9);
-        assert!(!out.failed, "{out:?}");
-    }
-
-    #[test]
-    fn hard_cap_defeats_the_noise_discount() {
-        // Everything 5x — beyond HARD_CAP, so the uniform-slowdown
-        // escape valve closes and every bench fails.
-        let base = report(&[("a", 1e6), ("b", 2e6), ("c", 3e6)]);
-        let fresh = report(&[("a", 5e6), ("b", 10e6), ("c", 15e6)]);
-        let out = gate(&base, &fresh, 25.0, 20_000.0);
-        assert!(out.failed);
-        assert!(out.rows.iter().all(|r| r.verdict == Verdict::Regressed));
-    }
-
-    #[test]
-    fn fast_runs_clamp_noise_to_one_and_still_catch_regressions() {
-        // Most benches got 2x faster; one got 60% slower. The clamp
-        // keeps the fast majority from hiding it (unclamped noise 0.5
-        // would *help*; the floor is the only remaining guard).
-        let base = report(&[("a", 1e6), ("b", 1e6), ("c", 1e6), ("d", 1e6)]);
-        let fresh = report(&[("a", 0.5e6), ("b", 0.5e6), ("c", 0.5e6), ("d", 1.6e6)]);
-        let out = gate(&base, &fresh, 25.0, 20_000.0);
-        assert_eq!(out.noise, 1.0);
-        assert_eq!(verdict_of(&out, "d"), Verdict::Regressed);
-    }
-
-    #[test]
-    fn missing_bench_fails_and_new_bench_passes() {
-        let base = report(&[("a", 1e6), ("gone", 1e6)]);
-        let fresh = report(&[("a", 1e6), ("added", 9e9)]);
-        let out = gate(&base, &fresh, 25.0, 20_000.0);
-        assert!(out.failed);
+    fn a_missing_row_fails_and_a_new_row_passes() {
+        let base = with_pair(&[("a", 1.0), ("gone", 1.0)]);
+        let out = gate(&base, &with_pair(&[("a", 1.0)]));
         assert_eq!(verdict_of(&out, "gone"), Verdict::Missing);
-        assert_eq!(verdict_of(&out, "added"), Verdict::New);
-        // A lone new bench contributes no ratio and cannot regress.
-        assert_eq!(
-            out.rows
-                .iter()
-                .filter(|r| r.verdict == Verdict::Regressed)
-                .count(),
-            0
+        assert!(out.failed);
+        let out = gate(
+            &base,
+            &with_pair(&[("a", 1.0), ("gone", 1.0), ("added", 9e9)]),
         );
-    }
-
-    #[test]
-    fn contaminated_median_with_clean_minimum_is_rescued() {
-        // The one-core-box failure shape: one bench's median jumped 48%
-        // because background bursts hit most samples, but its fastest
-        // iteration still reached baseline speed. Slower code cannot
-        // produce that minimum, so the gate passes it as noise.
-        let base = report_with_min(&[
-            ("flat", 1e6, 0.95e6),
-            ("flat2", 1e6, 0.95e6),
-            ("noisy", 1.35e6, 1.29e6),
-        ]);
-        let fresh = report_with_min(&[
-            ("flat", 1e6, 0.95e6),
-            ("flat2", 1e6, 0.95e6),
-            ("noisy", 2.0e6, 1.34e6),
-        ]);
-        let out = gate(&base, &fresh, 25.0, 20_000.0);
-        assert_eq!(verdict_of(&out, "noisy"), Verdict::OkMinRescued);
+        assert_eq!(verdict_of(&out, "added"), Verdict::New);
         assert!(!out.failed, "{out:?}");
     }
 
     #[test]
-    fn real_regressions_shift_the_minimum_and_still_fail() {
-        // A genuine 2x slowdown moves the whole distribution, minimum
-        // included — the rescue must not apply.
-        let base = report_with_min(&[
-            ("flat", 1e6, 0.95e6),
-            ("flat2", 1e6, 0.95e6),
-            ("slow", 1.35e6, 1.29e6),
-        ]);
-        let fresh = report_with_min(&[
-            ("flat", 1e6, 0.95e6),
-            ("flat2", 1e6, 0.95e6),
-            ("slow", 2.7e6, 2.6e6),
-        ]);
-        let out = gate(&base, &fresh, 25.0, 20_000.0);
-        assert_eq!(verdict_of(&out, "slow"), Verdict::Regressed);
-        assert!(out.failed);
+    fn the_lazy_calendar_must_beat_its_eager_reference_five_times() {
+        let base = with_pair(&[]);
+        let meets = gate(&base, &report(&[(LAZY, 1.0), (EAGER, 5.0)]));
+        assert_eq!(meets.speedup, Some(5.0));
+        assert!(!meets.failed, "{meets:?}");
+        // Both rows within the threshold of the baseline, but the pair
+        // falls short.
+        let short = gate(&base, &report(&[(LAZY, 1.2), (EAGER, 5.9)]));
+        assert!(short.rows.iter().all(|r| r.verdict == Verdict::Ok));
+        assert!(short.failed, "{short:?}");
     }
 
     #[test]
-    fn rescue_requires_minima_on_both_sides() {
-        // Median-only reports (older harness) keep the strict verdict.
-        let base = report(&[("a", 1e6), ("b", 1e6), ("c", 1e6)]);
-        let fresh = report(&[("a", 1.6e6), ("b", 1e6), ("c", 1e6)]);
-        let out = gate(&base, &fresh, 25.0, 20_000.0);
-        assert_eq!(verdict_of(&out, "a"), Verdict::Regressed);
-        // Sub-floor minimum deltas rescue even when the ratio is large:
-        // an 8 µs floor-scale bench doubling its min is scheduler noise.
-        let base = report_with_min(&[
-            ("flat", 1e6, 0.95e6),
-            ("flat2", 1e6, 0.95e6),
-            ("tiny", 100_000.0, 8_000.0),
-        ]);
-        let fresh = report_with_min(&[
-            ("flat", 1e6, 0.95e6),
-            ("flat2", 1e6, 0.95e6),
-            ("tiny", 140_000.0, 16_000.0),
-        ]);
-        let out = gate(&base, &fresh, 25.0, 20_000.0);
-        assert_eq!(verdict_of(&out, "tiny"), Verdict::OkMinRescued);
+    fn the_eager_reference_is_held_to_its_baseline_too() {
+        // A slower eager path only widens the pair's margin; its own
+        // baseline still catches it.
+        let out = gate(&with_pair(&[]), &report(&[(LAZY, 1.0), (EAGER, 12.6)]));
+        assert_eq!(verdict_of(&out, EAGER), Verdict::Regressed);
+        assert!(out.failed, "{out:?}");
     }
 
     #[test]
-    fn speedup_spec_parses_and_rejects_garbage() {
-        let r = SpeedupReq::parse("fast:slow:5.0").expect("valid spec");
-        assert_eq!(r.fast, "fast");
-        assert_eq!(r.slow, "slow");
-        assert!((r.factor - 5.0).abs() < 1e-12);
-        for bad in ["fast:slow", "fast:slow:zero", ":slow:2", "a:b:-1", "a:b:0"] {
-            assert!(SpeedupReq::parse(bad).is_err(), "`{bad}` should fail");
+    fn a_pair_with_a_missing_side_fails() {
+        for fresh in [report(&[(LAZY, 1.0)]), report(&[(EAGER, 10.0)])] {
+            let out = gate(&report(&[]), &fresh);
+            assert_eq!(out.speedup, None);
+            assert!(out.failed, "{out:?}");
         }
-    }
-
-    #[test]
-    fn speedup_check_passes_meets_and_fails_shortfalls() {
-        let fresh = report(&[("scan", 1e6), ("scan_cached", 1e5)]);
-        let meets = check_speedups(
-            &fresh,
-            &[SpeedupReq::parse("scan_cached:scan:5.0").unwrap()],
-        );
-        assert!(meets[0].ok, "{meets:?}");
-        assert!((meets[0].achieved.unwrap() - 10.0).abs() < 1e-9);
-        let short = check_speedups(
-            &fresh,
-            &[SpeedupReq::parse("scan_cached:scan:20.0").unwrap()],
-        );
-        assert!(!short[0].ok);
-    }
-
-    #[test]
-    fn speedup_check_fails_on_missing_benches() {
-        let fresh = report(&[("scan", 1e6)]);
-        let rows = check_speedups(&fresh, &[SpeedupReq::parse("gone:scan:5.0").unwrap()]);
-        assert!(!rows[0].ok);
-        assert!(rows[0].achieved.is_none());
-    }
-
-    #[test]
-    fn empty_overlap_defaults_noise_to_one() {
-        let base = report(&[("only-old", 1e6)]);
-        let fresh = report(&[("only-new", 1e6)]);
-        let out = gate(&base, &fresh, 25.0, 20_000.0);
-        assert_eq!(out.noise, 1.0);
-        assert!(out.failed, "the dropped bench must still fail the gate");
     }
 }
