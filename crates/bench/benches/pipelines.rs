@@ -11,10 +11,8 @@
 //! no timing bound, so those paths have no performance gate until
 //! e2ebench gets one.
 //!
-//! The harness pins the process to one CPU, so the worker pool's default
-//! width is 1 and rows that step several hosts do so serially;
-//! `kernel_tick_8_hosts_2_lanes` asks for two lanes explicitly and times
-//! the fan-out.
+//! The harness pins the process to one CPU. Rows that step several hosts
+//! do so serially, as the lab, the defended fleet and the cloud do.
 //!
 //! * `table1_scan`       — the cross-validation walk + differential diff
 //! * `route_resolve_cc1_listing` — the pseudo-fs route resolver over
@@ -38,7 +36,7 @@
 //! * `fig8_model_eval`   — power-model inference per perf-counter delta
 //! * `fig9_ns_update`    — one power-namespace calibration interval
 //! * `substrate_kernel_tick_1s` — one loaded kernel-second;
-//!   `kernel_tick_8_hosts_2_lanes` — eight of them over two pool lanes
+//!   `kernel_tick_8_hosts` — eight of them stepped by a plain loop
 //! * `detector_week`     — a simulated week at hourly cadence with the
 //!   online detector observing a bursty prober: prices the read-tap,
 //!   the per-advance verdict evaluation, and the live policy swap
@@ -54,7 +52,6 @@ use containerleaks::powerns::nsfs::{DefendedHost, PowerNamespace};
 use containerleaks::powerns::{run_table3, Trainer};
 use containerleaks::pseudofs::route_for;
 use containerleaks::simkernel::cgroup::PerfCounters;
-use containerleaks::simkernel::parallel::par_for_each_mut_threads;
 use containerleaks::simkernel::{Kernel, MachineConfig};
 use containerleaks::workloads::models;
 
@@ -371,12 +368,10 @@ fn bench_kernel_tick(c: &mut Criterion) {
     });
 }
 
-fn bench_kernel_tick_2_lanes(c: &mut Criterion) {
-    // The worker pool's fan-out: eight loaded kernel-seconds split over
-    // two lanes. The bench process is pinned to one CPU, so the pool's
-    // default width is 1 and every other row steps hosts serially; an
-    // explicit width still sends half the kernels to a pool worker, so
-    // the job channels, lane claiming and the hand-back are timed here.
+fn bench_kernel_tick_8_hosts(c: &mut Criterion) {
+    // A busy host collection: eight loaded kernel-seconds stepped in
+    // host order, the loop `Lab::advance_secs` and
+    // `DefendedFleet::advance_secs` run.
     let mut kernels: Vec<Kernel> = (0..8)
         .map(|seed| {
             let mut k = Kernel::new(MachineConfig::cloud_server(), seed);
@@ -387,9 +382,11 @@ fn bench_kernel_tick_2_lanes(c: &mut Criterion) {
             k
         })
         .collect();
-    c.bench_function("kernel_tick_8_hosts_2_lanes", |b| {
+    c.bench_function("kernel_tick_8_hosts", |b| {
         b.iter(|| {
-            par_for_each_mut_threads(&mut kernels, 2, |k| k.advance_secs(1));
+            for k in &mut kernels {
+                k.advance_secs(1);
+            }
             black_box(kernels[7].wall_watts())
         })
     });
@@ -469,7 +466,7 @@ criterion_group!(
         bench_covert_bit,
         bench_hardening,
         bench_kernel_tick,
-        bench_kernel_tick_2_lanes,
+        bench_kernel_tick_8_hosts,
         bench_detector_week,
         bench_namespace_install,
 );

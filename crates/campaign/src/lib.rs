@@ -6,8 +6,8 @@
 //! firing mid-lifecycle. This crate derives a *whole scenario* — fleet
 //! size, tenant mix, diurnal load, container churn rate, fault plan,
 //! masking-policy matrix, coalescing mode, detector — from a single
-//! `u64` seed, sweeps hundreds of them across the persistent worker
-//! pool with per-scenario panic isolation, and checks **metamorphic
+//! `u64` seed, sweeps hundreds of them across `--jobs` lanes with
+//! per-scenario panic isolation, and checks **metamorphic
 //! oracles** rather than golden outputs:
 //!
 //! 1. **Masking monotonicity** — strengthening a masking policy never

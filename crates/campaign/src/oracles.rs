@@ -126,7 +126,7 @@ pub fn mask_monotonic(sc: &Scenario) -> Result<(), Violation> {
     let mut k = Kernel::new(sc.profile.default_machine(), sc.seed);
     let env = k
         .create_container_env("probe")
-        .expect("probe container env");
+        .map_err(|e| Violation::new(V, format!("probe container env: {e:?}")))?;
     let _ = k.spawn(ProcessSpec::new("probe-svc", models::web_service(0.3)).in_container(&env));
 
     let t1 = sc.profile.mask_policy();

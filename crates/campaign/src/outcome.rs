@@ -15,7 +15,7 @@ pub enum Status {
         /// What broke.
         detail: String,
     },
-    /// The scenario driver panicked (caught; the pool kept running).
+    /// The scenario driver panicked (caught; the sweep kept running).
     Panicked {
         /// The panic payload, stringified.
         message: String,

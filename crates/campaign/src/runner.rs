@@ -1,5 +1,5 @@
-//! The campaign runner: sweeps seed-derived scenarios over the worker
-//! pool with per-scenario panic isolation, and shrinks failures.
+//! The campaign runner: sweeps seed-derived scenarios across a scoped
+//! fan-out with per-scenario panic isolation, and shrinks failures.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -127,81 +127,56 @@ fn probe(
     .map_err(panic_message)
 }
 
-/// Runs the campaign: every seed's scenario on the worker pool, panics
-/// caught per scenario, failures shrunk (when enabled) to a minimal
-/// seed-plus-overrides with a copy-pasteable repro command.
+/// Runs the campaign: every seed's scenario across `cfg.jobs` lanes,
+/// panics caught per scenario, failures shrunk (when enabled) to a
+/// minimal seed-plus-overrides with a copy-pasteable repro command.
 pub fn run(cfg: &CampaignConfig) -> CampaignReport {
-    struct Slot {
-        seed: u64,
-        overrides: Overrides,
-        injected: Option<InjectedViolation>,
-        do_shrink: bool,
-        out: Option<CampaignOutcome>,
-    }
-    let mut slots: Vec<Slot> = cfg
+    // Each outcome starts as a pass; the fan-out returns only once every
+    // scenario has run and recorded what its probe found.
+    let mut outcomes: Vec<CampaignOutcome> = cfg
         .seeds
         .iter()
-        .map(|&seed| Slot {
-            seed,
-            overrides: cfg.overrides,
-            injected: cfg.injected,
-            do_shrink: cfg.shrink,
-            out: None,
-        })
+        .map(|&seed| CampaignOutcome::new(seed, cfg.overrides, Status::Passed))
         .collect();
+    let check = |seed: u64, o: &Overrides| -> Option<Violation> {
+        match probe(seed, o, cfg.injected.as_ref()) {
+            Ok(v) => v,
+            Err(msg) => Some(Violation::new("panic", msg)),
+        }
+    };
 
-    par_for_each_mut_threads(&mut slots, cfg.jobs, |slot| {
-        // The catch_unwind lives *inside* the pool closure: the pool
-        // re-propagates worker panics, so isolation must happen first.
-        let probed = probe(slot.seed, &slot.overrides, slot.injected.as_ref());
+    par_for_each_mut_threads(&mut outcomes, cfg.jobs, |outcome| {
+        // The catch_unwind lives *inside* the closure: the fan-out
+        // re-raises item panics, so isolation must happen first.
+        let probed = probe(outcome.seed, &cfg.overrides, cfg.injected.as_ref());
         simtrace::counters::add("campaign.scenarios", 1);
-        let (status, initial) = match probed {
-            Ok(None) => (Status::Passed, None),
+        let initial = match probed {
+            Ok(None) => return,
             Ok(Some(v)) => {
                 simtrace::counters::add("campaign.violations", 1);
-                (
-                    Status::Violated {
-                        oracle: v.oracle.to_string(),
-                        detail: v.detail.clone(),
-                    },
-                    Some(v),
-                )
+                outcome.status = Status::Violated {
+                    oracle: v.oracle.to_string(),
+                    detail: v.detail.clone(),
+                };
+                v
             }
             Err(msg) => {
                 simtrace::counters::add("campaign.panics", 1);
-                (
-                    Status::Panicked {
-                        message: msg.clone(),
-                    },
-                    Some(Violation::new("panic", msg)),
-                )
+                outcome.status = Status::Panicked {
+                    message: msg.clone(),
+                };
+                Violation::new("panic", msg)
             }
         };
-        let mut outcome = CampaignOutcome::new(slot.seed, slot.overrides, status);
-        if let Some(initial) = initial {
-            if slot.do_shrink {
-                let injected = slot.injected;
-                let check = move |seed: u64, o: &Overrides| -> Option<Violation> {
-                    match probe(seed, o, injected.as_ref()) {
-                        Ok(v) => v,
-                        Err(msg) => Some(Violation::new("panic", msg)),
-                    }
-                };
-                let report = shrink::shrink(slot.seed, slot.overrides, &initial, &check);
-                simtrace::counters::add("campaign.shrink_attempts", report.attempts.into());
-                outcome.repro = report.repro.clone();
-                outcome.shrink = Some(report);
-            }
+        if cfg.shrink {
+            let report = shrink::shrink(outcome.seed, cfg.overrides, &initial, &check);
+            simtrace::counters::add("campaign.shrink_attempts", report.attempts.into());
+            outcome.repro = report.repro.clone();
+            outcome.shrink = Some(report);
         }
-        slot.out = Some(outcome);
     });
 
-    CampaignReport {
-        outcomes: slots
-            .into_iter()
-            .map(|s| s.out.expect("every slot ran"))
-            .collect(),
-    }
+    CampaignReport { outcomes }
 }
 
 #[cfg(test)]

@@ -132,11 +132,12 @@ impl DefendedFleet {
         }
     }
 
-    /// Advances every host by `secs` (1 s calibration intervals). Hosts
-    /// are stepped concurrently; each owns its kernel and RNG, so the
-    /// result is bitwise identical to the serial order.
+    /// Advances every host by `secs` (1 s calibration intervals), in
+    /// host order.
     pub fn advance_secs(&mut self, secs: u64) {
-        simkernel::parallel::par_for_each_mut(&mut self.hosts, move |h| h.advance_secs(secs));
+        for h in &mut self.hosts {
+            h.advance_secs(secs);
+        }
     }
 
     /// True aggregate wall power, watts (operator-side ground truth).

@@ -43,8 +43,9 @@ pub struct ExperimentResult {
     pub rendered: String,
     /// Structured paper-vs-measured rows.
     pub comparisons: Vec<Comparison>,
-    /// A structured failure: the driver hit an error (or panicked inside
-    /// the worker pool) and produced no measurements. `None` on success.
+    /// A structured failure: the driver hit an error (or panicked under
+    /// the runner's panic guard) and produced no measurements. `None` on
+    /// success.
     pub error: Option<String>,
 }
 
@@ -2302,7 +2303,7 @@ pub type ExperimentFn = fn(u64, u64) -> ExperimentResult;
 
 /// Every experiment in paper order. Each driver is independent — it
 /// builds its own substrate from the seed — so the registry can be run
-/// serially or fanned across a worker pool with identical results.
+/// serially or fanned across lanes with identical results.
 pub const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("table1", |s, _| table1(s)),
     ("table2", |s, _| table2(s)),
@@ -2328,13 +2329,13 @@ pub const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("detection", |s, _| detection(s)),
 ];
 
-/// Runs registry entries across a pool of `jobs` workers, returning
-/// results in entry order. Each driver is a pure function of the seed,
-/// so the result vector is byte-identical for any `jobs`; `jobs = 1`
-/// runs on the caller's thread in entry order. `progress` is invoked as
-/// each entry completes, with its index (completion order under
-/// `jobs > 1`). Every driver runs under the caller's
-/// [`RunConfig`](simkernel::RunConfig), whichever worker picks it up.
+/// Runs registry entries across `jobs` lanes, returning results in
+/// entry order. Each driver is a pure function of the seed, so the result
+/// vector is byte-identical for any `jobs`; `jobs = 1` runs on the
+/// caller's thread in entry order. `progress` is invoked as each entry
+/// completes, with its index (completion order under `jobs > 1`). Every
+/// driver runs under the caller's [`RunConfig`](simkernel::RunConfig),
+/// whichever lane picks it up.
 pub fn run_entries_with(
     entries: &[(&str, ExperimentFn)],
     seed: u64,
@@ -2342,55 +2343,16 @@ pub fn run_entries_with(
     jobs: usize,
     progress: impl Fn(usize, &ExperimentResult) + Sync,
 ) -> Vec<ExperimentResult> {
-    let n = entries.len();
-    let mut slots: Vec<Option<ExperimentResult>> = (0..n).map(|_| None).collect();
-    if jobs.max(1).min(n.max(1)) == 1 {
-        for (i, (name, f)) in entries.iter().enumerate() {
-            let r = run_guarded(name, *f, seed, fig2_days);
-            progress(i, &r);
-            slots[i] = Some(r);
-        }
-    } else {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let next = AtomicUsize::new(0);
-        let out = Mutex::new(&mut slots);
-        let progress = &progress;
-        let run = simkernel::RunConfig::current();
-        // Scoped threads, not the simkernel pool: an experiment on a pool
-        // worker would run its own fleet fan-outs serially.
-        std::thread::scope(|s| {
-            for _ in 0..jobs.min(n) {
-                s.spawn(|| {
-                    let _run = run.enter();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let r = run_guarded(entries[i].0, entries[i].1, seed, fig2_days);
-                        progress(i, &r);
-                        if let Ok(mut slots) = out.lock() {
-                            slots[i] = Some(r);
-                        }
-                    }
-                });
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            s.unwrap_or_else(|| {
-                ExperimentResult::failed(
-                    entries[i].0,
-                    entries[i].0,
-                    "experiment never completed".to_string(),
-                )
-            })
-        })
-        .collect()
+    let mut slots: Vec<(usize, Option<ExperimentResult>)> =
+        (0..entries.len()).map(|i| (i, None)).collect();
+    simkernel::parallel::par_for_each_mut_threads(&mut slots, jobs, |slot| {
+        let (name, f) = entries[slot.0];
+        let r = run_guarded(name, f, seed, fig2_days);
+        progress(slot.0, &r);
+        slot.1 = Some(r);
+    });
+    // The fan-out returns only once every slot has run.
+    slots.into_iter().filter_map(|slot| slot.1).collect()
 }
 
 /// The command re-running exactly one experiment at one seed — carried

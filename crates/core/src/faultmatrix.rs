@@ -8,8 +8,8 @@
 //! [`leakscan::CoResVerdict::Inconclusive`] abstention, a rejected
 //! calibration window), never a panic and never a silently different
 //! answer. The scenarios are ordinary [`ExperimentFn`]s, so the matrix
-//! runs through the same guarded worker pool as the paper experiments and
-//! is byte-identical at any `--jobs` level.
+//! runs through the same guarded runner as the paper experiments and is
+//! byte-identical at any `--jobs` level.
 
 use std::fmt::Write as _;
 
@@ -571,7 +571,7 @@ pub const FAULT_MATRIX: &[(&str, ExperimentFn)] = &[
     ("fault_powerns", |s, _| powerns_reset(s)),
 ];
 
-/// Runs the whole matrix through the guarded worker pool.
+/// Runs the whole matrix through the guarded experiment runner.
 pub fn run_fault_matrix(seed: u64, jobs: usize) -> Vec<ExperimentResult> {
     crate::experiments::run_entries_with(FAULT_MATRIX, seed, 1, jobs, |_, _| {})
 }

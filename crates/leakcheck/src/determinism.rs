@@ -13,7 +13,7 @@
 //!    or folded through an integer `sum`/`count`/`min`/`max`-style sink;
 //!    a float sink re-flags, as float addition is not associative).
 //! 2. **Parallel shared state**: closures passed to
-//!    `simkernel::parallel::par_for_each_mut{,_threads}` must only touch
+//!    `simkernel::parallel::par_for_each_mut_threads` must only touch
 //!    their own element — interior mutability, `unsafe`, `static`, or an
 //!    RNG rooted outside the closure parameter would let partitions race
 //!    or draw from a shared sequence in scheduling order.
@@ -117,13 +117,6 @@ pub const ACCEPTED_PANICS: &[(&str, &str, &str)] = &[
          has a first slot at that count, and the histogram prefix sums \
          bound the Random draw — both pinned against the linear scan by \
          index_matches_linear_scan_across_churn",
-    ),
-    (
-        "simkernel/src/parallel.rs",
-        "par_for_each_mut_threads",
-        "claim-slot restoration: every lane returns each claimed item to \
-         its slot before reporting, and all lanes have reported when the \
-         slots are drained, so no slot can be empty",
     ),
     (
         "core/src/defended.rs",
@@ -268,8 +261,7 @@ pub fn lint_file(file: &str, src: &str) -> Vec<Hazard> {
 
     for j in 0..tokens.len() {
         if tokens[j].kind == TokenKind::Ident
-            && (tokens[j].text == "par_for_each_mut"
-                || tokens[j].text == "par_for_each_mut_threads")
+            && tokens[j].text == "par_for_each_mut_threads"
             && tokens.get(j + 1).is_some_and(|t| t.is_punct('('))
         {
             for detail in par_closure_hazards(&tokens, j + 1) {
@@ -415,7 +407,7 @@ fn sanctioned(tokens: &[Token], j: usize) -> bool {
     }
 }
 
-/// Inspects the closure argument of a `par_for_each_mut*` call opening
+/// Inspects the closure argument of a `par_for_each_mut_threads` call opening
 /// at paren index `open`; returns hazard details found in its body.
 fn par_closure_hazards(tokens: &[Token], open: usize) -> Vec<String> {
     let mut out = Vec::new();
@@ -456,7 +448,7 @@ fn par_closure_hazards(tokens: &[Token], open: usize) -> Vec<String> {
             || t.text == "thread_rng";
         if shared {
             out.push(format!(
-                "`{}` inside a par_for_each_mut closure: shared state or \
+                "`{}` inside a par_for_each_mut_threads closure: shared state or \
                  nondeterministic source crossing partitions",
                 t.text
             ));
@@ -472,7 +464,7 @@ fn par_closure_hazards(tokens: &[Token], open: usize) -> Vec<String> {
             && body.get(b + 1).is_some_and(|n| n.is_punct('('));
         if interior && chain_root(body, b) != param {
             out.push(format!(
-                "`.{}()` on captured `{}` inside a par_for_each_mut \
+                "`.{}()` on captured `{}` inside a par_for_each_mut_threads \
                  closure: shared mutable state crossing partitions",
                 t.text,
                 chain_root(body, b)
@@ -626,11 +618,11 @@ mod tests {
     #[test]
     fn par_closure_element_rng_is_clean_shared_rng_is_not() {
         let clean =
-            "fn step(hosts: &mut [H]) { par_for_each_mut(hosts, |h| { h.kernel.rng.next(); }); }";
+            "fn step(hosts: &mut [H]) { par_for_each_mut_threads(hosts, 4, |h| { h.kernel.rng.next(); }); }";
         assert!(lint_file("x/src/a.rs", clean).is_empty());
         let dirty = "
             impl C { fn step(&mut self) {
-                par_for_each_mut(&mut self.hosts, |h| { h.tick(self.rng.next()); });
+                par_for_each_mut_threads(&mut self.hosts, 4, |h| { h.tick(self.rng.next()); });
             } }
         ";
         let h = lint_file("x/src/a.rs", dirty);
@@ -640,7 +632,7 @@ mod tests {
 
     #[test]
     fn par_closure_interior_mutability_is_flagged() {
-        let src = "fn f(xs: &mut [X], m: &Mutex<u64>) { par_for_each_mut(xs, |x| { *m.lock() += x.v; }); }";
+        let src = "fn f(xs: &mut [X], m: &Mutex<u64>) { par_for_each_mut_threads(xs, 2, |x| { *m.lock() += x.v; }); }";
         let h = lint_file("x/src/a.rs", src);
         assert_eq!(h.len(), 1);
         assert!(h[0].detail.contains("lock"), "{}", h[0].detail);

@@ -8,7 +8,8 @@
 //! accesses, and classifies each registered channel on the
 //! [`Verdict`] lattice. A second pass lints the
 //! simulation crates for determinism hazards (hash-order iteration
-//! feeding output, shared state inside `par_for_each_mut` partitions).
+//! feeding output, shared state inside `par_for_each_mut_threads`
+//! partitions).
 //!
 //! The channel list is [`pseudofs::ROUTES`] itself: each route's handler
 //! name is generated from the same path as the function pointer the
@@ -46,8 +47,9 @@ fn render_modules() -> BTreeSet<&'static str> {
 }
 
 /// Crates whose sources the determinism lint covers: everything that can
-/// influence rendered bytes or the parallel stepping path.
+/// influence rendered bytes or run inside a parallel fan-out.
 pub const LINTED_CRATES: &[&str] = &[
+    "campaign",
     "cloudsim",
     "container",
     "core",

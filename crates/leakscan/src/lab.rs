@@ -133,13 +133,11 @@ impl Lab {
         self.hosts.is_empty()
     }
 
-    /// Advances every machine in lockstep. Machines are stepped
-    /// concurrently; each kernel owns its RNG, so the result is bitwise
-    /// identical to the serial order.
+    /// Advances every machine in lockstep, in host order.
     pub fn advance_secs(&mut self, secs: u64) {
-        simkernel::parallel::par_for_each_mut(&mut self.hosts, move |h| {
-            h.kernel.advance_secs(secs)
-        });
+        for h in &mut self.hosts {
+            h.kernel.advance_secs(secs);
+        }
     }
 
     /// Installs a fault plan on every machine, anchored at the current

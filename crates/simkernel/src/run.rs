@@ -8,8 +8,9 @@
 //! `cloudsim::CloudConfig::new` read [`RunConfig::current`]. Outside any
 //! scope they get the compiled default: coalescing on. Being
 //! thread-scoped rather than process-wide, two configurations can run
-//! side by side in one process (the experiment pool re-enters the
-//! caller's configuration on each worker).
+//! side by side in one process (the scoped fan-out in
+//! [`crate::parallel`] enters the caller's configuration on each
+//! worker).
 //!
 //! This is the only way to pick a mode. A kernel keeps the modes it was
 //! built under for life, and a cloud keeps the configuration current

@@ -2,8 +2,8 @@
 //!
 //! Counters only ever sum, and addition commutes, so the totals are
 //! deterministic even when worker threads race on increments. Every
-//! entry carries its determinism [`Group`] so renderers can keep
-//! exec-dependent totals out of the byte-compared trace artifact.
+//! entry carries its determinism [`Group`], so the mode-exempt totals
+//! can be filtered before a cross-mode byte compare.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -47,15 +47,6 @@ pub fn add(name: &str, n: u64) {
 pub fn add_exempt(name: &str, n: u64) {
     if crate::enabled() {
         bump(name, n, Group::ModeExempt);
-    }
-}
-
-/// Adds to an exec-dependent counter (differs with the worker count;
-/// excluded from trace artifacts). No-op unless tracing is enabled.
-#[inline]
-pub fn add_exec(name: &str, n: u64) {
-    if crate::enabled() {
-        bump(name, n, Group::ExecDependent);
     }
 }
 

@@ -10,9 +10,6 @@ pub enum Group {
     /// Differs by design between coalescing modes only; CI filters these
     /// lines before the cross-mode byte-compare.
     ModeExempt,
-    /// Depends on the execution shape (worker count); excluded from the
-    /// trace artifact, shown only in the `--counters` summary.
-    ExecDependent,
 }
 
 impl Group {
@@ -21,7 +18,6 @@ impl Group {
         match self {
             Group::Portable => "portable",
             Group::ModeExempt => "mode-exempt",
-            Group::ExecDependent => "exec-dependent",
         }
     }
 }

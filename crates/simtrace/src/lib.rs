@@ -1,6 +1,6 @@
 //! Deterministic observability for the simulation stack.
 //!
-//! The experiment pipelines run fleets in parallel, coalesce quiescent
+//! The experiment pipelines run in parallel, coalesce quiescent
 //! ticks, and survive injected faults — and until this crate the only
 //! window into *why* a run behaved as it did was its final artifact.
 //! `simtrace` adds three facilities, all designed around one invariant:
@@ -16,7 +16,7 @@
 //!   assembled trace never depends on OS thread scheduling.
 //! * **Monotonic counters** ([`counters`]): named per-subsystem totals
 //!   (reads per channel, faults injected vs. tolerated, re-scans, tick
-//!   shapes, pool batches) queryable as a sorted snapshot. Counters only
+//!   shapes, campaign outcomes) queryable as a sorted snapshot. Counters only
 //!   ever sum, and addition commutes, so totals are deterministic even
 //!   when increments race across worker threads.
 //! * **A sim-time profiler** ([`profile`]): attributes *virtual* time and
@@ -34,9 +34,6 @@
 //!   modes (a coalesced span jump exists only when coalescing is on; the
 //!   stepped-tick count only when it is off). CI filters this group
 //!   before the cross-mode byte-compare.
-//! * [`Group::ExecDependent`] — differs with the execution shape itself
-//!   (worker-pool batches, spawned workers). Never written into the
-//!   trace artifact; visible only in the `--counters` summary.
 //!
 //! # Zero cost when disabled
 //!
@@ -61,9 +58,7 @@ pub use tracer::{scope, tracer_for_new_kernel, KernelTracer, ScopeGuard};
 
 /// Counter registry: monotonic named totals, grouped by determinism class.
 pub mod counters {
-    pub use crate::counter_store::{
-        add, add_channel, add_exec, add_exempt, snapshot, CounterEntry,
-    };
+    pub use crate::counter_store::{add, add_channel, add_exempt, snapshot, CounterEntry};
 }
 
 /// Sim-time self-profiler: virtual time and event counts per phase.

@@ -2,15 +2,12 @@
 //!
 //! The JSONL artifact is the thing CI byte-compares, so everything here
 //! is hand-rolled and stable: sorted scopes, integer-only numbers, a
-//! fixed key order per line type, and `\n` line endings. Exec-dependent
-//! counters never enter the artifact (they differ across `--jobs` by
-//! definition); they appear only in the text summary.
+//! fixed key order per line type, and `\n` line endings.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::counter_store;
-use crate::event::Group;
 use crate::profile_store;
 use crate::sink::TimedEvent;
 
@@ -33,8 +30,7 @@ fn escape_json(s: &str, out: &mut String) {
 
 /// Renders the full trace artifact: one meta line, every event from
 /// every scope (scopes in sorted order, events in program order), then
-/// the counter snapshot (exec-dependent group excluded) and the
-/// sim-time profile table.
+/// the counter snapshot and the sim-time profile table.
 pub fn render_jsonl(seed: u64, scopes: &BTreeMap<String, Vec<TimedEvent>>) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{\"type\":\"meta\",\"format\":1,\"seed\":{seed}}}");
@@ -60,9 +56,6 @@ pub fn render_jsonl(seed: u64, scopes: &BTreeMap<String, Vec<TimedEvent>>) -> St
     }
 
     for entry in counter_store::snapshot() {
-        if entry.group == Group::ExecDependent {
-            continue;
-        }
         out.push_str("{\"type\":\"counter\",\"name\":\"");
         escape_json(&entry.name, &mut out);
         let _ = writeln!(
@@ -84,8 +77,8 @@ pub fn render_jsonl(seed: u64, scopes: &BTreeMap<String, Vec<TimedEvent>>) -> St
     out
 }
 
-/// Renders the human-readable summary: the counter table (including the
-/// exec-dependent group) and the sim-time self-profile, for `--counters`.
+/// Renders the human-readable summary: the counter table and the
+/// sim-time self-profile, for `--counters`.
 pub fn render_summary() -> String {
     let mut out = String::new();
     let counters = counter_store::snapshot();

@@ -42,8 +42,8 @@ impl Drop for ScopeGuard {
 ///
 /// Every kernel created on this thread while the guard lives is traced
 /// under `{name}/kNNN`, numbered in creation order. Kernels are only
-/// constructed on experiment driver threads (the sim pool merely steps
-/// existing kernels), so a thread-local is sufficient and deterministic.
+/// constructed on experiment driver threads, and a driver runs wholly on
+/// one thread, so a thread-local is sufficient and deterministic.
 /// No-op when tracing is disabled.
 pub fn scope(name: &str) -> ScopeGuard {
     if !crate::enabled() {

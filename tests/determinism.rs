@@ -80,8 +80,8 @@ fn traces_are_reproducible_but_seed_sensitive() {
 #[test]
 fn experiment_runner_is_jobs_invariant() {
     // The determinism gate for the parallel experiment runner: a cheap
-    // subset of the registry, run serially and through a 4-worker pool,
-    // must render byte-identical reports. (ci.sh runs the same gate over
+    // subset of the registry, run serially and across 4 lanes, must
+    // render byte-identical reports. (ci.sh runs the same gate over
     // the full registry via the `all` binary.)
     use containerleaks::experiments::{run_entries_with, EXPERIMENTS};
     let subset: Vec<_> = EXPERIMENTS
@@ -96,5 +96,5 @@ fn experiment_runner_is_jobs_invariant() {
     };
     let serial = render(1);
     assert_eq!(serial, render(4), "parallel runner diverged from serial");
-    assert_eq!(serial, render(2), "2-worker pool diverged from serial");
+    assert_eq!(serial, render(2), "2-lane run diverged from serial");
 }

@@ -4,7 +4,7 @@
 //! either identical to the fault-free run or explicitly degraded — never
 //! a panic, never a silently different answer. The matrix scenarios
 //! themselves encode the clean-vs-faulted comparison; this test runs the
-//! whole matrix through the guarded pool and checks the contract held,
+//! whole matrix through the guarded runner and checks the contract held,
 //! that a panicking driver surfaces as a structured failure, and that the
 //! results are byte-identical at any worker count *with faults active*.
 
@@ -64,7 +64,7 @@ fn a_panicking_scenario_is_contained_by_the_pool() {
         panic!("injected matrix panic");
     }
     // Splice a hostile driver between two real (cheap) scenarios: the
-    // pool must convert the panic into a structured failure and still
+    // runner must convert the panic into a structured failure and still
     // finish the neighbours.
     let entries: &[(&str, ExperimentFn)] = &[FAULT_MATRIX[2], ("boom", boom), FAULT_MATRIX[4]];
     for jobs in [1usize, 2] {

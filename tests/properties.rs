@@ -241,11 +241,12 @@ proptest! {
     }
 
     /// Parallel host stepping is bitwise equal to serial: whatever the
-    /// seed, host count and thread count, stepping busy kernels through
-    /// `par_for_each_mut_threads` (the fan-out the leakscan lab and the
-    /// defended fleet use) produces the same per-host `PowerSnapshot`
-    /// sequence and the same pseudofs reads. Determinism is per-host RNG
-    /// ownership, not single-threadedness.
+    /// seed, host count and thread count, stepping busy kernels on
+    /// separate threads through `par_for_each_mut_threads` produces the
+    /// same per-host `PowerSnapshot` sequence and the same pseudofs reads
+    /// as stepping them in host order. Determinism is per-host RNG
+    /// ownership, not single-threadedness, so any fan-out over hosts
+    /// stays byte-identical.
     #[test]
     fn parallel_fleet_stepping_matches_serial(
         hosts in 1usize..5,
