@@ -24,7 +24,8 @@ same() {
 
 # The committed snapshots the gates below anchor on. A missing file must
 # be a loud failure up front, not a confusing mid-run error.
-for snap in BENCH_pipelines.json leakcheck.json tests/golden/trace_fig4_small.jsonl; do
+for snap in EXPERIMENTS.md EXPERIMENTS.json BENCH_pipelines.json leakcheck.json \
+    tests/golden/trace_fig4_small.jsonl; do
     if [ ! -f "$snap" ]; then
         echo "ci: FAIL — committed snapshot $snap is missing; the gate it" >&2
         echo "    anchors cannot run (see its regeneration note in README.md)" >&2

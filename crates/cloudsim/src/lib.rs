@@ -57,7 +57,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use simkernel::{HostPid, Kernel, MachineConfig, RunConfig, NANOS_PER_SEC};
-use simtrace::ReadTap as _;
 use workloads::WorkloadSpec;
 
 use calendar::Calendar;
@@ -687,7 +686,7 @@ impl Cloud {
         // Denied reads count too — probing a closed channel is signal.
         if let Some(det) = self.detector.as_mut() {
             let denied = matches!(&res, Err(RuntimeError::Fs(FsError::PermissionDenied(_))));
-            det.on_read(self.fleet_ns, inst.tenant.0, path, denied);
+            det.observe(self.fleet_ns, inst.tenant.0, path, denied);
         }
         Ok(res?)
     }

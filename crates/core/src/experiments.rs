@@ -1,10 +1,13 @@
 //! Drivers regenerating every table and figure of the paper's evaluation.
 //!
-//! Each function runs the full pipeline (substrate → contribution →
-//! measurement) deterministically from a seed and returns an
-//! [`ExperimentResult`]: a rendered text block plus structured
-//! paper-vs-measured comparisons. The `containerleaks-experiments`
-//! `all` binary runs them through the [`EXPERIMENTS`] registry.
+//! Each driver runs the full pipeline (substrate → contribution →
+//! measurement) deterministically from a seed and returns what it
+//! [`Measured`] — a rendered text block plus structured paper-vs-measured
+//! comparisons — or an error. It does not name itself: the [`EXPERIMENTS`]
+//! registry gives each driver its id and title, once, and
+//! [`run_entries_with`] turns every entry into an [`ExperimentResult`],
+//! a driver error or panic into a failure entry under that id and title.
+//! The `containerleaks-experiments` `all` binary runs the registry.
 
 use std::fmt::Write as _;
 
@@ -68,6 +71,26 @@ impl ExperimentResult {
     }
 }
 
+/// What one driver measured. The runner adds the registry entry's id and
+/// title to make it an [`ExperimentResult`].
+#[derive(Debug)]
+pub struct Measured {
+    /// Pre-formatted text block (the regenerated table / series summary).
+    pub rendered: String,
+    /// Structured paper-vs-measured rows.
+    pub comparisons: Vec<Comparison>,
+}
+
+impl Measured {
+    /// A driver's rendered text block and its comparison rows.
+    pub fn new(rendered: String, comparisons: Vec<Comparison>) -> Self {
+        Measured {
+            rendered,
+            comparisons,
+        }
+    }
+}
+
 pub(crate) fn cmp(metric: &str, paper: &str, measured: String, holds: bool) -> Comparison {
     Comparison {
         metric: metric.to_string(),
@@ -94,7 +117,7 @@ impl<T, E: std::fmt::Display> Ctx<T> for Result<T, E> {
 // ---------------------------------------------------------------------
 
 /// Table I: leakage channels and their exposure across CC1–CC5.
-pub fn table1(seed: u64) -> ExperimentResult {
+pub fn table1(seed: u64) -> Result<Measured, String> {
     let rows = CloudInspector::new().table1(seed);
     let mut out = String::new();
     let _ = writeln!(
@@ -163,13 +186,7 @@ pub fn table1(seed: u64) -> ExperimentResult {
             }),
         ),
     ];
-    ExperimentResult {
-        id: "table1".into(),
-        title: "Table I — leakage channels in commercial container clouds".into(),
-        rendered: out,
-        comparisons,
-        error: None,
-    }
+    Ok(Measured::new(out, comparisons))
 }
 
 // ---------------------------------------------------------------------
@@ -177,7 +194,7 @@ pub fn table1(seed: u64) -> ExperimentResult {
 // ---------------------------------------------------------------------
 
 /// Table II: the U/V/M ranking with joint-entropy ordering.
-pub fn table2(seed: u64) -> ExperimentResult {
+pub fn table2(seed: u64) -> Result<Measured, String> {
     let mut lab = Lab::new(2, seed);
     let assessor = MetricsAssessor::new(format!("t2-{seed}"));
     let rows = assessor.rank_table2(assessor.assess_all(&mut lab, TABLE2_CHANNELS));
@@ -245,13 +262,7 @@ pub fn table2(seed: u64) -> ExperimentResult {
             rows[0].assessment.channel.glob.contains("boot_id"),
         ),
     ];
-    ExperimentResult {
-        id: "table2".into(),
-        title: "Table II — co-residence capability ranking (U/V/M + entropy)".into(),
-        rendered: out,
-        comparisons,
-        error: None,
-    }
+    Ok(Measured::new(out, comparisons))
 }
 
 // ---------------------------------------------------------------------
@@ -259,17 +270,7 @@ pub fn table2(seed: u64) -> ExperimentResult {
 // ---------------------------------------------------------------------
 
 /// Table III: UnixBench overhead of the power-based namespace.
-pub fn table3() -> ExperimentResult {
-    table3_inner().unwrap_or_else(|e| {
-        ExperimentResult::failed(
-            "table3",
-            "Table III — UnixBench overhead of the power-based namespace",
-            e,
-        )
-    })
-}
-
-fn table3_inner() -> Result<ExperimentResult, String> {
+pub fn table3() -> Result<Measured, String> {
     let rows = run_table3(&MachineConfig::testbed_i7_6700());
     let mut out = String::new();
     let _ = writeln!(
@@ -323,13 +324,7 @@ fn table3_inner() -> Result<ExperimentResult, String> {
             idx.overhead_8_pct < idx.overhead_1_pct,
         ),
     ];
-    Ok(ExperimentResult {
-        id: "table3".into(),
-        title: "Table III — UnixBench overhead of the power-based namespace".into(),
-        rendered: out,
-        comparisons,
-        error: None,
-    })
+    Ok(Measured::new(out, comparisons))
 }
 
 // ---------------------------------------------------------------------
@@ -338,7 +333,7 @@ fn table3_inner() -> Result<ExperimentResult, String> {
 
 /// Fig. 2: week-long power of 8 servers via the leaked RAPL channel,
 /// 30 s averages plus a 1 s zoom into the day-2 surge.
-pub fn fig2(seed: u64, days: u64) -> ExperimentResult {
+pub fn fig2(seed: u64, days: u64) -> Result<Measured, String> {
     let days = days.clamp(1, 7);
     let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(8), seed);
     let mut trace = DiurnalTrace::paper_week(seed);
@@ -418,13 +413,7 @@ pub fn fig2(seed: u64, days: u64) -> ExperimentResult {
                     .any(|(t, w)| *t > 86_400 && *t < 2 * 86_400 && *w > max * 0.97),
         ),
     ];
-    ExperimentResult {
-        id: "fig2".into(),
-        title: "Fig. 2 — one-week power of 8 servers via the RAPL leak".into(),
-        rendered: out,
-        comparisons,
-        error: None,
-    }
+    Ok(Measured::new(out, comparisons))
 }
 
 // ---------------------------------------------------------------------
@@ -432,13 +421,7 @@ pub fn fig2(seed: u64, days: u64) -> ExperimentResult {
 // ---------------------------------------------------------------------
 
 /// Fig. 3: synergistic vs periodic attack over a 3000 s window.
-pub fn fig3(seed: u64) -> ExperimentResult {
-    fig3_inner(seed).unwrap_or_else(|e| {
-        ExperimentResult::failed("fig3", "Fig. 3 — synergistic vs periodic power attack", e)
-    })
-}
-
-fn fig3_inner(seed: u64) -> Result<ExperimentResult, String> {
+pub fn fig3(seed: u64) -> Result<Measured, String> {
     let window_start = 86_400 + 33_000u64;
     let window_len = 3_000u64;
     let fleet = |seed: u64| {
@@ -534,13 +517,7 @@ fn fig3_inner(seed: u64) -> Result<ExperimentResult, String> {
             synergistic.attack_cost_usd < periodic.attack_cost_usd,
         ),
     ];
-    Ok(ExperimentResult {
-        id: "fig3".into(),
-        title: "Fig. 3 — synergistic vs periodic power attack".into(),
-        rendered: out,
-        comparisons,
-        error: None,
-    })
+    Ok(Measured::new(out, comparisons))
 }
 
 /// Renders a power series as a sparkline with attack-burst markers.
@@ -570,17 +547,7 @@ fn power_sparkline(series: &[powersim::attack::PowerSample], bucket_s: usize) ->
 
 /// Fig. 4: aggregating co-resident containers raises one server's power
 /// in ≈ 40 W steps.
-pub fn fig4(seed: u64) -> ExperimentResult {
-    fig4_inner(seed).unwrap_or_else(|e| {
-        ExperimentResult::failed(
-            "fig4",
-            "Fig. 4 — power of a server under attack (container staircase)",
-            e,
-        )
-    })
-}
-
-fn fig4_inner(seed: u64) -> Result<ExperimentResult, String> {
+pub fn fig4(seed: u64) -> Result<Measured, String> {
     let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(1), seed);
     cloud.advance_secs(2);
     let mut orch = Orchestrator::new();
@@ -629,13 +596,7 @@ fn fig4_inner(seed: u64) -> Result<ExperimentResult, String> {
             final_w > baseline + 85.0 && (190.0..280.0).contains(&final_w),
         ),
     ];
-    Ok(ExperimentResult {
-        id: "fig4".into(),
-        title: "Fig. 4 — power of a server under attack (container staircase)".into(),
-        rendered: out,
-        comparisons,
-        error: None,
-    })
+    Ok(Measured::new(out, comparisons))
 }
 
 // ---------------------------------------------------------------------
@@ -644,17 +605,7 @@ fn fig4_inner(seed: u64) -> Result<ExperimentResult, String> {
 
 /// Fig. 5: the power-based namespace workflow, demonstrated end to end
 /// (data collection → power modeling → on-the-fly calibration).
-pub fn fig5(seed: u64) -> ExperimentResult {
-    fig5_inner(seed).unwrap_or_else(|e| {
-        ExperimentResult::failed(
-            "fig5",
-            "Fig. 5 — power-based namespace workflow (live trace)",
-            e,
-        )
-    })
-}
-
-fn fig5_inner(seed: u64) -> Result<ExperimentResult, String> {
+pub fn fig5(seed: u64) -> Result<Measured, String> {
     let model = trained_model(seed);
     let mut h = DefendedHost::new(MachineConfig::testbed_i7_6700(), seed, model.clone());
     let c = h
@@ -713,13 +664,7 @@ fn fig5_inner(seed: u64) -> Result<ExperimentResult, String> {
                 .is_ok(),
         ),
     ];
-    Ok(ExperimentResult {
-        id: "fig5".into(),
-        title: "Fig. 5 — power-based namespace workflow (live trace)".into(),
-        rendered: out,
-        comparisons,
-        error: None,
-    })
+    Ok(Measured::new(out, comparisons))
 }
 
 // ---------------------------------------------------------------------
@@ -735,7 +680,7 @@ fn curves(seed: u64) -> Vec<(powerns::model::EnergyCurve, powerns::model::Energy
 }
 
 /// Fig. 6: core energy vs retired instructions, per benchmark.
-pub fn fig6(seed: u64) -> ExperimentResult {
+pub fn fig6(seed: u64) -> Result<Measured, String> {
     let cs = curves(seed);
     let mut out = String::new();
     let _ = writeln!(
@@ -771,17 +716,11 @@ pub fn fig6(seed: u64) -> ExperimentResult {
             spread > 1.3,
         ),
     ];
-    ExperimentResult {
-        id: "fig6".into(),
-        title: "Fig. 6 — core energy vs retired instructions".into(),
-        rendered: out,
-        comparisons,
-        error: None,
-    }
+    Ok(Measured::new(out, comparisons))
 }
 
 /// Fig. 7: DRAM energy vs cache misses, per benchmark.
-pub fn fig7(seed: u64) -> ExperimentResult {
+pub fn fig7(seed: u64) -> Result<Measured, String> {
     let cs = curves(seed);
     let mut out = String::new();
     let _ = writeln!(
@@ -811,13 +750,7 @@ pub fn fig7(seed: u64) -> ExperimentResult {
         format!("min R² = {min_r2:.4}"),
         min_r2 > 0.95,
     )];
-    ExperimentResult {
-        id: "fig7".into(),
-        title: "Fig. 7 — DRAM energy vs cache misses".into(),
-        rendered: out,
-        comparisons,
-        error: None,
-    }
+    Ok(Measured::new(out, comparisons))
 }
 
 // ---------------------------------------------------------------------
@@ -829,7 +762,7 @@ fn trained_model(seed: u64) -> PowerModel {
 }
 
 /// Fig. 8: modeling error ξ on the held-out SPEC-like benchmarks.
-pub fn fig8(seed: u64) -> ExperimentResult {
+pub fn fig8(seed: u64) -> Result<Measured, String> {
     let model = trained_model(seed);
     let mut out = String::new();
     let _ = writeln!(out, "{:<18} {:>10}", "benchmark", "error ξ");
@@ -845,18 +778,12 @@ pub fn fig8(seed: u64) -> ExperimentResult {
         format!("max ξ = {max_err:.4}"),
         max_err < 0.05,
     )];
-    ExperimentResult {
-        id: "fig8".into(),
-        title: "Fig. 8 — power-model accuracy on held-out benchmarks".into(),
-        rendered: out,
-        comparisons,
-        error: None,
-    }
+    Ok(Measured::new(out, comparisons))
 }
 
 /// Fig. 9: transparency — a bystander container is blind to a
 /// co-resident's load.
-pub fn fig9(seed: u64) -> ExperimentResult {
+pub fn fig9(seed: u64) -> Result<Measured, String> {
     let model = trained_model(seed);
     let series = fig9_transparency(&model, seed);
     let mut out = String::new();
@@ -889,13 +816,7 @@ pub fn fig9(seed: u64) -> ExperimentResult {
             (c2_during - c2_before).abs() < host_during * 0.1,
         ),
     ];
-    ExperimentResult {
-        id: "fig9".into(),
-        title: "Fig. 9 — transparency of the power-based namespace".into(),
-        rendered: out,
-        comparisons,
-        error: None,
-    }
+    Ok(Measured::new(out, comparisons))
 }
 
 // ---------------------------------------------------------------------
@@ -903,17 +824,7 @@ pub fn fig9(seed: u64) -> ExperimentResult {
 // ---------------------------------------------------------------------
 
 /// §IV-C orchestration: aggregation trials until 3 co-resident containers.
-pub fn orchestration(seed: u64) -> ExperimentResult {
-    orchestration_inner(seed).unwrap_or_else(|e| {
-        ExperimentResult::failed(
-            "orchestration",
-            "§IV-C — attack orchestration via timer_list and uptime",
-            e,
-        )
-    })
-}
-
-fn orchestration_inner(seed: u64) -> Result<ExperimentResult, String> {
+pub fn orchestration(seed: u64) -> Result<Measured, String> {
     let mut cloud = Cloud::new(
         CloudConfig::new(CloudProfile::CC1)
             .hosts(4)
@@ -970,13 +881,7 @@ fn orchestration_inner(seed: u64) -> Result<ExperimentResult, String> {
             !groups.is_empty(),
         ),
     ];
-    Ok(ExperimentResult {
-        id: "orchestration".into(),
-        title: "§IV-C — attack orchestration via timer_list and uptime".into(),
-        rendered,
-        comparisons,
-        error: None,
-    })
+    Ok(Measured::new(rendered, comparisons))
 }
 
 // ---------------------------------------------------------------------
@@ -985,17 +890,7 @@ fn orchestration_inner(seed: u64) -> Result<ExperimentResult, String> {
 
 /// §III-C's covert-channel remark, realized: bit transfer over three
 /// leaked media between co-resident containers.
-pub fn covert(seed: u64) -> ExperimentResult {
-    covert_inner(seed).unwrap_or_else(|e| {
-        ExperimentResult::failed(
-            "covert",
-            "Extension — covert channels over the leaked interfaces (§III-C)",
-            e,
-        )
-    })
-}
-
-fn covert_inner(seed: u64) -> Result<ExperimentResult, String> {
+pub fn covert(seed: u64) -> Result<Measured, String> {
     use leakscan::{CovertLink, CovertMedium};
     let msg: Vec<bool> = (0..16u32)
         .map(|i| (seed >> (i % 13)) & 1 == (i as u64 % 2))
@@ -1044,17 +939,11 @@ fn covert_inner(seed: u64) -> Result<ExperimentResult, String> {
             out.error_rate() < 0.1,
         ));
     }
-    Ok(ExperimentResult {
-        id: "covert".into(),
-        title: "Extension — covert channels over the leaked interfaces (§III-C)".into(),
-        rendered,
-        comparisons,
-        error: None,
-    })
+    Ok(Measured::new(rendered, comparisons))
 }
 
 /// §II-C's capping argument: rack-level capping delay vs the aligned spike.
-pub fn capping(seed: u64) -> ExperimentResult {
+pub fn capping(seed: u64) -> Result<Measured, String> {
     use powersim::capping_experiment;
     let slow = capping_experiment(seed, 120, 90);
     let fast = capping_experiment(seed, 5, 90);
@@ -1092,17 +981,11 @@ pub fn capping(seed: u64) -> ExperimentResult {
             fast.breaker_tripped_at_s.is_none(),
         ),
     ];
-    ExperimentResult {
-        id: "capping".into(),
-        title: "Extension — power capping vs the synergistic spike (§II-C)".into(),
-        rendered,
-        comparisons,
-        error: None,
-    }
+    Ok(Measured::new(rendered, comparisons))
 }
 
 /// §V-A first-stage defense: auto-generated masking policy.
-pub fn hardening(seed: u64) -> ExperimentResult {
+pub fn hardening(seed: u64) -> Result<Measured, String> {
     use leakscan::Hardener;
     let lab = Lab::new(1, seed);
     let h = lab.host(0);
@@ -1136,30 +1019,14 @@ pub fn hardening(seed: u64) -> ExperimentResult {
             report.broken_app_files.is_empty(),
         ),
     ];
-    ExperimentResult {
-        id: "hardening".into(),
-        title: "Extension — auto-generated first-stage masking policy (§V-A)".into(),
-        rendered,
-        comparisons,
-        error: None,
-    }
+    Ok(Measured::new(rendered, comparisons))
 }
 
 /// The full attack chain at datacenter scale: survey a 2-rack fleet,
 /// identify one rack through uptime epochs, aggregate payloads onto
 /// distinct hosts of that rack, and fire on a benign crest — that rack's
 /// breaker trips while the neighbouring rack rides through.
-pub fn rack_attack(seed: u64) -> ExperimentResult {
-    rack_attack_inner(seed).unwrap_or_else(|e| {
-        ExperimentResult::failed(
-            "rack_attack",
-            "Extension — the full chain: rack-targeted synergistic outage",
-            e,
-        )
-    })
-}
-
-fn rack_attack_inner(seed: u64) -> Result<ExperimentResult, String> {
+pub fn rack_attack(seed: u64) -> Result<Measured, String> {
     use powersim::{BreakerState, CircuitBreaker, RaplMonitor};
 
     let mut cloud = Cloud::new(
@@ -1286,29 +1153,13 @@ fn rack_attack_inner(seed: u64) -> Result<ExperimentResult, String> {
             other_breaker.state() == BreakerState::Closed,
         ),
     ];
-    Ok(ExperimentResult {
-        id: "rack_attack".into(),
-        title: "Extension — the full chain: rack-targeted synergistic outage".into(),
-        rendered,
-        comparisons,
-        error: None,
-    })
+    Ok(Measured::new(rendered, comparisons))
 }
 
 /// §III-C1 quantified: all detectors' accuracy on a busy fleet — the
 /// leakage channels stay perfect where the traditional cache-probe
 /// baseline degrades.
-pub fn detectors(seed: u64) -> ExperimentResult {
-    detectors_inner(seed).unwrap_or_else(|e| {
-        ExperimentResult::failed(
-            "detectors",
-            "Extension — co-residence detector accuracy vs the cache-probe baseline",
-            e,
-        )
-    })
-}
-
-fn detectors_inner(seed: u64) -> Result<ExperimentResult, String> {
+pub fn detectors(seed: u64) -> Result<Measured, String> {
     use leakscan::{CoResDetector, DetectorKind};
 
     let mut cloud = Cloud::new(
@@ -1364,29 +1215,13 @@ fn detectors_inner(seed: u64) -> Result<ExperimentResult, String> {
             },
         ));
     }
-    Ok(ExperimentResult {
-        id: "detectors".into(),
-        title: "Extension — co-residence detector accuracy vs the cache-probe baseline".into(),
-        rendered,
-        comparisons,
-        error: None,
-    })
+    Ok(Measured::new(rendered, comparisons))
 }
 
 /// §IV-B's stealth argument quantified: the provider's utilization
 /// anomaly detector flags the continuous attacker, not the synergistic
 /// one.
-pub fn stealth(seed: u64) -> ExperimentResult {
-    stealth_inner(seed).unwrap_or_else(|e| {
-        ExperimentResult::failed(
-            "stealth",
-            "Extension — provider-side detectability of the strategies (§IV-B)",
-            e,
-        )
-    })
-}
-
-fn stealth_inner(seed: u64) -> Result<ExperimentResult, String> {
+pub fn stealth(seed: u64) -> Result<Measured, String> {
     use powersim::{classify, StealthPolicy, StealthVerdict, UtilizationTrace};
 
     let run = |strategy: AttackStrategy| -> Result<UtilizationTrace, String> {
@@ -1441,27 +1276,11 @@ fn stealth_inner(seed: u64) -> Result<ExperimentResult, String> {
             (verdict == StealthVerdict::Flagged) == should_flag,
         ));
     }
-    Ok(ExperimentResult {
-        id: "stealth".into(),
-        title: "Extension — provider-side detectability of the strategies (§IV-B)".into(),
-        rendered,
-        comparisons,
-        error: None,
-    })
+    Ok(Measured::new(rendered, comparisons))
 }
 
 /// Ablations of the design choices DESIGN.md calls out.
-pub fn ablations(seed: u64) -> ExperimentResult {
-    ablations_inner(seed).unwrap_or_else(|e| {
-        ExperimentResult::failed(
-            "ablations",
-            "Extension — ablations of the design choices",
-            e,
-        )
-    })
-}
-
-fn ablations_inner(seed: u64) -> Result<ExperimentResult, String> {
+pub fn ablations(seed: u64) -> Result<Measured, String> {
     use powerns::nsfs::fig8_error_uncalibrated;
 
     let mut rendered = String::new();
@@ -1575,30 +1394,14 @@ fn ablations_inner(seed: u64) -> Result<ExperimentResult, String> {
         trial_counts[0] >= trial_counts[2],
     ));
 
-    Ok(ExperimentResult {
-        id: "ablations".into(),
-        title: "Extension — ablations of the design choices".into(),
-        rendered,
-        comparisons,
-        error: None,
-    })
+    Ok(Measured::new(rendered, comparisons))
 }
 
 /// The defense's bottom line, quantified: the correlation between an
 /// attacker's RAPL-derived power estimate and the host's true power is
 /// ≈ 1 on a stock kernel (a perfect attack oracle) and ≈ 0 under the
 /// power-based namespace.
-pub fn defense(seed: u64) -> ExperimentResult {
-    defense_inner(seed).unwrap_or_else(|e| {
-        ExperimentResult::failed(
-            "defense",
-            "Extension — the attack oracle, before and after the namespace",
-            e,
-        )
-    })
-}
-
-fn defense_inner(seed: u64) -> Result<ExperimentResult, String> {
+pub fn defense(seed: u64) -> Result<Measured, String> {
     use powerns::nsfs::DefendedHost;
 
     fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
@@ -1770,29 +1573,13 @@ fn defense_inner(seed: u64) -> Result<ExperimentResult, String> {
             defended_amplitude < 0.10,
         ),
     ];
-    Ok(ExperimentResult {
-        id: "defense".into(),
-        title: "Extension — the attack oracle, before and after the namespace".into(),
-        rendered,
-        comparisons,
-        error: None,
-    })
+    Ok(Measured::new(rendered, comparisons))
 }
 
 /// The attack replayed against a fully defended fleet: every host runs
 /// the power-based namespace, and the synergistic campaign's trigger goes
 /// blind — its burst timing no longer aligns with the benign crests.
-pub fn defense_fleet(seed: u64) -> ExperimentResult {
-    defense_fleet_inner(seed).unwrap_or_else(|e| {
-        ExperimentResult::failed(
-            "defense_fleet",
-            "Extension — the synergistic campaign against a defended fleet",
-            e,
-        )
-    })
-}
-
-fn defense_fleet_inner(seed: u64) -> Result<ExperimentResult, String> {
+pub fn defense_fleet(seed: u64) -> Result<Measured, String> {
     use crate::defended::DefendedFleet;
 
     // Operator-side calibration on a production-representative mix: the
@@ -1980,13 +1767,7 @@ fn defense_fleet_inner(seed: u64) -> Result<ExperimentResult, String> {
             trials >= 4,
         ),
     ];
-    Ok(ExperimentResult {
-        id: "defense_fleet".into(),
-        title: "Extension — the synergistic campaign against a defended fleet".into(),
-        rendered,
-        comparisons,
-        error: None,
-    })
+    Ok(Measured::new(rendered, comparisons))
 }
 
 // ---------------------------------------------------------------------
@@ -2095,17 +1876,7 @@ fn detection_cell(
 
 /// Extension: the attack↔defense loop — online detection latency vs.
 /// adaptive attacker cost across Table I exposure tiers.
-pub fn detection(seed: u64) -> ExperimentResult {
-    detection_inner(seed).unwrap_or_else(|e| {
-        ExperimentResult::failed(
-            "detection",
-            "Extension — online detection latency vs. adaptive attacker cost",
-            e,
-        )
-    })
-}
-
-fn detection_inner(seed: u64) -> Result<ExperimentResult, String> {
+pub fn detection(seed: u64) -> Result<Measured, String> {
     use leakscan::AttackerMode;
 
     // ● full exposure, ◐ partial masking, ○ base-deny hardening — the
@@ -2285,48 +2056,144 @@ fn detection_inner(seed: u64) -> Result<ExperimentResult, String> {
             faulted.latency_secs.is_some(),
         ),
     ];
-    Ok(ExperimentResult {
-        id: "detection".into(),
-        title: "Extension — online detection latency vs. adaptive attacker cost".into(),
-        rendered,
-        comparisons,
-        error: None,
-    })
+    Ok(Measured::new(rendered, comparisons))
 }
 
-/// One registry entry: experiment id plus its driver, `(seed, fig2_days)
-/// -> result`. Drivers that ignore one of the inputs discard it; the
-/// entries running on the tuned seed 77 (see EXPERIMENTS.md) do so
-/// regardless of the requested seed, exactly as the historical serial
-/// runner did.
-pub type ExperimentFn = fn(u64, u64) -> ExperimentResult;
+/// A registry entry's title and driver. The driver returns only what it
+/// measured from `(seed, fig2_days)`; drivers that ignore one of the
+/// inputs discard it, and the entries pinned to the tuned seed 77 (see
+/// EXPERIMENTS.md) do so regardless of the requested seed. The entry's id
+/// and this title are the only place an experiment is named: the runner
+/// builds every [`ExperimentResult`], success or failure, from them.
+#[derive(Debug, Clone, Copy)]
+pub struct ExperimentFn {
+    /// The report section's title.
+    pub title: &'static str,
+    /// The driver: `(seed, fig2_days)` to what it measured, or an error.
+    pub run: fn(u64, u64) -> Result<Measured, String>,
+}
+
+/// One registry entry: an id, its title and its driver.
+pub(crate) const fn entry(
+    id: &'static str,
+    title: &'static str,
+    run: fn(u64, u64) -> Result<Measured, String>,
+) -> (&'static str, ExperimentFn) {
+    (id, ExperimentFn { title, run })
+}
 
 /// Every experiment in paper order. Each driver is independent — it
 /// builds its own substrate from the seed — so the registry can be run
 /// serially or fanned across lanes with identical results.
 pub const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
-    ("table1", |s, _| table1(s)),
-    ("table2", |s, _| table2(s)),
-    ("fig2", fig2),
-    ("fig3", |_, _| fig3(77)), // tuned Fig. 3 seed; see EXPERIMENTS.md
-    ("fig4", |s, _| fig4(s)),
-    ("orchestration", |s, _| orchestration(s)),
-    ("fig5", |s, _| fig5(s)),
-    ("fig6", |s, _| fig6(s)),
-    ("fig7", |s, _| fig7(s)),
-    ("fig8", |s, _| fig8(s)),
-    ("fig9", |s, _| fig9(s)),
-    ("table3", |_, _| table3()),
-    ("covert", |s, _| covert(s)),
-    ("capping", |_, _| capping(77)),
-    ("hardening", |s, _| hardening(s)),
-    ("rack_attack", |_, _| rack_attack(77)),
-    ("detectors", |s, _| detectors(s)),
-    ("stealth", |_, _| stealth(77)),
-    ("defense", |s, _| defense(s)),
-    ("defense_fleet", |s, _| defense_fleet(s)),
-    ("ablations", |s, _| ablations(s)),
-    ("detection", |s, _| detection(s)),
+    entry(
+        "table1",
+        "Table I — leakage channels in commercial container clouds",
+        |s, _| table1(s),
+    ),
+    entry(
+        "table2",
+        "Table II — co-residence capability ranking (U/V/M + entropy)",
+        |s, _| table2(s),
+    ),
+    entry(
+        "fig2",
+        "Fig. 2 — one-week power of 8 servers via the RAPL leak",
+        fig2,
+    ),
+    entry(
+        "fig3",
+        "Fig. 3 — synergistic vs periodic power attack",
+        |_, _| fig3(77), // tuned Fig. 3 seed; see EXPERIMENTS.md
+    ),
+    entry(
+        "fig4",
+        "Fig. 4 — power of a server under attack (container staircase)",
+        |s, _| fig4(s),
+    ),
+    entry(
+        "orchestration",
+        "§IV-C — attack orchestration via timer_list and uptime",
+        |s, _| orchestration(s),
+    ),
+    entry(
+        "fig5",
+        "Fig. 5 — power-based namespace workflow (live trace)",
+        |s, _| fig5(s),
+    ),
+    entry(
+        "fig6",
+        "Fig. 6 — core energy vs retired instructions",
+        |s, _| fig6(s),
+    ),
+    entry("fig7", "Fig. 7 — DRAM energy vs cache misses", |s, _| {
+        fig7(s)
+    }),
+    entry(
+        "fig8",
+        "Fig. 8 — power-model accuracy on held-out benchmarks",
+        |s, _| fig8(s),
+    ),
+    entry(
+        "fig9",
+        "Fig. 9 — transparency of the power-based namespace",
+        |s, _| fig9(s),
+    ),
+    entry(
+        "table3",
+        "Table III — UnixBench overhead of the power-based namespace",
+        |_, _| table3(),
+    ),
+    entry(
+        "covert",
+        "Extension — covert channels over the leaked interfaces (§III-C)",
+        |s, _| covert(s),
+    ),
+    entry(
+        "capping",
+        "Extension — power capping vs the synergistic spike (§II-C)",
+        |_, _| capping(77),
+    ),
+    entry(
+        "hardening",
+        "Extension — auto-generated first-stage masking policy (§V-A)",
+        |s, _| hardening(s),
+    ),
+    entry(
+        "rack_attack",
+        "Extension — the full chain: rack-targeted synergistic outage",
+        |_, _| rack_attack(77),
+    ),
+    entry(
+        "detectors",
+        "Extension — co-residence detector accuracy vs the cache-probe baseline",
+        |s, _| detectors(s),
+    ),
+    entry(
+        "stealth",
+        "Extension — provider-side detectability of the strategies (§IV-B)",
+        |_, _| stealth(77),
+    ),
+    entry(
+        "defense",
+        "Extension — the attack oracle, before and after the namespace",
+        |s, _| defense(s),
+    ),
+    entry(
+        "defense_fleet",
+        "Extension — the synergistic campaign against a defended fleet",
+        |s, _| defense_fleet(s),
+    ),
+    entry(
+        "ablations",
+        "Extension — ablations of the design choices",
+        |s, _| ablations(s),
+    ),
+    entry(
+        "detection",
+        "Extension — online detection latency vs. adaptive attacker cost",
+        |s, _| detection(s),
+    ),
 ];
 
 /// Runs registry entries across `jobs` lanes, returning results in
@@ -2346,8 +2213,8 @@ pub fn run_entries_with(
     let mut slots: Vec<(usize, Option<ExperimentResult>)> =
         (0..entries.len()).map(|i| (i, None)).collect();
     simkernel::parallel::par_for_each_mut_threads(&mut slots, jobs, |slot| {
-        let (name, f) = entries[slot.0];
-        let r = run_guarded(name, f, seed, fig2_days);
+        let (id, exp) = entries[slot.0];
+        let r = run_guarded(id, exp, seed, fig2_days);
         progress(slot.0, &r);
         slot.1 = Some(r);
     });
@@ -2369,16 +2236,27 @@ pub fn repro_command(id: &str, seed: u64) -> String {
     )
 }
 
-/// Runs one driver behind a panic guard: a panicking experiment becomes a
-/// structured failure entry — carrying the panic message, the seed, and
-/// a copy-pasteable repro command — instead of tearing down the run.
-fn run_guarded(name: &str, f: ExperimentFn, seed: u64, fig2_days: u64) -> ExperimentResult {
+/// Runs one entry behind a panic guard and names its result after the
+/// entry. A driver error and a driver panic alike become a failure entry
+/// under the entry's id and title — a panic's carries the panic message,
+/// the seed, and a copy-pasteable repro command — instead of tearing
+/// down the run.
+fn run_guarded(id: &str, exp: ExperimentFn, seed: u64, fig2_days: u64) -> ExperimentResult {
     // Kernels created inside the driver flush their trace buffers under
     // deterministic `{experiment}/k{NNN}` scopes regardless of which worker
     // thread runs the driver.
-    let _scope = simtrace::scope(name);
-    match std::panic::catch_unwind(|| f(seed, fig2_days)) {
-        Ok(r) => r,
+    let _scope = simtrace::scope(id);
+    let error = match std::panic::catch_unwind(|| (exp.run)(seed, fig2_days)) {
+        Ok(Ok(m)) => {
+            return ExperimentResult {
+                id: id.to_string(),
+                title: exp.title.to_string(),
+                rendered: m.rendered,
+                comparisons: m.comparisons,
+                error: None,
+            }
+        }
+        Ok(Err(e)) => e,
         Err(payload) => {
             let msg = if let Some(s) = payload.downcast_ref::<&str>() {
                 (*s).to_string()
@@ -2387,84 +2265,79 @@ fn run_guarded(name: &str, f: ExperimentFn, seed: u64, fig2_days: u64) -> Experi
             } else {
                 "opaque panic payload".to_string()
             };
-            ExperimentResult::failed(
-                name,
-                name,
-                format!(
-                    "driver panicked: {msg} (seed {seed}; repro: {})",
-                    repro_command(name, seed)
-                ),
+            format!(
+                "driver panicked: {msg} (seed {seed}; repro: {})",
+                repro_command(id, seed)
             )
         }
-    }
+    };
+    ExperimentResult::failed(id, exp.title, error)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The driver's measurement, asserting it succeeded and every claim held.
+    fn holds(m: Result<Measured, String>) -> Measured {
+        let m = m.expect("driver failed");
+        assert!(
+            m.comparisons.iter().all(|c| c.holds),
+            "{:#?}",
+            m.comparisons
+        );
+        m
+    }
+
     #[test]
     fn table1_claims_hold() {
-        let r = table1(11);
-        assert!(r.all_hold(), "{:#?}", r.comparisons);
-        assert!(r.rendered.lines().count() >= 22);
+        assert!(holds(table1(11)).rendered.lines().count() >= 22);
     }
 
     #[test]
     fn table3_claims_hold() {
-        let r = table3();
-        assert!(r.all_hold(), "{:#?}", r.comparisons);
+        holds(table3());
     }
 
     #[test]
     fn fig4_claims_hold() {
-        let r = fig4(424);
-        assert!(r.all_hold(), "{:#?}", r.comparisons);
+        holds(fig4(424));
     }
 
     #[test]
     fn fig6_and_fig7_claims_hold() {
-        assert!(fig6(1729).all_hold());
-        assert!(fig7(1729).all_hold());
+        holds(fig6(1729));
+        holds(fig7(1729));
     }
 
     #[test]
     fn fig9_claims_hold() {
-        let r = fig9(3009);
-        assert!(r.all_hold(), "{:#?}", r.comparisons);
+        holds(fig9(3009));
     }
 
     #[test]
     fn hardening_claims_hold() {
-        let r = hardening(1729);
-        assert!(r.all_hold(), "{:#?}", r.comparisons);
+        holds(hardening(1729));
     }
 
     #[test]
     fn defense_claims_hold() {
-        let r = defense(1729);
-        assert!(r.all_hold(), "{:#?}", r.comparisons);
+        holds(defense(1729));
     }
 
     #[test]
     fn a_panicking_driver_becomes_a_structured_failure() {
-        fn boom(_: u64, _: u64) -> ExperimentResult {
-            panic!("injected driver panic");
-        }
-        fn fine(s: u64, _: u64) -> ExperimentResult {
-            ExperimentResult {
-                id: format!("fine-{s}"),
-                title: "fine".into(),
-                rendered: String::new(),
-                comparisons: vec![],
-                error: None,
-            }
-        }
-        let entries: &[(&str, ExperimentFn)] = &[("boom", boom), ("fine", fine)];
+        let entries = [
+            entry("boom", "Boom", |_, _| panic!("injected driver panic")),
+            entry("fine", "Fine", |_, _| {
+                Ok(Measured::new(String::new(), vec![]))
+            }),
+        ];
         for jobs in [1, 2] {
-            let results = run_entries_with(entries, 7, 1, jobs, |_, _| {});
+            let results = run_entries_with(&entries, 7, 1, jobs, |_, _| {});
             assert_eq!(results.len(), 2);
             assert!(!results[0].all_hold());
+            assert_eq!((&*results[0].id, &*results[0].title), ("boom", "Boom"));
             let err = results[0].error.as_deref().unwrap_or("");
             assert!(
                 err.contains("injected driver panic"),
@@ -2480,6 +2353,7 @@ mod tests {
                 "repro must pin the experiment: {err:?}"
             );
             assert!(results[1].all_hold(), "healthy driver was disturbed");
+            assert_eq!((&*results[1].id, &*results[1].title), ("fine", "Fine"));
         }
         assert!(repro_command("fault_fs", 7).contains("--bin fault_matrix --"));
     }
@@ -2496,9 +2370,9 @@ mod tests {
     fn fig2_one_day_smoke() {
         // One day at coarse ticks keeps this test affordable; the full
         // week runs in the fig2 binary.
-        let r = fig2(33, 1);
-        assert!(!r.rendered.is_empty());
+        let m = fig2(33, 1).expect("fig2 ran");
+        assert!(!m.rendered.is_empty());
         // Band check is a 7-day claim; with one day only the trough holds.
-        assert!(r.comparisons.iter().any(|c| c.metric.contains("band")));
+        assert!(m.comparisons.iter().any(|c| c.metric.contains("band")));
     }
 }

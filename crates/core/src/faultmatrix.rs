@@ -7,8 +7,9 @@
 //! [`leakscan::Confidence::Degraded`] marker, a
 //! [`leakscan::CoResVerdict::Inconclusive`] abstention, a rejected
 //! calibration window), never a panic and never a silently different
-//! answer. The scenarios are ordinary [`ExperimentFn`]s, so the matrix
-//! runs through the same guarded runner as the paper experiments and is
+//! answer. The scenarios are ordinary registry entries, so the matrix runs
+//! through the same guarded runner as the paper experiments
+//! ([`run_entries_with`](crate::experiments::run_entries_with)) and is
 //! byte-identical at any `--jobs` level.
 
 use std::fmt::Write as _;
@@ -24,22 +25,16 @@ use simkernel::cgroup::PerfCounters;
 use simkernel::FaultPlan;
 use workloads::models;
 
-use crate::experiments::{cmp, Ctx, ExperimentFn, ExperimentResult};
+use crate::experiments::{cmp, entry, Ctx, ExperimentFn, Measured};
 
 // ---------------------------------------------------------------------
 // Scenario 1: transient pseudo-fs read faults under the U/V/M campaign
 // ---------------------------------------------------------------------
 
-const FS_TITLE: &str = "Fault matrix — transient read faults vs. the metric campaign";
-
 /// Transient `EIO`/short-read faults during the full Table II campaign:
 /// per-channel U/V/M verdicts must match the fault-free run or carry a
 /// degraded-confidence marker naming the accommodation.
-pub fn fs_transient(seed: u64) -> ExperimentResult {
-    fs_transient_inner(seed).unwrap_or_else(|e| ExperimentResult::failed("fault_fs", FS_TITLE, e))
-}
-
-fn fs_transient_inner(seed: u64) -> Result<ExperimentResult, String> {
+pub fn fs_transient(seed: u64) -> Result<Measured, String> {
     let assessor = MetricsAssessor::new(format!("fm-{seed}"));
     let mut clean_lab = Lab::new(2, seed);
     let clean = assessor.assess_all(&mut clean_lab, TABLE2_CHANNELS);
@@ -110,13 +105,7 @@ fn fs_transient_inner(seed: u64) -> Result<ExperimentResult, String> {
             degraded > 0,
         ),
     ];
-    Ok(ExperimentResult {
-        id: "fault_fs".into(),
-        title: FS_TITLE.into(),
-        rendered: out,
-        comparisons,
-        error: None,
-    })
+    Ok(Measured::new(out, comparisons))
 }
 
 fn verdicts_match(a: &ChannelAssessment, b: &ChannelAssessment) -> bool {
@@ -126,16 +115,6 @@ fn verdicts_match(a: &ChannelAssessment, b: &ChannelAssessment) -> bool {
 // ---------------------------------------------------------------------
 // Scenario 2: a host crash-reboot in the middle of a co-residence scan
 // ---------------------------------------------------------------------
-
-const REBOOT_TITLE: &str = "Fault matrix — mid-scan host reboot vs. co-residence detectors";
-
-/// A crash-reboot of the scanned host mid-verdict: the reset-sensitive
-/// detectors (boot id, uptime delta) must either re-scan to the fault-free
-/// verdict with a degraded marker or abstain — never flip the answer.
-pub fn reboot_mid_scan(seed: u64) -> ExperimentResult {
-    reboot_mid_scan_inner(seed)
-        .unwrap_or_else(|e| ExperimentResult::failed("fault_reboot", REBOOT_TITLE, e))
-}
 
 /// Two spread hosts, three instances: `a`/`c` share a host, `b` is alone.
 fn spread_fleet(seed: u64) -> Result<(Cloud, InstanceId, InstanceId, InstanceId), String> {
@@ -176,7 +155,10 @@ fn install_on_host_of(
     Ok(())
 }
 
-fn reboot_mid_scan_inner(seed: u64) -> Result<ExperimentResult, String> {
+/// A crash-reboot of the scanned host mid-verdict: the reset-sensitive
+/// detectors (boot id, uptime delta) must either re-scan to the fault-free
+/// verdict with a degraded marker or abstain — never flip the answer.
+pub fn reboot_mid_scan(seed: u64) -> Result<Measured, String> {
     let mut out = String::new();
     let mut comparisons = Vec::new();
     let mut any_degraded = false;
@@ -238,13 +220,7 @@ fn reboot_mid_scan_inner(seed: u64) -> Result<ExperimentResult, String> {
         },
         any_degraded,
     ));
-    Ok(ExperimentResult {
-        id: "fault_reboot".into(),
-        title: REBOOT_TITLE.into(),
-        rendered: out,
-        comparisons,
-        error: None,
-    })
+    Ok(Measured::new(out, comparisons))
 }
 
 fn describe_outcome(o: &CoResOutcome) -> String {
@@ -259,16 +235,6 @@ fn describe_outcome(o: &CoResOutcome) -> String {
 // ---------------------------------------------------------------------
 // Scenario 3: RAPL/coretemp sensor faults under the power monitor
 // ---------------------------------------------------------------------
-
-const SENSOR_TITLE: &str = "Fault matrix — sensor dropout/quantization vs. the RAPL monitor";
-
-/// Sensor dropout, saturation, and quantization jitter while a tenant
-/// monitors host power: the monitor must skip bad samples (counting them)
-/// and keep its long-run power estimate close to the fault-free one.
-pub fn sensor_faults(seed: u64) -> ExperimentResult {
-    sensor_faults_inner(seed)
-        .unwrap_or_else(|e| ExperimentResult::failed("fault_sensor", SENSOR_TITLE, e))
-}
 
 /// One CC1 host with a busy victim and an idle observer.
 fn monitored_cloud(seed: u64) -> Result<(Cloud, InstanceId), String> {
@@ -311,7 +277,10 @@ fn monitor_mean(cloud: &mut Cloud, obs: InstanceId) -> Result<(f64, RaplMonitor)
     Ok((sum / f64::from(n), mon))
 }
 
-fn sensor_faults_inner(seed: u64) -> Result<ExperimentResult, String> {
+/// Sensor dropout, saturation, and quantization jitter while a tenant
+/// monitors host power: the monitor must skip bad samples (counting them)
+/// and keep its long-run power estimate close to the fault-free one.
+pub fn sensor_faults(seed: u64) -> Result<Measured, String> {
     let (mut clean_cloud, obs) = monitored_cloud(seed)?;
     let (clean_mean, _) = monitor_mean(&mut clean_cloud, obs)?;
 
@@ -355,30 +324,17 @@ fn sensor_faults_inner(seed: u64) -> Result<ExperimentResult, String> {
             mon.resets_detected() == 0,
         ),
     ];
-    Ok(ExperimentResult {
-        id: "fault_sensor".into(),
-        title: SENSOR_TITLE.into(),
-        rendered: out,
-        comparisons,
-        error: None,
-    })
+    Ok(Measured::new(out, comparisons))
 }
 
 // ---------------------------------------------------------------------
 // Scenario 4: clock skew under the uptime-delta detector
 // ---------------------------------------------------------------------
 
-const CLOCK_TITLE: &str = "Fault matrix — clock skew vs. the uptime channel";
-
 /// Fleet-wide clock skew: `/proc/uptime` must keep parsing (skew can never
 /// drive it negative or garble it) and the uptime-delta verdicts must
 /// match the fault-free run — both ends of a comparison see the same skew.
-pub fn clock_skew(seed: u64) -> ExperimentResult {
-    clock_skew_inner(seed)
-        .unwrap_or_else(|e| ExperimentResult::failed("fault_clock", CLOCK_TITLE, e))
-}
-
-fn clock_skew_inner(seed: u64) -> Result<ExperimentResult, String> {
+pub fn clock_skew(seed: u64) -> Result<Measured, String> {
     let (mut clean_cloud, a, b, c) = spread_fleet(seed)?;
     let mut det = CoResDetector::new(DetectorKind::UptimeDelta);
     let clean_same = det.coresident_checked(&mut clean_cloud, a, c);
@@ -451,31 +407,18 @@ fn clock_skew_inner(seed: u64) -> Result<ExperimentResult, String> {
             diff_ok,
         ),
     ];
-    Ok(ExperimentResult {
-        id: "fault_clock".into(),
-        title: CLOCK_TITLE.into(),
-        rendered: out,
-        comparisons,
-        error: None,
-    })
+    Ok(Measured::new(out, comparisons))
 }
 
 // ---------------------------------------------------------------------
 // Scenario 5: counter reset inside the power-model calibration
 // ---------------------------------------------------------------------
 
-const POWERNS_TITLE: &str = "Fault matrix — crash-reboot vs. power-model calibration";
-
 /// A crash-reboot halfway through calibration zeroes the RAPL
 /// accumulators: the trainer must reject (and count) the window spanning
 /// the reset, and the model fit from the surviving samples must stay
 /// close to the fault-free fit.
-pub fn powerns_reset(seed: u64) -> ExperimentResult {
-    powerns_reset_inner(seed)
-        .unwrap_or_else(|e| ExperimentResult::failed("fault_powerns", POWERNS_TITLE, e))
-}
-
-fn powerns_reset_inner(seed: u64) -> Result<ExperimentResult, String> {
+pub fn powerns_reset(seed: u64) -> Result<Measured, String> {
     let clean = Trainer::new(seed).collect_samples_checked(&models::prime());
     let faulted = Trainer::new(seed)
         .faults(
@@ -549,13 +492,7 @@ fn powerns_reset_inner(seed: u64) -> Result<ExperimentResult, String> {
             drift < 0.20,
         ),
     ];
-    Ok(ExperimentResult {
-        id: "fault_powerns".into(),
-        title: POWERNS_TITLE.into(),
-        rendered: out,
-        comparisons,
-        error: None,
-    })
+    Ok(Measured::new(out, comparisons))
 }
 
 // ---------------------------------------------------------------------
@@ -564,17 +501,32 @@ fn powerns_reset_inner(seed: u64) -> Result<ExperimentResult, String> {
 
 /// Every fault-matrix scenario, one per injected fault class.
 pub const FAULT_MATRIX: &[(&str, ExperimentFn)] = &[
-    ("fault_fs", |s, _| fs_transient(s)),
-    ("fault_reboot", |s, _| reboot_mid_scan(s)),
-    ("fault_sensor", |s, _| sensor_faults(s)),
-    ("fault_clock", |s, _| clock_skew(s)),
-    ("fault_powerns", |s, _| powerns_reset(s)),
+    entry(
+        "fault_fs",
+        "Fault matrix — transient read faults vs. the metric campaign",
+        |s, _| fs_transient(s),
+    ),
+    entry(
+        "fault_reboot",
+        "Fault matrix — mid-scan host reboot vs. co-residence detectors",
+        |s, _| reboot_mid_scan(s),
+    ),
+    entry(
+        "fault_sensor",
+        "Fault matrix — sensor dropout/quantization vs. the RAPL monitor",
+        |s, _| sensor_faults(s),
+    ),
+    entry(
+        "fault_clock",
+        "Fault matrix — clock skew vs. the uptime channel",
+        |s, _| clock_skew(s),
+    ),
+    entry(
+        "fault_powerns",
+        "Fault matrix — crash-reboot vs. power-model calibration",
+        |s, _| powerns_reset(s),
+    ),
 ];
-
-/// Runs the whole matrix through the guarded experiment runner.
-pub fn run_fault_matrix(seed: u64, jobs: usize) -> Vec<ExperimentResult> {
-    crate::experiments::run_entries_with(FAULT_MATRIX, seed, 1, jobs, |_, _| {})
-}
 
 #[cfg(test)]
 mod tests {
@@ -584,21 +536,27 @@ mod tests {
     // campaign-sized scenarios) is exercised by `tests/fault_matrix.rs`
     // at the workspace root and by the `fault_matrix` binary in CI.
 
+    fn holds(m: Result<Measured, String>) {
+        let m = m.expect("scenario failed");
+        assert!(
+            m.comparisons.iter().all(|c| c.holds),
+            "{:#?}",
+            m.comparisons
+        );
+    }
+
     #[test]
     fn reboot_scenario_holds() {
-        let r = reboot_mid_scan(crate::DEFAULT_SEED);
-        assert!(r.all_hold(), "{:#?}", r.comparisons);
+        holds(reboot_mid_scan(crate::DEFAULT_SEED));
     }
 
     #[test]
     fn sensor_scenario_holds() {
-        let r = sensor_faults(crate::DEFAULT_SEED);
-        assert!(r.all_hold(), "{:#?}", r.comparisons);
+        holds(sensor_faults(crate::DEFAULT_SEED));
     }
 
     #[test]
     fn clock_scenario_holds() {
-        let r = clock_skew(crate::DEFAULT_SEED);
-        assert!(r.all_hold(), "{:#?}", r.comparisons);
+        holds(clock_skew(crate::DEFAULT_SEED));
     }
 }

@@ -54,7 +54,7 @@ pub mod report;
 
 pub use defended::{DefendedFleet, FleetInstance};
 pub use experiments::ExperimentResult;
-pub use faultmatrix::{run_fault_matrix, FAULT_MATRIX};
+pub use faultmatrix::FAULT_MATRIX;
 pub use report::render_experiments_md;
 
 /// The default deterministic seed used by every experiment binary.

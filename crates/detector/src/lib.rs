@@ -5,7 +5,7 @@
 //! co-residence and workload signal they leak; this crate watches the
 //! *read side* of those channels the way a BEACON-style provider would:
 //! every tenant read of a watched channel is fed to the detector inline
-//! (a deterministic in-process tap — see [`simtrace::ReadTap`]), a
+//! (a deterministic in-process tap — see [`Detector::observe`]), a
 //! per-tenant sliding window accumulates observations in sim-time order,
 //! and at every fleet advance the window is scored against seed-stable
 //! thresholds:
@@ -362,6 +362,12 @@ impl Detector {
     /// Feeds one tenant read of `path` at fleet time `t_ns`. Non-watched
     /// paths are ignored; denied reads (masked channels the tenant keeps
     /// probing) count — attempted probing is the strongest signal.
+    ///
+    /// The cloud calls this inline at the read — on the driver thread, in
+    /// program order, with fleet-absolute sim time — never from a worker
+    /// thread. Every decision derives from these arguments alone, so the
+    /// detector is byte-deterministic across `--jobs` and `--coalesce`
+    /// modes.
     pub fn observe(&mut self, t_ns: u64, tenant: u32, path: &str, denied: bool) {
         let Some(channel) = watched_index(path) else {
             return;
@@ -483,12 +489,6 @@ impl Detector {
             let _ = writeln!(out, "{}", u.render());
         }
         out
-    }
-}
-
-impl simtrace::ReadTap for Detector {
-    fn on_read(&mut self, t_ns: u64, tenant: u32, path: &str, denied: bool) {
-        self.observe(t_ns, tenant, path, denied);
     }
 }
 

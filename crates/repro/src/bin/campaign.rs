@@ -11,15 +11,12 @@
 //! `--seed-start <u64>` (default 0), or `--seed <u64>` for exactly one
 //! scenario; `--hosts/--tenants/--churn <n>` and `--faults <on|off>`
 //! pin dimensions (how a shrunk repro is replayed); `--jobs <n>` worker
-//! threads (default 1); `--no-shrink` disables failure shrinking;
-//! `--inject <hosts,tenants,churn>` replaces the real oracles with the
-//! deterministic threshold fixture (shrinker self-test); `--out <path>`
-//! writes the markdown report plus a `.json` companion; `--trace <path>`
-//! and `--counters` work as on `all`. The report is
-//! byte-identical for any `--jobs` value. Exits 1 unless every scenario
-//! passes every oracle, and 2 on an unknown flag or a bad value.
+//! threads (default 1); `--out <path>` writes the markdown report plus a
+//! `.json` companion; `--trace <path>` and `--counters` work as on `all`.
+//! The report is byte-identical for any `--jobs` value. Exits 1 unless
+//! every scenario passes every oracle, and 2 on an unknown flag or a bad
+//! value.
 
-use std::io::Write as _;
 use std::process::ExitCode;
 
 use containerleaks::campaign::Status;
@@ -65,14 +62,7 @@ fn main() -> ExitCode {
     );
 
     if let Some(out_path) = out {
-        let md = report.render_md();
-        let mut f = std::fs::File::create(&out_path).expect("create report file");
-        f.write_all(md.as_bytes()).expect("write report");
-        eprintln!("wrote {out_path}");
-        let json_path = format!("{}.json", out_path.trim_end_matches(".md"));
-        let json = serde_json::to_string_pretty(&report).expect("serializable report");
-        std::fs::write(&json_path, json).expect("write json artifact");
-        eprintln!("wrote {json_path}");
+        containerleaks_experiments::write_report(&out_path, &report.render_md(), &report);
     }
     containerleaks_experiments::finish_tracing(seed_start, trace.as_deref(), counters);
     ExitCode::from(u8::from(!report.all_green()))

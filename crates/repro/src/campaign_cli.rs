@@ -2,7 +2,7 @@
 //! the experiment CLI: an unknown flag, a flag missing its value, or a
 //! bad value is an error (the binary exits 2) instead of being ignored.
 
-use containerleaks::campaign::{CampaignConfig, InjectedViolation, Overrides};
+use containerleaks::campaign::{CampaignConfig, Overrides};
 
 use crate::{on_off, value};
 
@@ -30,7 +30,6 @@ impl CampaignCli {
     pub fn parse(args: &[String]) -> Result<CampaignCli, String> {
         let (mut seed_start, mut count, mut seed, mut jobs) = (0u64, 16usize, None, 1usize);
         let mut overrides = Overrides::default();
-        let (mut shrink, mut injected) = (true, None);
         let (mut out, mut trace, mut counters) = (None, None, false);
         let mut it = args.iter();
         while let Some(flag) = it.next() {
@@ -49,24 +48,18 @@ impl CampaignCli {
                 "--tenants" => overrides.tenants = Some(value(f, it.next(), "a tenant count")?),
                 "--churn" => overrides.churn_cycles = Some(value(f, it.next(), "a cycle count")?),
                 "--faults" => overrides.faults = Some(on_off(f, it.next())?),
-                "--no-shrink" => shrink = false,
-                "--inject" => injected = Some(injection(f, it.next())?),
                 "--out" => out = Some(value(f, it.next(), "a path")?),
                 "--trace" => trace = Some(value(f, it.next(), "a path")?),
                 "--counters" => counters = true,
                 _ => return Err(format!("unknown flag `{flag}`")),
             }
         }
-        let mut config = match seed {
+        let config = match seed {
             Some(seed) => CampaignConfig::sweep(seed, 1),
             None => CampaignConfig::sweep(seed_start, count),
         }
         .jobs(jobs)
-        .overrides(overrides)
-        .shrink(shrink);
-        if let Some(v) = injected {
-            config = config.inject(v);
-        }
+        .overrides(overrides);
         Ok(CampaignCli {
             config,
             seed_start,
@@ -75,21 +68,6 @@ impl CampaignCli {
             counters,
         })
     }
-}
-
-/// Parses `--inject`'s `hosts,tenants,churn` thresholds.
-fn injection(flag: &str, v: Option<&String>) -> Result<InjectedViolation, String> {
-    let spec: String = value(flag, v, "`hosts,tenants,churn`")?;
-    let bad = || format!("{flag} takes `hosts,tenants,churn`, got `{spec}`");
-    let parts: Vec<&str> = spec.split(',').collect();
-    let [hosts, tenants, churn] = parts[..] else {
-        return Err(bad());
-    };
-    Ok(InjectedViolation {
-        min_hosts: hosts.parse().map_err(|_| bad())?,
-        min_tenants: tenants.parse().map_err(|_| bad())?,
-        min_churn: churn.parse().map_err(|_| bad())?,
-    })
 }
 
 #[cfg(test)]
@@ -130,9 +108,6 @@ mod tests {
             "7",
             "--faults",
             "off",
-            "--no-shrink",
-            "--inject",
-            "2,3,4",
             "--out",
             "c.md",
             "--trace",
@@ -146,15 +121,6 @@ mod tests {
         assert_eq!(
             (o.hosts, o.tenants, o.churn_cycles, o.faults),
             (Some(2), Some(5), Some(7), Some(false))
-        );
-        assert!(!cli.config.shrink);
-        assert_eq!(
-            cli.config.injected,
-            Some(InjectedViolation {
-                min_hosts: 2,
-                min_tenants: 3,
-                min_churn: 4,
-            })
         );
         assert_eq!(cli.seed_start, 10);
         assert_eq!(cli.out.as_deref(), Some("c.md"));
@@ -184,10 +150,8 @@ mod tests {
             &["--churn", "1.5"],
             &["--faults", "yes"],
             &["--faults"],
-            &["--inject", "1,2"],
-            &["--inject", "1,2,3,4"],
-            &["--inject", "1,x,3"],
-            &["--inject"],
+            &["--inject", "1,2,3"],
+            &["--no-shrink"],
             &["--out"],
             &["--trace"],
             &["--coalesce", "off"],

@@ -1,6 +1,6 @@
 //! The experiment CLI shared by the `all` and `fault_matrix` binaries,
-//! plus the `campaign` binary's parser ([`campaign_cli`]) and the trace
-//! plumbing it reuses.
+//! plus the `campaign` binary's parser ([`campaign_cli`]) and the report
+//! and trace plumbing it reuses.
 //!
 //! Flags (both binaries): `--seed <u64>` (default
 //! [`containerleaks::DEFAULT_SEED`]), `--jobs <n>` worker threads
@@ -203,15 +203,21 @@ pub fn run_cli(suite: &Suite) -> ExitCode {
     }
     if let Some(out_path) = cli.report_path(suite) {
         let md = containerleaks::render_experiments_md(&results, cli.seed);
-        std::fs::write(&out_path, md).expect("write report");
-        eprintln!("wrote {out_path}");
-        let json_path = format!("{}.json", out_path.trim_end_matches(".md"));
-        let json = serde_json::to_string_pretty(&results).expect("serializable results");
-        std::fs::write(&json_path, json).expect("write json artifact");
-        eprintln!("wrote {json_path}");
+        write_report(&out_path, &md, &results);
     }
     finish_tracing(cli.seed, cli.trace.as_deref(), cli.counters);
     ExitCode::from(u8::from(results.iter().any(|r| !r.all_hold())))
+}
+
+/// Writes the markdown report `md` to `md_path` and `value`, as pretty
+/// JSON, to the `.json` companion beside it, naming each file on stderr.
+pub fn write_report(md_path: &str, md: &str, value: &impl serde::Serialize) {
+    std::fs::write(md_path, md).expect("write report");
+    eprintln!("wrote {md_path}");
+    let json_path = format!("{}.json", md_path.trim_end_matches(".md"));
+    let json = serde_json::to_string_pretty(value).expect("serializable report");
+    std::fs::write(&json_path, json).expect("write json artifact");
+    eprintln!("wrote {json_path}");
 }
 
 static TRACE_SINK: OnceLock<Arc<simtrace::MemorySink>> = OnceLock::new();

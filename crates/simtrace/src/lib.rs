@@ -47,13 +47,11 @@ mod event;
 mod profile_store;
 mod render;
 mod sink;
-mod tap;
 mod tracer;
 
 pub use event::{Group, TraceEvent};
 pub use render::{render_jsonl, render_summary};
 pub use sink::{enabled, install, installed_sink, MemorySink, TimedEvent, TraceSink};
-pub use tap::ReadTap;
 pub use tracer::{scope, tracer_for_new_kernel, KernelTracer, ScopeGuard};
 
 /// Counter registry: monotonic named totals, grouped by determinism class.

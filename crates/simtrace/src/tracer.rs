@@ -15,6 +15,7 @@ use std::sync::Mutex;
 use crate::event::TraceEvent;
 use crate::sink::TimedEvent;
 
+#[derive(Debug)]
 struct ScopeState {
     name: String,
     kernels: u32,
@@ -24,16 +25,19 @@ thread_local! {
     static SCOPE: RefCell<Option<ScopeState>> = const { RefCell::new(None) };
 }
 
-/// Restores the previous experiment scope on drop.
+/// Restores the previous experiment scope — its name and its kernel
+/// count — on drop.
 #[derive(Debug)]
 pub struct ScopeGuard {
-    active: bool,
+    /// The scope this guard replaced; `None` when tracing was off and no
+    /// scope was entered.
+    prev: Option<Option<ScopeState>>,
 }
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        if self.active {
-            SCOPE.with(|s| *s.borrow_mut() = None);
+        if let Some(prev) = self.prev.take() {
+            SCOPE.with(|s| *s.borrow_mut() = prev);
         }
     }
 }
@@ -43,19 +47,20 @@ impl Drop for ScopeGuard {
 /// Every kernel created on this thread while the guard lives is traced
 /// under `{name}/kNNN`, numbered in creation order. Kernels are only
 /// constructed on experiment driver threads, and a driver runs wholly on
-/// one thread, so a thread-local is sufficient and deterministic.
+/// one thread, so a thread-local is sufficient and deterministic. Scopes
+/// nest: when the guard drops, the enclosing scope resumes its numbering.
 /// No-op when tracing is disabled.
 pub fn scope(name: &str) -> ScopeGuard {
     if !crate::enabled() {
-        return ScopeGuard { active: false };
+        return ScopeGuard { prev: None };
     }
-    SCOPE.with(|s| {
-        *s.borrow_mut() = Some(ScopeState {
-            name: name.to_string(),
-            kernels: 0,
-        });
-    });
-    ScopeGuard { active: true }
+    let entered = ScopeState {
+        name: name.to_string(),
+        kernels: 0,
+    };
+    ScopeGuard {
+        prev: Some(SCOPE.with(|s| s.replace(Some(entered)))),
+    }
 }
 
 /// Hands a freshly constructed kernel its tracer, if the current thread

@@ -5,15 +5,21 @@
 //! a panic, never a silently different answer. The matrix scenarios
 //! themselves encode the clean-vs-faulted comparison; this test runs the
 //! whole matrix through the guarded runner and checks the contract held,
-//! that a panicking driver surfaces as a structured failure, and that the
-//! results are byte-identical at any worker count *with faults active*.
+//! that a failing or panicking driver surfaces as a structured failure
+//! under its registry title, and that the results are byte-identical at
+//! any worker count *with faults active*.
 
 use containerleaks::experiments::{run_entries_with, ExperimentFn, ExperimentResult};
-use containerleaks::{run_fault_matrix, DEFAULT_SEED, FAULT_MATRIX};
+use containerleaks::{DEFAULT_SEED, FAULT_MATRIX};
+
+/// The whole matrix through the guarded runner, on `jobs` lanes.
+fn matrix(jobs: usize) -> Vec<ExperimentResult> {
+    run_entries_with(FAULT_MATRIX, DEFAULT_SEED, 1, jobs, |_, _| {})
+}
 
 #[test]
 fn every_fault_class_degrades_gracefully() {
-    let results = run_fault_matrix(DEFAULT_SEED, 1);
+    let results = matrix(1);
     assert_eq!(results.len(), FAULT_MATRIX.len());
     let ids: Vec<&str> = results.iter().map(|r| r.id.as_str()).collect();
     assert_eq!(
@@ -51,29 +57,51 @@ fn every_fault_class_degrades_gracefully() {
 
 #[test]
 fn matrix_is_byte_identical_across_worker_counts() {
-    let serial = run_fault_matrix(DEFAULT_SEED, 1);
-    let pooled = run_fault_matrix(DEFAULT_SEED, 4);
+    let serial = matrix(1);
+    let parallel = matrix(4);
     let a = serde_json::to_string(&serial).expect("serializable");
-    let b = serde_json::to_string(&pooled).expect("serializable");
+    let b = serde_json::to_string(&parallel).expect("serializable");
     assert_eq!(a, b, "fault schedules must not leak wall-clock state");
 }
 
 #[test]
-fn a_panicking_scenario_is_contained_by_the_pool() {
-    fn boom(_: u64, _: u64) -> ExperimentResult {
-        panic!("injected matrix panic");
-    }
-    // Splice a hostile driver between two real (cheap) scenarios: the
-    // runner must convert the panic into a structured failure and still
-    // finish the neighbours.
-    let entries: &[(&str, ExperimentFn)] = &[FAULT_MATRIX[2], ("boom", boom), FAULT_MATRIX[4]];
+fn a_failing_or_panicking_scenario_is_contained_by_the_runner() {
+    let failing = ExperimentFn {
+        title: "Fails",
+        run: |_, _| Err("injected matrix error".into()),
+    };
+    let panicking = ExperimentFn {
+        title: "Panics",
+        run: |_, _| panic!("injected matrix panic"),
+    };
+    // Splice two hostile drivers between real (cheap) scenarios: the
+    // runner must turn the error and the panic into structured failures
+    // named by their registry entries and still finish the neighbours.
+    let entries = [
+        FAULT_MATRIX[2],
+        ("fails", failing),
+        FAULT_MATRIX[3],
+        ("panics", panicking),
+        FAULT_MATRIX[4],
+    ];
     for jobs in [1usize, 2] {
-        let results = run_entries_with(entries, DEFAULT_SEED, 1, jobs, |_, _| {});
-        assert_eq!(results.len(), 3);
-        assert!(results[0].all_hold(), "jobs={jobs}");
-        assert!(!results[1].all_hold(), "jobs={jobs}");
-        let err = results[1].error.as_deref().unwrap_or_default();
-        assert!(err.contains("injected matrix panic"), "jobs={jobs}: {err}");
-        assert!(results[2].all_hold(), "jobs={jobs}");
+        let results = run_entries_with(&entries, DEFAULT_SEED, 1, jobs, |_, _| {});
+        assert_eq!(results.len(), entries.len());
+        for (r, (id, exp)) in results.iter().zip(&entries) {
+            assert_eq!(
+                (r.id.as_str(), r.title.as_str()),
+                (*id, exp.title),
+                "jobs={jobs}"
+            );
+        }
+        for i in [0, 2, 4] {
+            assert!(results[i].all_hold(), "jobs={jobs}: {}", results[i].id);
+        }
+        for (i, message) in [(1, "injected matrix error"), (3, "injected matrix panic")] {
+            assert!(!results[i].all_hold(), "jobs={jobs}");
+            let err = results[i].error.as_deref().unwrap_or_default();
+            assert!(err.contains(message), "jobs={jobs}: {err}");
+            assert!(results[i].rendered.contains(message), "jobs={jobs}");
+        }
     }
 }

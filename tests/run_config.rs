@@ -3,33 +3,33 @@
 //! byte-compare) could pass by comparing a run against itself.
 
 use containerleaks::cloudsim::{Cloud, CloudConfig, CloudProfile, HostId};
-use containerleaks::experiments::{run_entries_with, ExperimentFn, ExperimentResult};
+use containerleaks::experiments::{run_entries_with, ExperimentFn, Measured};
 use containerleaks::simkernel::{Kernel, MachineConfig, RunConfig};
 
 /// Reports the modes a kernel and a 16-host cloud built inside the
 /// driver picked up.
-fn observe_modes(seed: u64, _: u64) -> ExperimentResult {
+fn observe_modes(seed: u64, _: u64) -> Result<Measured, String> {
     let k = Kernel::new(MachineConfig::small_server(), seed);
     let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(16), seed);
     let host = cloud.host(HostId(15)).expect("16 hosts").kernel();
-    ExperimentResult {
-        id: "modes".into(),
-        title: "modes".into(),
-        rendered: format!(
-            "kernel coalesce={}; cloud coalesce={}",
-            k.coalescing(),
-            host.coalescing(),
-        ),
-        comparisons: vec![],
-        error: None,
-    }
+    let rendered = format!(
+        "kernel coalesce={}; cloud coalesce={}",
+        k.coalescing(),
+        host.coalescing(),
+    );
+    Ok(Measured::new(rendered, vec![]))
 }
 
+const MODES: ExperimentFn = ExperimentFn {
+    title: "modes",
+    run: observe_modes,
+};
+
 const ENTRIES: &[(&str, ExperimentFn)] = &[
-    ("modes_a", observe_modes),
-    ("modes_b", observe_modes),
-    ("modes_c", observe_modes),
-    ("modes_d", observe_modes),
+    ("modes_a", MODES),
+    ("modes_b", MODES),
+    ("modes_c", MODES),
+    ("modes_d", MODES),
 ];
 
 #[test]
@@ -59,7 +59,8 @@ fn a_thread_with_nothing_entered_gets_the_compiled_defaults() {
         observe_modes(3, 1)
     })
     .join()
-    .expect("driver thread");
+    .expect("driver thread")
+    .expect("driver ran");
     assert_eq!(r.rendered, "kernel coalesce=true; cloud coalesce=true");
 }
 
