@@ -17,6 +17,8 @@
 //! * `table1_scan`       — the cross-validation walk + differential diff
 //! * `route_resolve_cc1_listing` — the pseudo-fs route resolver over
 //!   every path a CC1 instance lists
+//! * `pseudofs_list_cc5` — listing and counting a CC5 instance's pseudo
+//!   files, every candidate path run through the most mask rules
 //! * `table2_metrics`    — entropy computation over a 60-point trace
 //! * `table3_unixbench`  — the full UnixBench overhead replay
 //! * `fig2_week_segment_coalesced` — an hour of the Fig. 2 pipeline on
@@ -35,6 +37,9 @@
 //! * `fig6_training`     — one training-interval sample collection
 //! * `fig8_model_eval`   — power-model inference per perf-counter delta
 //! * `fig9_ns_update`    — one power-namespace calibration interval
+//! * `hardening_policy_generation` — the Hardener's deny policy for a
+//!   container view: a differential scan, then a verification rescan
+//!   under the generated mask
 //! * `substrate_kernel_tick_1s` — one loaded kernel-second;
 //!   `kernel_tick_8_hosts` — eight of them stepped by a plain loop
 //! * `detector_week`     — a simulated week at hourly cadence with the
@@ -78,6 +83,25 @@ fn bench_route_resolve(c: &mut Criterion) {
     );
     c.bench_function("route_resolve_cc1_listing", |b| {
         b.iter(|| paths.iter().filter(|p| route_for(p).is_some()).count())
+    });
+}
+
+fn bench_pseudofs_list_cc5(c: &mut Criterion) {
+    // Listing one CC5 instance's pseudo files, then counting them: the
+    // profile with the most mask rules, so every candidate path pays the
+    // most `glob_match` calls. The campaign transcript counts a listing
+    // at every step, and the cross-validation walk lists twice.
+    let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC5).hosts(1), 5);
+    let inst = cloud.launch("t0", InstanceSpec::new("i0")).expect("launch");
+    cloud.exec(inst, "app", models::prime()).expect("exec");
+    let listed = cloud.list_files(inst).expect("instance is live");
+    assert_eq!(cloud.count_files(inst).ok(), Some(listed.len()));
+    c.bench_function("pseudofs_list_cc5", |b| {
+        b.iter(|| {
+            let listed = cloud.list_files(inst).expect("instance is live");
+            let counted = cloud.count_files(inst).expect("instance is live");
+            black_box((listed, counted))
+        })
     });
 }
 
@@ -452,6 +476,7 @@ criterion_group!(
     targets =
         bench_table1_scan,
         bench_route_resolve,
+        bench_pseudofs_list_cc5,
         bench_table2_metrics,
         bench_table3_unixbench,
         bench_fig2_week_segment_coalesced,

@@ -309,8 +309,8 @@ fn transcript_digest_with(
                     Err(e) => fold(&mut digest, &format!("<{e:?}>")),
                 }
             }
-            match cloud.list_files(id) {
-                Ok(files) => fold(&mut digest, &format!("files={}", files.len())),
+            match cloud.count_files(id) {
+                Ok(files) => fold(&mut digest, &format!("files={files}")),
                 Err(e) => fold(&mut digest, &format!("<{e:?}>")),
             }
         }
@@ -435,9 +435,10 @@ pub fn power_monotone(sc: &Scenario) -> Result<(), Violation> {
 /// and checks that reading left every subsystem epoch where it was.
 fn walk_surfaces(fs: &PseudoFs, kernel: &Kernel, views: &[View]) -> Result<(), Violation> {
     let before = kernel.epochs().total();
+    let mut buf = String::new();
     for view in views {
         for path in fs.list(kernel, view) {
-            let _ = fs.read(kernel, view, &path);
+            let _ = fs.read_into(kernel, view, &path, &mut buf);
         }
     }
     let after = kernel.epochs().total();

@@ -707,6 +707,23 @@ impl Cloud {
         Ok(host.runtime.list_files(&host.kernel, inst.container)?)
     }
 
+    /// How many pseudo files are visible inside an instance: the length
+    /// of [`Cloud::list_files`], without building the list.
+    ///
+    /// # Errors
+    ///
+    /// [`CloudError::NoSuchInstance`].
+    pub fn count_files(&mut self, id: InstanceId) -> Result<usize, CloudError> {
+        let inst = *self
+            .instances
+            .get(&id)
+            .ok_or(CloudError::NoSuchInstance(id))?;
+        let idx = inst.host.0 as usize;
+        self.sync_host(idx);
+        let host = self.host_ref(idx);
+        Ok(host.runtime.count_files(&host.kernel, inst.container)?)
+    }
+
     /// Implants a timer signature from inside an instance.
     ///
     /// # Errors
@@ -1398,6 +1415,15 @@ mod tests {
         assert!(c.read_file(id, "/proc/timer_list").is_err());
         // But CC4 leaves uptime readable (Table I row: CC4 ●).
         assert!(c.read_file(id, "/proc/uptime").is_ok());
+        // The listing hides what the mask denies; the count agrees.
+        let listed = c.list_files(id).unwrap();
+        assert!(!listed.iter().any(|p| p == "/proc/timer_list"));
+        assert_eq!(c.count_files(id).unwrap(), listed.len());
+        c.terminate(id).unwrap();
+        assert!(matches!(
+            c.count_files(id),
+            Err(CloudError::NoSuchInstance(_))
+        ));
     }
 
     #[test]

@@ -338,6 +338,20 @@ impl Runtime {
         Ok(self.fs.list(kernel, &c.view))
     }
 
+    /// How many pseudo files are visible inside the container: the
+    /// length of [`Runtime::list_files`], without building the list.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::NoSuchContainer`].
+    pub fn count_files(&self, kernel: &Kernel, id: ContainerId) -> Result<usize, RuntimeError> {
+        let c = self
+            .containers
+            .get(&id)
+            .ok_or(RuntimeError::NoSuchContainer(id))?;
+        Ok(self.fs.count(kernel, &c.view))
+    }
+
     /// Implants a crafted timer signature (`timer_list` manipulation).
     ///
     /// # Errors

@@ -176,10 +176,13 @@ fn flow_report(
             declared: r.deps,
         })
         .collect();
-    // The listing renders bytes too: the set of visible paths.
+    // The listing renders bytes too: the set of visible paths. The
+    // analysis follows returned data, not closures, so the row names
+    // the enumerator that reads the kernel, not `list` and `count`,
+    // which only collect what it hands their visitors.
     specs.push(flow::RouteSpec {
         pattern: "(list)".to_string(),
-        handler: "fs::list".to_string(),
+        handler: "fs::enumerate".to_string(),
         declared: pseudofs::LIST_DEPS,
     });
     let check = flow::check_routes(&flows, &specs)?;
@@ -332,8 +335,18 @@ mod tests {
         let status = row("/proc/self/status");
         assert!(status.hot.is_empty(), "{:?}", status.hot);
         assert!(status.derived.contains(&"ns".to_string()));
-        // The listing's pid sweep is routed; its topology reads are not.
+        // Every subsystem the listing declares is derived from its
+        // handler's body: a refactor that hides the enumerator's kernel
+        // reads (behind a closure, say) empties this row.
         let list = row("(list)");
+        assert_eq!(
+            list.derived,
+            dep_names(pseudofs::LIST_DEPS),
+            "the `(list)` row's handler {} no longer derives LIST_DEPS; \
+             point its RouteSpec at the function that reads the kernel",
+            list.handler
+        );
+        // The listing's pid sweep is routed; its topology reads are not.
         assert!(!list.hot.contains(&"process".to_string()));
         assert!(list.hot.contains(&"hw".to_string()));
     }

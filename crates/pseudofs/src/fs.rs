@@ -1,5 +1,7 @@
 //! The read path and tree enumeration.
 
+use std::fmt::{self, Write as _};
+
 use simkernel::{dep, Kernel};
 
 use crate::error::FsError;
@@ -8,10 +10,11 @@ use crate::registry;
 use crate::render::proc_pid;
 use crate::view::{MaskAction, View};
 
-/// Subsystems [`PseudoFs::list`] consults: hardware presence and package
-/// counts, ext4 partitions, visible pids, and NUMA topology. Pid
-/// visibility is read through the namespace registry, and every spawn
-/// or kill bumps NS, so the process-table bit is not needed here.
+/// Subsystems [`PseudoFs::list`] and [`PseudoFs::count`] consult:
+/// hardware presence and package counts, ext4 partitions, visible pids,
+/// and NUMA topology. Pid visibility is read through the namespace
+/// registry, and every spawn or kill bumps NS, so the process-table bit
+/// is not needed here.
 pub const LIST_DEPS: u32 = dep::HW | dep::FS | dep::NS | dep::MEM;
 
 /// The pseudo filesystem: a stateless router over the kernel's state.
@@ -51,6 +54,92 @@ fn note_read(k: &Kernel, path: &str, bytes: usize) {
                 bytes: bytes as u64,
             },
         );
+    }
+}
+
+/// The one enumeration behind [`PseudoFs::list`] and
+/// [`PseudoFs::count`]: formats each candidate path into one reused
+/// buffer, drops the ones the view's mask denies and hands the rest to
+/// `visit`, in generation order. Its name is the `(list)` row's handler
+/// in leakcheck's flow audit and committed report.
+fn enumerate(k: &Kernel, view: &View, mut visit: impl FnMut(&str)) {
+    let mut buf = String::with_capacity(96);
+    let mut emit = |path: fmt::Arguments| {
+        buf.clear();
+        // Writing into a `String` cannot fail.
+        let _ = buf.write_fmt(path);
+        if view.mask_action(&buf) != Some(MaskAction::Deny) {
+            visit(&buf);
+        }
+    };
+
+    for r in registry::ROUTES.iter().filter(|r| !r.pattern.contains('*')) {
+        emit(format_args!("{}", r.pattern));
+    }
+    let ncpus = k.config().cpus as usize;
+    for c in 0..ncpus {
+        emit(format_args!(
+            "/proc/sys/kernel/sched_domain/cpu{c}/domain0/max_newidle_lb_cost"
+        ));
+        for s in 0..simkernel::hw::IDLE_STATE_NAMES.len() {
+            for f in ["name", "usage", "time"] {
+                emit(format_args!(
+                    "/sys/devices/system/cpu/cpu{c}/cpuidle/state{s}/{f}"
+                ));
+            }
+        }
+        for f in ["scaling_cur_freq", "cpuinfo_max_freq"] {
+            emit(format_args!("/sys/devices/system/cpu/cpu{c}/cpufreq/{f}"));
+        }
+    }
+
+    for (disk, _) in &k.config().disks {
+        emit(format_args!("/sys/block/{disk}/stat"));
+    }
+    if k.hw().has_coretemp() {
+        emit(format_args!("/sys/class/thermal/thermal_zone0/temp"));
+    }
+
+    for (part, _) in k.fs().ext4_partitions() {
+        emit(format_args!("/proc/fs/ext4/{part}/mb_groups"));
+    }
+
+    for (_, ns_pid) in proc_pid::visible_pids(k, view) {
+        for f in ["status", "stat", "cmdline", "io", "sched"] {
+            emit(format_args!("/proc/{ns_pid}/{f}"));
+        }
+    }
+
+    if k.rapl().is_present() {
+        for p in 0..k.rapl().package_count() {
+            for f in ["name", "energy_uj", "max_energy_range_uj"] {
+                emit(format_args!("/sys/class/powercap/intel-rapl:{p}/{f}"));
+            }
+            for d in 0..2 {
+                for f in ["name", "energy_uj"] {
+                    emit(format_args!(
+                        "/sys/class/powercap/intel-rapl:{p}/intel-rapl:{p}:{d}/{f}"
+                    ));
+                }
+            }
+        }
+    }
+
+    if k.hw().has_coretemp() {
+        let per_pkg = k.config().cpus_per_package() as usize;
+        for pkg in 0..k.rapl().package_count().max(1) {
+            for t in 1..=(per_pkg + 1) {
+                emit(format_args!(
+                    "/sys/devices/platform/coretemp.{pkg}/hwmon/hwmon{pkg}/temp{t}_input"
+                ));
+            }
+        }
+    }
+
+    for n in 0..k.mem().numa_nodes() as usize {
+        for f in ["numastat", "vmstat", "meminfo"] {
+            emit(format_args!("/sys/devices/system/node/node{n}/{f}"));
+        }
     }
 }
 
@@ -123,9 +212,68 @@ impl PseudoFs {
     /// the exact routes' paths plus the parameterized ones the kernel's
     /// topology instantiates (cpus, disks, partitions, pids, RAPL
     /// packages, NUMA nodes). Deny-masked paths are excluded (they are
-    /// unreadable in the cloud). Its name is the `(list)` row's handler in
-    /// leakcheck's flow audit and committed report.
+    /// unreadable in the cloud). [`PseudoFs::count`] walks the same
+    /// paths and only counts them.
     pub fn list(&self, k: &Kernel, view: &View) -> Vec<String> {
+        let mut paths = Vec::with_capacity(256);
+        enumerate(k, view, |p| paths.push(p.to_string()));
+        // Equal `String`s are indistinguishable, so the unstable sort
+        // leaves the order a stable one would.
+        paths.sort_unstable();
+        paths
+    }
+
+    /// How many paths [`PseudoFs::list`] would return, without
+    /// allocating them.
+    pub fn count(&self, k: &Kernel, view: &View) -> usize {
+        let mut n = 0;
+        enumerate(k, view, |_| n += 1);
+        n
+    }
+
+    /// Lists the immediate children of `dir` in this view — what `ls`
+    /// inside the container would show. Directories appear with a
+    /// trailing `/`.
+    pub fn list_dir(&self, k: &Kernel, view: &View, dir: &str) -> Vec<String> {
+        let prefix = format!("{}/", dir.trim_end_matches('/'));
+        let mut out: Vec<String> = self
+            .list(k, view)
+            .into_iter()
+            .filter_map(|p| {
+                let rest = p.strip_prefix(&prefix)?;
+                Some(match rest.split_once('/') {
+                    Some((child, _)) => format!("{child}/"),
+                    None => rest.to_string(),
+                })
+            })
+            .collect();
+        out.sort();
+        out.dedup();
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::view::MaskPolicy;
+    use simkernel::kernel::ProcessSpec;
+    use simkernel::MachineConfig;
+    use workloads::models;
+
+    fn kernel() -> Kernel {
+        let mut k = Kernel::new(MachineConfig::small_server(), 9);
+        let env = k.create_container_env("c1").unwrap();
+        k.spawn(ProcessSpec::new("app", models::prime()).in_container(&env))
+            .unwrap();
+        k.advance_secs(2);
+        k
+    }
+
+    /// The listing before the shared enumerator, kept as the oracle the
+    /// differential tests hold `list` and `count` to: a fresh `String`
+    /// per candidate, the mask applied to each, and a stable sort.
+    fn list_reference(k: &Kernel, view: &View) -> Vec<String> {
         let mut paths = Vec::with_capacity(256);
         let mut push = |p: String| {
             if view.mask_action(&p) != Some(MaskAction::Deny) {
@@ -206,43 +354,60 @@ impl PseudoFs {
         paths
     }
 
-    /// Lists the immediate children of `dir` in this view — what `ls`
-    /// inside the container would show. Directories appear with a
-    /// trailing `/`.
-    pub fn list_dir(&self, k: &Kernel, view: &View, dir: &str) -> Vec<String> {
-        let prefix = format!("{}/", dir.trim_end_matches('/'));
-        let mut out: Vec<String> = self
-            .list(k, view)
-            .into_iter()
-            .filter_map(|p| {
-                let rest = p.strip_prefix(&prefix)?;
-                Some(match rest.split_once('/') {
-                    Some((child, _)) => format!("{child}/"),
-                    None => rest.to_string(),
+    #[test]
+    fn list_and_count_equal_the_reference_under_every_policy() {
+        // cloudsim and detector build against their own copy of this
+        // crate, so their policies are carried over rule by rule.
+        macro_rules! carried {
+            ($policy:expr) => {
+                $policy.rules().iter().fold(MaskPolicy::none(), |p, r| {
+                    match format!("{:?}", r.action).as_str() {
+                        "Deny" => p.deny(r.pattern.clone()),
+                        _ => p.partial(r.pattern.clone()),
+                    }
                 })
-            })
-            .collect();
-        out.sort();
-        out.dedup();
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::view::MaskPolicy;
-    use simkernel::kernel::ProcessSpec;
-    use simkernel::MachineConfig;
-    use workloads::models;
-
-    fn kernel() -> Kernel {
-        let mut k = Kernel::new(MachineConfig::small_server(), 9);
-        let env = k.create_container_env("c1").unwrap();
-        k.spawn(ProcessSpec::new("app", models::prime()).in_container(&env))
-            .unwrap();
-        k.advance_secs(2);
-        k
+            };
+        }
+        let mut policies = Vec::new();
+        for profile in
+            std::iter::once(cloudsim::CloudProfile::Local).chain(cloudsim::CloudProfile::COMMERCIAL)
+        {
+            policies.push((format!("{profile:?}"), carried!(profile.mask_policy())));
+        }
+        // What the online detector installs on a flagged tenant: every
+        // watched family denied ahead of the provider's own rules.
+        let watched: Vec<String> = detector::WATCHED.iter().map(|p| p.to_string()).collect();
+        for profile in [cloudsim::CloudProfile::CC1, cloudsim::CloudProfile::CC5] {
+            let composed = detector::composed_policy(&profile.mask_policy(), &watched);
+            policies.push((format!("{profile:?} detector-composed"), carried!(composed)));
+        }
+        let fs = PseudoFs::new();
+        for machine in [
+            MachineConfig::small_server(),
+            MachineConfig::cloud_server(),
+            MachineConfig::testbed_i7_6700(),
+            MachineConfig::legacy_server_no_rapl(),
+        ] {
+            let mut k = Kernel::new(machine, 9);
+            k.spawn_host_process("hostproc", models::web_service(0.1))
+                .unwrap();
+            let env = k.create_container_env("c1").unwrap();
+            for name in ["app", "sidecar"] {
+                k.spawn(ProcessSpec::new(name, models::prime()).in_container(&env))
+                    .unwrap();
+            }
+            k.advance_secs(1);
+            let mut views = vec![("host".to_string(), View::host())];
+            for (name, policy) in &policies {
+                let view = View::container(env.ns, env.cgroups).with_policy(policy.clone());
+                views.push((name.clone(), view));
+            }
+            for (name, view) in &views {
+                let listed = fs.list(&k, view);
+                assert_eq!(listed, list_reference(&k, view), "{name} view");
+                assert_eq!(fs.count(&k, view), listed.len(), "{name} view");
+            }
+        }
     }
 
     #[test]

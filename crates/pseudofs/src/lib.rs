@@ -23,7 +23,8 @@
 //! * [`PseudoFs::list`] enumerates every readable path for a view (the
 //!   exact routes plus the parameterized ones the kernel's topology
 //!   instantiates), which is what the paper's recursive-exploration tool
-//!   walks.
+//!   walks. [`PseudoFs::count`] counts the same paths without allocating
+//!   them, for callers that need only how many there are.
 //!
 //! # Example
 //!

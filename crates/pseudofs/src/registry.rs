@@ -851,6 +851,29 @@ mod tests {
             "/sys/class/powercap/intel-rapl:*",
             "/sys/class/powercap/*rapl*/energy_uj",
             "/proc/*",
+            // `**` matching zero segments after a literal prefix.
+            "/sys/class/powercap/**",
+            "/sys/class/powercap/intel-rapl:*/**",
+            // Empty segments inside the pattern.
+            "/proc//stat",
+            "/proc//*",
+            "/sys//class/powercap/**",
+            // Trailing slashes.
+            "/proc/sys/",
+            "/proc/*/",
+            "/sys/class/powercap/**/",
+            // Leading stars.
+            "*",
+            "*/stat",
+            "/*/self/status",
+            "/*rapl*/**",
+            // `/**` at the root and several leading slashes.
+            "///**",
+            "///proc/sys/**",
+            "//sys/class/powercap/intel-rapl:*",
+            // First-occurrence binding of an in-segment star.
+            "a*b",
+            "/proc/timer*list",
         ] {
             patterns.push(edge.to_string());
         }
@@ -902,6 +925,21 @@ mod tests {
             "/proc",
             "/proc/",
             "/sys/class/powercap",
+            "/sys/class/powercap/",
+            "/sys/class/powercapx",
+            "/sys/class/powercap_x/energy_uj",
+            "///sys/class/powercap",
+            "///proc/stat",
+            "/proc//stat",
+            "/proc/1//stat",
+            "/proc/stat//",
+            "///",
+            "proc",
+            "ab",
+            "abab",
+            "axb",
+            "/proc/timer_list",
+            "/proc/timer_list_list",
         ] {
             paths.push(edge.to_string());
         }
@@ -923,6 +961,19 @@ mod tests {
         }
         assert!(glob_match("/proc/sys/**", "/proc/sys"));
         assert!(!glob_match("/proc/**/stat", "/proc/1/stat"));
+        // The literal prefix stops short of the slash before `**`.
+        assert!(glob_match("/sys/class/powercap/**", "/sys/class/powercap"));
+        assert!(glob_match("///sys/class/powercap/**", "sys/class/powercap"));
+        assert!(!glob_match(
+            "/sys/class/powercap/**",
+            "/sys/class/powercapx"
+        ));
+        // An empty pattern segment matches any one segment.
+        assert!(glob_match("/proc//stat", "/proc/1/stat"));
+        assert!(!glob_match("/proc//stat", "/proc/stat"));
+        // A literal after `*` binds to its first occurrence.
+        assert!(glob_match("a*b", "axb"));
+        assert!(!glob_match("a*b", "abab"));
     }
 
     #[test]

@@ -95,11 +95,27 @@ impl MaskPolicy {
 /// Semantics: both are split on `/` (leading slashes ignored); a `**`
 /// segment matches any remaining suffix including none, but only as the
 /// final segment (anywhere else it matches nothing); a `*` within a
-/// segment matches any run of characters in that segment. The two
-/// segment iterators are walked in step, so a match allocates nothing.
+/// segment matches any run of characters in that segment, and each
+/// literal after a `*` binds to its first occurrence, as
+/// `Segment::capture` in the router does (`a*b` does not match
+/// `abab`); an empty pattern segment matches any one segment.
+///
+/// Before the segment walk, the path must start with the pattern's
+/// literal prefix: the pattern up to its first `*` or empty segment
+/// (`//`), and short of the `/` before a segment that begins with `*`,
+/// since `**` also matches zero segments. Most mask rules and watched
+/// families fail that compare, and an all-literal pattern or a literal
+/// with a final `/**` is decided by it; only the rest walk segments.
+/// The walk moves the two segment iterators in step, so a match
+/// allocates nothing.
 pub fn glob_match(pattern: &str, path: &str) -> bool {
-    let mut pat = pattern.trim_start_matches('/').split('/');
-    let mut segs = path.trim_start_matches('/').split('/');
+    let pattern = trim_slashes(pattern);
+    let path = trim_slashes(path);
+    if let Some(verdict) = prefix_verdict(pattern.as_bytes(), path.as_bytes()) {
+        return verdict;
+    }
+    let mut pat = pattern.split('/');
+    let mut segs = path.split('/');
     while let Some(p) = pat.next() {
         if p == "**" {
             return pat.next().is_none();
@@ -110,6 +126,44 @@ pub fn glob_match(pattern: &str, path: &str) -> bool {
         }
     }
     segs.next().is_none()
+}
+
+/// `s` without its leading slashes, trimmed bytewise.
+fn trim_slashes(s: &str) -> &str {
+    let n = s.bytes().take_while(|&b| b == b'/').count();
+    &s[n..]
+}
+
+/// What the slash-trimmed `pattern`'s literal prefix alone decides for
+/// `path` (see [`glob_match`] for where the prefix ends): `Some(false)`
+/// when the path leaves the prefix; the whole answer when the pattern
+/// is all literal or a literal and a final `/**`, since only a length
+/// or separator check follows the prefix; `None` when the segment walk
+/// must decide. The two are compared in step, so most rejects read a
+/// byte or two.
+fn prefix_verdict(pattern: &[u8], path: &[u8]) -> Option<bool> {
+    for (i, &c) in pattern.iter().enumerate() {
+        let next = pattern.get(i + 1);
+        if c == b'/' && next == Some(&b'*') {
+            // A literal and a final `**`: the literal itself or below it.
+            return (&pattern[i..] == b"/**").then(|| path.get(i).is_none_or(|&b| b == b'/'));
+        }
+        if c == b'*' {
+            return None;
+        }
+        if path.get(i) != Some(&c) {
+            return Some(false);
+        }
+        if c == b'/' && next == Some(&b'/') {
+            return None;
+        }
+    }
+    // Without empty segments, which only a trailing `/` (or an empty
+    // pattern) leaves here, a literal pattern matches itself alone.
+    match pattern.last() {
+        Some(&c) if c != b'/' => Some(path.len() == pattern.len()),
+        _ => None,
+    }
 }
 
 /// The matcher [`glob_match`] replaced, kept as the oracle the
