@@ -34,7 +34,7 @@
 //! state lives in a `BTreeMap` keyed by the dense tenant id. Verdicts,
 //! policy-update sequences, and the `detector.*` counters (all
 //! [`simtrace::Group::Portable`]) are therefore byte-identical across
-//! `--jobs` and `--coalesce` modes.
+//! `--jobs` values and coalescing modes.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -77,16 +77,13 @@ pub const WATCHED: &[&str] = &[
 ];
 
 /// Which watched pattern covers `path`, if any (index into [`WATCHED`]).
+/// Every pattern goes through [`glob_match`], which ignores leading
+/// slashes as reads and masks do, so `proc/stat` and `//proc/stat` are
+/// watched like `/proc/stat`.
 pub fn watched_index(path: &str) -> Option<u16> {
     WATCHED
         .iter()
-        .position(|pat| {
-            if pat.contains('*') {
-                glob_match(pat, path)
-            } else {
-                *pat == path
-            }
-        })
+        .position(|pat| glob_match(pat, path))
         .map(|i| i as u16)
 }
 
@@ -366,8 +363,8 @@ impl Detector {
     /// The cloud calls this inline at the read — on the driver thread, in
     /// program order, with fleet-absolute sim time — never from a worker
     /// thread. Every decision derives from these arguments alone, so the
-    /// detector is byte-deterministic across `--jobs` and `--coalesce`
-    /// modes.
+    /// detector is byte-deterministic across `--jobs` values and
+    /// coalescing modes.
     pub fn observe(&mut self, t_ns: u64, tenant: u32, path: &str, denied: bool) {
         let Some(channel) = watched_index(path) else {
             return;
@@ -580,6 +577,47 @@ mod tests {
         let base = MaskPolicy::none().partial("/proc/meminfo");
         let p = composed_policy(&base, &["/proc/meminfo".to_string()]);
         assert_eq!(p.action_for("/proc/meminfo"), Some(MaskAction::Deny));
+    }
+
+    #[test]
+    fn every_spelling_of_a_path_is_watched_alike() {
+        for canonical in ["/proc/stat", "/proc/sys/fs/file-nr", "/sys/class/thermal/x"] {
+            let want = watched_index(canonical);
+            assert!(want.is_some(), "{canonical}");
+            let bare = &canonical[1..];
+            for odd in [bare.to_string(), format!("//{bare}"), format!("///{bare}")] {
+                assert_eq!(watched_index(&odd), want, "{odd}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_prober_using_odd_spellings_is_flagged_like_the_canonical_one() {
+        let canonical = [
+            "/proc/stat",
+            "/proc/meminfo",
+            "/proc/uptime",
+            "/proc/loadavg",
+        ];
+        let odd = [
+            "proc/stat",
+            "//proc/meminfo",
+            "proc/uptime",
+            "///proc/loadavg",
+        ];
+        let run = |chans: &[&str]| {
+            let mut det = Detector::new(DetectorConfig::default());
+            for t in 0..30u64 {
+                for ch in chans {
+                    det.observe(t * SEC, 4, ch, false);
+                }
+                det.evaluate((t + 1) * SEC);
+            }
+            (det.level(4), det.report())
+        };
+        let (level, report) = run(&canonical);
+        assert_eq!(level, 2);
+        assert_eq!(run(&odd), (level, report));
     }
 
     #[test]

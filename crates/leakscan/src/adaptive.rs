@@ -25,8 +25,8 @@
 //!
 //! Everything is a pure function of the step clock and internal
 //! counters — no wall clock, no RNG — so attacker behaviour is
-//! byte-deterministic across `--jobs`/`--coalesce` like the rest of the
-//! fleet.
+//! byte-deterministic across `--jobs` values and coalescing modes like
+//! the rest of the fleet.
 
 use cloudsim::{Cloud, CloudError, InstanceId};
 use container_runtime::RuntimeError;

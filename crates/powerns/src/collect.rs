@@ -12,15 +12,9 @@ use simkernel::{Kernel, KernelError};
 #[derive(Debug, Clone, Default)]
 pub struct PerfSampler {
     last: PerfCounters,
-    primed: bool,
 }
 
 impl PerfSampler {
-    /// Creates an unprimed sampler.
-    pub fn new() -> Self {
-        PerfSampler::default()
-    }
-
     /// Attaches monitoring to `cgroup` and primes the sampler at the
     /// current counter values.
     ///
@@ -31,13 +25,7 @@ impl PerfSampler {
         kernel.attach_perf_monitoring(cgroup)?;
         Ok(PerfSampler {
             last: kernel.cgroups().perf_counters(cgroup).unwrap_or_default(),
-            primed: true,
         })
-    }
-
-    /// Whether the sampler has a baseline.
-    pub fn is_primed(&self) -> bool {
-        self.primed
     }
 
     /// The delta since the previous call (or since attach), advancing the
@@ -46,7 +34,6 @@ impl PerfSampler {
         let cur = kernel.cgroups().perf_counters(cgroup).unwrap_or_default();
         let d = cur.delta_since(&self.last);
         self.last = cur;
-        self.primed = true;
         d
     }
 }

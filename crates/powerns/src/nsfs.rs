@@ -124,11 +124,6 @@ impl PowerNamespace {
         Ok(())
     }
 
-    /// Removes a container's accounting.
-    pub fn unregister(&mut self, id: ContainerId) {
-        self.containers.remove(&id);
-    }
-
     /// One calibration interval (Formula 3): must be called after every
     /// simulation step whose energy should be attributed.
     pub fn update(&mut self, kernel: &Kernel) {

@@ -123,11 +123,6 @@ impl AttackCampaign {
         })
     }
 
-    /// The deployed payload instances.
-    pub fn payload_instances(&self) -> Vec<InstanceId> {
-        self.payloads.iter().map(|(i, _)| *i).collect()
-    }
-
     fn set_firing(&self, cloud: &mut Cloud, on: bool) -> Result<(), CloudError> {
         let w = if on {
             models::power_virus()

@@ -3,11 +3,10 @@
 //! table, or a panic repro) and writes no report unless `--out` is given.
 //!
 //! Flags: see the crate docs (`--seed`, `--days`, `--jobs`, `--only`,
-//! `--out`, `--trace`, `--counters`, `--json`, `--coalesce`). Every
-//! driver is a pure function of the seed, so the
-//! artifacts — the trace included, modulo its mode-exempt group — are
-//! byte-identical for any `--jobs` and any execution mode. Exits 1 if
-//! any claim fails.
+//! `--out`, `--trace`, `--counters`, `--json`). Every driver is a pure
+//! function of the seed, so the artifacts — the trace included, modulo
+//! its mode-exempt group — are byte-identical for any `--jobs` and either
+//! coalescing mode (`tests/mode_matrix.rs`). Exits 1 if any claim fails.
 
 fn main() -> std::process::ExitCode {
     containerleaks_experiments::run_cli(&containerleaks_experiments::EXPERIMENTS)

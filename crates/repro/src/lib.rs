@@ -9,10 +9,14 @@
 //! <path>` for the markdown report (a `.json` companion lands next to
 //! it), `--trace <path>` to write the deterministic JSONL trace,
 //! `--counters` to print the counter and sim-time profile summary,
-//! `--json` to print each result as JSON instead of text, and the
-//! [`RunConfig`] mode `--coalesce <on|off>`. `all` also takes `--days
-//! <n>`, the Fig. 2 trace length (default 7). An unknown flag or a bad
-//! value exits 2.
+//! and `--json` to print each result as JSON instead of text. `all` also
+//! takes `--days <n>`, the Fig. 2 trace length (default 7). An unknown
+//! flag or a bad value exits 2.
+//!
+//! Runs always use the compiled [`RunConfig`](containerleaks::simkernel::RunConfig)
+//! defaults; the test `tests/mode_matrix.rs` enters the other coalescing
+//! mode itself and holds every artifact byte-identical across modes and
+//! worker counts.
 
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -20,7 +24,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use containerleaks::experiments::{run_entries_with, ExperimentFn};
-use containerleaks::simkernel::RunConfig;
 use containerleaks::simtrace;
 use containerleaks::ExperimentResult;
 
@@ -61,8 +64,6 @@ struct Cli {
     days: u64,
     /// Worker threads.
     jobs: usize,
-    /// Execution modes the run is entered under.
-    run: RunConfig,
     /// The registry subset to run, if not all of it.
     only: Option<Vec<String>>,
     /// Explicit report path.
@@ -101,7 +102,6 @@ impl Cli {
             seed: containerleaks::DEFAULT_SEED,
             days: 7,
             jobs: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            run: RunConfig::DEFAULT,
             only: None,
             out: None,
             trace: None,
@@ -120,7 +120,6 @@ impl Cli {
                         return Err("--jobs takes a worker count ≥ 1, got `0`".into());
                     }
                 }
-                "--coalesce" => cli.run.coalesce = on_off(f, it.next())?,
                 "--only" => {
                     let ids: Vec<String> = value::<String>(f, it.next(), "experiment ids")?
                         .split(',')
@@ -184,19 +183,16 @@ pub fn run_cli(suite: &Suite) -> ExitCode {
         .collect();
     let total = entries.len();
     let done = AtomicUsize::new(0);
-    let results = {
-        let _run = cli.run.enter();
-        run_entries_with(&entries, cli.seed, cli.days, cli.jobs, |_, r| {
-            // Progress in completion order; the result vector (and so
-            // everything printed or written below) stays in registry order.
-            eprintln!(
-                "[{}/{total}] {} — {}",
-                done.fetch_add(1, Ordering::Relaxed) + 1,
-                r.id,
-                if r.all_hold() { "ok" } else { "CLAIMS FAILED" }
-            );
-        })
-    };
+    let results = run_entries_with(&entries, cli.seed, cli.days, cli.jobs, |_, r| {
+        // Progress in completion order; the result vector (and so
+        // everything printed or written below) stays in registry order.
+        eprintln!(
+            "[{}/{total}] {} — {}",
+            done.fetch_add(1, Ordering::Relaxed) + 1,
+            r.id,
+            if r.all_hold() { "ok" } else { "CLAIMS FAILED" }
+        );
+    });
     for r in &results {
         emit(r, cli.json);
         println!();
@@ -291,8 +287,6 @@ mod tests {
                 "2",
                 "--jobs",
                 "3",
-                "--coalesce",
-                "off",
                 "--only",
                 "fig3,table1",
                 "--out",
@@ -305,7 +299,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!((cli.seed, cli.days, cli.jobs), (9, 2, 3));
-        assert_eq!(cli.run, RunConfig { coalesce: false });
         assert_eq!(
             cli.only,
             Some(vec!["fig3".to_string(), "table1".to_string()])
@@ -321,7 +314,6 @@ mod tests {
         assert_eq!(cli.seed, containerleaks::DEFAULT_SEED);
         assert_eq!(cli.days, 7);
         assert!(cli.jobs >= 1);
-        assert_eq!(cli.run, RunConfig::DEFAULT);
         assert_eq!((cli.only, cli.out, cli.trace), (None, None, None));
         assert!(!cli.counters && !cli.json);
     }
@@ -335,6 +327,7 @@ mod tests {
             &["--seed"],
             &["--jobs", "0"],
             &["--jobs", "-1"],
+            &["--coalesce", "off"],
             &["--coalesce", "yes"],
             &["--render-cache", "off"],
             &["--shards", "8"],

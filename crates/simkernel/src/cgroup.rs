@@ -55,16 +55,6 @@ impl CgroupKind {
     pub const fn index(self) -> usize {
         self as usize
     }
-
-    /// The mount name under `/sys/fs/cgroup/`.
-    pub fn mount_name(&self) -> &'static str {
-        match self {
-            CgroupKind::Cpuacct => "cpuacct",
-            CgroupKind::PerfEvent => "perf_event",
-            CgroupKind::NetPrio => "net_prio",
-            CgroupKind::Memory => "memory",
-        }
-    }
 }
 
 /// Hardware-event counters accumulated for a perf-event cgroup.
@@ -511,32 +501,6 @@ impl CgroupForest {
                 ..
             } => Some((*usage_bytes, *max_usage_bytes)),
             _ => None,
-        }
-    }
-
-    /// Sets an interface priority in a net_prio cgroup.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::NoSuchCgroup`] / [`KernelError::InvalidOperation`]
-    /// on bad targets.
-    pub fn set_ifpriomap(
-        &mut self,
-        id: CgroupId,
-        iface: &str,
-        prio: u32,
-    ) -> Result<(), KernelError> {
-        match self.node_mut(id) {
-            Some(n) => match &mut n.data {
-                CgroupData::NetPrio { ifpriomap } => {
-                    ifpriomap.insert(iface.to_string(), prio);
-                    Ok(())
-                }
-                _ => Err(KernelError::InvalidOperation(format!(
-                    "{id} is not a net_prio cgroup"
-                ))),
-            },
-            None => Err(KernelError::NoSuchCgroup(id)),
         }
     }
 

@@ -437,7 +437,7 @@ impl Kernel {
     /// Advances the epochs named in `mask`. Called by every mutating
     /// entry point; bump placement is mode-invariant (one bump per
     /// mutation or per `advance` call, never per tick), so epoch values
-    /// are identical across `--jobs` and `--coalesce` settings.
+    /// are identical across `--jobs` values and coalescing modes.
     fn bump_epochs(&mut self, mask: u32) {
         self.epochs.bump(mask);
         // Mode-exempt: the fleet calendar's lazy fast-forward path folds
@@ -481,12 +481,6 @@ impl Kernel {
             base_ns: self.lifetime_ns,
             plan,
         });
-    }
-
-    /// Removes any installed fault plan.
-    pub fn clear_faults(&mut self) {
-        self.idle_anchor.invalidate();
-        self.faults = None;
     }
 
     /// The installed fault plan, if any.
@@ -579,7 +573,7 @@ impl Kernel {
     /// Whether event-horizon coalescing is enabled on this kernel (the
     /// [`RunConfig`] it was built under). Both settings produce
     /// byte-identical state; off is an escape hatch for bisecting and for
-    /// the CI cross-mode compare.
+    /// the cross-mode compare in the tests.
     pub fn coalescing(&self) -> bool {
         self.coalesce
     }
@@ -1306,17 +1300,6 @@ impl Kernel {
             ncpus,
             PerfOverheadCosts::default(),
         )
-    }
-
-    /// Disables perf monitoring on a cgroup.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cgroup errors.
-    pub fn detach_perf_monitoring(&mut self, cgroup: CgroupId) -> Result<(), KernelError> {
-        self.idle_anchor.invalidate();
-        self.bump_epochs(dep::CGROUP);
-        self.perf.detach_cgroup(&mut self.cgroups, cgroup)
     }
 }
 

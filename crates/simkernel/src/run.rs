@@ -2,8 +2,8 @@
 //! clouds.
 //!
 //! Every mode here is an invisible optimization — a run's artifacts are
-//! byte-identical under any setting, which is exactly what the CLI flags
-//! exist to let CI check. A configuration is entered for a scope on the
+//! byte-identical under any setting, which `tests/mode_matrix.rs` checks
+//! by entering each mode around whole runs. A configuration is entered for a scope on the
 //! current thread ([`RunConfig::enter`]); [`crate::Kernel::new`] and
 //! `cloudsim::CloudConfig::new` read [`RunConfig::current`]. Outside any
 //! scope they get the compiled default: coalescing on. Being

@@ -3,7 +3,7 @@
 //! Counters only ever sum, and addition commutes, so the totals are
 //! deterministic even when worker threads race on increments. Every
 //! entry carries its determinism [`Group`], so the mode-exempt totals
-//! can be filtered before a cross-mode byte compare.
+//! can be left out of a cross-mode compare.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;

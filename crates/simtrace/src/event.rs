@@ -7,8 +7,8 @@ use std::fmt::Write as _;
 pub enum Group {
     /// Byte-identical across `--jobs` values and coalescing modes.
     Portable,
-    /// Differs by design between coalescing modes only; CI filters these
-    /// lines before the cross-mode byte-compare.
+    /// Differs by design between coalescing modes only; left out of the
+    /// cross-mode compare (`tests/mode_matrix.rs`).
     ModeExempt,
 }
 

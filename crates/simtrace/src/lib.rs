@@ -29,11 +29,13 @@
 //! Every record carries a [`Group`]:
 //!
 //! * [`Group::Portable`] — identical bytes for any `--jobs` value and
-//!   either `--coalesce` mode. The bulk of the trace.
+//!   either coalescing mode. The bulk of the trace.
 //! * [`Group::ModeExempt`] — differs *by design* between coalescing
 //!   modes (a coalesced span jump exists only when coalescing is on; the
-//!   stepped-tick count only when it is off). CI filters this group
-//!   before the cross-mode byte-compare.
+//!   stepped-tick count only when it is off). The mode matrix
+//!   (`tests/mode_matrix.rs`) leaves this group out of the cross-mode
+//!   compare, selecting it with [`TraceEvent::group`] and
+//!   [`counters::CounterEntry::group`].
 //!
 //! # Zero cost when disabled
 //!

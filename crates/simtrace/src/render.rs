@@ -1,8 +1,9 @@
 //! Renders collected trace state as JSONL and as a human summary.
 //!
-//! The JSONL artifact is the thing CI byte-compares, so everything here
-//! is hand-rolled and stable: sorted scopes, integer-only numbers, a
-//! fixed key order per line type, and `\n` line endings.
+//! The JSONL artifact is what two runs are byte-compared by, so
+//! everything here is hand-rolled and stable: sorted scopes,
+//! integer-only numbers, a fixed key order per line type, and `\n` line
+//! endings.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -77,9 +77,9 @@ impl MemorySink {
 impl TraceSink for MemorySink {
     fn flush(&self, scope: &str, events: Vec<TimedEvent>) {
         let mut scopes = self.scopes.lock().expect("memory sink poisoned");
-        // A scope name repeats only if the same experiment runs twice in
-        // one process (e.g. the coalescing byte-compare test); append so
-        // nothing is lost, keeping per-kernel program order intact.
+        // A scope name repeats only if the same experiment runs twice
+        // between drains (the mode matrix drains after every run); append
+        // so nothing is lost, keeping per-kernel program order intact.
         scopes.entry(scope.to_string()).or_default().extend(events);
     }
 }

@@ -81,8 +81,8 @@ fn traces_are_reproducible_but_seed_sensitive() {
 fn experiment_runner_is_jobs_invariant() {
     // The determinism gate for the parallel experiment runner: a cheap
     // subset of the registry, run serially and across 4 lanes, must
-    // render byte-identical reports. (ci.sh runs the same gate over
-    // the full registry via the `all` binary.)
+    // render byte-identical reports. (`tests/mode_matrix.rs` runs the
+    // same gate over the full registry, traces included, in release.)
     use containerleaks::experiments::{run_entries_with, EXPERIMENTS};
     let subset: Vec<_> = EXPERIMENTS
         .iter()

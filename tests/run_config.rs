@@ -1,6 +1,6 @@
 //! The run configuration must actually reach every kernel and cloud an
-//! experiment builds — otherwise the CLI's mode gate (the coalescing
-//! byte-compare) could pass by comparing a run against itself.
+//! experiment builds — otherwise the mode matrix's coalescing-off row
+//! (`tests/mode_matrix.rs`) could pass by comparing a run against itself.
 
 use containerleaks::cloudsim::{Cloud, CloudConfig, CloudProfile, HostId};
 use containerleaks::experiments::{run_entries_with, ExperimentFn, Measured};
