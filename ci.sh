@@ -58,7 +58,7 @@ cargo test --offline -q --release --test fault_matrix
 echo "== cloud metering: fast meter vs reference walk, release case count =="
 cargo test --offline -q --release -p cloudsim
 
-echo "== idle anchor: lean capture vs reference clone, release case count =="
+echo "== kernel references: fast tick vs reference tick, lean anchor vs reference clone, release case count =="
 cargo test --offline -q --release -p simkernel
 
 echo "== determinism: the mode matrix =="

@@ -7,15 +7,22 @@ use simkernel::Kernel;
 
 use crate::view::View;
 
+/// Appends the `CPU0 CPU1 …` header columns, each right-aligned in 11
+/// characters, without building a string per column.
+fn cpu_header(out: &mut String, ncpus: usize) {
+    for c in 0..ncpus {
+        let digits = c.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let _ = write!(out, "{:>w$}{c}", "CPU", w = 11usize.saturating_sub(digits));
+    }
+    out.push('\n');
+}
+
 /// `/proc/interrupts`. LEAK (Table I): per-IRQ per-CPU counts for the
 /// whole host; the handler has no notion of namespaces.
 pub fn interrupts(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let ncpus = k.config().cpus as usize;
     out.push_str("     ");
-    for c in 0..ncpus {
-        let _ = write!(out, "{:>11}", format!("CPU{c}"));
-    }
-    out.push('\n');
+    cpu_header(out, ncpus);
     for line in k.irq().lines() {
         let _ = write!(out, "{:>4}:", line.label);
         for c in 0..ncpus {
@@ -31,10 +38,7 @@ pub fn interrupts(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Opt
 pub fn softirqs(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let ncpus = k.config().cpus as usize;
     out.push_str("                ");
-    for c in 0..ncpus {
-        let _ = write!(out, "{:>11}", format!("CPU{c}"));
-    }
-    out.push('\n');
+    cpu_header(out, ncpus);
     for (name, counts) in SOFTIRQ_NAMES.iter().zip(k.irq().softirqs()) {
         let _ = write!(out, "{:>12}:   ", name);
         for c in 0..ncpus {
@@ -51,6 +55,62 @@ mod tests {
     use crate::render::rendered;
     use simkernel::MachineConfig;
     use workloads::models;
+
+    // The reference renderers the allocation-free headers must match
+    // byte for byte: each header column is formatted into its own string.
+    fn interrupts_reference(k: &Kernel, out: &mut String) {
+        let ncpus = k.config().cpus as usize;
+        out.push_str("     ");
+        for c in 0..ncpus {
+            let _ = write!(out, "{:>11}", format!("CPU{c}"));
+        }
+        out.push('\n');
+        for line in k.irq().lines() {
+            let _ = write!(out, "{:>4}:", line.label);
+            for c in 0..ncpus {
+                let _ = write!(out, "{:>11}", line.per_cpu.get(c).copied().unwrap_or(0));
+            }
+            let _ = writeln!(out, "   {}", line.description);
+        }
+    }
+
+    fn softirqs_reference(k: &Kernel, out: &mut String) {
+        let ncpus = k.config().cpus as usize;
+        out.push_str("                ");
+        for c in 0..ncpus {
+            let _ = write!(out, "{:>11}", format!("CPU{c}"));
+        }
+        out.push('\n');
+        for (name, counts) in SOFTIRQ_NAMES.iter().zip(k.irq().softirqs()) {
+            let _ = write!(out, "{:>12}:   ", name);
+            for c in 0..ncpus {
+                let _ = write!(out, "{:>11}", counts.get(c).copied().unwrap_or(0));
+            }
+            out.push('\n');
+        }
+    }
+
+    #[test]
+    fn tables_match_the_reference_renderers() {
+        for cfg in [
+            MachineConfig::small_server(),
+            MachineConfig::testbed_i7_6700(),
+            MachineConfig::cloud_server(),
+        ] {
+            let mut k = Kernel::new(cfg, 3);
+            for _ in 0..3 {
+                k.spawn_host_process("w", models::prime()).unwrap();
+            }
+            k.advance_secs(30);
+            let view = View::host();
+            let mut want = String::new();
+            interrupts_reference(&k, &mut want);
+            assert_eq!(rendered(interrupts, &k, &view, &[]).unwrap(), want);
+            want.clear();
+            softirqs_reference(&k, &mut want);
+            assert_eq!(rendered(softirqs, &k, &view, &[]).unwrap(), want);
+        }
+    }
 
     #[test]
     fn interrupts_table_shape() {

@@ -304,63 +304,37 @@ impl Hardware {
         let alpha = 1.0 - (-dt_s / THERMAL_TAU_S).exp();
         let base_khz = *freq_hz as f64 / 1_000.0;
 
+        // CPUs with equal loads share every load-derived quantity; only
+        // the draws below differ, and they stay in CPU order.
+        let mut memo: Option<(CpuLoadKey, CpuLoadMath)> = None;
         for (cpu, (l, hw)) in load.iter().zip(cpus.iter_mut()).enumerate() {
-            let busy_frac = (l.busy_ns as f64 / dt_ns as f64).min(1.0);
-            let instr_rate = l.instructions as f64 / dt_s;
-            let cm_rate = l.cache_misses as f64 / dt_s;
-            let bm_rate = l.branch_misses as f64 / dt_s;
-            let fp_frac = if l.instructions > 0 {
-                l.fp_instructions as f64 / l.instructions as f64
-            } else {
-                0.0
+            let key = CpuLoadKey::new(l);
+            let m = match memo {
+                Some((k, m)) if k == key => m,
+                _ => {
+                    let m = CpuLoadMath::new(p, l, dt_ns, base_khz);
+                    memo = Some((key, m));
+                    m
+                }
             };
-
-            // Core power: idle leakage + activity baseline + per-event
-            // energies. The per-instruction term is scaled up for FP-heavy
-            // streams — the workload-dependent slope of Fig. 6.
-            let core_w = p.core_idle_w
-                + busy_frac * p.core_active_w
-                + instr_rate * p.energy_per_instr_pj * (1.0 + p.fp_energy_factor * fp_frac) * 1e-12
-                + cm_rate * p.energy_per_cache_miss_pj * 1e-12
-                + bm_rate * p.energy_per_branch_miss_pj * 1e-12;
-            let dram_w = cm_rate * p.energy_per_dram_access_pj * 1e-12;
 
             // `package_of`, on the destructured fields.
             if let Some(acc) = per_pkg.get_mut((cpu / *cpus_per_package).min(last_pkg)) {
-                acc.1 += core_w;
-                acc.2 += dram_w;
+                acc.1 += m.core_w;
+                acc.2 += m.dram_w;
             }
 
             // Thermal: first-order filter toward a power-dependent target.
-            let target = AMBIENT_MC + core_w * MC_PER_W;
             // DTS sensors carry ~±0.25 °C of readout noise.
-            hw.temp_mc += (target - hw.temp_mc) * alpha + rng.random_range(-250.0..250.0);
+            hw.temp_mc += (m.target_mc - hw.temp_mc) * alpha + rng.random_range(-250.0..250.0);
 
-            // cpufreq governor: floor at ~47% of nominal when parked,
-            // turbo to ~112% under full load, with dither.
-            let target_khz = base_khz * (0.47 + 0.65 * busy_frac);
-            hw.cur_freq_khz = (target_khz * (1.0 + rng.random_range(-0.01..0.01))) as u64;
+            // cpufreq governor, with dither.
+            hw.cur_freq_khz = (m.target_khz * (1.0 + rng.random_range(-0.01..0.01))) as u64;
 
-            // cpuidle residency for the idle fraction of the tick.
-            let idle_ns = dt_ns - l.busy_ns.min(dt_ns);
-            if idle_ns > 0 {
-                let idle_us = idle_ns / 1_000;
-                // Deep idle when mostly idle; shallow when fragmented.
-                let split: [(usize, f64); 3] = if busy_frac < 0.05 {
-                    [(4, 0.85), (2, 0.10), (1, 0.05)]
-                } else if busy_frac < 0.6 {
-                    [(3, 0.50), (2, 0.30), (1, 0.20)]
-                } else {
-                    [(1, 0.60), (0, 0.25), (2, 0.15)]
-                };
-                for (state, frac) in split {
-                    let t = (idle_us as f64 * frac) as u64;
-                    let st = &mut hw.idle_states[state];
-                    st.time_us += t;
-                    // Entry count: deep states have long residencies.
-                    let avg_res_us = [50u64, 200, 600, 2_000, 20_000][state];
-                    st.usage += (t / avg_res_us).max(u64::from(t > 0));
-                }
+            for (state, t, usage) in m.idle {
+                let st = &mut hw.idle_states[state];
+                st.time_us += t;
+                st.usage += usage;
             }
         }
 
@@ -454,6 +428,95 @@ impl Hardware {
             dc_w += pkg_w;
         }
         last_snapshot.wall_w = dc_w / p.psu_efficiency;
+    }
+}
+
+/// The fields of a [`CpuTickLoad`] that [`CpuLoadMath::new`] reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CpuLoadKey([u64; 5]);
+
+impl CpuLoadKey {
+    fn new(l: &CpuTickLoad) -> Self {
+        CpuLoadKey([
+            l.busy_ns,
+            l.instructions,
+            l.cache_misses,
+            l.branch_misses,
+            l.fp_instructions,
+        ])
+    }
+}
+
+/// What one CPU's load comes to in one [`Hardware::tick`], before any
+/// noise is drawn: its power, the targets its temperature and frequency
+/// move toward, and its cpuidle residency. A pure function of the load's
+/// [`CpuLoadKey`] and the tick's invariants (the parameters, `dt_ns` and
+/// the nominal frequency), so a tick computes it once per distinct load.
+#[derive(Debug, Clone, Copy)]
+struct CpuLoadMath {
+    core_w: f64,
+    dram_w: f64,
+    target_mc: f64,
+    target_khz: f64,
+    /// `(state, time_us, usage)` added to each cpuidle state; all zero
+    /// when the CPU never idled.
+    idle: [(usize, u64, u64); 3],
+}
+
+impl CpuLoadMath {
+    fn new(p: &PowerModelParams, l: &CpuTickLoad, dt_ns: u64, base_khz: f64) -> Self {
+        let dt_s = dt_ns as f64 / NANOS_PER_SEC as f64;
+        let busy_frac = (l.busy_ns as f64 / dt_ns as f64).min(1.0);
+        let instr_rate = l.instructions as f64 / dt_s;
+        let cm_rate = l.cache_misses as f64 / dt_s;
+        let bm_rate = l.branch_misses as f64 / dt_s;
+        let fp_frac = if l.instructions > 0 {
+            l.fp_instructions as f64 / l.instructions as f64
+        } else {
+            0.0
+        };
+
+        // Core power: idle leakage + activity baseline + per-event
+        // energies. The per-instruction term is scaled up for FP-heavy
+        // streams — the workload-dependent slope of Fig. 6.
+        let core_w = p.core_idle_w
+            + busy_frac * p.core_active_w
+            + instr_rate * p.energy_per_instr_pj * (1.0 + p.fp_energy_factor * fp_frac) * 1e-12
+            + cm_rate * p.energy_per_cache_miss_pj * 1e-12
+            + bm_rate * p.energy_per_branch_miss_pj * 1e-12;
+        let dram_w = cm_rate * p.energy_per_dram_access_pj * 1e-12;
+
+        // cpufreq governor: floor at ~47% of nominal when parked, turbo
+        // to ~112% under full load.
+        let target_khz = base_khz * (0.47 + 0.65 * busy_frac);
+
+        // cpuidle residency for the idle fraction of the tick.
+        let mut idle = [(0, 0, 0); 3];
+        let idle_ns = dt_ns - l.busy_ns.min(dt_ns);
+        if idle_ns > 0 {
+            let idle_us = idle_ns / 1_000;
+            // Deep idle when mostly idle; shallow when fragmented.
+            let split: [(usize, f64); 3] = if busy_frac < 0.05 {
+                [(4, 0.85), (2, 0.10), (1, 0.05)]
+            } else if busy_frac < 0.6 {
+                [(3, 0.50), (2, 0.30), (1, 0.20)]
+            } else {
+                [(1, 0.60), (0, 0.25), (2, 0.15)]
+            };
+            for (slot, (state, frac)) in idle.iter_mut().zip(split) {
+                let t = (idle_us as f64 * frac) as u64;
+                // Entry count: deep states have long residencies.
+                let avg_res_us = [50u64, 200, 600, 2_000, 20_000][state];
+                *slot = (state, t, (t / avg_res_us).max(u64::from(t > 0)));
+            }
+        }
+        CpuLoadMath {
+            core_w,
+            dram_w,
+            target_mc: AMBIENT_MC + core_w * MC_PER_W,
+            target_khz,
+            idle,
+        }
     }
 }
 
@@ -626,6 +689,22 @@ mod tests {
             }
             snapshot.wall_w = dc_w / p.psu_efficiency;
             self.last_snapshot = snapshot;
+        }
+    }
+
+    #[test]
+    fn near_twin_loads_leave_the_reference_ticks_bytes() {
+        let mut fast = hw(16, 2);
+        let mut plain = hw(16, 2);
+        let (mut rf, mut rp) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
+        for secs in [1, 30, 1] {
+            let dt = secs * NANOS_PER_SEC;
+            let loads = CpuTickLoad::near_twins(dt);
+            fast.tick(dt, &loads, &mut rf);
+            plain.tick_reference(dt, &loads, &mut rp);
+            let json = |h: &Hardware| serde_json::to_string(h).expect("hardware serializes");
+            assert_eq!(json(&fast), json(&plain), "after a {secs} s tick");
+            assert_eq!(rf.random::<u64>(), rp.random::<u64>());
         }
     }
 

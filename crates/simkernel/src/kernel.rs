@@ -1551,6 +1551,29 @@ mod tests {
         )
     }
 
+    /// A one-phase service, or with `field` in 1..=7 its near twin: the
+    /// same phase with exactly one of the seven fields a task's share of a
+    /// tick reads changed, in the order of the scheduler's memo key.
+    fn twin(field: usize) -> WorkloadSpec {
+        let mut phase = models::web_service(0.3).phases()[0].clone();
+        match field {
+            1 => phase.cpu_demand = 0.2,
+            2 => phase.instructions_per_cycle = 1.3,
+            3 => phase.cache_miss_per_kilo_instr = 6.0,
+            4 => phase.branch_miss_per_kilo_instr = 7.0,
+            5 => phase.fp_ratio = 0.05,
+            6 => phase.syscalls_per_sec = 30_000.0,
+            7 => phase.io_bytes_per_sec = 3.0e6,
+            _ => {}
+        }
+        WorkloadSpec::new(
+            format!("twin-{field}"),
+            WorkloadClass::Mixed,
+            vec![phase],
+            Repeat::Forever,
+        )
+    }
+
     fn workload(choice: usize) -> WorkloadSpec {
         match choice {
             0 => models::prime(),
@@ -1560,7 +1583,8 @@ mod tests {
             4 => short_job(9, 0.6),
             5 => models::stress_vm(),
             6 => models::mcf(),
-            _ => models::sleeper(),
+            7 => models::sleeper(),
+            _ => twin(choice - 8),
         }
     }
 
@@ -1568,12 +1592,14 @@ mod tests {
     type Spawn = (usize, usize, usize);
 
     /// Boots a kernel and runs the script on it with the fast or the
-    /// reference tick, returning its final tick state.
+    /// reference tick, returning its final tick state. With `retick`, the
+    /// tick length switches between 1 s and 30 s after the first span.
     #[allow(clippy::too_many_arguments)]
     fn run_script(
         seed: u64,
         machine: usize,
         tick_secs: u64,
+        retick: bool,
         containers: usize,
         spawns: &[Spawn],
         reboot: bool,
@@ -1589,8 +1615,9 @@ mod tests {
         let mut k = Kernel::new(cfg, seed);
         k.set_tick_ns(tick_secs * NANOS_PER_SEC);
         let (a, b, c) = spans;
+        let later_secs = if retick { 31 - tick_secs } else { tick_secs };
         if reboot {
-            let horizon = (a + b + c) * tick_secs;
+            let horizon = a * tick_secs + (b + c) * later_secs;
             k.install_faults(
                 FaultPlan::builder(seed)
                     .horizon_secs(horizon)
@@ -1635,6 +1662,7 @@ mod tests {
             pids.push(pid);
         }
         k.drive(a * tick_secs, reference);
+        k.set_tick_ns(later_secs * NANOS_PER_SEC);
         let paused = pids.first().copied();
         if let Some(pid) = paused {
             let _ = k.pause(pid);
@@ -1642,33 +1670,36 @@ mod tests {
         if let Some(&pid) = pids.get(1) {
             let _ = k.set_workload_demand(pid, 0.45);
         }
-        k.drive(b * tick_secs, reference);
+        k.drive(b * later_secs, reference);
         if let Some(pid) = paused {
             let _ = k.resume(pid);
         }
-        k.drive(c * tick_secs, reference);
+        k.drive(c * later_secs, reference);
         k.tick_state()
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(40))]
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 40 } else { 256 }))]
         #[test]
         fn fast_tick_leaves_the_reference_ticks_bytes(
             seed in 0u64..1_000_000,
             machine in 0usize..3,
             coarse in 0usize..3,
+            retick in 0usize..2,
             containers in 0usize..4,
-            spawns in proptest::collection::vec((0usize..8, 0usize..4, 0usize..7), 1..14),
+            spawns in proptest::collection::vec((0usize..16, 0usize..4, 0usize..7), 1..14),
             reboot in 0usize..2,
             spans in (1u64..12, 0u64..8, 1u64..12),
         ) {
-            // 1 s ticks mostly; a third of the cases run 30 s ticks.
+            // 1 s ticks mostly; a third of the cases start on 30 s ticks,
+            // and half switch tick length after the first span.
             let tick_secs = if coarse == 0 { 30 } else { 1 };
             let run = |reference| {
                 run_script(
                     seed,
                     machine,
                     tick_secs,
+                    retick == 1,
                     containers,
                     &spawns,
                     reboot == 1,
@@ -1679,6 +1710,48 @@ mod tests {
             let (fast, plain) = (run(false), run(true));
             for (i, (f, p)) in fast.iter().zip(&plain).enumerate() {
                 prop_assert_eq!(f, p, "state part {} diverged", i);
+            }
+        }
+    }
+
+    /// The tick's memos against near twins: every key field of the
+    /// scheduler's memo, and the hardware and interrupt per-CPU memos'
+    /// load fields a service can move alone, each differ between two
+    /// lookups in a row while everything else matches. The fast tick
+    /// must still leave the reference's bytes.
+    #[test]
+    fn near_twin_services_leave_the_reference_ticks_bytes() {
+        // On a 16-CPU cloud server, in pid order: a base service packed
+        // on CPU 0 with prime (total demand 1.3) and then one alone on
+        // CPU 1, so the two differ in total demand only; base/twin pairs
+        // on CPUs 2-13, each twin changing one phase field (past the IPC
+        // twin, the pair's loads differ in cache misses, branch misses,
+        // FP instructions, syscalls or IO alone); a base and its demand
+        // twin sharing CPU 15; and CPU 14 idle beside a busy CPU 13. The
+        // hardware tests pin loads differing in busy time or instructions
+        // alone.
+        let mut spawns = vec![(8, 0, 1), (8, 0, 0)];
+        for field in 2..=7 {
+            spawns.extend([(8, 0, 0), (8 + field, 0, 0)]);
+        }
+        spawns.extend([(8, 0, 2), (9, 0, 2), (0, 0, 1)]);
+        for (tick_secs, retick) in [(1, false), (30, false), (1, true), (30, true)] {
+            let run = |reference| {
+                run_script(
+                    7,
+                    2,
+                    tick_secs,
+                    retick,
+                    1,
+                    &spawns,
+                    false,
+                    (3, 2, 3),
+                    reference,
+                )
+            };
+            let (fast, plain) = (run(false), run(true));
+            for (i, (f, p)) in fast.iter().zip(&plain).enumerate() {
+                assert_eq!(f, p, "state part {i} diverged at {tick_secs} s ticks");
             }
         }
     }

@@ -158,6 +158,158 @@ fn cycles(ran_ns: u64, freq_hz: u64) -> u64 {
     }
 }
 
+/// What one task's share of a tick comes to: everything
+/// [`Scheduler::run_task`] charges that does not depend on the process
+/// itself. A pure function of [`TaskKey`], the tick length and the clock
+/// frequency.
+#[derive(Debug, Clone, Copy)]
+struct TaskMath {
+    ran_ns: u64,
+    waited_ns: u64,
+    perf: PerfCounters,
+    fp_instructions: u64,
+    syscalls: u64,
+    io_bytes: u64,
+    utime: u64,
+    stime: u64,
+}
+
+impl TaskMath {
+    /// The share of a task in `phase` on a CPU whose tasks demand
+    /// `total_demand` in all, over `dt_ns` at `freq_hz`; `None` when it
+    /// gets no time.
+    fn new(phase: &Phase, total_demand: f64, dt_ns: u64, freq_hz: u64) -> Option<Self> {
+        let scale = if total_demand > 1.0 {
+            1.0 / total_demand
+        } else {
+            1.0
+        };
+        let ran_ns = (dt_ns as f64 * phase.cpu_demand * scale) as u64;
+        if ran_ns == 0 {
+            return None;
+        }
+        let waited_ns = if total_demand > 1.0 {
+            ((dt_ns as f64 * phase.cpu_demand) as u64).saturating_sub(ran_ns)
+        } else {
+            0
+        };
+
+        let cycles = cycles(ran_ns, freq_hz);
+        let instructions = (cycles as f64 * phase.instructions_per_cycle) as u64;
+        let cache_misses = (instructions as f64 * phase.cache_miss_per_kilo_instr / 1000.0) as u64;
+        let branch_misses =
+            (instructions as f64 * phase.branch_miss_per_kilo_instr / 1000.0) as u64;
+        let fp_instructions = (instructions as f64 * phase.fp_ratio) as u64;
+        let syscalls = (phase.syscalls_per_sec * ran_ns as f64 / NANOS_PER_SEC as f64) as u64;
+        let io_bytes = (phase.io_bytes_per_sec * ran_ns as f64 / NANOS_PER_SEC as f64) as u64;
+
+        // User/system split: syscall-heavy phases spend more in the kernel.
+        let sys_frac = (phase.syscalls_per_sec * 1.5e-6).clamp(0.005, 0.35);
+        let stime = (ran_ns as f64 * sys_frac) as u64;
+        Some(TaskMath {
+            ran_ns,
+            waited_ns,
+            perf: PerfCounters {
+                instructions,
+                cache_misses,
+                branch_misses,
+                cycles,
+            },
+            fp_instructions,
+            syscalls,
+            io_bytes,
+            utime: ran_ns - stime,
+            stime,
+        })
+    }
+}
+
+/// Every input [`TaskMath::new`] reads but the two a [`TaskMemo`] is built
+/// with: the seven phase fields, bit for bit, and the CPU's total demand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TaskKey {
+    phase: [u64; 7],
+    total_demand: u64,
+}
+
+impl TaskKey {
+    fn new(phase: &Phase, total_demand: f64) -> Self {
+        TaskKey {
+            phase: [
+                phase.cpu_demand,
+                phase.instructions_per_cycle,
+                phase.cache_miss_per_kilo_instr,
+                phase.branch_miss_per_kilo_instr,
+                phase.fp_ratio,
+                phase.syscalls_per_sec,
+                phase.io_bytes_per_sec,
+            ]
+            .map(f64::to_bits),
+            total_demand: total_demand.to_bits(),
+        }
+    }
+}
+
+/// The last [`TaskMath`] one tick computed, by key. A memo lives for one
+/// tick of one scheduler and holds that tick's length and the clock
+/// frequency, so its key need not. Services started from one spec share
+/// a phase and, spread one per CPU, a CPU's total demand, so consecutive
+/// tasks mostly repeat a key. It draws nothing, and a hit returns exactly
+/// what a recomputation would.
+struct TaskMemo {
+    dt_ns: u64,
+    freq_hz: u64,
+    last: Option<(TaskKey, Option<TaskMath>)>,
+}
+
+impl TaskMemo {
+    fn new(dt_ns: u64, freq_hz: u64) -> Self {
+        TaskMemo {
+            dt_ns,
+            freq_hz,
+            last: None,
+        }
+    }
+
+    fn get(&mut self, phase: &Phase, total_demand: f64) -> Option<&TaskMath> {
+        let key = TaskKey::new(phase, total_demand);
+        if !matches!(self.last, Some((k, _)) if k == key) {
+            let math = TaskMath::new(phase, total_demand, self.dt_ns, self.freq_hz);
+            self.last = Some((key, math));
+        }
+        self.last.as_ref().and_then(|(_, math)| math.as_ref())
+    }
+}
+
+/// The least-loaded CPU while step 1 assigns tasks: the minimum load and
+/// the lowest CPU carrying it, kept current as loads grow one task at a
+/// time, so an unpinned task reads its CPU without scanning them all.
+#[derive(Debug, Default)]
+struct LeastLoaded {
+    min: u32,
+    first: usize,
+}
+
+impl LeastLoaded {
+    /// Assigns one more task to `cpu`. Loads only grow, so the minimum
+    /// moves on to the next CPU still at it, or rises by one once none is.
+    fn bump(&mut self, loads: &mut [u32], cpu: usize) {
+        loads[cpu] += 1;
+        if cpu != self.first {
+            return;
+        }
+        let min = self.min;
+        match loads[cpu + 1..].iter().position(|&l| l == min) {
+            Some(i) => self.first = cpu + 1 + i,
+            None => {
+                // Every load is now above `min`, and `cpu`'s is `min + 1`.
+                self.min += 1;
+                self.first = loads.iter().position(|&l| l == min + 1).unwrap_or(cpu);
+            }
+        }
+    }
+}
+
 /// The scheduler.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Scheduler {
@@ -240,6 +392,7 @@ impl Scheduler {
         //    go to the least-loaded candidate, preferring their last CPU.
         //    Each task's phase is recorded, and its demand summed into its
         //    CPU's total in pid order.
+        let mut least = LeastLoaded::default();
         for p in procs.iter().filter(|p| p.state == ProcState::Runnable) {
             let last = p.last_cpu as usize;
             let best = match p.affinity.as_deref() {
@@ -248,21 +401,15 @@ impl Scheduler {
                     .map(|c| *c as usize)
                     .filter(|c| *c < ncpus)
                     .min_by_key(|&c| (loads[c], usize::from(c != last), c)),
-                None => {
-                    // Least-loaded, preferring the last CPU, then the lowest
-                    // index — the two cheap scans match the lexicographic
-                    // minimum of (load, c != last, c) over all CPUs.
-                    let min = loads.iter().copied().min().unwrap_or(0);
-                    if last < ncpus && loads[last] == min {
-                        Some(last)
-                    } else {
-                        loads.iter().position(|&l| l == min)
-                    }
-                }
+                // The lexicographic minimum of (load, c != last, c) over
+                // all CPUs, read off the running cursor.
+                None if ncpus == 0 => None,
+                None if last < ncpus && loads[last] == least.min => Some(last),
+                None => Some(least.first),
             };
             let phase = p.cursor.current_phase(&p.workload);
             if let Some(cpu) = best {
-                loads[cpu] += 1;
+                least.bump(loads, cpu);
                 demand[cpu] += phase.cpu_demand;
             }
             tasks.push(TaskSlot {
@@ -276,17 +423,19 @@ impl Scheduler {
         //    the process, its cgroups and its CPU (integer adds, so the
         //    walk's order charges what any order would), and a finished
         //    Once workload is reaped.
+        //    Tasks that share a phase and a CPU share run the same
+        //    arithmetic, so it is computed once per distinct key.
         let mut runnable = 0;
         if !tasks.is_empty() {
+            let mut memo = TaskMemo::new(dt_ns, self.freq_hz);
             let runq = procs.iter_mut().filter(|p| p.state == ProcState::Runnable);
             for (p, task) in runq.zip(tasks.iter()) {
                 if let Some(cpu) = task.cpu {
-                    if let Some((ran_ns, delta)) =
-                        self.run_task(p, task, cpu, dt_ns, demand[cpu], report)
-                    {
-                        busy[cpu] += ran_ns;
+                    if let Some(math) = memo.get(&task.phase, demand[cpu]) {
+                        self.run_task(p, cpu, math, report);
+                        busy[cpu] += math.ran_ns;
                         let owner = (p.cgroups.cpuacct, p.cgroups.perf_event);
-                        charge.add(cgroups, owner, cpu, ran_ns, &delta);
+                        charge.add(cgroups, owner, cpu, math.ran_ns, &math.perf);
                     }
                 }
                 if p.cursor.advance_peek_done(&p.workload) {
@@ -351,61 +500,23 @@ impl Scheduler {
         }
     }
 
-    /// Runs one task for its share of `cpu` this tick, charging the
-    /// process, the CPU and the report; returns the nanoseconds it ran
-    /// and its counters for its cgroups, or `None` when it got no time.
-    /// `total_demand` is the summed demand of every task on that CPU.
-    #[allow(clippy::too_many_arguments)]
-    fn run_task(
-        &mut self,
-        p: &mut Process,
-        task: &TaskSlot,
-        cpu: usize,
-        dt_ns: u64,
-        total_demand: f64,
-        report: &mut TickReport,
-    ) -> Option<(u64, PerfCounters)> {
-        let phase = &task.phase;
-        let scale = if total_demand > 1.0 {
-            1.0 / total_demand
-        } else {
-            1.0
-        };
-        let ran_ns = (dt_ns as f64 * phase.cpu_demand * scale) as u64;
-        if ran_ns == 0 {
-            return None;
-        }
-        let waited_ns = if total_demand > 1.0 {
-            ((dt_ns as f64 * phase.cpu_demand) as u64).saturating_sub(ran_ns)
-        } else {
-            0
-        };
-
-        let cycles = cycles(ran_ns, self.freq_hz);
-        let instructions = (cycles as f64 * phase.instructions_per_cycle) as u64;
-        let cache_misses = (instructions as f64 * phase.cache_miss_per_kilo_instr / 1000.0) as u64;
-        let branch_misses =
-            (instructions as f64 * phase.branch_miss_per_kilo_instr / 1000.0) as u64;
-        let fp_instructions = (instructions as f64 * phase.fp_ratio) as u64;
-        let syscalls = (phase.syscalls_per_sec * ran_ns as f64 / NANOS_PER_SEC as f64) as u64;
-        let io_bytes = (phase.io_bytes_per_sec * ran_ns as f64 / NANOS_PER_SEC as f64) as u64;
-
-        // User/system split: syscall-heavy phases spend more in the kernel.
-        let sys_frac = (phase.syscalls_per_sec * 1.5e-6).clamp(0.005, 0.35);
-        let stime = (ran_ns as f64 * sys_frac) as u64;
-        let utime = ran_ns - stime;
-
+    /// Runs one task for its share of `cpu` this tick, as `math` worked it
+    /// out, charging the process, the CPU and the report.
+    fn run_task(&mut self, p: &mut Process, cpu: usize, math: &TaskMath, report: &mut TickReport) {
+        let TaskMath {
+            ran_ns,
+            waited_ns,
+            utime,
+            stime,
+            io_bytes,
+            syscalls,
+            ..
+        } = *math;
         p.utime_ns += utime;
         p.stime_ns += stime;
         p.vruntime_ns += ran_ns;
         p.last_cpu = cpu as u16;
-        let delta = PerfCounters {
-            instructions,
-            cache_misses,
-            branch_misses,
-            cycles,
-        };
-        p.counters.add(&delta);
+        p.counters.add(&math.perf);
         p.io_read_bytes += io_bytes / 3;
         p.io_write_bytes += io_bytes - io_bytes / 3;
         p.syscalls += syscalls;
@@ -422,13 +533,12 @@ impl Scheduler {
 
         let load = &mut report.per_cpu[cpu];
         load.busy_ns += ran_ns;
-        load.instructions += instructions;
-        load.cache_misses += cache_misses;
-        load.branch_misses += branch_misses;
-        load.fp_instructions += fp_instructions;
+        load.instructions += math.perf.instructions;
+        load.cache_misses += math.perf.cache_misses;
+        load.branch_misses += math.perf.branch_misses;
+        load.fp_instructions += math.fp_instructions;
         load.syscalls += syscalls;
         load.io_bytes += io_bytes;
-        Some((ran_ns, delta))
     }
 
     /// Copies the lanes [`Scheduler::idle_eval`] reads into `anchor`,
@@ -692,6 +802,60 @@ mod tests {
             load.fp_instructions += fp_instructions;
             load.syscalls += syscalls;
             load.io_bytes += io_bytes;
+        }
+    }
+
+    impl CpuTickLoad {
+        /// Sixteen per-CPU loads in base/twin pairs: each twin changes
+        /// exactly one field of the base, one pair per field, so a
+        /// per-load memo whose key missed a field it reads would hand a
+        /// twin its base's result.
+        pub(crate) fn near_twins(dt_ns: u64) -> Vec<CpuTickLoad> {
+            let base = CpuTickLoad {
+                busy_ns: dt_ns / 2,
+                instructions: 1_000_000_000,
+                cache_misses: 10_000_000,
+                branch_misses: 4_000_000,
+                fp_instructions: 30_000_000,
+                tasks_ran: 1,
+                syscalls: 5_000,
+                io_bytes: 1 << 20,
+            };
+            let twins = [
+                CpuTickLoad {
+                    busy_ns: dt_ns * 3 / 4,
+                    ..base
+                },
+                CpuTickLoad {
+                    instructions: 3_000_000_000,
+                    ..base
+                },
+                CpuTickLoad {
+                    cache_misses: 30_000_000,
+                    ..base
+                },
+                CpuTickLoad {
+                    branch_misses: 9_000_000,
+                    ..base
+                },
+                CpuTickLoad {
+                    fp_instructions: 90_000_000,
+                    ..base
+                },
+                CpuTickLoad {
+                    tasks_ran: 2,
+                    ..base
+                },
+                CpuTickLoad {
+                    syscalls: 9_000,
+                    ..base
+                },
+                CpuTickLoad {
+                    io_bytes: 3 << 20,
+                    ..base
+                },
+            ];
+            twins.into_iter().flat_map(|twin| [base, twin]).collect()
         }
     }
 
