@@ -31,6 +31,9 @@
 //!   over 64 tenants, so billing meters every one of them each hour
 //! * `host_lifecycle_idle` — one idle CC1 host's container lifecycle:
 //!   create the env, advance a quiescent hour, destroy the env
+//! * `fleet_lifecycle_cold` — the same lifecycle through the cloud on a
+//!   10,000-host idle fleet: 256 launches placed at random, an hour, and
+//!   their 256 terminations, each op on a host no recent op touched
 //! * `fleet_calendar_pop` — the calendar pop/sync/re-push cycle with
 //!   every host due each advance
 //! * `fig4_staircase`    — launching + measuring one attack container
@@ -49,7 +52,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Calibration, Criterion};
 use std::hint::black_box;
 
-use containerleaks::cloudsim::{Cloud, CloudConfig, CloudProfile, HostId, InstanceSpec};
+use containerleaks::cloudsim::{
+    Cloud, CloudConfig, CloudProfile, HostId, InstanceId, InstanceSpec, PlacementPolicy,
+};
 use containerleaks::container_runtime::ContainerSpec;
 use containerleaks::leakscan::metrics::joint_entropy;
 use containerleaks::leakscan::{CrossValidator, Lab};
@@ -243,6 +248,42 @@ fn bench_host_lifecycle_idle(c: &mut Criterion) {
             k.advance_secs(3_600);
             k.destroy_container_env(&env).expect("env is live");
             black_box(k.rapl().package_energy_uj(0))
+        })
+    });
+}
+
+fn bench_fleet_lifecycle_cold(c: &mut Criterion) {
+    // Container churn as the provider's control loop meets it: the host
+    // an op lands on has not been touched since long before, so the op
+    // pays for every cache line of host state it reads or writes, and
+    // each terminate's sync recaptures the idle anchor its launch
+    // invalidated. `host_lifecycle_idle` times the same work warm.
+    let mut cloud = Cloud::new(
+        CloudConfig::new(CloudProfile::CC1)
+            .hosts(10_000)
+            .without_background()
+            .placement(PlacementPolicy::Random),
+        21,
+    );
+    let mut n = 0u64;
+    c.bench_function("fleet_lifecycle_cold", |b| {
+        b.iter(|| {
+            let ids: Vec<InstanceId> = (0..256)
+                .map(|_| {
+                    n += 1;
+                    cloud
+                        .launch(
+                            &format!("t{}", n % 64),
+                            InstanceSpec::new(format!("c{n}")).vcpus(1),
+                        )
+                        .expect("an idle 10k-host fleet has room")
+                })
+                .collect();
+            cloud.advance_secs(3_600);
+            for id in ids {
+                cloud.terminate(id).expect("instance is live");
+            }
+            black_box(cloud.host_count())
         })
     });
 }
@@ -483,6 +524,7 @@ criterion_group!(
         bench_fleet_10k_week,
         bench_fleet_10k_meter_idle,
         bench_host_lifecycle_idle,
+        bench_fleet_lifecycle_cold,
         bench_fleet_calendar_pop,
         bench_fig4_staircase,
         bench_fig6_training,

@@ -52,7 +52,7 @@ use std::error::Error;
 use std::fmt;
 
 use container_runtime::{ContainerId, ContainerSpec, Runtime, RuntimeError};
-use pseudofs::FsError;
+use pseudofs::{FsError, MaskPolicy};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -381,6 +381,9 @@ pub struct Cloud {
     /// advance boundaries), so its state is byte-deterministic across
     /// `--jobs` and coalescing.
     detector: Option<Detector>,
+    /// The profile's masking policy, built once: every launch's view
+    /// shares its rules.
+    policy: MaskPolicy,
 }
 
 /// A fresh runtime on a freshly booted host kernel. With `background`,
@@ -454,6 +457,7 @@ impl Cloud {
         let calendar = Calendar::new(hosts, cfg.eager_advance);
         let capacity = CapacityIndex::new(nhosts, cpus);
         let det = cfg.detector.clone().map(Detector::new);
+        let policy = cfg.profile.mask_policy();
         Cloud {
             cfg,
             calendar,
@@ -468,6 +472,7 @@ impl Cloud {
             tenants: TenantTable::default(),
             billing: billing::Ledger::new(),
             detector: det,
+            policy,
         }
     }
 
@@ -561,7 +566,7 @@ impl Cloud {
         let tid = self.tenants.intern(tenant);
         // Masking follows the tenant, not the container: a flagged tenant
         // relaunching does not shed its detector mask.
-        let mut policy = self.cfg.profile.mask_policy();
+        let mut policy = self.policy.clone();
         if let Some(deny) = self
             .detector
             .as_ref()
@@ -570,12 +575,13 @@ impl Cloud {
             policy = detector::composed_policy(&policy, deny);
             simtrace::counters::add("detector.policies_applied", 1);
         }
+        let InstanceSpec { name, vcpus } = spec;
         let (container, count, launched_at_ns) = self.with_host(host_idx, |host| {
             let ncpus = host.kernel.config().cpus;
             // Allot a deterministic contiguous cpuset.
-            let base = (host.instances as u16 * spec.vcpus) % ncpus;
-            let cpus: Vec<u16> = (0..spec.vcpus).map(|i| (base + i) % ncpus).collect();
-            let cspec = ContainerSpec::new(&spec.name)
+            let base = (host.instances as u16 * vcpus) % ncpus;
+            let cpus: Vec<u16> = (0..vcpus).map(|i| (base + i) % ncpus).collect();
+            let cspec = ContainerSpec::new(name)
                 .cpus(cpus)
                 .mem_limit(host.kernel.config().mem_bytes / 8)
                 .policy(policy);
@@ -594,7 +600,7 @@ impl Cloud {
                 tenant: tid,
                 host: HostId(host_idx as u32),
                 container,
-                vcpus: spec.vcpus,
+                vcpus,
                 launched_at_ns,
                 metered_ns: 0,
             },
@@ -884,9 +890,8 @@ impl Cloud {
             }
             None => return,
         };
-        let base = self.cfg.profile.mask_policy();
         for (u, v) in updates.iter().zip(&verdicts) {
-            let policy = detector::composed_policy(&base, &u.deny);
+            let policy = detector::composed_policy(&self.policy, &u.deny);
             let targets: Vec<(InstanceId, usize, ContainerId)> = self
                 .instances
                 .values()

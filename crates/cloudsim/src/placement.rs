@@ -68,11 +68,15 @@ const SPAN: usize = 128;
 /// Free-capacity index: per span of hosts, instance counts mirrored three
 /// ways — a dense `counts` lane, an ordered `(count, slot)` set for the
 /// min/max policies, and a count histogram for Random's candidate
-/// arithmetic. `set` keeps all three current on launch/terminate/reboot.
+/// arithmetic — plus each span's least count in one dense lane, which
+/// Spread scans instead of every span's set. `set` keeps all of them
+/// current on launch/terminate/reboot.
 #[derive(Debug)]
 pub(crate) struct CapacityIndex {
     span: usize,
     spans: Vec<SpanIndex>,
+    /// Each span's least count: the first key of its `by_count`.
+    mins: Vec<u32>,
 }
 
 #[derive(Debug)]
@@ -108,12 +112,14 @@ impl CapacityIndex {
             });
             base += len;
         }
-        CapacityIndex { span, spans }
+        let mins = vec![0; spans.len()];
+        CapacityIndex { span, spans, mins }
     }
 
     /// Records `host` now holding `count` instances.
     pub(crate) fn set(&mut self, host: usize, count: u32) {
-        let sh = &mut self.spans[host / self.span];
+        let i = host / self.span;
+        let sh = &mut self.spans[i];
         let slot = (host % self.span) as u32;
         let old = sh.counts[slot as usize];
         if old == count {
@@ -124,6 +130,7 @@ impl CapacityIndex {
         sh.counts[slot as usize] = count;
         sh.by_count.insert((count, slot));
         sh.hist[count as usize] += 1;
+        self.mins[i] = sh.by_count.first().map_or(u32::MAX, |&(c, _)| c);
     }
 
     /// Picks the host for an instance, given the fleet-uniform per-host
@@ -138,20 +145,16 @@ impl CapacityIndex {
     ) -> Option<usize> {
         match policy {
             PlacementPolicy::Spread => {
-                // Global min (count, host); each span's first set entry
-                // is its local min, already in global-index order.
-                let mut best: Option<(u32, usize)> = None;
-                for sh in &self.spans {
-                    if let Some(&(c, slot)) = sh.by_count.iter().next() {
-                        if c < capacity {
-                            let g = sh.base as usize + slot as usize;
-                            if best.is_none_or(|b| (c, g) < b) {
-                                best = Some((c, g));
-                            }
-                        }
-                    }
+                // Global min (count, host): the first span holding the
+                // least count, at its first slot with that count — its
+                // set's first entry, already in global-index order.
+                let (i, &c) = self.mins.iter().enumerate().min_by_key(|&(i, &c)| (c, i))?;
+                if c >= capacity {
+                    return None;
                 }
-                best.map(|(_, g)| g)
+                let sh = &self.spans[i];
+                let &(_, slot) = sh.by_count.first()?;
+                Some(sh.base as usize + slot as usize)
             }
             PlacementPolicy::BinPack => {
                 // Fullest host still below capacity; ties to the lowest

@@ -26,7 +26,6 @@
 //! # Ok::<(), container_runtime::RuntimeError>(())
 //! ```
 
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -204,7 +203,10 @@ impl Container {
 #[derive(Debug, Default)]
 pub struct Runtime {
     next: u64,
-    containers: BTreeMap<ContainerId, Container>,
+    /// Sorted by id: ids only grow, so a create appends. A host runs a
+    /// handful of containers, and the vector keeps its buffer when the
+    /// last one goes, where a map would free and reallocate a node.
+    containers: Vec<Container>,
     fs: PseudoFs,
 }
 
@@ -212,6 +214,21 @@ impl Runtime {
     /// Creates an empty runtime.
     pub fn new() -> Self {
         Runtime::default()
+    }
+
+    fn index(&self, id: ContainerId) -> Result<usize, RuntimeError> {
+        self.containers
+            .binary_search_by_key(&id, |c| c.id)
+            .map_err(|_| RuntimeError::NoSuchContainer(id))
+    }
+
+    fn get(&self, id: ContainerId) -> Result<&Container, RuntimeError> {
+        self.index(id).map(|i| &self.containers[i])
+    }
+
+    fn get_mut(&mut self, id: ContainerId) -> Result<&mut Container, RuntimeError> {
+        let i = self.index(id)?;
+        Ok(&mut self.containers[i])
     }
 
     /// Creates a container on `kernel` per `spec`.
@@ -235,18 +252,15 @@ impl Runtime {
         if let Some(limit) = spec.mem_limit_bytes {
             view = view.with_mem_limit(limit);
         }
-        self.containers.insert(
+        self.containers.push(Container {
             id,
-            Container {
-                id,
-                name: spec.name,
-                env,
-                view,
-                state: ContainerState::Running,
-                procs: Vec::new(),
-                created_at_ns: kernel.clock().since_boot_ns(),
-            },
-        );
+            name: spec.name,
+            env,
+            view,
+            state: ContainerState::Running,
+            procs: Vec::new(),
+            created_at_ns: kernel.clock().since_boot_ns(),
+        });
         Ok(id)
     }
 
@@ -265,10 +279,7 @@ impl Runtime {
         name: &str,
         workload: WorkloadSpec,
     ) -> Result<HostPid, RuntimeError> {
-        let c = self
-            .containers
-            .get_mut(&id)
-            .ok_or(RuntimeError::NoSuchContainer(id))?;
+        let c = self.get_mut(id)?;
         if c.state != ContainerState::Running {
             return Err(RuntimeError::NotRunning(id));
         }
@@ -292,10 +303,7 @@ impl Runtime {
         id: ContainerId,
         path: &str,
     ) -> Result<String, RuntimeError> {
-        let c = self
-            .containers
-            .get(&id)
-            .ok_or(RuntimeError::NoSuchContainer(id))?;
+        let c = self.get(id)?;
         Ok(self.fs.read(kernel, &c.view, path)?)
     }
 
@@ -314,10 +322,7 @@ impl Runtime {
         buf: &mut String,
     ) -> Result<(), RuntimeError> {
         buf.clear();
-        let c = self
-            .containers
-            .get(&id)
-            .ok_or(RuntimeError::NoSuchContainer(id))?;
+        let c = self.get(id)?;
         Ok(self.fs.read_into(kernel, &c.view, path, buf)?)
     }
 
@@ -331,10 +336,7 @@ impl Runtime {
         kernel: &Kernel,
         id: ContainerId,
     ) -> Result<Vec<String>, RuntimeError> {
-        let c = self
-            .containers
-            .get(&id)
-            .ok_or(RuntimeError::NoSuchContainer(id))?;
+        let c = self.get(id)?;
         Ok(self.fs.list(kernel, &c.view))
     }
 
@@ -345,10 +347,7 @@ impl Runtime {
     ///
     /// [`RuntimeError::NoSuchContainer`].
     pub fn count_files(&self, kernel: &Kernel, id: ContainerId) -> Result<usize, RuntimeError> {
-        let c = self
-            .containers
-            .get(&id)
-            .ok_or(RuntimeError::NoSuchContainer(id))?;
+        let c = self.get(id)?;
         Ok(self.fs.count(kernel, &c.view))
     }
 
@@ -385,10 +384,7 @@ impl Runtime {
     }
 
     fn any_live_pid(&self, kernel: &Kernel, id: ContainerId) -> Result<HostPid, RuntimeError> {
-        let c = self
-            .containers
-            .get(&id)
-            .ok_or(RuntimeError::NoSuchContainer(id))?;
+        let c = self.get(id)?;
         c.procs
             .iter()
             .copied()
@@ -402,10 +398,7 @@ impl Runtime {
     ///
     /// [`RuntimeError::NoSuchContainer`].
     pub fn stop(&mut self, kernel: &mut Kernel, id: ContainerId) -> Result<(), RuntimeError> {
-        let c = self
-            .containers
-            .get_mut(&id)
-            .ok_or(RuntimeError::NoSuchContainer(id))?;
+        let c = self.get_mut(id)?;
         for pid in c.procs.drain(..) {
             let _ = kernel.kill(pid);
         }
@@ -421,10 +414,7 @@ impl Runtime {
     ///
     /// [`RuntimeError::NoSuchContainer`].
     pub fn restart(&mut self, id: ContainerId) -> Result<(), RuntimeError> {
-        let c = self
-            .containers
-            .get_mut(&id)
-            .ok_or(RuntimeError::NoSuchContainer(id))?;
+        let c = self.get_mut(id)?;
         c.state = ContainerState::Running;
         Ok(())
     }
@@ -445,10 +435,7 @@ impl Runtime {
         id: ContainerId,
         policy: MaskPolicy,
     ) -> Result<(), RuntimeError> {
-        let c = self
-            .containers
-            .get_mut(&id)
-            .ok_or(RuntimeError::NoSuchContainer(id))?;
+        let c = self.get_mut(id)?;
         if c.view.policy == policy {
             return Ok(());
         }
@@ -465,22 +452,19 @@ impl Runtime {
     /// [`RuntimeError::NoSuchContainer`] or kernel teardown failures.
     pub fn remove(&mut self, kernel: &mut Kernel, id: ContainerId) -> Result<(), RuntimeError> {
         self.stop(kernel, id)?;
-        let c = self
-            .containers
-            .remove(&id)
-            .ok_or(RuntimeError::NoSuchContainer(id))?;
+        let c = self.containers.remove(self.index(id)?);
         kernel.destroy_container_env(&c.env)?;
         Ok(())
     }
 
     /// Looks up a container.
     pub fn container(&self, id: ContainerId) -> Option<&Container> {
-        self.containers.get(&id)
+        self.get(id).ok()
     }
 
     /// Iterates containers in id order.
     pub fn iter(&self) -> impl Iterator<Item = &Container> {
-        self.containers.values()
+        self.containers.iter()
     }
 
     /// Number of containers (running or stopped).
@@ -495,13 +479,13 @@ impl Runtime {
 
     /// The container's accumulated CPU time (cpuacct), nanoseconds.
     pub fn cpu_usage_ns(&self, kernel: &Kernel, id: ContainerId) -> Option<u64> {
-        let c = self.containers.get(&id)?;
+        let c = self.container(id)?;
         kernel.cgroups().cpuacct_usage_ns(c.env.cgroups.cpuacct)
     }
 
     /// The container's current memory usage, bytes.
     pub fn memory_usage_bytes(&self, kernel: &Kernel, id: ContainerId) -> Option<u64> {
-        let c = self.containers.get(&id)?;
+        let c = self.container(id)?;
         kernel
             .cgroups()
             .memory_usage(c.env.cgroups.memory)

@@ -14,7 +14,7 @@
 //! restrictions for the functionality of containerized applications": the
 //! report lists which commonly-used files the policy broke.
 
-use pseudofs::{MaskPolicy, View};
+use pseudofs::{MaskAction, MaskPolicy, MaskRule, View};
 use serde::{Deserialize, Serialize};
 use simkernel::Kernel;
 
@@ -95,13 +95,16 @@ impl Hardener {
             .map(|f| f.path.as_str())
             .collect();
 
-        let mut policy = MaskPolicy::none();
+        let mut rules: Vec<MaskRule> = Vec::new();
         let mut denied: Vec<String> = Vec::new();
         let mut partial: Vec<String> = Vec::new();
         for path in &leaking {
             if APP_FRIENDLY.contains(path) {
                 if !partial.contains(&path.to_string()) {
-                    policy = policy.partial(*path);
+                    rules.push(MaskRule {
+                        pattern: path.to_string(),
+                        action: MaskAction::Partial,
+                    });
                     partial.push(path.to_string());
                 }
                 continue;
@@ -112,10 +115,14 @@ impl Hardener {
                 .map(|(_, rule)| rule.to_string())
                 .unwrap_or_else(|| path.to_string());
             if !denied.contains(&rule) {
-                policy = policy.deny(rule.clone());
+                rules.push(MaskRule {
+                    pattern: rule.clone(),
+                    action: MaskAction::Deny,
+                });
                 denied.push(rule);
             }
         }
+        let policy = MaskPolicy::from_rules(rules);
 
         // Verification pass: same container, hardened view.
         simtrace::counters::add("leakscan.harden_rescans", 1);

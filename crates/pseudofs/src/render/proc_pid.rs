@@ -283,8 +283,8 @@ pub fn pid_sched(k: &Kernel, view: &View, caps: &[&str], out: &mut String) -> Op
 pub fn mounts(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let ns = viewer_ns(k, view);
     if let Some(simkernel::ns::NamespaceData::Mnt { mounts }) = k.namespaces().get(ns.mnt) {
-        for m in mounts {
-            let (dev, fstype) = match m.as_str() {
+        for &m in mounts.iter() {
+            let (dev, fstype) = match m {
                 "/" => ("/dev/sda1", "ext4"),
                 "/proc" => ("proc", "proc"),
                 "/sys" => ("sysfs", "sysfs"),

@@ -117,6 +117,31 @@ mod tests {
     }
 
     #[test]
+    fn ifpriomap_covers_host_devices_in_new_groups() {
+        // A group created before a veth joined the host and one created
+        // with it both render every host device, the veths included, in
+        // device order at priority 0, as the host does.
+        let mut k = Kernel::new(MachineConfig::small_server(), 8);
+        let early = k.create_container_env("early").unwrap();
+        let late = k.create_container_env("late").unwrap();
+        let want: String = k
+            .net()
+            .devices()
+            .iter()
+            .map(|d| format!("{} 0\n", d.name))
+            .collect();
+        assert!(want.contains(&format!("{} 0\n", early.veth)));
+        assert!(want.contains(&format!("{} 0\n", late.veth)));
+        for view in [
+            View::host(),
+            View::container(early.ns, early.cgroups),
+            View::container(late.ns, late.cgroups),
+        ] {
+            assert_eq!(rendered(ifpriomap, &k, &view, &[]).unwrap(), want);
+        }
+    }
+
+    #[test]
     fn cpuacct_usage_is_scoped_to_reader() {
         let (k, host, cont) = setup();
         let host_ns: u64 = rendered(cpuacct_usage, &k, &host, &[])

@@ -1,5 +1,7 @@
 //! Read contexts and masking policies.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 use simkernel::process::CgroupMembership;
 use simkernel::NamespaceSet;
@@ -41,9 +43,12 @@ pub struct MaskRule {
 }
 
 /// A cloud provider's channel-masking policy.
+///
+/// The rules are shared: a clone (every container view of a cloud takes
+/// one) bumps a count instead of copying the rules and their patterns.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MaskPolicy {
-    rules: Vec<MaskRule>,
+    rules: Arc<[MaskRule]>,
 }
 
 impl MaskPolicy {
@@ -54,25 +59,28 @@ impl MaskPolicy {
 
     /// Builds a policy from rules.
     pub fn from_rules(rules: Vec<MaskRule>) -> Self {
-        MaskPolicy { rules }
+        MaskPolicy {
+            rules: rules.into(),
+        }
     }
 
-    /// Adds a deny rule.
-    pub fn deny(mut self, pattern: impl Into<String>) -> Self {
-        self.rules.push(MaskRule {
-            pattern: pattern.into(),
-            action: MaskAction::Deny,
-        });
-        self
+    /// Adds a deny rule. Each added rule copies the rules before it, so
+    /// a long policy is built from its rules with
+    /// [`MaskPolicy::from_rules`].
+    pub fn deny(self, pattern: impl Into<String>) -> Self {
+        self.with_rule(pattern.into(), MaskAction::Deny)
     }
 
-    /// Adds a partial-filter rule.
-    pub fn partial(mut self, pattern: impl Into<String>) -> Self {
-        self.rules.push(MaskRule {
-            pattern: pattern.into(),
-            action: MaskAction::Partial,
-        });
-        self
+    /// Adds a partial-filter rule (copying the rules before it, as
+    /// [`MaskPolicy::deny`] does).
+    pub fn partial(self, pattern: impl Into<String>) -> Self {
+        self.with_rule(pattern.into(), MaskAction::Partial)
+    }
+
+    fn with_rule(self, pattern: String, action: MaskAction) -> Self {
+        let mut rules = self.rules.to_vec();
+        rules.push(MaskRule { pattern, action });
+        MaskPolicy::from_rules(rules)
     }
 
     /// The rules.

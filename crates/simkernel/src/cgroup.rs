@@ -14,6 +14,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -100,7 +101,9 @@ impl PerfCounters {
 pub enum CgroupData {
     /// `cpuacct`: accumulated CPU nanoseconds per logical CPU.
     Cpuacct {
-        /// Per-CPU nanoseconds of execution charged to this group.
+        /// Per-CPU nanoseconds of execution charged to this group; empty,
+        /// and allocating nothing, until its first charge: zero on every
+        /// CPU.
         usage_ns_per_cpu: Vec<u64>,
     },
     /// `perf_event`: event counters and whether monitoring is active
@@ -113,9 +116,12 @@ pub enum CgroupData {
     },
     /// `net_prio`: interface→priority map *as configured in this cgroup*.
     NetPrio {
-        /// Priorities by interface name. Note the leakage: the kernel
-        /// handler renders this for *all host interfaces* regardless of
-        /// the reader's network namespace (Case Study I).
+        /// The priorities explicitly set in this group, by interface
+        /// name; every other interface is at priority 0. Note the
+        /// leakage: the kernel handler renders a line for *every host
+        /// interface*, looked up here, regardless of the reader's network
+        /// namespace (Case Study I). Nothing sets a priority today, so a
+        /// group's map stays empty and allocates nothing.
         ifpriomap: BTreeMap<String, u32>,
     },
     /// `memory`: usage and limit.
@@ -134,7 +140,8 @@ pub enum CgroupData {
 pub struct CgroupNode {
     id: CgroupId,
     kind: CgroupKind,
-    path: String,
+    /// Shared by a container's four nodes and its cgroup namespace.
+    path: Arc<str>,
     parent: Option<CgroupId>,
     /// Live children; a node with any cannot be removed.
     children: u32,
@@ -171,55 +178,49 @@ impl CgroupNode {
 /// charge path is an array index instead of a hash probe. Removed nodes
 /// leave a `None` slot behind, so `nodes` only grows; the operations a
 /// container lifecycle runs never walk it. Removal checks the node's own
-/// live-child count, and host-interface (un)registration walks only the
-/// live net_prio nodes.
+/// live-child count. Host interfaces come and go without touching any
+/// node: a net_prio map holds only explicitly set priorities.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CgroupForest {
     next: u32,
     nodes: Vec<Option<CgroupNode>>,
     /// Each hierarchy's root, indexed by [`CgroupKind::index`].
     roots: [CgroupId; 4],
-    /// The live net_prio nodes, in id order.
-    net_prio: Vec<CgroupId>,
     ncpus: usize,
+    /// One zero per CPU: the per-CPU usage of a cpuacct group never
+    /// charged.
+    zeros: Vec<u64>,
 }
 
 impl CgroupForest {
-    /// Creates the forest with one root per hierarchy; the net_prio
-    /// root's `ifpriomap` covers `host_ifaces`.
-    pub fn new<'a>(ncpus: usize, host_ifaces: impl IntoIterator<Item = &'a str> + Clone) -> Self {
+    /// Creates the forest with one root per hierarchy.
+    pub fn new(ncpus: usize) -> Self {
         let mut f = CgroupForest {
             next: 0,
             nodes: Vec::new(),
             roots: [CgroupId(0); 4],
-            net_prio: Vec::new(),
             ncpus,
+            zeros: vec![0; ncpus],
         };
+        let root: Arc<str> = Arc::from("/");
         for kind in CgroupKind::ALL {
-            let data = f.fresh_data(kind, host_ifaces.clone());
-            f.roots[kind.index()] = f.alloc(kind, "/".to_string(), None, data);
+            let data = Self::fresh_data(kind);
+            f.roots[kind.index()] = f.alloc(kind, Arc::clone(&root), None, data);
         }
         f
     }
 
-    fn fresh_data<'a>(
-        &self,
-        kind: CgroupKind,
-        host_ifaces: impl IntoIterator<Item = &'a str>,
-    ) -> CgroupData {
+    fn fresh_data(kind: CgroupKind) -> CgroupData {
         match kind {
             CgroupKind::Cpuacct => CgroupData::Cpuacct {
-                usage_ns_per_cpu: vec![0; self.ncpus],
+                usage_ns_per_cpu: Vec::new(),
             },
             CgroupKind::PerfEvent => CgroupData::PerfEvent {
                 counters: PerfCounters::default(),
                 monitoring: false,
             },
             CgroupKind::NetPrio => CgroupData::NetPrio {
-                ifpriomap: host_ifaces
-                    .into_iter()
-                    .map(|i| (i.to_string(), 0))
-                    .collect(),
+                ifpriomap: BTreeMap::new(),
             },
             CgroupKind::Memory => CgroupData::Memory {
                 limit_bytes: u64::MAX,
@@ -232,7 +233,7 @@ impl CgroupForest {
     fn alloc(
         &mut self,
         kind: CgroupKind,
-        path: String,
+        path: Arc<str>,
         parent: Option<CgroupId>,
         data: CgroupData,
     ) -> CgroupId {
@@ -240,9 +241,6 @@ impl CgroupForest {
         self.next += 1;
         if let Some(p) = parent.and_then(|p| self.node_mut(p)) {
             p.children += 1;
-        }
-        if kind == CgroupKind::NetPrio {
-            self.net_prio.push(id);
         }
         self.nodes.push(Some(CgroupNode {
             id,
@@ -295,28 +293,37 @@ impl CgroupForest {
             .count()
     }
 
-    /// Creates a child cgroup `name` under `parent`; a net_prio child's
-    /// `ifpriomap` covers `host_ifaces`.
+    /// Creates a child cgroup `name` under `parent`.
     ///
     /// # Errors
     ///
     /// Returns [`KernelError::NoSuchCgroup`] if `parent` is unknown.
-    pub fn create_child<'a>(
-        &mut self,
-        parent: CgroupId,
-        name: &str,
-        host_ifaces: impl IntoIterator<Item = &'a str>,
-    ) -> Result<CgroupId, KernelError> {
+    pub fn create_child(&mut self, parent: CgroupId, name: &str) -> Result<CgroupId, KernelError> {
         let p = self
             .node_ref(parent)
             .ok_or(KernelError::NoSuchCgroup(parent))?;
-        let kind = p.kind;
-        let path = if p.path == "/" {
+        let path = if &*p.path == "/" {
             format!("/{name}")
         } else {
             format!("{}/{name}", p.path)
         };
-        let data = self.fresh_data(kind, host_ifaces);
+        self.create_child_at(parent, Arc::from(path))
+    }
+
+    /// Creates a child of `parent` at the absolute `path`, which the
+    /// caller formatted as the parent's path, `/` and the child's name.
+    /// Container creation formats one `/docker/<name>` and shares it
+    /// among its four hierarchies and its cgroup namespace.
+    pub(crate) fn create_child_at(
+        &mut self,
+        parent: CgroupId,
+        path: Arc<str>,
+    ) -> Result<CgroupId, KernelError> {
+        let kind = self
+            .node_ref(parent)
+            .ok_or(KernelError::NoSuchCgroup(parent))?
+            .kind;
+        let data = Self::fresh_data(kind);
         Ok(self.alloc(kind, path, Some(parent), data))
     }
 
@@ -340,14 +347,8 @@ impl CgroupForest {
                 "cgroup {id} still has children"
             )));
         }
-        let (kind, parent) = (node.kind, node.parent);
-        if let Some(p) = parent.and_then(|p| self.node_mut(p)) {
+        if let Some(p) = node.parent.and_then(|p| self.node_mut(p)) {
             p.children -= 1;
-        }
-        if kind == CgroupKind::NetPrio {
-            if let Ok(i) = self.net_prio.binary_search(&id) {
-                self.net_prio.remove(i);
-            }
         }
         self.nodes[id.0 as usize] = None;
         Ok(())
@@ -374,12 +375,14 @@ impl CgroupForest {
     pub fn charge_cpu(&mut self, id: CgroupId, cpu: usize, ns: u64) {
         // Walks the parent links in place — this runs once per task per
         // scheduler tick, so it must not allocate a chain vector.
+        let ncpus = self.ncpus;
         let mut cur = Some(id);
         while let Some(c) = cur {
             let Some(n) = self.node_mut(c) else { break };
             cur = n.parent;
             if let CgroupData::Cpuacct { usage_ns_per_cpu } = &mut n.data {
-                if cpu < usage_ns_per_cpu.len() {
+                if cpu < ncpus {
+                    usage_ns_per_cpu.resize(ncpus, 0);
                     usage_ns_per_cpu[cpu] += ns;
                 }
             }
@@ -389,11 +392,13 @@ impl CgroupForest {
     /// Charges `ns_per_cpu[c]` nanoseconds on each CPU `c` to `id` and its
     /// ancestors: [`CgroupForest::charge_cpu`] for every CPU in one walk.
     pub fn charge_cpus(&mut self, id: CgroupId, ns_per_cpu: &[u64]) {
+        let ncpus = self.ncpus;
         let mut cur = Some(id);
         while let Some(c) = cur {
             let Some(n) = self.node_mut(c) else { break };
             cur = n.parent;
             if let CgroupData::Cpuacct { usage_ns_per_cpu } = &mut n.data {
+                usage_ns_per_cpu.resize(ncpus, 0);
                 for (usage, ns) in usage_ns_per_cpu.iter_mut().zip(ns_per_cpu) {
                     *usage += ns;
                 }
@@ -472,6 +477,9 @@ impl CgroupForest {
     /// Per-CPU cpuacct usage of a cpuacct cgroup.
     pub fn cpuacct_usage_percpu(&self, id: CgroupId) -> Option<&[u64]> {
         match self.node_ref(id)?.data() {
+            CgroupData::Cpuacct { usage_ns_per_cpu } if usage_ns_per_cpu.is_empty() => {
+                Some(&self.zeros)
+            }
             CgroupData::Cpuacct { usage_ns_per_cpu } => Some(usage_ns_per_cpu),
             _ => None,
         }
@@ -503,41 +511,6 @@ impl CgroupForest {
             _ => None,
         }
     }
-
-    /// Registers a newly created host interface in every net_prio cgroup
-    /// (the kernel's `netprio` handler iterates all of `init_net`'s devices,
-    /// so every group's map covers every host device — the leak).
-    pub fn register_host_iface(&mut self, iface: &str) {
-        for &id in &self.net_prio {
-            if let Some(map) = ifpriomap_mut(&mut self.nodes, id) {
-                map.entry(iface.to_string()).or_insert(0);
-            }
-        }
-    }
-
-    /// Drops a removed host interface from every net_prio cgroup
-    /// (interface teardown, e.g. a container veth). Without this, churny
-    /// create/destroy loops grow every map without bound — and a later
-    /// interface that happens to reuse the name would resurrect the dead
-    /// device's priority instead of starting at 0.
-    pub fn unregister_host_iface(&mut self, iface: &str) {
-        for &id in &self.net_prio {
-            if let Some(map) = ifpriomap_mut(&mut self.nodes, id) {
-                map.remove(iface);
-            }
-        }
-    }
-}
-
-/// The `ifpriomap` of net_prio node `id`, if live.
-fn ifpriomap_mut(
-    nodes: &mut [Option<CgroupNode>],
-    id: CgroupId,
-) -> Option<&mut BTreeMap<String, u32>> {
-    match &mut nodes.get_mut(id.0 as usize)?.as_mut()?.data {
-        CgroupData::NetPrio { ifpriomap } => Some(ifpriomap),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -545,7 +518,7 @@ mod tests {
     use super::*;
 
     fn forest() -> CgroupForest {
-        CgroupForest::new(4, ["lo", "eth0"])
+        CgroupForest::new(4)
     }
 
     #[test]
@@ -562,8 +535,8 @@ mod tests {
     fn child_paths_compose() {
         let mut f = forest();
         let root = f.root(CgroupKind::Cpuacct);
-        let docker = f.create_child(root, "docker", []).unwrap();
-        let c1 = f.create_child(docker, "c1", []).unwrap();
+        let docker = f.create_child(root, "docker").unwrap();
+        let c1 = f.create_child(docker, "c1").unwrap();
         assert_eq!(f.node(docker).unwrap().path(), "/docker");
         assert_eq!(f.node(c1).unwrap().path(), "/docker/c1");
         assert_eq!(f.ancestor_chain(c1), vec![c1, docker, root]);
@@ -573,7 +546,7 @@ mod tests {
     fn cpu_charge_propagates_to_ancestors() {
         let mut f = forest();
         let root = f.root(CgroupKind::Cpuacct);
-        let child = f.create_child(root, "c", []).unwrap();
+        let child = f.create_child(root, "c").unwrap();
         f.charge_cpu(child, 1, 500);
         f.charge_cpu(child, 2, 300);
         assert_eq!(f.cpuacct_usage_ns(child), Some(800));
@@ -582,10 +555,34 @@ mod tests {
     }
 
     #[test]
+    fn cpuacct_groups_read_zero_until_charged() {
+        // A group allocates its per-CPU vector at its first charge; until
+        // then it reads as the zeros a full vector would hold, and after
+        // it as one charged from zeros.
+        let mut f = forest();
+        let root = f.root(CgroupKind::Cpuacct);
+        let a = f.create_child(root, "a").unwrap();
+        let b = f.create_child(a, "b").unwrap();
+        for id in [root, a, b] {
+            assert_eq!(f.cpuacct_usage_percpu(id), Some(&[0u64; 4][..]));
+            assert_eq!(f.cpuacct_usage_ns(id), Some(0));
+        }
+        f.charge_cpus(b, &[0, 0, 0, 0]);
+        f.charge_cpu(a, 4, 99);
+        assert_eq!(f.cpuacct_usage_percpu(a), Some(&[0u64; 4][..]));
+        f.charge_cpu(b, 3, 7);
+        f.charge_cpus(a, &[1, 2, 0, 0]);
+        assert_eq!(f.cpuacct_usage_percpu(b), Some(&[0, 0, 0, 7][..]));
+        assert_eq!(f.cpuacct_usage_percpu(a), Some(&[1, 2, 0, 7][..]));
+        assert_eq!(f.cpuacct_usage_percpu(root), Some(&[1, 2, 0, 7][..]));
+        assert_eq!(f.cpuacct_usage_ns(root), Some(10));
+    }
+
+    #[test]
     fn perf_charge_requires_monitoring() {
         let mut f = forest();
         let root = f.root(CgroupKind::PerfEvent);
-        let child = f.create_child(root, "c", []).unwrap();
+        let child = f.create_child(root, "c").unwrap();
         let delta = PerfCounters {
             instructions: 100,
             cache_misses: 5,
@@ -607,8 +604,8 @@ mod tests {
         let mut f = forest();
         let root = f.root(CgroupKind::Memory);
         assert!(f.remove(root).is_err());
-        let child = f.create_child(root, "a", []).unwrap();
-        let grand = f.create_child(child, "b", []).unwrap();
+        let child = f.create_child(root, "a").unwrap();
+        let grand = f.create_child(child, "b").unwrap();
         assert!(f.remove(child).is_err());
         f.remove(grand).unwrap();
         f.remove(child).unwrap();
@@ -616,44 +613,41 @@ mod tests {
 
     #[test]
     fn lifecycle_bookkeeping_tracks_only_live_nodes() {
-        // Removal checks a child count and interface registration walks
-        // the live net_prio list; churn must leave both exact.
+        // Removal checks a child count; churn must leave it, and the
+        // live net_prio nodes, exact.
         let mut f = forest();
         let root = f.root(CgroupKind::NetPrio);
-        let docker = f.create_child(root, "docker", []).unwrap();
+        let docker = f.create_child(root, "docker").unwrap();
         for round in 0..3 {
             let kids: Vec<CgroupId> = (0..40)
-                .map(|i| {
-                    f.create_child(docker, &format!("c{round}-{i}"), [])
-                        .unwrap()
-                })
+                .map(|i| f.create_child(docker, &format!("c{round}-{i}")).unwrap())
                 .collect();
-            assert_eq!(f.net_prio.len(), 42);
+            assert_eq!(f.count_of_kind(CgroupKind::NetPrio), 42);
             assert!(f.remove(docker).is_err(), "live children block removal");
             for id in kids {
                 f.remove(id).unwrap();
             }
         }
-        assert_eq!(f.net_prio, vec![root, docker]);
+        assert_eq!(f.count_of_kind(CgroupKind::NetPrio), 2);
         assert_eq!(f.node(docker).map(|n| n.children), Some(0));
         f.remove(docker).unwrap();
-        assert_eq!(f.net_prio, vec![root]);
+        assert_eq!(f.count_of_kind(CgroupKind::NetPrio), 1);
         assert_eq!(f.node(root).map(|n| n.children), Some(0));
     }
 
     #[test]
-    fn ifpriomap_covers_host_devices_in_new_groups() {
-        let mut f = CgroupForest::new(2, ["lo", "eth0"]);
-        f.register_host_iface("veth1a2b");
+    fn net_prio_groups_start_sparse() {
+        // A group holds only explicitly set priorities, and none is set:
+        // the render (pseudofs `sys_cgroup::ifpriomap`) supplies a 0 for
+        // every host device.
+        let mut f = forest();
         let root = f.root(CgroupKind::NetPrio);
-        let child = f
-            .create_child(root, "c", ["lo", "eth0", "veth1a2b"])
-            .unwrap();
-        match f.node(child).unwrap().data() {
-            CgroupData::NetPrio { ifpriomap } => {
-                assert!(ifpriomap.contains_key("veth1a2b"));
+        let child = f.create_child(root, "c").unwrap();
+        for id in [root, child] {
+            match f.node(id).unwrap().data() {
+                CgroupData::NetPrio { ifpriomap } => assert!(ifpriomap.is_empty()),
+                other => panic!("wrong data {other:?}"),
             }
-            _ => panic!("wrong data"),
         }
     }
 
@@ -683,7 +677,7 @@ mod tests {
     fn memory_usage_tracks_high_water() {
         let mut f = forest();
         let root = f.root(CgroupKind::Memory);
-        let c = f.create_child(root, "c", []).unwrap();
+        let c = f.create_child(root, "c").unwrap();
         f.set_memory_usage(c, 100);
         f.set_memory_usage(c, 40);
         match f.node(c).unwrap().data() {

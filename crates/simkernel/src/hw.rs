@@ -358,13 +358,11 @@ impl Hardware {
         last_snapshot.wall_w = dc_w / p.psu_efficiency;
     }
 
-    /// Copies the lanes [`Hardware::idle_eval`] reads into `anchor`,
-    /// reusing its buffers.
+    /// Copies the lanes [`Hardware::idle_eval`] cannot rebuild from the
+    /// current state into `anchor`, reusing its buffers.
     pub(crate) fn capture_idle(&self, anchor: &mut HwAnchor) {
-        anchor.cpus.clear();
-        anchor
-            .cpus
-            .extend(self.cpus.iter().map(|c| (c.temp_mc, c.idle_states)));
+        anchor.temps.clear();
+        anchor.temps.extend(self.cpus.iter().map(|c| c.temp_mc));
         anchor.rapl.clear();
         anchor.rapl.extend_from_slice(&self.rapl.packages);
     }
@@ -376,7 +374,12 @@ impl Hardware {
     /// in (anchor, rel_ns) — no measurement noise is drawn, so any
     /// subdivision of a quiescent span lands on byte-identical counters.
     /// Allocates nothing: the snapshot's package buffer is reused.
-    pub(crate) fn idle_eval(&mut self, anchor: &HwAnchor, rel_ns: u64) {
+    ///
+    /// The residencies are integers only this evaluation moves while the
+    /// span lasts: each holds its anchor value plus the residency of the
+    /// `applied_ns` already evaluated, which is taken off before
+    /// `rel_ns`'s is added.
+    pub(crate) fn idle_eval(&mut self, anchor: &HwAnchor, applied_ns: u64, rel_ns: u64) {
         let rel_s = rel_ns as f64 / NANOS_PER_SEC as f64;
         let Hardware {
             params: p,
@@ -392,22 +395,21 @@ impl Hardware {
         let idle_target_mc = AMBIENT_MC + p.core_idle_w * MC_PER_W;
         let decay = (-rel_s / THERMAL_TAU_S).exp();
         let idle_khz = (*freq_hz as f64 / 1_000.0 * 0.47) as u64;
-        let idle_us = rel_ns / 1_000;
-        for (cur, &(temp_mc, base)) in cpus.iter_mut().zip(anchor.cpus.iter()) {
+        // Every CPU idles alike, so each split state gains the same time
+        // and entries on all of them.
+        let gained = idle_residency(rel_ns);
+        let applied = idle_residency(applied_ns);
+        for (cur, &temp_mc) in cpus.iter_mut().zip(anchor.temps.iter()) {
             cur.temp_mc = idle_target_mc + (temp_mc - idle_target_mc) * decay;
             cur.cur_freq_khz = idle_khz;
-            cur.idle_states = base;
-            // The mostly-idle residency split from `tick` (busy < 0.05).
-            for (state, frac) in [(4usize, 0.85f64), (2, 0.10), (1, 0.05)] {
-                let t = (idle_us as f64 * frac) as u64;
-                let avg_res_us = [50u64, 200, 600, 2_000, 20_000][state];
+            for (&(state, _), (now, before)) in IDLE_SPLIT.iter().zip(gained.iter().zip(&applied)) {
                 let st = &mut cur.idle_states[state];
-                st.time_us = base[state].time_us + t;
-                st.usage = base[state].usage + (t / avg_res_us).max(u64::from(t > 0));
+                st.time_us = st.time_us - before.time_us + now.time_us;
+                st.usage = st.usage - before.usage + now.usage;
             }
         }
 
-        let ncpus = cpus.len().min(anchor.cpus.len());
+        let ncpus = cpus.len().min(anchor.temps.len());
         let per_pkg = &mut last_snapshot.per_package_w;
         per_pkg.clear();
         let mut dc_w = p.platform_idle_w;
@@ -520,11 +522,32 @@ impl CpuLoadMath {
     }
 }
 
-/// The hardware lanes a quiescent span evolves from: each CPU's
-/// temperature and idle-state residency, and the RAPL package counters.
+/// The idle states a quiescent span accumulates residency in, and each
+/// one's share of idle time: the mostly-idle split of `tick` (busy <
+/// 0.05). The other states only move in a run tick, which ends the span.
+const IDLE_SPLIT: [(usize, f64); 3] = [(4, 0.85), (2, 0.10), (1, 0.05)];
+
+/// The residency each [`IDLE_SPLIT`] state gains on every CPU over
+/// `rel_ns` of a quiescent span.
+fn idle_residency(rel_ns: u64) -> [IdleStateResidency; 3] {
+    let idle_us = rel_ns / 1_000;
+    IDLE_SPLIT.map(|(state, frac)| {
+        let t = (idle_us as f64 * frac) as u64;
+        let avg_res_us = [50u64, 200, 600, 2_000, 20_000][state];
+        IdleStateResidency {
+            usage: (t / avg_res_us).max(u64::from(t > 0)),
+            time_us: t,
+        }
+    })
+}
+
+/// The hardware lanes a quiescent span evolves from that the current
+/// state cannot give back, both floats: each CPU's temperature and the
+/// RAPL package counters. The idle-state residencies are integers
+/// rebuilt from the state (see [`Hardware::idle_eval`]).
 #[derive(Debug, Default)]
 pub(crate) struct HwAnchor {
-    cpus: Vec<(f64, [IdleStateResidency; 5])>,
+    temps: Vec<f64>,
     rapl: Vec<PackageEnergy>,
 }
 

@@ -186,20 +186,20 @@ impl IrqState {
         }
     }
 
-    /// Copies the lanes [`IrqState::idle_eval`] reads into `anchor`,
-    /// reusing its buffer: the interrupt lines and softirq rows an idle
-    /// span advances, and the interrupt total. No other count moves while
-    /// an anchor is live — only [`IrqState::tick`] writes them, and a run
-    /// tick drops the anchor first.
+    /// Copies the interrupt total into `anchor`. No count moves while an
+    /// anchor is live but by [`IrqState::idle_eval`] — only
+    /// [`IrqState::tick`] writes them, and a run tick drops the anchor
+    /// first.
     pub(crate) fn capture_idle(&self, anchor: &mut IrqAnchor) {
-        anchor.lanes.clear();
-        for line in IDLE_LINES {
-            anchor.lanes.extend_from_slice(&self.lines[line].per_cpu);
-        }
-        for soft in IDLE_SOFTIRQS {
-            anchor.lanes.extend_from_slice(&self.softirqs[soft]);
-        }
         anchor.total_interrupts = self.total_interrupts;
+    }
+
+    /// The local-timer and legacy-timer interrupts each CPU (the legacy
+    /// ones CPU 0 alone) takes over `rel_ns` of a quiescent span.
+    fn idle_timer_counts(&self, rel_ns: u64) -> (u64, u64) {
+        let rel_s = rel_ns as f64 / NANOS_PER_SEC as f64;
+        let loc = (f64::from(self.hz) * rel_s * 0.125) as u64;
+        (loc, rel_ns / NANOS_PER_SEC)
     }
 
     /// Jump-evaluates the table to `rel_ns` past `anchor` with every CPU
@@ -210,58 +210,46 @@ impl IrqState {
     /// timer on CPU 0, and the timer-driven softirq families advance;
     /// everything else stays frozen at the anchor. A closed form of
     /// `(anchor, rel_ns)`, so the result never depends on step size.
-    pub(crate) fn idle_eval(&mut self, anchor: &IrqAnchor, rel_ns: u64) {
-        let rel_s = rel_ns as f64 / NANOS_PER_SEC as f64;
-        let loc = (f64::from(self.hz) * rel_s * 0.125) as u64;
-        let legacy = rel_ns / NANOS_PER_SEC;
-        let mut lanes = anchor.lanes.chunks_exact(self.ncpus.max(1));
+    ///
+    /// Each advancing count holds its anchor value plus what the
+    /// `applied_ns` already evaluated added; that is taken off before
+    /// `rel_ns`'s counts go on, which rebuilds the closed form exactly
+    /// without a copy of the anchor values.
+    pub(crate) fn idle_eval(&mut self, anchor: &IrqAnchor, applied_ns: u64, rel_ns: u64) {
+        let (loc, legacy) = self.idle_timer_counts(rel_ns);
+        let (loc_applied, legacy_applied) = self.idle_timer_counts(applied_ns);
+        for c in &mut self.lines[LINE_LOC].per_cpu {
+            *c = *c - loc_applied + loc;
+        }
+        if let Some(c) = self.lines[LINE_TIMER0].per_cpu.first_mut() {
+            *c = *c - legacy_applied + legacy;
+        }
+        let ncpus = self.lines[LINE_LOC].per_cpu.len() as u64;
+        self.total_interrupts = anchor.total_interrupts + loc * ncpus + legacy;
 
-        for (line, base) in IDLE_LINES.into_iter().zip(&mut lanes) {
-            self.lines[line].per_cpu.copy_from_slice(base);
-        }
-        let mut added = 0;
-        if loc > 0 {
-            for c in &mut self.lines[LINE_LOC].per_cpu {
-                *c += loc;
-                added += loc;
-            }
-        }
-        if legacy > 0 {
-            self.lines[LINE_TIMER0].per_cpu[0] += legacy;
-            added += legacy;
-        }
-        self.total_interrupts = anchor.total_interrupts + added;
-
-        for (idx, base) in IDLE_SOFTIRQS.into_iter().zip(&mut lanes) {
-            let soft = &mut self.softirqs[idx];
-            soft.copy_from_slice(base);
-            let add = match idx {
-                SOFT_TIMER => loc,
-                SOFT_SCHED => loc / 4,
-                SOFT_RCU => loc / 2,
-                SOFT_HRTIMER => loc / 50,
-                _ => 0,
-            };
-            if add > 0 {
-                for c in soft.iter_mut() {
-                    *c += add;
-                }
+        for (idx, per) in IDLE_SOFTIRQS {
+            let (add, applied) = (loc / per, loc_applied / per);
+            for c in &mut self.softirqs[idx] {
+                *c = *c - applied + add;
             }
         }
     }
 }
 
-/// The interrupt lines a quiescent span advances.
-const IDLE_LINES: [usize; 2] = [LINE_TIMER0, LINE_LOC];
-/// The softirq rows a quiescent span advances.
-const IDLE_SOFTIRQS: [usize; 4] = [SOFT_TIMER, SOFT_SCHED, SOFT_HRTIMER, SOFT_RCU];
+/// The softirq rows a quiescent span advances, each with how many
+/// local-timer interrupts raise one of its softirqs.
+const IDLE_SOFTIRQS: [(usize, u64); 4] = [
+    (SOFT_TIMER, 1),
+    (SOFT_SCHED, 4),
+    (SOFT_HRTIMER, 50),
+    (SOFT_RCU, 2),
+];
 
-/// The interrupt lanes a quiescent span evolves from: the per-CPU counts
-/// of [`IDLE_LINES`] then [`IDLE_SOFTIRQS`], row after row, and the
-/// interrupt total.
+/// What a quiescent span's interrupt counts evolve from: the total. The
+/// per-CPU counts are rebuilt from the state (see
+/// [`IrqState::idle_eval`]).
 #[derive(Debug, Default)]
 pub(crate) struct IrqAnchor {
-    lanes: Vec<u64>,
     pub(crate) total_interrupts: u64,
 }
 

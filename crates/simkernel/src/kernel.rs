@@ -1,5 +1,7 @@
 //! The kernel: composition of every subsystem plus the tick loop.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -12,7 +14,7 @@ use crate::fsstate::{FsAnchor, FsState, LockKind};
 use crate::hw::{Hardware, HwAnchor, PowerModelParams, PowerSnapshot, RaplDomains};
 use crate::irq::{IrqAnchor, IrqState};
 use crate::mem::{MemAnchor, MemoryState};
-use crate::net::{NetAnchor, NetState};
+use crate::net::NetState;
 use crate::ns::{NamespaceRegistry, NamespaceSet};
 use crate::perf::{PerfOverheadCosts, PerfSubsystem};
 use crate::process::{CgroupMembership, HostPid, ProcState, Process, ProcessTable};
@@ -58,8 +60,9 @@ pub struct ContainerEnv {
     pub cgroups: CgroupMembership,
     /// Name of the host-side veth device created for this container.
     pub veth: String,
-    /// The cgroup path component (`/docker/<name>`).
-    pub cgroup_path: String,
+    /// The cgroup path component (`/docker/<name>`), shared with the
+    /// container's cgroup nodes and its cgroup namespace root.
+    pub cgroup_path: Arc<str>,
 }
 
 /// Specification for spawning a process.
@@ -166,21 +169,29 @@ pub struct Kernel {
 /// mutation that ends quiescence (spawn, resume, lock, uuid read, …)
 /// invalidates the anchor.
 ///
-/// The anchor holds only the numeric lanes the `idle_eval`s read, never
+/// The anchor holds only numeric lanes the `idle_eval`s read, never
 /// labels, names or locks, and its buffers live as long as the kernel:
 /// a capture overwrites them in place, so no capture after a host's first
-/// allocates.
+/// allocates. Of those lanes it copies only the floats, whose products
+/// cannot be taken back exactly, and a few scalars. The integer counters
+/// a span advances (per-CPU times, idle residencies, interrupt counts,
+/// traffic) stay in the state: only the evaluation moves them while the
+/// span lasts, so each holds its anchor value plus the closed-form gain
+/// over `applied_ns`, and the next evaluation takes that gain off and
+/// adds its own.
 #[derive(Debug, Default)]
 struct IdleAnchor {
     /// Whether the lanes below describe the current quiescent span.
     live: bool,
     since_boot_ns: u64,
+    /// The span time the state already includes: 0 at the capture, then
+    /// each evaluation's `rel_ns`.
+    applied_ns: u64,
     sched: SchedAnchor,
     hw: HwAnchor,
     mem: MemAnchor,
     irq: IrqAnchor,
     fs: FsAnchor,
-    net: NetAnchor,
     rss_total: u64,
     nprocs: usize,
     /// The reference anchor: full subsystem clones (see the tests).
@@ -222,6 +233,10 @@ struct TickScratch {
     mem_root: CgroupId,
     /// Process-table epoch at the last RSS aggregation, if still valid.
     mem_epoch: Option<u64>,
+    /// Whether the forest was lent out mutably ([`Kernel::cgroups_mut`])
+    /// since the last aggregation: the borrower may have written a memory
+    /// usage the memo does not hold, so a busy tick must not keep it.
+    cgroups_lent: bool,
     /// Total RSS from that aggregation.
     rss_total: u64,
 }
@@ -234,6 +249,7 @@ impl TickScratch {
             by_cgroup: Vec::new(),
             mem_root,
             mem_epoch: None,
+            cgroups_lent: false,
             rss_total: 0,
         }
     }
@@ -254,7 +270,7 @@ impl Kernel {
         let ncpus = cfg.cpus as usize;
         let ns = NamespaceRegistry::new(&cfg.hostname);
         let net = NetState::new();
-        let cgroups = CgroupForest::new(ncpus, net.devices().iter().map(|d| d.name.as_str()));
+        let cgroups = CgroupForest::new(ncpus);
         let fs = FsState::new(&cfg.disks, &mut rng);
         let hw = Hardware::new(
             ncpus,
@@ -329,6 +345,7 @@ impl Kernel {
     /// Mutable cgroup forest.
     pub fn cgroups_mut(&mut self) -> &mut CgroupForest {
         self.idle_anchor.invalidate();
+        self.scratch.cgroups_lent = true;
         self.bump_epochs(dep::CGROUP);
         &mut self.cgroups
     }
@@ -756,14 +773,16 @@ impl Kernel {
         let anchor = &self.idle_anchor;
         let rel_ns = self.clock.since_boot_ns() - anchor.since_boot_ns;
 
-        self.sched.idle_eval(&anchor.sched, rel_ns);
-        self.hw.idle_eval(&anchor.hw, rel_ns);
-        self.irq.idle_eval(&anchor.irq, rel_ns);
+        let applied_ns = anchor.applied_ns;
+        self.sched.idle_eval(&anchor.sched, applied_ns, rel_ns);
+        self.hw.idle_eval(&anchor.hw, applied_ns, rel_ns);
+        self.irq.idle_eval(&anchor.irq, applied_ns, rel_ns);
         let intr_delta = self.irq.total_interrupts() - anchor.irq.total_interrupts;
         self.mem.idle_eval(&anchor.mem, rel_ns, anchor.rss_total);
         self.fs
             .idle_eval(&anchor.fs, rel_ns, anchor.nprocs, intr_delta);
-        self.net.idle_eval(&anchor.net, rel_ns);
+        self.net.idle_eval(applied_ns, rel_ns);
+        self.idle_anchor.applied_ns = rel_ns;
         self.timers.refresh(self.clock.since_boot_ns());
 
         if self.reboot_due(before) {
@@ -779,12 +798,12 @@ impl Kernel {
         let a = &mut self.idle_anchor;
         a.live = true;
         a.since_boot_ns = self.clock.since_boot_ns();
+        a.applied_ns = 0;
         self.sched.capture_idle(&mut a.sched);
         self.hw.capture_idle(&mut a.hw);
         self.mem.capture_idle(&mut a.mem);
         self.irq.capture_idle(&mut a.irq);
         a.fs = self.fs.capture_idle();
-        self.net.capture_idle(&mut a.net);
         a.rss_total = self.scratch.rss_total;
         a.nprocs = self.procs.len();
     }
@@ -828,11 +847,13 @@ impl Kernel {
             .set_memory_usage(self.scratch.mem_root, rss_total);
         self.scratch.rss_total = rss_total;
         self.scratch.mem_epoch = Some(epoch);
+        self.scratch.cgroups_lent = false;
     }
 
     /// One run tick. Draws, in order: sched, hw, mem, irq, fs, net (each
     /// subsystem's own order is documented on its `tick`).
     fn tick_once(&mut self, dt_ns: u64) {
+        let memo_held = self.scratch.mem_epoch == Some(self.procs.epoch());
         self.sched.tick_into(
             dt_ns,
             &mut self.procs,
@@ -856,11 +877,14 @@ impl Kernel {
 
         // Memory: per-cgroup RSS sums and the global total. The pass is
         // memoized on the process-table epoch: when nothing was spawned,
-        // killed, or mutated since the last aggregation and nothing is
-        // runnable (so no workload cursor moved), every per-process RSS is
-        // unchanged and the cgroup usages already hold the right values.
-        if report.runnable > 0 {
-            self.scratch.mem_epoch = None;
+        // killed, or mutated since the last aggregation, every per-process
+        // RSS is unchanged and the cgroup usages already hold the right
+        // values. The scheduler's walk moves the epoch on every busy tick,
+        // but a process's RSS is its current phase's footprint, so a tick
+        // that moved no task to another footprint and reaped none leaves
+        // the aggregation valid: the memo carries over to the new epoch.
+        if memo_held && !report.rss_moved && !self.scratch.cgroups_lent {
+            self.scratch.mem_epoch = Some(self.procs.epoch());
         }
         self.refresh_rss_memo();
         self.mem
@@ -1153,15 +1177,12 @@ impl Kernel {
         self.idle_anchor.invalidate();
         self.container_seq += 1;
         let uid_base = 100_000 + self.container_seq * 65_536;
-        let cgroup_path = format!("/docker/{name}");
-        let ns = self
-            .ns
-            .create_container_set(name, &cgroup_path, (0, uid_base, 65_536));
+        let cgroup_path: Arc<str> = Arc::from(format!("/docker/{name}"));
+        let ns =
+            self.ns
+                .create_container_set(name, Arc::clone(&cgroup_path), (0, uid_base, 65_536));
 
         let veth = self.net.create_veth(&mut self.rng);
-        self.cgroups.register_host_iface(&veth);
-        let ifaces = self.net.devices();
-        let names = || ifaces.iter().map(|d| d.name.as_str());
 
         let mut ids = [CgroupId(0); 4];
         for kind in CgroupKind::ALL {
@@ -1169,12 +1190,14 @@ impl Kernel {
                 Some(p) => p,
                 None => {
                     let root = self.cgroups.root(kind);
-                    let p = self.cgroups.create_child(root, "docker", names())?;
+                    let p = self.cgroups.create_child(root, "docker")?;
                     self.docker_parents[kind.index()] = Some(p);
                     p
                 }
             };
-            ids[kind.index()] = self.cgroups.create_child(parent, name, names())?;
+            ids[kind.index()] = self
+                .cgroups
+                .create_child_at(parent, Arc::clone(&cgroup_path))?;
         }
         self.bump_epochs(dep::NS | dep::NET | dep::CGROUP);
         Ok(ContainerEnv {
@@ -1219,12 +1242,11 @@ impl Kernel {
             self.cgroups.remove(id)?;
         }
         self.net.remove_device(&env.veth);
-        // Teardown must also unwind what creation registered elsewhere:
-        // the veth's per-cgroup net_prio entries (a name-colliding future
-        // veth must start at priority 0, not resurrect this one's) and
-        // the seven namespaces (the registry would otherwise grow without
-        // bound under container churn).
-        self.cgroups.unregister_host_iface(&env.veth);
+        // Teardown must also unwind the seven namespaces (the registry
+        // would otherwise grow without bound under container churn). The
+        // veth leaves no net_prio entry behind: a group holds only the
+        // priorities set in it, so a name-colliding future veth renders
+        // at priority 0.
         self.ns.remove_container_set(&env.ns);
         self.bump_epochs(dep::NS | dep::NET | dep::CGROUP);
         Ok(())
@@ -1384,7 +1406,7 @@ mod tests {
                 intr_delta,
                 &mut self.rng,
             );
-            self.net.tick(dt_ns, syscalls, &mut self.rng);
+            self.net.tick_reference(dt_ns, syscalls, &mut self.rng);
 
             self.clock.advance(dt_ns);
             self.timers.refresh(self.clock.since_boot_ns());
@@ -1756,6 +1778,98 @@ mod tests {
         }
     }
 
+    /// A `Forever` service that crosses between two short phases every few
+    /// seconds of CPU; with `same_rss` both phases have one footprint, so
+    /// a crossing moves no RSS.
+    fn cycler(same_rss: bool) -> WorkloadSpec {
+        let base = models::web_service(0.3).phases()[0].clone();
+        let first = Phase {
+            duration_ns: 2 * NANOS_PER_SEC,
+            cpu_demand: 0.9,
+            ..base
+        };
+        let second = Phase {
+            duration_ns: 3 * NANOS_PER_SEC,
+            instructions_per_cycle: 0.7,
+            mem_bytes: if same_rss {
+                first.mem_bytes
+            } else {
+                3 * first.mem_bytes
+            },
+            ..first.clone()
+        };
+        WorkloadSpec::new(
+            format!("cycler-{same_rss}"),
+            WorkloadClass::Mixed,
+            vec![first, second],
+            Repeat::Forever,
+        )
+    }
+
+    /// The RSS memo against the reference tick, which re-aggregates on
+    /// every busy tick, compared after every tick: services crossing
+    /// phases with and without a new footprint mid-run, a job that exits,
+    /// a cgroup borrower writing a memory usage between advances, and a
+    /// spawn and a kill; and one-phase services alone, whose RSS never
+    /// moves, so the memo outlives every tick but the borrower's.
+    #[test]
+    fn phase_crossings_leave_the_reference_ticks_bytes() {
+        let mixed = || {
+            vec![
+                cycler(false),
+                cycler(true),
+                models::web_service(0.3),
+                short_job(9, 0.6),
+                models::batch_pipeline(),
+            ]
+        };
+        let steady = || vec![models::web_service(0.3), models::web_service(0.2)];
+        let scenarios: [&dyn Fn() -> Vec<WorkloadSpec>; 2] = [&mixed, &steady];
+        for (jobs, tick_secs) in scenarios.iter().flat_map(|j| [(j, 1), (j, 30)]) {
+            let run = |reference: bool| {
+                let mut k = Kernel::new(MachineConfig::cloud_server(), 5);
+                k.set_tick_ns(tick_secs * NANOS_PER_SEC);
+                let env = k
+                    .create_container_env("c")
+                    .unwrap_or_else(|e| panic!("container env: {e}"));
+                let mut pids = Vec::new();
+                for (i, w) in jobs().into_iter().enumerate() {
+                    let spec = ProcessSpec::new(format!("p{i}"), w);
+                    let spec = if i % 2 == 0 {
+                        spec.in_container(&env)
+                    } else {
+                        spec
+                    };
+                    pids.push(k.spawn(spec).unwrap_or_else(|e| panic!("spawn: {e}")));
+                }
+                let mut states = Vec::new();
+                for round in 0..4u64 {
+                    for _ in 0..7 {
+                        k.drive(tick_secs, reference);
+                        states.push(k.state());
+                    }
+                    match round {
+                        0 => k
+                            .cgroups_mut()
+                            .set_memory_usage(env.cgroups.memory, 7 << 20),
+                        1 => {
+                            let _ = k.kill(pids[1]);
+                        }
+                        _ => {
+                            let _ = k.spawn(ProcessSpec::new("late", cycler(false)));
+                        }
+                    }
+                }
+                states.push(k.tick_state());
+                states
+            };
+            let (fast, plain) = (run(false), run(true));
+            for (i, (f, p)) in fast.iter().zip(&plain).enumerate() {
+                assert_eq!(f, p, "state {i} diverged at {tick_secs} s ticks");
+            }
+        }
+    }
+
     /// One step of an anchor script: `(op, a, b)`, decoded by
     /// [`apply_anchor_op`].
     type AnchorOp = (u8, u64, u64);
@@ -1986,8 +2100,21 @@ mod tests {
         let mut k = kernel();
         let env = k.create_container_env("c1").unwrap();
         assert_ne!(env.ns.pid, k.namespaces().host_set().pid);
-        let node = k.cgroups().node(env.cgroups.cpuacct).unwrap();
-        assert_eq!(node.path(), "/docker/c1");
+        // One path, formatted once: the env's, each hierarchy's node's
+        // (its `/docker` parent's path, `/` and the name) and the cgroup
+        // namespace root.
+        let cg = env.cgroups;
+        for id in [cg.cpuacct, cg.perf_event, cg.net_prio, cg.memory] {
+            let node = k.cgroups().node(id).unwrap();
+            let parent = k.cgroups().node(node.parent().unwrap()).unwrap();
+            assert_eq!(node.path(), format!("{}/c1", parent.path()));
+            assert_eq!(node.path(), "/docker/c1");
+        }
+        assert_eq!(&*env.cgroup_path, "/docker/c1");
+        assert_eq!(
+            k.namespaces().cgroup_root(env.ns.cgroup),
+            Some("/docker/c1")
+        );
         assert!(k.net().devices().iter().any(|d| d.name == env.veth));
 
         // Container process gets pid 1 inside.

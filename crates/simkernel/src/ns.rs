@@ -7,8 +7,9 @@
 //! the properly-namespaced state, letting the pseudo-file layer choose
 //! (per file, as the real kernel does) whether to consult it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -78,6 +79,19 @@ pub struct NamespaceSet {
 }
 
 impl NamespaceSet {
+    /// The set whose ids run from `base` in [`NamespaceKind::ALL`] order.
+    fn at(base: u32) -> Self {
+        NamespaceSet {
+            mnt: NsId(base),
+            uts: NsId(base + 1),
+            pid: NsId(base + 2),
+            net: NsId(base + 3),
+            ipc: NsId(base + 4),
+            user: NsId(base + 5),
+            cgroup: NsId(base + 6),
+        }
+    }
+
     /// The namespace id of the given kind.
     pub fn of(&self, kind: NamespaceKind) -> NsId {
         match kind {
@@ -92,20 +106,31 @@ impl NamespaceSet {
     }
 }
 
+/// The host's mount table.
+const HOST_MOUNTS: &[&str] = &["/", "/proc", "/sys", "/dev"];
+/// A container's mount table.
+const CONTAINER_MOUNTS: &[&str] = &["/", "/proc", "/sys"];
+/// The interfaces of the host's NET namespace.
+const HOST_DEVICES: &[&str] = &["lo", "eth0", "eth1", "docker0"];
+/// The interfaces of a container's NET namespace.
+const CONTAINER_DEVICES: &[&str] = &["lo", "eth0"];
+/// The NIS domain name every UTS namespace starts with.
+const NO_DOMAIN: &str = "(none)";
+
 /// Per-kind namespace payload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum NamespaceData {
     /// Mount namespace: the visible mount table.
     Mnt {
         /// Mount points visible in this namespace.
-        mounts: Vec<String>,
+        mounts: &'static [&'static str],
     },
     /// UTS namespace: nodename and domainname.
     Uts {
         /// Host name.
         hostname: String,
         /// NIS domain name.
-        domainname: String,
+        domainname: &'static str,
     },
     /// PID namespace: pid allocation and host-pid mapping. PIDs in a child
     /// namespace are also visible (with different numbers) in every
@@ -122,7 +147,7 @@ pub enum NamespaceData {
     /// [`crate::net`].
     Net {
         /// Interfaces visible in this namespace.
-        devices: Vec<String>,
+        devices: &'static [&'static str],
     },
     /// IPC namespace (no observable payload needed by the channels).
     Ipc,
@@ -133,8 +158,9 @@ pub enum NamespaceData {
     },
     /// Cgroup namespace: the cgroup path that appears as `/` inside.
     Cgroup {
-        /// Root path prefix stripped from `/proc/self/cgroup` views.
-        root_path: String,
+        /// Root path prefix stripped from `/proc/self/cgroup` views,
+        /// shared with the container's cgroup nodes.
+        root_path: Arc<str>,
     },
 }
 
@@ -153,11 +179,25 @@ impl NamespaceData {
     }
 }
 
+/// Namespaces per set: every set's ids are consecutive, one per kind in
+/// [`NamespaceKind::ALL`] order.
+const SET: usize = NamespaceKind::ALL.len();
+
+/// The payloads of one namespace set, by kind; `None` once removed.
+type SetBlock = [Option<NamespaceData>; SET];
+
 /// Registry of all namespaces on one kernel.
+///
+/// Ids are handed out in sets of seven and never reused, so namespace
+/// `n` lives in block `n / 7` at slot `n % 7`: a set costs one
+/// allocation and a lookup is two array indexes. The host set is block
+/// 0. A block is freed once all seven of its namespaces are removed, so
+/// only an eight-byte slot per set ever created stays behind.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NamespaceRegistry {
-    next: u32,
-    table: HashMap<NsId, NamespaceData>,
+    blocks: Vec<Option<Box<SetBlock>>>,
+    /// Live namespaces.
+    live: usize,
     host: NamespaceSet,
 }
 
@@ -165,57 +205,49 @@ impl NamespaceRegistry {
     /// Creates the registry with the initial (host) namespace set.
     pub fn new(hostname: &str) -> Self {
         let mut reg = NamespaceRegistry {
-            next: 0,
-            table: HashMap::new(),
-            host: NamespaceSet {
-                mnt: NsId(0),
-                uts: NsId(0),
-                pid: NsId(0),
-                net: NsId(0),
-                ipc: NsId(0),
-                user: NsId(0),
-                cgroup: NsId(0),
+            blocks: Vec::new(),
+            live: 0,
+            host: NamespaceSet::at(0),
+        };
+        reg.host = reg.push_set([
+            NamespaceData::Mnt {
+                mounts: HOST_MOUNTS,
             },
-        };
-        let mnt = reg.insert(NamespaceData::Mnt {
-            mounts: vec!["/".into(), "/proc".into(), "/sys".into(), "/dev".into()],
-        });
-        let uts = reg.insert(NamespaceData::Uts {
-            hostname: hostname.to_string(),
-            domainname: "(none)".into(),
-        });
-        let pid = reg.insert(NamespaceData::Pid {
-            parent: None,
-            next_pid: 1,
-            map: BTreeMap::new(),
-        });
-        let net = reg.insert(NamespaceData::Net {
-            devices: vec!["lo".into(), "eth0".into(), "eth1".into(), "docker0".into()],
-        });
-        let ipc = reg.insert(NamespaceData::Ipc);
-        let user = reg.insert(NamespaceData::User {
-            uid_map: (0, 0, u32::MAX),
-        });
-        let cgroup = reg.insert(NamespaceData::Cgroup {
-            root_path: "/".into(),
-        });
-        reg.host = NamespaceSet {
-            mnt,
-            uts,
-            pid,
-            net,
-            ipc,
-            user,
-            cgroup,
-        };
+            NamespaceData::Uts {
+                hostname: hostname.to_string(),
+                domainname: NO_DOMAIN,
+            },
+            NamespaceData::Pid {
+                parent: None,
+                next_pid: 1,
+                map: BTreeMap::new(),
+            },
+            NamespaceData::Net {
+                devices: HOST_DEVICES,
+            },
+            NamespaceData::Ipc,
+            NamespaceData::User {
+                uid_map: (0, 0, u32::MAX),
+            },
+            NamespaceData::Cgroup {
+                root_path: Arc::from("/"),
+            },
+        ]);
         reg
     }
 
-    fn insert(&mut self, data: NamespaceData) -> NsId {
-        let id = NsId(self.next);
-        self.next += 1;
-        self.table.insert(id, data);
-        id
+    /// Stores a set's seven payloads, given in [`NamespaceKind::ALL`]
+    /// order, as the next block.
+    fn push_set(&mut self, set: [NamespaceData; SET]) -> NamespaceSet {
+        let ids = NamespaceSet::at((self.blocks.len() * SET) as u32);
+        self.blocks.push(Some(Box::new(set.map(Some))));
+        self.live += SET;
+        ids
+    }
+
+    /// The block and slot of `id`.
+    fn slot(id: NsId) -> (usize, usize) {
+        (id.0 as usize / SET, id.0 as usize % SET)
     }
 
     /// The initial namespace set the host's processes live in.
@@ -225,23 +257,25 @@ impl NamespaceRegistry {
 
     /// Looks up a namespace payload.
     pub fn get(&self, id: NsId) -> Option<&NamespaceData> {
-        self.table.get(&id)
+        let (block, slot) = Self::slot(id);
+        self.blocks.get(block)?.as_deref()?[slot].as_ref()
     }
 
     /// Mutable lookup.
     pub fn get_mut(&mut self, id: NsId) -> Option<&mut NamespaceData> {
-        self.table.get_mut(&id)
+        let (block, slot) = Self::slot(id);
+        self.blocks.get_mut(block)?.as_deref_mut()?[slot].as_mut()
     }
 
     /// Number of namespaces in existence.
     pub fn len(&self) -> usize {
-        self.table.len()
+        self.live
     }
 
     /// Whether the registry is empty (never true in practice: the host set
     /// always exists).
     pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
+        self.live == 0
     }
 
     /// Creates a fresh full namespace set for a container, as `unshare`-ing
@@ -251,32 +285,32 @@ impl NamespaceRegistry {
     pub fn create_container_set(
         &mut self,
         hostname: &str,
-        cgroup_root: &str,
+        cgroup_root: impl Into<Arc<str>>,
         uid_map: (u32, u32, u32),
     ) -> NamespaceSet {
         let host_pid_ns = self.host.pid;
-        NamespaceSet {
-            mnt: self.insert(NamespaceData::Mnt {
-                mounts: vec!["/".into(), "/proc".into(), "/sys".into()],
-            }),
-            uts: self.insert(NamespaceData::Uts {
+        self.push_set([
+            NamespaceData::Mnt {
+                mounts: CONTAINER_MOUNTS,
+            },
+            NamespaceData::Uts {
                 hostname: hostname.to_string(),
-                domainname: "(none)".into(),
-            }),
-            pid: self.insert(NamespaceData::Pid {
+                domainname: NO_DOMAIN,
+            },
+            NamespaceData::Pid {
                 parent: Some(host_pid_ns),
                 next_pid: 1,
                 map: BTreeMap::new(),
-            }),
-            net: self.insert(NamespaceData::Net {
-                devices: vec!["lo".into(), "eth0".into()],
-            }),
-            ipc: self.insert(NamespaceData::Ipc),
-            user: self.insert(NamespaceData::User { uid_map }),
-            cgroup: self.insert(NamespaceData::Cgroup {
-                root_path: cgroup_root.to_string(),
-            }),
-        }
+            },
+            NamespaceData::Net {
+                devices: CONTAINER_DEVICES,
+            },
+            NamespaceData::Ipc,
+            NamespaceData::User { uid_map },
+            NamespaceData::Cgroup {
+                root_path: cgroup_root.into(),
+            },
+        ])
     }
 
     /// Allocates a pid for `host_pid` in `pid_ns` *and every ancestor*
@@ -290,7 +324,7 @@ impl NamespaceRegistry {
         let mut chain = Vec::new();
         let mut cur = Some(pid_ns);
         while let Some(id) = cur {
-            match self.table.get(&id) {
+            match self.get(id) {
                 Some(NamespaceData::Pid { parent, .. }) => {
                     chain.push(id);
                     cur = *parent;
@@ -307,7 +341,7 @@ impl NamespaceRegistry {
         let mut innermost = 0;
         let root_pid_ns = self.host.pid;
         for (depth, id) in chain.iter().enumerate() {
-            if let Some(NamespaceData::Pid { next_pid, map, .. }) = self.table.get_mut(id) {
+            if let Some(NamespaceData::Pid { next_pid, map, .. }) = self.get_mut(*id) {
                 // In the root namespace the ns-pid *is* the host pid.
                 let assigned = if *id == root_pid_ns {
                     host_pid.0
@@ -329,7 +363,7 @@ impl NamespaceRegistry {
     pub fn release_pid(&mut self, pid_ns: NsId, host_pid: HostPid) {
         let mut cur = Some(pid_ns);
         while let Some(id) = cur {
-            match self.table.get_mut(&id) {
+            match self.get_mut(id) {
                 Some(NamespaceData::Pid { parent, map, .. }) => {
                     map.remove(&host_pid);
                     cur = *parent;
@@ -347,16 +381,25 @@ impl NamespaceRegistry {
     /// bound and destroyed-container payloads linger forever.
     pub fn remove_container_set(&mut self, set: &NamespaceSet) {
         for kind in NamespaceKind::ALL {
-            let id = set.of(kind);
-            if id != self.host.of(kind) {
-                self.table.remove(&id);
+            let (block, slot) = Self::slot(set.of(kind));
+            if block == 0 {
+                continue;
+            }
+            let Some(Some(payloads)) = self.blocks.get_mut(block) else {
+                continue;
+            };
+            if payloads[slot].take().is_some() {
+                self.live -= 1;
+            }
+            if payloads.iter().all(Option::is_none) {
+                self.blocks[block] = None;
             }
         }
     }
 
     /// The pid of `host_pid` as seen from `pid_ns`, if visible there.
     pub fn pid_in_ns(&self, pid_ns: NsId, host_pid: HostPid) -> Option<u32> {
-        match self.table.get(&pid_ns)? {
+        match self.get(pid_ns)? {
             NamespaceData::Pid { map, .. } => map.get(&host_pid).copied(),
             _ => None,
         }
@@ -364,7 +407,7 @@ impl NamespaceRegistry {
 
     /// All host pids visible from `pid_ns`, with their in-namespace pids.
     pub fn pids_visible_from(&self, pid_ns: NsId) -> Vec<(HostPid, u32)> {
-        match self.table.get(&pid_ns) {
+        match self.get(pid_ns) {
             Some(NamespaceData::Pid { map, .. }) => map.iter().map(|(h, p)| (*h, *p)).collect(),
             _ => Vec::new(),
         }
@@ -372,23 +415,23 @@ impl NamespaceRegistry {
 
     /// The hostname of a UTS namespace.
     pub fn hostname(&self, uts: NsId) -> Option<&str> {
-        match self.table.get(&uts)? {
+        match self.get(uts)? {
             NamespaceData::Uts { hostname, .. } => Some(hostname),
             _ => None,
         }
     }
 
     /// The device list of a NET namespace.
-    pub fn net_devices(&self, net: NsId) -> Option<&[String]> {
-        match self.table.get(&net)? {
-            NamespaceData::Net { devices } => Some(devices),
+    pub fn net_devices(&self, net: NsId) -> Option<&'static [&'static str]> {
+        match self.get(net)? {
+            NamespaceData::Net { devices } => Some(*devices),
             _ => None,
         }
     }
 
     /// The cgroup-namespace root path.
     pub fn cgroup_root(&self, cg: NsId) -> Option<&str> {
-        match self.table.get(&cg)? {
+        match self.get(cg)? {
             NamespaceData::Cgroup { root_path } => Some(root_path),
             _ => None,
         }
@@ -398,6 +441,162 @@ impl NamespaceRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The plain registry the block layout is held to: one map entry per
+    /// namespace, ids handed out one at a time, seven per set in kind
+    /// order. A removal takes each id of the set alone and never touches
+    /// the host's seven.
+    struct PlainRegistry {
+        next: u32,
+        table: BTreeMap<NsId, NamespaceData>,
+    }
+
+    impl PlainRegistry {
+        fn insert_set(&mut self, set: [NamespaceData; SET]) {
+            for data in set {
+                self.table.insert(NsId(self.next), data);
+                self.next += 1;
+            }
+        }
+
+        fn remove_set(&mut self, set: &NamespaceSet) {
+            for kind in NamespaceKind::ALL {
+                let id = set.of(kind);
+                if id.0 as usize >= SET {
+                    self.table.remove(&id);
+                }
+            }
+        }
+
+        fn allocate_pid(&mut self, pid_ns: NsId, host_pid: HostPid) -> Option<u32> {
+            let mut chain = Vec::new();
+            let mut cur = Some(pid_ns);
+            while let Some(id) = cur {
+                match self.table.get(&id)? {
+                    NamespaceData::Pid { parent, .. } => {
+                        chain.push(id);
+                        cur = *parent;
+                    }
+                    _ => return None,
+                }
+            }
+            let mut innermost = 0;
+            for (depth, id) in chain.iter().enumerate() {
+                if let Some(NamespaceData::Pid { next_pid, map, .. }) = self.table.get_mut(id) {
+                    let assigned = if id.0 == 2 {
+                        host_pid.0
+                    } else {
+                        *next_pid += 1;
+                        *next_pid - 1
+                    };
+                    map.insert(host_pid, assigned);
+                    if depth == 0 {
+                        innermost = assigned;
+                    }
+                }
+            }
+            Some(innermost)
+        }
+    }
+
+    fn container_payloads(i: u64) -> [NamespaceData; SET] {
+        [
+            NamespaceData::Mnt {
+                mounts: CONTAINER_MOUNTS,
+            },
+            NamespaceData::Uts {
+                hostname: format!("c{i}"),
+                domainname: NO_DOMAIN,
+            },
+            NamespaceData::Pid {
+                parent: Some(NsId(2)),
+                next_pid: 1,
+                map: BTreeMap::new(),
+            },
+            NamespaceData::Net {
+                devices: CONTAINER_DEVICES,
+            },
+            NamespaceData::Ipc,
+            NamespaceData::User {
+                uid_map: (0, i as u32, 1),
+            },
+            NamespaceData::Cgroup {
+                root_path: Arc::from(format!("/docker/c{i}")),
+            },
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 48 } else { 512 }))]
+        #[test]
+        fn blocks_hold_what_the_plain_registry_holds(
+            ops in proptest::collection::vec((0u8..5, 0u64..u64::MAX), 1..60),
+        ) {
+            let mut reg = NamespaceRegistry::new("h");
+            // The host's seven, as the registry booted them.
+            let host = (0..SET as u32).map(NsId).map(|id| (id, reg.get(id).cloned()));
+            let mut plain = PlainRegistry {
+                next: SET as u32,
+                table: host.map(|(id, data)| (id, data.expect("host namespace"))).collect(),
+            };
+            let mut live: Vec<NamespaceSet> = Vec::new();
+            for (i, &(op, w)) in ops.iter().enumerate() {
+                let id_below = |n: u32| NsId((w % u64::from(n)) as u32);
+                match op {
+                    0 => {
+                        let set = reg.create_container_set(
+                            &format!("c{i}"),
+                            format!("/docker/c{i}"),
+                            (0, i as u32, 1),
+                        );
+                        plain.insert_set(container_payloads(i as u64));
+                        live.push(set);
+                    }
+                    1 if !live.is_empty() => {
+                        let set = live.remove((w % live.len() as u64) as usize);
+                        reg.remove_container_set(&set);
+                        plain.remove_set(&set);
+                    }
+                    2 => {
+                        // A stale or hostile set: any ids at all, the
+                        // host's and unknown ones included.
+                        let n = plain.next + 3;
+                        let mut set = NamespaceSet::at(0);
+                        for (j, slot) in [
+                            &mut set.mnt, &mut set.uts, &mut set.pid, &mut set.net,
+                            &mut set.ipc, &mut set.user, &mut set.cgroup,
+                        ].into_iter().enumerate() {
+                            *slot = NsId(((w >> (j * 8)) % u64::from(n)) as u32);
+                        }
+                        reg.remove_container_set(&set);
+                        plain.remove_set(&set);
+                    }
+                    3 => {
+                        let ns = id_below(plain.next + 3);
+                        let pid = HostPid(300 + i as u32);
+                        prop_assert_eq!(reg.allocate_pid(ns, pid).ok(), plain.allocate_pid(ns, pid));
+                    }
+                    _ => {
+                        let ns = id_below(plain.next + 3);
+                        let pid = HostPid(300 + (w % (i as u64 + 1)) as u32);
+                        reg.release_pid(ns, pid);
+                        let mut cur = Some(ns);
+                        while let Some(NamespaceData::Pid { parent, map, .. }) =
+                            cur.and_then(|id| plain.table.get_mut(&id))
+                        {
+                            map.remove(&pid);
+                            cur = *parent;
+                        }
+                    }
+                }
+                prop_assert_eq!(reg.len(), plain.table.len());
+                for id in (0..plain.next + 3).map(NsId) {
+                    prop_assert_eq!(reg.get(id), plain.table.get(&id), "op {} id {}", i, id.0);
+                }
+            }
+        }
+    }
 
     #[test]
     fn host_set_is_complete() {

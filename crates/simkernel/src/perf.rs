@@ -178,10 +178,10 @@ mod tests {
     use crate::cgroup::CgroupKind;
 
     fn setup() -> (CgroupForest, PerfSubsystem, CgroupId, CgroupId) {
-        let mut f = CgroupForest::new(4, ["lo"]);
+        let mut f = CgroupForest::new(4);
         let root = f.root(CgroupKind::PerfEvent);
-        let a = f.create_child(root, "a", []).unwrap();
-        let b = f.create_child(root, "b", []).unwrap();
+        let a = f.create_child(root, "a").unwrap();
+        let b = f.create_child(root, "b").unwrap();
         (f, PerfSubsystem::new(), a, b)
     }
 
@@ -220,7 +220,7 @@ mod tests {
 
     #[test]
     fn attach_rejects_wrong_hierarchy() {
-        let mut f = CgroupForest::new(2, []);
+        let mut f = CgroupForest::new(2);
         let mem_root = f.root(CgroupKind::Memory);
         let mut p = PerfSubsystem::new();
         assert!(p

@@ -78,6 +78,10 @@ pub struct TickReport {
     pub switches: u64,
     /// Processes still runnable when the tick ends (the reaped excluded).
     pub runnable: usize,
+    /// Whether a task's resident memory moved this tick: one ran into a
+    /// phase with another footprint, or finished. When it stays false,
+    /// every process's RSS is what it was as the tick began.
+    pub rss_moved: bool,
 }
 
 /// Reusable buffers for [`Scheduler::tick_into`]. Week-long traces run
@@ -370,6 +374,7 @@ impl Scheduler {
         report.per_cpu.resize(ncpus, CpuTickLoad::default());
         report.exited.clear();
         report.switches = 0;
+        report.rss_moved = false;
         let SchedScratch {
             tasks,
             loads,
@@ -433,6 +438,8 @@ impl Scheduler {
                 if let Some(cpu) = task.cpu {
                     if let Some(math) = memo.get(&task.phase, demand[cpu]) {
                         self.run_task(p, cpu, math, report);
+                        report.rss_moved |=
+                            p.cursor.current_phase(&p.workload).mem_bytes != task.phase.mem_bytes;
                         busy[cpu] += math.ran_ns;
                         let owner = (p.cgroups.cpuacct, p.cgroups.perf_event);
                         charge.add(cgroups, owner, cpu, math.ran_ns, &math.perf);
@@ -441,6 +448,7 @@ impl Scheduler {
                 if p.cursor.advance_peek_done(&p.workload) {
                     p.state = ProcState::Exited;
                     report.exited.push(p.host_pid);
+                    report.rss_moved = true;
                 } else {
                     runnable += 1;
                 }
@@ -541,13 +549,10 @@ impl Scheduler {
         load.io_bytes += io_bytes;
     }
 
-    /// Copies the lanes [`Scheduler::idle_eval`] reads into `anchor`,
-    /// reusing its buffer.
+    /// Copies the lanes [`Scheduler::idle_eval`] cannot rebuild from the
+    /// current state into `anchor`: the load averages.
     pub(crate) fn capture_idle(&self, anchor: &mut SchedAnchor) {
-        anchor.percpu.clear();
-        anchor.percpu.extend_from_slice(&self.percpu);
         anchor.loadavg = self.loadavg;
-        anchor.total_switches = self.total_switches;
     }
 
     /// Jumps this scheduler to its quiescent-state value `rel_ns` after
@@ -555,29 +560,34 @@ impl Scheduler {
     /// from deterministic kernel housekeeping, and the load averages decay
     /// toward zero. Pure in (anchor, rel_ns) and draws no RNG, so any
     /// subdivision of a quiescent span lands on byte-identical state.
-    pub(crate) fn idle_eval(&mut self, anchor: &SchedAnchor, rel_ns: u64) {
-        let hk = rel_ns / 500;
-        for (cur, base) in self.percpu.iter_mut().zip(anchor.percpu.iter()) {
-            *cur = *base;
-            cur.system_ns += hk;
-            cur.run_time_ns += hk;
-            cur.idle_ns += rel_ns;
+    ///
+    /// The per-CPU times are integers that only this evaluation moves
+    /// while the span lasts, so each holds its anchor value plus the
+    /// housekeeping of the `applied_ns` already evaluated: taking that
+    /// off and adding `rel_ns`'s gives the closed form exactly, without a
+    /// copy of the anchor values.
+    pub(crate) fn idle_eval(&mut self, anchor: &SchedAnchor, applied_ns: u64, rel_ns: u64) {
+        let (hk, hk_applied) = (rel_ns / 500, applied_ns / 500);
+        for cur in &mut self.percpu {
+            cur.system_ns = cur.system_ns - hk_applied + hk;
+            cur.run_time_ns = cur.run_time_ns - hk_applied + hk;
+            cur.idle_ns = cur.idle_ns - applied_ns + rel_ns;
         }
         let rel_s = rel_ns as f64 / NANOS_PER_SEC as f64;
         for (i, window) in [60.0f64, 300.0, 900.0].iter().enumerate() {
             self.loadavg[i] = anchor.loadavg[i] * (-rel_s / window).exp();
         }
-        self.total_switches = anchor.total_switches;
     }
 }
 
-/// The scheduler lanes a quiescent span evolves from: per-CPU stats,
-/// load averages and the switch count.
+/// The scheduler lanes a quiescent span evolves from that the current
+/// state cannot give back: the load averages, whose decay is a float
+/// product. The per-CPU times are rebuilt from the state (see
+/// [`Scheduler::idle_eval`]); the other stats only move in a run tick,
+/// which ends the span.
 #[derive(Debug, Default)]
 pub(crate) struct SchedAnchor {
-    percpu: Vec<CpuSchedStats>,
     loadavg: [f64; 3],
-    total_switches: u64,
 }
 
 /// Extension used by the scheduler to check completion without advancing.
@@ -871,7 +881,7 @@ mod tests {
         Fixture {
             sched: Scheduler::new(ncpus, 2_000_000_000),
             procs: ProcessTable::new(),
-            cgroups: CgroupForest::new(ncpus, ["lo"]),
+            cgroups: CgroupForest::new(ncpus),
             rng: StdRng::seed_from_u64(7),
             scratch: SchedScratch::default(),
         }

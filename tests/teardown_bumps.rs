@@ -18,6 +18,8 @@ use containerleaks::cloudsim::{
     Cloud, CloudConfig, CloudProfile, DetectorConfig, InstanceId, InstanceSpec,
 };
 use containerleaks::container_runtime::{ContainerSpec, Runtime};
+use containerleaks::pseudofs::render::sys_cgroup;
+use containerleaks::pseudofs::View;
 use containerleaks::simkernel::cgroup::CgroupData;
 use containerleaks::simkernel::kernel::ContainerEnv;
 use containerleaks::simkernel::{
@@ -128,7 +130,8 @@ fn churn_teardown_returns_the_namespace_registry_to_baseline() {
 
 /// What a container leaves behind if its teardown is incomplete: the
 /// live cgroups (hierarchy and path), every net_prio node's
-/// `ifpriomap` key set, the host device list, and the namespace count.
+/// `ifpriomap` key set (empty: no priority is ever set), the host device
+/// list, and the namespace count.
 #[derive(Debug, PartialEq)]
 struct Footprint {
     cgroups: Vec<(CgroupKind, String)>,
@@ -165,15 +168,27 @@ fn footprint(k: &Kernel) -> Footprint {
     }
 }
 
-/// Asserts the net_prio leak's invariant: every live net_prio cgroup's
-/// `ifpriomap` covers exactly the host's devices.
-fn assert_ifpriomaps_cover_devices(k: &Kernel, what: &str) {
-    let mut devices: Vec<String> = k.net().devices().iter().map(|d| d.name.clone()).collect();
-    devices.sort();
-    for (path, keys) in footprint(k).ifpriomaps {
+/// Asserts the net_prio leak's invariant as readers see it: from the
+/// host and from every container of `rt`, `net_prio.ifpriomap` renders
+/// every host device, in device order, at priority 0 (nothing sets a
+/// priority). A group keeps no entry for a device the host no longer has,
+/// so a veth reusing a dead one's name starts at 0 too.
+fn assert_ifpriomap_renders_host_devices(k: &Kernel, rt: &Runtime, what: &str) {
+    let devices: Vec<String> = k.net().devices().iter().map(|d| d.name.clone()).collect();
+    let want: String = devices.iter().map(|d| format!("{d} 0\n")).collect();
+    let views = std::iter::once(View::host()).chain(rt.iter().map(|c| c.view().clone()));
+    for view in views {
+        let mut got = String::new();
+        sys_cgroup::ifpriomap(k, &view, &[], &mut got).expect("ifpriomap renders");
         assert_eq!(
-            keys, devices,
-            "{what}: net_prio {path} out of step with the host devices"
+            got, want,
+            "{what}: net_prio.ifpriomap out of step with the host devices"
+        );
+    }
+    for (path, keys) in footprint(k).ifpriomaps {
+        assert!(
+            keys.iter().all(|key| devices.contains(key)),
+            "{what}: net_prio {path} keeps a priority for a removed device: {keys:?}"
         );
     }
 }
@@ -228,14 +243,14 @@ fn teardown_storm_on_a_faulted_host_leaves_no_trace() {
             .expect("create");
         let env = rt.container(id).expect("live container").env().clone();
         assert_fresh_ids(env_ids(&env), &mut high, "storm create");
-        assert_ifpriomaps_cover_devices(&k, "storm create");
+        assert_ifpriomap_renders_host_devices(&k, &rt, "storm create");
         let jobs = [models::prime(), models::sleeper(), models::stress_vm()];
         for (j, w) in jobs.into_iter().take(1 + (i % 3) as usize).enumerate() {
             rt.exec(&mut k, id, &format!("job-{j}"), w).expect("exec");
         }
         k.advance_secs(1 + i % 3);
         rt.remove(&mut k, id).expect("remove");
-        assert_ifpriomaps_cover_devices(&k, "storm destroy");
+        assert_ifpriomap_renders_host_devices(&k, &rt, "storm destroy");
         assert!(
             k.processes().all(|p| p.namespaces() != env.ns),
             "cycle {i}: a member process outlived its container"
@@ -287,7 +302,7 @@ fn fleet_churn_with_the_detector_returns_every_host_to_baseline() {
                 .env()
                 .clone();
             assert_fresh_ids(env_ids(&env), &mut high[host.0 as usize], "fleet launch");
-            assert_ifpriomaps_cover_devices(h.kernel(), "fleet launch");
+            assert_ifpriomap_renders_host_devices(h.kernel(), h.runtime(), "fleet launch");
             if word.is_multiple_of(4) {
                 cloud
                     .exec(id, "app", models::web_service(0.2))
