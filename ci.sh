@@ -2,13 +2,12 @@
 # Full local gate: build, tests (the standalone end-to-end benchmark
 # package's included), lints, formatting, the determinism mode matrix
 # (tests/mode_matrix.rs: the registry, the fault matrix and the 16-seed
-# campaign sweep at --jobs 1 and 4, the registry also with coalescing
-# off, must produce identical reports, JSON, trace events, counters and
-# profiles, and `--jobs 1` must reproduce the committed
-# EXPERIMENTS.md/.json), and the calibrated bench gate (every benchmark's
-# median, in units of a fixed calibration kernel timed beside it, within
-# 1.25x of the committed baseline; the lazy fleet calendar at least 5x
-# ahead of its eager reference in the same run).
+# campaign sweep at --jobs 1 and 4 must produce identical reports, JSON,
+# trace events, counters and profiles, and `--jobs 1` must reproduce the
+# committed EXPERIMENTS.md/.json), and the calibrated bench gate (every
+# benchmark's median, in units of a fixed calibration kernel timed beside
+# it, within 1.25x of the committed baseline; the lazy fleet calendar at
+# least 5x ahead of its eager reference in the same run).
 set -euo pipefail
 cd "$(dirname "$0")"
 

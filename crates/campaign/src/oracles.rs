@@ -7,7 +7,7 @@
 //! * [`mask_monotonic`] — strengthening the masking policy never
 //!   increases a channel's observable entropy.
 //! * [`mode_invariance`] — the scenario transcript digest is identical
-//!   with coalescing on and off.
+//!   on coalescing hosts and on the tick-stepped reference.
 //! * [`shard_invariance`] — the transcript digest is identical on the
 //!   lazy fleet calendar and on the eager reference path.
 //! * [`power_monotone`] — the power attack's peak aggregate power is
@@ -26,7 +26,7 @@ use pseudofs::{MaskAction, MaskPolicy, MaskRule, PseudoFs, View};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use simkernel::kernel::ProcessSpec;
-use simkernel::{ChurnDriver, ChurnEvent, ChurnPlan, FaultPlan, Kernel, RunConfig};
+use simkernel::{ChurnDriver, ChurnEvent, ChurnPlan, FaultPlan, Kernel};
 use workloads::models;
 
 use crate::scenario::Scenario;
@@ -93,11 +93,25 @@ fn sample_hash(s: &str) -> f64 {
     (h >> 11) as f64
 }
 
-/// The scenario's execution modes (its coalescing draw). Oracles enter
-/// it around every kernel and cloud they build.
-fn modes(sc: &Scenario) -> RunConfig {
-    RunConfig {
-        coalesce: sc.coalesce,
+/// A kernel on the scenario's machine in its drawn mode: coalescing,
+/// or the tick-stepped reference.
+fn kernel(sc: &Scenario) -> Kernel {
+    let k = Kernel::new(sc.profile.default_machine(), sc.seed);
+    if sc.coalesce {
+        k
+    } else {
+        k.tick_stepped()
+    }
+}
+
+/// A fleet config for the scenario's profile whose hosts coalesce, or
+/// are the tick-stepped reference.
+fn cloud_config(sc: &Scenario, coalesce: bool) -> CloudConfig {
+    let cfg = CloudConfig::new(sc.profile);
+    if coalesce {
+        cfg
+    } else {
+        cfg.tick_stepped()
     }
 }
 
@@ -122,8 +136,7 @@ fn entropy_of(samples: &[String]) -> f64 {
 /// A [`Violation`] naming the channel and broken relation.
 pub fn mask_monotonic(sc: &Scenario) -> Result<(), Violation> {
     const V: &str = "mask-monotonic";
-    let _run = modes(sc).enter();
-    let mut k = Kernel::new(sc.profile.default_machine(), sc.seed);
+    let mut k = kernel(sc);
     let env = k
         .create_container_env("probe")
         .map_err(|e| Violation::new(V, format!("probe container env: {e:?}")))?;
@@ -229,11 +242,16 @@ const TRANSCRIPT_CHANNELS: &[&str] = &[
     "/proc/self/cgroup",
 ];
 
-/// Runs the scenario's tenant-lifecycle transcript under `run` (on the
-/// eager reference path when `eager`) and digests every observable byte
-/// (and error) into one FNV-1a value.
-fn transcript_digest(sc: &Scenario, run: RunConfig, eager: bool) -> u64 {
-    transcript_digest_with(sc, run, eager, sc.detector.then(DetectorConfig::default))
+/// Runs the scenario's tenant-lifecycle transcript on coalescing hosts,
+/// or on tick-stepped ones (on the eager reference path when `eager`),
+/// and digests every observable byte (and error) into one FNV-1a value.
+fn transcript_digest(sc: &Scenario, coalesce: bool, eager: bool) -> u64 {
+    transcript_digest_with(
+        sc,
+        coalesce,
+        eager,
+        sc.detector.then(DetectorConfig::default),
+    )
 }
 
 /// [`transcript_digest`] with the detector chosen explicitly (the
@@ -244,16 +262,13 @@ fn transcript_digest(sc: &Scenario, run: RunConfig, eager: bool) -> u64 {
 /// digests identically to none at all.
 fn transcript_digest_with(
     sc: &Scenario,
-    run: RunConfig,
+    coalesce: bool,
     eager: bool,
     det: Option<DetectorConfig>,
 ) -> u64 {
-    let mut cfg = {
-        let _run = run.enter();
-        CloudConfig::new(sc.profile)
-            .hosts(sc.hosts)
-            .without_background()
-    };
+    let mut cfg = cloud_config(sc, coalesce)
+        .hosts(sc.hosts)
+        .without_background();
     if let Some(d) = det {
         cfg = cfg.detector(d);
     }
@@ -326,18 +341,26 @@ fn transcript_digest_with(
     digest
 }
 
-/// Checks that the transcript replayed under `run` (eagerly when
+/// Checks that the transcript replayed with `coalesce` (eagerly when
 /// `eager`) digests like the scenario's own lazy, own-mode baseline;
-/// `label` names the replay in the violation.
+/// `label` names the replay in the violation. A replay in the baseline's
+/// own configuration would compare a run with itself, so it is a
+/// violation too.
 fn replay_matches_baseline(
     sc: &Scenario,
     oracle: &'static str,
     label: &str,
-    run: RunConfig,
+    coalesce: bool,
     eager: bool,
 ) -> Result<(), Violation> {
-    let base = transcript_digest(sc, modes(sc), false);
-    let d = transcript_digest(sc, run, eager);
+    if (coalesce, eager) == (sc.coalesce, false) {
+        return Err(Violation::new(
+            oracle,
+            format!("the {label} replay runs in the baseline's own configuration"),
+        ));
+    }
+    let base = transcript_digest(sc, sc.coalesce, false);
+    let d = transcript_digest(sc, coalesce, eager);
     if d != base {
         return Err(Violation::new(
             oracle,
@@ -349,18 +372,22 @@ fn replay_matches_baseline(
 
 /// Oracle 2: transcript bytes are invariant across execution modes.
 ///
-/// The same scenario transcript is replayed with coalescing flipped; the
-/// replay must produce the identical digest, because coalescing is not
-/// allowed to change observable bytes.
+/// The same scenario transcript is replayed with the scenario's
+/// coalescing draw flipped, so one side always runs the tick-stepped
+/// reference; the replay must produce the identical digest, because
+/// coalescing is not allowed to change observable bytes.
 ///
 /// # Errors
 ///
 /// A [`Violation`] naming the mode whose digest diverged.
 pub fn mode_invariance(sc: &Scenario) -> Result<(), Violation> {
-    let flipped = RunConfig {
-        coalesce: !sc.coalesce,
-    };
-    replay_matches_baseline(sc, "mode-invariance", "coalescing flipped", flipped, false)
+    replay_matches_baseline(
+        sc,
+        "mode-invariance",
+        "coalescing flipped",
+        !sc.coalesce,
+        false,
+    )
 }
 
 /// Oracle: the lazy fleet calendar is invisible.
@@ -377,7 +404,7 @@ pub fn mode_invariance(sc: &Scenario) -> Result<(), Violation> {
 ///
 /// A [`Violation`] naming the replay whose digest diverged.
 pub fn shard_invariance(sc: &Scenario) -> Result<(), Violation> {
-    replay_matches_baseline(sc, "shard-invariance", "eager reference", modes(sc), true)
+    replay_matches_baseline(sc, "shard-invariance", "eager reference", sc.coalesce, true)
 }
 
 /// Oracle 3: peak attack power is monotone in payload-host count.
@@ -394,9 +421,8 @@ pub fn power_monotone(sc: &Scenario) -> Result<(), Violation> {
     const V: &str = "power-monotone";
     let hi = sc.attackers.min(sc.hosts);
     let lo = hi - 1;
-    let _run = modes(sc).enter();
     let run = |payload_hosts: usize| -> Result<Option<f64>, Violation> {
-        let cfg = CloudConfig::new(sc.profile).hosts(sc.hosts);
+        let cfg = cloud_config(sc, sc.coalesce).hosts(sc.hosts);
         let mut cloud = Cloud::new(cfg, sc.seed);
         let mut campaign = match AttackCampaign::deploy(
             &mut cloud,
@@ -467,10 +493,7 @@ pub fn churn_soundness(sc: &Scenario) -> Result<(), Violation> {
     let plan = ChurnPlan::new(sc.seed)
         .cycles(sc.churn_cycles.max(6))
         .max_live(3);
-    let mut kernel = {
-        let _run = modes(sc).enter();
-        Kernel::new(sc.profile.default_machine(), sc.seed)
-    };
+    let mut kernel = kernel(sc);
     let mut driver = ChurnDriver::new(plan);
     let fs = PseudoFs::new();
 
@@ -532,13 +555,10 @@ pub fn detector_soundness(sc: &Scenario) -> Result<(), Violation> {
     const V: &str = "detector-soundness";
 
     // Relation 1: entropy never rises across the masking event.
-    let cfg = {
-        let _run = modes(sc).enter();
-        CloudConfig::new(sc.profile)
-            .hosts(1)
-            .without_background()
-            .detector(DetectorConfig::default())
-    };
+    let cfg = cloud_config(sc, sc.coalesce)
+        .hosts(1)
+        .without_background()
+        .detector(DetectorConfig::default());
     let mut cloud = Cloud::new(cfg, sc.seed);
     let prober = match cloud.launch("prober", InstanceSpec::new("probe")) {
         Ok(id) => id,
@@ -599,8 +619,8 @@ pub fn detector_soundness(sc: &Scenario) -> Result<(), Violation> {
     }
 
     // Relation 2: a passive tap is byte-invisible.
-    let without = transcript_digest_with(sc, modes(sc), false, None);
-    let passive = transcript_digest_with(sc, modes(sc), false, Some(DetectorConfig::passive()));
+    let without = transcript_digest_with(sc, sc.coalesce, false, None);
+    let passive = transcript_digest_with(sc, sc.coalesce, false, Some(DetectorConfig::passive()));
     if passive != without {
         return Err(Violation::new(
             V,

@@ -33,7 +33,8 @@ pub struct Scenario {
     /// Baseline co-resident attacker (payload-host) count for the power
     /// oracle (1..=2; the oracle compares against one fewer).
     pub attackers: usize,
-    /// Event-horizon tick coalescing for this scenario's kernels.
+    /// Event-horizon tick coalescing for this scenario's kernels; when
+    /// false, the oracles build the tick-stepped reference.
     pub coalesce: bool,
     /// A drawn worker count (1..=4) that no oracle reads: fleets step
     /// on one thread. It stays a field because the end-to-end benchmark

@@ -19,8 +19,9 @@
 //! quiescent host can only wake via an external call or a calendared
 //! event, the lazy fleet is byte-identical to stepping every host every
 //! call — the mode [`CloudConfig::eager_advance`] preserves as the
-//! reference baseline. Every host kernel is built under the
-//! [`simkernel::RunConfig`] current when the [`CloudConfig`] is made.
+//! reference baseline. [`CloudConfig::tick_stepped`] is the kernel-level
+//! reference: every host, rebooted ones included, walks its quiescent
+//! time tick by tick instead of coalescing it.
 //!
 //! # Example
 //!
@@ -56,7 +57,7 @@ use pseudofs::{FsError, MaskPolicy};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
-use simkernel::{HostPid, Kernel, MachineConfig, RunConfig, NANOS_PER_SEC};
+use simkernel::{HostPid, Kernel, MachineConfig, NANOS_PER_SEC};
 use workloads::WorkloadSpec;
 
 use calendar::Calendar;
@@ -139,9 +140,7 @@ pub struct CloudConfig {
     placement: PlacementPolicy,
     billing: BillingModel,
     background_per_host: bool,
-    /// Execution modes every host kernel is built under, rebooted ones
-    /// included.
-    run: RunConfig,
+    tick_stepped: bool,
     eager_advance: bool,
     detector: Option<DetectorConfig>,
 }
@@ -149,7 +148,7 @@ pub struct CloudConfig {
 impl CloudConfig {
     /// A config for the given provider profile with paper-scale defaults:
     /// 8 cloud servers per rack, spread placement, utilization billing,
-    /// no detector, and the execution modes of the current [`RunConfig`].
+    /// no detector, coalescing hosts on a lazy calendar.
     pub fn new(profile: CloudProfile) -> Self {
         CloudConfig {
             profile,
@@ -159,7 +158,7 @@ impl CloudConfig {
             placement: PlacementPolicy::Spread,
             billing: BillingModel::default(),
             background_per_host: true,
-            run: RunConfig::current(),
+            tick_stepped: false,
             eager_advance: false,
             detector: None,
         }
@@ -213,6 +212,16 @@ impl CloudConfig {
     #[must_use]
     pub fn eager_advance(mut self) -> Self {
         self.eager_advance = true;
+        self
+    }
+
+    /// Builds every host kernel, rebooted ones included, as the
+    /// [`Kernel::tick_stepped`] reference: quiescent time walked tick by
+    /// tick, never coalesced. Byte-identical to the default fleet; the
+    /// baseline the differential tests hold coalescing to.
+    #[must_use]
+    pub fn tick_stepped(mut self) -> Self {
+        self.tick_stepped = true;
         self
     }
 
@@ -386,6 +395,18 @@ pub struct Cloud {
     policy: MaskPolicy,
 }
 
+/// A freshly booted host kernel, the [`Kernel::tick_stepped`] reference
+/// when `tick_stepped`. Every host kernel, at fleet boot and at a reboot,
+/// is built here.
+fn boot_kernel(machine: MachineConfig, seed: u64, tick_stepped: bool) -> Kernel {
+    let kernel = Kernel::new(machine, seed);
+    if tick_stepped {
+        kernel.tick_stepped()
+    } else {
+        kernel
+    }
+}
+
 /// A fresh runtime on a freshly booted host kernel. With `background`,
 /// it runs the background tenant: 12 service processes per host, so that
 /// fleet-level diurnal demand can swing most of the machine (the paper's
@@ -420,7 +441,6 @@ impl Cloud {
     /// each other while racks differ by days — the structure the paper's
     /// §IV-C uptime analysis exploits.
     pub fn new(cfg: CloudConfig, seed: u64) -> Self {
-        let _run = cfg.run.enter();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xc10_0d5eed);
         let mut hosts = Vec::with_capacity(cfg.hosts);
         for i in 0..cfg.hosts {
@@ -430,10 +450,11 @@ impl Cloud {
             // Rack install epochs days apart; in-rack jitter of minutes.
             machine.boot_wall_secs =
                 1_450_000_000 + u64::from(rack) * 86_400 * 9 + rng.random_range(0..1_200);
-            let mut kernel = Kernel::new(
+            let mut kernel = boot_kernel(
                 machine,
                 seed.wrapping_mul(6364136223846793005)
                     .wrapping_add(i as u64),
+                cfg.tick_stepped,
             );
             // Uptime: rack-correlated (a rack is installed and booted
             // together, within the hour), racks days apart — the structure
@@ -991,8 +1012,8 @@ impl Cloud {
     /// real power cycle), the kernel comes back with a fresh boot id and
     /// zeroed accumulators, and the wall clock continues from where the
     /// old kernel left off. Background tenants are restarted. The new
-    /// kernel is built under the cloud's own run configuration, not the
-    /// caller's.
+    /// kernel is built in the cloud's mode, so a
+    /// [`CloudConfig::tick_stepped`] fleet stays stepped.
     ///
     /// # Errors
     ///
@@ -1017,7 +1038,7 @@ impl Cloud {
         for inst in &lost {
             self.instances.remove(inst);
         }
-        let (run, with_background) = (self.cfg.run, self.cfg.background_per_host);
+        let (tick_stepped, with_background) = (self.cfg.tick_stepped, self.cfg.background_per_host);
         self.with_host(idx, |host| {
             // Fresh kernel on the same hardware: boot time = now.
             let mut machine = host.kernel.config().clone();
@@ -1027,10 +1048,7 @@ impl Cloud {
                 .seed()
                 .wrapping_mul(0x2545_f491_4f6c_dd1d)
                 .wrapping_add(1);
-            let mut kernel = {
-                let _run = run.enter();
-                Kernel::new(machine, reboot_seed)
-            };
+            let mut kernel = boot_kernel(machine, reboot_seed, tick_stepped);
             let (runtime, background) = boot_runtime(&mut kernel, with_background);
             host.kernel = kernel;
             host.runtime = runtime;

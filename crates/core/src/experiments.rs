@@ -2200,9 +2200,7 @@ pub const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
 /// entry order. Each driver is a pure function of the seed, so the result
 /// vector is byte-identical for any `jobs`; `jobs = 1` runs on the
 /// caller's thread in entry order. `progress` is invoked as each entry
-/// completes, with its index (completion order under `jobs > 1`). Every
-/// driver runs under the caller's [`RunConfig`](simkernel::RunConfig),
-/// whichever lane picks it up.
+/// completes, with its index (completion order under `jobs > 1`).
 pub fn run_entries_with(
     entries: &[(&str, ExperimentFn)],
     seed: u64,

@@ -4,9 +4,9 @@
 //!
 //! Flags: see the crate docs (`--seed`, `--days`, `--jobs`, `--only`,
 //! `--out`, `--trace`, `--counters`, `--json`). Every driver is a pure
-//! function of the seed, so the artifacts — the trace included, modulo
-//! its mode-exempt group — are byte-identical for any `--jobs` and either
-//! coalescing mode (`tests/mode_matrix.rs`). Exits 1 if any claim fails.
+//! function of the seed, so the artifacts, the trace included, are
+//! byte-identical for any `--jobs` (`tests/mode_matrix.rs`). Exits 1 if
+//! any claim fails.
 
 fn main() -> std::process::ExitCode {
     containerleaks_experiments::run_cli(&containerleaks_experiments::EXPERIMENTS)

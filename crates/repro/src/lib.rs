@@ -13,10 +13,10 @@
 //! takes `--days <n>`, the Fig. 2 trace length (default 7). An unknown
 //! flag or a bad value exits 2.
 //!
-//! Runs always use the compiled [`RunConfig`](containerleaks::simkernel::RunConfig)
-//! defaults; the test `tests/mode_matrix.rs` enters the other coalescing
-//! mode itself and holds every artifact byte-identical across modes and
-//! worker counts.
+//! Runs always coalesce quiescent ticks; there is no mode flag. The
+//! test `tests/mode_matrix.rs` holds every artifact byte-identical
+//! across worker counts, and the differential tests (DESIGN §4.9) hold
+//! coalescing to its tick-stepped reference.
 
 use std::process::ExitCode;
 use std::str::FromStr;

@@ -177,15 +177,18 @@ impl CgroupNode {
 /// slot vector indexed by id: every lookup on the scheduler's per-task
 /// charge path is an array index instead of a hash probe. Removed nodes
 /// leave a `None` slot behind, so `nodes` only grows; the operations a
-/// container lifecycle runs never walk it. Removal checks the node's own
-/// live-child count. Host interfaces come and go without touching any
-/// node: a net_prio map holds only explicitly set priorities.
+/// container lifecycle runs never walk it, and `/proc/cgroups` reads a
+/// live count per hierarchy. Removal checks the node's own live-child
+/// count. Host interfaces come and go without touching any node: a
+/// net_prio map holds only explicitly set priorities.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CgroupForest {
     next: u32,
     nodes: Vec<Option<CgroupNode>>,
     /// Each hierarchy's root, indexed by [`CgroupKind::index`].
     roots: [CgroupId; 4],
+    /// Each hierarchy's live node count, indexed the same way.
+    live: [usize; 4],
     ncpus: usize,
     /// One zero per CPU: the per-CPU usage of a cpuacct group never
     /// charged.
@@ -199,6 +202,7 @@ impl CgroupForest {
             next: 0,
             nodes: Vec::new(),
             roots: [CgroupId(0); 4],
+            live: [0; 4],
             ncpus,
             zeros: vec![0; ncpus],
         };
@@ -242,6 +246,7 @@ impl CgroupForest {
         if let Some(p) = parent.and_then(|p| self.node_mut(p)) {
             p.children += 1;
         }
+        self.live[kind.index()] += 1;
         self.nodes.push(Some(CgroupNode {
             id,
             kind,
@@ -286,11 +291,7 @@ impl CgroupForest {
     /// Number of cgroups in one hierarchy — rendered by `/proc/cgroups`,
     /// which thereby leaks how many containers a host runs.
     pub fn count_of_kind(&self, kind: CgroupKind) -> usize {
-        self.nodes
-            .iter()
-            .flatten()
-            .filter(|n| n.kind == kind)
-            .count()
+        self.live[kind.index()]
     }
 
     /// Creates a child cgroup `name` under `parent`.
@@ -347,7 +348,9 @@ impl CgroupForest {
                 "cgroup {id} still has children"
             )));
         }
-        if let Some(p) = node.parent.and_then(|p| self.node_mut(p)) {
+        let (kind, parent) = (node.kind, node.parent);
+        self.live[kind.index()] -= 1;
+        if let Some(p) = parent.and_then(|p| self.node_mut(p)) {
             p.children -= 1;
         }
         self.nodes[id.0 as usize] = None;
@@ -633,6 +636,35 @@ mod tests {
         f.remove(docker).unwrap();
         assert_eq!(f.count_of_kind(CgroupKind::NetPrio), 1);
         assert_eq!(f.node(root).map(|n| n.children), Some(0));
+    }
+
+    #[test]
+    fn live_counts_follow_container_churn() {
+        // Thousands of container lifecycles on one kernel, up to three
+        // live at a time: after every create and every destroy, the
+        // counts `/proc/cgroups` renders equal a walk of the live nodes.
+        let mut k = crate::Kernel::new(crate::config::MachineConfig::small_server(), 9);
+        let mut live = Vec::new();
+        let mut x = 9u64;
+        for cycle in 0..3_000 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            if live.is_empty() || (live.len() < 3 && x >> 63 == 0) {
+                live.push(k.create_container_env(&format!("c{cycle}")).unwrap());
+            } else {
+                let env = live.swap_remove((x >> 33) as usize % live.len());
+                k.destroy_container_env(&env).unwrap();
+            }
+            let f = k.cgroups();
+            for kind in CgroupKind::ALL {
+                assert_eq!(
+                    f.count_of_kind(kind),
+                    f.nodes_of_kind(kind).len(),
+                    "{kind:?} after cycle {cycle}"
+                );
+            }
+        }
     }
 
     #[test]

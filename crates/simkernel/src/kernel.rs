@@ -18,7 +18,6 @@ use crate::net::NetState;
 use crate::ns::{NamespaceRegistry, NamespaceSet};
 use crate::perf::{PerfOverheadCosts, PerfSubsystem};
 use crate::process::{CgroupMembership, HostPid, ProcState, Process, ProcessTable};
-use crate::run::RunConfig;
 use crate::sched::{SchedAnchor, SchedScratch, Scheduler, TickReport};
 use crate::syscost::SysCosts;
 use crate::time::{Clock, NANOS_PER_SEC};
@@ -257,7 +256,8 @@ impl TickScratch {
 
 impl Kernel {
     /// Boots a kernel on the given machine with a deterministic seed,
-    /// in the execution modes of the current [`RunConfig`].
+    /// with event-horizon coalescing on (see [`Kernel::tick_stepped`] for
+    /// the per-tick reference).
     ///
     /// # Panics
     ///
@@ -265,7 +265,6 @@ impl Kernel {
     /// are experiment-definition inputs, so this is a programming error.
     pub fn new(cfg: MachineConfig, seed: u64) -> Self {
         cfg.validate().expect("invalid machine configuration");
-        let run = RunConfig::current();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_c0de_0001);
         let ncpus = cfg.cpus as usize;
         let ns = NamespaceRegistry::new(&cfg.hostname);
@@ -297,7 +296,7 @@ impl Kernel {
             lifetime_ns: 0,
             faults: None,
             reboots: 0,
-            coalesce: run.coalesce,
+            coalesce: true,
             idle_anchor: IdleAnchor::default(),
             epochs: SubsystemEpochs::default(),
             tracer: simtrace::tracer_for_new_kernel(),
@@ -587,10 +586,20 @@ impl Kernel {
         self.tick_ns = tick_ns.clamp(1_000_000, 60 * NANOS_PER_SEC);
     }
 
-    /// Whether event-horizon coalescing is enabled on this kernel (the
-    /// [`RunConfig`] it was built under). Both settings produce
-    /// byte-identical state; off is an escape hatch for bisecting and for
-    /// the cross-mode compare in the tests.
+    /// The tick-stepped reference: this kernel with event-horizon
+    /// coalescing off, so a quiescent host walks its idle time one tick
+    /// quantum at a time instead of jumping to its next event horizon.
+    /// The two produce byte-identical state; the stepped kernel is the
+    /// plain baseline the differential tests hold coalescing to, and is
+    /// far slower on idle hosts.
+    #[must_use]
+    pub fn tick_stepped(mut self) -> Self {
+        self.coalesce = false;
+        self
+    }
+
+    /// Whether event-horizon coalescing is enabled on this kernel: false
+    /// only on a [`Kernel::tick_stepped`] reference.
     pub fn coalescing(&self) -> bool {
         self.coalesce
     }
@@ -1995,7 +2004,6 @@ mod tests {
             faults in 0usize..3,
             ops in proptest::collection::vec((0u8..13, 0u64..u64::MAX, 0u64..u64::MAX), 1..40),
         ) {
-            let _run = RunConfig { coalesce: coalesce == 1 }.enter();
             let boot = || {
                 let cfg = match machine {
                     0 => MachineConfig::small_server(),
@@ -2003,6 +2011,9 @@ mod tests {
                     _ => MachineConfig::cloud_server(),
                 };
                 let mut k = Kernel::new(cfg, seed);
+                if coalesce == 0 {
+                    k = k.tick_stepped();
+                }
                 // A crash-reboot (and, in the standard plan, read, sensor
                 // and skew windows that cap coalesced spans).
                 match faults {

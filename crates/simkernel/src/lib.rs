@@ -59,7 +59,6 @@ pub mod ns;
 pub mod parallel;
 pub mod perf;
 pub mod process;
-pub mod run;
 pub mod sched;
 pub mod syscost;
 pub mod time;
@@ -75,6 +74,5 @@ pub use hw::{PowerModelParams, PowerSnapshot, RaplDomains};
 pub use kernel::Kernel;
 pub use ns::{NamespaceKind, NamespaceSet, NsId};
 pub use process::{HostPid, ProcState, Process};
-pub use run::{RunConfig, RunConfigGuard};
 pub use syscost::SysCosts;
 pub use time::{Clock, NANOS_PER_SEC};

@@ -19,14 +19,11 @@ use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 
-use crate::RunConfig;
-
 /// Applies `f` to every element of `items` across `threads` lanes: the
-/// calling thread plus up to `threads - 1` scoped workers, each of which
-/// runs under the caller's [`RunConfig`]. The lane count is capped at
-/// the element count, and `threads <= 1` or a single element runs the
-/// plain serial loop on the caller's thread. A worker that cannot be
-/// spawned leaves fewer lanes, never a panic.
+/// calling thread plus up to `threads - 1` scoped workers. The lane
+/// count is capped at the element count, and `threads <= 1` or a single
+/// element runs the plain serial loop on the caller's thread. A worker
+/// that cannot be spawned leaves fewer lanes, never a panic.
 ///
 /// The caller promises the elements are independent: `f` must confine
 /// its effects to its element (plus commutative trace counters), so
@@ -62,18 +59,10 @@ where
             }
         }
     };
-    let run = RunConfig::current();
     let mut panics = Vec::new();
     std::thread::scope(|s| {
         let workers: Vec<_> = (1..lanes)
-            .filter_map(|_| {
-                std::thread::Builder::new()
-                    .spawn_scoped(s, || {
-                        let _run = run.enter();
-                        lane()
-                    })
-                    .ok()
-            })
+            .filter_map(|_| std::thread::Builder::new().spawn_scoped(s, lane).ok())
             .collect();
         panics.extend(lane());
         for w in workers {
@@ -191,27 +180,6 @@ mod tests {
         assert!(items.iter().all(|i| i.0), "fewer than 4 lanes ran");
         let ids: HashSet<_> = items.iter().map(|i| i.1).collect();
         assert_eq!(ids.len(), 4, "4 lanes on 4 distinct threads");
-    }
-
-    #[test]
-    fn workers_run_under_the_callers_run_config() {
-        let off = RunConfig { coalesce: false };
-        let _run = off.enter();
-        let caller = std::thread::current().id();
-        let arrived = AtomicUsize::new(0);
-        let mut seen: Vec<Option<(ThreadId, RunConfig)>> = vec![None; 4];
-        par_for_each_mut_threads(&mut seen, 4, |slot| {
-            all_arrive(&arrived, 4);
-            *slot = Some((std::thread::current().id(), RunConfig::current()));
-        });
-        assert!(
-            seen.iter().flatten().any(|(id, _)| *id != caller),
-            "no item ran on a worker"
-        );
-        assert!(
-            seen.iter().all(|s| s.is_some_and(|(_, rc)| rc == off)),
-            "a worker ran with another RunConfig: {seen:?}"
-        );
     }
 
     #[test]

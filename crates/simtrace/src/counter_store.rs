@@ -3,7 +3,7 @@
 //! Counters only ever sum, and addition commutes, so the totals are
 //! deterministic even when worker threads race on increments. Every
 //! entry carries its determinism [`Group`], so the mode-exempt totals
-//! can be left out of a cross-mode compare.
+//! can be left out of a coalesced-vs-stepped or lazy-vs-eager compare.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -41,8 +41,9 @@ pub fn add(name: &str, n: u64) {
     }
 }
 
-/// Adds to a mode-exempt counter (differs between coalescing modes by
-/// design). No-op unless tracing is enabled.
+/// Adds to a mode-exempt counter (differs by design between coalesced
+/// and tick-stepped kernels, or lazy and eager calendars). No-op unless
+/// tracing is enabled.
 #[inline]
 pub fn add_exempt(name: &str, n: u64) {
     if crate::enabled() {

@@ -5,10 +5,13 @@ use std::fmt::Write as _;
 /// Which determinism class a record belongs to. See the crate docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Group {
-    /// Byte-identical across `--jobs` values and coalescing modes.
+    /// Byte-identical across `--jobs` values, against the tick-stepped
+    /// reference and against the eager calendar.
     Portable,
-    /// Differs by design between coalescing modes only; left out of the
-    /// cross-mode compare (`tests/mode_matrix.rs`).
+    /// Differs by design between coalesced and tick-stepped kernels, or
+    /// between the lazy and the eager calendar; left out of those
+    /// compares (`tests/trace_counters.rs`, `tests/fleet_calendar.rs`).
+    /// Its label is pinned by the golden trace.
     ModeExempt,
 }
 
@@ -99,7 +102,7 @@ pub enum TraceEvent {
         boot: u32,
     },
     /// A quiescent kernel jumped a coalesced span to its event horizon.
-    /// Exists only when coalescing is on, hence mode-exempt.
+    /// Absent on a tick-stepped kernel, hence mode-exempt.
     CoalescedSpan {
         /// Lifetime-nanosecond instant the span started at.
         from_ns: u64,
@@ -191,7 +194,8 @@ impl TraceEvent {
 
     /// The determinism group this event belongs to. Only coalesced-span
     /// jumps are mode-dependent; every other event records a decision the
-    /// simulation makes identically in both coalescing modes.
+    /// simulation makes identically on coalescing and tick-stepped
+    /// kernels.
     pub fn group(&self) -> Group {
         match self {
             TraceEvent::CoalescedSpan { .. } => Group::ModeExempt,

@@ -28,14 +28,18 @@
 //!
 //! Every record carries a [`Group`]:
 //!
-//! * [`Group::Portable`] — identical bytes for any `--jobs` value and
-//!   either coalescing mode. The bulk of the trace.
-//! * [`Group::ModeExempt`] — differs *by design* between coalescing
-//!   modes (a coalesced span jump exists only when coalescing is on; the
-//!   stepped-tick count only when it is off). The mode matrix
-//!   (`tests/mode_matrix.rs`) leaves this group out of the cross-mode
-//!   compare, selecting it with [`TraceEvent::group`] and
-//!   [`counters::CounterEntry::group`].
+//! * [`Group::Portable`] — identical bytes for any `--jobs` value, on
+//!   coalescing kernels and on their tick-stepped reference, and on the
+//!   lazy and the eager fleet calendar. The bulk of the trace.
+//! * [`Group::ModeExempt`] — identical for any `--jobs` value, but
+//!   differs *by design* between a coalescing kernel and its
+//!   tick-stepped reference (a coalesced span jump exists only on the
+//!   first, the stepped-tick count only on the second) and between the
+//!   lazy and the eager calendar (pops, syncs). The compares across
+//!   those, `tests/trace_counters.rs` and `tests/fleet_calendar.rs`,
+//!   select the group with [`TraceEvent::group`] and
+//!   [`counters::CounterEntry::group`]. The `mode-exempt` label also
+//!   stays because the golden trace (`tests/golden/`) pins it.
 //!
 //! # Zero cost when disabled
 //!

@@ -4,7 +4,7 @@
 //! set of phases. Like the counters, phase totals only ever sum, so the
 //! profile is deterministic across worker counts; and because phase
 //! attribution follows the simulation (not the coalescing mechanics),
-//! it is identical across coalescing modes too — the profile table
+//! it is identical on tick-stepped kernels too — the profile table
 //! stays inside the byte-compared trace artifact.
 
 use std::collections::BTreeMap;

@@ -84,11 +84,11 @@ pub fn tracer_for_new_kernel() -> Option<KernelTracer> {
 #[derive(Debug, Default)]
 struct Inner {
     seq: u64,
-    /// Mode-exempt events number their own stream: a coalesced span
-    /// exists only while coalescing is on, and letting it consume a
+    /// Mode-exempt events number their own stream: a coalesced span is
+    /// absent on a tick-stepped kernel, and letting it consume a
     /// portable sequence number would shift every later portable line
-    /// across modes — breaking the filtered byte-compare that the
-    /// mode-exempt tag exists to enable.
+    /// against that reference — breaking the filtered byte-compare that
+    /// the mode-exempt tag exists to enable.
     exempt_seq: u64,
     events: Vec<TimedEvent>,
 }

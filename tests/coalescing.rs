@@ -1,9 +1,9 @@
 //! Event-horizon tick coalescing must be invisible.
 //!
-//! `Kernel::advance` with coalescing enabled takes one large span to the
-//! next event horizon whenever the host is quiescent; with coalescing
-//! disabled it walks the same interval tick by tick. These tests pin the
-//! contract that the two modes are *byte-identical* — full pseudofs
+//! `Kernel::advance` takes one large span to the next event horizon
+//! whenever the host is quiescent; the `Kernel::tick_stepped` reference
+//! walks the same interval tick by tick. These tests pin the contract
+//! that the two are *byte-identical* — full pseudofs
 //! snapshots, `/proc/uptime`, `/proc/loadavg`, and the RAPL energy
 //! counters — with and without an installed [`FaultPlan`], including
 //! when timer expiries and fault events land inside a window the
@@ -11,8 +11,9 @@
 
 use proptest::prelude::*;
 
+use containerleaks::cloudsim::{Cloud, CloudConfig, CloudProfile, HostId};
 use containerleaks::pseudofs::{PseudoFs, View};
-use containerleaks::simkernel::{FaultPlan, Kernel, MachineConfig, RunConfig, NANOS_PER_SEC};
+use containerleaks::simkernel::{FaultPlan, Kernel, MachineConfig, NANOS_PER_SEC};
 use containerleaks::workloads::models;
 
 /// Reads every host-visible pseudo file into one string.
@@ -49,10 +50,14 @@ fn observe(k: &Kernel) -> Observation {
     )
 }
 
-/// A small server built with coalescing on or off.
+/// A small server: coalescing, or the tick-stepped reference.
 fn kernel(coalesce: bool, seed: u64) -> Kernel {
-    let _run = RunConfig { coalesce }.enter();
-    Kernel::new(MachineConfig::small_server(), seed)
+    let k = Kernel::new(MachineConfig::small_server(), seed);
+    if coalesce {
+        k
+    } else {
+        k.tick_stepped()
+    }
 }
 
 /// One seeded scenario: a quiescent host holding a periodic user timer,
@@ -108,8 +113,8 @@ fn coalescing_is_invisible_under_the_standard_fault_plan() {
 
 #[test]
 fn coalescing_is_invisible_with_active_processes() {
-    // Nothing quiescent here: coalescing never engages, but the toggle
-    // must still be a no-op on the observable state.
+    // Nothing quiescent here: coalescing never engages, but the
+    // stepped reference must still observe the same state.
     let run = |coalesce: bool| {
         let mut k = kernel(coalesce, 42);
         k.spawn_host_process("svc", models::web_service(0.4))
@@ -120,12 +125,31 @@ fn coalescing_is_invisible_with_active_processes() {
     assert_eq!(run(true), run(false));
 }
 
+#[test]
+fn a_tick_stepped_cloud_stays_stepped_across_reboots() {
+    // The reference must reach every host kernel, rebooted ones too, or
+    // a fleet-level compare would hold coalescing to itself.
+    for stepped in [false, true] {
+        let mut cfg = CloudConfig::new(CloudProfile::CC1).hosts(4);
+        if stepped {
+            cfg = cfg.tick_stepped();
+        }
+        let mut cloud = Cloud::new(cfg, 5);
+        cloud.advance_secs(3);
+        cloud.reboot_host(HostId(1));
+        for id in [HostId(0), HostId(1)] {
+            let coalescing = cloud.host(id).expect("4 hosts").kernel().coalescing();
+            assert_eq!(coalescing, !stepped, "{id:?} (stepped cloud: {stepped})");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Whatever the seed and whether faults are installed (odd seeds
-    /// install the standard plan), coalescing on and off observe the
-    /// same machine.
+    /// install the standard plan), the coalescing kernel and its
+    /// tick-stepped reference observe the same machine.
     #[test]
     fn coalescing_never_changes_observable_state(seed in 0u64..10_000) {
         let faults = seed % 2 == 1;

@@ -17,11 +17,10 @@ use proptest::{Strategy, TestRunner};
 
 use containerleaks::cloudsim::{Cloud, CloudConfig, CloudProfile, DetectorConfig, InstanceSpec};
 use containerleaks::leakscan::{AdaptiveAttacker, AttackerMode};
-use containerleaks::simkernel::RunConfig;
 use containerleaks::simtrace;
 
-/// Runs one attack-under-detection scenario in the given execution mode
-/// and returns the detector's full report (config, verdict log, policy
+/// Runs one attack-under-detection scenario on coalescing hosts, or on
+/// the tick-stepped reference, and returns the detector's full report (config, verdict log, policy
 /// updates) — the bytes that must not depend on the mode.
 fn detector_report(seed: u64, horizon: u64, coalesce: bool) -> String {
     let modes = [
@@ -34,14 +33,14 @@ fn detector_report(seed: u64, horizon: u64, coalesce: bool) -> String {
     let mode = modes[(seed % 4) as usize];
     let profile = profiles[(seed % 3) as usize];
 
-    let cfg = {
-        let _run = RunConfig { coalesce }.enter();
-        CloudConfig::new(profile)
-            .hosts(4)
-            .placement(containerleaks::cloudsim::PlacementPolicy::BinPack)
-            .without_background()
-            .detector(DetectorConfig::default())
-    };
+    let mut cfg = CloudConfig::new(profile)
+        .hosts(4)
+        .placement(containerleaks::cloudsim::PlacementPolicy::BinPack)
+        .without_background()
+        .detector(DetectorConfig::default());
+    if !coalesce {
+        cfg = cfg.tick_stepped();
+    }
     let mut cloud = Cloud::new(cfg, seed);
     let benign = cloud
         .launch("alice", InstanceSpec::new("web"))

@@ -3,7 +3,8 @@
 //! eager naive-stepping reference.
 //!
 //! Each proptest case derives one tenant-lifecycle script and replays it
-//! twice under the same drawn coalescing and fault modes: once on a lazy
+//! twice with the same drawn host kernels (coalescing, or the
+//! `CloudConfig::tick_stepped` reference) and fault mode: once on a lazy
 //! calendar fleet, once on an eager fleet. Everything observable must
 //! match byte for byte —
 //! per-instance pseudo-fs probes taken mid-script, the full per-host
@@ -19,7 +20,7 @@ use std::sync::{Arc, OnceLock};
 
 use containerleaks::cloudsim::{Cloud, CloudConfig, CloudProfile, InstanceId, InstanceSpec};
 use containerleaks::pseudofs::{PseudoFs, View};
-use containerleaks::simkernel::{FaultPlan, RunConfig};
+use containerleaks::simkernel::FaultPlan;
 use containerleaks::simtrace;
 use containerleaks::workloads::models;
 use proptest::prelude::*;
@@ -77,13 +78,15 @@ fn run_script(
     faults: bool,
 ) -> (String, String) {
     sink().drain();
-    let _run = RunConfig { coalesce }.enter();
     let mut cfg = CloudConfig::new(CloudProfile::CC2)
         .hosts(hosts)
         .hosts_per_rack(2)
         .without_background();
     if eager {
         cfg = cfg.eager_advance();
+    }
+    if !coalesce {
+        cfg = cfg.tick_stepped();
     }
     let mut cloud = Cloud::new(cfg, seed);
     if faults {
@@ -190,8 +193,8 @@ fn first_diff(a: &str, b: &str) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The lazy calendar path, under either coalescing mode and with or
-    /// without faults, must be indistinguishable from naive eager
+    /// The lazy calendar path, on coalescing or tick-stepped hosts and
+    /// with or without faults, must be indistinguishable from naive eager
     /// stepping. One `#[test]`, not several: the replays share the
     /// process-global trace sink, so a sibling test draining it
     /// concurrently would corrupt transcripts.

@@ -1,19 +1,16 @@
 //! The determinism mode matrix: every artifact a run leaves — the
 //! markdown report, its JSON companion, the trace events, the counters
-//! and the sim-time profile — must not depend on the worker count or on
-//! tick coalescing.
+//! and the sim-time profile — must not depend on the worker count.
 //!
-//! Rows, each compared with its suite's `--jobs 1` reference run:
-//! - the experiment registry at jobs 4, and at jobs 4 with coalescing
-//!   off; the reference must also reproduce the committed
-//!   `EXPERIMENTS.md`/`.json` byte for byte, with every claim holding;
+//! Rows, each compared in full with its suite's `--jobs 1` reference run:
+//! - the experiment registry at jobs 4; the reference must also
+//!   reproduce the committed `EXPERIMENTS.md`/`.json` byte for byte,
+//!   with every claim holding;
 //! - the fault matrix at jobs 4;
 //! - the 16-seed campaign sweep at jobs 4, every scenario green.
 //!
-//! Only the coalescing-off row drops [`Group::ModeExempt`] records (the
-//! quiescent tick shape and the fleet calendar's bookkeeping), and it
-//! must show that at least one of them differs from the reference, or
-//! the exemption would hide nothing and the row could pass by accident.
+//! Coalescing is held to its tick-stepped reference by the differential
+//! tests (`tests/coalescing.rs` and the rest, DESIGN §4.9), not here.
 //! A failure names the first differing line, the first divergent trace
 //! record as (scope, seq, `t_ns`, kind), or the counter or phase.
 //!
@@ -29,8 +26,7 @@ use std::sync::Arc;
 
 use containerleaks::campaign::{self, CampaignConfig};
 use containerleaks::experiments::{run_entries_with, ExperimentFn, EXPERIMENTS};
-use containerleaks::simkernel::RunConfig;
-use containerleaks::simtrace::{self, counters, profile, Group, MemorySink, TimedEvent};
+use containerleaks::simtrace::{self, counters, profile, MemorySink, TimedEvent};
 use containerleaks::{DEFAULT_SEED, FAULT_MATRIX};
 
 /// Everything one row leaves behind.
@@ -38,16 +34,16 @@ struct Artifacts {
     md: String,
     json: String,
     events: BTreeMap<String, Vec<TimedEvent>>,
-    /// Counter name → (this row's total, group); zero totals left out.
-    counters: BTreeMap<String, (u64, Group)>,
+    /// Counter name → this row's total; zero totals left out.
+    counters: BTreeMap<String, u64>,
     /// Phase → (sim ns, events) for this row; all-zero phases left out.
     profile: BTreeMap<&'static str, (u64, u64)>,
 }
 
-fn counter_totals() -> BTreeMap<String, (u64, Group)> {
+fn counter_totals() -> BTreeMap<String, u64> {
     counters::snapshot()
         .into_iter()
-        .map(|e| (e.name, (e.value, e.group)))
+        .map(|e| (e.name, e.value))
         .collect()
 }
 
@@ -65,9 +61,9 @@ fn capture(sink: &MemorySink, row: impl FnOnce() -> (String, String)) -> Artifac
     let (md, json) = row();
     let counters = counter_totals()
         .into_iter()
-        .filter_map(|(name, (v, group))| {
-            let d = v - counters0.get(&name).map_or(0, |c| c.0);
-            (d > 0).then_some((name, (d, group)))
+        .filter_map(|(name, v)| {
+            let d = v - counters0.get(&name).copied().unwrap_or(0);
+            (d > 0).then_some((name, d))
         })
         .collect();
     let profile = profile_totals()
@@ -89,11 +85,8 @@ fn capture(sink: &MemorySink, row: impl FnOnce() -> (String, String)) -> Artifac
 
 /// One suite run as `all`/`fault_matrix` runs it, rendered as they write
 /// it. Every claim must hold: the CLI would exit 1 otherwise.
-fn suite(entries: &[(&str, ExperimentFn)], jobs: usize, mode: RunConfig) -> (String, String) {
-    let results = {
-        let _mode = mode.enter();
-        run_entries_with(entries, DEFAULT_SEED, 7, jobs, |_, _| {})
-    };
+fn suite(entries: &[(&str, ExperimentFn)], jobs: usize) -> (String, String) {
+    let results = run_entries_with(entries, DEFAULT_SEED, 7, jobs, |_, _| {});
     let failed: Vec<&str> = results
         .iter()
         .filter(|r| !r.all_hold())
@@ -144,14 +137,10 @@ fn first_line_diff(a: &str, b: &str) -> Option<String> {
     })
 }
 
-/// The records of `a` whose group `keep` accepts, in trace order.
-fn records(
-    a: &BTreeMap<String, Vec<TimedEvent>>,
-    keep: impl Fn(Group) -> bool,
-) -> impl Iterator<Item = (&str, &TimedEvent)> {
+/// The records of `a`, in trace order.
+fn records(a: &BTreeMap<String, Vec<TimedEvent>>) -> impl Iterator<Item = (&str, &TimedEvent)> {
     a.iter()
         .flat_map(|(scope, evs)| evs.iter().map(move |ev| (scope.as_str(), ev)))
-        .filter(move |(_, ev)| keep(ev.event.group()))
 }
 
 /// A trace record as (scope, seq, `t_ns`, kind), then in full.
@@ -184,19 +173,9 @@ fn map_diffs<K: Ord + Debug, V: PartialEq + Debug>(
         .collect()
 }
 
-fn counters_in(a: &Artifacts, keep: impl Fn(Group) -> bool) -> BTreeMap<&str, u64> {
-    a.counters
-        .iter()
-        .filter(|(_, (_, g))| keep(*g))
-        .map(|(name, (v, _))| (name.as_str(), *v))
-        .collect()
-}
-
 /// Holds `run` to `reference`: byte-identical markdown and JSON, the
-/// same trace records, counters and profile. With `drop_exempt`, the
-/// mode-exempt records are left out of the compare but at least one of
-/// them must differ.
-fn assert_matches(row: &str, reference: &Artifacts, run: &Artifacts, drop_exempt: bool) {
+/// same trace records, counters and profile.
+fn assert_matches(row: &str, reference: &Artifacts, run: &Artifacts) {
     eprintln!("mode matrix: {row}");
     if let Some(d) = first_line_diff(&reference.md, &run.md) {
         panic!("{row}: the markdown report differs from the reference at line {d}");
@@ -204,18 +183,10 @@ fn assert_matches(row: &str, reference: &Artifacts, run: &Artifacts, drop_exempt
     if let Some(d) = first_line_diff(&reference.json, &run.json) {
         panic!("{row}: the JSON report differs from the reference at line {d}");
     }
-    let compared = |g: Group| !drop_exempt || g == Group::Portable;
-    if let Some(d) = first_diff(
-        records(&reference.events, compared),
-        records(&run.events, compared),
-        describe,
-    ) {
+    if let Some(d) = first_diff(records(&reference.events), records(&run.events), describe) {
         panic!("{row}: the trace diverges from the reference at record {d}");
     }
-    let counters = map_diffs(
-        &counters_in(reference, compared),
-        &counters_in(run, compared),
-    );
+    let counters = map_diffs(&reference.counters, &run.counters);
     assert!(
         counters.is_empty(),
         "{row}: counters differ from the reference: {counters:#?}"
@@ -225,21 +196,6 @@ fn assert_matches(row: &str, reference: &Artifacts, run: &Artifacts, drop_exempt
         phases.is_empty(),
         "{row}: profile phases (sim ns, events) differ from the reference: {phases:#?}"
     );
-    if drop_exempt {
-        let exempt = |g: Group| g == Group::ModeExempt;
-        let differs = first_diff(
-            records(&reference.events, exempt),
-            records(&run.events, exempt),
-            describe,
-        )
-        .is_some()
-            || counters_in(reference, exempt) != counters_in(run, exempt);
-        assert!(
-            differs,
-            "{row}: no mode-exempt record differs from the reference, so dropping \
-             them hides nothing and this row cannot tell the modes apart"
-        );
-    }
 }
 
 #[test]
@@ -247,12 +203,11 @@ fn assert_matches(row: &str, reference: &Artifacts, run: &Artifacts, drop_exempt
     debug_assertions,
     ignore = "release only: takes about a minute in debug"
 )]
-fn artifacts_are_identical_across_worker_counts_and_coalescing_modes() {
+fn artifacts_are_identical_across_worker_counts() {
     let sink = Arc::new(MemorySink::new());
     simtrace::install(Arc::clone(&sink) as Arc<dyn simtrace::TraceSink>);
-    let coalescing_off = RunConfig { coalesce: false };
 
-    let reference = capture(&sink, || suite(EXPERIMENTS, 1, RunConfig::DEFAULT));
+    let reference = capture(&sink, || suite(EXPERIMENTS, 1));
     for (name, committed, produced) in [
         (
             "EXPERIMENTS.md",
@@ -269,20 +224,18 @@ fn artifacts_are_identical_across_worker_counts_and_coalescing_modes() {
             panic!("registry --jobs 1 does not reproduce the committed {name} at line {d}");
         }
     }
-    let row = capture(&sink, || suite(EXPERIMENTS, 4, RunConfig::DEFAULT));
-    assert_matches("registry, jobs 4", &reference, &row, false);
-    let row = capture(&sink, || suite(EXPERIMENTS, 4, coalescing_off));
-    assert_matches("registry, jobs 4, coalescing off", &reference, &row, true);
+    let row = capture(&sink, || suite(EXPERIMENTS, 4));
+    assert_matches("registry, jobs 4", &reference, &row);
     // Free the registry's events (most of the peak memory) before the
     // next suite's reference is built.
     drop((reference, row));
 
-    let reference = capture(&sink, || suite(FAULT_MATRIX, 1, RunConfig::DEFAULT));
-    let row = capture(&sink, || suite(FAULT_MATRIX, 4, RunConfig::DEFAULT));
-    assert_matches("fault matrix, jobs 4", &reference, &row, false);
+    let reference = capture(&sink, || suite(FAULT_MATRIX, 1));
+    let row = capture(&sink, || suite(FAULT_MATRIX, 4));
+    assert_matches("fault matrix, jobs 4", &reference, &row);
     drop((reference, row));
 
     let reference = capture(&sink, || sweep(1));
     let row = capture(&sink, || sweep(4));
-    assert_matches("campaign sweep, jobs 4", &reference, &row, false);
+    assert_matches("campaign sweep, jobs 4", &reference, &row);
 }

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use containerleaks::cloudsim::{Cloud, CloudConfig, CloudProfile, InstanceSpec};
-use containerleaks::simkernel::{FaultPlan, Kernel, MachineConfig, RunConfig, NANOS_PER_SEC};
+use containerleaks::simkernel::{FaultPlan, Kernel, MachineConfig, NANOS_PER_SEC};
 use containerleaks::simtrace;
 
 fn counter(name: &str) -> u64 {
@@ -25,21 +25,18 @@ fn counter(name: &str) -> u64 {
 fn faulted_run_counters_cover_every_class_and_group() {
     simtrace::install(Arc::new(simtrace::MemorySink::new()));
 
-    // Part 1 — tick shape. An idle kernel with coalescing on jumps in
-    // multi-tick spans; with it off the same idle time is walked tick
-    // by tick. Both shapes are counted as mode-exempt, while the
+    // Part 1 — tick shape. An idle kernel jumps in multi-tick spans;
+    // its tick-stepped reference walks the same idle time tick by
+    // tick. Both shapes are counted as mode-exempt, while the
     // portable quiescent_ns total is identical either way.
-    let testbed = |coalesce: bool| {
-        let _run = RunConfig { coalesce }.enter();
-        Kernel::new(MachineConfig::testbed_i7_6700(), 7)
-    };
-    let mut coalescing = testbed(true);
+    let testbed = || Kernel::new(MachineConfig::testbed_i7_6700(), 7);
+    let mut coalescing = testbed();
     coalescing.advance(3 * NANOS_PER_SEC);
     let spans = counter("kernel.quiescent_spans");
     let idle_on = counter("kernel.quiescent_ns");
     assert!(spans > 0, "coalescing on must produce multi-tick spans");
 
-    let mut ticking = testbed(false);
+    let mut ticking = testbed().tick_stepped();
     ticking.advance(3 * NANOS_PER_SEC);
     let stepped = counter("kernel.quiescent_stepped_ticks");
     assert!(stepped > 0, "coalescing off must walk quiescent ticks");
