@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full local gate: build, tests (the standalone end-to-end benchmark
-# package's included), lints, formatting, the determinism mode matrix
+# package's included), lints (clippy also gates panic sites and hash-order
+# iteration in the simulation crates), formatting, the determinism mode matrix
 # (tests/mode_matrix.rs: the registry, the fault matrix and the 16-seed
 # campaign sweep at --jobs 1 and 4 must produce identical reports, JSON,
 # trace events, counters and profiles, and `--jobs 1` must reproduce the
@@ -34,6 +35,11 @@ echo "== end-to-end benchmark: build + tests (smoke run of every workload) =="
 cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 
 echo "== clippy =="
+# Besides the workspace lints, this gates the robustness contract's two
+# static halves: panic sites (`unwrap_used`/`expect_used`/`panic`/
+# `unreachable`, enabled in each linted crate's root; each reviewed site
+# carries an `#[expect]` with its reason) and hash-order iteration
+# (`iter_over_hash_type` plus clippy.toml's `disallowed-methods`).
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== fmt =="

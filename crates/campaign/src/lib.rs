@@ -29,6 +29,14 @@
 //! minimal failing seed-plus-overrides and reports a copy-pasteable
 //! repro command.
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::iter_over_hash_type
+)]
+
 pub mod oracles;
 pub mod outcome;
 pub mod runner;
@@ -40,15 +48,3 @@ pub use outcome::{CampaignOutcome, CampaignReport, Status};
 pub use runner::{run, CampaignConfig, InjectedViolation};
 pub use scenario::{Overrides, Scenario};
 pub use shrink::ShrinkReport;
-
-/// FNV-1a fold of `bytes` into the running digest `h` (the campaign's
-/// transcript digests; stable across platforms and runs).
-pub(crate) fn fnv_fold(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
-/// FNV-1a offset basis (digest seed value).
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

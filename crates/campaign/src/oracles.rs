@@ -26,11 +26,10 @@ use pseudofs::{MaskAction, MaskPolicy, MaskRule, PseudoFs, View};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use simkernel::kernel::ProcessSpec;
-use simkernel::{ChurnDriver, ChurnEvent, ChurnPlan, FaultPlan, Kernel};
+use simkernel::{fnv1a, ChurnDriver, ChurnEvent, ChurnPlan, FaultPlan, Kernel, FNV1A_OFFSET};
 use workloads::models;
 
 use crate::scenario::Scenario;
-use crate::{fnv_fold, FNV_OFFSET};
 
 /// A failed oracle: which one, and a human-readable account of the
 /// broken relation (channel, path, or measured values).
@@ -86,8 +85,7 @@ pub fn check_all(sc: &Scenario) -> Result<(), Violation> {
 }
 
 fn sample_hash(s: &str) -> f64 {
-    let mut h = FNV_OFFSET;
-    fnv_fold(&mut h, s.as_bytes());
+    let h = fnv1a(FNV1A_OFFSET, s.as_bytes());
     // Keep the bucket key inside f64's exact-integer range; the entropy
     // histogram only needs distinctness, not the full 64 bits.
     (h >> 11) as f64
@@ -281,10 +279,10 @@ fn transcript_digest_with(
     }
 
     let mut rng = StdRng::seed_from_u64(sc.seed ^ 0x007c_a95c_11b7);
-    let mut digest = FNV_OFFSET;
+    let mut digest = FNV1A_OFFSET;
     let mut live: Vec<(InstanceId, usize)> = Vec::new();
     let mut launched = 0u32;
-    let fold = |digest: &mut u64, s: &str| fnv_fold(digest, s.as_bytes());
+    let fold = |digest: &mut u64, s: &str| *digest = fnv1a(*digest, s.as_bytes());
 
     for step in 0..sc.transcript_steps {
         let roll = rng.random_range(0..100u32);

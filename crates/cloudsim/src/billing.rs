@@ -36,16 +36,15 @@ pub struct BillingModel {
     pub usd_per_instance_hour_base: f64,
 }
 
-impl Default for BillingModel {
-    fn default() -> Self {
-        // Derived from the VMware calculator figures cited in the paper:
-        // 16 vCPUs fully utilized ≈ $167.25/month → ≈ $0.0143/vCPU-hour;
-        // the ≈$2.87/month floor spread across the month ≈ $0.004/hour.
-        BillingModel {
-            usd_per_vcpu_hour_utilized: 0.0143,
-            usd_per_instance_hour_base: 0.004,
-        }
-    }
+impl BillingModel {
+    /// The pricing every cloud meters with.
+    // Derived from the VMware calculator figures cited in the paper:
+    // 16 vCPUs fully utilized ≈ $167.25/month → ≈ $0.0143/vCPU-hour;
+    // the ≈$2.87/month floor spread across the month ≈ $0.004/hour.
+    pub const PAPER: BillingModel = BillingModel {
+        usd_per_vcpu_hour_utilized: 0.0143,
+        usd_per_instance_hour_base: 0.004,
+    };
 }
 
 /// One tenant's accumulated charges.
@@ -97,23 +96,22 @@ impl Ledger {
         last_usage_ns: &mut u64,
         cumulative_usage_ns: u64,
         interval_secs: u64,
-        model: &BillingModel,
     ) {
         let delta_ns = cumulative_usage_ns.saturating_sub(*last_usage_ns);
         *last_usage_ns = cumulative_usage_ns;
         let vcpu_seconds = delta_ns as f64 / 1e9;
         let bill = self.slot(tenant);
         bill.vcpu_seconds += vcpu_seconds;
-        bill.cpu_usd += vcpu_seconds / 3600.0 * model.usd_per_vcpu_hour_utilized;
-        bill.base_usd += base_usd(interval_secs, model);
+        bill.cpu_usd += vcpu_seconds / 3600.0 * BillingModel::PAPER.usd_per_vcpu_hour_utilized;
+        bill.base_usd += base_usd(interval_secs);
     }
 
     /// Meters one interval of an instance whose cpuacct total has not
     /// moved since its previous meter: exactly [`Ledger::meter`] with a
     /// zero delta, whose cpu terms add `+0.0` to non-negative
     /// accumulators and so leave them bit-identical.
-    pub fn charge_base(&mut self, tenant: TenantId, interval_secs: u64, model: &BillingModel) {
-        self.slot(tenant).base_usd += base_usd(interval_secs, model);
+    pub fn charge_base(&mut self, tenant: TenantId, interval_secs: u64) {
+        self.slot(tenant).base_usd += base_usd(interval_secs);
     }
 
     /// The bill for a tenant (zero if unknown).
@@ -126,8 +124,8 @@ impl Ledger {
 }
 
 /// One instance's keep-alive charge for `interval_secs`.
-fn base_usd(interval_secs: u64, model: &BillingModel) -> f64 {
-    interval_secs as f64 / 3600.0 * model.usd_per_instance_hour_base
+fn base_usd(interval_secs: u64) -> f64 {
+    interval_secs as f64 / 3600.0 * BillingModel::PAPER.usd_per_instance_hour_base
 }
 
 #[cfg(test)]
@@ -139,48 +137,44 @@ mod tests {
     #[test]
     fn full_utilization_matches_vmware_calculator_scale() {
         // 16 vCPUs fully busy for 30 days ≈ $167 (paper's §IV-B figure).
-        let model = BillingModel::default();
         let mut ledger = Ledger::new();
         let mut last = 0;
         let month_secs = 30 * 24 * 3600u64;
         let usage_ns = month_secs * 16 * 1_000_000_000;
-        ledger.meter(T, &mut last, usage_ns, month_secs, &model);
+        ledger.meter(T, &mut last, usage_ns, month_secs);
         let total = ledger.bill(T).total_usd();
         assert!((140.0..200.0).contains(&total), "monthly bill ${total}");
     }
 
     #[test]
     fn idle_instance_pays_only_the_floor() {
-        let model = BillingModel::default();
         let mut ledger = Ledger::new();
         let mut last = 0;
         let month_secs = 30 * 24 * 3600u64;
         // 1% utilization of 16 vCPUs.
         let usage_ns = (month_secs as f64 * 0.16 * 1e9) as u64;
-        ledger.meter(T, &mut last, usage_ns, month_secs, &model);
+        ledger.meter(T, &mut last, usage_ns, month_secs);
         let total = ledger.bill(T).total_usd();
         assert!((2.0..6.0).contains(&total), "1% bill ${total}");
     }
 
     #[test]
     fn metering_uses_deltas_not_absolutes() {
-        let model = BillingModel::default();
         let mut ledger = Ledger::new();
         let mut last = 0;
-        ledger.meter(T, &mut last, 3_600_000_000_000, 3600, &model);
+        ledger.meter(T, &mut last, 3_600_000_000_000, 3600);
         assert_eq!(last, 3_600_000_000_000);
         let after_first = ledger.bill(T).vcpu_seconds;
         // Same cumulative value again → zero delta.
-        ledger.meter(T, &mut last, 3_600_000_000_000, 3600, &model);
+        ledger.meter(T, &mut last, 3_600_000_000_000, 3600);
         assert!((ledger.bill(T).vcpu_seconds - after_first).abs() < 1e-9);
     }
 
     #[test]
     fn tenants_are_billed_independently() {
-        let model = BillingModel::default();
         let mut ledger = Ledger::new();
         let mut last = 0;
-        ledger.meter(TenantId(3), &mut last, 7_200_000_000_000, 3600, &model);
+        ledger.meter(TenantId(3), &mut last, 7_200_000_000_000, 3600);
         assert!(ledger.bill(TenantId(3)).total_usd() > 0.0);
         assert!((ledger.bill(TenantId(0)).total_usd()).abs() < 1e-12);
         // Unknown tenants read as zero.
@@ -193,18 +187,17 @@ mod tests {
     /// `charge_base` does.
     #[test]
     fn unchanged_total_adds_only_the_base_term() {
-        let model = BillingModel::default();
         let mut metered = Ledger::new();
         let mut last = 0;
-        metered.meter(T, &mut last, 1_234_567_891, 3600, &model);
+        metered.meter(T, &mut last, 1_234_567_891, 3600);
         let mut based = metered.clone();
         let before = metered.bill(T);
-        metered.meter(T, &mut last, 1_234_567_891, 7, &model);
-        based.charge_base(T, 7, &model);
+        metered.meter(T, &mut last, 1_234_567_891, 7);
+        based.charge_base(T, 7);
         let (after, skipped) = (metered.bill(T), based.bill(T));
         assert_eq!(after.vcpu_seconds.to_bits(), before.vcpu_seconds.to_bits());
         assert_eq!(after.cpu_usd.to_bits(), before.cpu_usd.to_bits());
-        let base = before.base_usd + 7.0 / 3600.0 * model.usd_per_instance_hour_base;
+        let base = before.base_usd + 7.0 / 3600.0 * BillingModel::PAPER.usd_per_instance_hour_base;
         assert_eq!(after.base_usd.to_bits(), base.to_bits());
         for (a, b) in [
             (after.vcpu_seconds, skipped.vcpu_seconds),
@@ -223,18 +216,18 @@ mod tests {
     #[test]
     fn k_base_charges_are_k_zero_delta_meters_not_a_multiply() {
         const K: u32 = 100;
-        let model = BillingModel::default();
         let (mut metered, mut based) = (Ledger::new(), Ledger::new());
         let mut last = 0;
         for _ in 0..K {
-            metered.meter(T, &mut last, 0, 3600, &model);
-            based.charge_base(T, 3600, &model);
+            metered.meter(T, &mut last, 0, 3600);
+            based.charge_base(T, 3600);
         }
         let (m, b) = (metered.bill(T), based.bill(T));
         assert_eq!(m.base_usd.to_bits(), b.base_usd.to_bits());
         assert_eq!(m.cpu_usd.to_bits(), b.cpu_usd.to_bits());
         assert_eq!(m.vcpu_seconds.to_bits(), b.vcpu_seconds.to_bits());
-        let product = f64::from(K) * (3600.0 / 3600.0 * model.usd_per_instance_hour_base);
+        let product =
+            f64::from(K) * (3600.0 / 3600.0 * BillingModel::PAPER.usd_per_instance_hour_base);
         assert_ne!(b.base_usd.to_bits(), product.to_bits());
     }
 }

@@ -38,6 +38,14 @@
 //! # Ok::<(), cloudsim::CloudError>(())
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::iter_over_hash_type
+)]
+
 pub mod billing;
 mod calendar;
 pub mod placement;
@@ -138,7 +146,6 @@ pub struct CloudConfig {
     hosts_per_rack: usize,
     machine: MachineConfig,
     placement: PlacementPolicy,
-    billing: BillingModel,
     background_per_host: bool,
     tick_stepped: bool,
     eager_advance: bool,
@@ -156,7 +163,6 @@ impl CloudConfig {
             hosts_per_rack: 8,
             machine: profile.default_machine(),
             placement: PlacementPolicy::Spread,
-            billing: BillingModel::default(),
             background_per_host: true,
             tick_stepped: false,
             eager_advance: false,
@@ -189,13 +195,6 @@ impl CloudConfig {
     #[must_use]
     pub fn placement(mut self, p: PlacementPolicy) -> Self {
         self.placement = p;
-        self
-    }
-
-    /// Sets the billing model.
-    #[must_use]
-    pub fn billing(mut self, b: BillingModel) -> Self {
-        self.billing = b;
         self
     }
 
@@ -411,6 +410,12 @@ fn boot_kernel(machine: MachineConfig, seed: u64, tick_stepped: bool) -> Kernel 
 /// it runs the background tenant: 12 service processes per host, so that
 /// fleet-level diurnal demand can swing most of the machine (the paper's
 /// Fig. 2 sees a 34.7% week-scale power band).
+#[expect(
+    clippy::expect_used,
+    reason = "seeds the background tenant on a freshly booted host (fleet construction or \
+        reboot): an empty runtime always admits the background container and its \
+        services"
+)]
 fn boot_runtime(kernel: &mut Kernel, background: bool) -> (Runtime, Vec<HostPid>) {
     let mut runtime = Runtime::new();
     if !background {
@@ -871,7 +876,6 @@ impl Cloud {
             calendar,
             instances,
             billing,
-            cfg,
             ..
         } = self;
         let mut metered = Metered::default();
@@ -882,10 +886,10 @@ impl Cloud {
                 let Some(used) = host.runtime.cpu_usage_ns(&host.kernel, inst.container) else {
                     continue;
                 };
-                billing.meter(inst.tenant, &mut inst.metered_ns, used, secs, &cfg.billing);
+                billing.meter(inst.tenant, &mut inst.metered_ns, used, secs);
                 metered.reads += 1;
             } else {
-                billing.charge_base(inst.tenant, secs, &cfg.billing);
+                billing.charge_base(inst.tenant, secs);
             }
             metered.charges += 1;
         }
@@ -1153,14 +1157,13 @@ mod tests {
                 calendar,
                 instances,
                 billing,
-                cfg,
                 ..
             } = self;
             let mut metered = Metered::default();
             for inst in instances.values_mut() {
                 let host = &calendar.hosts[inst.host.0 as usize];
                 if let Some(used) = host.runtime.cpu_usage_ns(&host.kernel, inst.container) {
-                    billing.meter(inst.tenant, &mut inst.metered_ns, used, secs, &cfg.billing);
+                    billing.meter(inst.tenant, &mut inst.metered_ns, used, secs);
                     metered.charges += 1;
                     metered.reads += 1;
                 }

@@ -137,6 +137,14 @@ impl CapacityIndex {
     /// `capacity` for its vCPU size. Decision (and, for Random, the RNG
     /// consumption) is identical to
     /// [`PlacementPolicy::choose_linear`] over the same counts.
+    #[expect(
+        clippy::expect_used,
+        clippy::unreachable,
+        reason = "capacity-index invariants: a count observed in the ordered set has a first \
+            slot at that count, and the histogram prefix sums bound the Random draw — \
+            both pinned against the linear scan by \
+            index_matches_linear_scan_across_churn"
+    )]
     pub(crate) fn choose(
         &self,
         policy: PlacementPolicy,

@@ -26,6 +26,14 @@
 //! # Ok::<(), container_runtime::RuntimeError>(())
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::iter_over_hash_type
+)]
+
 use std::error::Error;
 use std::fmt;
 

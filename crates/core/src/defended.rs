@@ -36,6 +36,11 @@ pub struct DefendedFleet {
 impl DefendedFleet {
     /// Boots `n` defended cloud servers sharing one trained model, each
     /// with 12 background tenant services (as in [`cloudsim::Cloud`]).
+    #[expect(
+        clippy::expect_used,
+        reason = "fleet construction: the defended hosts are fresh and always admit their \
+            background container"
+    )]
     pub fn new(n: usize, seed: u64, model: &PowerModel) -> Self {
         let mut hosts = Vec::with_capacity(n);
         let mut background = Vec::with_capacity(n);

@@ -1598,8 +1598,7 @@ pub fn defense_fleet(seed: u64) -> Result<Measured, String> {
 
     // Attacker deployment: one observer per host, 4 dormant viruses on 3.
     let mut observers = Vec::new();
-    for h in 0..8 {
-        let _ = h;
+    for _ in 0..8 {
         observers.push(fleet.launch("obs").ctx("observer")?);
     }
     let mut payloads = Vec::new();
@@ -1667,8 +1666,6 @@ pub fn defense_fleet(seed: u64) -> Result<Measured, String> {
     // power at each firing moment.
     let mut fire_truths = Vec::new();
     let mut all_truths = Vec::new();
-    let mut firing_truths = Vec::new();
-    let mut quiet_truths = Vec::new();
     let mut firing = false;
     let mut burst_left = 0u64;
     let mut cooldown = 0u64;
@@ -1686,11 +1683,6 @@ pub fn defense_fleet(seed: u64) -> Result<Measured, String> {
         }
         let truth = fleet.aggregate_wall_w();
         all_truths.push(truth);
-        if firing {
-            firing_truths.push(truth);
-        } else {
-            quiet_truths.push(truth);
-        }
         cooldown = cooldown.saturating_sub(1);
         if firing {
             burst_left -= 1;
@@ -1716,8 +1708,6 @@ pub fn defense_fleet(seed: u64) -> Result<Measured, String> {
         }
     }
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    let _ = &firing_truths;
-    let _ = &quiet_truths;
     // Crest-targeting ability: on the vulnerable cloud, firing moments sit
     // ≈ +60 W above the window mean (fig3). Under the namespace, a tiny
     // model-bias ripple survives calibration, so the trigger still fires —

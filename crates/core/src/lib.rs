@@ -34,6 +34,14 @@
 //! assert!(leaks.contains(&"/proc/timer_list".to_string()));
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::iter_over_hash_type
+)]
+
 pub use campaign;
 pub use cloudsim;
 pub use container_runtime;

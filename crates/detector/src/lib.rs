@@ -36,6 +36,8 @@
 //! [`simtrace::Group::Portable`]) are therefore byte-identical across
 //! `--jobs` values and coalescing modes.
 
+#![warn(clippy::iter_over_hash_type)]
+
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 

@@ -144,6 +144,11 @@ struct LocalCall {
 
 /// Analyzes one render module's source, returning per-function results
 /// keyed by bare function name (helpers included).
+#[expect(
+    clippy::expect_used,
+    reason = "the facts map is seeded from the same function list the fixpoint loop iterates, \
+        so the lookup cannot miss"
+)]
 pub fn analyze_module(src: &str) -> BTreeMap<String, FnAnalysis> {
     let tokens = lex(src);
     let fns = functions(&tokens);

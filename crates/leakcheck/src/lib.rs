@@ -7,9 +7,9 @@
 //! `crates/pseudofs/src/render/`, extracts per-function kernel/view
 //! accesses, and classifies each registered channel on the
 //! [`Verdict`] lattice. A second pass lints the
-//! simulation crates for determinism hazards (hash-order iteration
-//! feeding output, shared state inside `par_for_each_mut_threads`
-//! partitions).
+//! simulation crates for shared state inside `par_for_each_mut_threads`
+//! partitions; panic sites and hash-order iteration are clippy's to
+//! gate (see [`determinism`]).
 //!
 //! The channel list is [`pseudofs::ROUTES`] itself: each route's handler
 //! name is generated from the same path as the function pointer the
@@ -19,6 +19,14 @@
 //! (modulo a documented allowlist).
 //!
 //! [`leakscan`]: https://docs.rs/leakscan
+
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::iter_over_hash_type
+)]
 
 pub mod callgraph;
 pub mod classify;
@@ -33,9 +41,7 @@ use std::path::{Path, PathBuf};
 
 pub use classify::{analyze_module, Facts, FnAnalysis, Verdict};
 pub use determinism::{lint_file, Hazard};
-pub use report::{
-    diff_lines, ChannelReport, FlowReport, FlowRow, HazardReport, MaskFindingReport, Report,
-};
+pub use report::{diff_lines, ChannelReport, FlowReport, FlowRow, MaskFindingReport, Report};
 
 /// The render modules serving a route, in name order: the `module` of
 /// each [`pseudofs::Route::handler`].
@@ -47,7 +53,8 @@ fn render_modules() -> BTreeSet<&'static str> {
 }
 
 /// Crates whose sources the determinism lint covers: everything that can
-/// influence rendered bytes or run inside a parallel fan-out.
+/// influence rendered bytes or run inside a parallel fan-out. Each root
+/// also enables clippy's panic-site and hash-order lints.
 pub const LINTED_CRATES: &[&str] = &[
     "campaign",
     "cloudsim",
@@ -60,6 +67,11 @@ pub const LINTED_CRATES: &[&str] = &[
 ];
 
 /// The workspace root, derived from this crate's manifest directory.
+#[expect(
+    clippy::expect_used,
+    reason = "compile-time manifest path: CARGO_MANIFEST_DIR always sits two levels below the \
+        workspace root in this repository layout"
+)]
 pub fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
@@ -113,11 +125,7 @@ pub fn audit_at(root: &Path) -> Result<Report, String> {
                 .to_string_lossy()
                 .replace('\\', "/");
             let src = read(&file)?;
-            hazards.extend(
-                determinism::lint_file(&rel, &src)
-                    .into_iter()
-                    .map(Into::into),
-            );
+            hazards.extend(determinism::lint_file(&rel, &src));
         }
     }
 
@@ -283,16 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn every_hazard_is_reviewed() {
-        let report = audit().expect("audit succeeds");
-        let unreviewed: Vec<_> = report.hazards.iter().filter(|h| !h.accepted).collect();
-        assert!(
-            unreviewed.is_empty(),
-            "unreviewed determinism hazards: {unreviewed:?}"
-        );
-    }
-
-    #[test]
     fn derived_masks_cover_every_declared_mask() {
         let report = audit().expect("audit succeeds");
         // One row per registered route plus the listing path.
@@ -351,26 +349,68 @@ mod tests {
         assert!(list.hot.contains(&"hw".to_string()));
     }
 
+    /// The panic-site and hash-order gate is clippy's, run by `ci.sh`;
+    /// this fails a tier-1 run when a crate root or `clippy.toml` drops
+    /// its half of it.
     #[test]
-    fn allowlist_entries_match_current_hazards() {
-        // Satellite of the panic-surface re-audit: a stale allowlist
-        // entry (its site refactored away) would silently re-arm if the
-        // function name ever came back, so prune aggressively.
-        let report = audit().expect("audit succeeds");
-        let live = |file: &str, func: &str| {
-            report
-                .hazards
-                .iter()
-                .any(|h| h.file.ends_with(file) && h.function == func)
+    fn clippy_gate_is_configured() {
+        const PANIC: &[&str] = &[
+            "clippy::unwrap_used",
+            "clippy::expect_used",
+            "clippy::panic",
+            "clippy::unreachable",
+        ];
+        const HASH: &str = "clippy::iter_over_hash_type";
+        // In the fan-out and shaping artifact bytes, but with panic
+        // sites not yet triaged: hash-order lints only.
+        const HASH_ONLY: &[&str] = &["detector", "powerns", "powersim", "simtrace", "workloads"];
+        let root = workspace_root();
+        let warned = |c: &str| -> Vec<String> {
+            let src = read(&root.join("crates").join(c).join("src/lib.rs")).expect("crate root");
+            let attr = src
+                .split_once("\n#![warn(")
+                .and_then(|(_, rest)| rest.split_once(")]"))
+                .map_or("", |(list, _)| list);
+            attr.split(',').map(|l| l.trim().to_string()).collect()
         };
-        for (file, func, _) in determinism::ACCEPTED
-            .iter()
-            .chain(determinism::ACCEPTED_PANICS)
-        {
+        for c in LINTED_CRATES {
+            let lints = warned(c);
+            for l in PANIC.iter().chain([&HASH]) {
+                assert!(
+                    lints.iter().any(|x| x == l),
+                    "crates/{c}/src/lib.rs lost `#![warn({l})]`"
+                );
+            }
+        }
+        for c in HASH_ONLY {
             assert!(
-                live(file, func),
-                "stale allowlist entry {file}::{func} matches no current \
-                 hazard — prune it"
+                warned(c).iter().any(|x| x == HASH),
+                "crates/{c}/src/lib.rs lost `#![warn({HASH})]`"
+            );
+        }
+        let toml = read(&root.join("clippy.toml")).expect("clippy.toml");
+        let toml: String = toml
+            .lines()
+            .filter(|l| !l.trim_start().starts_with('#'))
+            .collect();
+        let (_, methods) = toml
+            .split_once("disallowed-methods = [")
+            .expect("clippy.toml has a disallowed-methods list");
+        for m in [
+            "HashMap::iter",
+            "HashMap::iter_mut",
+            "HashMap::keys",
+            "HashMap::values",
+            "HashMap::values_mut",
+            "HashMap::drain",
+            "HashMap::into_keys",
+            "HashMap::into_values",
+            "HashSet::iter",
+            "HashSet::drain",
+        ] {
+            assert!(
+                methods.contains(&format!("\"std::collections::{m}\"")),
+                "clippy.toml's disallowed-methods lost {m}"
             );
         }
     }

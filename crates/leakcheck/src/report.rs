@@ -57,36 +57,6 @@ impl ChannelReport {
     }
 }
 
-/// One determinism finding, as reported.
-#[derive(Debug, Clone, Serialize)]
-pub struct HazardReport {
-    /// Workspace-relative file path.
-    pub file: String,
-    /// Enclosing function.
-    pub function: String,
-    /// Finding class.
-    pub kind: String,
-    /// Human-readable description.
-    pub detail: String,
-    /// True when the finding is on the reviewed accept list.
-    pub accepted: bool,
-    /// Acceptance rationale (empty when not accepted).
-    pub reason: String,
-}
-
-impl From<Hazard> for HazardReport {
-    fn from(h: Hazard) -> Self {
-        HazardReport {
-            file: h.file,
-            function: h.function,
-            kind: h.kind,
-            detail: h.detail,
-            accepted: h.accepted,
-            reason: h.reason,
-        }
-    }
-}
-
 /// One channel's interprocedural flow row — a line of the static
 /// Table I analogue.
 #[derive(Debug, Clone, Serialize)]
@@ -146,11 +116,16 @@ pub struct Report {
     /// The interprocedural flow matrix and mask findings.
     pub flow: FlowReport,
     /// Determinism findings, in file-walk order (sorted by file, line).
-    pub hazards: Vec<HazardReport>,
+    pub hazards: Vec<Hazard>,
 }
 
 impl Report {
     /// Pretty-printed JSON, the `leakcheck.json` snapshot format.
+    #[expect(
+        clippy::expect_used,
+        reason = "the report is plain strings, bools and vectors; serde_json serialization of \
+            such values cannot fail"
+    )]
     pub fn to_json(&self) -> String {
         let mut s = serde_json::to_string_pretty(self).expect("report serializes");
         s.push('\n');
@@ -212,14 +187,10 @@ impl Report {
             out.push_str("determinism: no hazards\n");
         } else {
             for h in &self.hazards {
-                let tag = if h.accepted { "accepted" } else { "HAZARD" };
                 out.push_str(&format!(
-                    "determinism [{tag}] {}::{} ({}): {}\n",
-                    h.file, h.function, h.kind, h.detail
+                    "determinism [HAZARD] {}::{}: {}\n",
+                    h.file, h.function, h.detail
                 ));
-                if h.accepted {
-                    out.push_str(&format!("  reason: {}\n", h.reason));
-                }
             }
         }
         out

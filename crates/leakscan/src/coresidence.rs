@@ -327,6 +327,11 @@ impl CoResDetector {
     /// true signal is the host's recent cache-miss traffic; the timing
     /// readout multiplies in measurement noise (co-resident tenants,
     /// prefetchers, scheduler jitter).
+    #[expect(
+        clippy::expect_used,
+        reason = "resolves the instance pair under evaluation; the simulated cloud never \
+            evicts instances mid-probe"
+    )]
     fn probe_latency(&mut self, cloud: &mut Cloud, instance: InstanceId) -> f64 {
         let rate = |cloud: &mut Cloud| -> f64 {
             let inst = cloud.instance(instance).expect("instance exists");

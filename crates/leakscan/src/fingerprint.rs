@@ -15,6 +15,7 @@
 
 use cloudsim::{Cloud, CloudError, InstanceId};
 use serde::{Deserialize, Serialize};
+use simkernel::{fnv1a, FNV1A_OFFSET};
 
 /// A fingerprint of one physical host, taken from inside an instance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -74,7 +75,10 @@ impl HostFingerprint {
             .filter(|l| !l.starts_with("veth"))
             .collect::<Vec<_>>()
             .join(",");
-        let hardware_hash = fnv(&format!("{model}|{mem_total}|{stable_ifaces}"));
+        let hardware_hash = fnv1a(
+            FNV1A_OFFSET,
+            format!("{model}|{mem_total}|{stable_ifaces}").as_bytes(),
+        );
         let uptime_s: f64 = cloud
             .read_file(instance, "/proc/uptime")?
             .split_whitespace()
@@ -109,14 +113,6 @@ impl HostFingerprint {
         }
         FingerprintMatch::Different
     }
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -53,6 +53,10 @@ impl CloudInspector {
 
     /// Inspects one cloud profile: boots a single-host fleet, launches a
     /// probe instance, and measures every Table I channel.
+    #[expect(
+        clippy::expect_used,
+        reason = "launches the probe into a fresh single-host cloud with guaranteed capacity"
+    )]
     pub fn inspect_profile(&self, profile: CloudProfile, seed: u64) -> Vec<Exposure> {
         let mut cloud = Cloud::new(CloudConfig::new(profile).hosts(1), seed);
         let probe = cloud
@@ -65,6 +69,10 @@ impl CloudInspector {
             .collect()
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "resolves the probe instance it just launched into a fresh inspection cloud"
+    )]
     fn measure(&self, cloud: &mut Cloud, probe: cloudsim::InstanceId, ch: &Channel) -> Exposure {
         match cloud.read_file(probe, ch.probe) {
             Err(_) => Exposure::Absent,

@@ -55,6 +55,11 @@ impl LabHost {
     }
 
     /// The probe container's view.
+    #[expect(
+        clippy::expect_used,
+        reason = "the probe container is created in the constructor and never destroyed for \
+            the lab's lifetime"
+    )]
     pub fn container_view(&self) -> View {
         self.runtime
             .container(self.container)
@@ -79,6 +84,11 @@ impl Lab {
     }
 
     /// Builds `n` lab machines of a custom type.
+    #[expect(
+        clippy::expect_used,
+        reason = "lab construction: fresh kernels always admit the probe container and its \
+            processes; runs before faults are installed"
+    )]
     pub fn with_machine(n: usize, seed: u64, machine: MachineConfig) -> Self {
         let mut hosts = Vec::with_capacity(n);
         for i in 0..n {

@@ -18,6 +18,14 @@
 //! * [`inspect`] — the cloud inspector that regenerates the Table I
 //!   exposure matrix across provider profiles CC1–CC5.
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::iter_over_hash_type
+)]
+
 pub mod adaptive;
 pub mod agreement;
 pub mod channels;

@@ -218,6 +218,11 @@ impl MetricsAssessor {
     ///
     /// Panics if the lab has fewer than two hosts (uniqueness needs a
     /// cross-host comparison).
+    #[expect(
+        clippy::expect_used,
+        reason = "implants target the lab's own probe container, which exists by construction; \
+            pseudo-fs read faults cannot reach exec/implant"
+    )]
     pub fn assess_all(&self, lab: &mut Lab, channels: &[Channel]) -> Vec<ChannelAssessment> {
         assert!(lab.len() >= 2, "uniqueness measurement needs >= 2 hosts");
 

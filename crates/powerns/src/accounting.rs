@@ -15,7 +15,7 @@
 //!   processes throttled (frequency-capping, modeled as workload-intensity
 //!   scaling); it is released once it behaves again.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use container_runtime::ContainerId;
 use serde::{Deserialize, Serialize};
@@ -105,7 +105,7 @@ pub struct PowerThrottle {
     over_for: HashMap<ContainerId, u64>,
     state: HashMap<ContainerId, ThrottleState>,
     last_uj: HashMap<ContainerId, u64>,
-    member_pids: HashMap<ContainerId, Vec<HostPid>>,
+    member_pids: BTreeMap<ContainerId, Vec<HostPid>>,
 }
 
 impl PowerThrottle {
@@ -120,7 +120,7 @@ impl PowerThrottle {
             over_for: HashMap::new(),
             state: HashMap::new(),
             last_uj: HashMap::new(),
-            member_pids: HashMap::new(),
+            member_pids: BTreeMap::new(),
         }
     }
 

@@ -19,6 +19,8 @@
 //! machinery's enable/disable on inter-cgroup context switches, replayed
 //! through a UnixBench-style suite with the namespace on and off.
 
+#![warn(clippy::iter_over_hash_type)]
+
 pub mod accounting;
 pub mod collect;
 pub mod model;

@@ -14,7 +14,7 @@
 //! A container only ever sees its own accumulated `E_container`; the
 //! host-wide counter — the synergistic attack's oracle — is gone.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use container_runtime::{ContainerId, ContainerSpec, Runtime, RuntimeError};
 use pseudofs::MaskAction;
@@ -47,7 +47,7 @@ pub struct PowerNamespace {
     model: PowerModel,
     host_sampler: PerfSampler,
     host_root: simkernel::cgroup::CgroupId,
-    containers: HashMap<ContainerId, ContainerPower>,
+    containers: BTreeMap<ContainerId, ContainerPower>,
     rapl_last: (f64, f64, f64),
 }
 
@@ -65,7 +65,7 @@ impl PowerNamespace {
             model,
             host_sampler,
             host_root: root,
-            containers: HashMap::new(),
+            containers: BTreeMap::new(),
             rapl_last: raw_rapl(kernel),
         })
     }

@@ -8,6 +8,8 @@
 //! ([`attack`]), and the co-residence-driven container aggregation of
 //! §IV-C ([`orchestrate`]).
 
+#![warn(clippy::iter_over_hash_type)]
+
 pub mod attack;
 pub mod capping;
 pub mod facility;

@@ -41,6 +41,14 @@
 //! # Ok::<(), pseudofs::FsError>(())
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::iter_over_hash_type
+)]
+
 pub mod error;
 mod faultfx;
 pub mod fs;

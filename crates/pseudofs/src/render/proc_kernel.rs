@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use simkernel::Kernel;
+use simkernel::{fnv1a, Kernel, FNV1A_OFFSET};
 
 use super::arg;
 use crate::view::{Context, View};
@@ -27,10 +27,7 @@ pub fn entropy_avail(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> 
 /// sees different values in the two contexts and (correctly) does not
 /// flag it, even though the underlying pool is global.
 pub fn uuid(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in k.boot_id().bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
+    let mut h = fnv1a(FNV1A_OFFSET, k.boot_id().as_bytes());
     h ^= k.clock().since_boot_ns();
     let salt = match view.context {
         Context::Host => 0u64,

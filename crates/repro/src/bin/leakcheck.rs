@@ -42,12 +42,11 @@ fn main() -> ExitCode {
         }
     };
 
-    let unreviewed: Vec<_> = report.hazards.iter().filter(|h| !h.accepted).collect();
-    if !unreviewed.is_empty() {
-        for h in &unreviewed {
+    if !report.hazards.is_empty() {
+        for h in &report.hazards {
             eprintln!(
-                "leakcheck: unreviewed determinism hazard in {}::{} ({}): {}",
-                h.file, h.function, h.kind, h.detail
+                "leakcheck: determinism hazard in {}::{}: {}",
+                h.file, h.function, h.detail
             );
         }
         return ExitCode::FAILURE;

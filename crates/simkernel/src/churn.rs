@@ -145,6 +145,12 @@ impl ChurnDriver {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "env creation on a kernel the driver owns only fails on cgroup bookkeeping \
+            bugs; the campaign catches the panic per-scenario and reports it with a \
+            repro seed instead of masking the bug"
+    )]
     fn create(&mut self, k: &mut Kernel) -> ChurnEvent {
         self.generation += 1;
         let name = format!("churn-{}", self.generation);
@@ -168,6 +174,12 @@ impl ChurnDriver {
 
     /// Runs one churn cycle: a weighted lifecycle event followed by a
     /// short randomized advance, and reports what happened.
+    #[expect(
+        clippy::expect_used,
+        reason = "destroying an env the driver itself created cannot miss; a failure is a \
+            teardown bug the fuzzer must surface loudly (the campaign converts the panic \
+            into a structured outcome)"
+    )]
     pub fn step(&mut self, k: &mut Kernel) -> ChurnEvent {
         let roll = self.rng.random_range(0..100u32);
         let event = if self.live.is_empty() || (roll < 35 && self.live.len() < self.plan.max_live) {
@@ -233,6 +245,12 @@ impl ChurnDriver {
 
     /// Destroys every remaining live environment (end-of-scenario
     /// cleanup, itself a teardown stress).
+    #[expect(
+        clippy::expect_used,
+        reason = "destroying an env the driver itself created cannot miss; a failure is a \
+            teardown bug the fuzzer must surface loudly (the campaign converts the panic \
+            into a structured outcome)"
+    )]
     pub fn teardown_all(&mut self, k: &mut Kernel) {
         while let Some((env, _)) = self.live.pop() {
             k.destroy_container_env(&env).expect("churn final teardown");

@@ -330,8 +330,10 @@ impl FaultPlanBuilder {
     }
 }
 
-/// FNV-1a hash of `path`, the deterministic path selector for transient
-/// windows. Each window's salt picks a stable ~third of all paths.
+/// The deterministic path selector for transient windows: each window's
+/// salt picks a stable ~third of all paths. The hash is FNV-1a's shape
+/// with a 2^48 + 0x1b3 multiplier, not FNV's 2^40 + 0x1b3, so it is not
+/// [`crate::fnv1a`]; every fault schedule's bytes rest on it.
 fn path_hit(salt: u64, path: &str) -> bool {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in path.bytes() {

@@ -263,6 +263,11 @@ impl Kernel {
     ///
     /// Panics if `cfg` fails [`MachineConfig::validate`] — configurations
     /// are experiment-definition inputs, so this is a programming error.
+    #[expect(
+        clippy::expect_used,
+        reason = "construction-time validation: a kernel never exists with an invalid machine \
+            configuration"
+    )]
     pub fn new(cfg: MachineConfig, seed: u64) -> Self {
         cfg.validate().expect("invalid machine configuration");
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_c0de_0001);
@@ -1349,6 +1354,11 @@ mod tests {
     // kernel and a reference kernel through the same script and demands
     // byte-identical state.
     impl Kernel {
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "each cgroup's usage is set once, so the write order reaches no byte"
+        )]
         fn refresh_rss_memo_reference(&mut self) {
             let epoch = self.procs.epoch();
             if self.scratch.mem_epoch == Some(epoch) {

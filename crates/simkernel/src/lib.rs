@@ -43,6 +43,14 @@
 //! # Ok::<(), simkernel::KernelError>(())
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::iter_over_hash_type
+)]
+
 pub mod cgroup;
 pub mod churn;
 pub mod config;
@@ -76,3 +84,32 @@ pub use ns::{NamespaceKind, NamespaceSet, NsId};
 pub use process::{HostPid, ProcState, Process};
 pub use syscost::SysCosts;
 pub use time::{Clock, NANOS_PER_SEC};
+
+/// FNV-1a offset basis: the digest of no bytes.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the running 64-bit FNV-1a digest `h` (start from
+/// [`FNV1A_OFFSET`]). Stable across platforms and runs, so rendered
+/// bytes and campaign digests may depend on it.
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(FNV1A_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV1A_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV1A_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        // Folding in pieces is hashing the concatenation.
+        assert_eq!(
+            fnv1a(fnv1a(FNV1A_OFFSET, b"foo"), b"bar"),
+            0x8594_4171_f739_67e8
+        );
+    }
+}

@@ -118,7 +118,7 @@ mod tests {
     fn handles_empty_and_single() {
         for lanes in [1usize, 4] {
             let mut empty: Vec<u32> = Vec::new();
-            par_for_each_mut_threads(&mut empty, lanes, |_| unreachable!());
+            par_for_each_mut_threads(&mut empty, lanes, |_| panic!("an empty slice has no items"));
             let mut one = vec![1u32];
             par_for_each_mut_threads(&mut one, lanes, |x| *x += 1);
             assert_eq!(one, vec![2], "lanes={lanes}");

@@ -55,6 +55,11 @@ impl Clock {
     }
 
     /// Moves the clock forward by `dt_ns` nanoseconds.
+    #[expect(
+        clippy::expect_used,
+        reason = "u128 nanosecond arithmetic cannot overflow within any representable \
+            simulation horizon"
+    )]
     pub fn advance(&mut self, dt_ns: u64) {
         self.since_boot_ns = self
             .since_boot_ns

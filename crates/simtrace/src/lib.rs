@@ -48,6 +48,8 @@
 //! or on the kernel's `Option<KernelTracer>` being `Some`. The bench
 //! gate runs with tracing disabled and must not move.
 
+#![warn(clippy::iter_over_hash_type)]
+
 mod counter_store;
 mod event;
 mod profile_store;

@@ -23,6 +23,8 @@
 //! assert!(phase.instructions_per_cycle > 1.0, "prime is compute dense");
 //! ```
 
+#![warn(clippy::iter_over_hash_type)]
+
 pub mod models;
 pub mod spec;
 pub mod unixbench;

@@ -221,7 +221,7 @@ proptest! {
         let mut k = Kernel::new(MachineConfig::small_server(), seed);
         let env = k.create_container_env("c").unwrap();
         let mut host_pids = std::collections::HashSet::new();
-        let mut ns_pids = std::collections::HashSet::new();
+        let mut ns_pids = std::collections::BTreeSet::new();
         for i in 0..n {
             let pid = k
                 .spawn(
@@ -237,7 +237,7 @@ proptest! {
         }
         prop_assert_eq!(ns_pids.len(), n);
         // In-namespace pids are dense from 1.
-        prop_assert_eq!(*ns_pids.iter().max().unwrap(), n as u32);
+        prop_assert_eq!(*ns_pids.last().unwrap(), n as u32);
     }
 
     /// Parallel host stepping is bitwise equal to serial: whatever the

@@ -101,12 +101,10 @@ fn audit_covers_the_whole_registry() {
             "{c:?} malformed"
         );
     }
-    // Determinism lint: the committed accept list is the only finding set.
-    for h in &report.hazards {
-        assert!(
-            h.accepted,
-            "unreviewed determinism hazard in {} ({}): {}",
-            h.file, h.function, h.detail
-        );
-    }
+    // Determinism lint: there is no allowlist, so any finding fails.
+    assert!(
+        report.hazards.is_empty(),
+        "determinism hazards: {:?}",
+        report.hazards
+    );
 }
