@@ -50,9 +50,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace -q \
     --exclude criterion --exclude proptest --exclude rand \
     --exclude serde --exclude serde_derive --exclude serde_json
 
-echo "== static leakage audit (snapshot + dynamic agreement) =="
-cargo run --offline --release -q -p containerleaks-experiments --bin leakcheck -- \
-    --check --deny-missing-dep
+echo "== static leakage audit (snapshot; hazards and missing mask bits fail) =="
+# Agreement with the dynamic scanner is gated by the tier-1
+# tests/static_dynamic_agreement.rs run above.
+cargo run --offline --release -q -p containerleaks-experiments --bin leakcheck -- --check
 
 echo "== flow analysis vs runtime: single-subsystem mutation containment =="
 cargo test --offline -q --release --test flow_dynamic_agreement

@@ -36,7 +36,13 @@
 //! [`simtrace::Group::Portable`]) are therefore byte-identical across
 //! `--jobs` values and coalescing modes.
 
-#![warn(clippy::iter_over_hash_type)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::iter_over_hash_type
+)]
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;

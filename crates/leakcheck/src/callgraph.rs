@@ -1,14 +1,13 @@
 //! Cross-module call graph over the pseudofs render surface.
 //!
-//! [`classify`](crate::classify) propagates facts module-locally; the
-//! information-flow analysis in [`flow`](crate::flow) needs edges that
-//! cross module boundaries too — `fs.rs` calling
+//! [`classify::analyze`](crate::classify::analyze) propagates facts over
+//! edges that cross module boundaries — `fs.rs` calling
 //! `proc_pid::visible_pids`, `proc_basic` calling the `jiffies`/`kb`
 //! helpers it imports from its parent `render` module. This module
 //! parses each source once and resolves every call site to a
-//! fully-qualified `module::fn` target, recording the same
-//! context/mask gating state [`classify`](crate::classify) computes, so
-//! taint can be cut at view-routed call sites.
+//! fully-qualified `module::fn` target, recording the call site's
+//! context/mask gating (`classify::Gates`), so facts can be cut at
+//! view-routed call sites.
 //!
 //! Four call shapes cover the audited sources (route handlers are the
 //! roots, named by [`pseudofs::ROUTES`], so no call into them needs
@@ -22,7 +21,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::classify::{gated_spans, mask_tainted_locals};
+use crate::classify::Gates;
 use crate::extract::{functions, super_imports, FnDef};
 use crate::lexer::{lex, TokenKind};
 
@@ -97,10 +96,7 @@ pub fn build(modules: &[Module]) -> CallGraph {
 /// Resolves every call site in `def`'s body against the module set.
 fn edges_of(def: &FnDef, module: &Module, exported: &BTreeMap<&str, BTreeSet<&str>>) -> Vec<Edge> {
     let body = &def.body;
-    let view = def.view_param.as_deref().unwrap_or("");
-    let tainted = mask_tainted_locals(body, view);
-    let (ctx_spans, mask_spans) = gated_spans(body, view, &tainted);
-    let in_any = |spans: &[(usize, usize)], i: usize| spans.iter().any(|&(a, b)| i >= a && i < b);
+    let gates = Gates::of(def);
 
     let parent_has = |name: &str| {
         module
@@ -113,8 +109,8 @@ fn edges_of(def: &FnDef, module: &Module, exported: &BTreeMap<&str, BTreeSet<&st
     let mut push = |callee: String, i: usize| {
         out.push(Edge {
             callee,
-            ctx_gated: in_any(&ctx_spans, i),
-            mask_gated: in_any(&mask_spans, i),
+            ctx_gated: gates.ctx(i),
+            mask_gated: gates.mask(i),
         });
     };
 

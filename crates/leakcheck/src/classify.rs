@@ -15,8 +15,9 @@
 //!   paper's Case Study I shape (`net_prio.ifpriomap`).
 //! * [`Verdict::Static`] — the output contains no kernel state.
 //!
-//! The analysis is token-level, per function, with three refinements that
-//! make it precise on this codebase (verified against every handler):
+//! The analysis is token-level: one scan per function collects its
+//! [`Facts`], with three refinements that make it precise on this codebase
+//! (verified against every handler):
 //!
 //! 1. **Context gating**: global reads inside a `match view.context { … }`
 //!    body or an `if view.is_host() { … }` block are excluded — each arm
@@ -24,9 +25,16 @@
 //! 2. **Mask taint**: a local bound from `view.mask_action(…)` taints its
 //!    gated blocks; namespace markers inside them don't count (consulting
 //!    the view only when masked is policy, not namespace routing).
-//! 3. **Call-graph propagation**: facts flow from module-local helpers
-//!    (`viewer_ns`, `visible_pids`, …) to call sites, to a fixpoint, with
-//!    the same gating rules applied at the call site.
+//! 3. **Call-graph propagation**: facts flow from helpers (`viewer_ns`,
+//!    `proc_pid::visible_pids`, the parent module's `jiffies`, …) to their
+//!    call sites over the [`callgraph`](crate::callgraph)'s cross-module
+//!    edges, to one fixpoint ([`analyze`]), with the same gating rules
+//!    applied at the call site.
+//!
+//! The same facts carry the information flow: [`flow`](crate::flow) maps
+//! their accessor names to dirty-epoch subsystem bits for the derived and
+//! leaked masks, so verdicts and masks cannot disagree about what a
+//! handler reads.
 //!
 //! Kernel accessors that scope reads by a view-derived key (`clock`,
 //! `process`, `processes`, `cgroups`) are *neutral when routed*: they
@@ -38,18 +46,19 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use crate::extract::{functions, FnDef};
-use crate::lexer::{lex, Token, TokenKind};
+use crate::callgraph::CallGraph;
+use crate::extract::{matching, FnDef};
+use crate::lexer::{Token, TokenKind};
 
 /// Kernel accessors that route reads through the namespace registry.
-pub(crate) const NS_AWARE: &[&str] = &["namespaces"];
+const NS_AWARE: &[&str] = &["namespaces"];
 
 /// Kernel accessors neutral when a namespace marker is present (reads
 /// keyed by view-derived pids/cgroups/time), global otherwise.
-pub(crate) const NEUTRAL_WHEN_ROUTED: &[&str] = &["clock", "process", "processes", "cgroups"];
+const NEUTRAL_WHEN_ROUTED: &[&str] = &["clock", "process", "processes", "cgroups"];
 
 /// View accessors that derive reader identity (namespace markers).
-pub(crate) const VIEW_NS: &[&str] = &["context", "is_host"];
+const VIEW_NS: &[&str] = &["context", "is_host"];
 
 /// View accessors that only express masking policy or resource limits.
 const VIEW_MASK: &[&str] = &["mask_action", "allotted_cpus", "mem_limit_bytes"];
@@ -96,10 +105,10 @@ pub struct Facts {
     /// Masking-policy consultations.
     pub mask_markers: BTreeSet<String>,
     /// Every kernel accessor the function touches, with no gating filter
-    /// applied and propagated through local calls unconditionally. The
-    /// blindness verdict never consults this set; it feeds the
-    /// missing-dependency lint, which must see context-gated reads too — a
-    /// gated read still makes rendered bytes depend on that subsystem.
+    /// applied and propagated unconditionally. The verdict never consults
+    /// this set; it is the derived dependency mask's source, which must see
+    /// context-gated reads too — a gated read still makes rendered bytes
+    /// depend on that subsystem.
     pub kernel_reads: BTreeSet<String>,
 }
 
@@ -124,77 +133,44 @@ impl Facts {
     }
 }
 
-/// Analysis result for one function.
-#[derive(Debug, Clone)]
-pub struct FnAnalysis {
-    /// Evidence after call-graph propagation.
-    pub facts: Facts,
-    /// The derived verdict.
-    pub verdict: Verdict,
-}
-
-/// Calls a function makes to module-local functions, with gating state at
-/// the call site.
-#[derive(Debug, Clone)]
-struct LocalCall {
-    callee: String,
-    mask_gated: bool,
-    ctx_gated: bool,
-}
-
-/// Analyzes one render module's source, returning per-function results
-/// keyed by bare function name (helpers included).
-#[expect(
-    clippy::expect_used,
-    reason = "the facts map is seeded from the same function list the fixpoint loop iterates, \
-        so the lookup cannot miss"
-)]
-pub fn analyze_module(src: &str) -> BTreeMap<String, FnAnalysis> {
-    let tokens = lex(src);
-    let fns = functions(&tokens);
-    let names: BTreeSet<String> = fns.iter().map(|f| f.name.clone()).collect();
-
-    let mut facts: BTreeMap<String, Facts> = BTreeMap::new();
-    let mut calls: BTreeMap<String, Vec<LocalCall>> = BTreeMap::new();
-    for f in &fns {
-        let (fa, cs) = analyze_fn(f, &names);
-        facts.insert(f.name.clone(), fa);
-        calls.insert(f.name.clone(), cs);
-    }
-
-    // Propagate facts through module-local calls to a fixpoint. Sets only
-    // grow, so this terminates.
+/// Propagates facts over the call graph's cross-module edges to a
+/// fixpoint, returning every function's facts keyed `module::fn`.
+///
+/// An edge contributes nothing unless the callee can hand data back
+/// ([`FnDef::returns_data`]): a unit-returning helper with only shared
+/// references (trace notes) cannot flow kernel state into the caller's
+/// output. `globals` is cut at context-gated call sites, where the
+/// caller has already routed by reader identity, and `ns_markers` at
+/// mask-gated ones, where consulting the view is policy.
+pub fn analyze(graph: &CallGraph) -> BTreeMap<String, Facts> {
+    let mut facts: BTreeMap<String, Facts> = graph
+        .fns
+        .iter()
+        .map(|(name, def)| (name.clone(), scan(def)))
+        .collect();
+    // Sets only grow, so this terminates.
     loop {
         let mut changed = false;
-        for f in &fns {
-            let callee_updates: Vec<(Facts, bool, bool)> = calls[&f.name]
-                .iter()
-                .filter_map(|c| {
-                    facts
-                        .get(&c.callee)
-                        .map(|cf| (cf.clone(), c.mask_gated, c.ctx_gated))
-                })
-                .collect();
-            let me = facts.get_mut(&f.name).expect("fn registered");
-            for (cf, mask_gated, ctx_gated) in callee_updates {
-                if !mask_gated {
-                    for m in &cf.ns_markers {
-                        changed |= me.ns_markers.insert(m.clone());
-                    }
+        for (caller, edges) in &graph.edges {
+            for e in edges {
+                if !graph.fns.get(&e.callee).is_some_and(FnDef::returns_data) {
+                    continue;
                 }
-                if !ctx_gated {
-                    for g in &cf.globals {
-                        changed |= me.globals.insert(g.clone());
-                    }
+                // Edges and facts are keyed by the same fn set.
+                let Some(cf) = facts.get(&e.callee).cloned() else {
+                    continue;
+                };
+                let Some(me) = facts.get_mut(caller) else {
+                    continue;
+                };
+                changed |= union(&mut me.kernel_reads, &cf.kernel_reads)
+                    | union(&mut me.neutral, &cf.neutral)
+                    | union(&mut me.mask_markers, &cf.mask_markers);
+                if !e.ctx_gated {
+                    changed |= union(&mut me.globals, &cf.globals);
                 }
-                for n in &cf.neutral {
-                    changed |= me.neutral.insert(n.clone());
-                }
-                for m in &cf.mask_markers {
-                    changed |= me.mask_markers.insert(m.clone());
-                }
-                for r in &cf.kernel_reads {
-                    changed |= me.kernel_reads.insert(r.clone());
+                if !e.mask_gated {
+                    changed |= union(&mut me.ns_markers, &cf.ns_markers);
                 }
             }
         }
@@ -202,92 +178,144 @@ pub fn analyze_module(src: &str) -> BTreeMap<String, FnAnalysis> {
             break;
         }
     }
-
     facts
-        .into_iter()
-        .map(|(name, fa)| {
-            let verdict = fa.verdict();
-            (name, FnAnalysis { facts: fa, verdict })
-        })
-        .collect()
 }
 
-fn analyze_fn(def: &FnDef, local_fns: &BTreeSet<String>) -> (Facts, Vec<LocalCall>) {
+/// Adds `from` to `into`; true when `into` grew.
+fn union(into: &mut BTreeSet<String>, from: &BTreeSet<String>) -> bool {
+    from.iter()
+        .fold(false, |grew, x| into.insert(x.clone()) | grew)
+}
+
+/// The facts a function's own body contributes, before propagation.
+fn scan(def: &FnDef) -> Facts {
     let body = &def.body;
     let kernel = def.kernel_param.as_deref().unwrap_or("");
     let view = def.view_param.as_deref().unwrap_or("");
-
-    let tainted = mask_tainted_locals(body, view);
-    let (ctx_spans, mask_spans) = gated_spans(body, view, &tainted);
-    let in_any = |spans: &[(usize, usize)], i: usize| spans.iter().any(|&(a, b)| i >= a && i < b);
-
+    let gates = Gates::of(def);
     let mut facts = Facts::default();
-    let mut local_calls = Vec::new();
-
     for i in 0..body.len() {
-        let t = &body[i];
-        if t.kind != TokenKind::Ident {
+        let dot_access = body[i].kind == TokenKind::Ident
+            && body.get(i + 1).is_some_and(|n| n.is_punct('.'))
+            && body.get(i + 2).is_some_and(|n| n.kind == TokenKind::Ident);
+        if !dot_access {
             continue;
         }
-        let dot_access = body.get(i + 1).is_some_and(|n| n.is_punct('.'))
-            && body.get(i + 2).is_some_and(|n| n.kind == TokenKind::Ident);
-        if !kernel.is_empty() && t.text == kernel && dot_access {
-            let accessor = body[i + 2].text.as_str();
-            facts.kernel_reads.insert(format!("k.{accessor}()"));
+        let accessor = body[i + 2].text.as_str();
+        if !kernel.is_empty() && body[i].text == kernel {
+            let read = format!("k.{accessor}()");
+            facts.kernel_reads.insert(read.clone());
             if NS_AWARE.contains(&accessor) {
-                if !in_any(&mask_spans, i) {
-                    facts.ns_markers.insert(format!("k.{accessor}()"));
+                if !gates.mask(i) {
+                    facts.ns_markers.insert(read);
                 }
             } else if NEUTRAL_WHEN_ROUTED.contains(&accessor) {
-                facts.neutral.insert(format!("k.{accessor}()"));
-            } else if !in_any(&ctx_spans, i) {
-                facts.globals.insert(format!("k.{accessor}()"));
+                facts.neutral.insert(read);
+            } else if !gates.ctx(i) {
+                facts.globals.insert(read);
             }
-        } else if !view.is_empty() && t.text == view && dot_access {
-            let accessor = body[i + 2].text.as_str();
+        } else if !view.is_empty() && body[i].text == view {
             if VIEW_NS.contains(&accessor) {
-                if !in_any(&mask_spans, i) {
+                if !gates.mask(i) {
                     facts.ns_markers.insert(format!("view.{accessor}"));
                 }
             } else if VIEW_MASK.contains(&accessor) {
                 facts.mask_markers.insert(format!("view.{accessor}"));
             }
-        } else if local_fns.contains(&t.text)
-            && t.text != def.name
-            && body.get(i + 1).is_some_and(|n| n.is_punct('('))
-            && !(i > 0 && body[i - 1].is_punct('.'))
-        {
-            local_calls.push(LocalCall {
-                callee: t.text.clone(),
-                mask_gated: in_any(&mask_spans, i),
-                ctx_gated: in_any(&ctx_spans, i),
-            });
         }
     }
-    (facts, local_calls)
+    facts
+}
+
+/// The context- and mask-gated token spans of one function body:
+/// half-open index ranges inside `match`/`if` blocks whose scrutinee or
+/// condition derives from the view context or from a mask-tainted local.
+/// A read or call site inside a context span executes for one reader
+/// context only; inside a mask span it is masking policy.
+pub(crate) struct Gates {
+    ctx: Vec<(usize, usize)>,
+    mask: Vec<(usize, usize)>,
+}
+
+impl Gates {
+    /// The gated spans of `def`'s body.
+    pub(crate) fn of(def: &FnDef) -> Gates {
+        let body = &def.body;
+        let view = def.view_param.as_deref().unwrap_or("");
+        let tainted = mask_tainted_locals(body, view);
+        let mut gates = Gates {
+            ctx: Vec::new(),
+            mask: Vec::new(),
+        };
+        for i in 0..body.len() {
+            if !body[i].is_ident("match") && !body[i].is_ident("if") {
+                continue;
+            }
+            // Head: tokens up to the block-opening `{` at bracket depth zero.
+            let mut depth = 0i32;
+            let mut open = None;
+            for (j, t) in body.iter().enumerate().skip(i + 1) {
+                if t.is_punct('(') || t.is_punct('[') {
+                    depth += 1;
+                } else if t.is_punct(')') || t.is_punct(']') {
+                    depth -= 1;
+                } else if t.is_punct('{') && depth == 0 {
+                    open = Some(j);
+                    break;
+                } else if t.is_punct(';') && depth == 0 {
+                    break;
+                }
+            }
+            let Some(open) = open else { continue };
+            let head = &body[i + 1..open];
+            let span = (open + 1, matching(body, open, '{', '}'));
+            if reads_view(head, view, |a| VIEW_NS.contains(&a)) {
+                gates.ctx.push(span);
+            }
+            if reads_view(head, view, |a| a == "mask_action")
+                || head
+                    .iter()
+                    .any(|t| t.kind == TokenKind::Ident && tainted.contains(&t.text))
+            {
+                gates.mask.push(span);
+            }
+        }
+        gates
+    }
+
+    /// Whether token `i` sits in a context-gated block.
+    pub(crate) fn ctx(&self, i: usize) -> bool {
+        self.ctx.iter().any(|&(a, b)| i >= a && i < b)
+    }
+
+    /// Whether token `i` sits in a mask-gated block.
+    pub(crate) fn mask(&self, i: usize) -> bool {
+        self.mask.iter().any(|&(a, b)| i >= a && i < b)
+    }
+}
+
+/// Whether `tokens` contain `view.<accessor>` for an accessor `pick`
+/// accepts.
+fn reads_view(tokens: &[Token], view: &str, pick: impl Fn(&str) -> bool) -> bool {
+    !view.is_empty()
+        && tokens
+            .windows(3)
+            .any(|w| w[0].is_ident(view) && w[1].is_punct('.') && pick(&w[2].text))
 }
 
 /// Local bindings whose initializer consults `view.mask_action` — gating
 /// on them is masking policy, not namespace routing.
-pub(crate) fn mask_tainted_locals(body: &[Token], view: &str) -> BTreeSet<String> {
+fn mask_tainted_locals(body: &[Token], view: &str) -> BTreeSet<String> {
     let mut tainted = BTreeSet::new();
-    if view.is_empty() {
-        return tainted;
-    }
     let mut i = 0;
     while i + 2 < body.len() {
         if body[i].is_ident("let")
             && body[i + 1].kind == TokenKind::Ident
             && body[i + 2].is_punct('=')
         {
-            let name = body[i + 1].text.clone();
             let end = statement_end(body, i + 3);
-            let init = &body[i + 3..end];
-            let uses_mask = init
-                .windows(3)
-                .any(|w| w[0].is_ident(view) && w[1].is_punct('.') && w[2].is_ident("mask_action"));
-            if uses_mask {
-                tainted.insert(name);
+            if reads_view(&body[i + 3..end], view, |a| a == "mask_action") {
+                tainted.insert(body[i + 1].text.clone());
             }
             i = end;
             continue;
@@ -313,88 +341,21 @@ fn statement_end(body: &[Token], from: usize) -> usize {
     body.len()
 }
 
-/// A half-open token-index range into a function body.
-pub(crate) type Span = (usize, usize);
-
-/// Computes context-gated and mask-gated token spans (half-open index
-/// ranges into `body`) from `match`/`if` constructs whose scrutinee or
-/// condition derives from the view context or a mask-tainted local.
-pub(crate) fn gated_spans(
-    body: &[Token],
-    view: &str,
-    tainted: &BTreeSet<String>,
-) -> (Vec<Span>, Vec<Span>) {
-    let mut ctx = Vec::new();
-    let mut mask = Vec::new();
-    for i in 0..body.len() {
-        let is_match = body[i].is_ident("match");
-        let is_if = body[i].is_ident("if");
-        if !is_match && !is_if {
-            continue;
-        }
-        // Head: tokens up to the block-opening `{` at bracket depth zero.
-        let mut depth = 0i32;
-        let mut open = None;
-        for (j, t) in body.iter().enumerate().skip(i + 1) {
-            if t.is_punct('(') || t.is_punct('[') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') {
-                depth -= 1;
-            } else if t.is_punct('{') && depth == 0 {
-                open = Some(j);
-                break;
-            } else if t.is_punct(';') && depth == 0 {
-                break;
-            }
-        }
-        let Some(open) = open else { continue };
-        let head = &body[i + 1..open];
-        let head_ctx = !view.is_empty()
-            && head.windows(3).any(|w| {
-                w[0].is_ident(view) && w[1].is_punct('.') && VIEW_NS.contains(&w[2].text.as_str())
-            });
-        let head_mask = head
-            .iter()
-            .any(|t| t.kind == TokenKind::Ident && tainted.contains(&t.text))
-            || (!view.is_empty()
-                && head.windows(3).any(|w| {
-                    w[0].is_ident(view) && w[1].is_punct('.') && w[2].is_ident("mask_action")
-                }));
-        if !head_ctx && !head_mask {
-            continue;
-        }
-        let close = brace_close(body, open);
-        if head_ctx {
-            ctx.push((open + 1, close));
-        }
-        if head_mask {
-            mask.push((open + 1, close));
-        }
-    }
-    (ctx, mask)
-}
-
-fn brace_close(body: &[Token], open: usize) -> usize {
-    let mut depth = 0i32;
-    for (j, t) in body.iter().enumerate().skip(open) {
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-    }
-    body.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::callgraph::{build, parse_module};
+
+    /// Facts of a one-module source, keyed by bare function name.
+    fn analyze_src(src: &str) -> BTreeMap<String, Facts> {
+        analyze(&build(&[parse_module("m", None, src)]))
+            .into_iter()
+            .map(|(name, facts)| (name.trim_start_matches("m::").to_string(), facts))
+            .collect()
+    }
 
     fn verdict_of(src: &str, name: &str) -> Verdict {
-        analyze_module(src)[name].verdict
+        analyze_src(src)[name].verdict()
     }
 
     #[test]
@@ -510,11 +471,44 @@ mod tests {
                 }
             }
         ";
-        let m = analyze_module(src);
-        assert_eq!(m["meminfo"].verdict, Verdict::ViewRouted);
-        let reads = &m["meminfo"].facts.kernel_reads;
+        let m = analyze_src(src);
+        assert_eq!(m["meminfo"].verdict(), Verdict::ViewRouted);
+        let reads = &m["meminfo"].kernel_reads;
         assert!(reads.contains("k.mem()"), "{reads:?}");
         assert!(reads.contains("k.clock()"), "{reads:?}");
+    }
+
+    #[test]
+    fn facts_cross_modules_but_not_unit_helpers() {
+        // The listing's shape: a host-global topology read beside a call
+        // into another module's view-routed pid sweep is mixed.
+        let proc_pid = "
+            pub(crate) fn visible_pids(k: &Kernel, view: &View) -> Vec<u32> {
+                match view.context { Context::Host => Vec::new(), _ => k.namespaces().pids() }
+            }
+        ";
+        let fs = "
+            fn note(k: &Kernel, view: &View) { let _ = view.context; }
+            fn enumerate(k: &Kernel, view: &View) -> Vec<String> {
+                note(k, view);
+                let n = k.hw().cpus();
+                proc_pid::visible_pids(k, view).iter().map(|p| format!(\"{p}{n}\")).collect()
+            }
+            fn topology(k: &Kernel, view: &View) -> u64 { note(k, view); k.hw().cpus() }
+        ";
+        let facts = analyze(&build(&[
+            parse_module("proc_pid", None, proc_pid),
+            parse_module("fs", None, fs),
+        ]));
+        assert_eq!(
+            facts["fs::enumerate"].verdict(),
+            Verdict::NamespaceBlind { mixed: true }
+        );
+        // `note` consults the view but returns nothing to its caller.
+        assert_eq!(
+            facts["fs::topology"].verdict(),
+            Verdict::NamespaceBlind { mixed: false }
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! `disallowed-methods` list in `clippy.toml`), enabled in each linted
 //! crate's root.
 
-use crate::extract::functions;
+use crate::extract::{functions, matching};
 use crate::lexer::{lex, Token, TokenKind};
 use serde::Serialize;
 
@@ -68,7 +68,7 @@ pub fn lint_file(file: &str, src: &str) -> Vec<Hazard> {
 /// at paren index `open`; returns hazard details found in its body.
 fn par_closure_hazards(tokens: &[Token], open: usize) -> Vec<String> {
     let mut out = Vec::new();
-    let close = matching_paren(tokens, open);
+    let close = matching(tokens, open, '(', ')');
     // Find the closure: `|param|` then a block or expression.
     let mut i = open + 1;
     while i < close && !tokens[i].is_punct('|') {
@@ -86,7 +86,7 @@ fn par_closure_hazards(tokens: &[Token], open: usize) -> Vec<String> {
     }
     let body_start = i + 3;
     let body_end = if tokens.get(body_start).is_some_and(|t| t.is_punct('{')) {
-        brace_close(tokens, body_start)
+        matching(tokens, body_start, '{', '}')
     } else {
         close
     };
@@ -150,36 +150,6 @@ fn chain_root(tokens: &[Token], idx: usize) -> String {
     tokens[i].text.clone()
 }
 
-fn matching_paren(tokens: &[Token], open: usize) -> usize {
-    let mut depth = 0i32;
-    for (j, t) in tokens.iter().enumerate().skip(open) {
-        if t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-    }
-    tokens.len()
-}
-
-fn brace_close(tokens: &[Token], open: usize) -> usize {
-    let mut depth = 0i32;
-    for (j, t) in tokens.iter().enumerate().skip(open) {
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-    }
-    tokens.len()
-}
-
 /// Drops `mod tests { … }` blocks (a test's fan-out cannot break shipped
 /// determinism, and test helpers would pollute attribution).
 fn strip_test_mods(tokens: Vec<Token>) -> Vec<Token> {
@@ -190,7 +160,7 @@ fn strip_test_mods(tokens: Vec<Token>) -> Vec<Token> {
             && tokens.get(i + 1).is_some_and(|t| t.is_ident("tests"))
             && tokens.get(i + 2).is_some_and(|t| t.is_punct('{'))
         {
-            i = brace_close(&tokens, i + 2) + 1;
+            i = matching(&tokens, i + 2, '{', '}') + 1;
             continue;
         }
         out.push(tokens[i].clone());
@@ -228,6 +198,44 @@ mod tests {
         let h = lint_file("x/src/a.rs", src);
         assert_eq!(h.len(), 1);
         assert!(h[0].detail.contains("lock"), "{}", h[0].detail);
+    }
+
+    /// The pass on the real fan-outs: both are clean, and a shared
+    /// `Mutex` seeded at the start of each closure body is one hazard. A
+    /// fan-out renamed or moved out of these files fails here instead of
+    /// leaving the lint with nothing to inspect.
+    #[test]
+    fn seeded_mutex_in_each_real_fan_out_is_one_hazard() {
+        const MUTANT: &str = "let _ = std::sync::Mutex::new(0u8);";
+        for rel in [
+            "crates/campaign/src/runner.rs",
+            "crates/core/src/experiments.rs",
+        ] {
+            let src = std::fs::read_to_string(crate::workspace_root().join(rel))
+                .unwrap_or_else(|e| panic!("read {rel}: {e}"));
+            assert!(lint_file(rel, &src).is_empty(), "{rel} has hazards");
+            // Insert after the `{` opening each `|param| {` closure body.
+            let mut mutant = String::new();
+            let mut rest = src.as_str();
+            let mut seeded = 0;
+            while let Some(at) = rest.find("par_for_each_mut_threads(") {
+                let (head, tail) = rest.split_at(at);
+                let body = tail
+                    .find("| {")
+                    .unwrap_or_else(|| panic!("{rel}: fan-out without a `|x| {{` closure"))
+                    + 3;
+                mutant.push_str(head);
+                mutant.push_str(&tail[..body]);
+                mutant.push_str(MUTANT);
+                rest = &tail[body..];
+                seeded += 1;
+            }
+            mutant.push_str(rest);
+            assert_eq!(seeded, 1, "{rel}: expected one fan-out");
+            let hazards = lint_file(rel, &mutant);
+            assert_eq!(hazards.len(), 1, "{rel}: {hazards:?}");
+            assert!(hazards[0].detail.contains("`Mutex`"), "{hazards:?}");
+        }
     }
 
     #[test]

@@ -123,7 +123,7 @@ pub fn functions(tokens: &[Token]) -> Vec<FnDef> {
 
 /// Index of the token closing the bracket opened at `open` (which must
 /// hold the opening character). Returns the last index when unbalanced.
-fn matching(tokens: &[Token], open: usize, o: char, c: char) -> usize {
+pub(crate) fn matching(tokens: &[Token], open: usize, o: char, c: char) -> usize {
     let mut depth = 0usize;
     for (j, t) in tokens.iter().enumerate().skip(open) {
         if t.is_punct(o) {

@@ -3,30 +3,26 @@
 //!
 //! Sources are the 12 dirty-epoch subsystem bits ([`simkernel::dep`])
 //! reachable through each `Kernel` accessor; sinks are the bytes a
-//! route's handler renders. Per function, three bitmasks
-//! are propagated over the [`callgraph`](crate::callgraph) to a
-//! fixpoint:
+//! route's handler renders. The flow is read off the classifier's
+//! [`Facts`] at their fixpoint ([`classify::analyze`](crate::classify::analyze)),
+//! mapping accessor names to bits through [`dep::accessor_bit`]:
 //!
-//! * **full** — every subsystem the function reads, gating ignored. A
-//!   context-gated read still makes the rendered bytes depend on that
-//!   subsystem (some reader context executes it), so `full` is what the
-//!   route's declared epochs must cover: the *derived mask*.
+//! * **full** — every subsystem the function reads, gating ignored
+//!   (`kernel_reads`). A context-gated read still makes the rendered
+//!   bytes depend on that subsystem (some reader context executes it),
+//!   so `full` is what the route's declared epochs must cover: the
+//!   *derived mask*.
 //! * **unrouted** — subsystems read outside any `view.context` gate via
-//!   accessors that are neither namespace-aware nor neutral-when-routed:
-//!   host-global state flowing to every reader identically. This is the
-//!   paper's Table I column — what a namespace-blind channel leaks.
-//! * **neutral** — reads through `classify::NEUTRAL_WHEN_ROUTED`
-//!   accessors; whether they leak depends on the handler's verdict
-//!   (routed lookups keyed by view-derived state don't, host-wide
-//!   aggregates do), so the caller combines this with the classify
-//!   facts.
+//!   accessors that are neither namespace-aware nor neutral-when-routed
+//!   (`globals`): host-global state flowing to every reader identically.
+//!   This is the paper's Table I column — what a namespace-blind channel
+//!   leaks.
+//! * **neutral** — reads through neutral-when-routed accessors; whether
+//!   they leak depends on whether namespace routing reaches the sink.
 //!
-//! Propagation rules: an edge contributes nothing unless the callee can
-//! hand data back (`FnDef::returns_data`) — a unit-returning helper
-//! with only shared references (trace notes) cannot flow kernel state
-//! into the caller's output. `full`, `neutral` and unknown accessors
-//! propagate unconditionally; `unrouted` is cut at context-gated call
-//! sites, where the caller has already routed by reader identity.
+//! The fixpoint's propagation rules are the flow's: only data-returning
+//! callees contribute, `globals` (hence `unrouted`) is cut at
+//! context-gated call sites and namespace markers at mask-gated ones.
 //!
 //! Accessors with no subsystem mapping are recorded per function and
 //! only become errors when reachable from a checked route — the
@@ -36,11 +32,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use simkernel::dep;
 
-use crate::callgraph::CallGraph;
-use crate::classify::{gated_spans, mask_tainted_locals, NEUTRAL_WHEN_ROUTED, NS_AWARE};
-use crate::lexer::TokenKind;
+use crate::classify::{Facts, Verdict};
 
-/// Per-function flow facts at the fixpoint. See the module docs.
+/// One function's flow masks, read off its facts. See the module docs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FnFlow {
     /// Every subsystem read, gating ignored: the derived dependency mask.
@@ -57,87 +51,35 @@ pub struct FnFlow {
     pub unknown: BTreeSet<String>,
 }
 
-/// Propagates subsystem taint over the graph to a fixpoint.
-pub fn analyze(graph: &CallGraph) -> BTreeMap<String, FnFlow> {
-    let mut flows: BTreeMap<String, FnFlow> = graph
-        .fns
-        .iter()
-        .map(|(name, def)| (name.clone(), direct_flow(def)))
-        .collect();
-
-    // Masks only gain bits and sets only grow, so this terminates.
-    loop {
-        let mut changed = false;
-        for (caller, edges) in &graph.edges {
-            for e in edges {
-                let Some(callee) = graph.fns.get(&e.callee) else {
-                    continue;
-                };
-                if !callee.returns_data() {
-                    continue;
-                }
-                let cf = flows[&e.callee].clone();
-                // Edges and flows are keyed by the same fn set.
-                let Some(me) = flows.get_mut(caller) else {
-                    continue;
-                };
-                let before = me.clone();
-                me.full |= cf.full;
-                me.neutral |= cf.neutral;
-                if !e.ctx_gated {
-                    me.unrouted |= cf.unrouted;
-                }
-                if !e.mask_gated {
-                    me.ns_routed |= cf.ns_routed;
-                }
-                me.unknown.extend(cf.unknown);
-                changed |= *me != before;
-            }
-        }
-        if !changed {
-            break;
+impl FnFlow {
+    /// The masks `facts` imply.
+    pub fn of(facts: &Facts) -> FnFlow {
+        let mask = |reads: &BTreeSet<String>| {
+            reads
+                .iter()
+                .filter_map(|r| subsystem_bit(r))
+                .fold(0, |m, b| m | b)
+        };
+        FnFlow {
+            full: mask(&facts.kernel_reads),
+            unrouted: mask(&facts.globals),
+            neutral: mask(&facts.neutral),
+            ns_routed: facts.ns_markers.iter().any(|m| m.starts_with("k.")),
+            unknown: facts
+                .kernel_reads
+                .iter()
+                .filter(|r| subsystem_bit(r).is_none())
+                .cloned()
+                .collect(),
         }
     }
-    flows
 }
 
-/// The flow a function's own body contributes, before propagation.
-fn direct_flow(def: &crate::extract::FnDef) -> FnFlow {
-    let body = &def.body;
-    let kernel = def.kernel_param.as_deref().unwrap_or("");
-    let view = def.view_param.as_deref().unwrap_or("");
-    let tainted = mask_tainted_locals(body, view);
-    let (ctx_spans, mask_spans) = gated_spans(body, view, &tainted);
-    let in_any = |spans: &[(usize, usize)], i: usize| spans.iter().any(|&(a, b)| i >= a && i < b);
-
-    let mut flow = FnFlow::default();
-    if kernel.is_empty() {
-        return flow;
-    }
-    for i in 0..body.len() {
-        if !(body[i].is_ident(kernel)
-            && body.get(i + 1).is_some_and(|t| t.is_punct('.'))
-            && body.get(i + 2).is_some_and(|t| t.kind == TokenKind::Ident))
-        {
-            continue;
-        }
-        let accessor = body[i + 2].text.as_str();
-        let Some(bit) = dep::accessor_bit(accessor) else {
-            flow.unknown.insert(format!("k.{accessor}()"));
-            continue;
-        };
-        flow.full |= bit;
-        if NS_AWARE.contains(&accessor) {
-            // Namespace-registry reads are routed by construction;
-            // mask-gated ones are policy, not routing (classify's rule).
-            flow.ns_routed |= !in_any(&mask_spans, i);
-        } else if NEUTRAL_WHEN_ROUTED.contains(&accessor) {
-            flow.neutral |= bit;
-        } else if !in_any(&ctx_spans, i) {
-            flow.unrouted |= bit;
-        }
-    }
-    flow
+/// The subsystem bit of a `k.name()` read, if the accessor has one.
+fn subsystem_bit(read: &str) -> Option<u32> {
+    read.strip_prefix("k.")
+        .and_then(|r| r.strip_suffix("()"))
+        .and_then(dep::accessor_bit)
 }
 
 /// One route to check: the registry row, decoupled from [`pseudofs`] so
@@ -172,12 +114,10 @@ pub struct RouteFlow {
     pub pattern: String,
     /// Qualified handler name.
     pub handler: String,
+    /// The handler's classification verdict.
+    pub verdict: Verdict,
     /// Derived dependency mask (`full` at the sink).
     pub derived: u32,
-    /// Host-global unrouted flow reaching the sink.
-    pub unrouted: u32,
-    /// Neutral-when-routed flow reaching the sink.
-    pub neutral: u32,
     /// What a container reader observes of the host: the unrouted flow,
     /// plus the neutral flow when no namespace routing reaches the sink
     /// (a host-wide aggregate read through a view-keyable accessor).
@@ -204,28 +144,26 @@ pub struct FlowCheck {
 /// re-reads, never correctness, so these are reviewed rather than enforced.
 pub const EXTRA_DEPS_ALLOWLIST: &[(&str, &str)] = &[];
 
-/// Checks every route's declared mask against the derived flow.
+/// Checks every route's declared mask against the flow the facts imply.
 ///
-/// Errors when a handler is missing from the flow map or when an
+/// Errors when a handler is missing from the facts map or when an
 /// unmapped kernel accessor is reachable from a route's sink — both
 /// mean the analysis cannot vouch for the mask at all.
 pub fn check_routes(
-    flows: &BTreeMap<String, FnFlow>,
+    facts: &BTreeMap<String, Facts>,
     specs: &[RouteSpec],
 ) -> Result<FlowCheck, String> {
     let mut routes = Vec::new();
     let mut missing = Vec::new();
     let mut extra = Vec::new();
     for spec in specs {
-        let sink = flows
-            .get(&spec.handler)
-            .ok_or_else(|| {
-                format!(
-                    "`{}`: handler `{}` not in flow map",
-                    spec.pattern, spec.handler
-                )
-            })?
-            .clone();
+        let handler = facts.get(&spec.handler).ok_or_else(|| {
+            format!(
+                "`{}`: handler `{}` not in the analyzed sources",
+                spec.pattern, spec.handler
+            )
+        })?;
+        let sink = FnFlow::of(handler);
         if !sink.unknown.is_empty() {
             return Err(format!(
                 "`{}` ({}): kernel accessors {:?} have no dirty-epoch subsystem mapping but are \
@@ -260,9 +198,8 @@ pub fn check_routes(
         routes.push(RouteFlow {
             pattern: spec.pattern.clone(),
             handler: spec.handler.clone(),
+            verdict: handler.verdict(),
             derived: sink.full,
-            unrouted: sink.unrouted,
-            neutral: sink.neutral,
             hot: sink.unrouted | if sink.ns_routed { 0 } else { sink.neutral },
             declared: spec.declared,
         });
@@ -278,13 +215,21 @@ pub fn check_routes(
 mod tests {
     use super::*;
     use crate::callgraph::{build, parse_module};
+    use crate::classify::analyze;
 
-    fn flows_of(sources: &[(&str, Option<&str>, &str)]) -> BTreeMap<String, FnFlow> {
+    fn facts_of(sources: &[(&str, Option<&str>, &str)]) -> BTreeMap<String, Facts> {
         let modules: Vec<_> = sources
             .iter()
             .map(|(n, p, s)| parse_module(n, *p, s))
             .collect();
         analyze(&build(&modules))
+    }
+
+    fn flows_of(sources: &[(&str, Option<&str>, &str)]) -> BTreeMap<String, FnFlow> {
+        facts_of(sources)
+            .iter()
+            .map(|(name, facts)| (name.clone(), FnFlow::of(facts)))
+            .collect()
     }
 
     #[test]
@@ -385,7 +330,7 @@ mod tests {
     fn seeded_missing_dependency_fails_the_check() {
         // The acceptance fixture: a handler reads NET but the registry
         // declares only FS — a NET change would leave its epochs still.
-        let flows = flows_of(&[(
+        let facts = facts_of(&[(
             "m",
             None,
             "pub fn leaky(k: &Kernel, _view: &View) -> String {
@@ -393,7 +338,7 @@ mod tests {
             }",
         )]);
         let check = check_routes(
-            &flows,
+            &facts,
             &[RouteSpec {
                 pattern: "/proc/seeded".into(),
                 handler: "m::leaky".into(),
@@ -408,13 +353,13 @@ mod tests {
 
     #[test]
     fn extra_declared_bits_are_findings_not_failures() {
-        let flows = flows_of(&[(
+        let facts = facts_of(&[(
             "m",
             None,
             "pub fn small(k: &Kernel, _view: &View) -> String { k.boot_id().to_string() }",
         )]);
         let check = check_routes(
-            &flows,
+            &facts,
             &[RouteSpec {
                 pattern: "/proc/over".into(),
                 handler: "m::small".into(),
@@ -430,13 +375,13 @@ mod tests {
 
     #[test]
     fn reachable_unknown_accessors_are_errors() {
-        let flows = flows_of(&[(
+        let facts = facts_of(&[(
             "m",
             None,
             "pub fn odd(k: &Kernel, _view: &View) -> String { k.mystery().to_string() }",
         )]);
         let err = check_routes(
-            &flows,
+            &facts,
             &[RouteSpec {
                 pattern: "/proc/odd".into(),
                 handler: "m::odd".into(),

@@ -39,7 +39,7 @@ pub mod report;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-pub use classify::{analyze_module, Facts, FnAnalysis, Verdict};
+pub use classify::{analyze, Facts, Verdict};
 pub use determinism::{lint_file, Hazard};
 pub use report::{diff_lines, ChannelReport, FlowReport, FlowRow, MaskFindingReport, Report};
 
@@ -60,10 +60,15 @@ pub const LINTED_CRATES: &[&str] = &[
     "cloudsim",
     "container",
     "core",
+    "detector",
     "leakcheck",
     "leakscan",
+    "powerns",
+    "powersim",
     "pseudofs",
     "simkernel",
+    "simtrace",
+    "workloads",
 ];
 
 /// The workspace root, derived from this crate's manifest directory.
@@ -94,26 +99,30 @@ pub fn audit() -> Result<Report, String> {
 /// [`audit`] against an explicit workspace root (testable entry point).
 pub fn audit_at(root: &Path) -> Result<Report, String> {
     let render_dir = root.join("crates/pseudofs/src/render");
-    let fs_src = read(&root.join("crates/pseudofs/src/fs.rs"))?;
-    let mod_src = read(&render_dir.join("mod.rs"))?;
-    let mut modules: BTreeMap<String, BTreeMap<String, FnAnalysis>> = BTreeMap::new();
-    let mut graph_modules = Vec::new();
+    let mut modules = vec![
+        callgraph::parse_module("render", None, &read(&render_dir.join("mod.rs"))?),
+        callgraph::parse_module("fs", None, &read(&root.join("crates/pseudofs/src/fs.rs"))?),
+    ];
     for m in render_modules() {
         let src = read(&render_dir.join(format!("{m}.rs")))?;
-        modules.insert(m.to_string(), analyze_module(&src));
-        graph_modules.push(callgraph::parse_module(m, Some("render"), &src));
+        modules.push(callgraph::parse_module(m, Some("render"), &src));
     }
-    graph_modules.push(callgraph::parse_module("render", None, &mod_src));
-    graph_modules.push(callgraph::parse_module("fs", None, &fs_src));
-    // Classify fs.rs too so the listing row gets a verdict.
-    modules.insert("fs".to_string(), analyze_module(&fs_src));
+    let facts = classify::analyze(&callgraph::build(&modules));
 
     let mut channels = Vec::new();
     for r in pseudofs::ROUTES {
-        channels.push(channel_report(&modules, r)?);
+        let handler = facts
+            .get(r.handler)
+            .ok_or_else(|| format!("`{}` not found in render sources", r.handler))?;
+        channels.push(ChannelReport::new(
+            r.pattern,
+            r.handler,
+            handler,
+            dep_names(r.deps),
+        ));
     }
 
-    let flow = flow_report(&graph_modules, &modules)?;
+    let flow = flow_report(&facts)?;
 
     let mut hazards = Vec::new();
     for c in LINTED_CRATES {
@@ -136,24 +145,6 @@ pub fn audit_at(root: &Path) -> Result<Report, String> {
     })
 }
 
-/// Resolves the route's handler to its analysis and builds the row,
-/// including the declared dirty-epoch dependencies and the handler's
-/// kernel reads the missing-dependency lint checks them against.
-fn channel_report(
-    modules: &BTreeMap<String, BTreeMap<String, FnAnalysis>>,
-    route: &pseudofs::Route,
-) -> Result<ChannelReport, String> {
-    let analysis = lookup(modules, route.handler)?;
-    let deps = dep_names(route.deps);
-    Ok(ChannelReport::new(
-        route.pattern,
-        route.handler,
-        analysis,
-        deps,
-        analysis.facts.kernel_reads.iter().cloned().collect(),
-    ))
-}
-
 /// Subsystem names for the set bits of `mask`, in bit order.
 fn dep_names(mask: u32) -> Vec<String> {
     simkernel::dep::BITS
@@ -163,19 +154,13 @@ fn dep_names(mask: u32) -> Vec<String> {
         .collect()
 }
 
-/// Runs the interprocedural flow analysis over the parsed modules and
-/// checks every registered route — plus the listing path, declared as
-/// [`pseudofs::LIST_DEPS`] — against its declared mask. The derived
-/// masks cross module boundaries and value returns, so a declared mask
-/// missing a derived bit is a *proved* missing-dependency-bit finding
-/// (the bytes can change while the declared epochs stand still),
-/// reported in [`FlowReport::missing`] for the bin/CI to enforce.
-fn flow_report(
-    graph_modules: &[callgraph::Module],
-    modules: &BTreeMap<String, BTreeMap<String, FnAnalysis>>,
-) -> Result<FlowReport, String> {
-    let graph = callgraph::build(graph_modules);
-    let flows = flow::analyze(&graph);
+/// Checks every registered route — plus the listing path, declared as
+/// [`pseudofs::LIST_DEPS`] — against its declared mask, using the flow
+/// the analyzed facts imply. The derived masks cross module boundaries
+/// and value returns, so a declared mask missing a derived bit is a
+/// *proved* missing-dependency-bit finding (the bytes can change while
+/// the declared epochs stand still), reported in [`FlowReport::missing`].
+fn flow_report(facts: &BTreeMap<String, Facts>) -> Result<FlowReport, String> {
     let mut specs: Vec<flow::RouteSpec> = pseudofs::ROUTES
         .iter()
         .map(|r| flow::RouteSpec {
@@ -193,7 +178,7 @@ fn flow_report(
         handler: "fs::enumerate".to_string(),
         declared: pseudofs::LIST_DEPS,
     });
-    let check = flow::check_routes(&flows, &specs)?;
+    let check = flow::check_routes(facts, &specs)?;
 
     let rows = check
         .routes
@@ -201,9 +186,7 @@ fn flow_report(
         .map(|r| FlowRow {
             pattern: r.pattern.clone(),
             handler: r.handler.clone(),
-            verdict: lookup(modules, &r.handler)
-                .map(|a| a.verdict.to_string())
-                .unwrap_or_else(|_| "unclassified".to_string()),
+            verdict: r.verdict.to_string(),
             derived: dep_names(r.derived),
             hot: dep_names(r.hot),
             declared: dep_names(r.declared),
@@ -224,19 +207,6 @@ fn flow_report(
         missing: check.missing.iter().map(finding).collect(),
         extra: check.extra.iter().map(finding).collect(),
     })
-}
-
-fn lookup<'a>(
-    modules: &'a BTreeMap<String, BTreeMap<String, FnAnalysis>>,
-    handler: &str,
-) -> Result<&'a FnAnalysis, String> {
-    let (m, f) = handler
-        .split_once("::")
-        .ok_or_else(|| format!("`{handler}` is not module::function"))?;
-    modules
-        .get(m)
-        .and_then(|fns| fns.get(f))
-        .ok_or_else(|| format!("`{handler}` not found in render sources"))
 }
 
 /// `.rs` files under `dir`, recursively, in sorted order.
@@ -344,9 +314,11 @@ mod tests {
              point its RouteSpec at the function that reads the kernel",
             list.handler
         );
-        // The listing's pid sweep is routed; its topology reads are not.
+        // The listing's pid sweep is routed (through the cross-module
+        // call into `proc_pid`); its topology reads are not.
         assert!(!list.hot.contains(&"process".to_string()));
         assert!(list.hot.contains(&"hw".to_string()));
+        assert_eq!(list.verdict, "namespace-blind-mixed");
     }
 
     /// The panic-site and hash-order gate is clippy's, run by `ci.sh`;
@@ -361,9 +333,6 @@ mod tests {
             "clippy::unreachable",
         ];
         const HASH: &str = "clippy::iter_over_hash_type";
-        // In the fan-out and shaping artifact bytes, but with panic
-        // sites not yet triaged: hash-order lints only.
-        const HASH_ONLY: &[&str] = &["detector", "powerns", "powersim", "simtrace", "workloads"];
         let root = workspace_root();
         let warned = |c: &str| -> Vec<String> {
             let src = read(&root.join("crates").join(c).join("src/lib.rs")).expect("crate root");
@@ -381,12 +350,6 @@ mod tests {
                     "crates/{c}/src/lib.rs lost `#![warn({l})]`"
                 );
             }
-        }
-        for c in HASH_ONLY {
-            assert!(
-                warned(c).iter().any(|x| x == HASH),
-                "crates/{c}/src/lib.rs lost `#![warn({HASH})]`"
-            );
         }
         let toml = read(&root.join("clippy.toml")).expect("clippy.toml");
         let toml: String = toml

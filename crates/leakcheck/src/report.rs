@@ -3,7 +3,7 @@
 
 use serde::Serialize;
 
-use crate::classify::FnAnalysis;
+use crate::classify::Facts;
 use crate::determinism::Hazard;
 
 /// One channel's audit row.
@@ -27,32 +27,20 @@ pub struct ChannelReport {
     /// Dirty-epoch subsystems the route declares (its dependency mask,
     /// as subsystem names).
     pub deps: Vec<String>,
-    /// Every kernel accessor the handler reads (gated
-    /// reads included) — what the missing-dependency lint checked
-    /// `deps` against.
-    pub kernel_reads: Vec<String>,
 }
 
 impl ChannelReport {
-    /// Builds a row from a route and its handler's analysis.
-    pub fn new(
-        pattern: &str,
-        handler: &str,
-        analysis: &FnAnalysis,
-        deps: Vec<String>,
-        kernel_reads: Vec<String>,
-    ) -> Self {
-        let f = &analysis.facts;
+    /// Builds a row from a route and its handler's facts.
+    pub fn new(pattern: &str, handler: &str, f: &Facts, deps: Vec<String>) -> Self {
         ChannelReport {
             pattern: pattern.to_string(),
             handler: handler.to_string(),
-            verdict: analysis.verdict.to_string(),
+            verdict: f.verdict().to_string(),
             ns_markers: f.ns_markers.iter().cloned().collect(),
             globals: f.globals.iter().cloned().collect(),
             neutral: f.neutral.iter().cloned().collect(),
             mask_markers: f.mask_markers.iter().cloned().collect(),
             deps,
-            kernel_reads,
         }
     }
 }
@@ -100,7 +88,7 @@ pub struct FlowReport {
     /// last.
     pub rows: Vec<FlowRow>,
     /// Declared masks missing a derived bit: missing-dependency-bit
-    /// findings. `--deny-missing-dep` fails the build on any.
+    /// findings. The `leakcheck` bin exits non-zero on any.
     pub missing: Vec<MaskFindingReport>,
     /// Declared masks carrying bits the flow cannot derive: needless
     /// re-reads for epoch-sum consumers, warned unless allowlisted.
@@ -334,15 +322,12 @@ pub fn diff_lines(expected: &str, actual: &str) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::Facts;
-    use crate::classify::FnAnalysis;
 
-    fn analysis() -> FnAnalysis {
+    fn facts() -> Facts {
         let mut facts = Facts::default();
         facts.globals.insert("k.net()".to_string());
         facts.ns_markers.insert("view.context".to_string());
-        let verdict = facts.verdict();
-        FnAnalysis { facts, verdict }
+        facts
     }
 
     fn flow() -> FlowReport {
@@ -367,9 +352,8 @@ mod tests {
             channels: vec![ChannelReport::new(
                 "/sys/fs/cgroup/net_prio/net_prio.ifpriomap",
                 "sys_cgroup::ifpriomap",
-                &analysis(),
+                &facts(),
                 vec!["net".to_string(), "cgroup".to_string()],
-                vec!["k.net()".to_string()],
             )],
             flow: flow(),
             hazards: Vec::new(),
@@ -410,13 +394,7 @@ mod tests {
     #[test]
     fn human_table_tallies_verdicts() {
         let r = Report {
-            channels: vec![ChannelReport::new(
-                "/proc/x",
-                "m::f",
-                &analysis(),
-                Vec::new(),
-                Vec::new(),
-            )],
+            channels: vec![ChannelReport::new("/proc/x", "m::f", &facts(), Vec::new())],
             flow: flow(),
             hazards: Vec::new(),
         };

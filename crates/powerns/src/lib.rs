@@ -19,7 +19,13 @@
 //! machinery's enable/disable on inter-cgroup context switches, replayed
 //! through a UnixBench-style suite with the namespace on and off.
 
-#![warn(clippy::iter_over_hash_type)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::iter_over_hash_type
+)]
 
 pub mod accounting;
 pub mod collect;

@@ -340,6 +340,11 @@ impl Trainer {
     /// whose ground-truth energy delta is negative spans an accumulator
     /// reset (the modeled crash-reboot zeroes RAPL); the window is
     /// rejected, the baseline re-anchored, and collection continues.
+    #[expect(
+        clippy::expect_used,
+        reason = "trains on a freshly booted kernel, which always admits one container env, \
+            its perf sampler and four workload copies"
+    )]
     pub fn collect_samples_checked(&self, workload: &WorkloadSpec) -> CalibrationRun {
         let mut k = Kernel::new(self.machine.clone(), self.seed);
         let env = k.create_container_env("train").expect("container env");
@@ -438,17 +443,17 @@ impl Trainer {
     }
 }
 
-fn raw_rapl(k: &Kernel) -> (f64, f64, f64) {
-    let mut core = 0.0;
-    let mut dram = 0.0;
-    let mut pkg = 0.0;
-    for p in 0..k.rapl().package_count() {
-        let raw = k.rapl().raw(p).expect("package exists");
-        core += raw.core_uj;
-        dram += raw.dram_uj;
-        pkg += raw.package_uj;
+/// The unwrapped `(core, dram, package)` RAPL energy summed over every
+/// package: the ground truth training and calibration measure against.
+pub(crate) fn raw_rapl(k: &Kernel) -> (f64, f64, f64) {
+    let rapl = k.rapl();
+    let mut t = (0.0, 0.0, 0.0);
+    for raw in (0..rapl.package_count()).filter_map(|p| rapl.raw(p)) {
+        t.0 += raw.core_uj;
+        t.1 += raw.dram_uj;
+        t.2 += raw.package_uj;
     }
-    (core, dram, pkg)
+    t
 }
 
 #[cfg(test)]

@@ -96,6 +96,11 @@ pub struct CappingOutcome {
 /// cap controller with the given reaction delay. When the controller
 /// engages it sheds load by throttling every host's background demand and
 /// killing the attack payloads (the facility cutting non-critical load).
+#[expect(
+    clippy::expect_used,
+    reason = "experiment setup on a fresh eight-host cloud: three 4-vCPU payloads and their \
+        dormant processes always fit, and the experiment runner contains a panic"
+)]
 pub fn capping_experiment(seed: u64, cap_delay_s: u64, burst_s: u64) -> CappingOutcome {
     let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(8), seed);
     cloud.advance_secs(2);

@@ -8,7 +8,13 @@
 //! ([`attack`]), and the co-residence-driven container aggregation of
 //! §IV-C ([`orchestrate`]).
 
-#![warn(clippy::iter_over_hash_type)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::iter_over_hash_type
+)]
 
 pub mod attack;
 pub mod capping;

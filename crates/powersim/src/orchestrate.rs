@@ -105,12 +105,15 @@ impl Orchestrator {
                 .unwrap_or(0.0);
             uptimes.push((*id, up));
         }
-        uptimes.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        uptimes.sort_by(|a, b| a.1.total_cmp(&b.1));
         let mut groups: Vec<Vec<InstanceId>> = Vec::new();
         let mut last_up = f64::NEG_INFINITY;
         for (id, up) in uptimes {
-            if (up - last_up).abs() <= tolerance_s && !groups.is_empty() {
-                groups.last_mut().expect("non-empty").push(id);
+            if let Some(group) = groups
+                .last_mut()
+                .filter(|_| (up - last_up).abs() <= tolerance_s)
+            {
+                group.push(id);
             } else {
                 groups.push(vec![id]);
             }
@@ -219,7 +222,10 @@ impl Orchestrator {
         let observer = cloud.launch("attacker", InstanceSpec::new("obs").vcpus(1))?;
         cloud.advance_secs(30);
         let _ = monitor.sample_watts(cloud, observer, 0.0)?;
-        let host = cloud.instance(observer).expect("observer exists").host();
+        let host = cloud
+            .instance(observer)
+            .ok_or(CloudError::NoSuchInstance(observer))?
+            .host();
         let baseline = cloud.host_power_w(host);
         let mut steps = Vec::new();
         for c in 0..containers {

@@ -23,6 +23,11 @@ pub struct CounterEntry {
     pub group: Group,
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "the counter registry lock is poisoned only by a panic while held, and its \
+        holders only insert, add to or take plain values"
+)]
 fn bump(name: &str, n: u64, group: Group) {
     let mut map = COUNTERS.lock().expect("counter registry poisoned");
     match map.get_mut(name) {
@@ -62,6 +67,11 @@ pub fn add_channel(prefix: &str, path: &str, n: u64) {
 }
 
 /// A sorted snapshot of every counter touched so far.
+#[expect(
+    clippy::expect_used,
+    reason = "the counter registry lock is poisoned only by a panic while held, and its \
+        holders only insert, add to or take plain values"
+)]
 pub fn snapshot() -> Vec<CounterEntry> {
     COUNTERS
         .lock()

@@ -48,7 +48,13 @@
 //! or on the kernel's `Option<KernelTracer>` being `Some`. The bench
 //! gate runs with tracing disabled and must not move.
 
-#![warn(clippy::iter_over_hash_type)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::iter_over_hash_type
+)]
 
 mod counter_store;
 mod event;

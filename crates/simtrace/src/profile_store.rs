@@ -33,6 +33,11 @@ pub struct PhaseEntry {
 /// Attributes virtual time and events to a phase. No-op unless tracing
 /// is enabled.
 #[inline]
+#[expect(
+    clippy::expect_used,
+    reason = "the profile registry lock is poisoned only by a panic while held, and its \
+        holders only insert, add to or take plain values"
+)]
 pub fn record(phase: &'static str, sim_ns: u64, events: u64) {
     if !crate::enabled() {
         return;
@@ -45,6 +50,11 @@ pub fn record(phase: &'static str, sim_ns: u64, events: u64) {
 
 /// Snapshot of every phase, sorted by virtual time spent (descending),
 /// ties broken by name — the "self-profile table" order.
+#[expect(
+    clippy::expect_used,
+    reason = "the profile registry lock is poisoned only by a panic while held, and its \
+        holders only insert, add to or take plain values"
+)]
 pub fn snapshot() -> Vec<PhaseEntry> {
     let mut rows: Vec<PhaseEntry> = PHASES
         .lock()

@@ -69,12 +69,22 @@ impl MemorySink {
     }
 
     /// Removes and returns everything collected so far, sorted by scope.
+    #[expect(
+        clippy::expect_used,
+        reason = "the memory sink lock is poisoned only by a panic while held, and its \
+            holders only insert, add to or take plain values"
+    )]
     pub fn drain(&self) -> BTreeMap<String, Vec<TimedEvent>> {
         std::mem::take(&mut self.scopes.lock().expect("memory sink poisoned"))
     }
 }
 
 impl TraceSink for MemorySink {
+    #[expect(
+        clippy::expect_used,
+        reason = "the memory sink lock is poisoned only by a panic while held, and its \
+            holders only insert, add to or take plain values"
+    )]
     fn flush(&self, scope: &str, events: Vec<TimedEvent>) {
         let mut scopes = self.scopes.lock().expect("memory sink poisoned");
         // A scope name repeats only if the same experiment runs twice

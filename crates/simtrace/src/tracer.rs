@@ -121,6 +121,11 @@ impl KernelTracer {
     /// Portable and mode-exempt events are numbered independently (see
     /// `Inner::exempt_seq`); buffer order still totally orders the
     /// combined stream.
+    #[expect(
+        clippy::expect_used,
+        reason = "the kernel tracer lock is poisoned only by a panic while held, and its \
+            holders only insert, add to or take plain values"
+    )]
     pub fn emit(&self, t_ns: u64, event: TraceEvent) {
         let mut inner = self.inner.lock().expect("kernel tracer poisoned");
         let ctr = if event.group() == crate::Group::ModeExempt {
@@ -135,6 +140,11 @@ impl KernelTracer {
 }
 
 impl Drop for KernelTracer {
+    #[expect(
+        clippy::expect_used,
+        reason = "the kernel tracer lock is poisoned only by a panic while held, and its \
+            holders only insert, add to or take plain values"
+    )]
     fn drop(&mut self) {
         let events =
             std::mem::take(&mut self.inner.get_mut().expect("kernel tracer poisoned").events);

@@ -23,7 +23,13 @@
 //! assert!(phase.instructions_per_cycle > 1.0, "prime is compute dense");
 //! ```
 
-#![warn(clippy::iter_over_hash_type)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::iter_over_hash_type
+)]
 
 pub mod models;
 pub mod spec;

@@ -129,6 +129,11 @@ impl WorkloadSpec {
     /// Panics if `phases` is empty or any phase fails [`Phase::validate`].
     /// Workload construction happens at experiment-definition time, where a
     /// malformed model is a programming error.
+    #[expect(
+        clippy::panic,
+        reason = "documented constructor contract: a malformed workload model is a programming \
+            error at experiment-definition time"
+    )]
     pub fn new(
         name: impl Into<String>,
         class: WorkloadClass,
@@ -177,6 +182,10 @@ impl WorkloadSpec {
     /// The phase in effect after `cpu_ns` nanoseconds of accumulated CPU
     /// time. For [`Repeat::Once`] workloads past their end, the final phase
     /// is returned (callers use [`PhaseCursor`] to detect completion).
+    #[expect(
+        clippy::expect_used,
+        reason = "`new` rejects an empty phase list, so `last` always finds a phase"
+    )]
     pub fn phase_at_progress(&self, cpu_ns: u64) -> &Phase {
         // Every progress lands in the only phase of a one-phase workload.
         if let [only] = self.phases.as_slice() {

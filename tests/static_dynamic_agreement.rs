@@ -11,10 +11,11 @@ use containerleaks::leakcheck;
 use containerleaks::leakscan::agreement;
 use containerleaks::leakscan::{ChannelClass, Lab};
 use containerleaks::pseudofs::ROUTES;
+use containerleaks::DEFAULT_SEED;
 
-fn joined_rows() -> Vec<agreement::Agreement> {
+fn joined_rows(seed: u64) -> Vec<agreement::Agreement> {
     let report = leakcheck::audit().expect("static audit succeeds");
-    let lab = Lab::new(1, 97);
+    let lab = Lab::new(1, seed);
     let h = lab.host(0);
     agreement::check(&h.kernel, &h.container_view(), &report)
 }
@@ -36,7 +37,7 @@ const HOT_PROBES: [&str; 9] = [
 #[test]
 fn hot_probe_channels_agree_as_leaking() {
     let report = leakcheck::audit().expect("static audit succeeds");
-    let rows = joined_rows();
+    let rows = joined_rows(97);
     for probe in HOT_PROBES {
         let ch = report
             .channels
@@ -57,19 +58,26 @@ fn hot_probe_channels_agree_as_leaking() {
 }
 
 /// Full-tree agreement: every path the scanner classifies joins a
-/// registry channel whose static verdict predicts the dynamic class.
+/// registry channel whose static verdict predicts the dynamic class, on
+/// a lab host at the default seed and at a second one.
 #[test]
 fn full_tree_static_dynamic_agreement() {
-    let rows = joined_rows();
+    for seed in [DEFAULT_SEED, 97] {
+        assert_full_tree_agreement(seed);
+    }
+}
+
+fn assert_full_tree_agreement(seed: u64) {
+    let rows = joined_rows(seed);
     assert!(
         rows.len() > 60,
-        "join covers the modeled tree, got {} rows",
+        "seed {seed}: join covers the modeled tree, got {} rows",
         rows.len()
     );
     let bad = agreement::disagreements(&rows);
     assert!(
         bad.is_empty(),
-        "static/dynamic disagreements:\n{}",
+        "seed {seed}: static/dynamic disagreements:\n{}",
         bad.iter()
             .map(|r| {
                 format!(
@@ -89,8 +97,8 @@ fn full_tree_static_dynamic_agreement() {
 
 /// Registry completeness, from the static side: every audited channel
 /// resolved to a handler, and the audit's channel count matches the
-/// registry (the audit itself cross-checks the registry against the
-/// parsed `fs.rs` dispatch arms and errors on drift).
+/// registry (the audit reads its channel list from `ROUTES` and errors
+/// when a route's handler is missing from the analyzed sources).
 #[test]
 fn audit_covers_the_whole_registry() {
     let report = leakcheck::audit().expect("static audit succeeds");
