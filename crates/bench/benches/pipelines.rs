@@ -18,7 +18,9 @@
 //! * `route_resolve_cc1_listing` — the pseudo-fs route resolver over
 //!   every path a CC1 instance lists
 //! * `pseudofs_list_cc5` — listing and counting a CC5 instance's pseudo
-//!   files, every candidate path run through the most mask rules
+//!   files under the profile with the most mask rules
+//! * `pseudofs_count_cc5` — counting them alone under the detector's
+//!   composed deny policy, as the campaign transcript does each step
 //! * `table2_metrics`    — entropy computation over a 60-point trace
 //! * `table3_unixbench`  — the full UnixBench overhead replay
 //! * `fig2_week_segment_coalesced` — an hour of the Fig. 2 pipeline on
@@ -56,11 +58,12 @@ use containerleaks::cloudsim::{
     Cloud, CloudConfig, CloudProfile, HostId, InstanceId, InstanceSpec, PlacementPolicy,
 };
 use containerleaks::container_runtime::ContainerSpec;
+use containerleaks::detector;
 use containerleaks::leakscan::metrics::joint_entropy;
 use containerleaks::leakscan::{CrossValidator, Lab};
 use containerleaks::powerns::nsfs::{DefendedHost, PowerNamespace};
 use containerleaks::powerns::{run_table3, Trainer};
-use containerleaks::pseudofs::route_for;
+use containerleaks::pseudofs::{route_for, PseudoFs};
 use containerleaks::simkernel::cgroup::PerfCounters;
 use containerleaks::simkernel::{Kernel, MachineConfig};
 use containerleaks::workloads::models;
@@ -91,11 +94,13 @@ fn bench_route_resolve(c: &mut Criterion) {
     });
 }
 
-fn bench_pseudofs_list_cc5(c: &mut Criterion) {
-    // Listing one CC5 instance's pseudo files, then counting them: the
-    // profile with the most mask rules, so every candidate path pays the
-    // most `glob_match` calls. The campaign transcript counts a listing
-    // at every step, and the cross-validation walk lists twice.
+fn bench_pseudofs_cc5(c: &mut Criterion) {
+    // One CC5 instance's pseudo files, under the profile with the most
+    // mask rules. `pseudofs_list_cc5` lists them, then counts them: the
+    // mask decides most path families whole from their templates, so
+    // only the paths of a family some rule may split each pay a
+    // `glob_match` per rule, and the listing still formats every visible
+    // path. The cross-validation walk lists twice.
     let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC5).hosts(1), 5);
     let inst = cloud.launch("t0", InstanceSpec::new("i0")).expect("launch");
     cloud.exec(inst, "app", models::prime()).expect("exec");
@@ -107,6 +112,32 @@ fn bench_pseudofs_list_cc5(c: &mut Criterion) {
             let counted = cloud.count_files(inst).expect("instance is live");
             black_box((listed, counted))
         })
+    });
+
+    // `pseudofs_count_cc5` counts them alone, as `Cloud::count_files`
+    // does at every step of the campaign transcript, under the deny
+    // policy the online detector composes for a flagged tenant (every
+    // watched family ahead of the provider's rules): the longest rule
+    // list a campaign view carries. Families are counted by size, so
+    // only a family some rule may split formats its paths.
+    let placed = *cloud.instance(inst).expect("instance is live");
+    let host = cloud.host(placed.host()).expect("the instance's host");
+    let watched: Vec<String> = detector::WATCHED.iter().map(|p| p.to_string()).collect();
+    let view = host
+        .runtime()
+        .container(placed.container())
+        .expect("the instance's container")
+        .view()
+        .clone()
+        .with_policy(detector::composed_policy(
+            &CloudProfile::CC5.mask_policy(),
+            &watched,
+        ));
+    let kernel = host.kernel();
+    let fs = PseudoFs::new();
+    assert_eq!(fs.count(kernel, &view), fs.list(kernel, &view).len());
+    c.bench_function("pseudofs_count_cc5", |b| {
+        b.iter(|| black_box(fs.count(kernel, black_box(&view))))
     });
 }
 
@@ -517,7 +548,7 @@ criterion_group!(
     targets =
         bench_table1_scan,
         bench_route_resolve,
-        bench_pseudofs_list_cc5,
+        bench_pseudofs_cc5,
         bench_table2_metrics,
         bench_table3_unixbench,
         bench_fig2_week_segment_coalesced,

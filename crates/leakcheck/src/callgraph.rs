@@ -2,7 +2,7 @@
 //!
 //! [`classify::analyze`](crate::classify::analyze) propagates facts over
 //! edges that cross module boundaries — `fs.rs` calling
-//! `proc_pid::visible_pids`, `proc_basic` calling the `jiffies`/`kb`
+//! `proc_pid::viewer_ns`, `proc_basic` calling the `jiffies`/`kb`
 //! helpers it imports from its parent `render` module. This module
 //! parses each source once and resolves every call site to a
 //! fully-qualified `module::fn` target, recording the call site's

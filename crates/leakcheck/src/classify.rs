@@ -26,7 +26,7 @@
 //!    gated blocks; namespace markers inside them don't count (consulting
 //!    the view only when masked is policy, not namespace routing).
 //! 3. **Call-graph propagation**: facts flow from helpers (`viewer_ns`,
-//!    `proc_pid::visible_pids`, the parent module's `jiffies`, …) to their
+//!    also called from `fs.rs`, the parent module's `jiffies`, …) to their
 //!    call sites over the [`callgraph`](crate::callgraph)'s cross-module
 //!    edges, to one fixpoint ([`analyze`]), with the same gating rules
 //!    applied at the call site.

@@ -1,14 +1,16 @@
 //! The read path and tree enumeration.
 
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
+use std::ops::Range;
 
+use simkernel::ns::{NamespaceRegistry, NsId};
 use simkernel::{dep, Kernel};
 
 use crate::error::FsError;
 use crate::faultfx;
 use crate::registry;
 use crate::render::proc_pid;
-use crate::view::{MaskAction, View};
+use crate::view::{MaskAction, Reach, View};
 
 /// Subsystems [`PseudoFs::list`] and [`PseudoFs::count`] consult:
 /// hardware presence and package counts, ext4 partitions, visible pids,
@@ -57,90 +59,257 @@ fn note_read(k: &Kernel, path: &str, bytes: usize) {
     }
 }
 
-/// The one enumeration behind [`PseudoFs::list`] and
-/// [`PseudoFs::count`]: formats each candidate path into one reused
-/// buffer, drops the ones the view's mask denies and hands the rest to
-/// `visit`, in generation order. Its name is the `(list)` row's handler
-/// in leakcheck's flow audit and committed report.
-fn enumerate(k: &Kernel, view: &View, mut visit: impl FnMut(&str)) {
-    let mut buf = String::with_capacity(96);
-    let mut emit = |path: fmt::Arguments| {
-        buf.clear();
-        // Writing into a `String` cannot fail.
-        let _ = buf.write_fmt(path);
-        if view.mask_action(&buf) != Some(MaskAction::Deny) {
-            visit(&buf);
+/// A kernel dimension a path family's holes range over.
+#[derive(Debug, Clone, Copy)]
+enum Dim {
+    /// No hole: the dimension of one value.
+    One,
+    /// Online cpus.
+    Cpu,
+    /// Idle states, per cpu.
+    IdleState,
+    /// Block devices, by name.
+    Disk,
+    /// Thermal zones: one with a digital thermal sensor, else none.
+    ThermalZone,
+    /// Mounted ext4 partitions, by name.
+    Ext4Partition,
+    /// The pids the reader's pid namespace numbers.
+    Pid,
+    /// RAPL packages (none without RAPL).
+    RaplPackage,
+    /// RAPL subdomains (core and dram), per package.
+    RaplDomain,
+    /// Coretemp devices, one per package (none without the sensor).
+    CoretempPackage,
+    /// Coretemp sensors: the package's, then one per core.
+    CoretempSensor,
+    /// NUMA nodes.
+    NumaNode,
+}
+
+/// One path family: a template whose `{0}` and `{1}` holes take every
+/// value of its two dimensions, so its size and its paths come from one
+/// declaration. A mask policy decides a family whole from its template
+/// when it can (see `MaskPolicy::reach`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Family {
+    pub(crate) template: &'static str,
+    dims: [Dim; 2],
+}
+
+const fn family(template: &'static str, dims: [Dim; 2]) -> Family {
+    Family { template, dims }
+}
+
+/// The parameterized families of the tree, one per leaf file, so that a
+/// mask naming a leaf decides its family whole. The exact routes are
+/// families of one path each.
+const FAMILIES: &[Family] = {
+    use Dim::*;
+    &[
+        family(
+            "/proc/sys/kernel/sched_domain/cpu{0}/domain0/max_newidle_lb_cost",
+            [Cpu, One],
+        ),
+        family(
+            "/sys/devices/system/cpu/cpu{0}/cpuidle/state{1}/name",
+            [Cpu, IdleState],
+        ),
+        family(
+            "/sys/devices/system/cpu/cpu{0}/cpuidle/state{1}/usage",
+            [Cpu, IdleState],
+        ),
+        family(
+            "/sys/devices/system/cpu/cpu{0}/cpuidle/state{1}/time",
+            [Cpu, IdleState],
+        ),
+        family(
+            "/sys/devices/system/cpu/cpu{0}/cpufreq/scaling_cur_freq",
+            [Cpu, One],
+        ),
+        family(
+            "/sys/devices/system/cpu/cpu{0}/cpufreq/cpuinfo_max_freq",
+            [Cpu, One],
+        ),
+        family("/sys/block/{0}/stat", [Disk, One]),
+        family(
+            "/sys/class/thermal/thermal_zone{0}/temp",
+            [ThermalZone, One],
+        ),
+        family("/proc/fs/ext4/{0}/mb_groups", [Ext4Partition, One]),
+        family("/proc/{0}/status", [Pid, One]),
+        family("/proc/{0}/stat", [Pid, One]),
+        family("/proc/{0}/cmdline", [Pid, One]),
+        family("/proc/{0}/io", [Pid, One]),
+        family("/proc/{0}/sched", [Pid, One]),
+        family(
+            "/sys/class/powercap/intel-rapl:{0}/name",
+            [RaplPackage, One],
+        ),
+        family(
+            "/sys/class/powercap/intel-rapl:{0}/energy_uj",
+            [RaplPackage, One],
+        ),
+        family(
+            "/sys/class/powercap/intel-rapl:{0}/max_energy_range_uj",
+            [RaplPackage, One],
+        ),
+        family(
+            "/sys/class/powercap/intel-rapl:{0}/intel-rapl:{0}:{1}/name",
+            [RaplPackage, RaplDomain],
+        ),
+        family(
+            "/sys/class/powercap/intel-rapl:{0}/intel-rapl:{0}:{1}/energy_uj",
+            [RaplPackage, RaplDomain],
+        ),
+        family(
+            "/sys/devices/platform/coretemp.{0}/hwmon/hwmon{0}/temp{1}_input",
+            [CoretempPackage, CoretempSensor],
+        ),
+        family("/sys/devices/system/node/node{0}/numastat", [NumaNode, One]),
+        family("/sys/devices/system/node/node{0}/vmstat", [NumaNode, One]),
+        family("/sys/devices/system/node/node{0}/meminfo", [NumaNode, One]),
+    ]
+};
+
+/// Every family of the tree, in the order of a policy's verdict table:
+/// the exact routes, one path each, then [`FAMILIES`].
+pub(crate) fn families() -> impl Iterator<Item = Family> {
+    registry::ROUTES
+        .iter()
+        .filter(|r| !r.pattern.contains('*'))
+        .map(|r| family(r.pattern, [Dim::One, Dim::One]))
+        .chain(FAMILIES.iter().copied())
+}
+
+/// The values one [`Dim`] takes on a kernel, in a view.
+enum Axis<'k> {
+    /// `start..end`, written in decimal.
+    Range(Range<usize>),
+    /// Kernel object names.
+    Names(Vec<&'k str>),
+    /// The pids of a pid namespace, as it numbers them.
+    Pids(&'k NamespaceRegistry, NsId),
+}
+
+/// One value of an [`Axis`].
+#[derive(Debug, Clone, Copy)]
+enum Value<'k> {
+    Num(usize),
+    Name(&'k str),
+}
+
+impl<'k> Axis<'k> {
+    fn len(&self) -> usize {
+        match self {
+            Axis::Range(r) => r.len(),
+            Axis::Names(names) => names.len(),
+            Axis::Pids(ns, id) => ns.pid_count(*id),
         }
+    }
+
+    fn each(&self, mut f: impl FnMut(Value<'k>)) {
+        match self {
+            Axis::Range(r) => r.clone().for_each(|i| f(Value::Num(i))),
+            Axis::Names(names) => names.iter().for_each(|s| f(Value::Name(s))),
+            Axis::Pids(ns, id) => ns.pids_in(*id).for_each(|(_, p)| f(Value::Num(p as usize))),
+        }
+    }
+}
+
+/// Writes `template` into `out`, each `{0}`/`{1}` hole replaced by its
+/// value.
+fn expand(out: &mut String, template: &str, values: [Value; 2]) {
+    out.clear();
+    // Split at both braces, a template alternates literal text and hole
+    // names, literal text first.
+    let mut pieces = template.split(['{', '}']);
+    while let Some(text) = pieces.next() {
+        out.push_str(text);
+        if let Some(hole) = pieces.next() {
+            match values[usize::from(hole == "1")] {
+                Value::Num(n) => {
+                    // Writing into a `String` cannot fail.
+                    let _ = write!(out, "{n}");
+                }
+                Value::Name(s) => out.push_str(s),
+            }
+        }
+    }
+}
+
+/// The one enumeration behind [`PseudoFs::list`] and
+/// [`PseudoFs::count`]: walks every family of the tree ([`families`]),
+/// its dimensions read from the kernel, and returns how many of its
+/// paths the view's mask leaves visible. With `visit`, it also formats
+/// each visible path into one reused buffer and hands it over, in
+/// generation order.
+///
+/// The policy's verdict on a family, decided once per policy
+/// ([`View::family_reach`]), settles the family whole when it can: a
+/// family whose every path is denied is skipped, and one no rule
+/// denies is counted by its size (and for `visit`, formatted without a
+/// mask check). Only a family the verdict leaves open formats and
+/// mask-checks each path. Its name is the `(list)` row's handler in
+/// leakcheck's flow audit and committed report.
+fn enumerate(k: &Kernel, view: &View, mut visit: Option<&mut dyn FnMut(&str)>) -> usize {
+    let coretemp = k.hw().has_coretemp();
+    let rapl_packages = if k.rapl().is_present() {
+        k.rapl().package_count()
+    } else {
+        0
+    };
+    let axis = |dim| match dim {
+        Dim::One => Axis::Range(0..1),
+        Dim::Cpu => Axis::Range(0..k.config().cpus as usize),
+        Dim::IdleState => Axis::Range(0..simkernel::hw::IDLE_STATE_NAMES.len()),
+        Dim::Disk => Axis::Names(k.config().disks.iter().map(|(d, _)| d.as_str()).collect()),
+        Dim::ThermalZone => Axis::Range(0..usize::from(coretemp)),
+        Dim::Ext4Partition => Axis::Names(
+            k.fs()
+                .ext4_partitions()
+                .iter()
+                .map(|(p, _)| p.as_str())
+                .collect(),
+        ),
+        Dim::Pid => Axis::Pids(k.namespaces(), proc_pid::viewer_ns(k, view).pid),
+        Dim::RaplPackage => Axis::Range(0..rapl_packages),
+        Dim::RaplDomain => Axis::Range(0..2),
+        Dim::CoretempPackage if coretemp => Axis::Range(0..k.rapl().package_count().max(1)),
+        Dim::CoretempPackage => Axis::Range(0..0),
+        Dim::CoretempSensor => Axis::Range(1..k.config().cpus_per_package() as usize + 2),
+        Dim::NumaNode => Axis::Range(0..k.mem().numa_nodes() as usize),
     };
 
-    for r in registry::ROUTES.iter().filter(|r| !r.pattern.contains('*')) {
-        emit(format_args!("{}", r.pattern));
-    }
-    let ncpus = k.config().cpus as usize;
-    for c in 0..ncpus {
-        emit(format_args!(
-            "/proc/sys/kernel/sched_domain/cpu{c}/domain0/max_newidle_lb_cost"
-        ));
-        for s in 0..simkernel::hw::IDLE_STATE_NAMES.len() {
-            for f in ["name", "usage", "time"] {
-                emit(format_args!(
-                    "/sys/devices/system/cpu/cpu{c}/cpuidle/state{s}/{f}"
-                ));
-            }
+    let verdicts = view.family_reach();
+    let mut n = 0;
+    let mut buf = String::new();
+    for (i, fam) in families().enumerate() {
+        let check = match verdicts.get(i).copied().unwrap_or(Reach::No) {
+            Reach::All(MaskAction::Deny) => continue,
+            Reach::No | Reach::All(MaskAction::Partial) => false,
+            Reach::Maybe => true,
+        };
+        let [a, b] = fam.dims.map(axis);
+        if !check && visit.is_none() {
+            n += a.len() * b.len();
+            continue;
         }
-        for f in ["scaling_cur_freq", "cpuinfo_max_freq"] {
-            emit(format_args!("/sys/devices/system/cpu/cpu{c}/cpufreq/{f}"));
-        }
-    }
-
-    for (disk, _) in &k.config().disks {
-        emit(format_args!("/sys/block/{disk}/stat"));
-    }
-    if k.hw().has_coretemp() {
-        emit(format_args!("/sys/class/thermal/thermal_zone0/temp"));
-    }
-
-    for (part, _) in k.fs().ext4_partitions() {
-        emit(format_args!("/proc/fs/ext4/{part}/mb_groups"));
-    }
-
-    for (_, ns_pid) in proc_pid::visible_pids(k, view) {
-        for f in ["status", "stat", "cmdline", "io", "sched"] {
-            emit(format_args!("/proc/{ns_pid}/{f}"));
-        }
-    }
-
-    if k.rapl().is_present() {
-        for p in 0..k.rapl().package_count() {
-            for f in ["name", "energy_uj", "max_energy_range_uj"] {
-                emit(format_args!("/sys/class/powercap/intel-rapl:{p}/{f}"));
-            }
-            for d in 0..2 {
-                for f in ["name", "energy_uj"] {
-                    emit(format_args!(
-                        "/sys/class/powercap/intel-rapl:{p}/intel-rapl:{p}:{d}/{f}"
-                    ));
+        a.each(|x| {
+            b.each(|y| {
+                expand(&mut buf, fam.template, [x, y]);
+                if check && view.mask_action(&buf) == Some(MaskAction::Deny) {
+                    return;
                 }
-            }
-        }
+                n += 1;
+                if let Some(visit) = &mut visit {
+                    visit(&buf);
+                }
+            })
+        });
     }
-
-    if k.hw().has_coretemp() {
-        let per_pkg = k.config().cpus_per_package() as usize;
-        for pkg in 0..k.rapl().package_count().max(1) {
-            for t in 1..=(per_pkg + 1) {
-                emit(format_args!(
-                    "/sys/devices/platform/coretemp.{pkg}/hwmon/hwmon{pkg}/temp{t}_input"
-                ));
-            }
-        }
-    }
-
-    for n in 0..k.mem().numa_nodes() as usize {
-        for f in ["numastat", "vmstat", "meminfo"] {
-            emit(format_args!("/sys/devices/system/node/node{n}/{f}"));
-        }
-    }
+    n
 }
 
 impl PseudoFs {
@@ -211,12 +380,15 @@ impl PseudoFs {
     /// recursive exploration step of the paper's detection framework:
     /// the exact routes' paths plus the parameterized ones the kernel's
     /// topology instantiates (cpus, disks, partitions, pids, RAPL
-    /// packages, NUMA nodes). Deny-masked paths are excluded (they are
-    /// unreadable in the cloud). [`PseudoFs::count`] walks the same
-    /// paths and only counts them.
+    /// packages, NUMA nodes), one template per path family. Deny-masked
+    /// paths are excluded (they are unreadable in the cloud). A family
+    /// the policy denies whole is never formatted, and one it leaves
+    /// whole is formatted without a per-path mask check; only a family
+    /// some rule may split checks each path. [`PseudoFs::count`] walks
+    /// the same families and only counts them.
     pub fn list(&self, k: &Kernel, view: &View) -> Vec<String> {
         let mut paths = Vec::with_capacity(256);
-        enumerate(k, view, |p| paths.push(p.to_string()));
+        enumerate(k, view, Some(&mut |p: &str| paths.push(p.to_string())));
         // Equal `String`s are indistinguishable, so the unstable sort
         // leaves the order a stable one would.
         paths.sort_unstable();
@@ -224,11 +396,15 @@ impl PseudoFs {
     }
 
     /// How many paths [`PseudoFs::list`] would return, without
-    /// allocating them.
+    /// allocating them. A family the view's policy decides whole (no
+    /// path of it denied, or every one) adds its size, the product of
+    /// its dimensions read from the kernel, without formatting a path;
+    /// only a family some rule may split is formatted and mask-checked
+    /// path by path. The verdicts are decided at a policy's first count
+    /// or listing and shared by its clones, so a cloud's container views
+    /// decide them once.
     pub fn count(&self, k: &Kernel, view: &View) -> usize {
-        let mut n = 0;
-        enumerate(k, view, |_| n += 1);
-        n
+        enumerate(k, view, None)
     }
 
     /// Lists the immediate children of `dir` in this view — what `ls`
@@ -256,7 +432,8 @@ impl PseudoFs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::view::MaskPolicy;
+    use crate::view::{MaskPolicy, MaskRule};
+    use proptest::prelude::*;
     use simkernel::kernel::ProcessSpec;
     use simkernel::MachineConfig;
     use workloads::models;
@@ -270,62 +447,65 @@ mod tests {
         k
     }
 
-    /// The listing before the shared enumerator, kept as the oracle the
-    /// differential tests hold `list` and `count` to: a fresh `String`
-    /// per candidate, the mask applied to each, and a stable sort.
-    fn list_reference(k: &Kernel, view: &View) -> Vec<String> {
-        let mut paths = Vec::with_capacity(256);
-        let mut push = |p: String| {
-            if view.mask_action(&p) != Some(MaskAction::Deny) {
-                paths.push(p);
+    /// The enumerator before path families, kept as the oracle the
+    /// differential tests hold `list` and `count` to: it formats every
+    /// candidate path and applies the mask to each, in generation order.
+    fn enumerate_reference(k: &Kernel, view: &View, mut visit: impl FnMut(&str)) {
+        let mut buf = String::with_capacity(96);
+        let mut emit = |path: std::fmt::Arguments| {
+            buf.clear();
+            let _ = buf.write_fmt(path);
+            if view.mask_action(&buf) != Some(MaskAction::Deny) {
+                visit(&buf);
             }
         };
 
         for r in registry::ROUTES.iter().filter(|r| !r.pattern.contains('*')) {
-            push(r.pattern.to_string());
+            emit(format_args!("{}", r.pattern));
         }
         let ncpus = k.config().cpus as usize;
         for c in 0..ncpus {
-            push(format!(
+            emit(format_args!(
                 "/proc/sys/kernel/sched_domain/cpu{c}/domain0/max_newidle_lb_cost"
             ));
             for s in 0..simkernel::hw::IDLE_STATE_NAMES.len() {
                 for f in ["name", "usage", "time"] {
-                    push(format!(
+                    emit(format_args!(
                         "/sys/devices/system/cpu/cpu{c}/cpuidle/state{s}/{f}"
                     ));
                 }
             }
             for f in ["scaling_cur_freq", "cpuinfo_max_freq"] {
-                push(format!("/sys/devices/system/cpu/cpu{c}/cpufreq/{f}"));
+                emit(format_args!("/sys/devices/system/cpu/cpu{c}/cpufreq/{f}"));
             }
         }
 
         for (disk, _) in &k.config().disks {
-            push(format!("/sys/block/{disk}/stat"));
+            emit(format_args!("/sys/block/{disk}/stat"));
         }
         if k.hw().has_coretemp() {
-            push("/sys/class/thermal/thermal_zone0/temp".to_string());
+            emit(format_args!("/sys/class/thermal/thermal_zone0/temp"));
         }
 
         for (part, _) in k.fs().ext4_partitions() {
-            push(format!("/proc/fs/ext4/{part}/mb_groups"));
+            emit(format_args!("/proc/fs/ext4/{part}/mb_groups"));
         }
 
-        for (_, ns_pid) in proc_pid::visible_pids(k, view) {
+        let pid_ns = proc_pid::viewer_ns(k, view).pid;
+        for (_, ns_pid) in k.namespaces().pids_visible_from(pid_ns) {
             for f in ["status", "stat", "cmdline", "io", "sched"] {
-                push(format!("/proc/{ns_pid}/{f}"));
+                emit(format_args!("/proc/{ns_pid}/{f}"));
             }
         }
 
         if k.rapl().is_present() {
             for p in 0..k.rapl().package_count() {
                 for f in ["name", "energy_uj", "max_energy_range_uj"] {
-                    push(format!("/sys/class/powercap/intel-rapl:{p}/{f}"));
+                    emit(format_args!("/sys/class/powercap/intel-rapl:{p}/{f}"));
                 }
                 for d in 0..2 {
                     for f in ["name", "energy_uj"] {
-                        push(format!(
+                        emit(format_args!(
                             "/sys/class/powercap/intel-rapl:{p}/intel-rapl:{p}:{d}/{f}"
                         ));
                     }
@@ -337,7 +517,7 @@ mod tests {
             let per_pkg = k.config().cpus_per_package() as usize;
             for pkg in 0..k.rapl().package_count().max(1) {
                 for t in 1..=(per_pkg + 1) {
-                    push(format!(
+                    emit(format_args!(
                         "/sys/devices/platform/coretemp.{pkg}/hwmon/hwmon{pkg}/temp{t}_input"
                     ));
                 }
@@ -346,12 +526,121 @@ mod tests {
 
         for n in 0..k.mem().numa_nodes() as usize {
             for f in ["numastat", "vmstat", "meminfo"] {
-                push(format!("/sys/devices/system/node/node{n}/{f}"));
+                emit(format_args!("/sys/devices/system/node/node{n}/{f}"));
             }
         }
+    }
 
+    /// The reference listing: every path [`enumerate_reference`] visits,
+    /// sorted.
+    fn list_reference(k: &Kernel, view: &View) -> Vec<String> {
+        let mut paths = Vec::new();
+        enumerate_reference(k, view, |p| paths.push(p.to_string()));
         paths.sort();
         paths
+    }
+
+    /// A mask pattern drawn from a sample path: `kind` picks the shape
+    /// and `at` where in the path it applies.
+    fn mask_pattern(path: &str, kind: usize, at: usize) -> String {
+        let segs: Vec<&str> = path.trim_start_matches('/').split('/').collect();
+        let seg = at % segs.len();
+        let with_seg = |s: &str| {
+            let mut v = segs.clone();
+            v[seg] = s;
+            format!("/{}", v.join("/"))
+        };
+        let head = &segs[seg][..segs[seg].len() / 2];
+        let tail = &segs[seg][segs[seg].len() / 2..];
+        match kind {
+            // The path itself.
+            0 => path.to_string(),
+            // Any literal prefix and `**`, stopping mid-segment or not.
+            1 => format!("{}**", &path[..1 + at % path.len()]),
+            // A literal prefix of whole segments and a final `/**`.
+            2 => format!("/{}/**", segs[..seg].join("/")),
+            // A segment's digits (or the whole segment) as one `*`.
+            3 => {
+                let star = match segs[seg].find(|c: char| c.is_ascii_digit()) {
+                    Some(i) => {
+                        let digits = segs[seg][i..]
+                            .find(|c: char| !c.is_ascii_digit())
+                            .map_or(segs[seg].len(), |j| i + j);
+                        format!("{}*{}", &segs[seg][..i], &segs[seg][digits..])
+                    }
+                    None => "*".to_string(),
+                };
+                with_seg(&star)
+            }
+            // In-segment globs on either side.
+            4 => with_seg(&format!("{head}*")),
+            5 => with_seg(&format!("*{tail}")),
+            // A `**` that is not the final segment matches nothing.
+            6 if seg + 1 < segs.len() => with_seg("**"),
+            // Extra slashes: leading, trailing, or an empty segment.
+            6 => format!("/{path}"),
+            7 => format!("{path}/"),
+            // A glob after a whole segment: `cpu1*` takes in `cpu12`.
+            8 => with_seg(&format!("{}*", segs[seg])),
+            _ => with_seg(""),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(if cfg!(debug_assertions) { 12 } else { 256 }))]
+        #[test]
+        fn family_count_and_list_equal_the_per_path_reference(
+            pids in 0usize..4,
+            rules in proptest::collection::vec((0usize..1 << 20, 0usize..10, 0usize..64, 0usize..3), 0..7),
+        ) {
+            let kernels: Vec<(Kernel, View)> = [
+                MachineConfig::small_server(),
+                MachineConfig::testbed_i7_6700(),
+                MachineConfig::cloud_server(),
+                MachineConfig::legacy_server_no_rapl(),
+            ]
+            .into_iter()
+            .map(|machine| {
+                let mut k = Kernel::new(machine, 9);
+                k.spawn_host_process("hostproc", models::web_service(0.1))
+                    .unwrap();
+                let env = k.create_container_env("c1").unwrap();
+                for i in 0..pids {
+                    k.spawn(ProcessSpec::new(format!("app{i}"), models::prime()).in_container(&env))
+                        .unwrap();
+                }
+                (k, View::container(env.ns, env.cgroups))
+            })
+            .collect();
+            // Rules are drawn near real paths: every visible path of
+            // every machine, in either view.
+            let mut samples: Vec<String> = kernels
+                .iter()
+                .flat_map(|(k, cont)| [list_reference(k, &View::host()), list_reference(k, cont)])
+                .flatten()
+                .collect();
+            samples.sort();
+            samples.dedup();
+            let policy = MaskPolicy::from_rules(
+                rules
+                    .iter()
+                    .map(|&(path, kind, at, action)| MaskRule {
+                        pattern: mask_pattern(&samples[path % samples.len()], kind, at),
+                        action: if action == 0 { MaskAction::Partial } else { MaskAction::Deny },
+                    })
+                    .collect(),
+            );
+            let fs = PseudoFs::new();
+            for (k, cont) in &kernels {
+                for view in [View::host(), cont.clone()] {
+                    let view = view.with_policy(policy.clone());
+                    let reference = list_reference(k, &view);
+                    let listed = fs.list(k, &view);
+                    prop_assert_eq!(&listed, &reference, "{:?} on a {}-cpu host", policy.rules(), k.config().cpus);
+                    prop_assert_eq!(fs.count(k, &view), reference.len(), "{:?}", policy.rules());
+                }
+            }
+        }
     }
 
     #[test]

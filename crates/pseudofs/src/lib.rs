@@ -23,8 +23,10 @@
 //! * [`PseudoFs::list`] enumerates every readable path for a view (the
 //!   exact routes plus the parameterized ones the kernel's topology
 //!   instantiates), which is what the paper's recursive-exploration tool
-//!   walks. [`PseudoFs::count`] counts the same paths without allocating
-//!   them, for callers that need only how many there are.
+//!   walks. The parameterized paths come in families, one template each
+//!   (`/proc/{0}/status`), and [`PseudoFs::count`] counts a family the
+//!   view's policy decides whole by its size, without formatting a path,
+//!   for callers that need only how many there are.
 //!
 //! # Example
 //!

@@ -13,7 +13,8 @@ use simkernel::{Kernel, NamespaceSet};
 use super::arg;
 use crate::view::{Context, View};
 
-fn viewer_ns(k: &Kernel, view: &View) -> NamespaceSet {
+/// The namespaces the view reads through: the host's, or the container's.
+pub(crate) fn viewer_ns(k: &Kernel, view: &View) -> NamespaceSet {
     match view.context {
         Context::Host => k.namespaces().host_set(),
         Context::Container { ns, .. } => ns,
@@ -25,9 +26,8 @@ fn viewer_ns(k: &Kernel, view: &View) -> NamespaceSet {
 fn reader_pid(k: &Kernel, view: &View) -> u32 {
     let ns = viewer_ns(k, view);
     k.namespaces()
-        .pids_visible_from(ns.pid)
-        .iter()
-        .map(|(_, p)| *p)
+        .pids_in(ns.pid)
+        .map(|(_, p)| p)
         .max()
         .unwrap_or(0)
         + 1
@@ -191,22 +191,21 @@ pub fn net_tcp(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<
     Some(())
 }
 
-/// Host pids visible from the view, with their in-namespace pids.
-pub fn visible_pids(k: &Kernel, view: &View) -> Vec<(simkernel::HostPid, u32)> {
-    let ns = viewer_ns(k, view);
-    let mut v = k.namespaces().pids_visible_from(ns.pid);
-    v.sort_by_key(|(_, nspid)| *nspid);
-    v
+/// The process a `/proc/<pid>` path names, with the pid its capture
+/// gives: the pid *as numbered in the reader's namespace*, resolved
+/// through that namespace's map. `None` when no such pid is visible
+/// there — the PID-namespace isolation working as intended.
+fn pid_arg(k: &Kernel, view: &View, caps: &[&str]) -> Option<(simkernel::HostPid, u32)> {
+    let ns_pid: u32 = arg(caps, 0)?;
+    let host_pid = k.namespaces().host_pid_of(viewer_ns(k, view).pid, ns_pid)?;
+    Some((host_pid, ns_pid))
 }
 
 /// `/proc/<pid>/status` for a pid *as numbered in the reader's namespace*.
 /// Returns `None` when the pid is not visible from this namespace — the
 /// PID-namespace isolation working as intended.
 pub fn pid_status(k: &Kernel, view: &View, caps: &[&str], out: &mut String) -> Option<()> {
-    let ns_pid: u32 = arg(caps, 0)?;
-    let (host_pid, _) = visible_pids(k, view)
-        .into_iter()
-        .find(|(_, p)| *p == ns_pid)?;
+    let (host_pid, ns_pid) = pid_arg(k, view, caps)?;
     let proc = k.process(host_pid)?;
     writeln!(
         out,
@@ -224,10 +223,7 @@ pub fn pid_status(k: &Kernel, view: &View, caps: &[&str], out: &mut String) -> O
 
 /// `/proc/<pid>/stat` (abridged to the fields consumers use).
 pub fn pid_stat(k: &Kernel, view: &View, caps: &[&str], out: &mut String) -> Option<()> {
-    let ns_pid: u32 = arg(caps, 0)?;
-    let (host_pid, _) = visible_pids(k, view)
-        .into_iter()
-        .find(|(_, p)| *p == ns_pid)?;
+    let (host_pid, ns_pid) = pid_arg(k, view, caps)?;
     let proc = k.process(host_pid)?;
     writeln!(
         out,
@@ -243,10 +239,7 @@ pub fn pid_stat(k: &Kernel, view: &View, caps: &[&str], out: &mut String) -> Opt
 
 /// `/proc/<pid>/io`: per-process IO accounting (pid-namespaced).
 pub fn pid_io(k: &Kernel, view: &View, caps: &[&str], out: &mut String) -> Option<()> {
-    let ns_pid: u32 = arg(caps, 0)?;
-    let (host_pid, _) = visible_pids(k, view)
-        .into_iter()
-        .find(|(_, p)| *p == ns_pid)?;
+    let (host_pid, _) = pid_arg(k, view, caps)?;
     let proc = k.process(host_pid)?;
     let (r, w) = proc.io_bytes();
     writeln!(
@@ -262,10 +255,7 @@ pub fn pid_io(k: &Kernel, view: &View, caps: &[&str], out: &mut String) -> Optio
 
 /// `/proc/<pid>/sched`: per-task scheduler statistics (pid-namespaced).
 pub fn pid_sched(k: &Kernel, view: &View, caps: &[&str], out: &mut String) -> Option<()> {
-    let ns_pid: u32 = arg(caps, 0)?;
-    let (host_pid, _) = visible_pids(k, view)
-        .into_iter()
-        .find(|(_, p)| *p == ns_pid)?;
+    let (host_pid, ns_pid) = pid_arg(k, view, caps)?;
     let proc = k.process(host_pid)?;
     writeln!(
         out,
@@ -299,10 +289,7 @@ pub fn mounts(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<(
 
 /// `/proc/<pid>/cmdline`.
 pub fn pid_cmdline(k: &Kernel, view: &View, caps: &[&str], out: &mut String) -> Option<()> {
-    let ns_pid: u32 = arg(caps, 0)?;
-    let (host_pid, _) = visible_pids(k, view)
-        .into_iter()
-        .find(|(_, p)| *p == ns_pid)?;
+    let (host_pid, _) = pid_arg(k, view, caps)?;
     write!(out, "{}\0", k.process(host_pid)?.name()).ok()
 }
 
@@ -326,19 +313,28 @@ mod tests {
         (k, View::host(), cv)
     }
 
+    /// The pids `view` sees, as its namespace numbers them, ascending.
+    fn visible(k: &Kernel, view: &View) -> Vec<u32> {
+        let mut pids: Vec<u32> = k
+            .namespaces()
+            .pids_in(viewer_ns(k, view).pid)
+            .map(|(_, p)| p)
+            .collect();
+        pids.sort_unstable();
+        pids
+    }
+
     #[test]
     fn pid_namespace_hides_host_processes() {
         let (k, host, cont) = setup();
-        let host_pids = visible_pids(&k, &host);
-        let cont_pids = visible_pids(&k, &cont);
+        let host_pids = visible(&k, &host);
         assert_eq!(host_pids.len(), 2);
-        assert_eq!(cont_pids.len(), 1);
-        assert_eq!(cont_pids[0].1, 1, "container init is pid 1");
+        assert_eq!(visible(&k, &cont), [1], "container init is pid 1");
         assert!(rendered(pid_status, &k, &cont, &["1"])
             .unwrap()
             .contains("Name:\tapp"));
         // The host daemon's pid is not resolvable inside the container.
-        let daemon_host_pid = host_pids[0].1;
+        let daemon_host_pid = host_pids[0];
         assert!(rendered(pid_status, &k, &cont, &[&daemon_host_pid.to_string()]).is_none());
     }
 
@@ -385,7 +381,7 @@ mod tests {
         assert!(sched.contains("se.sum_exec_runtime"));
         assert!(sched.starts_with("app (1,"));
         // Host pids are invisible through the container's lens.
-        let (_, host_daemon_pid) = visible_pids(&k, &host)[0];
+        let host_daemon_pid = visible(&k, &host)[0];
         assert!(rendered(pid_io, &k, &cont, &[&host_daemon_pid.to_string()]).is_none());
         assert!(rendered(pid_sched, &k, &cont, &["999"]).is_none());
     }

@@ -1,10 +1,13 @@
 //! Read contexts and masking policies.
 
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 use simkernel::process::CgroupMembership;
 use simkernel::NamespaceSet;
+
+use crate::fs;
 
 /// Who is performing the read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,9 +49,30 @@ pub struct MaskRule {
 ///
 /// The rules are shared: a clone (every container view of a cloud takes
 /// one) bumps a count instead of copying the rules and their patterns.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// So are the policy's verdicts on the listing's path families, decided
+/// at its first listing or count; the empty policy, which masks nothing,
+/// keeps none and allocates nothing. Two policies are equal, and print
+/// alike, when their rules are.
+#[derive(Clone, Default)]
 pub struct MaskPolicy {
     rules: Arc<[MaskRule]>,
+    families: Option<Arc<OnceLock<Box<[Reach]>>>>,
+}
+
+impl PartialEq for MaskPolicy {
+    fn eq(&self, other: &Self) -> bool {
+        self.rules == other.rules
+    }
+}
+
+impl Eq for MaskPolicy {}
+
+impl fmt::Debug for MaskPolicy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MaskPolicy")
+            .field("rules", &self.rules)
+            .finish()
+    }
 }
 
 impl MaskPolicy {
@@ -61,6 +85,7 @@ impl MaskPolicy {
     pub fn from_rules(rules: Vec<MaskRule>) -> Self {
         MaskPolicy {
             rules: rules.into(),
+            families: Some(Arc::default()),
         }
     }
 
@@ -95,6 +120,139 @@ impl MaskPolicy {
             .iter()
             .find(|r| glob_match(&r.pattern, path))
             .map(|r| r.action)
+    }
+
+    /// What the first rule that can match an instance of the path
+    /// family `template` does to the family (see [`glob_reach`] for the
+    /// template syntax). Rules that reach no instance are passed over,
+    /// as [`MaskPolicy::action_for`] passes over rules that miss, so
+    /// the verdict is sound: [`Reach::No`] means no rule matches any
+    /// instance, and [`Reach::All`] means the rule matches every
+    /// instance and no earlier rule matches any.
+    pub(crate) fn reach(&self, template: &str) -> Reach {
+        for r in self.rules.iter() {
+            match glob_reach(&r.pattern, template) {
+                Some(false) => {}
+                Some(true) => return Reach::All(r.action),
+                None => return Reach::Maybe,
+            }
+        }
+        Reach::No
+    }
+
+    /// [`MaskPolicy::reach`] for each of the listing's families, in
+    /// [`fs::families`] order: decided at the first call and kept for
+    /// every later one and every clone. The empty policy's table is
+    /// empty: a family past the table's end is [`Reach::No`].
+    pub(crate) fn family_reach(&self) -> &[Reach] {
+        match &self.families {
+            Some(table) => {
+                table.get_or_init(|| fs::families().map(|f| self.reach(f.template)).collect())
+            }
+            None => &[],
+        }
+    }
+}
+
+/// A mask policy's verdict on a whole path family: what
+/// [`MaskPolicy::action_for`] says for every one of its paths, when one
+/// answer holds for all of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reach {
+    /// No rule matches any path of the family.
+    No,
+    /// One rule is the first match of every path of the family.
+    All(MaskAction),
+    /// The answer may differ from path to path: ask per path.
+    Maybe,
+}
+
+/// What [`glob_match`] says of `pattern` for every path the family
+/// `template` stands for: `Some(verdict)` when it says the same of all
+/// of them, `None` when it may differ. A template is a path whose
+/// segments may hold `{…}` holes, each standing for any run of
+/// characters without a `/`; a template without holes is one path.
+///
+/// The walk mirrors [`glob_match`]'s segment by segment: a `**` decides
+/// there (the final one matches what remains, any other matches
+/// nothing), a pattern or template left over misses, a segment no
+/// instance matches decides a miss, and only a walk on which every
+/// segment matches every instance decides a match. Before it, a byte
+/// where the two literal prefixes differ decides a miss, as in
+/// [`glob_match`]'s prefix compare.
+pub(crate) fn glob_reach(pattern: &str, template: &str) -> Option<bool> {
+    let pattern = trim_slashes(pattern);
+    let template = trim_slashes(template);
+    if !template.contains('{') {
+        return Some(glob_match(pattern, template));
+    }
+    let (pb, tb) = (pattern.as_bytes(), template.as_bytes());
+    for (i, (&c, &t)) in pb.iter().zip(tb).enumerate() {
+        if c == b'*' || t == b'{' {
+            break;
+        }
+        if c != t {
+            return Some(false);
+        }
+        if c == b'/' && pb.get(i + 1) == Some(&b'/') {
+            break;
+        }
+    }
+    let mut pat = pattern.split('/');
+    let mut segs = template.split('/');
+    let mut all = true;
+    while let Some(p) = pat.next() {
+        if p == "**" {
+            return if pat.next().is_none() {
+                all.then_some(true)
+            } else {
+                Some(false)
+            };
+        }
+        match segs.next().map(|t| segment_reach(p, t)) {
+            None | Some(Some(false)) => return Some(false),
+            Some(Some(true)) => {}
+            Some(None) => all = false,
+        }
+    }
+    if segs.next().is_some() {
+        return Some(false);
+    }
+    all.then_some(true)
+}
+
+/// [`glob_reach`] for one pattern segment against one template segment.
+/// Every instance of a segment with holes starts with its text before
+/// the first hole and ends with its text after the last, so a literal
+/// that breaks either misses every instance. A `*` segment's text
+/// before its first `*` must begin the instance: it misses every
+/// instance when it disagrees with the template's leading text, and a
+/// single final `*` after text the leading text begins with matches
+/// every instance. Anything else may match some instances and not
+/// others.
+fn segment_reach(p: &str, t: &str) -> Option<bool> {
+    let Some((lead, holes)) = t.split_once('{') else {
+        return Some(segment_match(p, t));
+    };
+    match p.split_once('*') {
+        None if p.is_empty() => Some(true),
+        None => {
+            let trail = holes.rsplit_once('}').map_or("", |(_, trail)| trail);
+            if p.starts_with(lead) && p.ends_with(trail) {
+                None
+            } else {
+                Some(false)
+            }
+        }
+        Some((head, rest)) => {
+            if rest.is_empty() && lead.starts_with(head) {
+                Some(true)
+            } else if lead.starts_with(head) || head.starts_with(lead) {
+                None
+            } else {
+                Some(false)
+            }
+        }
     }
 }
 
@@ -302,6 +460,17 @@ impl View {
             self.policy.action_for(path)
         }
     }
+
+    /// The policy's verdicts on the listing's path families, in this
+    /// view (see [`MaskPolicy::family_reach`]). Host views are never
+    /// masked: their table is empty.
+    pub(crate) fn family_reach(&self) -> &[Reach] {
+        if self.is_host() {
+            &[]
+        } else {
+            self.policy.family_reach()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -344,6 +513,126 @@ mod tests {
         assert_eq!(p.action_for("/proc/cpuinfo"), Some(MaskAction::Partial));
         assert_eq!(p.action_for("/proc/stat"), Some(MaskAction::Deny));
         assert_eq!(p.action_for("/sys/foo"), None);
+    }
+
+    #[test]
+    fn family_verdicts_follow_the_glob_rule() {
+        const CPUFREQ: &str = "/sys/devices/system/cpu/cpu{0}/cpufreq/scaling_cur_freq";
+        const RAPL: &str = "/sys/class/powercap/intel-rapl:{0}/name";
+        const SUBDOMAIN: &str = "/sys/class/powercap/intel-rapl:{0}/intel-rapl:{0}:{1}/name";
+        const PID: &str = "/proc/{0}/status";
+        let cases: &[(&str, &str, Option<bool>)] = &[
+            ("/sys/class/powercap/**", RAPL, Some(true)),
+            // A prefix that stops mid-segment and `**` is one segment.
+            ("/sys/class/power**", RAPL, Some(false)),
+            ("/sys/class/powercap**", RAPL, Some(false)),
+            ("/sys/class/powercap/intel-rapl:0**", RAPL, Some(false)),
+            ("/sys/devices/system/cpu/cpu1/**", CPUFREQ, None),
+            (
+                "/sys/devices/system/cpu/cpu*/cpufreq/scaling_cur_freq",
+                CPUFREQ,
+                Some(true),
+            ),
+            (
+                "/sys/devices/system/cpu/cpu*/cpufreq/*",
+                CPUFREQ,
+                Some(true),
+            ),
+            (
+                "/sys/devices/system/cpu/cpu*/cpufreq/cpuinfo_max_freq",
+                CPUFREQ,
+                Some(false),
+            ),
+            // Too few segments, and too many.
+            ("/sys/devices/system/cpu/cpu*", CPUFREQ, Some(false)),
+            (
+                "/sys/devices/system/cpu/cpu*/cpufreq/scaling_cur_freq/*",
+                CPUFREQ,
+                Some(false),
+            ),
+            ("/sys/devices/system/cpu/c*", CPUFREQ, Some(false)),
+            ("/sys/devices/system/cpu/cpu1*", CPUFREQ, Some(false)),
+            ("/sys/devices/system/cpu/*/cpufreq/**", CPUFREQ, Some(true)),
+            (
+                "/sys/class/powercap/intel-rapl:*/intel-rapl:*/name",
+                SUBDOMAIN,
+                Some(true),
+            ),
+            (
+                "/sys/class/powercap/intel-rapl:0/intel-rapl:0:1/name",
+                SUBDOMAIN,
+                None,
+            ),
+            (
+                "/sys/class/powercap/intel-rapl:0/intel-rapl:1:*/name",
+                SUBDOMAIN,
+                None,
+            ),
+            (
+                "/sys/class/powercap/intel-rapl:*/dram:*/name",
+                SUBDOMAIN,
+                Some(false),
+            ),
+            ("/proc/*/status", PID, Some(true)),
+            ("//proc/*/status", PID, Some(true)),
+            ("proc/*/status", PID, Some(true)),
+            ("/proc//status", PID, Some(true)),
+            ("/proc/*/status/", PID, Some(false)),
+            ("/proc/1/status", PID, None),
+            ("/proc/1/stat", PID, Some(false)),
+            ("/proc/*1/status", PID, None),
+            ("/proc/stat", PID, Some(false)),
+            // A `**` that is not the final segment matches nothing.
+            ("/proc/**/status", PID, Some(false)),
+            ("/**", PID, Some(true)),
+            ("/**/**", PID, Some(false)),
+            ("", PID, Some(false)),
+            // A template without holes is one path.
+            ("/proc/*", "/proc/stat", Some(true)),
+            ("/proc/*", "/proc/sys/fs/file-nr", Some(false)),
+        ];
+        for &(pattern, template, want) in cases {
+            assert_eq!(
+                glob_reach(pattern, template),
+                want,
+                "{pattern} on {template}"
+            );
+            // A decided verdict holds for every instance.
+            if let Some(verdict) = want {
+                for (a, b) in [("0", "0"), ("1", "0"), ("12", "1"), ("sda1", "x")] {
+                    let path = template.replace("{0}", a).replace("{1}", b);
+                    assert_eq!(glob_match(pattern, &path), verdict, "{pattern} on {path}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_policy_decides_a_family_by_its_first_reaching_rule() {
+        const CPUFREQ: &str = "/sys/devices/system/cpu/cpu{0}/cpufreq/scaling_cur_freq";
+        let p = MaskPolicy::none()
+            .deny("/proc/stat")
+            .partial("/sys/devices/system/**")
+            .deny("/sys/devices/**");
+        assert_eq!(p.reach(CPUFREQ), Reach::All(MaskAction::Partial));
+        assert_eq!(p.reach("/proc/{0}/status"), Reach::No);
+        let p = MaskPolicy::none()
+            .deny("/sys/devices/system/cpu/cpu0/**")
+            .deny("/sys/**");
+        assert_eq!(p.reach(CPUFREQ), Reach::Maybe);
+        // The listing's verdicts are decided once and kept with the
+        // rules, for every clone.
+        let table = p.family_reach();
+        let decided: Vec<Reach> = fs::families().map(|f| p.reach(f.template)).collect();
+        assert_eq!(table, &decided[..]);
+        assert!(std::ptr::eq(p.clone().family_reach(), table));
+        assert!(table.contains(&Reach::Maybe) && table.contains(&Reach::No));
+        // The empty policy and host views need no table.
+        assert!(MaskPolicy::none().family_reach().is_empty());
+        assert!(View::host()
+            .with_policy(p.clone())
+            .family_reach()
+            .is_empty());
     }
 
     #[test]

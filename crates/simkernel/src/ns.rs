@@ -399,17 +399,38 @@ impl NamespaceRegistry {
 
     /// The pid of `host_pid` as seen from `pid_ns`, if visible there.
     pub fn pid_in_ns(&self, pid_ns: NsId, host_pid: HostPid) -> Option<u32> {
-        match self.get(pid_ns)? {
-            NamespaceData::Pid { map, .. } => map.get(&host_pid).copied(),
-            _ => None,
-        }
+        self.pid_map(pid_ns)?.get(&host_pid).copied()
     }
 
     /// All host pids visible from `pid_ns`, with their in-namespace pids.
     pub fn pids_visible_from(&self, pid_ns: NsId) -> Vec<(HostPid, u32)> {
-        match self.get(pid_ns) {
-            Some(NamespaceData::Pid { map, .. }) => map.iter().map(|(h, p)| (*h, *p)).collect(),
-            _ => Vec::new(),
+        self.pids_in(pid_ns).collect()
+    }
+
+    /// The host pids visible from `pid_ns` with their in-namespace pids,
+    /// in host-pid order, without collecting them.
+    pub fn pids_in(&self, pid_ns: NsId) -> impl Iterator<Item = (HostPid, u32)> + '_ {
+        self.pid_map(pid_ns)
+            .into_iter()
+            .flat_map(|map| map.iter().map(|(h, p)| (*h, *p)))
+    }
+
+    /// How many pids are visible from `pid_ns`.
+    pub fn pid_count(&self, pid_ns: NsId) -> usize {
+        self.pid_map(pid_ns).map_or(0, BTreeMap::len)
+    }
+
+    /// The host pid `pid_ns` numbers `ns_pid`, if one is visible there.
+    pub fn host_pid_of(&self, pid_ns: NsId, ns_pid: u32) -> Option<HostPid> {
+        self.pids_in(pid_ns)
+            .find(|&(_, p)| p == ns_pid)
+            .map(|(h, _)| h)
+    }
+
+    fn pid_map(&self, pid_ns: NsId) -> Option<&BTreeMap<HostPid, u32>> {
+        match self.get(pid_ns)? {
+            NamespaceData::Pid { map, .. } => Some(map),
+            _ => None,
         }
     }
 
@@ -650,6 +671,15 @@ mod tests {
             assert_eq!(inner, i + 1);
         }
         assert_eq!(reg.pids_visible_from(c.pid).len(), 5);
+        assert_eq!(reg.pid_count(c.pid), 5);
+        assert_eq!(reg.host_pid_of(c.pid, 3), Some(HostPid(2002)));
+        assert_eq!(reg.host_pid_of(c.pid, 6), None);
+        // The root namespace numbers a pid by its host pid.
+        let host = reg.host_set();
+        assert_eq!(reg.host_pid_of(host.pid, 2004), Some(HostPid(2004)));
+        // A namespace that is not a pid namespace shows no pids.
+        assert_eq!(reg.pid_count(c.uts), 0);
+        assert_eq!(reg.host_pid_of(c.uts, 1), None);
     }
 
     #[test]
