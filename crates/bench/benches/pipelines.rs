@@ -97,8 +97,8 @@ fn bench_route_resolve(c: &mut Criterion) {
 fn bench_pseudofs_cc5(c: &mut Criterion) {
     // One CC5 instance's pseudo files, under the profile with the most
     // mask rules. `pseudofs_list_cc5` lists them, then counts them: the
-    // mask decides most path families whole from their templates, so
-    // only the paths of a family some rule may split each pay a
+    // mask decides most routes whole from their templates, so only the
+    // paths of a route some rule may split each pay a
     // `glob_match` per rule, and the listing still formats every visible
     // path. The cross-validation walk lists twice.
     let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC5).hosts(1), 5);

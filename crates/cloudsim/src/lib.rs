@@ -741,8 +741,8 @@ impl Cloud {
 
     /// How many pseudo files are visible inside an instance: the length
     /// of [`Cloud::list_files`], without building the list. The count
-    /// goes by path family ([`PseudoFs::count`](pseudofs::PseudoFs::count)):
-    /// a family the instance's mask decides whole adds its size without
+    /// goes by route ([`PseudoFs::count`](pseudofs::PseudoFs::count)): a
+    /// route the instance's mask decides whole adds its size without
     /// a path formatted, so a call costs a few microseconds where a
     /// per-path walk formatted and mask-checked about 400 paths.
     ///

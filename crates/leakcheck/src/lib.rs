@@ -115,7 +115,7 @@ pub fn audit_at(root: &Path) -> Result<Report, String> {
             .get(r.handler)
             .ok_or_else(|| format!("`{}` not found in render sources", r.handler))?;
         channels.push(ChannelReport::new(
-            r.pattern,
+            &r.pattern(),
             r.handler,
             handler,
             dep_names(r.deps),
@@ -164,7 +164,7 @@ fn flow_report(facts: &BTreeMap<String, Facts>) -> Result<FlowReport, String> {
     let mut specs: Vec<flow::RouteSpec> = pseudofs::ROUTES
         .iter()
         .map(|r| flow::RouteSpec {
-            pattern: r.pattern.to_string(),
+            pattern: r.pattern(),
             handler: r.handler.to_string(),
             declared: r.deps,
         })

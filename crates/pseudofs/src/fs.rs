@@ -8,7 +8,7 @@ use simkernel::{dep, Kernel};
 
 use crate::error::FsError;
 use crate::faultfx;
-use crate::registry;
+use crate::registry::{self, Dim, Route};
 use crate::render::proc_pid;
 use crate::view::{MaskAction, Reach, View};
 
@@ -57,130 +57,6 @@ fn note_read(k: &Kernel, path: &str, bytes: usize) {
             },
         );
     }
-}
-
-/// A kernel dimension a path family's holes range over.
-#[derive(Debug, Clone, Copy)]
-enum Dim {
-    /// No hole: the dimension of one value.
-    One,
-    /// Online cpus.
-    Cpu,
-    /// Idle states, per cpu.
-    IdleState,
-    /// Block devices, by name.
-    Disk,
-    /// Thermal zones: one with a digital thermal sensor, else none.
-    ThermalZone,
-    /// Mounted ext4 partitions, by name.
-    Ext4Partition,
-    /// The pids the reader's pid namespace numbers.
-    Pid,
-    /// RAPL packages (none without RAPL).
-    RaplPackage,
-    /// RAPL subdomains (core and dram), per package.
-    RaplDomain,
-    /// Coretemp devices, one per package (none without the sensor).
-    CoretempPackage,
-    /// Coretemp sensors: the package's, then one per core.
-    CoretempSensor,
-    /// NUMA nodes.
-    NumaNode,
-}
-
-/// One path family: a template whose `{0}` and `{1}` holes take every
-/// value of its two dimensions, so its size and its paths come from one
-/// declaration. A mask policy decides a family whole from its template
-/// when it can (see `MaskPolicy::reach`).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Family {
-    pub(crate) template: &'static str,
-    dims: [Dim; 2],
-}
-
-const fn family(template: &'static str, dims: [Dim; 2]) -> Family {
-    Family { template, dims }
-}
-
-/// The parameterized families of the tree, one per leaf file, so that a
-/// mask naming a leaf decides its family whole. The exact routes are
-/// families of one path each.
-const FAMILIES: &[Family] = {
-    use Dim::*;
-    &[
-        family(
-            "/proc/sys/kernel/sched_domain/cpu{0}/domain0/max_newidle_lb_cost",
-            [Cpu, One],
-        ),
-        family(
-            "/sys/devices/system/cpu/cpu{0}/cpuidle/state{1}/name",
-            [Cpu, IdleState],
-        ),
-        family(
-            "/sys/devices/system/cpu/cpu{0}/cpuidle/state{1}/usage",
-            [Cpu, IdleState],
-        ),
-        family(
-            "/sys/devices/system/cpu/cpu{0}/cpuidle/state{1}/time",
-            [Cpu, IdleState],
-        ),
-        family(
-            "/sys/devices/system/cpu/cpu{0}/cpufreq/scaling_cur_freq",
-            [Cpu, One],
-        ),
-        family(
-            "/sys/devices/system/cpu/cpu{0}/cpufreq/cpuinfo_max_freq",
-            [Cpu, One],
-        ),
-        family("/sys/block/{0}/stat", [Disk, One]),
-        family(
-            "/sys/class/thermal/thermal_zone{0}/temp",
-            [ThermalZone, One],
-        ),
-        family("/proc/fs/ext4/{0}/mb_groups", [Ext4Partition, One]),
-        family("/proc/{0}/status", [Pid, One]),
-        family("/proc/{0}/stat", [Pid, One]),
-        family("/proc/{0}/cmdline", [Pid, One]),
-        family("/proc/{0}/io", [Pid, One]),
-        family("/proc/{0}/sched", [Pid, One]),
-        family(
-            "/sys/class/powercap/intel-rapl:{0}/name",
-            [RaplPackage, One],
-        ),
-        family(
-            "/sys/class/powercap/intel-rapl:{0}/energy_uj",
-            [RaplPackage, One],
-        ),
-        family(
-            "/sys/class/powercap/intel-rapl:{0}/max_energy_range_uj",
-            [RaplPackage, One],
-        ),
-        family(
-            "/sys/class/powercap/intel-rapl:{0}/intel-rapl:{0}:{1}/name",
-            [RaplPackage, RaplDomain],
-        ),
-        family(
-            "/sys/class/powercap/intel-rapl:{0}/intel-rapl:{0}:{1}/energy_uj",
-            [RaplPackage, RaplDomain],
-        ),
-        family(
-            "/sys/devices/platform/coretemp.{0}/hwmon/hwmon{0}/temp{1}_input",
-            [CoretempPackage, CoretempSensor],
-        ),
-        family("/sys/devices/system/node/node{0}/numastat", [NumaNode, One]),
-        family("/sys/devices/system/node/node{0}/vmstat", [NumaNode, One]),
-        family("/sys/devices/system/node/node{0}/meminfo", [NumaNode, One]),
-    ]
-};
-
-/// Every family of the tree, in the order of a policy's verdict table:
-/// the exact routes, one path each, then [`FAMILIES`].
-pub(crate) fn families() -> impl Iterator<Item = Family> {
-    registry::ROUTES
-        .iter()
-        .filter(|r| !r.pattern.contains('*'))
-        .map(|r| family(r.pattern, [Dim::One, Dim::One]))
-        .chain(FAMILIES.iter().copied())
 }
 
 /// The values one [`Dim`] takes on a kernel, in a view.
@@ -239,21 +115,24 @@ fn expand(out: &mut String, template: &str, values: [Value; 2]) {
     }
 }
 
+/// What [`enumerate`] hands each visible path to, with its route.
+pub(crate) type Visit<'a> = &'a mut dyn FnMut(&'static Route, &str);
+
 /// The one enumeration behind [`PseudoFs::list`] and
-/// [`PseudoFs::count`]: walks every family of the tree ([`families`]),
-/// its dimensions read from the kernel, and returns how many of its
-/// paths the view's mask leaves visible. With `visit`, it also formats
-/// each visible path into one reused buffer and hands it over, in
-/// generation order.
+/// [`PseudoFs::count`]: walks every route of the tree
+/// ([`registry::ROUTES`]), its template's dimensions read from the
+/// kernel, and returns how many of its paths the view's mask leaves
+/// visible. With `visit`, it also formats each visible path into one
+/// reused buffer and hands it over with its route, in generation order.
 ///
-/// The policy's verdict on a family, decided once per policy
-/// ([`View::family_reach`]), settles the family whole when it can: a
-/// family whose every path is denied is skipped, and one no rule
-/// denies is counted by its size (and for `visit`, formatted without a
-/// mask check). Only a family the verdict leaves open formats and
-/// mask-checks each path. Its name is the `(list)` row's handler in
-/// leakcheck's flow audit and committed report.
-fn enumerate(k: &Kernel, view: &View, mut visit: Option<&mut dyn FnMut(&str)>) -> usize {
+/// The policy's verdict on a route, decided once per policy
+/// ([`View::route_reach`]), settles the route whole when it can: a
+/// route whose every path is denied is skipped, and one no rule denies
+/// is counted by its size (and for `visit`, formatted without a mask
+/// check). Only a route the verdict leaves open formats and mask-checks
+/// each path. Its name is the `(list)` row's handler in leakcheck's
+/// flow audit and committed report.
+pub(crate) fn enumerate(k: &Kernel, view: &View, mut visit: Option<Visit<'_>>) -> usize {
     let coretemp = k.hw().has_coretemp();
     let rapl_packages = if k.rapl().is_present() {
         k.rapl().package_count()
@@ -282,29 +161,28 @@ fn enumerate(k: &Kernel, view: &View, mut visit: Option<&mut dyn FnMut(&str)>) -
         Dim::NumaNode => Axis::Range(0..k.mem().numa_nodes() as usize),
     };
 
-    let verdicts = view.family_reach();
     let mut n = 0;
     let mut buf = String::new();
-    for (i, fam) in families().enumerate() {
-        let check = match verdicts.get(i).copied().unwrap_or(Reach::No) {
+    for (route, reach) in registry::ROUTES.iter().zip(view.route_reach()) {
+        let check = match reach {
             Reach::All(MaskAction::Deny) => continue,
             Reach::No | Reach::All(MaskAction::Partial) => false,
             Reach::Maybe => true,
         };
-        let [a, b] = fam.dims.map(axis);
+        let [a, b] = route.dims.map(axis);
         if !check && visit.is_none() {
             n += a.len() * b.len();
             continue;
         }
         a.each(|x| {
             b.each(|y| {
-                expand(&mut buf, fam.template, [x, y]);
+                expand(&mut buf, route.template, [x, y]);
                 if check && view.mask_action(&buf) == Some(MaskAction::Deny) {
                     return;
                 }
                 n += 1;
                 if let Some(visit) = &mut visit {
-                    visit(&buf);
+                    visit(route, &buf);
                 }
             })
         });
@@ -324,9 +202,8 @@ impl PseudoFs {
     ///
     /// * [`FsError::PermissionDenied`] when the view's masking policy
     ///   denies the path (first-stage defense / cloud hardening).
-    /// * [`FsError::NotFound`] for paths no [`Route`](crate::Route)
-    ///   matches, absent hardware (no RAPL/DTS), or pids invisible to the
-    ///   reader.
+    /// * [`FsError::NotFound`] for paths no [`Route`] matches, absent
+    ///   hardware (no RAPL/DTS), or pids invisible to the reader.
     /// * [`FsError::Io`] / [`FsError::Truncated`] when the kernel's
     ///   installed fault plan has an active window covering this path —
     ///   transient: the same read can succeed once the window passes.
@@ -380,15 +257,15 @@ impl PseudoFs {
     /// recursive exploration step of the paper's detection framework:
     /// the exact routes' paths plus the parameterized ones the kernel's
     /// topology instantiates (cpus, disks, partitions, pids, RAPL
-    /// packages, NUMA nodes), one template per path family. Deny-masked
-    /// paths are excluded (they are unreadable in the cloud). A family
-    /// the policy denies whole is never formatted, and one it leaves
-    /// whole is formatted without a per-path mask check; only a family
-    /// some rule may split checks each path. [`PseudoFs::count`] walks
-    /// the same families and only counts them.
+    /// packages, NUMA nodes), one template per route. Deny-masked paths
+    /// are excluded (they are unreadable in the cloud). A route the
+    /// policy denies whole is never formatted, and one it leaves whole is
+    /// formatted without a per-path mask check; only a route some rule
+    /// may split checks each path. [`PseudoFs::count`] walks the same
+    /// routes and only counts them.
     pub fn list(&self, k: &Kernel, view: &View) -> Vec<String> {
         let mut paths = Vec::with_capacity(256);
-        enumerate(k, view, Some(&mut |p: &str| paths.push(p.to_string())));
+        enumerate(k, view, Some(&mut |_, p: &str| paths.push(p.to_string())));
         // Equal `String`s are indistinguishable, so the unstable sort
         // leaves the order a stable one would.
         paths.sort_unstable();
@@ -396,36 +273,15 @@ impl PseudoFs {
     }
 
     /// How many paths [`PseudoFs::list`] would return, without
-    /// allocating them. A family the view's policy decides whole (no
-    /// path of it denied, or every one) adds its size, the product of
-    /// its dimensions read from the kernel, without formatting a path;
-    /// only a family some rule may split is formatted and mask-checked
-    /// path by path. The verdicts are decided at a policy's first count
+    /// allocating them. A route the view's policy decides whole (no path
+    /// of it denied, or every one) adds its size, the product of its
+    /// dimensions read from the kernel, without formatting a path; only
+    /// a route some rule may split is formatted and mask-checked path by
+    /// path. The verdicts are decided at a policy's first count
     /// or listing and shared by its clones, so a cloud's container views
     /// decide them once.
     pub fn count(&self, k: &Kernel, view: &View) -> usize {
         enumerate(k, view, None)
-    }
-
-    /// Lists the immediate children of `dir` in this view — what `ls`
-    /// inside the container would show. Directories appear with a
-    /// trailing `/`.
-    pub fn list_dir(&self, k: &Kernel, view: &View, dir: &str) -> Vec<String> {
-        let prefix = format!("{}/", dir.trim_end_matches('/'));
-        let mut out: Vec<String> = self
-            .list(k, view)
-            .into_iter()
-            .filter_map(|p| {
-                let rest = p.strip_prefix(&prefix)?;
-                Some(match rest.split_once('/') {
-                    Some((child, _)) => format!("{child}/"),
-                    None => rest.to_string(),
-                })
-            })
-            .collect();
-        out.sort();
-        out.dedup();
-        out
     }
 }
 
@@ -447,7 +303,7 @@ mod tests {
         k
     }
 
-    /// The enumerator before path families, kept as the oracle the
+    /// The enumerator before route templates, kept as the oracle the
     /// differential tests hold `list` and `count` to: it formats every
     /// candidate path and applies the mask to each, in generation order.
     fn enumerate_reference(k: &Kernel, view: &View, mut visit: impl FnMut(&str)) {
@@ -460,8 +316,11 @@ mod tests {
             }
         };
 
-        for r in registry::ROUTES.iter().filter(|r| !r.pattern.contains('*')) {
-            emit(format_args!("{}", r.pattern));
+        for r in registry::ROUTES
+            .iter()
+            .filter(|r| !r.template.contains('{'))
+        {
+            emit(format_args!("{}", r.template));
         }
         let ncpus = k.config().cpus as usize;
         for c in 0..ncpus {
@@ -843,27 +702,6 @@ mod tests {
             .filter(|p| p.ends_with("/cmdline"))
             .count();
         assert_eq!(cont_pid_dirs, 1, "container sees only its own");
-    }
-
-    #[test]
-    fn list_dir_shows_children_with_directory_markers() {
-        let k = kernel();
-        let fs = PseudoFs::new();
-        let v = View::host();
-        let proc_root = fs.list_dir(&k, &v, "/proc");
-        assert!(proc_root.contains(&"uptime".to_string()));
-        assert!(proc_root.contains(&"sys/".to_string()));
-        assert!(
-            proc_root.contains(&"1/".to_string()) || proc_root.iter().any(|e| e.ends_with('/'))
-        );
-        let random = fs.list_dir(&k, &v, "/proc/sys/kernel/random");
-        assert_eq!(random, vec!["boot_id", "entropy_avail", "uuid"]);
-        assert!(fs.list_dir(&k, &v, "/nonexistent").is_empty());
-        // Trailing slash tolerated.
-        assert_eq!(
-            fs.list_dir(&k, &v, "/proc/sys/fs/"),
-            vec!["dentry-state", "file-nr", "inode-nr"]
-        );
     }
 
     #[test]

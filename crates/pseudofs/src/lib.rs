@@ -12,7 +12,8 @@
 //!   namespace set, cgroup membership, and a cloud provider's
 //!   [`MaskPolicy`].
 //! * [`ROUTES`] is the one description of the tree: each [`Route`] pairs a
-//!   path glob with its handler and the subsystems it reads.
+//!   path template (`/proc/{0}/status`) and the kernel dimensions its
+//!   holes range over with its handler and the subsystems it reads.
 //!   [`PseudoFs::read`] resolves a path to its route and runs the handler;
 //!   a path no route matches does not exist. Handlers for the
 //!   channels in the paper's Table I deliberately ignore the view's
@@ -20,13 +21,12 @@
 //!   `/proc/self/status`, `/proc/net/dev`, or `/proc/sys/kernel/hostname`
 //!   are properly namespaced — giving the cross-validation detector both
 //!   classes to discriminate.
-//! * [`PseudoFs::list`] enumerates every readable path for a view (the
-//!   exact routes plus the parameterized ones the kernel's topology
-//!   instantiates), which is what the paper's recursive-exploration tool
-//!   walks. The parameterized paths come in families, one template each
-//!   (`/proc/{0}/status`), and [`PseudoFs::count`] counts a family the
-//!   view's policy decides whole by its size, without formatting a path,
-//!   for callers that need only how many there are.
+//! * [`PseudoFs::list`] enumerates every readable path for a view, each
+//!   route's template instantiated over its dimensions as the kernel's
+//!   topology has them, which is what the paper's recursive-exploration
+//!   tool walks. [`PseudoFs::count`] counts a route the view's policy
+//!   decides whole by its size, without formatting a path, for callers
+//!   that need only how many there are.
 //!
 //! # Example
 //!

@@ -1,8 +1,9 @@
 //! The route table: the one description of the modeled tree.
 //!
-//! One [`Route`] per channel names the glob it serves, a concrete probe
-//! path, its renderer, and the subsystem dependency mask whose dirty
-//! epochs advance whenever the rendered bytes can change. The `route!` macro takes the renderer's
+//! One [`Route`] per channel declares the paths it serves, as a template
+//! and the kernel dimensions its holes range over, its renderer, and the
+//! subsystem dependency mask whose dirty epochs advance whenever the
+//! rendered bytes can change. The `route!` macro takes the renderer's
 //! `module::function` name (relative to [`crate::render`]) and its
 //! function pointer from one path, so the name tooling audits is the
 //! function that runs.
@@ -11,37 +12,73 @@
 //!
 //! * [`PseudoFs`](crate::PseudoFs) resolves every read through
 //!   [`route_for`]'s resolver and runs the route's renderer; a path no
-//!   route matches does not exist. Its listing takes the exact (`*`-free) patterns as paths;
+//!   route matches does not exist. Its listing and count instantiate
+//!   each route's template over its dimensions, and a mask policy judges
+//!   each route whole from its template;
 //! * the `leakcheck` static auditor resolves each route's handler to its
 //!   source, classifies the channel's namespace behavior, and checks that
 //!   the declared `deps` cover every kernel accessor the handler reads;
-//! * tests walk [`ROUTES`] to assert every probe renders and every listed
-//!   path is routable.
+//! * tests walk [`ROUTES`] to assert every route lists an instance, and
+//!   every listed path routes back to the route that listed it and
+//!   renders.
 
 use std::sync::OnceLock;
 
 use simkernel::{dep, Kernel};
 
 use crate::render;
-use crate::view::View;
+use crate::view::{MaskPolicy, Reach, View};
 
 /// A route's renderer. It writes the file as `view` sees it into `out`,
-/// given the text each `*` of the route's pattern matched, in order, and
-/// returns `None` when the path names nothing in this view (absent
-/// hardware, an invisible pid, a capture that is not an index).
+/// given, in order, the text each holed segment of the route's template
+/// matched between the segment's text before its first hole and after
+/// its last (see [`Route::pattern`]), and returns `None` when the path
+/// names nothing in this view (absent hardware, an invisible pid, a
+/// capture that is not an index).
 pub type Render = fn(&Kernel, &View, &[&str], &mut String) -> Option<()>;
+
+/// A kernel dimension a route template's holes range over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dim {
+    /// No hole: the dimension of one value.
+    One,
+    /// Online cpus.
+    Cpu,
+    /// Idle states, per cpu.
+    IdleState,
+    /// Block devices, by name.
+    Disk,
+    /// Thermal zones: one with a digital thermal sensor, else none.
+    ThermalZone,
+    /// Mounted ext4 partitions, by name.
+    Ext4Partition,
+    /// The pids the reader's pid namespace numbers.
+    Pid,
+    /// RAPL packages (none without RAPL).
+    RaplPackage,
+    /// RAPL subdomains (core and dram), per package.
+    RaplDomain,
+    /// Coretemp devices, one per package (none without the sensor).
+    CoretempPackage,
+    /// Coretemp sensors: the package's, then one per core.
+    CoretempSensor,
+    /// NUMA nodes.
+    NumaNode,
+}
 
 /// One channel of the modeled tree, as data.
 #[derive(Debug, Clone, Copy)]
 pub struct Route {
-    /// Glob over absolute paths served by this route, in
-    /// [`glob_match`](crate::glob_match) syntax with at most one `*` per
-    /// segment and no `**`.
-    pub pattern: &'static str,
-    /// A concrete path matching `pattern` that renders on the default
-    /// testbed machine (pid routes assume a container whose init is
-    /// visible as pid 1).
-    pub probe: &'static str,
+    /// The absolute paths this route serves: a path whose segments may
+    /// hold `{0}` and `{1}` holes, each taking every value of its
+    /// dimension, so the route's paths and their number come from one
+    /// declaration. A template without holes is one path. A segment
+    /// may hold both holes (`intel-rapl:{0}:{1}`); the resolver captures
+    /// the segment's run from its first hole to its last as one.
+    pub template: &'static str,
+    /// The dimensions the `{0}` and `{1}` holes range over, in order;
+    /// [`Dim::One`] for a hole the template lacks.
+    pub dims: [Dim; 2],
     /// Handler function as `module::function`, relative to
     /// [`crate::render`]: the function `render` points at.
     pub handler: &'static str,
@@ -55,178 +92,146 @@ pub struct Route {
     pub deps: u32,
 }
 
-/// Routes are compared by pattern, which is unique in [`ROUTES`]
+impl Route {
+    /// The glob over absolute paths this route serves, in
+    /// [`glob_match`](crate::glob_match) syntax: the template with each
+    /// holed segment read as its text before the first hole, a `*`, and
+    /// its text after the last, so `intel-rapl:{0}:{1}` reads as
+    /// `intel-rapl:*`.
+    pub fn pattern(&self) -> String {
+        let mut glob = String::with_capacity(self.template.len());
+        for (i, seg) in self.template.split('/').enumerate() {
+            if i > 0 {
+                glob.push('/');
+            }
+            match lead_trail(seg) {
+                Some((lead, trail)) => {
+                    glob.push_str(lead);
+                    glob.push('*');
+                    glob.push_str(trail);
+                }
+                None => glob.push_str(seg),
+            }
+        }
+        glob
+    }
+}
+
+/// Routes are compared by template, which is unique in [`ROUTES`]
 /// (function pointers have no meaningful equality).
 impl PartialEq for Route {
     fn eq(&self, other: &Self) -> bool {
-        self.pattern == other.pattern
+        self.template == other.template
     }
 }
 
 impl Eq for Route {}
 
+/// The text of a template segment before its first hole and after its
+/// last, or `None` for a segment without holes. Every instance of a
+/// holed segment starts with the one and ends with the other; the
+/// resolver matches the segment as the glob `lead*trail`.
+pub(crate) fn lead_trail(segment: &str) -> Option<(&str, &str)> {
+    let (lead, holes) = segment.split_once('{')?;
+    let trail = holes.rsplit_once('}').map_or("", |(_, trail)| trail);
+    Some((lead, trail))
+}
+
 /// One [`Route`], its handler name and renderer taken from one
-/// `module::function` path under [`crate::render`].
+/// `module::function` path under [`crate::render`]. An exact route
+/// omits its dimensions.
 macro_rules! route {
-    ($pattern:literal, $probe:literal, $module:ident::$func:ident, $deps:expr $(,)?) => {
+    ($template:literal, [$d0:ident, $d1:ident], $module:ident::$func:ident, $deps:expr $(,)?) => {
         Route {
-            pattern: $pattern,
-            probe: $probe,
+            template: $template,
+            dims: [Dim::$d0, Dim::$d1],
             handler: concat!(stringify!($module), "::", stringify!($func)),
             render: render::$module::$func,
             deps: $deps,
         }
     };
+    ($template:literal, $module:ident::$func:ident, $deps:expr $(,)?) => {
+        route!($template, [One, One], $module::$func, $deps)
+    };
 }
 
-/// Every channel of the modeled tree, exact patterns before globs
-/// (lookup is first-match-wins).
+/// Every channel of the modeled tree, exact templates before holed ones
+/// (lookup is first-match-wins, so `/proc/self/status` shadows
+/// `/proc/{0}/status`).
 pub const ROUTES: &[Route] = &[
     // ---- exact /proc arms ----
+    route!("/proc/cpuinfo", proc_basic::cpuinfo, dep::HW),
     route!(
-        "/proc/cpuinfo",
-        "/proc/cpuinfo",
-        proc_basic::cpuinfo,
-        dep::HW,
-    ),
-    route!(
-        "/proc/meminfo",
         "/proc/meminfo",
         proc_basic::meminfo,
         dep::MEM | dep::PROCESS | dep::CGROUP,
     ),
     route!(
         "/proc/stat",
-        "/proc/stat",
         proc_basic::stat,
         dep::CLOCK | dep::SCHED | dep::IRQ | dep::PROCESS,
     ),
+    route!("/proc/uptime", proc_basic::uptime, dep::CLOCK | dep::SCHED),
+    route!("/proc/version", proc_basic::version, 0),
     route!(
-        "/proc/uptime",
-        "/proc/uptime",
-        proc_basic::uptime,
-        dep::CLOCK | dep::SCHED,
-    ),
-    route!("/proc/version", "/proc/version", proc_basic::version, 0),
-    route!(
-        "/proc/loadavg",
         "/proc/loadavg",
         proc_basic::loadavg,
         dep::SCHED | dep::PROCESS,
     ),
+    route!("/proc/interrupts", proc_irq::interrupts, dep::IRQ),
+    route!("/proc/softirqs", proc_irq::softirqs, dep::IRQ),
+    route!("/proc/schedstat", proc_sched::schedstat, dep::SCHED),
     route!(
-        "/proc/interrupts",
-        "/proc/interrupts",
-        proc_irq::interrupts,
-        dep::IRQ,
-    ),
-    route!(
-        "/proc/softirqs",
-        "/proc/softirqs",
-        proc_irq::softirqs,
-        dep::IRQ,
-    ),
-    route!(
-        "/proc/schedstat",
-        "/proc/schedstat",
-        proc_sched::schedstat,
-        dep::SCHED,
-    ),
-    route!(
-        "/proc/sched_debug",
         "/proc/sched_debug",
         proc_sched::sched_debug,
         dep::CLOCK | dep::SCHED | dep::PROCESS,
     ),
     route!(
         "/proc/timer_list",
-        "/proc/timer_list",
         proc_sched::timer_list,
         dep::CLOCK | dep::TIMERS,
     ),
-    route!("/proc/locks", "/proc/locks", proc_sched::locks, dep::FS),
-    route!("/proc/modules", "/proc/modules", proc_misc::modules, 0),
+    route!("/proc/locks", proc_sched::locks, dep::FS),
+    route!("/proc/modules", proc_misc::modules, 0),
+    route!("/proc/zoneinfo", proc_misc::zoneinfo, dep::MEM),
+    route!("/proc/diskstats", proc_misc::diskstats, dep::STATS),
     route!(
-        "/proc/zoneinfo",
-        "/proc/zoneinfo",
-        proc_misc::zoneinfo,
-        dep::MEM,
-    ),
-    route!(
-        "/proc/diskstats",
-        "/proc/diskstats",
-        proc_misc::diskstats,
-        dep::STATS,
-    ),
-    route!(
-        "/proc/sys/fs/dentry-state",
         "/proc/sys/fs/dentry-state",
         proc_kernel::dentry_state,
         dep::FS,
     ),
+    route!("/proc/sys/fs/inode-nr", proc_kernel::inode_nr, dep::FS),
+    route!("/proc/sys/fs/file-nr", proc_kernel::file_nr, dep::FS),
     route!(
-        "/proc/sys/fs/inode-nr",
-        "/proc/sys/fs/inode-nr",
-        proc_kernel::inode_nr,
-        dep::FS,
-    ),
-    route!(
-        "/proc/sys/fs/file-nr",
-        "/proc/sys/fs/file-nr",
-        proc_kernel::file_nr,
-        dep::FS,
-    ),
-    route!(
-        "/proc/sys/kernel/random/boot_id",
         "/proc/sys/kernel/random/boot_id",
         proc_kernel::boot_id,
         dep::FS,
     ),
     route!(
         "/proc/sys/kernel/random/entropy_avail",
-        "/proc/sys/kernel/random/entropy_avail",
         proc_kernel::entropy_avail,
         dep::FS,
     ),
     route!(
         "/proc/sys/kernel/random/uuid",
-        "/proc/sys/kernel/random/uuid",
         proc_kernel::uuid,
         dep::CLOCK | dep::FS,
     ),
+    route!("/proc/sys/kernel/hostname", proc_kernel::hostname, dep::NS),
+    route!("/proc/sys/kernel/osrelease", proc_kernel::osrelease, 0),
+    route!("/proc/self/status", proc_pid::self_status, dep::NS),
     route!(
-        "/proc/sys/kernel/hostname",
-        "/proc/sys/kernel/hostname",
-        proc_kernel::hostname,
-        dep::NS,
-    ),
-    route!(
-        "/proc/sys/kernel/osrelease",
-        "/proc/sys/kernel/osrelease",
-        proc_kernel::osrelease,
-        0,
-    ),
-    route!(
-        "/proc/self/status",
-        "/proc/self/status",
-        proc_pid::self_status,
-        dep::NS,
-    ),
-    route!(
-        "/proc/self/cgroup",
         "/proc/self/cgroup",
         proc_pid::self_cgroup,
         dep::NS | dep::CGROUP,
     ),
     route!(
         "/proc/net/dev",
-        "/proc/net/dev",
         proc_pid::net_dev,
         dep::CLOCK | dep::NET | dep::NS,
     ),
-    route!("/proc/mounts", "/proc/mounts", proc_pid::mounts, dep::NS),
+    route!("/proc/mounts", proc_pid::mounts, dep::NS),
     route!(
-        "/proc/net/snmp",
         "/proc/net/snmp",
         proc_pid::net_snmp,
         // Synthetic counters: scale with uptime and salt on the net
@@ -235,268 +240,224 @@ pub const ROUTES: &[Route] = &[
     ),
     route!(
         "/proc/net/tcp",
-        "/proc/net/tcp",
         proc_pid::net_tcp,
         // Rows are derived from the visible process table (ports hash
         // the pid); no `k.net()` device state reaches the bytes.
         dep::NS | dep::PROCESS,
     ),
+    route!("/proc/sys/kernel/pid_max", proc_kernel::pid_max, 0),
     route!(
-        "/proc/sys/kernel/pid_max",
-        "/proc/sys/kernel/pid_max",
-        proc_kernel::pid_max,
-        0,
-    ),
-    route!(
-        "/proc/sys/kernel/threads-max",
         "/proc/sys/kernel/threads-max",
         proc_kernel::threads_max,
         dep::MEM,
     ),
     route!(
         "/proc/sys/vm/overcommit_memory",
-        "/proc/sys/vm/overcommit_memory",
         proc_kernel::overcommit_memory,
         0,
     ),
+    route!("/proc/sys/vm/swappiness", proc_kernel::swappiness, 0),
+    route!("/proc/vmstat", proc_vm::vmstat, dep::MEM),
     route!(
-        "/proc/sys/vm/swappiness",
-        "/proc/sys/vm/swappiness",
-        proc_kernel::swappiness,
-        0,
-    ),
-    route!("/proc/vmstat", "/proc/vmstat", proc_vm::vmstat, dep::MEM),
-    route!(
-        "/proc/slabinfo",
         "/proc/slabinfo",
         proc_vm::slabinfo,
         dep::MEM | dep::FS | dep::PROCESS,
     ),
-    route!(
-        "/proc/buddyinfo",
-        "/proc/buddyinfo",
-        proc_vm::buddyinfo,
-        dep::MEM,
-    ),
-    route!("/proc/swaps", "/proc/swaps", proc_vm::swaps, dep::MEM),
-    route!(
-        "/proc/partitions",
-        "/proc/partitions",
-        proc_vm::partitions,
-        0,
-    ),
-    route!(
-        "/proc/filesystems",
-        "/proc/filesystems",
-        proc_vm::filesystems,
-        0,
-    ),
-    route!(
-        "/proc/cgroups",
-        "/proc/cgroups",
-        proc_vm::cgroups,
-        dep::CGROUP,
-    ),
+    route!("/proc/buddyinfo", proc_vm::buddyinfo, dep::MEM),
+    route!("/proc/swaps", proc_vm::swaps, dep::MEM),
+    route!("/proc/partitions", proc_vm::partitions, 0),
+    route!("/proc/filesystems", proc_vm::filesystems, 0),
+    route!("/proc/cgroups", proc_vm::cgroups, dep::CGROUP),
     // ---- exact /sys arms ----
+    route!("/sys/devices/system/cpu/online", sys_power::cpu_online, 0),
     route!(
-        "/sys/devices/system/cpu/online",
-        "/sys/devices/system/cpu/online",
-        sys_power::cpu_online,
-        0,
-    ),
-    route!(
-        "/sys/fs/cgroup/net_prio/net_prio.ifpriomap",
         "/sys/fs/cgroup/net_prio/net_prio.ifpriomap",
         sys_cgroup::ifpriomap,
         dep::NET | dep::CGROUP,
     ),
     route!(
         "/sys/fs/cgroup/net_prio/net_prio.prioidx",
-        "/sys/fs/cgroup/net_prio/net_prio.prioidx",
         sys_cgroup::prioidx,
         dep::CGROUP,
     ),
     route!(
-        "/sys/fs/cgroup/cpuacct/cpuacct.usage",
         "/sys/fs/cgroup/cpuacct/cpuacct.usage",
         sys_cgroup::cpuacct_usage,
         dep::CGROUP,
     ),
     route!(
         "/sys/fs/cgroup/cpuacct/cpuacct.usage_percpu",
-        "/sys/fs/cgroup/cpuacct/cpuacct.usage_percpu",
         sys_cgroup::cpuacct_usage_percpu,
         dep::CGROUP,
     ),
     route!(
-        "/sys/fs/cgroup/memory/memory.usage_in_bytes",
         "/sys/fs/cgroup/memory/memory.usage_in_bytes",
         sys_cgroup::memory_usage,
         dep::CGROUP,
     ),
     route!(
         "/sys/fs/cgroup/memory/memory.max_usage_in_bytes",
-        "/sys/fs/cgroup/memory/memory.max_usage_in_bytes",
         sys_cgroup::memory_max_usage,
         dep::CGROUP,
     ),
-    // ---- parameterized arms (segment globs) ----
+    // ---- parameterized arms (holed templates) ----
     route!(
-        "/proc/sys/kernel/sched_domain/cpu*/domain0/max_newidle_lb_cost",
-        "/proc/sys/kernel/sched_domain/cpu0/domain0/max_newidle_lb_cost",
+        "/proc/sys/kernel/sched_domain/cpu{0}/domain0/max_newidle_lb_cost",
+        [Cpu, One],
         proc_kernel::max_newidle_lb_cost,
         dep::SCHED,
     ),
     route!(
-        "/proc/fs/ext4/*/mb_groups",
-        "/proc/fs/ext4/sda1/mb_groups",
+        "/proc/fs/ext4/{0}/mb_groups",
+        [Ext4Partition, One],
         proc_misc::mb_groups,
         dep::FS,
     ),
     route!(
-        "/proc/*/status",
-        "/proc/1/status",
+        "/proc/{0}/status",
+        [Pid, One],
         proc_pid::pid_status,
         dep::NS | dep::PROCESS,
     ),
     route!(
-        "/proc/*/stat",
-        "/proc/1/stat",
+        "/proc/{0}/stat",
+        [Pid, One],
         proc_pid::pid_stat,
         dep::NS | dep::PROCESS,
     ),
     route!(
-        "/proc/*/cmdline",
-        "/proc/1/cmdline",
+        "/proc/{0}/cmdline",
+        [Pid, One],
         proc_pid::pid_cmdline,
         dep::NS | dep::PROCESS,
     ),
     route!(
-        "/proc/*/io",
-        "/proc/1/io",
+        "/proc/{0}/io",
+        [Pid, One],
         proc_pid::pid_io,
         dep::NS | dep::PROCESS,
     ),
     route!(
-        "/proc/*/sched",
-        "/proc/1/sched",
+        "/proc/{0}/sched",
+        [Pid, One],
         proc_pid::pid_sched,
         // cpu_time/vruntime only move under mutations that bump
         // PROCESS; an idle clock advance leaves the bytes unchanged.
         dep::NS | dep::PROCESS,
     ),
     route!(
-        "/sys/block/*/stat",
-        "/sys/block/sda/stat",
+        "/sys/block/{0}/stat",
+        [Disk, One],
         sys_power::block_stat,
         dep::STATS,
     ),
     route!(
-        "/sys/class/thermal/thermal_zone*/temp",
-        "/sys/class/thermal/thermal_zone0/temp",
+        "/sys/class/thermal/thermal_zone{0}/temp",
+        [ThermalZone, One],
         sys_power::thermal_zone_temp,
         dep::HW,
     ),
     route!(
-        "/sys/devices/system/cpu/cpu*/cpufreq/scaling_cur_freq",
-        "/sys/devices/system/cpu/cpu0/cpufreq/scaling_cur_freq",
+        "/sys/devices/system/cpu/cpu{0}/cpufreq/scaling_cur_freq",
+        [Cpu, One],
         sys_power::cpufreq_cur,
         dep::HW,
     ),
     route!(
-        "/sys/devices/system/cpu/cpu*/cpufreq/cpuinfo_max_freq",
-        "/sys/devices/system/cpu/cpu0/cpufreq/cpuinfo_max_freq",
+        "/sys/devices/system/cpu/cpu{0}/cpufreq/cpuinfo_max_freq",
+        [Cpu, One],
         sys_power::cpufreq_max,
         dep::HW,
     ),
     route!(
-        "/sys/devices/system/cpu/cpu*/cpuidle/state*/name",
-        "/sys/devices/system/cpu/cpu0/cpuidle/state0/name",
+        "/sys/devices/system/cpu/cpu{0}/cpuidle/state{1}/name",
+        [Cpu, IdleState],
         sys_power::cpuidle_name,
         dep::HW,
     ),
     route!(
-        "/sys/devices/system/cpu/cpu*/cpuidle/state*/usage",
-        "/sys/devices/system/cpu/cpu0/cpuidle/state0/usage",
+        "/sys/devices/system/cpu/cpu{0}/cpuidle/state{1}/usage",
+        [Cpu, IdleState],
         sys_power::cpuidle_usage,
         dep::HW,
     ),
     route!(
-        "/sys/devices/system/cpu/cpu*/cpuidle/state*/time",
-        "/sys/devices/system/cpu/cpu0/cpuidle/state0/time",
+        "/sys/devices/system/cpu/cpu{0}/cpuidle/state{1}/time",
+        [Cpu, IdleState],
         sys_power::cpuidle_time,
         dep::HW,
     ),
     route!(
-        "/sys/class/powercap/intel-rapl:*/name",
-        "/sys/class/powercap/intel-rapl:0/name",
+        "/sys/class/powercap/intel-rapl:{0}/name",
+        [RaplPackage, One],
         sys_power::rapl_name,
         dep::HW,
     ),
     route!(
-        "/sys/class/powercap/intel-rapl:*/energy_uj",
-        "/sys/class/powercap/intel-rapl:0/energy_uj",
+        "/sys/class/powercap/intel-rapl:{0}/energy_uj",
+        [RaplPackage, One],
         sys_power::rapl_package_energy,
         dep::HW,
     ),
     route!(
-        "/sys/class/powercap/intel-rapl:*/max_energy_range_uj",
-        "/sys/class/powercap/intel-rapl:0/max_energy_range_uj",
+        "/sys/class/powercap/intel-rapl:{0}/max_energy_range_uj",
+        [RaplPackage, One],
         sys_power::rapl_max_range,
         dep::HW,
     ),
     route!(
-        "/sys/class/powercap/intel-rapl:*/intel-rapl:*/name",
-        "/sys/class/powercap/intel-rapl:0/intel-rapl:0:0/name",
+        "/sys/class/powercap/intel-rapl:{0}/intel-rapl:{0}:{1}/name",
+        [RaplPackage, RaplDomain],
         sys_power::rapl_subdomain_name,
         dep::HW,
     ),
     route!(
-        "/sys/class/powercap/intel-rapl:*/intel-rapl:*/energy_uj",
-        "/sys/class/powercap/intel-rapl:0/intel-rapl:0:0/energy_uj",
+        "/sys/class/powercap/intel-rapl:{0}/intel-rapl:{0}:{1}/energy_uj",
+        [RaplPackage, RaplDomain],
         sys_power::rapl_subdomain_energy,
         dep::HW,
     ),
     route!(
-        "/sys/devices/platform/coretemp.*/hwmon/hwmon*/temp*_input",
-        "/sys/devices/platform/coretemp.0/hwmon/hwmon0/temp1_input",
+        "/sys/devices/platform/coretemp.{0}/hwmon/hwmon{0}/temp{1}_input",
+        [CoretempPackage, CoretempSensor],
         sys_power::coretemp,
         dep::HW,
     ),
     route!(
-        "/sys/devices/system/node/node*/numastat",
-        "/sys/devices/system/node/node0/numastat",
+        "/sys/devices/system/node/node{0}/numastat",
+        [NumaNode, One],
         sys_node::numastat,
         dep::MEM,
     ),
     route!(
-        "/sys/devices/system/node/node*/vmstat",
-        "/sys/devices/system/node/node0/vmstat",
+        "/sys/devices/system/node/node{0}/vmstat",
+        [NumaNode, One],
         sys_node::vmstat,
         dep::MEM,
     ),
     route!(
-        "/sys/devices/system/node/node*/meminfo",
-        "/sys/devices/system/node/node0/meminfo",
+        "/sys/devices/system/node/node{0}/meminfo",
+        [NumaNode, One],
         sys_node::node_meminfo,
         dep::MEM,
     ),
 ];
 
-/// Most `/`-separated segments in a route pattern; deeper paths route
+/// Most `/`-separated segments in a route template; deeper paths route
 /// nowhere.
 const MAX_SEGMENTS: usize = 8;
 
-/// Most `*`s in one route pattern.
+/// Most holed segments in one route template.
 const MAX_CAPTURES: usize = 3;
 
-/// One segment of a route pattern, split once.
+/// One segment of a route template, split once.
 #[derive(Debug)]
 enum Segment {
     /// Matches itself only.
     Literal(&'static str),
-    /// `prefix*suffix`, matched by [`glob_match`](crate::glob_match)'s
-    /// in-segment rule.
+    /// A holed segment, matched as the glob `prefix*suffix` (its
+    /// [`lead_trail`]) by [`glob_match`](crate::glob_match)'s in-segment
+    /// rule.
     Wild {
         prefix: &'static str,
         suffix: &'static str,
@@ -505,7 +466,7 @@ enum Segment {
 
 impl Segment {
     fn parse(segment: &'static str) -> Self {
-        match segment.split_once('*') {
+        match lead_trail(segment) {
             None => Segment::Literal(segment),
             Some((prefix, suffix)) => Segment::Wild { prefix, suffix },
         }
@@ -519,7 +480,7 @@ impl Segment {
         }
     }
 
-    /// The run of `seg` this segment's `*` covers, or `""` for a literal;
+    /// The run of `seg` this segment's holes cover, or `""` for a literal;
     /// `None` when `seg` does not match. As in `glob_match`, the suffix
     /// must be the first occurrence after the prefix and end the segment.
     fn capture<'p>(&self, seg: &'p str) -> Option<&'p str> {
@@ -537,7 +498,7 @@ impl Segment {
     }
 }
 
-/// A route with its pattern split into segments.
+/// A route with its template split into segments.
 type Compiled = (&'static Route, Vec<Segment>);
 
 /// A path's segment count and first two segments (`""` past its end).
@@ -568,7 +529,7 @@ fn index() -> &'static Index {
             .iter()
             .map(|r| {
                 let segs = r
-                    .pattern
+                    .template
                     .trim_start_matches('/')
                     .split('/')
                     .map(Segment::parse)
@@ -638,9 +599,9 @@ fn split(path: &str) -> Option<([&str; MAX_SEGMENTS], usize)> {
     Some((segs, n + 1))
 }
 
-/// The text each `*` of `pattern` matched in `segs`, in order, if every
-/// segment matches. Segments are checked last first: the file name
-/// tells most routes of one directory apart.
+/// The text each holed segment of `pattern` matched in `segs`, in
+/// order, if every segment matches. Segments are checked last first: the
+/// file name tells most routes of one directory apart.
 fn captures<'p>(pattern: &[Segment], segs: &[&'p str]) -> Option<[&'p str; MAX_CAPTURES]> {
     if !pattern
         .iter()
@@ -661,9 +622,9 @@ fn captures<'p>(pattern: &[Segment], segs: &[&'p str]) -> Option<[&'p str; MAX_C
     Some(caps)
 }
 
-/// The route serving `path` and the text each `*` of its pattern
-/// matched, in order (unused slots are `""`). First match wins in table
-/// order, so the exact `/proc/self/*` routes shadow the pid globs. Paths
+/// The route serving `path` and the text each holed segment of its
+/// template matched, in order (unused slots are `""`). First match wins in table
+/// order, so the exact `/proc/self/*` routes shadow the pid routes. Paths
 /// match as [`glob_match`](crate::glob_match) matches them: leading
 /// slashes are ignored. The path's segment count and first two segments
 /// pick the candidate routes (a binary search), a literal segment costs
@@ -688,24 +649,24 @@ pub fn route_for(path: &str) -> Option<&'static Route> {
 }
 
 /// The OR of the dependency masks of every route whose mask treatment
-/// differs between `old` and `new` — the subsystem epochs a *live*
+/// can differ between `old` and `new` — the subsystem epochs a *live*
 /// policy swap must dirty so every epoch-sum consumer re-reads what the
-/// swap can have changed. Each route is probed through its concrete
-/// representative path, matching how the masking layer evaluates rules.
-pub fn changed_mask_deps(old: &crate::MaskPolicy, new: &crate::MaskPolicy) -> u32 {
-    let mut deps = 0u32;
-    for r in ROUTES {
-        if old.action_for(r.probe) != new.action_for(r.probe) {
-            deps |= r.deps;
-        }
-    }
-    deps
+/// swap can have changed. Each route is judged whole from the two
+/// policies' verdicts on its template: it is dirtied when they differ
+/// or when either may treat the route's instances unalike, which
+/// over-dirties at worst.
+pub fn changed_mask_deps(old: &MaskPolicy, new: &MaskPolicy) -> u32 {
+    ROUTES
+        .iter()
+        .zip(old.route_reach().iter().zip(new.route_reach()))
+        .filter(|(_, (a, b))| a != b || **a == Reach::Maybe || **b == Reach::Maybe)
+        .fold(0, |deps, (r, _)| deps | r.deps)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::view::{glob_match, View};
+    use crate::view::{glob_match, MaskPolicy, View};
     use crate::PseudoFs;
     use simkernel::kernel::ProcessSpec;
     use simkernel::{Kernel, MachineConfig};
@@ -722,75 +683,111 @@ mod tests {
     }
 
     #[test]
-    fn every_probe_matches_its_own_pattern_and_renders() {
+    fn every_route_lists_instances_that_route_back_to_it_and_render() {
         let (k, container) = kernel();
         let fs = PseudoFs::new();
-        let host = View::host();
-        for r in ROUTES {
-            assert!(
-                glob_match(r.pattern, r.probe),
-                "probe {} does not match pattern {}",
-                r.probe,
-                r.pattern
-            );
-            assert_eq!(
-                route_for(r.probe).map(|m| m.handler),
-                Some(r.handler),
-                "probe {} resolves to a different route",
-                r.probe
-            );
-            // Numeric pid probes use ns pids, which only resolve inside the
-            // container's pid namespace (host pids start at 300).
-            let view = if r.pattern.starts_with("/proc/*/") {
-                &container
-            } else {
-                &host
-            };
-            fs.read(&k, view, r.probe)
-                .unwrap_or_else(|e| panic!("probe {} unreadable: {e}", r.probe));
-        }
-    }
-
-    #[test]
-    fn every_listed_path_is_routed() {
-        let (k, container) = kernel();
-        let fs = PseudoFs::new();
+        let mut listed = vec![0usize; ROUTES.len()];
         for view in [View::host(), container] {
-            for path in fs.list(&k, &view) {
-                assert!(route_for(&path).is_some(), "unrouted path {path}");
-            }
+            let mut visit = |r: &'static Route, path: &str| {
+                // The exact `/proc/self/*` routes shadow no listed pid path.
+                assert_eq!(route_for(path), Some(r), "{path} from {}", r.template);
+                fs.read(&k, &view, path)
+                    .unwrap_or_else(|e| panic!("listed path {path} unreadable: {e}"));
+                if let Some(i) = ROUTES.iter().position(|x| x == r) {
+                    listed[i] += 1;
+                }
+            };
+            crate::fs::enumerate(&k, &view, Some(&mut visit));
+        }
+        for (r, n) in ROUTES.iter().zip(listed) {
+            assert!(n > 0, "{} lists no instance on the testbed", r.template);
         }
     }
 
     #[test]
-    fn handlers_are_unique_and_patterns_do_not_duplicate() {
+    fn handlers_and_templates_are_unique() {
         let mut handlers: Vec<&str> = ROUTES.iter().map(|r| r.handler).collect();
         handlers.sort_unstable();
         let n = handlers.len();
         handlers.dedup();
         assert_eq!(n, handlers.len(), "duplicate handler entries");
-        let mut patterns: Vec<&str> = ROUTES.iter().map(|r| r.pattern).collect();
-        patterns.sort_unstable();
-        let n = patterns.len();
-        patterns.dedup();
-        assert_eq!(n, patterns.len(), "duplicate patterns");
+        let mut templates: Vec<&str> = ROUTES.iter().map(|r| r.template).collect();
+        templates.sort_unstable();
+        let n = templates.len();
+        templates.dedup();
+        assert_eq!(n, templates.len(), "duplicate templates");
     }
 
     #[test]
-    fn patterns_split_into_the_segments_the_resolver_handles() {
+    fn templates_declare_their_holes_within_the_resolver_limits() {
         for r in ROUTES {
-            let segs: Vec<&str> = r.pattern.trim_start_matches('/').split('/').collect();
-            assert!(segs.len() <= MAX_SEGMENTS, "{} is too deep", r.pattern);
-            assert!(
-                r.pattern.matches('*').count() <= MAX_CAPTURES,
-                "{} has too many wildcards",
-                r.pattern
-            );
-            for seg in segs {
-                assert!(!seg.is_empty(), "{} has an empty segment", r.pattern);
-                assert!(seg.matches('*').count() <= 1, "{} segment {seg}", r.pattern);
+            let t = r.template;
+            for (i, dim) in r.dims.iter().enumerate() {
+                assert_eq!(
+                    t.contains(&format!("{{{i}}}")),
+                    *dim != Dim::One,
+                    "{t}: hole {{{i}}} against {dim:?}"
+                );
             }
+            let bare = t.replace("{0}", "").replace("{1}", "");
+            assert!(
+                !bare.contains(['{', '}', '*']),
+                "{t} has a stray hole or glob"
+            );
+            let segs: Vec<&str> = t.trim_start_matches('/').split('/').collect();
+            assert!(t.starts_with('/'), "{t} is not absolute");
+            assert!(segs.len() <= MAX_SEGMENTS, "{t} is too deep");
+            let holed = segs.iter().filter(|s| s.contains('{')).count();
+            assert!(holed <= MAX_CAPTURES, "{t} has too many holed segments");
+            assert!(!segs.contains(&""), "{t} has an empty segment");
         }
+    }
+
+    #[test]
+    fn patterns_read_each_holed_segment_as_one_star() {
+        let pattern = |t: &str| ROUTES.iter().find(|r| r.template == t).map(Route::pattern);
+        let cases = [
+            ("/proc/cpuinfo", "/proc/cpuinfo"),
+            ("/proc/{0}/status", "/proc/*/status"),
+            (
+                "/sys/class/powercap/intel-rapl:{0}/intel-rapl:{0}:{1}/energy_uj",
+                "/sys/class/powercap/intel-rapl:*/intel-rapl:*/energy_uj",
+            ),
+            (
+                "/sys/devices/platform/coretemp.{0}/hwmon/hwmon{0}/temp{1}_input",
+                "/sys/devices/platform/coretemp.*/hwmon/hwmon*/temp*_input",
+            ),
+        ];
+        for (template, glob) in cases {
+            assert_eq!(pattern(template).as_deref(), Some(glob));
+        }
+    }
+
+    #[test]
+    fn a_swap_dirties_every_route_whose_instance_it_hides() {
+        let none = MaskPolicy::none();
+        for (path, deps) in [
+            (
+                "/sys/devices/system/cpu/cpu1/cpufreq/scaling_cur_freq",
+                dep::HW,
+            ),
+            (
+                "/sys/class/powercap/intel-rapl:0/intel-rapl:0:1/energy_uj",
+                dep::HW,
+            ),
+            ("/proc/2/status", dep::PROCESS | dep::NS),
+        ] {
+            let denied = MaskPolicy::none().deny(path);
+            assert_eq!(changed_mask_deps(&none, &denied), deps, "{path}");
+            assert_eq!(changed_mask_deps(&denied, &none), deps, "{path}");
+        }
+        // A rule that decides a route whole dirties that route's deps,
+        // and a swap between equal policies dirties nothing.
+        let stat = MaskPolicy::none().deny("/proc/stat");
+        let stat_deps = route_for("/proc/stat").map_or(0, |r| r.deps);
+        assert_eq!(changed_mask_deps(&none, &stat), stat_deps);
+        assert_eq!(changed_mask_deps(&stat, &stat.clone()), 0);
+        assert_eq!(changed_mask_deps(&none, &none), 0);
     }
 
     #[test]
@@ -822,7 +819,7 @@ mod tests {
     /// provider profile's policy, a generated hardening policy, and edge
     /// cases around `**`, leading/trailing slashes and in-segment `*`.
     fn pattern_corpus() -> Vec<String> {
-        let mut patterns: Vec<String> = ROUTES.iter().map(|r| r.pattern.to_string()).collect();
+        let mut patterns: Vec<String> = ROUTES.iter().map(Route::pattern).collect();
         let mut profiles = vec![cloudsim::CloudProfile::Local];
         profiles.extend(cloudsim::CloudProfile::COMMERCIAL);
         for profile in profiles {
@@ -880,12 +877,12 @@ mod tests {
         patterns
     }
 
-    /// Every path the router meets: probes, both views' listings,
-    /// generated pid and RAPL trees, unknown files, and the edge cases.
+    /// Every path the router meets: both views' listings, generated pid
+    /// and RAPL trees, unknown files, and the edge cases.
     fn path_corpus() -> Vec<String> {
         let (k, container) = kernel();
         let fs = PseudoFs::new();
-        let mut paths: Vec<String> = ROUTES.iter().map(|r| r.probe.to_string()).collect();
+        let mut paths = Vec::new();
         for view in [View::host(), container] {
             paths.extend(fs.list(&k, &view));
         }
@@ -982,7 +979,7 @@ mod tests {
         for path in path_corpus().iter().chain(&patterns) {
             let reference = ROUTES
                 .iter()
-                .find(|r| crate::view::glob_match_reference(r.pattern, path));
+                .find(|r| crate::view::glob_match_reference(&r.pattern(), path));
             assert_eq!(route_for(path), reference, "path {path:?}");
         }
     }
@@ -1021,8 +1018,8 @@ mod tests {
             out.push(parent.to_string());
             out.push(format!("{parent}/unknown"));
             for r in ROUTES {
-                let name = r.pattern.rsplit('/').next().unwrap_or_default();
-                out.push(format!("{parent}/{}", name.replace('*', "0")));
+                let name = r.template.rsplit('/').next().unwrap_or_default();
+                out.push(format!("{parent}/{}", name.replace(['{', '}'], "")));
             }
         }
         out
@@ -1044,7 +1041,9 @@ mod tests {
             "CC1 listing too short: {}",
             listed.len()
         );
-        let mut paths: Vec<String> = ROUTES.iter().map(|r| r.probe.to_string()).collect();
+        // The testbed host's listing adds the paths the CC1 mask hides.
+        let (k, _) = kernel();
+        let mut paths = PseudoFs::new().list(&k, &View::host());
         paths.extend(listed);
         let mutated: Vec<String> = paths.iter().flat_map(|p| misspellings(p)).collect();
         paths.extend(mutated);
@@ -1062,8 +1061,8 @@ mod tests {
         );
         let mut routed = 0;
         for path in &paths {
-            let fast = resolve(path).map(|(r, caps)| (r.pattern, caps));
-            let plain = resolve_reference(path).map(|(r, caps)| (r.pattern, caps));
+            let fast = resolve(path).map(|(r, caps)| (r.template, caps));
+            let plain = resolve_reference(path).map(|(r, caps)| (r.template, caps));
             assert_eq!(fast, plain, "path {path:?}");
             routed += usize::from(fast.is_some());
         }
@@ -1083,7 +1082,7 @@ mod tests {
                 r.deps & !dep::ALL,
                 0,
                 "{} declares unknown dependency bits",
-                r.pattern
+                r.template
             );
         }
     }

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use simkernel::process::CgroupMembership;
 use simkernel::NamespaceSet;
 
-use crate::fs;
+use crate::registry::{lead_trail, ROUTES};
 
 /// Who is performing the read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,15 +49,21 @@ pub struct MaskRule {
 ///
 /// The rules are shared: a clone (every container view of a cloud takes
 /// one) bumps a count instead of copying the rules and their patterns.
-/// So are the policy's verdicts on the listing's path families, decided
-/// at its first listing or count; the empty policy, which masks nothing,
-/// keeps none and allocates nothing. Two policies are equal, and print
-/// alike, when their rules are.
+/// So are the policy's verdicts on the routes, decided at its first
+/// listing, count or swap; the empty policy, which masks nothing, keeps
+/// none and allocates nothing. Two policies are equal, and print alike,
+/// when their rules are.
 #[derive(Clone, Default)]
 pub struct MaskPolicy {
     rules: Arc<[MaskRule]>,
-    families: Option<Arc<OnceLock<Box<[Reach]>>>>,
+    verdicts: Option<Arc<OnceLock<Verdicts>>>,
 }
+
+/// A policy's verdict on each route, in [`ROUTES`] order.
+type Verdicts = [Reach; ROUTES.len()];
+
+/// The verdicts of a policy without rules, and of every host view.
+static UNMASKED: Verdicts = [Reach::No; ROUTES.len()];
 
 impl PartialEq for MaskPolicy {
     fn eq(&self, other: &Self) -> bool {
@@ -85,7 +91,7 @@ impl MaskPolicy {
     pub fn from_rules(rules: Vec<MaskRule>) -> Self {
         MaskPolicy {
             rules: rules.into(),
-            families: Some(Arc::default()),
+            verdicts: Some(Arc::default()),
         }
     }
 
@@ -122,8 +128,8 @@ impl MaskPolicy {
             .map(|r| r.action)
     }
 
-    /// What the first rule that can match an instance of the path
-    /// family `template` does to the family (see [`glob_reach`] for the
+    /// What the first rule that can match an instance of the route
+    /// template `template` does to the route (see [`glob_reach`] for the
     /// template syntax). Rules that reach no instance are passed over,
     /// as [`MaskPolicy::action_for`] passes over rules that miss, so
     /// the verdict is sound: [`Reach::No`] means no rule matches any
@@ -140,36 +146,36 @@ impl MaskPolicy {
         Reach::No
     }
 
-    /// [`MaskPolicy::reach`] for each of the listing's families, in
-    /// [`fs::families`] order: decided at the first call and kept for
-    /// every later one and every clone. The empty policy's table is
-    /// empty: a family past the table's end is [`Reach::No`].
-    pub(crate) fn family_reach(&self) -> &[Reach] {
-        match &self.families {
+    /// [`MaskPolicy::reach`] for each route's template, in [`ROUTES`]
+    /// order: decided at the first call and kept for every later one
+    /// and every clone. The empty policy shares one table of
+    /// [`Reach::No`].
+    pub(crate) fn route_reach(&self) -> &Verdicts {
+        match &self.verdicts {
             Some(table) => {
-                table.get_or_init(|| fs::families().map(|f| self.reach(f.template)).collect())
+                table.get_or_init(|| std::array::from_fn(|i| self.reach(ROUTES[i].template)))
             }
-            None => &[],
+            None => &UNMASKED,
         }
     }
 }
 
-/// A mask policy's verdict on a whole path family: what
+/// A mask policy's verdict on a whole route: what
 /// [`MaskPolicy::action_for`] says for every one of its paths, when one
 /// answer holds for all of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Reach {
-    /// No rule matches any path of the family.
+    /// No rule matches any path of the route.
     No,
-    /// One rule is the first match of every path of the family.
+    /// One rule is the first match of every path of the route.
     All(MaskAction),
     /// The answer may differ from path to path: ask per path.
     Maybe,
 }
 
-/// What [`glob_match`] says of `pattern` for every path the family
-/// `template` stands for: `Some(verdict)` when it says the same of all
-/// of them, `None` when it may differ. A template is a path whose
+/// What [`glob_match`] says of `pattern` for every path the route
+/// template `template` stands for: `Some(verdict)` when it says the
+/// same of all of them, `None` when it may differ. A template is a path whose
 /// segments may hold `{…}` holes, each standing for any run of
 /// characters without a `/`; a template without holes is one path.
 ///
@@ -223,21 +229,20 @@ pub(crate) fn glob_reach(pattern: &str, template: &str) -> Option<bool> {
 
 /// [`glob_reach`] for one pattern segment against one template segment.
 /// Every instance of a segment with holes starts with its text before
-/// the first hole and ends with its text after the last, so a literal
-/// that breaks either misses every instance. A `*` segment's text
-/// before its first `*` must begin the instance: it misses every
-/// instance when it disagrees with the template's leading text, and a
-/// single final `*` after text the leading text begins with matches
-/// every instance. Anything else may match some instances and not
-/// others.
+/// the first hole and ends with its text after the last
+/// ([`lead_trail`]), so a literal that breaks either misses every
+/// instance. A `*` segment's text before its first `*` must begin the
+/// instance: it misses every instance when it disagrees with the
+/// template's leading text, and a single final `*` after text the
+/// leading text begins with matches every instance. Anything else may
+/// match some instances and not others.
 fn segment_reach(p: &str, t: &str) -> Option<bool> {
-    let Some((lead, holes)) = t.split_once('{') else {
+    let Some((lead, trail)) = lead_trail(t) else {
         return Some(segment_match(p, t));
     };
     match p.split_once('*') {
         None if p.is_empty() => Some(true),
         None => {
-            let trail = holes.rsplit_once('}').map_or("", |(_, trail)| trail);
             if p.starts_with(lead) && p.ends_with(trail) {
                 None
             } else {
@@ -461,14 +466,13 @@ impl View {
         }
     }
 
-    /// The policy's verdicts on the listing's path families, in this
-    /// view (see [`MaskPolicy::family_reach`]). Host views are never
-    /// masked: their table is empty.
-    pub(crate) fn family_reach(&self) -> &[Reach] {
+    /// The policy's verdicts on the routes, in this view (see
+    /// [`MaskPolicy::route_reach`]). Host views are never masked.
+    pub(crate) fn route_reach(&self) -> &Verdicts {
         if self.is_host() {
-            &[]
+            &UNMASKED
         } else {
-            self.policy.family_reach()
+            self.policy.route_reach()
         }
     }
 }
@@ -608,7 +612,7 @@ mod tests {
     }
 
     #[test]
-    fn a_policy_decides_a_family_by_its_first_reaching_rule() {
+    fn a_policy_decides_a_route_by_its_first_reaching_rule() {
         const CPUFREQ: &str = "/sys/devices/system/cpu/cpu{0}/cpufreq/scaling_cur_freq";
         let p = MaskPolicy::none()
             .deny("/proc/stat")
@@ -620,19 +624,20 @@ mod tests {
             .deny("/sys/devices/system/cpu/cpu0/**")
             .deny("/sys/**");
         assert_eq!(p.reach(CPUFREQ), Reach::Maybe);
-        // The listing's verdicts are decided once and kept with the
-        // rules, for every clone.
-        let table = p.family_reach();
-        let decided: Vec<Reach> = fs::families().map(|f| p.reach(f.template)).collect();
-        assert_eq!(table, &decided[..]);
-        assert!(std::ptr::eq(p.clone().family_reach(), table));
+        // The verdicts are decided once and kept with the rules, for
+        // every clone.
+        let table = p.route_reach();
+        let decided: Vec<Reach> = ROUTES.iter().map(|r| p.reach(r.template)).collect();
+        assert_eq!(&table[..], &decided[..]);
+        assert!(std::ptr::eq(p.clone().route_reach(), table));
         assert!(table.contains(&Reach::Maybe) && table.contains(&Reach::No));
-        // The empty policy and host views need no table.
-        assert!(MaskPolicy::none().family_reach().is_empty());
-        assert!(View::host()
-            .with_policy(p.clone())
-            .family_reach()
-            .is_empty());
+        // The empty policy and host views share the unmasked table.
+        assert!(std::ptr::eq(MaskPolicy::none().route_reach(), &UNMASKED));
+        assert!(std::ptr::eq(
+            View::host().with_policy(p.clone()).route_reach(),
+            &UNMASKED
+        ));
+        assert!(UNMASKED.iter().all(|&r| r == Reach::No));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 
-use containerleaks::pseudofs::{PseudoFs, Route, View, ROUTES};
+use containerleaks::pseudofs::{route_for, PseudoFs, View, ROUTES};
 use containerleaks::simkernel::kernel::ProcessSpec;
 use containerleaks::simkernel::{dep, Kernel, MachineConfig};
 use containerleaks::workloads::models;
@@ -36,8 +36,8 @@ fn reads_never_advance_epochs() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The soundness direction of the epoch contract, over every route's
-    /// probe on a fault-free kernel (distortion faults change bytes
+    /// The soundness direction of the epoch contract, over one listed
+    /// instance of every route on a fault-free kernel (distortion faults change bytes
     /// without touching kernel state, so the claim is scoped to clean
     /// reads): whenever a route's rendered bytes change between two
     /// instants, the masked sum of its declared dependency epochs must
@@ -49,18 +49,27 @@ proptest! {
         k.spawn(ProcessSpec::new("init", models::sleeper()).in_container(&env))
             .unwrap();
         let fs = PseudoFs::new();
-        let (host, container) = (View::host(), View::container(env.ns, env.cgroups));
-        // Numeric pid probes only resolve inside the container's pid
-        // namespace, where its init is pid 1.
-        let view_for = |r: &Route| {
-            if r.pattern.starts_with("/proc/*/") {
-                &container
-            } else {
-                &host
-            }
-        };
+        // Each route is read at its first instance in the first view
+        // that lists one, taken at boot: the container's init, the only
+        // process then, lives through the walk.
+        let views = [View::host(), View::container(env.ns, env.cgroups)];
+        let listed: Vec<(&View, Vec<String>)> =
+            views.iter().map(|v| (v, fs.list(&k, v))).collect();
+        let reads: Vec<(&View, &str)> = ROUTES
+            .iter()
+            .map(|r| {
+                listed
+                    .iter()
+                    .find_map(|(view, paths)| {
+                        let path = paths.iter().find(|p| route_for(p) == Some(r))?;
+                        Some((*view, path.as_str()))
+                    })
+                    .unwrap_or_else(|| panic!("{} lists no instance", r.template))
+            })
+            .collect();
 
-        // Reads every probe and checks it against the previous reading.
+        // Reads every route's instance and checks it against the
+        // previous reading.
         let mut last: Vec<(String, u64)> = Vec::new();
         let mut last_total = k.epochs().total();
         let mut check = |k: &Kernel, when: &str| -> Result<(), TestCaseError> {
@@ -68,16 +77,17 @@ proptest! {
             prop_assert!(total >= last_total, "total epoch sum went backwards {when}");
             last_total = total;
             let mut now = Vec::with_capacity(ROUTES.len());
-            for r in ROUTES {
-                let bytes = fs.read(k, view_for(r), r.probe);
-                prop_assert!(bytes.is_ok(), "{} failed {when}: {bytes:?}", r.probe);
+            for (r, (view, path)) in ROUTES.iter().zip(&reads) {
+                let bytes = fs.read(k, view, path);
+                prop_assert!(bytes.is_ok(), "{path} failed {when}: {bytes:?}");
                 now.push((bytes.unwrap(), k.epochs().masked_sum(r.deps)));
             }
-            for ((r, (bytes, sum)), (prev_bytes, prev_sum)) in ROUTES.iter().zip(&now).zip(&last) {
+            for (((r, (_, path)), (bytes, sum)), (prev_bytes, prev_sum)) in
+                ROUTES.iter().zip(&reads).zip(&now).zip(&last)
+            {
                 prop_assert!(
                     bytes == prev_bytes || sum != prev_sum,
-                    "{} changed bytes while its dependency epochs ({}) stood still {when}",
-                    r.probe,
+                    "{path} changed bytes while its dependency epochs ({}) stood still {when}",
                     dep::mask_names(r.deps)
                 );
             }

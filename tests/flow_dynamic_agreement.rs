@@ -82,14 +82,14 @@ fn assert_containment(
         changed += 1;
         let path = key.split_once(':').expect("snapshot keys are view:path").1;
         let pattern = if path == "(list)" {
-            "(list)"
+            "(list)".to_string()
         } else {
             route_for(path)
                 .expect("every listed path has a registered route")
-                .pattern
+                .pattern()
         };
         let mask = derived
-            .get(pattern)
+            .get(&pattern)
             .unwrap_or_else(|| panic!("no flow row for route {pattern}"));
         assert!(
             mask & bumped != 0,
