@@ -61,8 +61,7 @@ use containerleaks::container_runtime::ContainerSpec;
 use containerleaks::detector;
 use containerleaks::leakscan::metrics::joint_entropy;
 use containerleaks::leakscan::{CrossValidator, Lab};
-use containerleaks::powerns::nsfs::{DefendedHost, PowerNamespace};
-use containerleaks::powerns::{run_table3, Trainer};
+use containerleaks::powerns::{container_energy_uj, run_table3, Trainer};
 use containerleaks::pseudofs::{route_for, PseudoFs};
 use containerleaks::simkernel::cgroup::PerfCounters;
 use containerleaks::simkernel::{Kernel, MachineConfig};
@@ -400,16 +399,17 @@ fn bench_fig8_model_eval(c: &mut Criterion) {
 
 fn bench_fig9_ns_update(c: &mut Criterion) {
     let model = Trainer::new(9).train();
-    let mut host = DefendedHost::new(MachineConfig::testbed_i7_6700(), 9, model);
-    let cont = host
-        .create_container(ContainerSpec::new("c"))
+    let mut k = Kernel::new(MachineConfig::testbed_i7_6700(), 9).power_namespace(model);
+    let mut rt = containerleaks::container_runtime::Runtime::new();
+    let cont = rt
+        .create(&mut k, ContainerSpec::new("c"))
         .expect("container");
-    host.exec(cont, "w", models::stress_small())
+    rt.exec(&mut k, cont, "w", models::stress_small())
         .expect("workload");
     c.bench_function("fig9_namespace_update_interval", |b| {
         b.iter(|| {
-            host.advance_secs(1);
-            black_box(host.container_energy_uj(cont))
+            k.advance_secs(1);
+            black_box(container_energy_uj(&k, &rt, cont))
         })
     });
 }
@@ -466,8 +466,7 @@ fn bench_kernel_tick(c: &mut Criterion) {
 
 fn bench_kernel_tick_8_hosts(c: &mut Criterion) {
     // A busy host collection: eight loaded kernel-seconds stepped in
-    // host order, the loop `Lab::advance_secs` and
-    // `DefendedFleet::advance_secs` run.
+    // host order, the loop `Lab::advance_secs` runs.
     let mut kernels: Vec<Kernel> = (0..8)
         .map(|seed| {
             let mut k = Kernel::new(MachineConfig::cloud_server(), seed);
@@ -536,7 +535,7 @@ fn bench_namespace_install(c: &mut Criterion) {
     c.bench_function("defense_namespace_install", |b| {
         b.iter_batched(
             || Kernel::new(MachineConfig::testbed_i7_6700(), 11),
-            |mut k| black_box(PowerNamespace::install(&mut k, model.clone()).expect("install")),
+            |k| black_box(k.power_namespace(model.clone())),
             BatchSize::SmallInput,
         )
     });

@@ -65,7 +65,7 @@ use pseudofs::{FsError, MaskPolicy};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
-use simkernel::{HostPid, Kernel, MachineConfig, NANOS_PER_SEC};
+use simkernel::{HostPid, Kernel, MachineConfig, PowerModel, NANOS_PER_SEC};
 use workloads::WorkloadSpec;
 
 use calendar::Calendar;
@@ -150,6 +150,7 @@ pub struct CloudConfig {
     tick_stepped: bool,
     eager_advance: bool,
     detector: Option<DetectorConfig>,
+    power_namespace: Option<PowerModel>,
 }
 
 impl CloudConfig {
@@ -167,6 +168,7 @@ impl CloudConfig {
             tick_stepped: false,
             eager_advance: false,
             detector: None,
+            power_namespace: None,
         }
     }
 
@@ -229,6 +231,17 @@ impl CloudConfig {
     #[must_use]
     pub fn detector(mut self, cfg: DetectorConfig) -> Self {
         self.detector = Some(cfg);
+        self
+    }
+
+    /// Deploys the power-based namespace with `model` on every host
+    /// kernel ([`Kernel::power_namespace`]), installed once the boot
+    /// uptime is fast-forwarded and again on every reboot: each tenant
+    /// container, the background tenant included, reads its own
+    /// calibrated RAPL energy.
+    #[must_use]
+    pub fn power_namespace(mut self, model: PowerModel) -> Self {
+        self.power_namespace = Some(model);
         self
     }
 }
@@ -394,15 +407,19 @@ pub struct Cloud {
     policy: MaskPolicy,
 }
 
-/// A freshly booted host kernel, the [`Kernel::tick_stepped`] reference
-/// when `tick_stepped`. Every host kernel, at fleet boot and at a reboot,
-/// is built here.
-fn boot_kernel(machine: MachineConfig, seed: u64, tick_stepped: bool) -> Kernel {
-    let kernel = Kernel::new(machine, seed);
-    if tick_stepped {
-        kernel.tick_stepped()
-    } else {
-        kernel
+/// A freshly booted host kernel with `uptime_secs` of idle uptime behind
+/// it: the [`Kernel::tick_stepped`] reference when the config asks for
+/// one, and carrying the power namespace when it deploys one. Every host
+/// kernel, at fleet boot and at a reboot, is built here.
+fn boot_kernel(machine: MachineConfig, seed: u64, uptime_secs: u64, cfg: &CloudConfig) -> Kernel {
+    let mut kernel = Kernel::new(machine, seed);
+    if cfg.tick_stepped {
+        kernel = kernel.tick_stepped();
+    }
+    kernel.fast_forward_boot(uptime_secs);
+    match &cfg.power_namespace {
+        Some(model) => kernel.power_namespace(model.clone()),
+        None => kernel,
     }
 }
 
@@ -455,18 +472,18 @@ impl Cloud {
             // Rack install epochs days apart; in-rack jitter of minutes.
             machine.boot_wall_secs =
                 1_450_000_000 + u64::from(rack) * 86_400 * 9 + rng.random_range(0..1_200);
-            let mut kernel = boot_kernel(
-                machine,
-                seed.wrapping_mul(6364136223846793005)
-                    .wrapping_add(i as u64),
-                cfg.tick_stepped,
-            );
             // Uptime: rack-correlated (a rack is installed and booted
             // together, within the hour), racks days apart — the structure
             // §IV-C's uptime grouping exploits. Idle times diverge later
             // from load.
             let uptime_days = 40 + u64::from(rack) * 13;
-            kernel.fast_forward_boot(uptime_days * 86_400 + rng.random_range(0..1_800));
+            let mut kernel = boot_kernel(
+                machine,
+                seed.wrapping_mul(6364136223846793005)
+                    .wrapping_add(i as u64),
+                uptime_days * 86_400 + rng.random_range(0..1_800),
+                &cfg,
+            );
             let (runtime, background) = boot_runtime(&mut kernel, cfg.background_per_host);
             hosts.push(Box::new(Host {
                 id: HostId(i as u32),
@@ -1046,7 +1063,7 @@ impl Cloud {
         for inst in &lost {
             self.instances.remove(inst);
         }
-        let (tick_stepped, with_background) = (self.cfg.tick_stepped, self.cfg.background_per_host);
+        let cfg = self.cfg.clone();
         self.with_host(idx, |host| {
             // Fresh kernel on the same hardware: boot time = now.
             let mut machine = host.kernel.config().clone();
@@ -1056,8 +1073,8 @@ impl Cloud {
                 .seed()
                 .wrapping_mul(0x2545_f491_4f6c_dd1d)
                 .wrapping_add(1);
-            let mut kernel = boot_kernel(machine, reboot_seed, tick_stepped);
-            let (runtime, background) = boot_runtime(&mut kernel, with_background);
+            let mut kernel = boot_kernel(machine, reboot_seed, 0, &cfg);
+            let (runtime, background) = boot_runtime(&mut kernel, cfg.background_per_host);
             host.kernel = kernel;
             host.runtime = runtime;
             host.background = background;

@@ -14,12 +14,13 @@ use std::fmt::Write as _;
 use serde::Serialize;
 
 use cloudsim::{Cloud, CloudConfig, CloudProfile, HostId, InstanceSpec, PlacementPolicy};
-use container_runtime::ContainerSpec;
+use container_runtime::{ContainerSpec, Runtime};
 use leakscan::{CloudInspector, Lab, MetricsAssessor, TABLE2_CHANNELS};
-use powerns::nsfs::{fig8_error, fig9_transparency, DefendedHost};
-use powerns::{run_table3, PowerModel, Trainer};
+use powerns::nsfs::{fig8_error, fig9_transparency};
+use powerns::{container_energy_uj, run_table3, PowerModel, Trainer};
+use powersim::attack::AttackOutcome;
 use powersim::{AttackCampaign, AttackStrategy, DiurnalTrace, Orchestrator};
-use simkernel::MachineConfig;
+use simkernel::{Kernel, MachineConfig};
 use workloads::models;
 
 /// One paper-vs-measured comparison line.
@@ -422,44 +423,21 @@ pub fn fig2(seed: u64, days: u64) -> Result<Measured, String> {
 
 /// Fig. 3: synergistic vs periodic attack over a 3000 s window.
 pub fn fig3(seed: u64) -> Result<Measured, String> {
-    let window_start = 86_400 + 33_000u64;
+    let window_start = FIG3_WINDOW_START;
     let window_len = 3_000u64;
-    let fleet = |seed: u64| {
-        let mut c = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(8), seed);
-        c.advance_secs(2);
-        c
-    };
+    let fleet = || fig3_fleet(CloudConfig::new(CloudProfile::CC1), seed);
 
     // Calibration: observe the window without payloads; trigger = p97.
-    let threshold = {
-        let mut cloud = fleet(seed);
-        let mut campaign = AttackCampaign::deploy(&mut cloud, AttackStrategy::Continuous, 0, "cal")
-            .ctx("calibration deploy")?;
-        let mut trace = DiurnalTrace::paper_week(seed);
-        let out = campaign
-            .run(&mut cloud, &mut trace, window_start, window_len, None)
-            .ctx("calibration run")?;
-        let mut ests: Vec<f64> = out
-            .series
-            .iter()
-            .filter_map(|s| s.attacker_estimate_w)
-            .collect();
-        if ests.is_empty() {
-            return Err("calibration produced no power estimates".to_string());
-        }
-        ests.sort_by(|a, b| a.total_cmp(b));
-        ests[ests.len() * 97 / 100]
-    };
+    let calibration = run_campaign(
+        fleet(),
+        AttackStrategy::Continuous,
+        seed,
+        window_start,
+        window_len,
+    )?;
+    let threshold = trigger_at(&calibration, 97)?;
 
-    let run = |strategy: AttackStrategy| -> Result<_, String> {
-        let mut cloud = fleet(seed);
-        let mut campaign =
-            AttackCampaign::deploy(&mut cloud, strategy, 3, "attacker").ctx("deploy")?;
-        let mut trace = DiurnalTrace::paper_week(seed);
-        campaign
-            .run(&mut cloud, &mut trace, window_start, window_len, None)
-            .ctx("campaign")
-    };
+    let run = |strategy| run_campaign(fleet(), strategy, seed, window_start, window_len);
     let periodic = run(AttackStrategy::Periodic {
         period_s: 300,
         burst_s: 60,
@@ -518,6 +496,56 @@ pub fn fig3(seed: u64) -> Result<Measured, String> {
         ),
     ];
     Ok(Measured::new(out, comparisons))
+}
+
+/// Fig. 3's observation window: inside the day-2 surge plateau, where
+/// benign load fluctuates with crests and troughs.
+const FIG3_WINDOW_START: u64 = 86_400 + 33_000;
+
+/// Fig. 3's fleet: 8 servers of `cfg`, warmed up for 2 s.
+fn fig3_fleet(cfg: CloudConfig, seed: u64) -> Cloud {
+    let mut cloud = Cloud::new(cfg.hosts(8), seed);
+    cloud.advance_secs(2);
+    cloud
+}
+
+/// Deploys `strategy` on `cloud` and runs it over `len` seconds of the
+/// `trace_seed` paper week from `start`. A [`AttackStrategy::Continuous`]
+/// run is a calibration pass: no payloads, only the observers whose
+/// power estimates train the synergistic trigger; any other strategy
+/// fires payloads on 3 hosts.
+fn run_campaign(
+    mut cloud: Cloud,
+    strategy: AttackStrategy,
+    trace_seed: u64,
+    start: u64,
+    len: u64,
+) -> Result<AttackOutcome, String> {
+    let (payload_hosts, tenant) = match strategy {
+        AttackStrategy::Continuous => (0, "cal"),
+        _ => (3, "attacker"),
+    };
+    let mut campaign =
+        AttackCampaign::deploy(&mut cloud, strategy, payload_hosts, tenant).ctx("deploy")?;
+    let mut trace = DiurnalTrace::paper_week(trace_seed);
+    campaign
+        .run(&mut cloud, &mut trace, start, len, None)
+        .ctx("campaign")
+}
+
+/// The synergistic trigger a calibration pass trains: the `pct`th
+/// percentile of the attacker's power estimates (Fig. 3 fires at p97).
+fn trigger_at(calibration: &AttackOutcome, pct: usize) -> Result<f64, String> {
+    let mut ests: Vec<f64> = calibration
+        .series
+        .iter()
+        .filter_map(|s| s.attacker_estimate_w)
+        .collect();
+    if ests.is_empty() {
+        return Err("calibration produced no power estimates".to_string());
+    }
+    ests.sort_by(|a, b| a.total_cmp(b));
+    Ok(ests[ests.len() * pct / 100])
 }
 
 /// Renders a power series as a sparkline with attack-burst markers.
@@ -607,12 +635,13 @@ pub fn fig4(seed: u64) -> Result<Measured, String> {
 /// (data collection → power modeling → on-the-fly calibration).
 pub fn fig5(seed: u64) -> Result<Measured, String> {
     let model = trained_model(seed);
-    let mut h = DefendedHost::new(MachineConfig::testbed_i7_6700(), seed, model.clone());
-    let c = h
-        .create_container(ContainerSpec::new("demo"))
+    let mut k = Kernel::new(MachineConfig::testbed_i7_6700(), seed).power_namespace(model.clone());
+    let mut rt = Runtime::new();
+    let c = rt
+        .create(&mut k, ContainerSpec::new("demo"))
         .ctx("demo container")?;
     for i in 0..2 {
-        h.exec(c, &format!("w{i}"), models::stress_small())
+        rt.exec(&mut k, c, &format!("w{i}"), models::stress_small())
             .ctx("workload")?;
     }
     let mut out = String::new();
@@ -622,25 +651,22 @@ pub fn fig5(seed: u64) -> Result<Measured, String> {
         "t", "instructions", "cache-miss", "branch-miss", "M_cont (µJ)", "E_cont (µJ)"
     );
     let mut last_counters = simkernel::cgroup::PerfCounters::default();
-    let perf_cg = h
-        .runtime
+    let perf_cg = rt
         .container(c)
         .ok_or_else(|| "demo container vanished".to_string())?
         .env()
         .cgroups
         .perf_event;
     for t in 1..=5u64 {
-        h.advance_secs(1);
-        let cur = h
-            .kernel
+        k.advance_secs(1);
+        let cur = k
             .cgroups()
             .perf_counters(perf_cg)
             .ok_or_else(|| "perf cgroup vanished".to_string())?;
         let d = cur.delta_since(&last_counters);
         last_counters = cur;
         let modeled = model.package_uj(&d);
-        let calibrated = h
-            .container_energy_uj(c)
+        let calibrated = container_energy_uj(&k, &rt, c)
             .ok_or_else(|| "container energy unavailable".to_string())?;
         let _ = writeln!(
             out,
@@ -648,7 +674,7 @@ pub fn fig5(seed: u64) -> Result<Measured, String> {
             d.instructions, d.cache_misses, d.branch_misses, modeled, calibrated
         );
     }
-    let energy = h.container_energy_uj(c).unwrap_or(0);
+    let energy = container_energy_uj(&k, &rt, c).unwrap_or(0);
     let comparisons = vec![
         cmp(
             "workflow stages",
@@ -660,7 +686,7 @@ pub fn fig5(seed: u64) -> Result<Measured, String> {
             "RAPL interface unchanged",
             "same file names and format",
             "energy_uj served per container".into(),
-            h.read_file(c, "/sys/class/powercap/intel-rapl:0/energy_uj")
+            rt.read_file(&k, c, "/sys/class/powercap/intel-rapl:0/energy_uj")
                 .is_ok(),
         ),
     ];
@@ -1339,50 +1365,20 @@ pub fn ablations(seed: u64) -> Result<Measured, String> {
     ));
 
     // 3. Synergistic trigger percentile sweep.
-    let window = (86_400 + 33_000u64, 1_500u64);
-    let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(8), 77);
-    cloud.advance_secs(2);
-    let mut cal_campaign = AttackCampaign::deploy(&mut cloud, AttackStrategy::Continuous, 0, "cal")
-        .ctx("calibration deploy")?;
-    let mut trace = DiurnalTrace::paper_week(77);
-    let cal = cal_campaign
-        .run(&mut cloud, &mut trace, window.0, window.1, None)
-        .ctx("calibration run")?;
-    let mut ests: Vec<f64> = cal
-        .series
-        .iter()
-        .filter_map(|s| s.attacker_estimate_w)
-        .collect();
-    if ests.is_empty() {
-        return Err("trigger-sweep calibration produced no estimates".to_string());
-    }
-    ests.sort_by(|a, b| a.total_cmp(b));
+    let (start, len) = (FIG3_WINDOW_START, 1_500u64);
+    let fleet = || fig3_fleet(CloudConfig::new(CloudProfile::CC1), 77);
+    let cal = run_campaign(fleet(), AttackStrategy::Continuous, 77, start, len)?;
     let mut trial_counts = Vec::new();
-    for (pct_name, idx) in [
-        ("p50", ests.len() / 2),
-        ("p90", ests.len() * 9 / 10),
-        ("p97", ests.len() * 97 / 100),
-    ] {
-        let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(8), 77);
-        cloud.advance_secs(2);
-        let mut campaign = AttackCampaign::deploy(
-            &mut cloud,
-            AttackStrategy::Synergistic {
-                threshold_w: ests[idx],
-                burst_s: 60,
-                cooldown_s: 180,
-            },
-            3,
-            "attacker",
-        )
-        .ctx("sweep deploy")?;
-        let mut trace = DiurnalTrace::paper_week(77);
-        let out = campaign
-            .run(&mut cloud, &mut trace, window.0, window.1, None)
-            .ctx("sweep run")?;
+    for pct in [50, 90, 97] {
+        let strategy = AttackStrategy::Synergistic {
+            threshold_w: trigger_at(&cal, pct)?,
+            burst_s: 60,
+            cooldown_s: 180,
+        };
+        let out = run_campaign(fleet(), strategy, 77, start, len)?;
         let _ = writeln!(
             rendered,
-            "trigger ablation      {pct_name}: {} trials, peak {:.0} W, cost ${:.4}",
+            "trigger ablation      p{pct}: {} trials, peak {:.0} W, cost ${:.4}",
             out.trials, out.peak_w, out.attack_cost_usd
         );
         trial_counts.push(out.trials);
@@ -1397,13 +1393,65 @@ pub fn ablations(seed: u64) -> Result<Measured, String> {
     Ok(Measured::new(rendered, comparisons))
 }
 
+/// The peak-to-trough swing of a power series.
+fn swing(v: &[f64]) -> f64 {
+    v.iter().cloned().fold(f64::MIN, f64::max) - v.iter().cloned().fold(f64::MAX, f64::min)
+}
+
+/// A victim whose load cycles on and off every 20 s and a spy sampling
+/// its RAPL view at 1 Hz, for 120 s on `kernel`: the spy's per-second
+/// energy deltas and the host's true ones.
+fn spy_on_cycling_victim(mut kernel: Kernel) -> Result<(Vec<f64>, Vec<f64>), String> {
+    let mut rt = Runtime::new();
+    let victim = rt
+        .create(&mut kernel, ContainerSpec::new("victim"))
+        .ctx("victim container")?;
+    let spy = rt
+        .create(&mut kernel, ContainerSpec::new("spy"))
+        .ctx("spy container")?;
+    rt.exec(&mut kernel, spy, "monitor", models::sleeper())
+        .ctx("spy process")?;
+    let read_spy = |rt: &Runtime, k: &Kernel| -> Result<u64, String> {
+        rt.read_file(k, spy, "/sys/class/powercap/intel-rapl:0/energy_uj")
+            .ctx("rapl read")?
+            .trim()
+            .parse()
+            .ctx("rapl parse")
+    };
+    let mut burst_pids: Vec<simkernel::HostPid> = Vec::new();
+    let mut spy_series = Vec::new();
+    let mut truth_series = Vec::new();
+    let mut spy_last = read_spy(&rt, &kernel)?;
+    let mut truth_last = kernel.rapl().raw_totals().package_uj;
+    for t in 0..120u64 {
+        if t.is_multiple_of(40) {
+            for i in 0..4 {
+                burst_pids.push(
+                    rt.exec(&mut kernel, victim, &format!("b{t}-{i}"), models::prime())
+                        .ctx("burst process")?,
+                );
+            }
+        } else if t % 40 == 20 {
+            for pid in burst_pids.drain(..) {
+                let _ = kernel.kill(pid);
+            }
+        }
+        kernel.advance_secs(1);
+        let spy_now = read_spy(&rt, &kernel)?;
+        let truth_now = kernel.rapl().raw_totals().package_uj;
+        spy_series.push((spy_now - spy_last) as f64);
+        truth_series.push(truth_now - truth_last);
+        spy_last = spy_now;
+        truth_last = truth_now;
+    }
+    Ok((spy_series, truth_series))
+}
+
 /// The defense's bottom line, quantified: the correlation between an
 /// attacker's RAPL-derived power estimate and the host's true power is
 /// ≈ 1 on a stock kernel (a perfect attack oracle) and ≈ 0 under the
 /// power-based namespace.
 pub fn defense(seed: u64) -> Result<Measured, String> {
-    use powerns::nsfs::DefendedHost;
-
     fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
         let n = xs.len() as f64;
         let mx = xs.iter().sum::<f64>() / n;
@@ -1423,119 +1471,17 @@ pub fn defense(seed: u64) -> Result<Measured, String> {
         }
     }
 
-    // A victim whose load cycles on and off every 20 s; a spy sampling its
-    // RAPL view at 1 Hz.
+    // The same 120 s on the paper's testbed, with and without the namespace.
     let model = trained_model(seed);
-    let mut spy_series = Vec::new();
-    let mut truth_series = Vec::new();
-    {
-        let mut host = DefendedHost::new(MachineConfig::testbed_i7_6700(), seed, model.clone());
-        let victim = host
-            .create_container(ContainerSpec::new("victim"))
-            .ctx("victim container")?;
-        let spy = host
-            .create_container(ContainerSpec::new("spy"))
-            .ctx("spy container")?;
-        host.exec(spy, "monitor", models::sleeper())
-            .ctx("spy process")?;
-        let mut burst_pids: Vec<simkernel::HostPid> = Vec::new();
-        let mut spy_last: u64 = host
-            .read_file(spy, "/sys/class/powercap/intel-rapl:0/energy_uj")
-            .ctx("defended rapl read")?
-            .trim()
-            .parse()
-            .ctx("defended rapl parse")?;
-        let mut truth_last = host.host_energy_uj();
-        for t in 0..120u64 {
-            if t.is_multiple_of(40) {
-                for i in 0..4 {
-                    burst_pids.push(
-                        host.exec(victim, &format!("b{t}-{i}"), models::prime())
-                            .ctx("burst process")?,
-                    );
-                }
-            } else if t % 40 == 20 {
-                for pid in burst_pids.drain(..) {
-                    let _ = host.kernel.kill(pid);
-                }
-            }
-            host.advance_secs(1);
-            let spy_now: u64 = host
-                .read_file(spy, "/sys/class/powercap/intel-rapl:0/energy_uj")
-                .ctx("defended rapl read")?
-                .trim()
-                .parse()
-                .ctx("defended rapl parse")?;
-            let truth_now = host.host_energy_uj();
-            spy_series.push((spy_now - spy_last) as f64);
-            truth_series.push(truth_now - truth_last);
-            spy_last = spy_now;
-            truth_last = truth_now;
-        }
-    }
+    let testbed = || Kernel::new(MachineConfig::testbed_i7_6700(), seed);
+    let (spy_series, truth_series) = spy_on_cycling_victim(testbed().power_namespace(model))?;
     let defended_r = pearson(&spy_series, &truth_series);
-    let swing = |v: &[f64]| -> f64 {
-        v.iter().cloned().fold(f64::MIN, f64::max) - v.iter().cloned().fold(f64::MAX, f64::min)
-    };
     // What's left of the signal: the defended view's swing relative to the
     // true power swing (the residual comes from the unmodeled FP term,
     // §V-B2's acknowledged limitation — it survives calibration as a tiny
     // ripple).
     let defended_amplitude = swing(&spy_series) / swing(&truth_series).max(1.0);
-
-    // The undefended control: same scenario on a stock kernel.
-    let mut spy_series = Vec::new();
-    let mut truth_series = Vec::new();
-    {
-        let mut kernel = simkernel::Kernel::new(MachineConfig::testbed_i7_6700(), seed);
-        let mut rt = container_runtime::Runtime::new();
-        let victim = rt
-            .create(&mut kernel, ContainerSpec::new("victim"))
-            .ctx("victim container")?;
-        let spy = rt
-            .create(&mut kernel, ContainerSpec::new("spy"))
-            .ctx("spy container")?;
-        rt.exec(&mut kernel, spy, "monitor", models::sleeper())
-            .ctx("spy process")?;
-        let mut burst_pids: Vec<simkernel::HostPid> = Vec::new();
-        let read_spy =
-            |rt: &container_runtime::Runtime, k: &simkernel::Kernel| -> Result<u64, String> {
-                rt.read_file(k, spy, "/sys/class/powercap/intel-rapl:0/energy_uj")
-                    .ctx("stock rapl read")?
-                    .trim()
-                    .parse()
-                    .ctx("stock rapl parse")
-            };
-        let raw_pkg = |k: &simkernel::Kernel| -> Result<f64, String> {
-            Ok(k.rapl()
-                .raw(0)
-                .ok_or_else(|| "package 0 missing".to_string())?
-                .package_uj)
-        };
-        let mut spy_last = read_spy(&rt, &kernel)?;
-        let mut truth_last = raw_pkg(&kernel)?;
-        for t in 0..120u64 {
-            if t.is_multiple_of(40) {
-                for i in 0..4 {
-                    burst_pids.push(
-                        rt.exec(&mut kernel, victim, &format!("b{t}-{i}"), models::prime())
-                            .ctx("burst process")?,
-                    );
-                }
-            } else if t % 40 == 20 {
-                for pid in burst_pids.drain(..) {
-                    let _ = kernel.kill(pid);
-                }
-            }
-            kernel.advance_secs(1);
-            let spy_now = read_spy(&rt, &kernel)?;
-            let truth_now = raw_pkg(&kernel)?;
-            spy_series.push((spy_now - spy_last) as f64);
-            truth_series.push(truth_now - truth_last);
-            spy_last = spy_now;
-            truth_last = truth_now;
-        }
-    }
+    let (spy_series, truth_series) = spy_on_cycling_victim(testbed())?;
     let undefended_r = pearson(&spy_series, &truth_series);
 
     let mut rendered = String::new();
@@ -1580,8 +1526,6 @@ pub fn defense(seed: u64) -> Result<Measured, String> {
 /// the power-based namespace, and the synergistic campaign's trigger goes
 /// blind — its burst timing no longer aligns with the benign crests.
 pub fn defense_fleet(seed: u64) -> Result<Measured, String> {
-    use crate::defended::DefendedFleet;
-
     // Operator-side calibration on a production-representative mix: the
     // paper's set plus the fleet's dominant service workload. (With the
     // lab-only set, the model's bias on the background service survives
@@ -1592,121 +1536,48 @@ pub fn defense_fleet(seed: u64) -> Result<Measured, String> {
     let model = Trainer::new(seed)
         .machine(MachineConfig::cloud_server())
         .train_with(&calibration);
-    let mut fleet = DefendedFleet::new(8, seed, &model);
-    let trace = DiurnalTrace::paper_week(77);
-    let window_start = 86_400 + 33_000u64;
-
-    // Attacker deployment: one observer per host, 4 dormant viruses on 3.
-    let mut observers = Vec::new();
-    for _ in 0..8 {
-        observers.push(fleet.launch("obs").ctx("observer")?);
-    }
-    let mut payloads = Vec::new();
-    for p in 0..3 {
-        let inst = fleet.launch(&format!("payload-{p}")).ctx("payload")?;
-        let mut pids: Vec<simkernel::HostPid> = Vec::with_capacity(4);
-        for i in 0..4 {
-            pids.push(
-                fleet
-                    .exec(inst, &format!("pv-{i}"), models::sleeper())
-                    .ctx("virus")?,
-            );
-        }
-        payloads.push((inst, pids));
-    }
-    fleet.advance_secs(2);
-
-    let read_energy =
-        |fleet: &DefendedFleet, inst: crate::defended::FleetInstance| -> Result<u64, String> {
-            let mut total = 0u64;
-            for pkg in 0..2 {
-                let path = format!("/sys/class/powercap/intel-rapl:{pkg}/energy_uj");
-                total += fleet
-                    .read_file(inst, &path)
-                    .ctx("defended read")?
-                    .trim()
-                    .parse::<u64>()
-                    .unwrap_or(0);
-            }
-            Ok(total)
-        };
-
-    // Calibration pass (600 s): the attacker builds its trigger from the
-    // defended estimates; we also record the true aggregate.
-    let mut last: Vec<u64> = observers
-        .iter()
-        .map(|o| read_energy(&fleet, *o))
-        .collect::<Result<_, _>>()?;
-    let mut estimates = Vec::new();
-    let mut truths = Vec::new();
-    for t in 0..600u64 {
-        for h in 0..8 {
-            fleet.set_background_demand(h, trace.nominal_demand(h, window_start + t));
-        }
-        fleet.advance_secs(1);
-        let mut est = 0.0;
-        for (i, o) in observers.iter().enumerate() {
-            let now = read_energy(&fleet, *o)?;
-            est += (now - last[i]) as f64 / 1e6;
-            last[i] = now;
-        }
-        estimates.push(est);
-        truths.push(fleet.aggregate_wall_w());
-    }
-    let swing = |v: &[f64]| {
-        v.iter().cloned().fold(f64::MIN, f64::max) - v.iter().cloned().fold(f64::MAX, f64::min)
+    // Fig. 3's protocol on the same fleet with the namespace deployed: a
+    // 600 s calibration pass builds the trigger from the defended
+    // estimates, then a 1500 s synergistic campaign fires on it.
+    let fleet = || {
+        fig3_fleet(
+            CloudConfig::new(CloudProfile::CC1).power_namespace(model.clone()),
+            seed,
+        )
     };
+    let cal = run_campaign(
+        fleet(),
+        AttackStrategy::Continuous,
+        77,
+        FIG3_WINDOW_START,
+        600,
+    )?;
+    let estimates: Vec<f64> = cal
+        .series
+        .iter()
+        .filter_map(|s| s.attacker_estimate_w)
+        .collect();
+    let truths: Vec<f64> = cal.series.iter().map(|s| s.aggregate_w).collect();
     let est_swing = swing(&estimates);
     let true_swing = swing(&truths);
-    let mut sorted = estimates.clone();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let threshold = sorted[sorted.len() * 97 / 100];
-
-    // Campaign pass (1500 s): fire on the blinded trigger; record the true
-    // power at each firing moment.
+    let strategy = AttackStrategy::Synergistic {
+        threshold_w: trigger_at(&cal, 97)?,
+        burst_s: 60,
+        cooldown_s: 180,
+    };
+    let campaign = run_campaign(fleet(), strategy, 77, FIG3_WINDOW_START + 600, 1_500)?;
+    // The true power at each firing moment: the sample whose bookkeeping
+    // started a burst, measured before the payload switched on.
+    let mut was_attacking = false;
     let mut fire_truths = Vec::new();
-    let mut all_truths = Vec::new();
-    let mut firing = false;
-    let mut burst_left = 0u64;
-    let mut cooldown = 0u64;
-    let mut trials = 0u32;
-    for t in 600..2_100u64 {
-        for h in 0..8 {
-            fleet.set_background_demand(h, trace.nominal_demand(h, window_start + t));
+    for s in &campaign.series {
+        if s.attacking && !was_attacking {
+            fire_truths.push(s.aggregate_w);
         }
-        fleet.advance_secs(1);
-        let mut est = 0.0;
-        for (i, o) in observers.iter().enumerate() {
-            let now = read_energy(&fleet, *o)?;
-            est += (now - last[i]) as f64 / 1e6;
-            last[i] = now;
-        }
-        let truth = fleet.aggregate_wall_w();
-        all_truths.push(truth);
-        cooldown = cooldown.saturating_sub(1);
-        if firing {
-            burst_left -= 1;
-            if burst_left == 0 {
-                for (inst, pids) in &payloads {
-                    for pid in pids {
-                        fleet.set_process_workload(*inst, *pid, models::sleeper());
-                    }
-                }
-                firing = false;
-                cooldown = 180;
-            }
-        } else if cooldown == 0 && est > threshold {
-            fire_truths.push(truth);
-            for (inst, pids) in &payloads {
-                for pid in pids {
-                    fleet.set_process_workload(*inst, *pid, models::power_virus());
-                }
-            }
-            firing = true;
-            burst_left = 60;
-            trials += 1;
-        }
+        was_attacking = s.attacking;
     }
+    let all_truths: Vec<f64> = campaign.series.iter().map(|s| s.aggregate_w).collect();
+    let trials = campaign.trials;
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     // Crest-targeting ability: on the vulnerable cloud, firing moments sit
     // ≈ +60 W above the window mean (fig3). Under the namespace, a tiny

@@ -19,7 +19,7 @@ use leakscan::{
     ChannelAssessment, CoResDetector, CoResOutcome, CoResVerdict, DetectorKind, Lab,
     MetricsAssessor, TABLE2_CHANNELS,
 };
-use powerns::{PowerModel, Trainer};
+use powerns::Trainer;
 use powersim::RaplMonitor;
 use simkernel::cgroup::PerfCounters;
 use simkernel::FaultPlan;
@@ -447,8 +447,8 @@ pub fn powerns_reset(seed: u64) -> Result<Measured, String> {
         branch_misses: 3_000_000,
         cycles: 3_400_000_000,
     };
-    let clean_j = PowerModel::fit(&clean.samples).core_uj(&busy) / 1e6;
-    let fault_j = PowerModel::fit(&faulted.samples).core_uj(&busy) / 1e6;
+    let clean_j = powerns::model::fit(&clean.samples).core_uj(&busy) / 1e6;
+    let fault_j = powerns::model::fit(&faulted.samples).core_uj(&busy) / 1e6;
     let drift = (fault_j - clean_j).abs() / clean_j.abs().max(1e-9);
 
     let mut out = String::new();

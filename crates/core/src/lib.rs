@@ -55,12 +55,10 @@ pub use simkernel;
 pub use simtrace;
 pub use workloads;
 
-pub mod defended;
 pub mod experiments;
 pub mod faultmatrix;
 pub mod report;
 
-pub use defended::{DefendedFleet, FleetInstance};
 pub use experiments::ExperimentResult;
 pub use faultmatrix::FAULT_MATRIX;
 pub use report::render_experiments_md;

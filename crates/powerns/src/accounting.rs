@@ -17,11 +17,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use container_runtime::ContainerId;
+use container_runtime::{ContainerId, Runtime};
 use serde::{Deserialize, Serialize};
-use simkernel::HostPid;
+use simkernel::{HostPid, Kernel};
 
-use crate::nsfs::DefendedHost;
+use crate::nsfs::container_energy_uj;
 
 /// Per-kWh pricing for namespace-metered energy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -65,10 +65,10 @@ impl EnergyBilling {
     }
 
     /// Meters one interval: reads each container's calibrated energy from
-    /// the namespace and charges the delta.
-    pub fn meter(&mut self, host: &DefendedHost, containers: &[ContainerId]) {
+    /// the kernel's namespace and charges the delta.
+    pub fn meter(&mut self, kernel: &Kernel, runtime: &Runtime, containers: &[ContainerId]) {
         for id in containers {
-            let Some(now_uj) = host.container_energy_uj(*id) else {
+            let Some(now_uj) = container_energy_uj(kernel, runtime, *id) else {
                 continue;
             };
             let last = self.last_uj.entry(*id).or_insert(now_uj);
@@ -141,10 +141,10 @@ impl PowerThrottle {
 
     /// One enforcement interval of `dt_s` seconds: compares each watched
     /// container's average power against the budget and caps or releases.
-    pub fn enforce(&mut self, host: &mut DefendedHost, dt_s: u64) {
+    pub fn enforce(&mut self, kernel: &mut Kernel, runtime: &Runtime, dt_s: u64) {
         let ids: Vec<ContainerId> = self.member_pids.keys().copied().collect();
         for id in ids {
-            let Some(now_uj) = host.container_energy_uj(id) else {
+            let Some(now_uj) = container_energy_uj(kernel, runtime, id) else {
                 continue;
             };
             let last = self.last_uj.entry(id).or_insert(now_uj);
@@ -161,25 +161,25 @@ impl PowerThrottle {
             match *state {
                 ThrottleState::Normal if *over >= self.grace_s => {
                     *state = ThrottleState::Throttled;
-                    self.apply(host, id, self.throttle_factor);
+                    self.apply(kernel, id, self.throttle_factor);
                 }
                 ThrottleState::Throttled if watts <= self.budget_w * 0.8 => {
                     *state = ThrottleState::Normal;
-                    self.apply(host, id, 1.0 / self.throttle_factor);
+                    self.apply(kernel, id, 1.0 / self.throttle_factor);
                 }
                 _ => {}
             }
         }
     }
 
-    fn apply(&self, host: &mut DefendedHost, id: ContainerId, factor: f64) {
+    fn apply(&self, kernel: &mut Kernel, id: ContainerId, factor: f64) {
         let Some(pids) = self.member_pids.get(&id) else {
             return;
         };
         for pid in pids {
-            if let Some(p) = host.kernel.process(*pid) {
+            if let Some(p) = kernel.process(*pid) {
                 let capped = frequency_cap(p.workload(), factor);
-                let _ = host.kernel.set_workload(*pid, capped);
+                let _ = kernel.set_workload(*pid, capped);
             }
         }
     }
@@ -219,26 +219,34 @@ mod tests {
         MODEL.get_or_init(|| Trainer::new(7_001).train())
     }
 
+    fn namespaced(seed: u64) -> (Kernel, Runtime) {
+        let machine = MachineConfig::testbed_i7_6700();
+        (
+            Kernel::new(machine, seed).power_namespace(model().clone()),
+            Runtime::new(),
+        )
+    }
+
     #[test]
     fn energy_billing_differs_for_equal_cpu_time() {
-        let mut host = DefendedHost::new(MachineConfig::testbed_i7_6700(), 7_002, model().clone());
-        let hot = host.create_container(ContainerSpec::new("hot")).unwrap();
-        let cool = host.create_container(ContainerSpec::new("cool")).unwrap();
+        let (mut k, mut rt) = namespaced(7_002);
+        let hot = rt.create(&mut k, ContainerSpec::new("hot")).unwrap();
+        let cool = rt.create(&mut k, ContainerSpec::new("cool")).unwrap();
         // Same CPU time (both saturate 2 cores), very different energy:
         // the power virus vs a low-IPC pointer chaser.
         for i in 0..2 {
-            host.exec(hot, &format!("virus-{i}"), models::power_virus())
+            rt.exec(&mut k, hot, &format!("virus-{i}"), models::power_virus())
                 .unwrap();
-            host.exec(cool, &format!("chase-{i}"), models::mcf())
+            rt.exec(&mut k, cool, &format!("chase-{i}"), models::mcf())
                 .unwrap();
         }
         let mut billing = EnergyBilling::new(EnergyTariff::default());
         for _ in 0..60 {
-            host.advance_secs(1);
-            billing.meter(&host, &[hot, cool]);
+            k.advance_secs(1);
+            billing.meter(&k, &rt, &[hot, cool]);
         }
-        let hot_cpu = host.runtime.cpu_usage_ns(&host.kernel, hot).unwrap();
-        let cool_cpu = host.runtime.cpu_usage_ns(&host.kernel, cool).unwrap();
+        let hot_cpu = rt.cpu_usage_ns(&k, hot).unwrap();
+        let cool_cpu = rt.cpu_usage_ns(&k, cool).unwrap();
         let ratio = hot_cpu as f64 / cool_cpu as f64;
         assert!(
             (0.95..1.05).contains(&ratio),
@@ -256,58 +264,60 @@ mod tests {
 
     #[test]
     fn throttle_caps_offenders_and_releases_them() {
-        let mut host = DefendedHost::new(MachineConfig::testbed_i7_6700(), 7_003, model().clone());
-        let greedy = host.create_container(ContainerSpec::new("greedy")).unwrap();
-        let modest = host.create_container(ContainerSpec::new("modest")).unwrap();
+        let (mut k, mut rt) = namespaced(7_003);
+        let greedy = rt.create(&mut k, ContainerSpec::new("greedy")).unwrap();
+        let modest = rt.create(&mut k, ContainerSpec::new("modest")).unwrap();
         let mut greedy_pids = Vec::new();
         for i in 0..4 {
             greedy_pids.push(
-                host.exec(greedy, &format!("v{i}"), models::power_virus())
+                rt.exec(&mut k, greedy, &format!("v{i}"), models::power_virus())
                     .unwrap(),
             );
         }
-        let modest_pid = host.exec(modest, "svc", models::web_service(0.2)).unwrap();
+        let modest_pid = rt
+            .exec(&mut k, modest, "svc", models::web_service(0.2))
+            .unwrap();
 
         let mut throttle = PowerThrottle::new(30.0, 3);
         throttle.watch(greedy, greedy_pids.clone());
         throttle.watch(modest, vec![modest_pid]);
 
         // Warm up, then enforce per second.
-        host.advance_secs(2);
+        k.advance_secs(2);
         for _ in 0..10 {
-            host.advance_secs(1);
-            throttle.enforce(&mut host, 1);
+            k.advance_secs(1);
+            throttle.enforce(&mut k, &rt, 1);
         }
         assert_eq!(throttle.state(greedy), ThrottleState::Throttled);
         assert_eq!(throttle.state(modest), ThrottleState::Normal);
 
         // Throttled power drops measurably.
-        let e0 = host.container_energy_uj(greedy).unwrap();
-        host.advance_secs(10);
-        let throttled_w = (host.container_energy_uj(greedy).unwrap() - e0) as f64 / 1e6 / 10.0;
+        let e0 = container_energy_uj(&k, &rt, greedy).unwrap();
+        k.advance_secs(10);
+        let throttled_w = (container_energy_uj(&k, &rt, greedy).unwrap() - e0) as f64 / 1e6 / 10.0;
         assert!(throttled_w < 40.0, "still hot: {throttled_w} W");
 
         // The offender stops misbehaving: kill the viruses, release.
         for pid in &greedy_pids {
-            let _ = host.kernel.kill(*pid);
+            let _ = k.kill(*pid);
         }
         for _ in 0..5 {
-            host.advance_secs(1);
-            throttle.enforce(&mut host, 1);
+            k.advance_secs(1);
+            throttle.enforce(&mut k, &rt, 1);
         }
         assert_eq!(throttle.state(greedy), ThrottleState::Normal);
     }
 
     #[test]
     fn billing_is_monotone_and_zero_for_unknown() {
-        let mut host = DefendedHost::new(MachineConfig::testbed_i7_6700(), 7_004, model().clone());
-        let c = host.create_container(ContainerSpec::new("c")).unwrap();
-        host.exec(c, "w", models::stress_small()).unwrap();
+        let (mut k, mut rt) = namespaced(7_004);
+        let c = rt.create(&mut k, ContainerSpec::new("c")).unwrap();
+        rt.exec(&mut k, c, "w", models::stress_small()).unwrap();
         let mut billing = EnergyBilling::new(EnergyTariff::default());
         let mut last = 0.0;
         for _ in 0..5 {
-            host.advance_secs(1);
-            billing.meter(&host, &[c]);
+            k.advance_secs(1);
+            billing.meter(&k, &rt, &[c]);
             let b = billing.bill(c);
             assert!(b.usd >= last);
             last = b.usd;

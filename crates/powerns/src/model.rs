@@ -16,15 +16,16 @@
 //! strictly linear in retired instructions *per workload*, but the slope
 //! varies with the workload's microarchitectural mix (Fig. 6) — the miss
 //! rates recover the slope. Training runs the paper's calibration set
-//! (idle loop, prime, libquantum, stress) and fits by least squares.
+//! (idle loop, prime, libquantum, stress) and fits by least squares. The
+//! fitted [`PowerModel`] is plain data the kernel holds once the namespace
+//! is installed.
 
 use serde::{Deserialize, Serialize};
-use simkernel::cgroup::PerfCounters;
 use simkernel::kernel::ProcessSpec;
 use simkernel::{Kernel, MachineConfig};
 use workloads::WorkloadSpec;
 
-use crate::collect::PerfSampler;
+pub use simkernel::PowerModel;
 
 /// One training observation: per-interval counter deltas plus the
 /// ground-truth RAPL energy deltas for the same interval.
@@ -58,74 +59,33 @@ impl ModelSample {
     }
 }
 
-/// The fitted per-container power model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PowerModel {
-    /// Coefficients over `[I, CM, BM, C, 1]` (µJ).
-    pub core_coef: [f64; 5],
-    /// `[β, γ]` over `[CM, 1]` (µJ).
-    pub dram_coef: [f64; 2],
-    /// `λ`: package constant beyond core + dram (µJ per interval).
-    pub lambda_uj: f64,
-}
+/// Fits a [`PowerModel`] to training samples by least squares.
+///
+/// # Panics
+///
+/// Panics if fewer than 8 samples are supplied (the normal equations
+/// would be singular) — training always produces hundreds.
+pub fn fit(samples: &[ModelSample]) -> PowerModel {
+    assert!(samples.len() >= 8, "need at least 8 training samples");
+    let xs: Vec<[f64; 5]> = samples.iter().map(|s| s.core_features()).collect();
+    let ys: Vec<f64> = samples.iter().map(|s| s.core_uj).collect();
+    let core_coef = least_squares::<5>(&xs, &ys);
 
-impl PowerModel {
-    /// Fits the model to training samples by least squares.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than 8 samples are supplied (the normal equations
-    /// would be singular) — training always produces hundreds.
-    pub fn fit(samples: &[ModelSample]) -> Self {
-        assert!(samples.len() >= 8, "need at least 8 training samples");
-        let xs: Vec<[f64; 5]> = samples.iter().map(|s| s.core_features()).collect();
-        let ys: Vec<f64> = samples.iter().map(|s| s.core_uj).collect();
-        let core_coef = least_squares::<5>(&xs, &ys);
+    let xd: Vec<[f64; 2]> = samples.iter().map(|s| [s.cache_misses, 1.0]).collect();
+    let yd: Vec<f64> = samples.iter().map(|s| s.dram_uj).collect();
+    let dram_coef = least_squares::<2>(&xd, &yd);
 
-        let xd: Vec<[f64; 2]> = samples.iter().map(|s| [s.cache_misses, 1.0]).collect();
-        let yd: Vec<f64> = samples.iter().map(|s| s.dram_uj).collect();
-        let dram_coef = least_squares::<2>(&xd, &yd);
+    let lambda_uj = samples
+        .iter()
+        .map(|s| s.package_uj - s.core_uj - s.dram_uj)
+        .sum::<f64>()
+        / samples.len() as f64;
 
-        let lambda_uj = samples
-            .iter()
-            .map(|s| s.package_uj - s.core_uj - s.dram_uj)
-            .sum::<f64>()
-            / samples.len() as f64;
-
-        PowerModel {
-            core_coef,
-            dram_coef,
-            lambda_uj,
-        }
+    PowerModel {
+        core_coef,
+        dram_coef,
+        lambda_uj,
     }
-
-    /// Modeled core energy for an interval's counter deltas, µJ.
-    pub fn core_uj(&self, d: &PerfCounters) -> f64 {
-        let s = ModelSample {
-            instructions: d.instructions as f64,
-            cache_misses: d.cache_misses as f64,
-            branch_misses: d.branch_misses as f64,
-            cycles: d.cycles as f64,
-            core_uj: 0.0,
-            dram_uj: 0.0,
-            package_uj: 0.0,
-        };
-        dot(&self.core_coef, &s.core_features()).max(0.0)
-    }
-
-    /// Modeled DRAM energy, µJ.
-    pub fn dram_uj(&self, d: &PerfCounters) -> f64 {
-        (self.dram_coef[0] * d.cache_misses as f64 + self.dram_coef[1]).max(0.0)
-    }
-
-    /// Modeled package energy (`M_core + M_dram + λ`), µJ.
-    pub fn package_uj(&self, d: &PerfCounters) -> f64 {
-        self.core_uj(d) + self.dram_uj(d) + self.lambda_uj.max(0.0)
-    }
-}
-
-fn dot<const N: usize>(a: &[f64; N], b: &[f64; N]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// Ordinary least squares via normal equations + Gaussian elimination
@@ -348,7 +308,9 @@ impl Trainer {
     pub fn collect_samples_checked(&self, workload: &WorkloadSpec) -> CalibrationRun {
         let mut k = Kernel::new(self.machine.clone(), self.seed);
         let env = k.create_container_env("train").expect("container env");
-        let mut sampler = PerfSampler::attach(&mut k, env.cgroups.perf_event).expect("perf attach");
+        let perf = env.cgroups.perf_event;
+        k.attach_perf_monitoring(perf).expect("perf attach");
+        let mut perf_last = k.cgroups().perf_counters(perf).unwrap_or_default();
         // Four copies, as the paper runs multi-threaded benchmarks.
         for i in 0..4 {
             k.spawn(ProcessSpec::new(format!("w{i}"), workload.clone()).in_container(&env))
@@ -357,17 +319,19 @@ impl Trainer {
         if let Some(plan) = &self.faults {
             k.install_faults(plan.clone());
         }
-        let mut rapl_last = raw_rapl(&k);
+        let mut rapl_last = k.rapl().raw_totals();
         let mut samples = Vec::with_capacity(self.secs_per_workload as usize);
         let mut rejected = 0u32;
         for _ in 0..self.secs_per_workload {
             k.advance_secs(1);
-            let d = sampler.delta(&k, env.cgroups.perf_event);
-            let rapl = raw_rapl(&k);
+            let perf_now = k.cgroups().perf_counters(perf).unwrap_or_default();
+            let d = perf_now.delta_since(&perf_last);
+            perf_last = perf_now;
+            let rapl = k.rapl().raw_totals();
             let (core, dram, pkg) = (
-                rapl.0 - rapl_last.0,
-                rapl.1 - rapl_last.1,
-                rapl.2 - rapl_last.2,
+                rapl.core_uj - rapl_last.core_uj,
+                rapl.dram_uj - rapl_last.dram_uj,
+                rapl.package_uj - rapl_last.package_uj,
             );
             if core < 0.0 || dram < 0.0 || pkg < 0.0 {
                 rejected += 1;
@@ -409,7 +373,7 @@ impl Trainer {
         for w in set {
             samples.extend(self.collect_samples(w));
         }
-        PowerModel::fit(&samples)
+        fit(&samples)
     }
 
     /// Generates a Fig. 6 / Fig. 7 curve for one workload: cumulative
@@ -443,22 +407,10 @@ impl Trainer {
     }
 }
 
-/// The unwrapped `(core, dram, package)` RAPL energy summed over every
-/// package: the ground truth training and calibration measure against.
-pub(crate) fn raw_rapl(k: &Kernel) -> (f64, f64, f64) {
-    let rapl = k.rapl();
-    let mut t = (0.0, 0.0, 0.0);
-    for raw in (0..rapl.package_count()).filter_map(|p| rapl.raw(p)) {
-        t.0 += raw.core_uj;
-        t.1 += raw.dram_uj;
-        t.2 += raw.package_uj;
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkernel::cgroup::PerfCounters;
     use workloads::models;
 
     #[test]
@@ -556,7 +508,7 @@ mod tests {
             );
         }
         // The surviving samples still support a sane fit.
-        let model = PowerModel::fit(&run.samples);
+        let model = fit(&run.samples);
         let busy = PerfCounters {
             instructions: 8_000_000_000,
             cache_misses: 400_000,

@@ -397,7 +397,7 @@ pub const ROUTES: &[Route] = &[
         "/sys/class/powercap/intel-rapl:{0}/energy_uj",
         [RaplPackage, One],
         sys_power::rapl_package_energy,
-        dep::HW,
+        dep::HW | dep::CGROUP,
     ),
     route!(
         "/sys/class/powercap/intel-rapl:{0}/max_energy_range_uj",
@@ -415,7 +415,7 @@ pub const ROUTES: &[Route] = &[
         "/sys/class/powercap/intel-rapl:{0}/intel-rapl:{0}:{1}/energy_uj",
         [RaplPackage, RaplDomain],
         sys_power::rapl_subdomain_energy,
-        dep::HW,
+        dep::HW | dep::CGROUP,
     ),
     route!(
         "/sys/devices/platform/coretemp.{0}/hwmon/hwmon{0}/temp{1}_input",
@@ -773,7 +773,7 @@ mod tests {
             ),
             (
                 "/sys/class/powercap/intel-rapl:0/intel-rapl:0:1/energy_uj",
-                dep::HW,
+                dep::HW | dep::CGROUP,
             ),
             ("/proc/2/status", dep::PROCESS | dep::NS),
         ] {

@@ -4,15 +4,17 @@
 //! RAPL driver's `get_energy_counter` reads the host MSR with no namespace
 //! awareness, handing every container the whole machine's energy counters.
 //! This is the channel the synergistic power attack monitors and the one
-//! the power-based namespace re-implements.
+//! the power-based namespace closes: on a kernel with the namespace
+//! installed, a registered container's `energy_uj` reads serve its own
+//! calibrated energy instead (see [`simkernel::power_ns`]).
 
 use std::fmt::Write as _;
 
 use simkernel::hw::{IDLE_STATE_NAMES, RAPL_WRAP_UJ};
-use simkernel::Kernel;
+use simkernel::{ContainerEnergy, Kernel};
 
 use super::arg;
-use crate::view::View;
+use crate::view::{Context, View};
 
 /// `/sys/class/powercap/intel-rapl:{pkg}/name` → `package-{pkg}`.
 pub fn rapl_name(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> Option<()> {
@@ -23,19 +25,28 @@ pub fn rapl_name(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> O
     writeln!(out, "package-{pkg}").ok()
 }
 
+/// The reader's calibrated energy: `Some` only for a container view whose
+/// cgroups the kernel's power namespace has registered.
+fn namespaced_energy<'k>(k: &'k Kernel, view: &View) -> Option<&'k ContainerEnergy> {
+    match view.context {
+        Context::Container { cgroups, .. } => k.power_ns()?.energy(&cgroups),
+        Context::Host => None,
+    }
+}
+
 /// `/sys/class/powercap/intel-rapl:{pkg}/energy_uj`. LEAK (Table II):
-/// host package energy counter in microjoules.
-pub fn rapl_package_energy(
-    k: &Kernel,
-    _view: &View,
-    caps: &[&str],
-    out: &mut String,
-) -> Option<()> {
+/// host package energy counter in microjoules — unless the power
+/// namespace serves the reader its own energy.
+pub fn rapl_package_energy(k: &Kernel, view: &View, caps: &[&str], out: &mut String) -> Option<()> {
     let pkg: usize = arg(caps, 0)?;
     if !k.rapl().is_present() || pkg >= k.rapl().package_count() {
         return None;
     }
-    writeln!(out, "{}", k.rapl().package_energy_uj(pkg)).ok()
+    let uj = match namespaced_energy(k, view) {
+        Some(e) => e.package_energy_uj(pkg),
+        None => k.rapl().package_energy_uj(pkg),
+    };
+    writeln!(out, "{uj}").ok()
 }
 
 /// `/sys/class/powercap/intel-rapl:{pkg}/max_energy_range_uj`.
@@ -78,10 +89,11 @@ pub fn rapl_subdomain_name(
 }
 
 /// `/sys/class/powercap/intel-rapl:{pkg}:{dom}/energy_uj`. LEAK: core and
-/// DRAM domain counters.
+/// DRAM domain counters — unless the power namespace serves the reader
+/// its own energy.
 pub fn rapl_subdomain_energy(
     k: &Kernel,
-    _view: &View,
+    view: &View,
     caps: &[&str],
     out: &mut String,
 ) -> Option<()> {
@@ -89,11 +101,14 @@ pub fn rapl_subdomain_energy(
     if !k.rapl().is_present() || pkg >= k.rapl().package_count() {
         return None;
     }
-    match dom {
-        0 => writeln!(out, "{}", k.rapl().core_energy_uj(pkg)).ok(),
-        1 => writeln!(out, "{}", k.rapl().dram_energy_uj(pkg)).ok(),
-        _ => None,
-    }
+    let uj = match (dom, namespaced_energy(k, view)) {
+        (0, Some(e)) => e.core_energy_uj(pkg),
+        (1, Some(e)) => e.dram_energy_uj(pkg),
+        (0, None) => k.rapl().core_energy_uj(pkg),
+        (1, None) => k.rapl().dram_energy_uj(pkg),
+        _ => return None,
+    };
+    writeln!(out, "{uj}").ok()
 }
 
 /// `/sys/devices/platform/coretemp.{pkg}/hwmon/hwmon{pkg}/temp{n}_input`.

@@ -91,9 +91,13 @@ pub mod dep {
     /// surface — the leakcheck flow analysis treats those as hard audit
     /// failures when they are reachable from a registered channel, so a
     /// new accessor in a handler cannot read state whose changes no
-    /// declared dependency bit would report.
+    /// declared dependency bit would report. The power namespace is the
+    /// one two-bit source: its energies move at calibrations, inside an
+    /// advance (`hw`), and its entries come and go with container envs
+    /// (`cgroup`).
     pub fn accessor_bit(accessor: &str) -> Option<u32> {
         Some(match accessor {
+            "power_ns" => HW | CGROUP,
             "clock" => CLOCK,
             "sched" | "total_idle_ns" => SCHED,
             "hw" | "rapl" => HW,
@@ -222,6 +226,7 @@ mod tests {
         assert_eq!(dep::accessor_bit("total_idle_ns"), Some(dep::SCHED));
         assert_eq!(dep::accessor_bit("boot_id"), Some(dep::FS));
         assert_eq!(dep::accessor_bit("config"), Some(0));
+        assert_eq!(dep::accessor_bit("power_ns"), Some(dep::HW | dep::CGROUP));
         assert_eq!(dep::accessor_bit("tracer"), None);
     }
 }

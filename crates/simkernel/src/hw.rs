@@ -142,6 +142,19 @@ impl RaplDomains {
         self.packages.get(pkg)
     }
 
+    /// The unwrapped counters summed over every package, in package
+    /// order: the host's ground-truth energy, which model training and
+    /// the power namespace's calibration measure against.
+    pub fn raw_totals(&self) -> PackageEnergy {
+        let mut t = PackageEnergy::default();
+        for p in &self.packages {
+            t.core_uj += p.core_uj;
+            t.dram_uj += p.dram_uj;
+            t.package_uj += p.package_uj;
+        }
+        t
+    }
+
     fn add(&mut self, pkg: usize, core_uj: f64, dram_uj: f64, uncore_uj: f64) {
         if let Some(p) = self.packages.get_mut(pkg) {
             p.core_uj += core_uj;

@@ -17,6 +17,7 @@ use crate::mem::{MemAnchor, MemoryState};
 use crate::net::NetState;
 use crate::ns::{NamespaceRegistry, NamespaceSet};
 use crate::perf::{PerfOverheadCosts, PerfSubsystem};
+use crate::power_ns::{PowerModel, PowerNamespace};
 use crate::process::{CgroupMembership, HostPid, ProcState, Process, ProcessTable};
 use crate::sched::{SchedAnchor, SchedScratch, Scheduler, TickReport};
 use crate::syscost::SysCosts;
@@ -158,6 +159,9 @@ pub struct Kernel {
     /// Trace-event buffer; `Some` only when tracing is enabled and this
     /// kernel was built inside a `simtrace::scope`.
     tracer: Option<simtrace::KernelTracer>,
+    /// The power-based namespace, once [`Kernel::power_namespace`]
+    /// installed it (boxed: most kernels never carry one).
+    power_ns: Option<Box<PowerNamespace>>,
 }
 
 /// The subsystem lanes at the instant a quiescent span began. While no
@@ -305,6 +309,7 @@ impl Kernel {
             idle_anchor: IdleAnchor::default(),
             epochs: SubsystemEpochs::default(),
             tracer: simtrace::tracer_for_new_kernel(),
+            power_ns: None,
             seed,
             cfg,
             rng,
@@ -394,6 +399,10 @@ impl Kernel {
     /// Perf-event subsystem.
     pub fn perf(&self) -> &PerfSubsystem {
         &self.perf
+    }
+    /// The power-based namespace, when installed.
+    pub fn power_ns(&self) -> Option<&PowerNamespace> {
+        self.power_ns.as_deref()
     }
     /// Kernel-operation cost table.
     pub fn syscost(&self) -> &SysCosts {
@@ -551,6 +560,9 @@ impl Kernel {
         if let Some(e) = self.timers.next_event_after(now) {
             fold(self.lifetime_ns + (e - now));
         }
+        if let Some(ns) = &self.power_ns {
+            fold(ns.next_ns());
+        }
         horizon
     }
 
@@ -601,6 +613,44 @@ impl Kernel {
     pub fn tick_stepped(mut self) -> Self {
         self.coalesce = false;
         self
+    }
+
+    /// This kernel with the power-based namespace installed (see
+    /// [`crate::power_ns`]): perf monitoring on the root perf_event
+    /// cgroup, every container env created from now on registered, and
+    /// Formula 3's calibration run at each whole second from now — an
+    /// instant that caps run ticks and quiescent spans alike, as a
+    /// one-shot timer caps a span.
+    #[must_use]
+    pub fn power_namespace(mut self, model: PowerModel) -> Self {
+        let root = self.cgroups.root(CgroupKind::PerfEvent);
+        // The root is always a perf_event cgroup, so attaching cannot fail.
+        let _ = self.attach_perf_monitoring(root);
+        self.power_ns = Some(Box::new(PowerNamespace::new(
+            model,
+            self.lifetime_ns,
+            root,
+            &self.cgroups,
+            &self.hw,
+        )));
+        self
+    }
+
+    /// Nanoseconds until the namespace's next calibration (`u64::MAX`
+    /// without a namespace).
+    fn until_calibration(&self) -> u64 {
+        self.power_ns
+            .as_ref()
+            .map_or(u64::MAX, |ns| ns.next_ns() - self.lifetime_ns)
+    }
+
+    /// Runs the namespace's calibration if its instant has come.
+    fn calibrate_if_due(&mut self) {
+        if let Some(ns) = self.power_ns.as_deref_mut() {
+            if self.lifetime_ns >= ns.next_ns() {
+                ns.calibrate(&self.cgroups, &self.hw);
+            }
+        }
     }
 
     /// Whether event-horizon coalescing is enabled on this kernel: false
@@ -659,12 +709,14 @@ impl Kernel {
                     stepped += 1;
                 }
                 quiet(self, step);
+                self.calibrate_if_due();
                 idle_ns += step;
                 dt_ns -= step;
             } else {
                 self.idle_anchor.invalidate();
-                let step = dt_ns.min(self.tick_ns);
+                let step = dt_ns.min(self.tick_ns).min(self.until_calibration());
                 tick(self, step);
+                self.calibrate_if_due();
                 runnable = self.scratch.report.runnable;
                 run_ns += step;
                 run_ticks += 1;
@@ -727,6 +779,7 @@ impl Kernel {
         while remaining > 0 {
             let step = self.quiescent_step_size(remaining, true);
             self.quiescent_step(step);
+            self.calibrate_if_due();
             remaining -= step;
         }
         if secs > 0 {
@@ -740,18 +793,20 @@ impl Kernel {
     }
 
     /// How far the next quiescent span may run: the remaining budget,
-    /// capped at the event horizon. A scheduled crash-reboot caps the span
-    /// in *both* modes (the reboot must fire at its exact instant); with
-    /// coalescing off the tick quantum caps it too; with coalescing on the
-    /// horizon is the earliest of the next one-shot timer expiry and the
-    /// next fault-plan event. Periodic timers never cap a span — their
-    /// re-arming is phase-preserving at any later instant.
+    /// capped at the event horizon. A scheduled crash-reboot and the power
+    /// namespace's next calibration cap the span in *both* modes (each
+    /// must happen at its exact instant); with coalescing off the tick
+    /// quantum caps it too; with coalescing on the horizon is the earliest
+    /// of the next one-shot timer expiry and the next fault-plan event.
+    /// Periodic timers never cap a span — their re-arming is
+    /// phase-preserving at any later instant.
     fn quiescent_step_size(&self, remaining_ns: u64, coalesce: bool) -> u64 {
         let mut step = if coalesce {
             remaining_ns
         } else {
             remaining_ns.min(self.tick_ns)
-        };
+        }
+        .min(self.until_calibration());
         if let Some(f) = &self.faults {
             let rel = self.lifetime_ns.saturating_sub(f.base_ns);
             if let Some(r) = f.plan.next_reboot_after(rel) {
@@ -1214,14 +1269,21 @@ impl Kernel {
                 .create_child_at(parent, Arc::clone(&cgroup_path))?;
         }
         self.bump_epochs(dep::NS | dep::NET | dep::CGROUP);
+        let cgroups = CgroupMembership {
+            cpuacct: ids[CgroupKind::Cpuacct.index()],
+            perf_event: ids[CgroupKind::PerfEvent.index()],
+            net_prio: ids[CgroupKind::NetPrio.index()],
+            memory: ids[CgroupKind::Memory.index()],
+        };
+        if self.power_ns.is_some() {
+            self.attach_perf_monitoring(cgroups.perf_event)?;
+            if let Some(power_ns) = self.power_ns.as_deref_mut() {
+                power_ns.register(&cgroups, &self.cgroups, self.hw.rapl().package_count());
+            }
+        }
         Ok(ContainerEnv {
             ns,
-            cgroups: CgroupMembership {
-                cpuacct: ids[CgroupKind::Cpuacct.index()],
-                perf_event: ids[CgroupKind::PerfEvent.index()],
-                net_prio: ids[CgroupKind::NetPrio.index()],
-                memory: ids[CgroupKind::Memory.index()],
-            },
+            cgroups,
             veth,
             cgroup_path,
         })
@@ -1247,6 +1309,9 @@ impl Kernel {
         let _ = self
             .perf
             .detach_cgroup(&mut self.cgroups, env.cgroups.perf_event);
+        if let Some(power_ns) = self.power_ns.as_deref_mut() {
+            power_ns.unregister(env.cgroups.perf_event);
+        }
         for id in [
             env.cgroups.cpuacct,
             env.cgroups.perf_event,

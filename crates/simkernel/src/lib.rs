@@ -21,6 +21,9 @@
 //! * [`perf`] is the perf-event subsystem the power-based-namespace defense
 //!   hooks into, including the context-switch overhead model behind the
 //!   paper's Table III.
+//! * [`power_ns`] is that defense's kernel side: per-container energy,
+//!   calibrated against RAPL each second (Formula 3), which the RAPL
+//!   files serve a registered container in place of the host counter.
 //! * [`syscost`] is the kernel-operation cost model used by the
 //!   UnixBench-style overhead harness.
 //!
@@ -66,6 +69,7 @@ pub mod net;
 pub mod ns;
 pub mod parallel;
 pub mod perf;
+pub mod power_ns;
 pub mod process;
 pub mod sched;
 pub mod syscost;
@@ -81,6 +85,7 @@ pub use faults::{is_sensor_path, FaultPlan, FsFaultKind, SensorFaultKind};
 pub use hw::{PowerModelParams, PowerSnapshot, RaplDomains};
 pub use kernel::Kernel;
 pub use ns::{NamespaceKind, NamespaceSet, NsId};
+pub use power_ns::{ContainerEnergy, PowerModel, PowerNamespace};
 pub use process::{HostPid, ProcState, Process};
 pub use syscost::SysCosts;
 pub use time::{Clock, NANOS_PER_SEC};

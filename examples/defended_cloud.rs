@@ -1,15 +1,16 @@
-//! The defense in action (§V): train the power model, deploy the
-//! power-based namespace, and show that a would-be attacker's RAPL
-//! monitor now sees only its own consumption — the benign crests it
-//! needed to time the synergistic attack are gone.
+//! The defense in action (§V): train the power model, boot a kernel with
+//! the power-based namespace installed, and show that a would-be
+//! attacker's RAPL monitor — reading the unchanged `energy_uj` file — now
+//! sees only its own consumption: the benign crests it needed to time the
+//! synergistic attack are gone.
 //!
 //! ```sh
 //! cargo run --release --example defended_cloud
 //! ```
 
-use containerleaks::container_runtime::ContainerSpec;
-use containerleaks::powerns::{DefendedHost, Trainer};
-use containerleaks::simkernel::MachineConfig;
+use containerleaks::container_runtime::{ContainerSpec, Runtime};
+use containerleaks::powerns::Trainer;
+use containerleaks::simkernel::{Kernel, MachineConfig};
 use containerleaks::workloads::models;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,35 +22,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         model.core_coef.map(|c| format!("{c:.3e}")),
     );
 
-    // 2. Deploy a defended host with a victim tenant and a spy tenant.
-    let mut host = DefendedHost::new(MachineConfig::testbed_i7_6700(), 7, model);
-    let victim = host.create_container(ContainerSpec::new("victim"))?;
-    let spy = host.create_container(ContainerSpec::new("spy"))?;
-    host.exec(spy, "monitor", models::sleeper())?;
+    // 2. Boot a namespaced host with a victim tenant and a spy tenant.
+    let mut kernel = Kernel::new(MachineConfig::testbed_i7_6700(), 7).power_namespace(model);
+    let mut runtime = Runtime::new();
+    let victim = runtime.create(&mut kernel, ContainerSpec::new("victim"))?;
+    let spy = runtime.create(&mut kernel, ContainerSpec::new("spy"))?;
+    runtime.exec(&mut kernel, spy, "monitor", models::sleeper())?;
 
     // 3. The spy samples its RAPL view once per second while the victim's
     //    load comes and goes.
     let mut spy_last = 0u64;
-    let mut host_last = host.host_energy_uj();
+    let mut host_last = kernel.rapl().raw_totals().package_uj;
     println!("\n  t | victim load | host power | spy's RAPL view");
     let mut victim_pids = Vec::new();
     for t in 0..40u64 {
         if t == 10 {
             for i in 0..4 {
-                victim_pids.push(host.exec(victim, &format!("burst-{i}"), models::prime())?);
+                victim_pids.push(runtime.exec(
+                    &mut kernel,
+                    victim,
+                    &format!("burst-{i}"),
+                    models::prime(),
+                )?);
             }
         }
         if t == 25 {
             for pid in victim_pids.drain(..) {
-                let _ = host.kernel.kill(pid);
+                let _ = kernel.kill(pid);
             }
         }
-        host.advance_secs(1);
-        let spy_now: u64 = host
-            .read_file(spy, "/sys/class/powercap/intel-rapl:0/energy_uj")?
+        kernel.advance_secs(1);
+        let spy_now: u64 = runtime
+            .read_file(&kernel, spy, "/sys/class/powercap/intel-rapl:0/energy_uj")?
             .trim()
             .parse()?;
-        let host_now = host.host_energy_uj();
+        let host_now = kernel.rapl().raw_totals().package_uj;
         if t % 5 == 4 {
             println!(
                 "{t:>3} | {:<11} | {:>7.1} W  | {:>7.1} W",

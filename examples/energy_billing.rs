@@ -7,24 +7,29 @@
 //! cargo run --release --example energy_billing
 //! ```
 
-use containerleaks::container_runtime::ContainerSpec;
-use containerleaks::powerns::{
-    DefendedHost, EnergyBilling, EnergyTariff, PowerThrottle, ThrottleState, Trainer,
-};
-use containerleaks::simkernel::MachineConfig;
+use containerleaks::container_runtime::{ContainerSpec, Runtime};
+use containerleaks::powerns::{EnergyBilling, EnergyTariff, PowerThrottle, ThrottleState, Trainer};
+use containerleaks::simkernel::{Kernel, MachineConfig};
 use containerleaks::workloads::models;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("training the power model...");
     let model = Trainer::new(1729).train();
-    let mut host = DefendedHost::new(MachineConfig::testbed_i7_6700(), 8, model);
+    // Every container created on this kernel is metered by the namespace.
+    let mut kernel = Kernel::new(MachineConfig::testbed_i7_6700(), 8).power_namespace(model);
+    let mut runtime = Runtime::new();
 
-    let hot = host.create_container(ContainerSpec::new("render-farm"))?;
-    let cool = host.create_container(ContainerSpec::new("pointer-chaser"))?;
+    let hot = runtime.create(&mut kernel, ContainerSpec::new("render-farm"))?;
+    let cool = runtime.create(&mut kernel, ContainerSpec::new("pointer-chaser"))?;
     let mut hot_pids = Vec::new();
     for i in 0..2 {
-        hot_pids.push(host.exec(hot, &format!("virus-{i}"), models::power_virus())?);
-        host.exec(cool, &format!("mcf-{i}"), models::mcf())?;
+        hot_pids.push(runtime.exec(
+            &mut kernel,
+            hot,
+            &format!("virus-{i}"),
+            models::power_virus(),
+        )?);
+        runtime.exec(&mut kernel, cool, &format!("mcf-{i}"), models::mcf())?;
     }
 
     let mut billing = EnergyBilling::new(EnergyTariff::default());
@@ -33,9 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for minute in 1..=3 {
         for _ in 0..60 {
-            host.advance_secs(1);
-            billing.meter(&host, &[hot, cool]);
-            throttle.enforce(&mut host, 1);
+            kernel.advance_secs(1);
+            billing.meter(&kernel, &runtime, &[hot, cool]);
+            throttle.enforce(&mut kernel, &runtime, 1);
         }
         let hb = billing.bill(hot);
         let cb = billing.bill(cool);
@@ -52,8 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let hot_cpu = host.runtime.cpu_usage_ns(&host.kernel, hot).unwrap_or(0);
-    let cool_cpu = host.runtime.cpu_usage_ns(&host.kernel, cool).unwrap_or(0);
+    let hot_cpu = runtime.cpu_usage_ns(&kernel, hot).unwrap_or(0);
+    let cool_cpu = runtime.cpu_usage_ns(&kernel, cool).unwrap_or(0);
     println!(
         "\nCPU-seconds consumed: render-farm {:.0}, pointer-chaser {:.0}",
         hot_cpu as f64 / 1e9,

@@ -4,7 +4,7 @@
 
 use containerleaks::container_runtime::{ContainerSpec, Runtime};
 use containerleaks::leakscan::{CovertLink, CovertMedium};
-use containerleaks::powerns::{DefendedHost, Trainer};
+use containerleaks::powerns::Trainer;
 use containerleaks::simkernel::{Kernel, MachineConfig};
 use containerleaks::workloads::models;
 
@@ -39,15 +39,24 @@ fn rapl_covert_channel_works_undefended_and_dies_defended() {
     // --- Defended: same protocol, but the receiver's energy_uj is its
     //     own namespace-calibrated counter. ---
     let model = Trainer::new(61_001).train();
-    let mut host = DefendedHost::new(MachineConfig::testbed_i7_6700(), 61_002, model);
-    let tx = host.create_container(ContainerSpec::new("tx")).unwrap();
-    let rx = host.create_container(ContainerSpec::new("rx")).unwrap();
-    host.exec(tx, "anchor", models::sleeper()).unwrap();
-    host.exec(rx, "anchor", models::sleeper()).unwrap();
-    host.advance_secs(2);
+    let mut kernel = Kernel::new(MachineConfig::testbed_i7_6700(), 61_002).power_namespace(model);
+    let mut runtime = Runtime::new();
+    let tx = runtime
+        .create(&mut kernel, ContainerSpec::new("tx"))
+        .unwrap();
+    let rx = runtime
+        .create(&mut kernel, ContainerSpec::new("rx"))
+        .unwrap();
+    runtime
+        .exec(&mut kernel, tx, "anchor", models::sleeper())
+        .unwrap();
+    runtime
+        .exec(&mut kernel, rx, "anchor", models::sleeper())
+        .unwrap();
+    kernel.advance_secs(2);
 
-    let read_rx = |h: &DefendedHost| -> u64 {
-        h.read_file(rx, "/sys/class/powercap/intel-rapl:0/energy_uj")
+    let read_rx = |k: &Kernel, rt: &Runtime| -> u64 {
+        rt.read_file(k, rx, "/sys/class/powercap/intel-rapl:0/energy_uj")
             .unwrap()
             .trim()
             .parse()
@@ -55,9 +64,9 @@ fn rapl_covert_channel_works_undefended_and_dies_defended() {
     };
 
     // Calibrate the receiver's idle slot delta under the defense.
-    let e0 = read_rx(&host);
-    host.advance_secs(2);
-    let idle_delta = read_rx(&host) - e0;
+    let e0 = read_rx(&kernel, &runtime);
+    kernel.advance_secs(2);
+    let idle_delta = read_rx(&kernel, &runtime) - e0;
 
     let mut decoded = Vec::new();
     let mut host_truth_decoded = Vec::new();
@@ -66,22 +75,28 @@ fn rapl_covert_channel_works_undefended_and_dies_defended() {
         if *bit {
             for i in 0..4 {
                 pids.push(
-                    host.exec(tx, &format!("pv-{slot}-{i}"), models::power_virus())
+                    runtime
+                        .exec(
+                            &mut kernel,
+                            tx,
+                            &format!("pv-{slot}-{i}"),
+                            models::power_virus(),
+                        )
                         .unwrap(),
                 );
             }
         }
-        let pre = read_rx(&host);
-        let host_pre = host.host_energy_uj();
-        host.advance_secs(2);
-        let post = read_rx(&host);
-        let host_post = host.host_energy_uj();
+        let pre = read_rx(&kernel, &runtime);
+        let host_pre = kernel.rapl().raw_totals().package_uj;
+        kernel.advance_secs(2);
+        let post = read_rx(&kernel, &runtime);
+        let host_post = kernel.rapl().raw_totals().package_uj;
         decoded.push(post - pre > idle_delta + idle_delta / 2);
         host_truth_decoded.push(host_post - host_pre > 60e6);
         for pid in pids {
-            let _ = host.kernel.kill(pid);
+            let _ = kernel.kill(pid);
         }
-        host.advance_secs(1);
+        kernel.advance_secs(1);
     }
 
     // The operator-side ground truth still sees the bursts...

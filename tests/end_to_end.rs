@@ -5,13 +5,13 @@
 use containerleaks::cloudsim::{
     Cloud, CloudConfig, CloudProfile, HostId, InstanceSpec, PlacementPolicy,
 };
-use containerleaks::container_runtime::ContainerSpec;
+use containerleaks::container_runtime::{ContainerSpec, Runtime};
 use containerleaks::leakscan::{ChannelClass, CoResDetector, CrossValidator, DetectorKind, Lab};
-use containerleaks::powerns::{DefendedHost, Trainer};
+use containerleaks::powerns::Trainer;
 use containerleaks::powersim::{
     AttackCampaign, AttackStrategy, DiurnalTrace, Orchestrator, RaplMonitor,
 };
-use containerleaks::simkernel::MachineConfig;
+use containerleaks::simkernel::{Kernel, MachineConfig};
 use containerleaks::workloads::models;
 
 #[test]
@@ -71,37 +71,34 @@ fn discover_exploit_defend() {
 
     // ---- Act 3: the defense closes the oracle. ----
     let model = Trainer::new(90_003).train();
-    let mut defended = DefendedHost::new(MachineConfig::testbed_i7_6700(), 90_004, model);
-    let spy = defended
-        .create_container(ContainerSpec::new("spy"))
-        .expect("spy");
-    defended
-        .exec(spy, "monitor", models::sleeper())
+    let mut k = Kernel::new(MachineConfig::testbed_i7_6700(), 90_004).power_namespace(model);
+    let mut rt = Runtime::new();
+    let spy = rt.create(&mut k, ContainerSpec::new("spy")).expect("spy");
+    rt.exec(&mut k, spy, "monitor", models::sleeper())
         .expect("spy process");
-    let victim = defended
-        .create_container(ContainerSpec::new("victim"))
+    let victim = rt
+        .create(&mut k, ContainerSpec::new("victim"))
         .expect("victim");
-    defended.advance_secs(5);
-    let read_spy = |d: &DefendedHost| -> u64 {
-        d.read_file(spy, "/sys/class/powercap/intel-rapl:0/energy_uj")
+    k.advance_secs(5);
+    let read_spy = |k: &Kernel, rt: &Runtime| -> u64 {
+        rt.read_file(k, spy, "/sys/class/powercap/intel-rapl:0/energy_uj")
             .expect("defended read")
             .trim()
             .parse()
             .expect("number")
     };
-    let s0 = read_spy(&defended);
-    defended.advance_secs(10);
-    let idle_rate = (read_spy(&defended) - s0) / 10;
-    let host0 = defended.host_energy_uj();
+    let s0 = read_spy(&k, &rt);
+    k.advance_secs(10);
+    let idle_rate = (read_spy(&k, &rt) - s0) / 10;
+    let host0 = k.rapl().raw_totals().package_uj;
     for i in 0..4 {
-        defended
-            .exec(victim, &format!("p{i}"), models::prime())
+        rt.exec(&mut k, victim, &format!("p{i}"), models::prime())
             .expect("victim load");
     }
-    let s1 = read_spy(&defended);
-    defended.advance_secs(10);
-    let loaded_rate = (read_spy(&defended) - s1) / 10;
-    let host_rate = (defended.host_energy_uj() - host0) / 10.0;
+    let s1 = read_spy(&k, &rt);
+    k.advance_secs(10);
+    let loaded_rate = (read_spy(&k, &rt) - s1) / 10;
+    let host_rate = (k.rapl().raw_totals().package_uj - host0) / 10.0;
 
     // Host power visibly surged; the spy's view did not.
     assert!(

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use containerleaks::pseudofs::{route_for, PseudoFs, View, ROUTES};
 use containerleaks::simkernel::kernel::ProcessSpec;
-use containerleaks::simkernel::{dep, Kernel, MachineConfig};
+use containerleaks::simkernel::{dep, Kernel, MachineConfig, PowerModel};
 use containerleaks::workloads::models;
 
 #[test]
@@ -33,6 +33,15 @@ fn reads_never_advance_epochs() {
     assert_eq!(k.epochs().total(), before, "a read bumped an epoch");
 }
 
+/// A fixed Formula 2 model for the namespaced cases.
+fn model() -> PowerModel {
+    PowerModel {
+        core_coef: [6.0e-4, 2.0e-3, 1.0e-3, 1.5e-3, 2.0e5],
+        dram_coef: [4.0e-3, 3.0e5],
+        lambda_uj: 1.2e6,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -41,18 +50,28 @@ proptest! {
     /// without touching kernel state, so the claim is scoped to clean
     /// reads): whenever a route's rendered bytes change between two
     /// instants, the masked sum of its declared dependency epochs must
-    /// have advanced — and the total epoch sum never decreases.
+    /// have advanced — and the total epoch sum never decreases. Odd seeds
+    /// run on a kernel with the power namespace installed.
     #[test]
     fn changed_bytes_imply_advanced_epochs(seed in 0u64..10_000) {
+        let namespaced = seed % 2 == 1;
         let mut k = Kernel::new(MachineConfig::testbed_i7_6700(), seed);
+        if namespaced {
+            k = k.power_namespace(model());
+        }
         let env = k.create_container_env("c1").unwrap();
         k.spawn(ProcessSpec::new("init", models::sleeper()).in_container(&env))
             .unwrap();
         let fs = PseudoFs::new();
         // Each route is read at its first instance in the first view
         // that lists one, taken at boot: the container's init, the only
-        // process then, lives through the walk.
-        let views = [View::host(), View::container(env.ns, env.cgroups)];
+        // process then, lives through the walk. A namespaced kernel reads
+        // through the container's view first, so its RAPL files serve the
+        // calibrated energy.
+        let mut views = [View::host(), View::container(env.ns, env.cgroups)];
+        if namespaced {
+            views.reverse();
+        }
         let listed: Vec<(&View, Vec<String>)> =
             views.iter().map(|v| (v, fs.list(&k, v))).collect();
         let reads: Vec<(&View, &str)> = ROUTES
