@@ -21,6 +21,9 @@
 //!   files under the profile with the most mask rules
 //! * `pseudofs_count_cc5` — counting them alone under the detector's
 //!   composed deny policy, as the campaign transcript does each step
+//! * `pseudofs_walk_cc5` — reading every one of them in one
+//!   `PseudoFs::walk` on a churned cloud server, as the campaign's
+//!   churn-soundness oracle does after each teardown
 //! * `table2_metrics`    — entropy computation over a 60-point trace
 //! * `table3_unixbench`  — the full UnixBench overhead replay
 //! * `fig2_week_segment_coalesced` — an hour of the Fig. 2 pipeline on
@@ -34,8 +37,8 @@
 //! * `host_lifecycle_idle` — one idle CC1 host's container lifecycle:
 //!   create the env, advance a quiescent hour, destroy the env
 //! * `fleet_lifecycle_cold` — the same lifecycle through the cloud on a
-//!   10,000-host idle fleet: 256 launches placed at random, an hour, and
-//!   their 256 terminations, each op on a host no recent op touched
+//!   10,000-host idle fleet: 1,024 launches placed at random, an hour,
+//!   and their 1,024 terminations, each op on a host no recent op touched
 //! * `fleet_calendar_pop` — the calendar pop/sync/re-push cycle with
 //!   every host due each advance
 //! * `fig4_staircase`    — launching + measuring one attack container
@@ -62,9 +65,10 @@ use containerleaks::detector;
 use containerleaks::leakscan::metrics::joint_entropy;
 use containerleaks::leakscan::{CrossValidator, Lab};
 use containerleaks::powerns::{container_energy_uj, run_table3, Trainer};
-use containerleaks::pseudofs::{route_for, PseudoFs};
+use containerleaks::pseudofs::{route_for, PseudoFs, View};
 use containerleaks::simkernel::cgroup::PerfCounters;
-use containerleaks::simkernel::{Kernel, MachineConfig};
+use containerleaks::simkernel::kernel::ProcessSpec;
+use containerleaks::simkernel::{ChurnDriver, ChurnPlan, Kernel, MachineConfig};
 use containerleaks::workloads::models;
 
 fn bench_table1_scan(c: &mut Criterion) {
@@ -137,6 +141,33 @@ fn bench_pseudofs_cc5(c: &mut Criterion) {
     assert_eq!(fs.count(kernel, &view), fs.list(kernel, &view).len());
     c.bench_function("pseudofs_count_cc5", |b| {
         b.iter(|| black_box(fs.count(kernel, black_box(&view))))
+    });
+}
+
+fn bench_pseudofs_walk(c: &mut Criterion) {
+    // `pseudofs_walk_cc5` reads every file of a CC5 container view in one
+    // walk: mask, fault and trace checks and the render of each visible
+    // path, on a cloud server whose pid and cgroup tables a seeded churn
+    // has worked over.
+    let mut k = Kernel::new(MachineConfig::cloud_server(), 5);
+    let mut driver = ChurnDriver::new(ChurnPlan::new(5).cycles(12).max_live(3));
+    for _ in 0..12 {
+        driver.step(&mut k);
+    }
+    let env = k.create_container_env("walker").expect("env fits");
+    k.spawn(ProcessSpec::new("app", models::prime()).in_container(&env))
+        .expect("spawn");
+    k.advance_secs(1);
+    let view = View::container(env.ns, env.cgroups).with_policy(CloudProfile::CC5.mask_policy());
+    let fs = PseudoFs::new();
+    c.bench_function("pseudofs_walk_cc5", |b| {
+        b.iter(|| {
+            let mut bytes = 0;
+            fs.walk(&k, black_box(&view), |_, read| {
+                bytes += read.map_or(0, str::len);
+            });
+            black_box(bytes)
+        })
     });
 }
 
@@ -295,10 +326,13 @@ fn bench_fleet_lifecycle_cold(c: &mut Criterion) {
             .placement(PlacementPolicy::Random),
         21,
     );
+    // 1 024 launches an iteration: one iteration fills a 5 ms sample
+    // alone, so the sample's time is not two iterations' worth of which
+    // hosts the random placement happened to warm.
     let mut n = 0u64;
     c.bench_function("fleet_lifecycle_cold", |b| {
         b.iter(|| {
-            let ids: Vec<InstanceId> = (0..256)
+            let ids: Vec<InstanceId> = (0..1_024)
                 .map(|_| {
                     n += 1;
                     cloud
@@ -548,6 +582,7 @@ criterion_group!(
         bench_table1_scan,
         bench_route_resolve,
         bench_pseudofs_cc5,
+        bench_pseudofs_walk,
         bench_table2_metrics,
         bench_table3_unixbench,
         bench_fig2_week_segment_coalesced,

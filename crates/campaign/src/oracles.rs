@@ -455,15 +455,15 @@ pub fn power_monotone(sc: &Scenario) -> Result<(), Violation> {
     Ok(())
 }
 
-/// Reads the full pseudo-fs surface of `kernel` under every given view
-/// and checks that reading left every subsystem epoch where it was.
+/// Reads the full pseudo-fs surface of `kernel` under every given view,
+/// each in one [`PseudoFs::walk`] (every listed path, in route-table
+/// order, through the same mask, fault and trace checks as a single
+/// read), and checks that reading left every subsystem epoch where it
+/// was.
 fn walk_surfaces(fs: &PseudoFs, kernel: &Kernel, views: &[View]) -> Result<(), Violation> {
     let before = kernel.epochs().total();
-    let mut buf = String::new();
     for view in views {
-        for path in fs.list(kernel, view) {
-            let _ = fs.read_into(kernel, view, &path, &mut buf);
-        }
+        fs.walk(kernel, view, |_, _| {});
     }
     let after = kernel.epochs().total();
     if before != after {

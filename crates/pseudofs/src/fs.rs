@@ -8,7 +8,7 @@ use simkernel::{dep, Kernel};
 
 use crate::error::FsError;
 use crate::faultfx;
-use crate::registry::{self, Dim, Route};
+use crate::registry::{self, Dim, Route, MAX_CAPTURES};
 use crate::render::proc_pid;
 use crate::view::{MaskAction, Reach, View};
 
@@ -95,15 +95,22 @@ impl<'k> Axis<'k> {
 }
 
 /// Writes `template` into `out`, each `{0}`/`{1}` hole replaced by its
-/// value.
-fn expand(out: &mut String, template: &str, values: [Value; 2]) {
+/// value, and returns the byte range of `out` each holed segment's holes
+/// cover, from its first hole to its last, in order (unused slots are
+/// empty): the text the resolver captures for that segment.
+fn expand(out: &mut String, template: &str, values: [Value; 2]) -> [Range<usize>; MAX_CAPTURES] {
     out.clear();
+    let mut caps: [Range<usize>; MAX_CAPTURES] = Default::default();
+    let mut holed = 0;
+    let mut same_segment = false;
     // Split at both braces, a template alternates literal text and hole
     // names, literal text first.
     let mut pieces = template.split(['{', '}']);
     while let Some(text) = pieces.next() {
         out.push_str(text);
+        same_segment &= !text.contains('/');
         if let Some(hole) = pieces.next() {
+            let start = out.len();
             match values[usize::from(hole == "1")] {
                 Value::Num(n) => {
                     // Writing into a `String` cannot fail.
@@ -111,19 +118,35 @@ fn expand(out: &mut String, template: &str, values: [Value; 2]) {
                 }
                 Value::Name(s) => out.push_str(s),
             }
+            if same_segment {
+                if let Some(cap) = caps.get_mut(holed - 1) {
+                    cap.end = out.len();
+                }
+            } else {
+                if let Some(cap) = caps.get_mut(holed) {
+                    *cap = start..out.len();
+                }
+                holed += 1;
+            }
+            same_segment = true;
         }
     }
+    caps
 }
 
-/// What [`enumerate`] hands each visible path to, with its route.
-pub(crate) type Visit<'a> = &'a mut dyn FnMut(&'static Route, &str);
+/// What [`enumerate`] hands each visible path to, with its route and
+/// the text each holed segment of the route's template took, in order,
+/// as [`registry::resolve`] would capture it from the path.
+pub(crate) type Visit<'a> = &'a mut dyn FnMut(&'static Route, &str, &[&str]);
 
-/// The one enumeration behind [`PseudoFs::list`] and
-/// [`PseudoFs::count`]: walks every route of the tree
+/// The one enumeration behind [`PseudoFs::list`], [`PseudoFs::count`]
+/// and [`PseudoFs::walk`]: walks every route of the tree
 /// ([`registry::ROUTES`]), its template's dimensions read from the
 /// kernel, and returns how many of its paths the view's mask leaves
 /// visible. With `visit`, it also formats each visible path into one
-/// reused buffer and hands it over with its route, in generation order.
+/// reused buffer and hands it over with its route and captures, in
+/// generation order: route-table order, then each route's `{0}` values,
+/// then its `{1}` values.
 ///
 /// The policy's verdict on a route, decided once per policy
 /// ([`View::route_reach`]), settles the route whole when it can: a
@@ -176,18 +199,50 @@ pub(crate) fn enumerate(k: &Kernel, view: &View, mut visit: Option<Visit<'_>>) -
         }
         a.each(|x| {
             b.each(|y| {
-                expand(&mut buf, route.template, [x, y]);
+                let caps = expand(&mut buf, route.template, [x, y]);
                 if check && view.mask_action(&buf) == Some(MaskAction::Deny) {
                     return;
                 }
                 n += 1;
                 if let Some(visit) = &mut visit {
-                    visit(route, &buf);
+                    visit(route, &buf, &caps.map(|r| buf.get(r).unwrap_or_default()));
                 }
             })
         });
     }
     n
+}
+
+/// The read core behind [`PseudoFs::read_into`] and [`PseudoFs::walk`]:
+/// mask → fault → render → distort → note. `render` runs the route
+/// serving `path` on the text its holes took, into `buf`, and returns
+/// `None` when no route serves the path or the route names nothing in
+/// this view; it runs only once the mask and the fault plan have let the
+/// read through, so a denied or faulted path is never resolved. An
+/// injected fault error aborts before the render; distortion then
+/// applies to the rendered bytes. On error `buf` is left empty.
+fn read_routed(
+    k: &Kernel,
+    view: &View,
+    path: &str,
+    buf: &mut String,
+    render: impl FnOnce(&mut String) -> Option<()>,
+) -> Result<(), FsError> {
+    buf.clear();
+    if view.mask_action(path) == Some(MaskAction::Deny) {
+        note_denied(k, path);
+        return Err(FsError::PermissionDenied(path.to_string()));
+    }
+    if let Some(e) = faultfx::injected_error(k, path) {
+        return Err(e);
+    }
+    if render(buf).is_none() {
+        buf.clear();
+        return Err(FsError::NotFound(path.to_string()));
+    }
+    faultfx::distort(k, path, buf);
+    note_read(k, path, buf.len());
+    Ok(())
 }
 
 impl PseudoFs {
@@ -219,10 +274,11 @@ impl PseudoFs {
     /// use this to avoid a fresh `String` per read; renderers write
     /// straight into `buf`.
     ///
-    /// This is the one read path: mask → fault → render. Every read
-    /// renders from live kernel state, as procfs and sysfs handlers do.
-    /// An injected fault error aborts before the render; distortion then
-    /// applies to the rendered bytes.
+    /// This is one of the read path's two entry points: it resolves
+    /// `path` to its route and hands both to the read core (mask → fault
+    /// → render → distort → note), which [`PseudoFs::walk`] calls too.
+    /// Every read renders from live kernel state, as procfs and sysfs
+    /// handlers do.
     ///
     /// # Errors
     ///
@@ -234,23 +290,37 @@ impl PseudoFs {
         path: &str,
         buf: &mut String,
     ) -> Result<(), FsError> {
-        buf.clear();
-        if view.mask_action(path) == Some(MaskAction::Deny) {
-            note_denied(k, path);
-            return Err(FsError::PermissionDenied(path.to_string()));
-        }
-        if let Some(e) = faultfx::injected_error(k, path) {
-            return Err(e);
-        }
-        let rendered =
-            registry::resolve(path).and_then(|(route, caps)| (route.render)(k, view, &caps, buf));
-        if rendered.is_none() {
-            buf.clear();
-            return Err(FsError::NotFound(path.to_string()));
-        }
-        faultfx::distort(k, path, buf);
-        note_read(k, path, buf.len());
-        Ok(())
+        read_routed(k, view, path, buf, |buf| {
+            let (route, caps) = registry::resolve(path)?;
+            (route.render)(k, view, &caps, buf)
+        })
+    }
+
+    /// Reads every path [`PseudoFs::list`] would return in one pass,
+    /// handing each to `visit` with its bytes or the error
+    /// [`PseudoFs::read_into`] would return for it. Paths arrive in the
+    /// enumerator's order (route-table order, not sorted), and each is
+    /// read through the same core as `read_into` with the route and
+    /// captures the enumerator formatted it from, so no path is
+    /// allocated, sorted or resolved again. This is the paper's full
+    /// recursive read of `/proc` and `/sys` in one context.
+    pub fn walk(
+        &self,
+        k: &Kernel,
+        view: &View,
+        mut visit: impl FnMut(&str, Result<&str, FsError>),
+    ) {
+        let mut buf = String::new();
+        enumerate(
+            k,
+            view,
+            Some(&mut |route, path, caps| {
+                let read = read_routed(k, view, path, &mut buf, |buf| {
+                    (route.render)(k, view, caps, buf)
+                });
+                visit(path, read.map(|()| buf.as_str()));
+            }),
+        );
     }
 
     /// Enumerates every readable file path in this view, sorted — the
@@ -265,7 +335,7 @@ impl PseudoFs {
     /// routes and only counts them.
     pub fn list(&self, k: &Kernel, view: &View) -> Vec<String> {
         let mut paths = Vec::with_capacity(256);
-        enumerate(k, view, Some(&mut |_, p: &str| paths.push(p.to_string())));
+        enumerate(k, view, Some(&mut |_, p, _| paths.push(p.to_string())));
         // Equal `String`s are indistinguishable, so the unstable sort
         // leaves the order a stable one would.
         paths.sort_unstable();

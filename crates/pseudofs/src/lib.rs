@@ -26,7 +26,8 @@
 //!   topology has them, which is what the paper's recursive-exploration
 //!   tool walks. [`PseudoFs::count`] counts a route the view's policy
 //!   decides whole by its size, without formatting a path, for callers
-//!   that need only how many there are.
+//!   that need only how many there are. [`PseudoFs::walk`] reads every
+//!   listed path in one pass, through the same checks as a single read.
 //!
 //! # Example
 //!

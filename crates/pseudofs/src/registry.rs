@@ -448,7 +448,7 @@ pub const ROUTES: &[Route] = &[
 const MAX_SEGMENTS: usize = 8;
 
 /// Most holed segments in one route template.
-const MAX_CAPTURES: usize = 3;
+pub(crate) const MAX_CAPTURES: usize = 3;
 
 /// One segment of a route template, split once.
 #[derive(Debug)]
@@ -688,9 +688,16 @@ mod tests {
         let fs = PseudoFs::new();
         let mut listed = vec![0usize; ROUTES.len()];
         for view in [View::host(), container] {
-            let mut visit = |r: &'static Route, path: &str| {
-                // The exact `/proc/self/*` routes shadow no listed pid path.
-                assert_eq!(route_for(path), Some(r), "{path} from {}", r.template);
+            let mut visit = |r: &'static Route, path: &str, caps: &[&str]| {
+                // The exact `/proc/self/*` routes shadow no listed pid
+                // path, and the enumerator's captures are the resolver's.
+                let resolved = resolve(path).map(|(route, caps)| (route, caps.to_vec()));
+                assert_eq!(
+                    resolved,
+                    Some((r, caps.to_vec())),
+                    "{path} from {}",
+                    r.template
+                );
                 fs.read(&k, &view, path)
                     .unwrap_or_else(|e| panic!("listed path {path} unreadable: {e}"));
                 if let Some(i) = ROUTES.iter().position(|x| x == r) {

@@ -46,23 +46,42 @@ pub fn mb_groups(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> O
         .iter()
         .find(|(name, _)| name == part)?;
     out.push_str("#group: free  frags first [ 2^0   2^1   2^2   2^3   2^4   2^5   2^6 ]\n");
+    // Every column is `{:<5}`; the costliest file in a full walk, so the
+    // columns are written by hand rather than through `core::fmt`.
     for (i, g) in groups.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "#{i:<5}: {:<5} {:<5} {:<5} [ {:<5} {:<5} {:<5} {:<5} {:<5} {:<5} {:<5} ]",
-            g.free_blocks,
-            g.fragments,
-            g.first_free,
-            g.free_blocks / 2,
-            g.free_blocks / 4,
-            g.free_blocks / 8,
-            g.free_blocks / 16,
-            g.free_blocks / 32,
-            g.free_blocks / 64,
-            g.free_blocks / 128,
-        );
+        out.push('#');
+        push_left(out, i as u64, 5);
+        out.push_str(": ");
+        for v in [g.free_blocks, g.fragments, g.first_free] {
+            push_left(out, v, 5);
+            out.push(' ');
+        }
+        out.push('[');
+        for shift in 1..=7 {
+            out.push(' ');
+            push_left(out, g.free_blocks >> shift, 5);
+        }
+        out.push_str(" ]\n");
     }
     Some(())
+}
+
+/// Appends `v` in decimal, left-aligned and space-padded to `width`
+/// bytes, as `{v:<width$}` writes it.
+fn push_left(out: &mut String, mut v: u64, width: usize) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    for d in digits.iter_mut().rev() {
+        *d = b'0' + (v % 10) as u8;
+        start -= 1;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    let text = std::str::from_utf8(digits.get(start..).unwrap_or_default()).unwrap_or_default();
+    out.push_str(text);
+    out.extend(std::iter::repeat_n(' ', width.saturating_sub(text.len())));
 }
 
 /// `/proc/diskstats`: host block-device IO counters (global; included for
@@ -88,6 +107,7 @@ mod tests {
     use super::*;
     use crate::render::rendered;
     use simkernel::MachineConfig;
+    use workloads::models;
 
     fn kernel() -> Kernel {
         let mut k = Kernel::new(MachineConfig::small_server(), 2);
@@ -111,6 +131,87 @@ mod tests {
         assert!(s.contains("zone      DMA"));
         assert!(s.contains("zone   Normal"));
         assert!(s.contains("pages free"));
+    }
+
+    /// `mb_groups` as `core::fmt` wrote it, the reference the
+    /// hand-padded renderer must equal byte for byte.
+    fn mb_groups_reference(k: &Kernel, part: &str) -> Option<String> {
+        let (_, groups) = k
+            .fs()
+            .ext4_partitions()
+            .iter()
+            .find(|(name, _)| name == part)?;
+        let mut out = String::new();
+        out.push_str("#group: free  frags first [ 2^0   2^1   2^2   2^3   2^4   2^5   2^6 ]\n");
+        for (i, g) in groups.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "#{i:<5}: {:<5} {:<5} {:<5} [ {:<5} {:<5} {:<5} {:<5} {:<5} {:<5} {:<5} ]",
+                g.free_blocks,
+                g.fragments,
+                g.first_free,
+                g.free_blocks / 2,
+                g.free_blocks / 4,
+                g.free_blocks / 8,
+                g.free_blocks / 16,
+                g.free_blocks / 32,
+                g.free_blocks / 64,
+                g.free_blocks / 128,
+            );
+        }
+        Some(out)
+    }
+
+    #[test]
+    fn mb_groups_equals_the_fmt_reference() {
+        let mut checked = 0;
+        for machine in [MachineConfig::small_server(), MachineConfig::cloud_server()] {
+            for seed in [1, 2, 77, 1729] {
+                let mut k = Kernel::new(machine.clone(), seed);
+                k.spawn_host_process("io", models::web_service(0.8))
+                    .unwrap();
+                for _ in 0..3 {
+                    k.advance_secs(20);
+                    let parts: Vec<String> = k
+                        .fs()
+                        .ext4_partitions()
+                        .iter()
+                        .map(|(p, _)| p.clone())
+                        .collect();
+                    for part in &parts {
+                        assert_eq!(
+                            rendered(mb_groups, &k, &View::host(), &[part]),
+                            mb_groups_reference(&k, part),
+                            "{part} at seed {seed}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked >= 24, "{checked} renders compared");
+    }
+
+    #[test]
+    fn push_left_pads_as_fmt_does() {
+        for v in [
+            0,
+            7,
+            9,
+            10,
+            99,
+            12_345,
+            99_999,
+            100_000,
+            4_294_967_296,
+            u64::MAX,
+        ] {
+            for width in [0, 1, 5, 12] {
+                let mut out = String::from("x");
+                push_left(&mut out, v, width);
+                assert_eq!(out, format!("x{v:<width$}"));
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The operator-side upside of the power-based namespace (§V-B): energy
-//! metered billing and power-budget throttling. Two tenants burn identical
-//! CPU time; the namespace tells them apart by energy — and caps the one
-//! that blows its power budget.
+//! metered billing and power-budget throttling. Two tenants burn the same
+//! CPU time for two minutes; the namespace tells them apart by energy.
+//! Then a power budget caps the one that blows it.
 //!
 //! ```sh
 //! cargo run --release --example energy_billing
@@ -34,9 +34,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut billing = EnergyBilling::new(EnergyTariff::default());
     let mut throttle = PowerThrottle::new(30.0, 5);
-    throttle.watch(hot, hot_pids);
+    let cpu_seconds = |kernel: &Kernel, runtime: &Runtime| {
+        [hot, cool].map(|id| runtime.cpu_usage_ns(kernel, id).unwrap_or(0) as f64 / 1e9)
+    };
 
+    // Two minutes of metering alone: both tenants keep two cpus busy
+    // (the pointer-chasers finish their run as the second minute ends).
+    // The last minute puts the render farm under a 30 W budget.
+    let mut hot_cpu_before_cap = 0.0;
     for minute in 1..=3 {
+        if minute == 3 {
+            let [hot_cpu, cool_cpu] = cpu_seconds(&kernel, &runtime);
+            hot_cpu_before_cap = hot_cpu;
+            let (hb, cb) = (billing.bill(hot), billing.bill(cool));
+            println!(
+                "\nafter two minutes: render-farm {hot_cpu:.0} CPU-s for {:.0} J, \
+                 pointer-chaser {cool_cpu:.0} CPU-s for {:.0} J",
+                hb.joules, cb.joules,
+            );
+            println!(
+                "same CPU time, different energy bills. Now a 30 W budget on the render farm:\n"
+            );
+            throttle.watch(hot, hot_pids.clone());
+        }
         for _ in 0..60 {
             kernel.advance_secs(1);
             billing.meter(&kernel, &runtime, &[hot, cool]);
@@ -57,13 +77,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let hot_cpu = runtime.cpu_usage_ns(&kernel, hot).unwrap_or(0);
-    let cool_cpu = runtime.cpu_usage_ns(&kernel, cool).unwrap_or(0);
+    let [hot_cpu, cool_cpu] = cpu_seconds(&kernel, &runtime);
     println!(
-        "\nCPU-seconds consumed: render-farm {:.0}, pointer-chaser {:.0}",
-        hot_cpu as f64 / 1e9,
-        cool_cpu as f64 / 1e9
+        "\nCPU-seconds consumed: render-farm {hot_cpu:.0}, pointer-chaser {cool_cpu:.0}. \
+         Capped, the render farm got {:.0} of its two cpus' 120 CPU-s in the last minute.",
+        hot_cpu - hot_cpu_before_cap
     );
-    println!("same utilization billing — different energy bills, and the hog got capped.");
     Ok(())
 }
