@@ -1093,13 +1093,12 @@ impl Cloud {
             return;
         }
         // Same clamp `web_service` applies at construction; the demand
-        // is retargeted in place so trace-driven fleets do not rebuild
-        // (and clone) a workload spec per service per interval.
+        // is retargeted in place, all services in one batch, so
+        // trace-driven fleets neither rebuild (and clone) a workload spec
+        // per service per interval nor dirty the process epoch per service.
         let demand = demand.clamp(0.01, 1.0);
         self.with_host(idx, |h| {
-            for &pid in &h.background {
-                let _ = h.kernel.set_workload_demand(pid, demand);
-            }
+            h.kernel.set_workload_demands(&h.background, demand);
         });
     }
 

@@ -73,19 +73,39 @@ impl SurgeIndex {
         SurgeIndex { by_start, max_end }
     }
 
-    /// Positions in `surges` of every surge active at `t_s`, ascending.
-    fn active(&self, t_s: u64) -> Vec<usize> {
+    /// Visits the position in `surges` of every surge active at `t_s`,
+    /// ascending. The hits are sorted in a stack buffer; only more than
+    /// [`STACK_HITS`] overlapping surges spill to the heap.
+    fn active(&self, t_s: u64, mut visit: impl FnMut(usize)) {
         let began = self.by_start.partition_point(|&(start, _, _)| start <= t_s);
-        let mut hits: Vec<usize> = (0..began)
-            .rev()
-            .take_while(|&i| self.max_end[i] > t_s)
-            .filter(|&i| self.by_start[i].1 > t_s)
-            .map(|i| self.by_start[i].2)
-            .collect();
-        hits.sort_unstable();
-        hits
+        let hits = || {
+            (0..began)
+                .rev()
+                .take_while(move |&i| self.max_end[i] > t_s)
+                .filter(move |&i| self.by_start[i].1 > t_s)
+                .map(|i| self.by_start[i].2)
+        };
+        let mut buf = [0usize; STACK_HITS];
+        let mut n = 0;
+        for pos in hits() {
+            if let Some(slot) = buf.get_mut(n) {
+                *slot = pos;
+            }
+            n += 1;
+        }
+        if let Some(hits) = buf.get_mut(..n) {
+            hits.sort_unstable();
+            hits.iter().for_each(|&i| visit(i));
+        } else {
+            let mut hits: Vec<usize> = hits().collect();
+            hits.sort_unstable();
+            hits.into_iter().for_each(visit);
+        }
     }
 }
+
+/// Overlapping surges [`SurgeIndex::active`] sorts without allocating.
+const STACK_HITS: usize = 16;
 
 impl DiurnalTrace {
     /// The paper-calibrated default: ~22 % mean demand, strong daily
@@ -157,9 +177,8 @@ impl DiurnalTrace {
         let daily = 2.0 * std::f64::consts::PI * ((t_s as f64 + phase) / 86_400.0);
         let mut d = self.base + self.amplitude * (daily.sin() * 0.6 + (2.0 * daily).sin() * 0.25);
         // Summed in `surges` order: float addition does not reassociate.
-        for i in self.index.active(t_s) {
-            d += surge_demand(&self.surges[i], t_s);
-        }
+        self.index
+            .active(t_s, |i| d += surge_demand(&self.surges[i], t_s));
         d.clamp(0.01, 0.95)
     }
 
@@ -337,6 +356,22 @@ mod tests {
             }
             assert_index_matches(&t)?;
         }
+    }
+
+    #[test]
+    fn more_overlapping_surges_than_the_stack_buffer_sum_in_order() {
+        let mut t = DiurnalTrace::flat(0.05, 3);
+        for i in 0..STACK_HITS as u64 + 5 {
+            t = t.with_surge(SurgeEvent {
+                start_s: 1_000 + 7 * (i % 4),
+                duration_s: 500 + 13 * i,
+                extra_demand: 0.001 + 0.0007 * i as f64,
+            });
+        }
+        let mut active = 0;
+        t.index.active(1_100, |_| active += 1);
+        assert!(active > STACK_HITS, "{active} surges overlap");
+        assert_index_matches(&t).unwrap();
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The read path and tree enumeration.
 
-use std::fmt::Write as _;
 use std::ops::Range;
 
 use simkernel::ns::{NamespaceRegistry, NsId};
@@ -8,8 +7,8 @@ use simkernel::{dep, Kernel};
 
 use crate::error::FsError;
 use crate::faultfx;
-use crate::registry::{self, Dim, Route, MAX_CAPTURES};
-use crate::render::proc_pid;
+use crate::registry::{self, Dim, Piece, Route, MAX_CAPTURES};
+use crate::render::{proc_pid, push_u64};
 use crate::view::{MaskAction, Reach, View};
 
 /// Subsystems [`PseudoFs::list`] and [`PseudoFs::count`] consult:
@@ -94,41 +93,38 @@ impl<'k> Axis<'k> {
     }
 }
 
-/// Writes `template` into `out`, each `{0}`/`{1}` hole replaced by its
-/// value, and returns the byte range of `out` each holed segment's holes
-/// cover, from its first hole to its last, in order (unused slots are
-/// empty): the text the resolver captures for that segment.
-fn expand(out: &mut String, template: &str, values: [Value; 2]) -> [Range<usize>; MAX_CAPTURES] {
+/// Writes a route's compiled template into `out`, each `{0}`/`{1}` hole
+/// replaced by its value, and returns the byte range of `out` each holed
+/// segment's holes cover, from its first hole to its last, in order
+/// (unused slots are empty): the text the resolver captures for that
+/// segment.
+fn expand(
+    out: &mut String,
+    template: &[Piece],
+    values: [Value; 2],
+) -> [Range<usize>; MAX_CAPTURES] {
     out.clear();
     let mut caps: [Range<usize>; MAX_CAPTURES] = Default::default();
-    let mut holed = 0;
-    let mut same_segment = false;
-    // Split at both braces, a template alternates literal text and hole
-    // names, literal text first.
-    let mut pieces = template.split(['{', '}']);
-    while let Some(text) = pieces.next() {
-        out.push_str(text);
-        same_segment &= !text.contains('/');
-        if let Some(hole) = pieces.next() {
-            let start = out.len();
-            match values[usize::from(hole == "1")] {
-                Value::Num(n) => {
-                    // Writing into a `String` cannot fail.
-                    let _ = write!(out, "{n}");
+    for piece in template {
+        match *piece {
+            Piece::Text(text) => out.push_str(text),
+            Piece::Hole {
+                value,
+                capture,
+                extends,
+            } => {
+                let start = out.len();
+                match values[value] {
+                    Value::Num(n) => push_u64(out, n as u64),
+                    Value::Name(s) => out.push_str(s),
                 }
-                Value::Name(s) => out.push_str(s),
-            }
-            if same_segment {
-                if let Some(cap) = caps.get_mut(holed - 1) {
+                if let Some(cap) = caps.get_mut(capture) {
+                    if !extends {
+                        cap.start = start;
+                    }
                     cap.end = out.len();
                 }
-            } else {
-                if let Some(cap) = caps.get_mut(holed) {
-                    *cap = start..out.len();
-                }
-                holed += 1;
             }
-            same_segment = true;
         }
     }
     caps
@@ -186,7 +182,8 @@ pub(crate) fn enumerate(k: &Kernel, view: &View, mut visit: Option<Visit<'_>>) -
 
     let mut n = 0;
     let mut buf = String::new();
-    for (route, reach) in registry::ROUTES.iter().zip(view.route_reach()) {
+    let routes = registry::ROUTES.iter().zip(registry::templates());
+    for ((route, template), reach) in routes.zip(view.route_reach()) {
         let check = match reach {
             Reach::All(MaskAction::Deny) => continue,
             Reach::No | Reach::All(MaskAction::Partial) => false,
@@ -199,7 +196,7 @@ pub(crate) fn enumerate(k: &Kernel, view: &View, mut visit: Option<Visit<'_>>) -
         }
         a.each(|x| {
             b.each(|y| {
-                let caps = expand(&mut buf, route.template, [x, y]);
+                let caps = expand(&mut buf, template, [x, y]);
                 if check && view.mask_action(&buf) == Some(MaskAction::Deny) {
                     return;
                 }
@@ -362,6 +359,7 @@ mod tests {
     use proptest::prelude::*;
     use simkernel::kernel::ProcessSpec;
     use simkernel::MachineConfig;
+    use std::fmt::Write as _;
     use workloads::models;
 
     fn kernel() -> Kernel {

@@ -501,6 +501,50 @@ impl Segment {
 /// A route with its template split into segments.
 type Compiled = (&'static Route, Vec<Segment>);
 
+/// One piece of a route template, compiled once for the enumerator,
+/// which writes a path by walking its template's pieces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Piece {
+    /// Literal text.
+    Text(&'static str),
+    /// A hole: the value that fills it (`0` for `{0}`, `1` for `{1}`),
+    /// the capture slot of its segment (the segment's place among the
+    /// template's holed segments), and whether an earlier hole of the
+    /// same segment opened that capture, so this one only moves its end.
+    Hole {
+        value: usize,
+        capture: usize,
+        extends: bool,
+    },
+}
+
+/// `template` as pieces: literal runs and holes, each hole tagged with
+/// the capture it opens or extends. Split at both braces, a template
+/// alternates literal text and hole names, literal text first; a hole
+/// extends its predecessor's capture unless a `/` lies between them.
+fn compile(template: &'static str) -> Vec<Piece> {
+    let mut pieces = Vec::new();
+    let mut holed = 0;
+    let mut same_segment = false;
+    let mut parts = template.split(['{', '}']);
+    while let Some(text) = parts.next() {
+        if !text.is_empty() {
+            pieces.push(Piece::Text(text));
+        }
+        same_segment &= !text.contains('/');
+        if let Some(hole) = parts.next() {
+            holed += usize::from(!same_segment);
+            pieces.push(Piece::Hole {
+                value: usize::from(hole == "1"),
+                capture: holed - 1,
+                extends: same_segment,
+            });
+            same_segment = true;
+        }
+    }
+    pieces
+}
+
 /// A path's segment count and first two segments (`""` past its end).
 type Key = (usize, &'static str, &'static str);
 
@@ -509,6 +553,8 @@ type Key = (usize, &'static str, &'static str);
 struct Index {
     /// Every route, in table order.
     routes: Vec<Compiled>,
+    /// Every route's template as [`Piece`]s, in table order.
+    templates: Vec<Vec<Piece>>,
     /// For each key of a route whose first two segments are literal,
     /// sorted by key: the positions in `routes` of every route that can
     /// match a path with that key — those literal routes and the routes
@@ -574,11 +620,17 @@ fn index() -> &'static Index {
             })
             .collect();
         Index {
+            templates: ROUTES.iter().map(|r| compile(r.template)).collect(),
             routes,
             keyed,
             wild,
         }
     })
+}
+
+/// Every route's template compiled to [`Piece`]s, in [`ROUTES`] order.
+pub(crate) fn templates() -> &'static [Vec<Piece>] {
+    &index().templates
 }
 
 /// Splits `path` into its segments, ignoring leading slashes; `None`
@@ -723,6 +775,51 @@ mod tests {
         let n = templates.len();
         templates.dedup();
         assert_eq!(n, templates.len(), "duplicate templates");
+    }
+
+    #[test]
+    fn a_compiled_template_tags_each_hole_with_its_segments_capture() {
+        let hole = |value, capture, extends| Piece::Hole {
+            value,
+            capture,
+            extends,
+        };
+        assert_eq!(
+            compile("/sys/class/powercap/intel-rapl:{0}/intel-rapl:{0}:{1}/name"),
+            [
+                Piece::Text("/sys/class/powercap/intel-rapl:"),
+                hole(0, 0, false),
+                Piece::Text("/intel-rapl:"),
+                hole(0, 1, false),
+                Piece::Text(":"),
+                hole(1, 1, true),
+                Piece::Text("/name"),
+            ]
+        );
+        assert_eq!(compile("/proc/stat"), [Piece::Text("/proc/stat")]);
+        // A lone `/` between two holes is enough to end the first
+        // hole's capture and open a second.
+        assert_eq!(
+            compile("/a{0}/{1}b"),
+            [
+                Piece::Text("/a"),
+                hole(0, 0, false),
+                Piece::Text("/"),
+                hole(1, 1, false),
+                Piece::Text("b"),
+            ]
+        );
+        // Every route's pieces spell its template back.
+        for (r, pieces) in ROUTES.iter().zip(templates()) {
+            let spelled: String = pieces
+                .iter()
+                .map(|p| match *p {
+                    Piece::Text(t) => t.to_string(),
+                    Piece::Hole { value, .. } => format!("{{{value}}}"),
+                })
+                .collect();
+            assert_eq!(spelled, r.template);
+        }
     }
 
     #[test]

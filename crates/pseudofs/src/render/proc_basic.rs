@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 
 use simkernel::{Kernel, NANOS_PER_SEC};
 
-use super::{jiffies, kb};
+use super::{jiffies, kb, push_u64};
 use crate::view::{MaskAction, View};
 
 /// `/proc/cpuinfo`. LEAK (Table I): CPU specification of the *host*.
@@ -12,35 +12,37 @@ use crate::view::{MaskAction, View};
 /// rendered, renumbered from zero.
 pub fn cpuinfo(k: &Kernel, view: &View, _: &[&str], out: &mut String) -> Option<()> {
     let partial = view.mask_action("/proc/cpuinfo") == Some(MaskAction::Partial);
-    let cpus: Vec<u16> = match (&view.allotted_cpus, partial) {
-        (Some(a), true) => a.clone(),
+    // The CPUs shown: the allotment under a partial mask, else the host's.
+    let (allotted, host): (&[u16], _) = match (&view.allotted_cpus, partial) {
+        (Some(a), true) => (a, 0..0),
         // Partial masking with no recorded allotment: fail safe to the
         // minimum share (one CPU) rather than exposing the host topology.
-        (None, true) => vec![0],
-        _ => (0..k.config().cpus).collect(),
+        (None, true) => (&[0], 0..0),
+        _ => (&[], 0..k.config().cpus),
     };
-    let mhz = k.config().freq_hz as f64 / 1e6;
-    for (idx, cpu) in cpus.iter().enumerate() {
-        let shown = if partial { idx as u16 } else { *cpu };
-        let _ = write!(
-            out,
-            "processor\t: {shown}\n\
-             vendor_id\t: GenuineIntel\n\
-             model name\t: {}\n\
-             cpu MHz\t\t: {mhz:.3}\n\
-             cache size\t: 8192 KB\n\
-             physical id\t: {}\n\
-             siblings\t: {}\n\
-             core id\t\t: {}\n\
-             cpu cores\t: {}\n\
-             bogomips\t: {:.2}\n\n",
-            k.config().cpu_model,
-            k.hw().package_of(*cpu as usize),
-            k.config().cpus_per_package(),
-            cpu % k.config().cpus_per_package(),
-            k.config().cpus_per_package(),
-            mhz * 2.0,
-        );
+    // The two floats every block shares, formatted once per render.
+    let freq_mhz = k.config().freq_hz as f64 / 1e6;
+    let mhz = format!("{freq_mhz:.3}");
+    let bogomips = format!("{:.2}", freq_mhz * 2.0);
+    let per_pkg = u64::from(k.config().cpus_per_package());
+    for (idx, cpu) in allotted.iter().copied().chain(host).enumerate() {
+        out.push_str("processor\t: ");
+        push_u64(out, if partial { idx as u64 } else { u64::from(cpu) });
+        out.push_str("\nvendor_id\t: GenuineIntel\nmodel name\t: ");
+        out.push_str(&k.config().cpu_model);
+        out.push_str("\ncpu MHz\t\t: ");
+        out.push_str(&mhz);
+        out.push_str("\ncache size\t: 8192 KB\nphysical id\t: ");
+        push_u64(out, k.hw().package_of(cpu as usize) as u64);
+        out.push_str("\nsiblings\t: ");
+        push_u64(out, per_pkg);
+        out.push_str("\ncore id\t\t: ");
+        push_u64(out, u64::from(cpu) % per_pkg);
+        out.push_str("\ncpu cores\t: ");
+        push_u64(out, per_pkg);
+        out.push_str("\nbogomips\t: ");
+        out.push_str(&bogomips);
+        out.push_str("\n\n");
     }
     Some(())
 }
@@ -220,6 +222,71 @@ mod tests {
         k.spawn_host_process("w", models::prime()).unwrap();
         k.advance_secs(3);
         k
+    }
+
+    /// The reference renderer the hand-written `cpuinfo` must match byte
+    /// for byte: the CPUs collected, and every block formatted whole.
+    fn cpuinfo_reference(k: &Kernel, view: &View) -> String {
+        let partial = view.mask_action("/proc/cpuinfo") == Some(MaskAction::Partial);
+        let cpus: Vec<u16> = match (&view.allotted_cpus, partial) {
+            (Some(a), true) => a.clone(),
+            (None, true) => vec![0],
+            _ => (0..k.config().cpus).collect(),
+        };
+        let mhz = k.config().freq_hz as f64 / 1e6;
+        let mut out = String::new();
+        for (idx, cpu) in cpus.iter().enumerate() {
+            let shown = if partial { idx as u16 } else { *cpu };
+            let _ = write!(
+                out,
+                "processor\t: {shown}\n\
+                 vendor_id\t: GenuineIntel\n\
+                 model name\t: {}\n\
+                 cpu MHz\t\t: {mhz:.3}\n\
+                 cache size\t: 8192 KB\n\
+                 physical id\t: {}\n\
+                 siblings\t: {}\n\
+                 core id\t\t: {}\n\
+                 cpu cores\t: {}\n\
+                 bogomips\t: {:.2}\n\n",
+                k.config().cpu_model,
+                k.hw().package_of(*cpu as usize),
+                k.config().cpus_per_package(),
+                cpu % k.config().cpus_per_package(),
+                k.config().cpus_per_package(),
+                mhz * 2.0,
+            );
+        }
+        out
+    }
+
+    #[test]
+    fn cpuinfo_matches_the_reference_renderer() {
+        for cfg in [
+            MachineConfig::small_server(),
+            MachineConfig::testbed_i7_6700(),
+            MachineConfig::cloud_server(),
+            MachineConfig {
+                freq_hz: 2_666_666_667,
+                ..MachineConfig::legacy_server_no_rapl()
+            },
+        ] {
+            let mut k = Kernel::new(cfg, 3);
+            let env = k.create_container_env("c").unwrap();
+            let open = View::container(env.ns, env.cgroups);
+            let partial = open
+                .clone()
+                .with_policy(MaskPolicy::none().partial("/proc/cpuinfo"));
+            for view in [
+                View::host(),
+                open.clone().with_allotted_cpus(vec![1, 3]),
+                partial.clone(),
+                partial.with_allotted_cpus(vec![2, 3, 1]),
+            ] {
+                let got = rendered(cpuinfo, &k, &view, &[]).unwrap();
+                assert_eq!(got, cpuinfo_reference(&k, &view));
+            }
+        }
     }
 
     #[test]

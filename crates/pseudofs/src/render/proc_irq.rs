@@ -5,16 +5,31 @@ use std::fmt::Write as _;
 use simkernel::irq::SOFTIRQ_NAMES;
 use simkernel::Kernel;
 
+use super::{push_right, push_u64};
 use crate::view::View;
 
-/// Appends the `CPU0 CPU1 …` header columns, each right-aligned in 11
-/// characters, without building a string per column.
+/// Width of each per-CPU column.
+const COLUMN: usize = 11;
+
+/// Appends the `CPU0 CPU1 …` header columns, each right-aligned in
+/// [`COLUMN`] characters, without building a string per column.
 fn cpu_header(out: &mut String, ncpus: usize) {
     for c in 0..ncpus {
         let digits = c.checked_ilog10().map_or(1, |d| d as usize + 1);
-        let _ = write!(out, "{:>w$}{c}", "CPU", w = 11usize.saturating_sub(digits));
+        let pad = COLUMN.saturating_sub(digits + 3);
+        out.extend(std::iter::repeat_n(' ', pad));
+        out.push_str("CPU");
+        push_u64(out, c as u64);
     }
     out.push('\n');
+}
+
+/// Appends one row's per-CPU counts, each right-aligned in [`COLUMN`]
+/// characters (a CPU past the row's end counts zero).
+fn counts(out: &mut String, row: &[u64], ncpus: usize) {
+    for c in 0..ncpus {
+        push_right(out, row.get(c).copied().unwrap_or(0), COLUMN);
+    }
 }
 
 /// `/proc/interrupts`. LEAK (Table I): per-IRQ per-CPU counts for the
@@ -25,10 +40,10 @@ pub fn interrupts(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Opt
     cpu_header(out, ncpus);
     for line in k.irq().lines() {
         let _ = write!(out, "{:>4}:", line.label);
-        for c in 0..ncpus {
-            let _ = write!(out, "{:>11}", line.per_cpu.get(c).copied().unwrap_or(0));
-        }
-        let _ = writeln!(out, "   {}", line.description);
+        counts(out, &line.per_cpu, ncpus);
+        out.push_str("   ");
+        out.push_str(&line.description);
+        out.push('\n');
     }
     Some(())
 }
@@ -39,11 +54,9 @@ pub fn softirqs(k: &Kernel, _view: &View, _: &[&str], out: &mut String) -> Optio
     let ncpus = k.config().cpus as usize;
     out.push_str("                ");
     cpu_header(out, ncpus);
-    for (name, counts) in SOFTIRQ_NAMES.iter().zip(k.irq().softirqs()) {
+    for (name, row) in SOFTIRQ_NAMES.iter().zip(k.irq().softirqs()) {
         let _ = write!(out, "{:>12}:   ", name);
-        for c in 0..ncpus {
-            let _ = write!(out, "{:>11}", counts.get(c).copied().unwrap_or(0));
-        }
+        counts(out, row, ncpus);
         out.push('\n');
     }
     Some(())

@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 
 use simkernel::{fnv1a, Kernel, FNV1A_OFFSET};
 
-use super::arg;
+use super::{arg, push_line};
 use crate::view::{Context, View};
 
 /// `/proc/sys/kernel/random/boot_id`. LEAK (Table II rank 1): a random
@@ -78,7 +78,7 @@ pub fn max_newidle_lb_cost(
 ) -> Option<()> {
     let cpu: usize = arg(caps, 0)?;
     let c = k.sched().cpu_stats().get(cpu)?;
-    writeln!(out, "{}", c.max_newidle_lb_cost_ns).ok()
+    push_line(out, c.max_newidle_lb_cost_ns)
 }
 
 /// `/proc/sys/kernel/pid_max` (static, fleet-identical).

@@ -4,6 +4,7 @@ use std::fmt::Write as _;
 
 use simkernel::Kernel;
 
+use super::push_left;
 use crate::view::View;
 
 /// `/proc/modules`. LEAK (Table I): the host's loaded-module list. Ranked
@@ -64,24 +65,6 @@ pub fn mb_groups(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> O
         out.push_str(" ]\n");
     }
     Some(())
-}
-
-/// Appends `v` in decimal, left-aligned and space-padded to `width`
-/// bytes, as `{v:<width$}` writes it.
-fn push_left(out: &mut String, mut v: u64, width: usize) {
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    for d in digits.iter_mut().rev() {
-        *d = b'0' + (v % 10) as u8;
-        start -= 1;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    let text = std::str::from_utf8(digits.get(start..).unwrap_or_default()).unwrap_or_default();
-    out.push_str(text);
-    out.extend(std::iter::repeat_n(' ', width.saturating_sub(text.len())));
 }
 
 /// `/proc/diskstats`: host block-device IO counters (global; included for
@@ -190,28 +173,6 @@ mod tests {
             }
         }
         assert!(checked >= 24, "{checked} renders compared");
-    }
-
-    #[test]
-    fn push_left_pads_as_fmt_does() {
-        for v in [
-            0,
-            7,
-            9,
-            10,
-            99,
-            12_345,
-            99_999,
-            100_000,
-            4_294_967_296,
-            u64::MAX,
-        ] {
-            for width in [0, 1, 5, 12] {
-                let mut out = String::from("x");
-                push_left(&mut out, v, width);
-                assert_eq!(out, format!("x{v:<width$}"));
-            }
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 use simkernel::hw::{IDLE_STATE_NAMES, RAPL_WRAP_UJ};
 use simkernel::{ContainerEnergy, Kernel};
 
-use super::arg;
+use super::{arg, push_i64, push_line};
 use crate::view::{Context, View};
 
 /// `/sys/class/powercap/intel-rapl:{pkg}/name` → `package-{pkg}`.
@@ -46,7 +46,7 @@ pub fn rapl_package_energy(k: &Kernel, view: &View, caps: &[&str], out: &mut Str
         Some(e) => e.package_energy_uj(pkg),
         None => k.rapl().package_energy_uj(pkg),
     };
-    writeln!(out, "{uj}").ok()
+    push_line(out, uj)
 }
 
 /// `/sys/class/powercap/intel-rapl:{pkg}/max_energy_range_uj`.
@@ -108,7 +108,7 @@ pub fn rapl_subdomain_energy(
         (1, None) => k.rapl().dram_energy_uj(pkg),
         _ => return None,
     };
-    writeln!(out, "{uj}").ok()
+    push_line(out, uj)
 }
 
 /// `/sys/devices/platform/coretemp.{pkg}/hwmon/hwmon{pkg}/temp{n}_input`.
@@ -135,7 +135,9 @@ pub fn coretemp(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> Op
     } else {
         k.hw().cpus().get(base + sensor - 2)?.temp_mc
     };
-    writeln!(out, "{}", (t / 1000.0).round() as i64 * 1000).ok()
+    push_i64(out, (t / 1000.0).round() as i64 * 1000);
+    out.push('\n');
+    Some(())
 }
 
 /// `/sys/devices/system/cpu/cpu{c}/cpuidle/state{s}/name`.
@@ -144,7 +146,9 @@ pub fn cpuidle_name(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -
     if cpu >= k.hw().cpus().len() || state >= IDLE_STATE_NAMES.len() {
         return None;
     }
-    writeln!(out, "{}", IDLE_STATE_NAMES[state]).ok()
+    out.push_str(IDLE_STATE_NAMES[state]);
+    out.push('\n');
+    Some(())
 }
 
 /// `/sys/devices/system/cpu/cpu{c}/cpuidle/state{s}/usage`. LEAK
@@ -152,7 +156,7 @@ pub fn cpuidle_name(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -
 pub fn cpuidle_usage(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> Option<()> {
     let (cpu, state): (usize, usize) = (arg(caps, 0)?, arg(caps, 1)?);
     let s = k.hw().cpus().get(cpu)?.idle_states.get(state)?;
-    writeln!(out, "{}", s.usage).ok()
+    push_line(out, s.usage)
 }
 
 /// `/sys/devices/system/cpu/cpu{c}/cpuidle/state{s}/time`. LEAK
@@ -160,7 +164,7 @@ pub fn cpuidle_usage(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) 
 pub fn cpuidle_time(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> Option<()> {
     let (cpu, state): (usize, usize) = (arg(caps, 0)?, arg(caps, 1)?);
     let s = k.hw().cpus().get(cpu)?.idle_states.get(state)?;
-    writeln!(out, "{}", s.time_us).ok()
+    push_line(out, s.time_us)
 }
 
 /// `/sys/devices/system/cpu/cpu{c}/cpufreq/scaling_cur_freq`. LEAK:
@@ -169,7 +173,7 @@ pub fn cpuidle_time(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -
 pub fn cpufreq_cur(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) -> Option<()> {
     let cpu: usize = arg(caps, 0)?;
     let c = k.hw().cpus().get(cpu)?;
-    writeln!(out, "{}", c.cur_freq_khz).ok()
+    push_line(out, c.cur_freq_khz)
 }
 
 /// `/sys/devices/system/cpu/cpu{c}/cpufreq/cpuinfo_max_freq` (static).
@@ -178,7 +182,7 @@ pub fn cpufreq_max(k: &Kernel, _view: &View, caps: &[&str], out: &mut String) ->
     if cpu >= k.hw().cpus().len() {
         return None;
     }
-    writeln!(out, "{}", k.config().freq_hz / 1_000 * 115 / 100).ok()
+    push_line(out, k.config().freq_hz / 1_000 * 115 / 100)
 }
 
 /// `/sys/class/thermal/thermal_zone0/temp`. LEAK: package temperature in
@@ -194,7 +198,9 @@ pub fn thermal_zone_temp(k: &Kernel, _view: &View, caps: &[&str], out: &mut Stri
         .iter()
         .map(|c| c.temp_mc)
         .fold(0.0f64, f64::max);
-    writeln!(out, "{}", max as i64).ok()
+    push_i64(out, max as i64);
+    out.push('\n');
+    Some(())
 }
 
 /// `/sys/block/{disk}/stat`. LEAK: host block-device IO counters.

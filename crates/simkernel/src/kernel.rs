@@ -1231,6 +1231,28 @@ impl Kernel {
         }
     }
 
+    /// Retargets the CPU demand of every live process in `pids`, as
+    /// [`Kernel::set_workload_demand`] does one pid at a time, with one
+    /// anchor invalidation and one process-epoch bump for the whole batch:
+    /// the path a host's background services take each time a utilization
+    /// trace moves. Pids that are not live are skipped.
+    pub fn set_workload_demands(&mut self, pids: &[HostPid], demand: f64) {
+        if pids.is_empty() {
+            return;
+        }
+        self.idle_anchor.invalidate();
+        let mut retargeted = false;
+        for &pid in pids {
+            if let Some(p) = self.procs.get_mut(pid) {
+                p.workload.set_uniform_cpu_demand(demand);
+                retargeted = true;
+            }
+        }
+        if retargeted {
+            self.bump_epochs(dep::PROCESS);
+        }
+    }
+
     // ------------------------------------------------------------------
     // Containers
     // ------------------------------------------------------------------
@@ -1696,6 +1718,48 @@ mod tests {
 
     /// One process of a script: (workload, where it runs, affinity).
     type Spawn = (usize, usize, usize);
+    #[test]
+    fn a_batched_retarget_leaves_the_per_pid_retargets_state() {
+        let build = || {
+            let mut k = Kernel::new(MachineConfig::cloud_server(), 17);
+            let mut pids: Vec<HostPid> = (0..12)
+                .map(|i| {
+                    k.spawn_host_process(&format!("svc{i}"), models::web_service(0.2))
+                        .unwrap()
+                })
+                .collect();
+            let env = k.create_container_env("c").unwrap();
+            k.spawn(ProcessSpec::new("app", models::prime()).in_container(&env))
+                .unwrap();
+            k.advance_secs(3);
+            // A pid no process holds is skipped by both paths.
+            pids.insert(5, HostPid(9_999));
+            (k, pids)
+        };
+        let (mut one_by_one, pids) = build();
+        let (mut batched, _) = build();
+        for demand in [0.7, 0.05, 0.33] {
+            for &pid in &pids {
+                let _ = one_by_one.set_workload_demand(pid, demand);
+            }
+            let before = batched.epochs().masked_sum(dep::PROCESS);
+            batched.set_workload_demands(&pids, demand);
+            let bumps = batched.epochs().masked_sum(dep::PROCESS) - before;
+            assert_eq!(bumps, 1, "one process-epoch bump per batch");
+            assert_eq!(
+                batched.state(),
+                one_by_one.state(),
+                "after retarget to {demand}"
+            );
+            one_by_one.advance_secs(7);
+            batched.advance_secs(7);
+            assert_eq!(
+                batched.tick_state(),
+                one_by_one.tick_state(),
+                "after running at {demand}"
+            );
+        }
+    }
 
     /// Boots a kernel and runs the script on it with the fast or the
     /// reference tick, returning its final tick state. With `retick`, the

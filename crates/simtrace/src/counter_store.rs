@@ -5,6 +5,7 @@
 //! entry carries its determinism [`Group`], so the mode-exempt totals
 //! can be left out of a coalesced-vs-stepped or lazy-vs-eager compare.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -62,8 +63,27 @@ pub fn add_exempt(name: &str, n: u64) {
 #[inline]
 pub fn add_channel(prefix: &str, path: &str, n: u64) {
     if crate::enabled() {
-        bump(&format!("{prefix}.{path}"), n, Group::Portable);
+        bump_channel(prefix, path, n);
     }
+}
+
+thread_local! {
+    /// The reused key buffer [`bump_channel`] spells a channel's counter
+    /// name into.
+    static CHANNEL_KEY: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// Adds `n` to the portable counter `"{prefix}.{path}"`, its name spelled
+/// into a per-thread buffer, so only a counter's first add allocates
+/// (the registry's own copy of the name).
+fn bump_channel(prefix: &str, path: &str, n: u64) {
+    CHANNEL_KEY.with_borrow_mut(|key| {
+        key.clear();
+        key.push_str(prefix);
+        key.push('.');
+        key.push_str(path);
+        bump(key, n, Group::Portable);
+    });
 }
 
 /// A sorted snapshot of every counter touched so far.
@@ -98,6 +118,21 @@ mod tests {
         assert!(snapshot()
             .iter()
             .all(|e| !e.name.starts_with("test.should_not")));
+    }
+
+    #[test]
+    fn channel_adds_sum_under_the_dotted_name() {
+        bump_channel("ztest.chan", "/proc/stat", 2);
+        bump_channel("ztest.chan", "/proc/uptime", 1);
+        bump_channel("ztest.chan", "/proc/stat", 3);
+        let snap = snapshot();
+        let value = |name: &str| {
+            snap.iter()
+                .find(|e| e.name == name)
+                .map(|e| (e.value, e.group))
+        };
+        assert_eq!(value("ztest.chan./proc/stat"), Some((5, Group::Portable)));
+        assert_eq!(value("ztest.chan./proc/uptime"), Some((1, Group::Portable)));
     }
 
     #[test]
