@@ -67,7 +67,7 @@ cargo test --offline -q --release -p cloudsim
 echo "== kernel references: fast tick vs reference tick, lean anchor vs reference clone, release case count =="
 cargo test --offline -q --release -p simkernel
 
-echo "== pseudo-fs listing and walk: per-route count vs per-path reference, walk vs list + read_into, release case count; full-tree byte digest =="
+echo "== pseudo-fs listing, walk and handles: per-route count vs per-path reference, walk and handle reads vs list + read_into, release case count; full-tree byte digest =="
 cargo test --offline -q --release -p pseudofs
 
 echo "== determinism: the mode matrix =="

@@ -5,11 +5,12 @@
 //!
 //! Each group benches the hot inner loop of the corresponding experiment.
 //! A path e2ebench already times end to end (the Fig. 2 week on a
-//! populated fleet, the 1 Hz attack loop with its RAPL sampling and
-//! `Cloud::read_file_into`, the campaign sweep and its oracles) has no
-//! row here. ci.sh runs e2ebench's workloads as smoke tests only, with
-//! no timing bound, so those paths have no performance gate until
-//! e2ebench gets one.
+//! populated fleet, the 1 Hz attack loop, the campaign sweep and its
+//! oracles) has no row here, except the attack loop's RAPL sample
+//! (`rapl_monitor_sample_cc1`), which gates the monitor's handle reads.
+//! ci.sh runs e2ebench's workloads as smoke tests only, with no timing
+//! bound, so the other paths have no performance gate until e2ebench
+//! gets one.
 //!
 //! The harness pins the process to one CPU. Rows that step several hosts
 //! do so serially, as the lab, the defended fleet and the cloud do.
@@ -53,6 +54,11 @@
 //! * `detector_week`     — a simulated week at hourly cadence with the
 //!   online detector observing a bursty prober: prices the read-tap,
 //!   the per-advance verdict evaluation, and the live policy swap
+//! * `rapl_monitor_sample_cc1` — one fleet second of the 1 Hz power
+//!   attack's sampling: advance an idle one-host CC1 fleet a second,
+//!   then take one `RaplMonitor` sample from each of eight observers,
+//!   each reading its packages through handles opened once and probing
+//!   one package past the last
 
 use criterion::{criterion_group, criterion_main, BatchSize, Calibration, Criterion};
 use std::hint::black_box;
@@ -65,6 +71,7 @@ use containerleaks::detector;
 use containerleaks::leakscan::metrics::joint_entropy;
 use containerleaks::leakscan::{CrossValidator, Lab};
 use containerleaks::powerns::{container_energy_uj, run_table3, Trainer};
+use containerleaks::powersim::RaplMonitor;
 use containerleaks::pseudofs::{route_for, PseudoFs, View};
 use containerleaks::simkernel::cgroup::PerfCounters;
 use containerleaks::simkernel::kernel::ProcessSpec;
@@ -564,6 +571,40 @@ fn bench_detector_week(c: &mut Criterion) {
     });
 }
 
+fn bench_rapl_monitor_sample(c: &mut Criterion) {
+    let cfg = CloudConfig::new(CloudProfile::CC1)
+        .hosts(1)
+        .without_background();
+    let mut cloud = Cloud::new(cfg, 19);
+    let observers: Vec<InstanceId> = (0..8)
+        .map(|i| {
+            cloud
+                .launch(&format!("spy{i}"), InstanceSpec::new("obs").vcpus(1))
+                .expect("launch")
+        })
+        .collect();
+    let mut monitor = RaplMonitor::new();
+    let mut t = 0u64;
+    for &obs in &observers {
+        monitor
+            .sample_watts(&mut cloud, obs, 0.0)
+            .expect("baseline");
+    }
+    c.bench_function("rapl_monitor_sample_cc1", |b| {
+        b.iter(|| {
+            t += 1;
+            cloud.advance_secs(1);
+            let mut watts = 0.0;
+            for &obs in &observers {
+                if let Ok(Some(w)) = monitor.sample_watts(&mut cloud, obs, t as f64) {
+                    watts += w;
+                }
+            }
+            black_box(watts)
+        })
+    });
+}
+
 fn bench_namespace_install(c: &mut Criterion) {
     let model = Trainer::new(11).train();
     c.bench_function("defense_namespace_install", |b| {
@@ -600,6 +641,7 @@ criterion_group!(
         bench_kernel_tick,
         bench_kernel_tick_8_hosts,
         bench_detector_week,
+        bench_rapl_monitor_sample,
         bench_namespace_install,
 );
 criterion_group!(

@@ -61,7 +61,7 @@ use std::error::Error;
 use std::fmt;
 
 use container_runtime::{ContainerId, ContainerSpec, Runtime, RuntimeError};
-use pseudofs::{FsError, MaskPolicy};
+use pseudofs::{FsError, Handle, MaskPolicy};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -718,6 +718,41 @@ impl Cloud {
         path: &str,
         buf: &mut String,
     ) -> Result<(), CloudError> {
+        self.tapped_read(id, path, buf, |rt, kernel, c, buf| {
+            rt.read_file_into(kernel, c, path, buf)
+        })
+    }
+
+    /// [`Cloud::read_file_into`] through a [`Handle`] opened once, for a
+    /// tenant loop that re-reads the same files (the 1 Hz RAPL monitor).
+    /// The host is synced, the instance's current mask applies and the
+    /// detector sees the read, as for a read by path; only the path's
+    /// resolve is skipped.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cloud::read_file`] for the handle's path.
+    pub fn read_handle_into(
+        &mut self,
+        id: InstanceId,
+        handle: &Handle,
+        buf: &mut String,
+    ) -> Result<(), CloudError> {
+        self.tapped_read(id, handle.path(), buf, |rt, kernel, c, buf| {
+            rt.read_handle_into(kernel, c, handle, buf)
+        })
+    }
+
+    /// The one tenant read: clears `buf`, looks the instance up, syncs its
+    /// host, runs `read` in its container, and feeds `path` to the
+    /// detector.
+    fn tapped_read(
+        &mut self,
+        id: InstanceId,
+        path: &str,
+        buf: &mut String,
+        read: impl FnOnce(&Runtime, &Kernel, ContainerId, &mut String) -> Result<(), RuntimeError>,
+    ) -> Result<(), CloudError> {
         buf.clear();
         let inst = *self
             .instances
@@ -727,8 +762,7 @@ impl Cloud {
         self.sync_host(idx);
         let res = {
             let host = self.host_ref(idx);
-            host.runtime
-                .read_file_into(&host.kernel, inst.container, path, buf)
+            read(&host.runtime, &host.kernel, inst.container, buf)
         };
         // The online tap: every tenant read reaches the detector inline,
         // on the driver thread, stamped with fleet-absolute sim time.

@@ -37,7 +37,7 @@
 use std::error::Error;
 use std::fmt;
 
-use pseudofs::{FsError, MaskPolicy, PseudoFs, View};
+use pseudofs::{FsError, Handle, MaskPolicy, PseudoFs, View};
 use simkernel::fsstate::LockKind;
 use simkernel::kernel::{ContainerEnv, ProcessSpec};
 use simkernel::{HostPid, Kernel, KernelError};
@@ -329,9 +329,40 @@ impl Runtime {
         path: &str,
         buf: &mut String,
     ) -> Result<(), RuntimeError> {
+        self.read_in(id, buf, |view, buf| {
+            self.fs.read_into(kernel, view, path, buf)
+        })
+    }
+
+    /// [`Runtime::read_file_into`] through a [`Handle`] opened once: the
+    /// container's current view (its policy included) applies to every
+    /// read, and only the path's resolve is skipped.
+    ///
+    /// # Errors
+    ///
+    /// As [`Runtime::read_file_into`] for the handle's path.
+    pub fn read_handle_into(
+        &self,
+        kernel: &Kernel,
+        id: ContainerId,
+        handle: &Handle,
+        buf: &mut String,
+    ) -> Result<(), RuntimeError> {
+        self.read_in(id, buf, |view, buf| {
+            self.fs.read_handle_into(kernel, view, handle, buf)
+        })
+    }
+
+    /// Clears `buf`, looks the container up and runs `read` in its view.
+    fn read_in(
+        &self,
+        id: ContainerId,
+        buf: &mut String,
+        read: impl FnOnce(&View, &mut String) -> Result<(), FsError>,
+    ) -> Result<(), RuntimeError> {
         buf.clear();
         let c = self.get(id)?;
-        Ok(self.fs.read_into(kernel, &c.view, path, buf)?)
+        Ok(read(&c.view, buf)?)
     }
 
     /// Lists the pseudo files visible inside the container.

@@ -30,7 +30,7 @@
 
 use cloudsim::{Cloud, CloudError, InstanceId};
 use container_runtime::RuntimeError;
-use pseudofs::FsError;
+use pseudofs::{FsError, Handle};
 use workloads::models;
 
 /// The channels the attacker works through: a high-entropy slice of
@@ -111,6 +111,10 @@ pub struct AdaptiveAttacker {
     mode: AttackerMode,
     prober: InstanceId,
     accomplice: Option<InstanceId>,
+    /// One handle per [`PROBE_SET`] channel, opened once.
+    channels: Vec<Handle>,
+    /// The text of the last read, reused across reads.
+    buf: String,
     cost: AttackCost,
     /// Consecutive denied bursts (Backoff's exponent).
     denied_bursts: u32,
@@ -135,6 +139,8 @@ impl AdaptiveAttacker {
             mode,
             prober,
             accomplice,
+            channels: PROBE_SET.iter().map(|p| Handle::open(p)).collect(),
+            buf: String::new(),
             cost: AttackCost::default(),
             denied_bursts: 0,
             next_burst_at: 0,
@@ -159,11 +165,11 @@ impl AdaptiveAttacker {
         self.covert_active
     }
 
-    /// Attempts one read, updating the ledger, and reports whether the
-    /// provider denied it.
-    fn probe(&mut self, cloud: &mut Cloud, path: &str) -> bool {
+    /// Attempts one read of [`PROBE_SET`]`[channel]`, updating the
+    /// ledger, and reports whether the provider denied it.
+    fn probe(&mut self, cloud: &mut Cloud, channel: usize) -> bool {
         self.cost.probes += 1;
-        match cloud.read_file(self.prober, path) {
+        match cloud.read_handle_into(self.prober, &self.channels[channel], &mut self.buf) {
             Ok(_) => {
                 self.cost.useful_reads += 1;
                 false
@@ -182,8 +188,8 @@ impl AdaptiveAttacker {
     pub fn step(&mut self, cloud: &mut Cloud, now_secs: u64) {
         match self.mode {
             AttackerMode::Persistent => {
-                for p in PROBE_SET {
-                    self.probe(cloud, p);
+                for channel in 0..PROBE_SET.len() {
+                    self.probe(cloud, channel);
                 }
             }
             AttackerMode::Backoff => {
@@ -191,8 +197,8 @@ impl AdaptiveAttacker {
                     return;
                 }
                 let mut any_denied = false;
-                for p in PROBE_SET {
-                    any_denied |= self.probe(cloud, p);
+                for channel in 0..PROBE_SET.len() {
+                    any_denied |= self.probe(cloud, channel);
                 }
                 if any_denied {
                     self.denied_bursts = (self.denied_bursts + 1).min(6);
@@ -207,8 +213,7 @@ impl AdaptiveAttacker {
                 // denial. A full lap over a fully-masked set degenerates
                 // into a slow scan that keeps paying denials.
                 for _ in 0..2 {
-                    let p = PROBE_SET[self.channel % PROBE_SET.len()];
-                    if self.probe(cloud, p) {
+                    if self.probe(cloud, self.channel % PROBE_SET.len()) {
                         self.channel = (self.channel + 1) % PROBE_SET.len();
                     }
                 }
@@ -216,8 +221,8 @@ impl AdaptiveAttacker {
             AttackerMode::CovertFallback => {
                 if !self.covert_active {
                     let mut any_denied = false;
-                    for p in PROBE_SET {
-                        any_denied |= self.probe(cloud, p);
+                    for channel in 0..PROBE_SET.len() {
+                        any_denied |= self.probe(cloud, channel);
                     }
                     if any_denied {
                         self.covert_active = true;
@@ -242,10 +247,10 @@ impl AdaptiveAttacker {
                 let decoded = match self.accomplice {
                     Some(acc) if implanted => {
                         self.cost.probes += 1;
-                        match cloud.read_file(acc, "/proc/timer_list") {
-                            Ok(body) => {
+                        match cloud.read_file_into(acc, "/proc/timer_list", &mut self.buf) {
+                            Ok(()) => {
                                 self.cost.useful_reads += 1;
-                                body.contains(&comm)
+                                self.buf.contains(&comm)
                             }
                             Err(CloudError::Runtime(RuntimeError::Fs(
                                 FsError::PermissionDenied(_),

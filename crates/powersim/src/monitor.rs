@@ -10,6 +10,7 @@
 use std::collections::HashMap;
 
 use cloudsim::{Cloud, CloudError, InstanceId};
+use pseudofs::Handle;
 use simkernel::hw::RAPL_WRAP_UJ;
 
 /// The `energy_uj` file of each RAPL package the monitor can probe.
@@ -25,15 +26,31 @@ const ENERGY_UJ_PATHS: [&str; 8] = [
 ];
 
 /// Per-instance RAPL sampling state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RaplMonitor {
     last: HashMap<InstanceId, Vec<(u64, f64)>>,
+    /// One handle per [`ENERGY_UJ_PATHS`] entry, opened once and re-read
+    /// every sample, as a real monitor keeps its files open.
+    energy_uj: [Handle; 8],
     /// The current sample's readings, reused across samples.
     readings: Vec<u64>,
     /// The text of the last `energy_uj` read, reused across reads.
     text: String,
     dropped: u64,
     resets: u64,
+}
+
+impl Default for RaplMonitor {
+    fn default() -> Self {
+        RaplMonitor {
+            last: HashMap::new(),
+            energy_uj: ENERGY_UJ_PATHS.map(Handle::open),
+            readings: Vec::new(),
+            text: String::new(),
+            dropped: 0,
+            resets: 0,
+        }
+    }
 }
 
 impl RaplMonitor {
@@ -67,8 +84,8 @@ impl RaplMonitor {
         // Discover package count by probing package 0, 1, ... until ENOENT.
         let readings = &mut self.readings;
         readings.clear();
-        for (pkg, path) in ENERGY_UJ_PATHS.iter().enumerate() {
-            match cloud.read_file_into(instance, path, &mut self.text) {
+        for (pkg, handle) in self.energy_uj.iter().enumerate() {
+            match cloud.read_handle_into(instance, handle, &mut self.text) {
                 Ok(()) => readings.push(self.text.trim().parse::<u64>().unwrap_or(0)),
                 Err(e) if e.is_transient() => {
                     // Sensor dropout: drop this sample, keep the baseline.

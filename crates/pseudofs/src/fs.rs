@@ -210,7 +210,56 @@ pub(crate) fn enumerate(k: &Kernel, view: &View, mut visit: Option<Visit<'_>>) -
     n
 }
 
-/// The read core behind [`PseudoFs::read_into`] and [`PseudoFs::walk`]:
+/// A path resolved once to its route, for a reader that reads the same
+/// file again and again: the descriptor a monitor keeps open. It holds
+/// the path, the route serving it (if any) and the byte range of the
+/// path each holed segment of the route's template captured.
+///
+/// Opening never fails and consults nothing but the route table. The
+/// mask, the fault plan and the kernel's state are consulted at each
+/// [`PseudoFs::read_handle_into`], as [`PseudoFs::read_into`] consults
+/// them, so a handle reads what `read_into` of its path reads, bytes or
+/// error: a policy swapped in after the open still denies, and a path
+/// no route serves reads as `NotFound` once the mask and the fault plan
+/// have let the read through.
+#[derive(Debug, Clone)]
+pub struct Handle {
+    path: String,
+    route: Option<&'static Route>,
+    caps: [Range<usize>; MAX_CAPTURES],
+}
+
+impl Handle {
+    /// Resolves `path` to its route, once.
+    pub fn open(path: &str) -> Handle {
+        // Each capture is a slice of `path` (an unused slot is an empty
+        // literal), so its offset is its distance from the path's start.
+        let span = |cap: &str| {
+            if cap.is_empty() {
+                return 0..0;
+            }
+            let start = cap.as_ptr() as usize - path.as_ptr() as usize;
+            start..start + cap.len()
+        };
+        let (route, caps) = match registry::resolve(path) {
+            Some((route, caps)) => (Some(route), caps.map(span)),
+            None => (None, Default::default()),
+        };
+        Handle {
+            path: path.to_string(),
+            route,
+            caps,
+        }
+    }
+
+    /// The path the handle was opened on.
+    pub fn path(&self) -> &str {
+        &self.path
+    }
+}
+
+/// The read core behind [`PseudoFs::read_into`],
+/// [`PseudoFs::read_handle_into`] and [`PseudoFs::walk`]:
 /// mask → fault → render → distort → note. `render` runs the route
 /// serving `path` on the text its holes took, into `buf`, and returns
 /// `None` when no route serves the path or the route names nothing in
@@ -271,11 +320,11 @@ impl PseudoFs {
     /// use this to avoid a fresh `String` per read; renderers write
     /// straight into `buf`.
     ///
-    /// This is one of the read path's two entry points: it resolves
+    /// This is one of the read path's three entry points: it resolves
     /// `path` to its route and hands both to the read core (mask → fault
-    /// → render → distort → note), which [`PseudoFs::walk`] calls too.
-    /// Every read renders from live kernel state, as procfs and sysfs
-    /// handlers do.
+    /// → render → distort → note), which [`PseudoFs::read_handle_into`]
+    /// and [`PseudoFs::walk`] call too. Every read renders from live
+    /// kernel state, as procfs and sysfs handlers do.
     ///
     /// # Errors
     ///
@@ -290,6 +339,34 @@ impl PseudoFs {
         read_routed(k, view, path, buf, |buf| {
             let (route, caps) = registry::resolve(path)?;
             (route.render)(k, view, &caps, buf)
+        })
+    }
+
+    /// Reads the file `handle` was opened on into `buf`, through the same
+    /// core as [`PseudoFs::read_into`] with the route and captures the
+    /// open resolved, so the path is not resolved again. Every check
+    /// `read_into` makes still runs per read, in the same order: the
+    /// view's mask, the kernel's fault plan, the render, the distortion
+    /// and the trace record.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those [`PseudoFs::read_into`] returns for the handle's
+    /// path. On error `buf` is left empty.
+    pub fn read_handle_into(
+        &self,
+        k: &Kernel,
+        view: &View,
+        handle: &Handle,
+        buf: &mut String,
+    ) -> Result<(), FsError> {
+        let path = handle.path.as_str();
+        read_routed(k, view, path, buf, |buf| {
+            let caps = handle
+                .caps
+                .each_ref()
+                .map(|r| path.get(r.clone()).unwrap_or_default());
+            (handle.route?.render)(k, view, &caps, buf)
         })
     }
 

@@ -28,6 +28,9 @@
 //!   decides whole by its size, without formatting a path, for callers
 //!   that need only how many there are. [`PseudoFs::walk`] reads every
 //!   listed path in one pass, through the same checks as a single read.
+//! * A [`Handle`] resolves a path once for a reader that re-reads it (the
+//!   1 Hz RAPL monitor); [`PseudoFs::read_handle_into`] runs every
+//!   per-read check of [`PseudoFs::read_into`] and skips only the resolve.
 //!
 //! # Example
 //!
@@ -60,6 +63,6 @@ pub mod render;
 pub mod view;
 
 pub use error::FsError;
-pub use fs::{PseudoFs, LIST_DEPS};
+pub use fs::{Handle, PseudoFs, LIST_DEPS};
 pub use registry::{changed_mask_deps, route_for, Render, Route, ROUTES};
 pub use view::{glob_match, Context, MaskAction, MaskPolicy, MaskRule, View};
