@@ -26,6 +26,11 @@ done
 echo "== build (release) =="
 cargo build --offline --release --workspace
 
+echo "== Fig. 3 example: runs to completion =="
+# `cargo test` builds examples/ but runs none of them; a panic in this one
+# would otherwise pass every gate below.
+cargo run --offline --release -q --example synergistic_attack
+
 echo "== tests =="
 cargo test --offline -q --workspace
 

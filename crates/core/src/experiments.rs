@@ -18,8 +18,9 @@ use container_runtime::{ContainerSpec, Runtime};
 use leakscan::{CloudInspector, Lab, MetricsAssessor, TABLE2_CHANNELS};
 use powerns::nsfs::{fig8_error, fig9_transparency};
 use powerns::{container_energy_uj, run_table3, PowerModel, Trainer};
-use powersim::attack::AttackOutcome;
-use powersim::{AttackCampaign, AttackStrategy, DiurnalTrace, Orchestrator};
+use powersim::{
+    calibrate, strike, surge_fleet, AttackStrategy, DiurnalTrace, Orchestrator, SURGE_WINDOW_START,
+};
 use simkernel::{Kernel, MachineConfig};
 use workloads::models;
 
@@ -339,7 +340,7 @@ pub fn fig2(seed: u64, days: u64) -> Result<Measured, String> {
     let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(8), seed);
     let mut trace = DiurnalTrace::paper_week(seed);
     let total_s = days * 86_400;
-    let zoom = (86_400 + 33_000, 600u64);
+    let zoom = (SURGE_WINDOW_START, 600u64);
 
     let mut series30: Vec<(u64, f64)> = Vec::with_capacity((total_s / 30) as usize);
     let mut zoom1: Vec<f64> = Vec::new();
@@ -423,21 +424,14 @@ pub fn fig2(seed: u64, days: u64) -> Result<Measured, String> {
 
 /// Fig. 3: synergistic vs periodic attack over a 3000 s window.
 pub fn fig3(seed: u64) -> Result<Measured, String> {
-    let window_start = FIG3_WINDOW_START;
-    let window_len = 3_000u64;
-    let fleet = || fig3_fleet(CloudConfig::new(CloudProfile::CC1), seed);
+    let window = (SURGE_WINDOW_START, 3_000u64);
+    let fleet = || surge_fleet(CloudConfig::new(CloudProfile::CC1), seed);
 
     // Calibration: observe the window without payloads; trigger = p97.
-    let calibration = run_campaign(
-        fleet(),
-        AttackStrategy::Continuous,
-        seed,
-        window_start,
-        window_len,
-    )?;
-    let threshold = trigger_at(&calibration, 97)?;
+    let calibration = calibrate(fleet(), seed, window.0, window.1).ctx("calibration")?;
+    let threshold = calibration.trigger_w(97).ok_or(NO_ESTIMATES)?;
 
-    let run = |strategy| run_campaign(fleet(), strategy, seed, window_start, window_len);
+    let run = |strategy| strike(fleet(), strategy, seed, window.0, window.1, None).ctx("campaign");
     let periodic = run(AttackStrategy::Periodic {
         period_s: 300,
         burst_s: 60,
@@ -498,55 +492,8 @@ pub fn fig3(seed: u64) -> Result<Measured, String> {
     Ok(Measured::new(out, comparisons))
 }
 
-/// Fig. 3's observation window: inside the day-2 surge plateau, where
-/// benign load fluctuates with crests and troughs.
-const FIG3_WINDOW_START: u64 = 86_400 + 33_000;
-
-/// Fig. 3's fleet: 8 servers of `cfg`, warmed up for 2 s.
-fn fig3_fleet(cfg: CloudConfig, seed: u64) -> Cloud {
-    let mut cloud = Cloud::new(cfg.hosts(8), seed);
-    cloud.advance_secs(2);
-    cloud
-}
-
-/// Deploys `strategy` on `cloud` and runs it over `len` seconds of the
-/// `trace_seed` paper week from `start`. A [`AttackStrategy::Continuous`]
-/// run is a calibration pass: no payloads, only the observers whose
-/// power estimates train the synergistic trigger; any other strategy
-/// fires payloads on 3 hosts.
-fn run_campaign(
-    mut cloud: Cloud,
-    strategy: AttackStrategy,
-    trace_seed: u64,
-    start: u64,
-    len: u64,
-) -> Result<AttackOutcome, String> {
-    let (payload_hosts, tenant) = match strategy {
-        AttackStrategy::Continuous => (0, "cal"),
-        _ => (3, "attacker"),
-    };
-    let mut campaign =
-        AttackCampaign::deploy(&mut cloud, strategy, payload_hosts, tenant).ctx("deploy")?;
-    let mut trace = DiurnalTrace::paper_week(trace_seed);
-    campaign
-        .run(&mut cloud, &mut trace, start, len, None)
-        .ctx("campaign")
-}
-
-/// The synergistic trigger a calibration pass trains: the `pct`th
-/// percentile of the attacker's power estimates (Fig. 3 fires at p97).
-fn trigger_at(calibration: &AttackOutcome, pct: usize) -> Result<f64, String> {
-    let mut ests: Vec<f64> = calibration
-        .series
-        .iter()
-        .filter_map(|s| s.attacker_estimate_w)
-        .collect();
-    if ests.is_empty() {
-        return Err("calibration produced no power estimates".to_string());
-    }
-    ests.sort_by(|a, b| a.total_cmp(b));
-    Ok(ests[ests.len() * pct / 100])
-}
+/// A calibration pass with no power estimate (a masked cloud) trains no trigger.
+const NO_ESTIMATES: &str = "calibration produced no power estimates";
 
 /// Renders a power series as a sparkline with attack-burst markers.
 fn power_sparkline(series: &[powersim::attack::PowerSample], bucket_s: usize) -> String {
@@ -971,8 +918,8 @@ pub fn covert(seed: u64) -> Result<Measured, String> {
 /// §II-C's capping argument: rack-level capping delay vs the aligned spike.
 pub fn capping(seed: u64) -> Result<Measured, String> {
     use powersim::capping_experiment;
-    let slow = capping_experiment(seed, 120, 90);
-    let fast = capping_experiment(seed, 5, 90);
+    let slow = capping_experiment(seed, 120, 90).ctx("capping")?;
+    let fast = capping_experiment(seed, 5, 90).ctx("capping")?;
     let mut rendered = String::new();
     let _ = writeln!(
         rendered,
@@ -1055,14 +1002,12 @@ pub fn hardening(seed: u64) -> Result<Measured, String> {
 pub fn rack_attack(seed: u64) -> Result<Measured, String> {
     use powersim::{BreakerState, CircuitBreaker, RaplMonitor};
 
-    let mut cloud = Cloud::new(
+    let mut cloud = surge_fleet(
         CloudConfig::new(CloudProfile::CC1)
-            .hosts(8)
             .hosts_per_rack(4)
             .placement(PlacementPolicy::Random),
         seed,
     );
-    cloud.advance_secs(2);
 
     // 1. Aggregate 3 payload instances onto distinct hosts of the
     //    reference's rack (leaked-channel navigation only).
@@ -1107,12 +1052,11 @@ pub fn rack_attack(seed: u64) -> Result<Measured, String> {
 
     // 3. Campaign: fire a 90 s burst when the attacker's estimate of the
     //    target rack's power crests.
-    let window_start = 86_400 + 33_000u64;
     let mut fired = false;
     let mut burst_left = 0u64;
     let mut peak_target: f64 = 0.0;
     for t in 0..1_500u64 {
-        trace.apply(&mut cloud, window_start + t);
+        trace.apply(&mut cloud, SURGE_WINDOW_START + t);
         cloud.advance_secs(1);
         let mut est = 0.0;
         for inst in &agg.kept {
@@ -1250,14 +1194,9 @@ pub fn detectors(seed: u64) -> Result<Measured, String> {
 pub fn stealth(seed: u64) -> Result<Measured, String> {
     use powersim::{classify, StealthPolicy, StealthVerdict, UtilizationTrace};
 
-    let run = |strategy: AttackStrategy| -> Result<UtilizationTrace, String> {
-        let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(8), seed);
-        cloud.advance_secs(2);
-        let mut campaign = AttackCampaign::deploy(&mut cloud, strategy, 3, "att").ctx("deploy")?;
-        let mut trace = DiurnalTrace::paper_week(seed);
-        let out = campaign
-            .run(&mut cloud, &mut trace, 86_400 + 33_000, 3_000, None)
-            .ctx("campaign")?;
+    let run = |strategy| -> Result<UtilizationTrace, String> {
+        let fleet = surge_fleet(CloudConfig::new(CloudProfile::CC1), seed);
+        let out = strike(fleet, strategy, seed, SURGE_WINDOW_START, 3_000, None).ctx("campaign")?;
         let attacking: Vec<bool> = out.series.iter().map(|s| s.attacking).collect();
         Ok(UtilizationTrace::from_attack_series(&attacking, 60))
     };
@@ -1365,17 +1304,17 @@ pub fn ablations(seed: u64) -> Result<Measured, String> {
     ));
 
     // 3. Synergistic trigger percentile sweep.
-    let (start, len) = (FIG3_WINDOW_START, 1_500u64);
-    let fleet = || fig3_fleet(CloudConfig::new(CloudProfile::CC1), 77);
-    let cal = run_campaign(fleet(), AttackStrategy::Continuous, 77, start, len)?;
+    let (start, len) = (SURGE_WINDOW_START, 1_500u64);
+    let fleet = || surge_fleet(CloudConfig::new(CloudProfile::CC1), 77);
+    let cal = calibrate(fleet(), 77, start, len).ctx("calibration")?;
     let mut trial_counts = Vec::new();
     for pct in [50, 90, 97] {
         let strategy = AttackStrategy::Synergistic {
-            threshold_w: trigger_at(&cal, pct)?,
+            threshold_w: cal.trigger_w(pct).ok_or(NO_ESTIMATES)?,
             burst_s: 60,
             cooldown_s: 180,
         };
-        let out = run_campaign(fleet(), strategy, 77, start, len)?;
+        let out = strike(fleet(), strategy, 77, start, len, None).ctx("campaign")?;
         let _ = writeln!(
             rendered,
             "trigger ablation      p{pct}: {} trials, peak {:.0} W, cost ${:.4}",
@@ -1539,19 +1478,9 @@ pub fn defense_fleet(seed: u64) -> Result<Measured, String> {
     // Fig. 3's protocol on the same fleet with the namespace deployed: a
     // 600 s calibration pass builds the trigger from the defended
     // estimates, then a 1500 s synergistic campaign fires on it.
-    let fleet = || {
-        fig3_fleet(
-            CloudConfig::new(CloudProfile::CC1).power_namespace(model.clone()),
-            seed,
-        )
-    };
-    let cal = run_campaign(
-        fleet(),
-        AttackStrategy::Continuous,
-        77,
-        FIG3_WINDOW_START,
-        600,
-    )?;
+    let cfg = CloudConfig::new(CloudProfile::CC1).power_namespace(model);
+    let fleet = || surge_fleet(cfg.clone(), seed);
+    let cal = calibrate(fleet(), 77, SURGE_WINDOW_START, 600).ctx("calibration")?;
     let estimates: Vec<f64> = cal
         .series
         .iter()
@@ -1561,11 +1490,12 @@ pub fn defense_fleet(seed: u64) -> Result<Measured, String> {
     let est_swing = swing(&estimates);
     let true_swing = swing(&truths);
     let strategy = AttackStrategy::Synergistic {
-        threshold_w: trigger_at(&cal, 97)?,
+        threshold_w: cal.trigger_w(97).ok_or(NO_ESTIMATES)?,
         burst_s: 60,
         cooldown_s: 180,
     };
-    let campaign = run_campaign(fleet(), strategy, 77, FIG3_WINDOW_START + 600, 1_500)?;
+    let campaign =
+        strike(fleet(), strategy, 77, SURGE_WINDOW_START + 600, 1_500, None).ctx("campaign")?;
     // The true power at each firing moment: the sample whose bookkeeping
     // started a burst, measured before the payload switched on.
     let mut was_attacking = false;

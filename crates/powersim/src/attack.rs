@@ -1,4 +1,5 @@
-//! The three power-attack strategies of Fig. 3 (§IV-A/§IV-B).
+//! The three power-attack strategies of Fig. 3 (§IV-A/§IV-B) and the
+//! surge-window protocol that runs them ([`calibrate`], [`strike`]).
 //!
 //! All three control the same "ammunition": payload instances whose
 //! processes flip between a dormant sleeper and a power virus. They differ
@@ -12,7 +13,7 @@
 //!   and superimpose the burst on benign peaks (the paper: 1359 W with
 //!   only two trials), the "insider trading" strategy.
 
-use cloudsim::{Cloud, CloudError, HostId, InstanceId, InstanceSpec};
+use cloudsim::{Cloud, CloudConfig, CloudError, HostId, InstanceId, InstanceSpec};
 use serde::{Deserialize, Serialize};
 use simkernel::HostPid;
 use workloads::models;
@@ -73,10 +74,28 @@ pub struct AttackOutcome {
     pub breaker_tripped_at_s: Option<f64>,
 }
 
+impl AttackOutcome {
+    /// The synergistic trigger a calibration pass trains: the `pct`th
+    /// percentile of the attacker's power estimates (Fig. 3 fires at p97),
+    /// clamped to the largest estimate, so p100 is the maximum. `None`
+    /// when the run produced no estimate (a masked cloud).
+    pub fn trigger_w(&self, pct: usize) -> Option<f64> {
+        let mut ests: Vec<f64> = self
+            .series
+            .iter()
+            .filter_map(|s| s.attacker_estimate_w)
+            .collect();
+        ests.sort_by(f64::total_cmp);
+        let i = (ests.len() * pct / 100).min(ests.len().saturating_sub(1));
+        ests.get(i).copied()
+    }
+}
+
 /// A deployed attack: observers on every host, payloads on some.
 #[derive(Debug)]
 pub struct AttackCampaign {
-    strategy: AttackStrategy,
+    /// `None` observes only: a calibration pass.
+    strategy: Option<AttackStrategy>,
     observers: Vec<InstanceId>,
     payloads: Vec<(InstanceId, Vec<HostPid>)>,
     monitor: RaplMonitor,
@@ -95,6 +114,15 @@ impl AttackCampaign {
     pub fn deploy(
         cloud: &mut Cloud,
         strategy: AttackStrategy,
+        payload_hosts: usize,
+        tenant: &str,
+    ) -> Result<Self, CloudError> {
+        Self::deploy_with(cloud, Some(strategy), payload_hosts, tenant)
+    }
+
+    fn deploy_with(
+        cloud: &mut Cloud,
+        strategy: Option<AttackStrategy>,
         payload_hosts: usize,
         tenant: &str,
     ) -> Result<Self, CloudError> {
@@ -163,7 +191,7 @@ impl AttackCampaign {
         let mut cooldown_left = 0u64;
         let mut tripped_at = None;
 
-        if matches!(self.strategy, AttackStrategy::Continuous) {
+        if matches!(self.strategy, Some(AttackStrategy::Continuous)) {
             self.set_firing(cloud, true)?;
             firing = true;
             trials = 1;
@@ -182,18 +210,11 @@ impl AttackCampaign {
             let mut estimate = Some(0.0f64);
             for obs in &self.observers {
                 match self.monitor.sample_watts(cloud, *obs, t as f64) {
-                    Ok(Some(w)) => {
-                        if let Some(e) = estimate.as_mut() {
-                            *e += w;
-                        }
+                    Ok(Some(w)) => estimate = estimate.map(|e| e + w),
+                    Err(e) if matches!(self.strategy, Some(AttackStrategy::Synergistic { .. })) => {
+                        return Err(e)
                     }
-                    Ok(None) => estimate = None,
-                    Err(e) => {
-                        if matches!(self.strategy, AttackStrategy::Synergistic { .. }) {
-                            return Err(e);
-                        }
-                        estimate = None;
-                    }
+                    Ok(None) | Err(_) => estimate = None,
                 }
             }
 
@@ -205,8 +226,8 @@ impl AttackCampaign {
 
             // Strategy bookkeeping for the *next* second.
             match self.strategy {
-                AttackStrategy::Continuous => {}
-                AttackStrategy::Periodic { period_s, burst_s } => {
+                None | Some(AttackStrategy::Continuous) => {}
+                Some(AttackStrategy::Periodic { period_s, burst_s }) => {
                     if firing {
                         burst_left = burst_left.saturating_sub(1);
                         if burst_left == 0 {
@@ -220,11 +241,11 @@ impl AttackCampaign {
                         trials += 1;
                     }
                 }
-                AttackStrategy::Synergistic {
+                Some(AttackStrategy::Synergistic {
                     threshold_w,
                     burst_s,
                     cooldown_s,
-                } => {
+                }) => {
                     cooldown_left = cooldown_left.saturating_sub(1);
                     if firing {
                         burst_left = burst_left.saturating_sub(1);
@@ -233,15 +254,11 @@ impl AttackCampaign {
                             firing = false;
                             cooldown_left = cooldown_s;
                         }
-                    } else if cooldown_left == 0 {
-                        if let Some(est) = estimate {
-                            if est > threshold_w {
-                                self.set_firing(cloud, true)?;
-                                firing = true;
-                                burst_left = burst_s;
-                                trials += 1;
-                            }
-                        }
+                    } else if cooldown_left == 0 && estimate.is_some_and(|est| est > threshold_w) {
+                        self.set_firing(cloud, true)?;
+                        firing = true;
+                        burst_left = burst_s;
+                        trials += 1;
                     }
                 }
             }
@@ -267,65 +284,83 @@ impl AttackCampaign {
     }
 }
 
+/// Start of the surge window, seconds into the paper week: inside the
+/// day-2 surge plateau, where benign load fluctuates with crests and
+/// troughs.
+pub const SURGE_WINDOW_START: u64 = 86_400 + 33_000;
+
+/// The surge-window fleet: 8 hosts of `cfg`, warmed up for 2 s.
+pub fn surge_fleet(cfg: CloudConfig, seed: u64) -> Cloud {
+    let mut cloud = Cloud::new(cfg.hosts(8), seed);
+    cloud.advance_secs(2);
+    cloud
+}
+
+/// A calibration pass: one observer per host of `cloud` (tenant `cal`)
+/// and no payload, watching `len_s` seconds of the `trace_seed` paper
+/// week from `start_s`. Its estimates train the synergistic trigger
+/// ([`AttackOutcome::trigger_w`]).
+///
+/// # Errors
+///
+/// Propagates launch and cloud errors; a monitor that cannot read leaves
+/// the second without an estimate.
+pub fn calibrate(
+    mut cloud: Cloud,
+    trace_seed: u64,
+    start_s: u64,
+    len_s: u64,
+) -> Result<AttackOutcome, CloudError> {
+    let mut campaign = AttackCampaign::deploy_with(&mut cloud, None, 0, "cal")?;
+    let mut trace = DiurnalTrace::paper_week(trace_seed);
+    campaign.run(&mut cloud, &mut trace, start_s, len_s, None)
+}
+
+/// A strike: `strategy` fired from payloads on 3 hosts of `cloud` beside
+/// one observer per host (tenant `attacker`), over `len_s` seconds of the
+/// `trace_seed` paper week from `start_s`, feeding `breaker` if supplied.
+///
+/// # Errors
+///
+/// As [`AttackCampaign::deploy`] and [`AttackCampaign::run`].
+pub fn strike(
+    mut cloud: Cloud,
+    strategy: AttackStrategy,
+    trace_seed: u64,
+    start_s: u64,
+    len_s: u64,
+    breaker: Option<&mut CircuitBreaker>,
+) -> Result<AttackOutcome, CloudError> {
+    let mut campaign = AttackCampaign::deploy(&mut cloud, strategy, 3, "attacker")?;
+    let mut trace = DiurnalTrace::paper_week(trace_seed);
+    campaign.run(&mut cloud, &mut trace, start_s, len_s, breaker)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudsim::{CloudConfig, CloudProfile};
+    use cloudsim::CloudProfile;
 
-    fn fleet(seed: u64) -> Cloud {
-        let mut c = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(8), seed);
-        c.advance_secs(2);
-        c
+    fn cc1(seed: u64) -> Cloud {
+        surge_fleet(CloudConfig::new(CloudProfile::CC1), seed)
     }
 
-    /// The Fig. 3 observation window: 3000 s inside the day-2 surge
-    /// plateau, where benign load fluctuates with crests and troughs.
-    const WINDOW_START: u64 = 86_400 + 33_000;
-    const WINDOW_LEN: u64 = 3_000;
-
-    /// A calibration pass: observe the window with no payload deployed and
-    /// take the 90th percentile of the attacker's power estimate — the
-    /// "fire on crests" trigger.
-    fn calibrate_threshold(seed: u64) -> f64 {
-        let mut cloud = fleet(seed);
-        let mut campaign =
-            AttackCampaign::deploy(&mut cloud, AttackStrategy::Continuous, 0, "cal").unwrap();
-        let mut trace = DiurnalTrace::paper_week(seed);
-        let out = campaign
-            .run(&mut cloud, &mut trace, WINDOW_START, WINDOW_LEN, None)
-            .unwrap();
-        let mut ests: Vec<f64> = out
-            .series
-            .iter()
-            .filter_map(|s| s.attacker_estimate_w)
-            .collect();
-        ests.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        ests[ests.len() * 97 / 100]
-    }
+    const PERIODIC: AttackStrategy = AttackStrategy::Periodic {
+        period_s: 300,
+        burst_s: 60,
+    };
 
     #[test]
     fn synergistic_beats_periodic_fig3() {
         // Seed chosen so the day-2 surge plateau has pronounced crests;
         // the qualitative Fig. 3 shape below holds with a wide margin.
         let seed = 43;
-        let threshold = calibrate_threshold(seed);
-        let window = (WINDOW_START, WINDOW_LEN);
-
-        let run = |strategy: AttackStrategy| -> AttackOutcome {
-            let mut cloud = fleet(seed);
-            let mut campaign = AttackCampaign::deploy(&mut cloud, strategy, 3, "attacker").unwrap();
-            let mut trace = DiurnalTrace::paper_week(seed);
-            campaign
-                .run(&mut cloud, &mut trace, window.0, window.1, None)
-                .unwrap()
-        };
-
-        let periodic = run(AttackStrategy::Periodic {
-            period_s: 300,
-            burst_s: 60,
-        });
+        let run =
+            |strategy| strike(cc1(seed), strategy, seed, SURGE_WINDOW_START, 3_000, None).unwrap();
+        let calibration = calibrate(cc1(seed), seed, SURGE_WINDOW_START, 3_000).unwrap();
+        let periodic = run(PERIODIC);
         let synergistic = run(AttackStrategy::Synergistic {
-            threshold_w: threshold,
+            threshold_w: calibration.trigger_w(97).unwrap(),
             burst_s: 60,
             cooldown_s: 600,
         });
@@ -354,27 +389,17 @@ mod tests {
     #[test]
     fn continuous_catches_peaks_but_costs_most() {
         let seed = 101;
-        let window = (WINDOW_START, 1_200u64);
-        let run = |strategy: AttackStrategy| -> AttackOutcome {
-            let mut cloud = fleet(seed);
-            let mut campaign = AttackCampaign::deploy(&mut cloud, strategy, 3, "attacker").unwrap();
-            let mut trace = DiurnalTrace::paper_week(seed);
-            campaign
-                .run(&mut cloud, &mut trace, window.0, window.1, None)
-                .unwrap()
-        };
+        let run =
+            |strategy| strike(cc1(seed), strategy, seed, SURGE_WINDOW_START, 1_200, None).unwrap();
         let continuous = run(AttackStrategy::Continuous);
-        let periodic = run(AttackStrategy::Periodic {
-            period_s: 300,
-            burst_s: 60,
-        });
+        let periodic = run(PERIODIC);
         assert!(continuous.peak_w >= periodic.peak_w - 1.0);
         assert!(continuous.attack_cost_usd > periodic.attack_cost_usd * 2.0);
     }
 
     #[test]
     fn payload_bursts_add_power() {
-        let mut cloud = fleet(77);
+        let mut cloud = cc1(77);
         let mut campaign = AttackCampaign::deploy(
             &mut cloud,
             AttackStrategy::Periodic {
@@ -412,28 +437,22 @@ mod tests {
     #[test]
     fn breaker_trips_only_under_the_synergistic_spike() {
         let seed = 77;
-        let threshold = calibrate_threshold(seed);
-        let run = |strategy: AttackStrategy| -> AttackOutcome {
-            let mut cloud = fleet(seed);
-            let mut campaign = AttackCampaign::deploy(&mut cloud, strategy, 3, "attacker").unwrap();
-            let mut trace = DiurnalTrace::paper_week(seed);
+        let run = |strategy| {
             let mut breaker = CircuitBreaker::new(1_190.0).thermal_limit(8.0);
-            campaign
-                .run(
-                    &mut cloud,
-                    &mut trace,
-                    WINDOW_START,
-                    WINDOW_LEN,
-                    Some(&mut breaker),
-                )
-                .unwrap()
+            strike(
+                cc1(seed),
+                strategy,
+                seed,
+                SURGE_WINDOW_START,
+                3_000,
+                Some(&mut breaker),
+            )
+            .unwrap()
         };
-        let periodic = run(AttackStrategy::Periodic {
-            period_s: 300,
-            burst_s: 60,
-        });
+        let calibration = calibrate(cc1(seed), seed, SURGE_WINDOW_START, 3_000).unwrap();
+        let periodic = run(PERIODIC);
         let synergistic = run(AttackStrategy::Synergistic {
-            threshold_w: threshold,
+            threshold_w: calibration.trigger_w(97).unwrap(),
             burst_s: 90,
             cooldown_s: 600,
         });
@@ -446,5 +465,66 @@ mod tests {
             "synergistic should trip: peak {} W",
             synergistic.peak_w
         );
+    }
+
+    #[test]
+    fn the_tenant_name_touches_only_billing() {
+        // A strike runs as `attacker`; the same campaign deployed under
+        // another name must produce the same outcome, field by field.
+        let strategy = AttackStrategy::Synergistic {
+            threshold_w: 540.0,
+            burst_s: 90,
+            cooldown_s: 300,
+        };
+        let breaker = || CircuitBreaker::new(1_150.0).thermal_limit(8.0);
+        let (mut b1, mut b2) = (breaker(), breaker());
+        let window = (SURGE_WINDOW_START, 600);
+        let named = strike(cc1(77), strategy, 77, window.0, window.1, Some(&mut b1)).unwrap();
+        let renamed = {
+            let mut cloud = cc1(77);
+            let mut campaign = AttackCampaign::deploy(&mut cloud, strategy, 3, "att").unwrap();
+            let mut trace = DiurnalTrace::paper_week(77);
+            campaign.run(&mut cloud, &mut trace, window.0, window.1, Some(&mut b2))
+        }
+        .unwrap();
+        assert!(
+            named.trials >= 1 && named.attack_cost_usd > 0.0,
+            "{named:?}"
+        );
+        assert!(named.breaker_tripped_at_s.is_some(), "{named:?}");
+        assert_eq!(named.series, renamed.series);
+        assert_eq!(named.peak_w, renamed.peak_w);
+        assert_eq!(named.trials, renamed.trials);
+        assert_eq!(named.attack_cost_usd, renamed.attack_cost_usd);
+        assert_eq!(named.breaker_tripped_at_s, renamed.breaker_tripped_at_s);
+    }
+
+    #[test]
+    fn trigger_is_a_clamped_percentile_of_the_estimates() {
+        let outcome = |estimates: &[Option<f64>]| AttackOutcome {
+            series: estimates
+                .iter()
+                .enumerate()
+                .map(|(t, e)| PowerSample {
+                    t_s: t as u64,
+                    aggregate_w: 0.0,
+                    attacker_estimate_w: *e,
+                    attacking: false,
+                })
+                .collect(),
+            peak_w: 0.0,
+            trials: 0,
+            attack_cost_usd: 0.0,
+            breaker_tripped_at_s: None,
+        };
+        // 100 estimates, 0..99 W in reverse order, and a dropout.
+        let mut estimates: Vec<Option<f64>> = (0..100).rev().map(|w| Some(f64::from(w))).collect();
+        estimates.insert(40, None);
+        let out = outcome(&estimates);
+        assert_eq!(out.trigger_w(0), Some(0.0));
+        assert_eq!(out.trigger_w(97), Some(97.0));
+        assert_eq!(out.trigger_w(100), Some(99.0));
+        assert_eq!(outcome(&[]).trigger_w(97), None);
+        assert_eq!(outcome(&[None, None]).trigger_w(100), None);
     }
 }

@@ -9,9 +9,10 @@
 //! the breaker *inside* the rack controller's reaction window, while a
 //! hypothetical instant rack cap would have contained it.
 
-use cloudsim::{Cloud, CloudConfig, CloudProfile, HostId};
+use cloudsim::{CloudConfig, CloudError, CloudProfile, HostId, InstanceSpec};
 use serde::{Deserialize, Serialize};
 
+use crate::attack::{surge_fleet, SURGE_WINDOW_START};
 use crate::facility::{BreakerState, CircuitBreaker};
 use crate::trace::DiurnalTrace;
 
@@ -96,14 +97,16 @@ pub struct CappingOutcome {
 /// cap controller with the given reaction delay. When the controller
 /// engages it sheds load by throttling every host's background demand and
 /// killing the attack payloads (the facility cutting non-critical load).
-#[expect(
-    clippy::expect_used,
-    reason = "experiment setup on a fresh eight-host cloud: three 4-vCPU payloads and their \
-        dormant processes always fit, and the experiment runner contains a panic"
-)]
-pub fn capping_experiment(seed: u64, cap_delay_s: u64, burst_s: u64) -> CappingOutcome {
-    let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(8), seed);
-    cloud.advance_secs(2);
+///
+/// # Errors
+///
+/// Propagates payload launch and exec failures.
+pub fn capping_experiment(
+    seed: u64,
+    cap_delay_s: u64,
+    burst_s: u64,
+) -> Result<CappingOutcome, CloudError> {
+    let mut cloud = surge_fleet(CloudConfig::new(CloudProfile::CC1), seed);
     let mut trace = DiurnalTrace::paper_week(seed);
     let mut breaker = CircuitBreaker::new(1_190.0).thermal_limit(8.0);
     let mut controller = RackCapController::new(1_150.0, cap_delay_s);
@@ -111,23 +114,18 @@ pub fn capping_experiment(seed: u64, cap_delay_s: u64, burst_s: u64) -> CappingO
     // Attack payloads: 3 instances × 4 virus processes, initially dormant.
     let mut payloads = Vec::new();
     for p in 0..3 {
-        let inst = cloud
-            .launch(
-                "attacker",
-                cloudsim::InstanceSpec::new(format!("payload-{p}")).vcpus(4),
-            )
-            .expect("payload");
+        let inst = cloud.launch(
+            "attacker",
+            InstanceSpec::new(format!("payload-{p}")).vcpus(4),
+        )?;
         for i in 0..4 {
             payloads.push((
                 inst,
-                cloud
-                    .exec(inst, &format!("pv-{i}"), workloads::models::sleeper())
-                    .expect("virus"),
+                cloud.exec(inst, &format!("pv-{i}"), workloads::models::sleeper())?,
             ));
         }
     }
 
-    let window_start = 86_400 + 33_000u64; // day-2 surge plateau
     let mut peak: f64 = 0.0;
     let mut tripped = None;
     let mut firing = false;
@@ -136,7 +134,7 @@ pub fn capping_experiment(seed: u64, cap_delay_s: u64, burst_s: u64) -> CappingO
     let mut last_aggregate = 0.0f64;
     for t in 0..600u64 {
         if !controller.engaged() {
-            trace.apply(&mut cloud, window_start + t);
+            trace.apply(&mut cloud, SURGE_WINDOW_START + t);
         }
         // Synergistic alignment: fire once, on the first benign crest.
         if !fired && !controller.engaged() && last_aggregate > 1_140.0 {
@@ -176,11 +174,11 @@ pub fn capping_experiment(seed: u64, cap_delay_s: u64, burst_s: u64) -> CappingO
             firing = false;
         }
     }
-    CappingOutcome {
+    Ok(CappingOutcome {
         breaker_tripped_at_s: tripped,
         cap_engaged_at_s: controller.engaged_at_s(),
         peak_w: peak,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -214,7 +212,7 @@ mod tests {
     fn minute_delay_capping_loses_to_the_spike() {
         // The paper's claim: rack capping with minute-level delay cannot
         // stop a 90 s aligned spike — the breaker goes first.
-        let out = capping_experiment(77, 120, 90);
+        let out = capping_experiment(77, 120, 90).unwrap();
         assert!(
             out.breaker_tripped_at_s.is_some(),
             "spike should trip through the slow cap: {out:?}"
@@ -230,7 +228,7 @@ mod tests {
     fn instant_capping_would_contain_it() {
         // A (hypothetical) 5 s-reaction rack cap sheds load before the
         // breaker's thermal element accumulates enough heat.
-        let out = capping_experiment(77, 5, 90);
+        let out = capping_experiment(77, 5, 90).unwrap();
         assert!(out.cap_engaged_at_s.is_some(), "{out:?}");
         assert!(
             out.breaker_tripped_at_s.is_none(),

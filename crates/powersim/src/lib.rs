@@ -24,7 +24,10 @@ pub mod orchestrate;
 pub mod stealth;
 pub mod trace;
 
-pub use attack::{AttackCampaign, AttackOutcome, AttackStrategy};
+pub use attack::{
+    calibrate, strike, surge_fleet, AttackCampaign, AttackOutcome, AttackStrategy,
+    SURGE_WINDOW_START,
+};
 pub use capping::{capping_experiment, CappingOutcome, RackCapController};
 pub use facility::{BreakerState, CircuitBreaker};
 pub use monitor::RaplMonitor;

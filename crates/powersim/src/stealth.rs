@@ -95,43 +95,31 @@ pub fn classify(trace: &UtilizationTrace, policy: &StealthPolicy) -> StealthVerd
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attack::{AttackCampaign, AttackStrategy};
-    use crate::trace::DiurnalTrace;
-    use cloudsim::{Cloud, CloudConfig, CloudProfile};
+    use crate::attack::{strike, surge_fleet, AttackStrategy, SURGE_WINDOW_START};
+    use cloudsim::{CloudConfig, CloudProfile};
 
-    fn campaign_attacking(strategy: AttackStrategy, seed: u64) -> Vec<bool> {
-        let mut cloud = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(8), seed);
-        cloud.advance_secs(2);
-        let mut campaign = AttackCampaign::deploy(&mut cloud, strategy, 3, "att").unwrap();
-        let mut trace = DiurnalTrace::paper_week(seed);
-        let out = campaign
-            .run(&mut cloud, &mut trace, 86_400 + 33_000, 3_000, None)
-            .unwrap();
-        out.series.iter().map(|s| s.attacking).collect()
+    /// The payload's duty cycle over a 3000 s surge-window strike, in
+    /// 60 s metering intervals.
+    fn duty(strategy: AttackStrategy) -> UtilizationTrace {
+        let fleet = surge_fleet(CloudConfig::new(CloudProfile::CC1), 77);
+        let out = strike(fleet, strategy, 77, SURGE_WINDOW_START, 3_000, None).unwrap();
+        let attacking: Vec<bool> = out.series.iter().map(|s| s.attacking).collect();
+        UtilizationTrace::from_attack_series(&attacking, 60)
     }
 
     #[test]
     fn continuous_attack_is_flagged_synergistic_is_not() {
         let policy = StealthPolicy::default();
-        let continuous = UtilizationTrace::from_attack_series(
-            &campaign_attacking(AttackStrategy::Continuous, 77),
-            60,
-        );
+        let continuous = duty(AttackStrategy::Continuous);
         assert_eq!(classify(&continuous, &policy), StealthVerdict::Flagged);
         assert!(continuous.mean() > 0.95);
 
         // Calibrate a synergistic trigger like the Fig. 3 experiment does.
-        let synergistic = UtilizationTrace::from_attack_series(
-            &campaign_attacking(
-                AttackStrategy::Synergistic {
-                    threshold_w: 560.0,
-                    burst_s: 90,
-                    cooldown_s: 600,
-                },
-                77,
-            ),
-            60,
-        );
+        let synergistic = duty(AttackStrategy::Synergistic {
+            threshold_w: 560.0,
+            burst_s: 90,
+            cooldown_s: 600,
+        });
         assert_eq!(
             classify(&synergistic, &policy),
             StealthVerdict::Unremarkable
@@ -142,16 +130,10 @@ mod tests {
     #[test]
     fn periodic_attack_sits_between() {
         let policy = StealthPolicy::default();
-        let periodic = UtilizationTrace::from_attack_series(
-            &campaign_attacking(
-                AttackStrategy::Periodic {
-                    period_s: 300,
-                    burst_s: 60,
-                },
-                77,
-            ),
-            60,
-        );
+        let periodic = duty(AttackStrategy::Periodic {
+            period_s: 300,
+            burst_s: 60,
+        });
         // Not sustained enough to flag, but costlier and noisier than the
         // synergistic profile (20 % duty vs < 10 %).
         assert_eq!(classify(&periodic, &policy), StealthVerdict::Unremarkable);

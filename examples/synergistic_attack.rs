@@ -7,46 +7,32 @@
 //! cargo run --release --example synergistic_attack
 //! ```
 
-use containerleaks::cloudsim::{Cloud, CloudConfig, CloudProfile};
-use containerleaks::powersim::{AttackCampaign, AttackStrategy, CircuitBreaker, DiurnalTrace};
+use containerleaks::cloudsim::{CloudConfig, CloudProfile};
+use containerleaks::powersim::{
+    calibrate, strike, surge_fleet, AttackStrategy, CircuitBreaker, SURGE_WINDOW_START,
+};
 
 const SEED: u64 = 77;
-const WINDOW_START: u64 = 86_400 + 33_000; // inside the day-2 surge
 const WINDOW_LEN: u64 = 3_000;
 
-fn fleet() -> Cloud {
-    let mut c = Cloud::new(CloudConfig::new(CloudProfile::CC1).hosts(8), SEED);
-    c.advance_secs(2);
-    c
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let fleet = || surge_fleet(CloudConfig::new(CloudProfile::CC1), SEED);
+
     // Reconnaissance: observe the window with no payload; the attacker's
     // RAPL estimate at the 97th percentile becomes the trigger.
-    let threshold = {
-        let mut cloud = fleet();
-        let mut recon = AttackCampaign::deploy(&mut cloud, AttackStrategy::Continuous, 0, "recon")?;
-        let mut trace = DiurnalTrace::paper_week(SEED);
-        let out = recon.run(&mut cloud, &mut trace, WINDOW_START, WINDOW_LEN, None)?;
-        let mut ests: Vec<f64> = out
-            .series
-            .iter()
-            .filter_map(|s| s.attacker_estimate_w)
-            .collect();
-        ests.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        ests[ests.len() * 97 / 100]
-    };
+    let recon = calibrate(fleet(), SEED, SURGE_WINDOW_START, WINDOW_LEN)?;
+    let threshold = recon
+        .trigger_w(97)
+        .ok_or("reconnaissance produced no power estimates")?;
     println!("RAPL-derived trigger threshold: {threshold:.0} W (package domains)");
 
     let run = |name: &str, strategy: AttackStrategy| -> Result<(), Box<dyn std::error::Error>> {
-        let mut cloud = fleet();
-        let mut campaign = AttackCampaign::deploy(&mut cloud, strategy, 3, "attacker")?;
-        let mut trace = DiurnalTrace::paper_week(SEED);
         let mut breaker = CircuitBreaker::new(1_190.0).thermal_limit(8.0);
-        let out = campaign.run(
-            &mut cloud,
-            &mut trace,
-            WINDOW_START,
+        let out = strike(
+            fleet(),
+            strategy,
+            SEED,
+            SURGE_WINDOW_START,
             WINDOW_LEN,
             Some(&mut breaker),
         )?;
