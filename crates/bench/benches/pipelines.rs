@@ -6,8 +6,10 @@
 //! Each group benches the hot inner loop of the corresponding experiment.
 //! A path e2ebench already times end to end (the Fig. 2 week on a
 //! populated fleet, the 1 Hz attack loop, the campaign sweep and its
-//! oracles) has no row here, except the attack loop's RAPL sample
-//! (`rapl_monitor_sample_cc1`), which gates the monitor's handle reads.
+//! oracles) has no row here, except two steps inside them: the attack
+//! loop's RAPL sample (`rapl_monitor_sample_cc1`), which gates the
+//! monitor's handle reads, and an hour of the populated Fig. 2 week
+//! (`fig2_busy_hour_30s`), which gates the busy host-step.
 //! ci.sh runs e2ebench's workloads as smoke tests only, with no timing
 //! bound, so the other paths have no performance gate until e2ebench
 //! gets one.
@@ -28,7 +30,9 @@
 //! * `table2_metrics`    — entropy computation over a 60-point trace
 //! * `table3_unixbench`  — the full UnixBench overhead replay
 //! * `fig2_week_segment_coalesced` — an hour of the Fig. 2 pipeline on
-//!   quiescent hosts, where the event-horizon coalescer applies
+//!   quiescent hosts, where the event-horizon coalescer applies;
+//!   `fig2_busy_hour_30s` — the same hour with every host's background
+//!   services running, so each 30 s step is a busy kernel tick per host
 //! * `fleet_10k_week`    — a simulated week across 10,000 hosts on the
 //!   lazy calendar; `fleet_10k_week_eager`, timed once in its own group
 //!   against a memory-latency kernel, is the eager reference the bench
@@ -195,24 +199,15 @@ fn bench_table3_unixbench(c: &mut Criterion) {
     });
 }
 
-fn bench_fig2_week_segment_coalesced(c: &mut Criterion) {
-    // The same hour of the Fig. 2 pipeline on a fleet *without*
-    // background services: the hosts are quiescent between trace
-    // applications, so the event-horizon coalescer folds each 30 s
-    // advance into a handful of spans. The populated-fleet version of
-    // this hour is e2ebench's `registry` workload, where Fig. 2 is the
-    // largest share.
+/// An hour of the Fig. 2 pipeline on an 8-host CC1 fleet at 30 s ticks:
+/// 120 steps of trace retarget, a 30 s advance and eight host power reads.
+fn fig2_hour(c: &mut Criterion, name: &str, cfg: CloudConfig) {
     use containerleaks::powersim::DiurnalTrace;
-    let mut cloud = Cloud::new(
-        CloudConfig::new(CloudProfile::CC1)
-            .hosts(8)
-            .without_background(),
-        2,
-    );
+    let mut cloud = Cloud::new(cfg.hosts(8), 2);
     let mut trace = DiurnalTrace::paper_week(2);
     cloud.set_tick_secs(30);
     let mut t = 0u64;
-    c.bench_function("fig2_week_segment_coalesced", |b| {
+    c.bench_function(name, |b| {
         b.iter(|| {
             let mut agg = 0.0;
             for _ in 0..120 {
@@ -224,6 +219,26 @@ fn bench_fig2_week_segment_coalesced(c: &mut Criterion) {
             black_box(agg)
         })
     });
+}
+
+fn bench_fig2_week_segment_coalesced(c: &mut Criterion) {
+    // The hour on a fleet *without* background services: the hosts are
+    // quiescent between trace applications, so the event-horizon
+    // coalescer folds each 30 s advance into a handful of spans. The
+    // populated-fleet version of this hour is `fig2_busy_hour_30s`.
+    fig2_hour(
+        c,
+        "fig2_week_segment_coalesced",
+        CloudConfig::new(CloudProfile::CC1).without_background(),
+    );
+}
+
+fn bench_fig2_busy_hour(c: &mut Criterion) {
+    // The hour as Fig. 2 runs it, the hosts' background services up:
+    // each step is eight busy host-steps (trace retarget, one kernel
+    // tick, a power read), the step the Fig. 2 week, `defense_fleet`,
+    // `rack_attack`, `capping` and e2ebench's `busy_attack` all pay.
+    fig2_hour(c, "fig2_busy_hour_30s", CloudConfig::new(CloudProfile::CC1));
 }
 
 /// Shared fleet for the datacenter-scale calendar benches: 10,000
@@ -627,6 +642,7 @@ criterion_group!(
         bench_table2_metrics,
         bench_table3_unixbench,
         bench_fig2_week_segment_coalesced,
+        bench_fig2_busy_hour,
         bench_fleet_10k_week,
         bench_fleet_10k_meter_idle,
         bench_host_lifecycle_idle,

@@ -21,6 +21,7 @@ use powerns::{container_energy_uj, run_table3, PowerModel, Trainer};
 use powersim::{
     calibrate, strike, surge_fleet, AttackStrategy, DiurnalTrace, Orchestrator, SURGE_WINDOW_START,
 };
+use pseudofs::Handle;
 use simkernel::{Kernel, MachineConfig};
 use workloads::models;
 
@@ -633,7 +634,7 @@ pub fn fig5(seed: u64) -> Result<Measured, String> {
             "RAPL interface unchanged",
             "same file names and format",
             "energy_uj served per container".into(),
-            rt.read_file(&k, c, "/sys/class/powercap/intel-rapl:0/energy_uj")
+            rt.read_handle_into(&k, c, &Handle::open(RAPL0_ENERGY_UJ), &mut String::new())
                 .is_ok(),
         ),
     ];
@@ -1337,6 +1338,9 @@ fn swing(v: &[f64]) -> f64 {
     v.iter().cloned().fold(f64::MIN, f64::max) - v.iter().cloned().fold(f64::MAX, f64::min)
 }
 
+/// The spy's (and Fig. 5's) RAPL package-0 energy counter.
+const RAPL0_ENERGY_UJ: &str = "/sys/class/powercap/intel-rapl:0/energy_uj";
+
 /// A victim whose load cycles on and off every 20 s and a spy sampling
 /// its RAPL view at 1 Hz, for 120 s on `kernel`: the spy's per-second
 /// energy deltas and the host's true ones.
@@ -1350,12 +1354,12 @@ fn spy_on_cycling_victim(mut kernel: Kernel) -> Result<(Vec<f64>, Vec<f64>), Str
         .ctx("spy container")?;
     rt.exec(&mut kernel, spy, "monitor", models::sleeper())
         .ctx("spy process")?;
-    let read_spy = |rt: &Runtime, k: &Kernel| -> Result<u64, String> {
-        rt.read_file(k, spy, "/sys/class/powercap/intel-rapl:0/energy_uj")
-            .ctx("rapl read")?
-            .trim()
-            .parse()
-            .ctx("rapl parse")
+    let energy = Handle::open(RAPL0_ENERGY_UJ);
+    let mut buf = String::new();
+    let mut read_spy = |rt: &Runtime, k: &Kernel| -> Result<u64, String> {
+        rt.read_handle_into(k, spy, &energy, &mut buf)
+            .ctx("rapl read")?;
+        buf.trim().parse().ctx("rapl parse")
     };
     let mut burst_pids: Vec<simkernel::HostPid> = Vec::new();
     let mut spy_series = Vec::new();
@@ -1624,9 +1628,11 @@ fn detection_cell(
     let mut atk = leakscan::AdaptiveAttacker::new(mode, prober, Some(decoder));
     let mut flagged_at: Option<u64> = None;
     let mut useful_at_flag = 0u64;
+    let meminfo = Handle::open("/proc/meminfo");
+    let mut buf = String::new();
     for s in 0..DETECTION_HORIZON_SECS {
         if s % 15 == 0 {
-            let _ = cloud.read_file(benign, "/proc/meminfo");
+            let _ = cloud.read_handle_into(benign, &meminfo, &mut buf);
         }
         atk.step(&mut cloud, s);
         cloud.advance_secs(1);

@@ -33,7 +33,7 @@ fn surge_demand(s: &SurgeEvent, t_s: u64) -> f64 {
 }
 
 /// The diurnal demand generator.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DiurnalTrace {
     base: f64,
     amplitude: f64,
@@ -43,11 +43,14 @@ pub struct DiurnalTrace {
     index: SurgeIndex,
     rng: StdRng,
     noise_state: Vec<f64>,
+    /// The active surges' demands at the instant [`DiurnalTrace::apply`]
+    /// last evaluated, in `surges` order.
+    surge_terms: Vec<f64>,
 }
 
 /// The surges sorted by start, so a lookup visits only those that began
 /// at or before an instant and may not have ended yet.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct SurgeIndex {
     /// `(start, end, position in surges)`, sorted.
     by_start: Vec<(u64, u64, usize)>,
@@ -145,6 +148,7 @@ impl DiurnalTrace {
             surges,
             rng,
             noise_state: Vec::new(),
+            surge_terms: Vec::new(),
         }
     }
 
@@ -159,6 +163,7 @@ impl DiurnalTrace {
             index: SurgeIndex::default(),
             rng: StdRng::seed_from_u64(seed ^ 0xf1a7),
             noise_state: Vec::new(),
+            surge_terms: Vec::new(),
         }
     }
 
@@ -170,12 +175,17 @@ impl DiurnalTrace {
         self
     }
 
+    /// The diurnal curve for `host` at `t_s`, before surges and noise.
+    fn diurnal(&self, host: usize, t_s: u64) -> f64 {
+        let phase = (host as u64 * self.phase_per_host_s) as f64;
+        let daily = 2.0 * std::f64::consts::PI * ((t_s as f64 + phase) / 86_400.0);
+        self.base + self.amplitude * (daily.sin() * 0.6 + (2.0 * daily).sin() * 0.25)
+    }
+
     /// The demand for `host` at `t_s` seconds into the trace (before
     /// noise).
     pub fn nominal_demand(&self, host: usize, t_s: u64) -> f64 {
-        let phase = (host as u64 * self.phase_per_host_s) as f64;
-        let daily = 2.0 * std::f64::consts::PI * ((t_s as f64 + phase) / 86_400.0);
-        let mut d = self.base + self.amplitude * (daily.sin() * 0.6 + (2.0 * daily).sin() * 0.25);
+        let mut d = self.diurnal(host, t_s);
         // Summed in `surges` order: float addition does not reassociate.
         self.index
             .active(t_s, |i| d += surge_demand(&self.surges[i], t_s));
@@ -185,17 +195,34 @@ impl DiurnalTrace {
     /// Applies the demand at `t_s` to every host of the cloud
     /// (autocorrelated noise on top of the nominal curve).
     pub fn apply(&mut self, cloud: &mut Cloud, t_s: u64) {
-        let n = cloud.host_count();
-        if self.noise_state.len() != n {
-            self.noise_state = vec![0.0; n];
+        self.demands(cloud.host_count(), t_s, |host, d| {
+            cloud.set_background_demand(HostId(host as u32), d);
+        });
+    }
+
+    /// Hands `set` each of `hosts` hosts' demand at `t_s`, in host order.
+    /// Every host sees the same surges, so their terms are evaluated once
+    /// and then added to each host's curve one by one in `surges` order:
+    /// the very sum [`DiurnalTrace::nominal_demand`] forms.
+    fn demands(&mut self, hosts: usize, t_s: u64, mut set: impl FnMut(usize, f64)) {
+        if self.noise_state.len() != hosts {
+            self.noise_state = vec![0.0; hosts];
         }
-        for host in 0..n {
+        self.surge_terms.clear();
+        self.index.active(t_s, |i| {
+            self.surge_terms.push(surge_demand(&self.surges[i], t_s));
+        });
+        for host in 0..hosts {
             // AR(1) noise: smooth wander rather than white flicker.
             let innovation: f64 = self.rng.random_range(-1.0..1.0);
             self.noise_state[host] = self.noise_state[host] * 0.9 + innovation * 0.1;
-            let d = (self.nominal_demand(host, t_s) + self.noise_state[host] * self.noise * 3.0)
+            let mut nominal = self.diurnal(host, t_s);
+            for term in &self.surge_terms {
+                nominal += term;
+            }
+            let d = (nominal.clamp(0.01, 0.95) + self.noise_state[host] * self.noise * 3.0)
                 .clamp(0.01, 0.95);
-            cloud.set_background_demand(HostId(host as u32), d);
+            set(host, d);
         }
     }
 }
@@ -298,6 +325,22 @@ mod tests {
             .collect()
     }
 
+    /// [`DiurnalTrace::apply`]'s demands before the surge terms were
+    /// shared: each host's own `nominal_demand`, plus its noise.
+    fn demands_reference(t: &mut DiurnalTrace, hosts: usize, t_s: u64) -> Vec<f64> {
+        if t.noise_state.len() != hosts {
+            t.noise_state = vec![0.0; hosts];
+        }
+        (0..hosts)
+            .map(|host| {
+                let innovation: f64 = t.rng.random_range(-1.0..1.0);
+                t.noise_state[host] = t.noise_state[host] * 0.9 + innovation * 0.1;
+                (t.nominal_demand(host, t_s) + t.noise_state[host] * t.noise * 3.0)
+                    .clamp(0.01, 0.95)
+            })
+            .collect()
+    }
+
     fn assert_index_matches(t: &DiurnalTrace) -> Result<(), TestCaseError> {
         for host in [0, 3, 7] {
             for t_s in edges(t) {
@@ -310,6 +353,21 @@ mod tests {
                 );
             }
         }
+        // The batched per-instant path, 8 hosts at every edge in turn,
+        // against the per-host path: the same demands, noise and stream.
+        let (mut fast, mut reference) = (t.clone(), t.clone());
+        for t_s in edges(t) {
+            let mut got = Vec::new();
+            fast.demands(8, t_s, |host, d| got.push((host, d.to_bits())));
+            let want: Vec<(usize, u64)> = demands_reference(&mut reference, 8, t_s)
+                .into_iter()
+                .map(f64::to_bits)
+                .enumerate()
+                .collect();
+            prop_assert_eq!(got, want, "demands at {} s", t_s);
+        }
+        prop_assert_eq!(fast.noise_state, reference.noise_state);
+        prop_assert_eq!(fast.rng, reference.rng);
         Ok(())
     }
 
@@ -356,6 +414,26 @@ mod tests {
             }
             assert_index_matches(&t)?;
         }
+    }
+
+    #[test]
+    fn overlapping_added_surges_share_their_terms_across_hosts() {
+        let mut t = DiurnalTrace::paper_week(7);
+        for (start_s, duration_s, extra_demand) in [
+            (86_400 + 30_100, 900, 0.013),
+            (86_400 + 30_200, 400, 0.029),
+            (86_400 + 30_150, 60, 0.007),
+        ] {
+            t = t.with_surge(SurgeEvent {
+                start_s,
+                duration_s,
+                extra_demand,
+            });
+        }
+        let mut active = 0;
+        t.index.active(86_400 + 30_205, |_| active += 1);
+        assert!(active >= 4, "{active} surges overlap");
+        assert_index_matches(&t).unwrap();
     }
 
     #[test]

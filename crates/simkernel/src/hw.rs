@@ -14,7 +14,7 @@ use rand::RngExt;
 use serde::{Deserialize, Serialize};
 
 use crate::sched::CpuTickLoad;
-use crate::time::NANOS_PER_SEC;
+use crate::time::{DecayMemo, NANOS_PER_SEC};
 
 /// Intel's RAPL energy-counter wrap point (`max_energy_range_uj`).
 pub const RAPL_WRAP_UJ: u64 = 262_143_328_850;
@@ -293,9 +293,16 @@ impl Hardware {
     /// idle-state residency.
     ///
     /// Draws, in order: per CPU, the temperature noise then the frequency
-    /// dither; then per package, the power noise. A `#[cfg(test)]`
-    /// reference tick pins the result.
-    pub fn tick(&mut self, dt_ns: u64, load: &[CpuTickLoad], rng: &mut StdRng) {
+    /// dither; then per package, the power noise. `thermal` memoizes the
+    /// thermal filter's decay by tick length. A `#[cfg(test)]` reference
+    /// tick pins the result.
+    pub fn tick(
+        &mut self,
+        dt_ns: u64,
+        load: &[CpuTickLoad],
+        thermal: &mut DecayMemo,
+        rng: &mut StdRng,
+    ) {
         let dt_s = dt_ns as f64 / NANOS_PER_SEC as f64;
         let npkg = self.rapl.package_count();
         let last_pkg = npkg.saturating_sub(1);
@@ -314,7 +321,7 @@ impl Hardware {
         per_pkg.clear();
         per_pkg.resize(npkg, (0.0, 0.0, 0.0));
         // Loop-invariant pieces of the per-CPU thermal/governor models.
-        let alpha = 1.0 - (-dt_s / THERMAL_TAU_S).exp();
+        let alpha = 1.0 - thermal.get(dt_ns, THERMAL_TAU_S);
         let base_khz = *freq_hz as f64 / 1_000.0;
 
         // CPUs with equal loads share every load-derived quantity; only
@@ -733,10 +740,13 @@ mod tests {
         let mut fast = hw(16, 2);
         let mut plain = hw(16, 2);
         let (mut rf, mut rp) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
+        // One memo across the three ticks, as the kernel keeps it: each
+        // length change must recompute what the reference computes fresh.
+        let mut thermal = DecayMemo::default();
         for secs in [1, 30, 1] {
             let dt = secs * NANOS_PER_SEC;
             let loads = CpuTickLoad::near_twins(dt);
-            fast.tick(dt, &loads, &mut rf);
+            fast.tick(dt, &loads, &mut thermal, &mut rf);
             plain.tick_reference(dt, &loads, &mut rp);
             let json = |h: &Hardware| serde_json::to_string(h).expect("hardware serializes");
             assert_eq!(json(&fast), json(&plain), "after a {secs} s tick");
@@ -789,7 +799,7 @@ mod tests {
         let dt = NANOS_PER_SEC;
         let mut last = 0u64;
         for _ in 0..10 {
-            h.tick(dt, &busy_load(8, dt), &mut rng);
+            h.tick(dt, &busy_load(8, dt), &mut DecayMemo::default(), &mut rng);
             let e = h.rapl().raw(0).unwrap().package_uj as u64;
             assert!(e > last);
             last = e;
@@ -801,7 +811,7 @@ mod tests {
         let mut h = hw(16, 2);
         let mut rng = StdRng::seed_from_u64(2);
         let dt = NANOS_PER_SEC;
-        h.tick(dt, &idle_load(16, dt), &mut rng);
+        h.tick(dt, &idle_load(16, dt), &mut DecayMemo::default(), &mut rng);
         let w = h.last_power().wall_w;
         assert!((95.0..135.0).contains(&w), "idle wall power {w} W");
     }
@@ -820,8 +830,8 @@ mod tests {
         for l in four_busy.iter_mut().take(4) {
             *l = busy_load(1, dt)[0];
         }
-        h1.tick(dt, &idle, &mut rng1);
-        h2.tick(dt, &four_busy, &mut rng2);
+        h1.tick(dt, &idle, &mut DecayMemo::default(), &mut rng1);
+        h2.tick(dt, &four_busy, &mut DecayMemo::default(), &mut rng2);
         let delta = h2.last_power().wall_w - h1.last_power().wall_w;
         assert!(
             (25.0..60.0).contains(&delta),
@@ -834,7 +844,7 @@ mod tests {
         let dt = NANOS_PER_SEC;
         let mut rng = StdRng::seed_from_u64(4);
         let mut baseline = hw(4, 1);
-        baseline.tick(dt, &idle_load(4, dt), &mut rng);
+        baseline.tick(dt, &idle_load(4, dt), &mut DecayMemo::default(), &mut rng);
         let base_dram = baseline.rapl().raw(0).unwrap().dram_uj;
 
         let mut rates = Vec::new();
@@ -844,7 +854,7 @@ mod tests {
             let mut load = idle_load(4, dt);
             load[0].cache_misses = misses;
             load[0].busy_ns = dt;
-            h.tick(dt, &load, &mut rng);
+            h.tick(dt, &load, &mut DecayMemo::default(), &mut rng);
             rates.push(h.rapl().raw(0).unwrap().dram_uj - base_dram);
         }
         // Doubling misses should roughly double the extra DRAM energy.
@@ -861,12 +871,12 @@ mod tests {
         let dt = NANOS_PER_SEC;
         let t0 = h.cpus()[0].temp_mc;
         for _ in 0..60 {
-            h.tick(dt, &busy_load(4, dt), &mut rng);
+            h.tick(dt, &busy_load(4, dt), &mut DecayMemo::default(), &mut rng);
         }
         let t1 = h.cpus()[0].temp_mc;
         assert!(t1 > t0 + 10_000.0, "temp rose only {t0}→{t1}");
         for _ in 0..120 {
-            h.tick(dt, &busy_load(4, dt), &mut rng);
+            h.tick(dt, &busy_load(4, dt), &mut DecayMemo::default(), &mut rng);
         }
         let t2 = h.cpus()[0].temp_mc;
         assert!(
@@ -882,7 +892,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let dt = NANOS_PER_SEC;
         for _ in 0..5 {
-            h.tick(dt, &idle_load(2, dt), &mut rng);
+            h.tick(dt, &idle_load(2, dt), &mut DecayMemo::default(), &mut rng);
         }
         let c6 = h.cpus()[0].idle_states[4];
         assert!(c6.usage > 0);
@@ -896,7 +906,7 @@ mod tests {
         let dt = NANOS_PER_SEC;
         let mut load = idle_load(2, dt);
         load[0] = busy_load(1, dt)[0];
-        h.tick(dt, &load, &mut rng);
+        h.tick(dt, &load, &mut DecayMemo::default(), &mut rng);
         let busy_khz = h.cpus()[0].cur_freq_khz;
         let idle_khz = h.cpus()[1].cur_freq_khz;
         assert!(
@@ -932,7 +942,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(7);
             let mut l = busy_load(1, dt);
             l[0].fp_instructions = fp;
-            h.tick(dt, &l, &mut rng);
+            h.tick(dt, &l, &mut DecayMemo::default(), &mut rng);
             h.rapl().raw(0).unwrap().core_uj
         };
         let int_only = mk(0);

@@ -21,7 +21,7 @@ use crate::power_ns::{PowerModel, PowerNamespace};
 use crate::process::{CgroupMembership, HostPid, ProcState, Process, ProcessTable};
 use crate::sched::{SchedAnchor, SchedScratch, Scheduler, TickReport};
 use crate::syscost::SysCosts;
-use crate::time::{Clock, NANOS_PER_SEC};
+use crate::time::{Clock, DecayMemo, NANOS_PER_SEC};
 use crate::timers::TimerList;
 use simtrace::TraceEvent;
 use workloads::{PhaseCursor, WorkloadSpec};
@@ -242,6 +242,10 @@ struct TickScratch {
     cgroups_lent: bool,
     /// Total RSS from that aggregation.
     rss_total: u64,
+    /// The hw thermal filter's decay, by tick length.
+    thermal: DecayMemo,
+    /// The page cache's decay, by tick length.
+    cache_decay: DecayMemo,
 }
 
 impl TickScratch {
@@ -254,6 +258,8 @@ impl TickScratch {
             mem_epoch: None,
             cgroups_lent: false,
             rss_total: 0,
+            thermal: DecayMemo::default(),
+            cache_decay: DecayMemo::default(),
         }
     }
 }
@@ -933,7 +939,12 @@ impl Kernel {
         );
         let report = &self.scratch.report;
 
-        self.hw.tick(dt_ns, &report.per_cpu, &mut self.rng);
+        self.hw.tick(
+            dt_ns,
+            &report.per_cpu,
+            &mut self.scratch.thermal,
+            &mut self.rng,
+        );
 
         let mut syscalls = 0u64;
         let mut io_bytes = 0u64;
@@ -956,8 +967,13 @@ impl Kernel {
             self.scratch.mem_epoch = Some(self.procs.epoch());
         }
         self.refresh_rss_memo();
-        self.mem
-            .tick(dt_ns, self.scratch.rss_total, io_bytes, &mut self.rng);
+        self.mem.tick(
+            dt_ns,
+            self.scratch.rss_total,
+            io_bytes,
+            &mut self.scratch.cache_decay,
+            &mut self.rng,
+        );
 
         let report = &self.scratch.report;
         let intr_before = self.irq.total_interrupts();
@@ -1233,17 +1249,18 @@ impl Kernel {
 
     /// Retargets the CPU demand of every live process in `pids`, as
     /// [`Kernel::set_workload_demand`] does one pid at a time, with one
-    /// anchor invalidation and one process-epoch bump for the whole batch:
-    /// the path a host's background services take each time a utilization
-    /// trace moves. Pids that are not live are skipped.
+    /// anchor invalidation, one walk of the process table and one
+    /// process-epoch bump for the whole batch: the path a host's background
+    /// services take each time a utilization trace moves. Pids that are not
+    /// live are skipped; order and repeats in `pids` do not matter.
     pub fn set_workload_demands(&mut self, pids: &[HostPid], demand: f64) {
         if pids.is_empty() {
             return;
         }
         self.idle_anchor.invalidate();
         let mut retargeted = false;
-        for &pid in pids {
-            if let Some(p) = self.procs.get_mut(pid) {
+        for p in self.procs.iter_mut() {
+            if pids.contains(&p.host_pid) {
                 p.workload.set_uniform_cpu_demand(demand);
                 retargeted = true;
             }
@@ -1495,8 +1512,13 @@ mod tests {
                 self.scratch.mem_epoch = None;
             }
             self.refresh_rss_memo_reference();
-            self.mem
-                .tick(dt_ns, self.scratch.rss_total, io_bytes, &mut self.rng);
+            self.mem.tick(
+                dt_ns,
+                self.scratch.rss_total,
+                io_bytes,
+                &mut DecayMemo::default(),
+                &mut self.rng,
+            );
 
             let report = &self.scratch.report;
             let intr_before = self.irq.total_interrupts();
@@ -2348,6 +2370,34 @@ mod tests {
         k.set_workload(pid, models::power_virus()).unwrap();
         k.advance_secs(3);
         assert!(k.wall_watts() > low_w + 5.0);
+    }
+
+    #[test]
+    fn batch_demand_retarget_equals_the_per_pid_loop() {
+        let boot = || {
+            let mut k = kernel();
+            let pids: Vec<HostPid> = (0..5)
+                .map(|i| {
+                    k.spawn_host_process(&format!("svc{i}"), models::web_service(0.1))
+                        .unwrap()
+                })
+                .collect();
+            k.advance_secs(2);
+            (k, pids)
+        };
+        let (mut batch, pids) = boot();
+        let (mut single, _) = boot();
+        // Unsorted, with a repeat and a pid that was never spawned; two
+        // services are left out.
+        let targets = [pids[3], pids[0], pids[3], HostPid(9_999), pids[1]];
+        batch.set_workload_demands(&targets, 0.6);
+        for &pid in &targets {
+            let _ = single.set_workload_demand(pid, 0.6);
+        }
+        assert_eq!(batch.state(), single.state());
+        batch.advance_secs(5);
+        single.advance_secs(5);
+        assert_eq!(batch.tick_state(), single.tick_state());
     }
 
     #[test]

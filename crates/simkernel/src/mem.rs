@@ -10,10 +10,13 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
 
-use crate::time::NANOS_PER_SEC;
+use crate::time::{DecayMemo, NANOS_PER_SEC};
 
 /// Page size used throughout (4 KiB).
 pub const PAGE_SIZE: u64 = 4096;
+
+/// Time constant of the page cache's decay toward its floor, seconds.
+const PAGE_CACHE_TAU_S: f64 = 600.0;
 
 /// One memory zone (`/proc/zoneinfo` entry).
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -79,6 +82,8 @@ pub struct MemoryState {
     buffers_bytes: u64,
     dirty_bytes: u64,
     zones: Vec<Zone>,
+    /// Each zone's share of the managed pages, fixed at boot.
+    zone_shares: Vec<f64>,
     numa: Vec<NumaStat>,
     numa_nodes: u16,
 }
@@ -101,6 +106,11 @@ impl MemoryState {
                 zones.push(mk_zone("Normal", node, per_node));
             }
         }
+        let managed_total: u64 = zones.iter().map(|z| z.managed_pages).sum();
+        let zone_shares = zones
+            .iter()
+            .map(|z| z.managed_pages as f64 / managed_total as f64)
+            .collect();
         let mut s = MemoryState {
             vm: VmCounters::default(),
             total_bytes,
@@ -112,6 +122,7 @@ impl MemoryState {
             buffers_bytes: 96 << 20,
             dirty_bytes: 4 << 20,
             zones,
+            zone_shares,
             numa: vec![NumaStat::default(); numa_nodes as usize],
             numa_nodes,
         };
@@ -208,8 +219,16 @@ impl MemoryState {
 
     /// One tick: charge the current aggregate RSS, grow/shrink the page
     /// cache with IO traffic, wander dirty pages, update zones and NUMA
-    /// counters.
-    pub fn tick(&mut self, dt_ns: u64, rss_total: u64, io_bytes: u64, rng: &mut StdRng) {
+    /// counters. `cache_decay` memoizes the page cache's decay by tick
+    /// length.
+    pub fn tick(
+        &mut self,
+        dt_ns: u64,
+        rss_total: u64,
+        io_bytes: u64,
+        cache_decay: &mut DecayMemo,
+        rng: &mut StdRng,
+    ) {
         let dt_s = dt_ns as f64 / NANOS_PER_SEC as f64;
         self.rss_bytes = rss_total.min(self.total_bytes - self.kernel_reserved_bytes);
 
@@ -218,7 +237,7 @@ impl MemoryState {
             .total_bytes
             .saturating_sub(self.kernel_reserved_bytes + self.rss_bytes)
             / 2;
-        let decay = (-dt_s / 600.0).exp();
+        let decay = cache_decay.get(dt_ns, PAGE_CACHE_TAU_S);
         let mut cache = self.page_cache_bytes as f64 * decay + io_bytes as f64 * 0.8;
         let jitter = rng.random_range(-0.01..0.01);
         cache *= 1.0 + jitter;
@@ -278,7 +297,7 @@ impl MemoryState {
             .total_bytes
             .saturating_sub(self.kernel_reserved_bytes + self.rss_bytes)
             / 2;
-        let cache = anchor.page_cache_bytes as f64 * (-rel_s / 600.0).exp();
+        let cache = anchor.page_cache_bytes as f64 * (-rel_s / PAGE_CACHE_TAU_S).exp();
         self.page_cache_bytes = (cache as u64).clamp(64 << 20, ceiling.max(64 << 20));
 
         self.dirty_bytes =
@@ -308,12 +327,7 @@ impl MemoryState {
 
     fn refresh_zone_free(&mut self) {
         let free = self.free_bytes();
-        let managed_total: u64 = self.zones.iter().map(|z| z.managed_pages).sum();
-        if managed_total == 0 {
-            return;
-        }
-        for z in &mut self.zones {
-            let share = z.managed_pages as f64 / managed_total as f64;
+        for (z, &share) in self.zones.iter_mut().zip(&self.zone_shares) {
             // `free_bytes()` is measured against the full RAM while
             // zones only manage ~97% of it; on a nearly idle machine the
             // proportional share can exceed the zone — clamp to keep the
@@ -422,7 +436,13 @@ mod tests {
         let mut m = MemoryState::new(16 << 30, 0, 1);
         let mut rng = StdRng::seed_from_u64(1);
         let before = m.free_bytes();
-        m.tick(NANOS_PER_SEC, 4 << 30, 0, &mut rng);
+        m.tick(
+            NANOS_PER_SEC,
+            4 << 30,
+            0,
+            &mut DecayMemo::default(),
+            &mut rng,
+        );
         let after = m.free_bytes();
         assert!(before - after > 3 << 30, "free {before} -> {after}");
     }
@@ -431,7 +451,13 @@ mod tests {
     fn zone_free_tracks_global_free() {
         let mut m = MemoryState::new(16 << 30, 0, 1);
         let mut rng = StdRng::seed_from_u64(2);
-        m.tick(NANOS_PER_SEC, 8 << 30, 0, &mut rng);
+        m.tick(
+            NANOS_PER_SEC,
+            8 << 30,
+            0,
+            &mut DecayMemo::default(),
+            &mut rng,
+        );
         let zone_free: u64 = m.zones().iter().map(|z| z.free_pages * PAGE_SIZE).sum();
         let diff = (zone_free as i64 - m.free_bytes() as i64).unsigned_abs();
         assert!(diff < 64 << 20, "zone/global free divergence {diff}");
@@ -443,7 +469,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let before = m.cached_bytes();
         for _ in 0..10 {
-            m.tick(NANOS_PER_SEC, 0, 256 << 20, &mut rng);
+            m.tick(
+                NANOS_PER_SEC,
+                0,
+                256 << 20,
+                &mut DecayMemo::default(),
+                &mut rng,
+            );
         }
         assert!(m.cached_bytes() > before, "cache did not grow");
     }
@@ -455,7 +487,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut values = Vec::new();
         for _ in 0..5 {
-            m.tick(NANOS_PER_SEC, 1 << 30, 10 << 20, &mut rng);
+            m.tick(
+                NANOS_PER_SEC,
+                1 << 30,
+                10 << 20,
+                &mut DecayMemo::default(),
+                &mut rng,
+            );
             values.push(m.free_bytes());
         }
         values.dedup();
@@ -466,7 +504,13 @@ mod tests {
     fn numa_counters_accumulate() {
         let mut m = MemoryState::new(64 << 30, 0, 2);
         let mut rng = StdRng::seed_from_u64(5);
-        m.tick(NANOS_PER_SEC, 1 << 30, 1 << 20, &mut rng);
+        m.tick(
+            NANOS_PER_SEC,
+            1 << 30,
+            1 << 20,
+            &mut DecayMemo::default(),
+            &mut rng,
+        );
         let s = m.numa_stats()[0];
         assert!(s.numa_hit > 0);
         assert!(s.local_node >= s.numa_miss);
@@ -476,12 +520,51 @@ mod tests {
     fn vm_counters_accumulate_with_activity() {
         let mut m = MemoryState::new(16 << 30, 0, 1);
         let mut rng = StdRng::seed_from_u64(6);
-        m.tick(NANOS_PER_SEC, 1 << 30, 1 << 20, &mut rng);
+        m.tick(
+            NANOS_PER_SEC,
+            1 << 30,
+            1 << 20,
+            &mut DecayMemo::default(),
+            &mut rng,
+        );
         let a = m.vm_counters();
         assert!(a.pgalloc > 0 && a.pgfault > a.pgalloc, "{a:?}");
-        m.tick(NANOS_PER_SEC, 1 << 30, 1 << 20, &mut rng);
+        m.tick(
+            NANOS_PER_SEC,
+            1 << 30,
+            1 << 20,
+            &mut DecayMemo::default(),
+            &mut rng,
+        );
         let b = m.vm_counters();
         assert!(b.pgalloc > a.pgalloc && b.pgfault > a.pgfault);
+    }
+
+    #[test]
+    fn cache_decay_memo_across_tick_lengths_equals_a_fresh_exp() {
+        // One memo across 1 s / 30 s / 1 s ticks, as the kernel keeps it,
+        // against a fresh memo (so a fresh `exp`) at every tick.
+        let mut memoized = MemoryState::new(64 << 30, 0, 2);
+        let mut fresh = memoized.clone();
+        let (mut rm, mut rf) = (StdRng::seed_from_u64(12), StdRng::seed_from_u64(12));
+        let mut cache_decay = DecayMemo::default();
+        for secs in [1, 30, 1, 1, 30] {
+            let dt = secs * NANOS_PER_SEC;
+            memoized.tick(dt, 6 << 30, 64 << 20, &mut cache_decay, &mut rm);
+            fresh.tick(dt, 6 << 30, 64 << 20, &mut DecayMemo::default(), &mut rf);
+            let json = |m: &MemoryState| serde_json::to_string(m).expect("memory serializes");
+            assert_eq!(json(&memoized), json(&fresh), "after a {secs} s tick");
+            assert_eq!(rm.random::<u64>(), rf.random::<u64>());
+        }
+        // The boot-time zone shares split free memory as a per-tick
+        // division would.
+        let managed: u64 = memoized.zones.iter().map(|z| z.managed_pages).sum();
+        let free_pages = memoized.free_bytes() / PAGE_SIZE;
+        for z in memoized.zones() {
+            let share = z.managed_pages as f64 / managed as f64;
+            let want = ((free_pages as f64 * share) as u64).min(z.managed_pages);
+            assert_eq!(z.free_pages, want, "zone {} of node {}", z.name, z.node);
+        }
     }
 
     #[test]

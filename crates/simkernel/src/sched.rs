@@ -15,11 +15,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::cgroup::{CgroupForest, CgroupId, PerfCounters};
 use crate::process::{HostPid, ProcState, Process, ProcessTable};
-use crate::time::NANOS_PER_SEC;
+use crate::time::{DecayMemo, NANOS_PER_SEC};
 use workloads::Phase;
 
 /// Default CFS scheduling period used for context-switch estimation.
 const SCHED_PERIOD_NS: u64 = 10_000_000;
+
+/// The 1/5/15-minute load-average windows, seconds.
+const LOADAVG_WINDOWS_S: [f64; 3] = [60.0, 300.0, 900.0];
 
 /// Per-CPU scheduler accounting.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
@@ -89,16 +92,17 @@ pub struct TickReport {
 /// allocation off the steady-state path.
 #[derive(Debug, Default)]
 pub struct SchedScratch {
-    /// One entry per runnable task, in pid order.
-    tasks: Vec<TaskSlot>,
+    /// The CPU each runnable task was assigned, in pid order; `None`
+    /// when its affinity names no CPU of this machine.
+    tasks: Vec<Option<usize>>,
     /// Tasks assigned to each CPU this tick.
     loads: Vec<u32>,
     /// Summed demand of each CPU's tasks, added in pid order.
     demand: Vec<f64>,
     /// Nanoseconds each CPU ran tasks this tick.
     busy: Vec<u64>,
-    /// The three load-average decays for the last tick length seen.
-    decays: Option<(u64, [f64; 3])>,
+    /// The load-average decays, one per window of [`LOADAVG_WINDOWS_S`].
+    decays: [DecayMemo; 3],
     /// Cgroup charges not yet applied.
     charge: PendingCharge,
 }
@@ -139,17 +143,6 @@ impl PendingCharge {
             self.perf = PerfCounters::default();
         }
     }
-}
-
-/// What step 1 of a tick records about one runnable task.
-#[derive(Debug, Clone)]
-struct TaskSlot {
-    /// The CPU it was assigned, or `None` when its affinity names no CPU
-    /// of this machine.
-    cpu: Option<usize>,
-    /// Its phase as the tick began; the cursor only moves in step 2,
-    /// after this task's own share has been computed.
-    phase: Phase,
 }
 
 /// Cycles retired in `ran_ns` at `freq_hz`: `ran_ns * freq_hz / 1e9`
@@ -395,8 +388,8 @@ impl Scheduler {
 
         // 1. Assign runnable tasks to CPUs: explicit affinity wins; others
         //    go to the least-loaded candidate, preferring their last CPU.
-        //    Each task's phase is recorded, and its demand summed into its
-        //    CPU's total in pid order.
+        //    Each task's demand is summed into its CPU's total in pid
+        //    order.
         let mut least = LeastLoaded::default();
         for p in procs.iter().filter(|p| p.state == ProcState::Runnable) {
             let last = p.last_cpu as usize;
@@ -412,15 +405,11 @@ impl Scheduler {
                 None if last < ncpus && loads[last] == least.min => Some(last),
                 None => Some(least.first),
             };
-            let phase = p.cursor.current_phase(&p.workload);
             if let Some(cpu) = best {
                 least.bump(loads, cpu);
-                demand[cpu] += phase.cpu_demand;
+                demand[cpu] += p.cursor.current_phase(&p.workload).cpu_demand;
             }
-            tasks.push(TaskSlot {
-                cpu: best,
-                phase: phase.clone(),
-            });
+            tasks.push(best);
         }
 
         // 2. One walk over the runnable tasks, in the order step 1 saw
@@ -429,17 +418,20 @@ impl Scheduler {
         //    walk's order charges what any order would), and a finished
         //    Once workload is reaped.
         //    Tasks that share a phase and a CPU share run the same
-        //    arithmetic, so it is computed once per distinct key.
+        //    arithmetic, so it is computed once per distinct key. A task's
+        //    cursor has not moved since step 1, so its phase is re-read.
         let mut runnable = 0;
         if !tasks.is_empty() {
             let mut memo = TaskMemo::new(dt_ns, self.freq_hz);
             let runq = procs.iter_mut().filter(|p| p.state == ProcState::Runnable);
-            for (p, task) in runq.zip(tasks.iter()) {
-                if let Some(cpu) = task.cpu {
-                    if let Some(math) = memo.get(&task.phase, demand[cpu]) {
+            for (p, &task_cpu) in runq.zip(tasks.iter()) {
+                if let Some(cpu) = task_cpu {
+                    let phase = p.cursor.current_phase(&p.workload);
+                    let mem_bytes = phase.mem_bytes;
+                    if let Some(math) = memo.get(phase, demand[cpu]) {
                         self.run_task(p, cpu, math, report);
                         report.rss_moved |=
-                            p.cursor.current_phase(&p.workload).mem_bytes != task.phase.mem_bytes;
+                            p.cursor.current_phase(&p.workload).mem_bytes != mem_bytes;
                         busy[cpu] += math.ran_ns;
                         let owner = (p.cgroups.cpuacct, p.cgroups.perf_event);
                         charge.add(cgroups, owner, cpu, math.ran_ns, &math.perf);
@@ -493,17 +485,9 @@ impl Scheduler {
         self.total_switches += report.switches;
 
         // 4. Load averages (exponentially-weighted, Linux style).
-        let decay = match *decays {
-            Some((dt, d)) if dt == dt_ns => d,
-            _ => {
-                let dt_s = dt_ns as f64 / NANOS_PER_SEC as f64;
-                let d = [60.0f64, 300.0, 900.0].map(|window| (-dt_s / window).exp());
-                *decays = Some((dt_ns, d));
-                d
-            }
-        };
         let n = runnable as f64;
-        for (avg, decay) in self.loadavg.iter_mut().zip(decay) {
+        for ((avg, memo), window) in self.loadavg.iter_mut().zip(decays).zip(LOADAVG_WINDOWS_S) {
+            let decay = memo.get(dt_ns, window);
             *avg = *avg * decay + n * (1.0 - decay);
         }
     }
@@ -574,7 +558,7 @@ impl Scheduler {
             cur.idle_ns = cur.idle_ns - applied_ns + rel_ns;
         }
         let rel_s = rel_ns as f64 / NANOS_PER_SEC as f64;
-        for (i, window) in [60.0f64, 300.0, 900.0].iter().enumerate() {
+        for (i, window) in LOADAVG_WINDOWS_S.iter().enumerate() {
             self.loadavg[i] = anchor.loadavg[i] * (-rel_s / window).exp();
         }
     }

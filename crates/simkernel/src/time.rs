@@ -5,6 +5,29 @@ use serde::{Deserialize, Serialize};
 /// Nanoseconds per second.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
+/// `exp(-dt_s / tau_s)` for the last tick length one call site asked for.
+/// A host ticks at one length for hours, so the `exp` runs when the length
+/// changes, not every tick. Each memo serves one time constant: the key is
+/// the tick length alone. A hit returns the very value a recomputation
+/// would, so a memo moves no byte.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DecayMemo(Option<(u64, f64)>);
+
+impl DecayMemo {
+    /// The decay factor over `dt_ns` for time constant `tau_s`.
+    pub fn get(&mut self, dt_ns: u64, tau_s: f64) -> f64 {
+        match self.0 {
+            Some((dt, decay)) if dt == dt_ns => decay,
+            _ => {
+                let dt_s = dt_ns as f64 / NANOS_PER_SEC as f64;
+                let decay = (-dt_s / tau_s).exp();
+                self.0 = Some((dt_ns, decay));
+                decay
+            }
+        }
+    }
+}
+
 /// The kernel's virtual clock.
 ///
 /// Tracks nanoseconds since boot plus a wall-clock base (seconds since the
